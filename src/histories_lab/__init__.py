@@ -8,7 +8,7 @@ sets admit one unifying probability, with Bell/CHSH inequalities as analytic
 cross-checks.
 """
 
-from ._kernels import NUMBA_AVAILABLE, active_backend
+from ._kernels import active_backend
 from .analysis import AnalysisOptions, analyze, report_to_json, reverify
 from .classicality import (
     ClassicalityReport,

@@ -1,16 +1,16 @@
-"""Hot numeric loops, JIT-compiled when numba is available.
+"""The Bland-rule pivot loop shared by float and exact simplex solves.
 
-The floating-point simplex iteration dominates runtime in parameter sweeps
-and the random property suites, so it is compiled with ``numba.njit``.  A
-pure-numpy fallback (the same source, uncompiled) is selected when numba is
-missing or when ``HISTORIES_LAB_NO_NUMBA=1`` is set.  Both paths perform the
-same IEEE operations pivot by pivot, so solver output does not depend on the
-backend.
+One loop and one pivot work on a dense numpy tableau of either dtype:
+``float64`` with a small pivot tolerance, or ``object`` holding
+``fractions.Fraction`` entries with tolerance 0.  The Bland scans run on
+``.tolist()`` copies, whose Python floats divide and compare exactly like
+numpy scalars.  Only the rank-1 update depends on the dtype: float tableaus
+take the dense ``np.outer`` update, rational ones touch only the nonzero rows
+and pivot-row columns, which leaves every value the same (``x - f*0 == x``)
+and saves most of the ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -18,92 +18,54 @@ LOOP_OPTIMAL = 0
 LOOP_UNBOUNDED = 1
 LOOP_ITER_LIMIT = 2
 
-_FORCE_NUMPY = os.environ.get("HISTORIES_LAB_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    NUMBA_AVAILABLE = False
-
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: ``"numba"`` or ``"numpy"``."""
-    return "numba" if (NUMBA_AVAILABLE and not _FORCE_NUMPY) else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def _simplex_loop_impl(tableau, basis, n_eligible, tol, max_iter):
+def pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``tableau[row, col]`` in place and record ``col`` as basic in ``row``."""
+    tableau[row, :] /= tableau[row, col]
+    column = tableau[:, col].copy()
+    column[row] = 0
+    if tableau.dtype == object:
+        rows = np.flatnonzero(column)
+        cols = np.flatnonzero(tableau[row, :])
+        tableau[np.ix_(rows, cols)] -= np.outer(column[rows], tableau[row, cols])
+    else:
+        tableau -= np.outer(column, tableau[row, :])
+    basis[row] = col
+
+
+def simplex_loop(tableau: np.ndarray, basis: np.ndarray, n_eligible: int,
+                 tol, max_iter: int) -> int:
     """Bland-rule simplex iterations on a dense tableau, in place.
 
     Layout: rows 0..m-1 are constraints, row m is the reduced-cost row with
     the negated objective in its last entry; the last column is the rhs.
-    Only columns < n_eligible may enter the basis.  Returns a LOOP_* code.
+    Only columns < n_eligible may enter the basis.  The entering column is
+    the first with reduced cost below ``-tol``; the leaving row has the
+    minimum ratio over entries above ``tol``, ties going to the lowest basis
+    label.  Returns a LOOP_* code.
     """
     m = tableau.shape[0] - 1
-    last = tableau.shape[1] - 1
-    it = 0
-    while it < max_iter:
-        enter = -1
-        for j in range(n_eligible):
-            if tableau[m, j] < -tol:
-                enter = j
-                break
+    for _ in range(max_iter):
+        costs = tableau[m, :n_eligible].tolist()
+        enter = next((j for j, v in enumerate(costs) if v < -tol), -1)
         if enter < 0:
             return LOOP_OPTIMAL
 
-        best = np.inf
-        for i in range(m):
-            coef = tableau[i, enter]
-            if coef > tol:
-                ratio = tableau[i, last] / coef
-                if ratio < best:
-                    best = ratio
-        if best == np.inf:
-            return LOOP_UNBOUNDED
+        column = tableau[:m, enter].tolist()
+        rhs = tableau[:m, -1].tolist()
         leave = -1
-        leave_label = -1
-        for i in range(m):
-            coef = tableau[i, enter]
-            if coef > tol and tableau[i, last] / coef == best:
-                if leave < 0 or basis[i] < leave_label:
-                    leave = i
-                    leave_label = basis[i]
-
-        pivot = tableau[leave, enter]
-        tableau[leave, :] /= pivot
-        column = tableau[:, enter].copy()
-        column[leave] = 0.0
-        tableau -= np.outer(column, tableau[leave, :])
-        basis[leave] = enter
-        it += 1
+        best = None
+        for i, coef in enumerate(column):
+            if coef > tol:
+                ratio = rhs[i] / coef
+                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            return LOOP_UNBOUNDED
+        pivot(tableau, basis, leave, enter)
     return LOOP_ITER_LIMIT
-
-
-if NUMBA_AVAILABLE:
-    _simplex_loop_jit = njit(cache=True, nogil=True)(_simplex_loop_impl)
-else:  # pragma: no cover
-    _simplex_loop_jit = None
-
-
-def simplex_loop(tableau: np.ndarray, basis: np.ndarray, n_eligible: int,
-                 tol: float, max_iter: int, backend: str | None = None) -> int:
-    """Run the pivot loop on the selected backend (default: environment choice)."""
-    chosen = backend or active_backend()
-    if chosen == "numba":
-        if _simplex_loop_jit is None:
-            raise RuntimeError("numba backend requested but numba is not available")
-        return int(_simplex_loop_jit(tableau, basis, n_eligible, tol, max_iter))
-    if chosen == "numpy":
-        return int(_simplex_loop_impl(tableau, basis, n_eligible, tol, max_iter))
-    raise ValueError(f"unknown backend {chosen!r}")
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on a tiny instance (no-op for the numpy path)."""
-    if active_backend() != "numba":
-        return
-    t = np.array([[1.0, 1.0, 1.0, 1.0],
-                  [-1.0, 0.0, 0.0, 0.0]])
-    simplex_loop(t, np.array([1], dtype=np.int64), 1, 1e-11, 10)

@@ -39,6 +39,7 @@ from .unify import (
     extract_marginals,
     find_unifying_probability,
     probe_uniqueness,
+    verify_witness,
 )
 
 SCHEMA_VERSION = 1
@@ -265,23 +266,7 @@ def reverify(report: dict) -> None:
     if verdict["status"] == FEASIBLE:
         witness = {tuple(decode_value(cell)): decode_value(val)
                    for cell, val in verdict["witness"]}
-        fresh = find_unifying_probability(space, marginals, delta=delta, exact=exact)
-        if not fresh.feasible:
-            raise NumericError("stored verdict is feasible but the constraints are not")
-        arr = {cell: witness[cell] for cell in space.cells()}
-        values = list(arr.values())
-        if any(float(v) < -1e-12 for v in values):
-            raise NumericError("stored witness has a negative cell")
-        for table in marginals:
-            for key, target in table.values.items():
-                total = sum(
-                    arr[cell] for cell in space.cells()
-                    if all(cell[space.axis(v.name)] in group
-                           for v, group in zip(table.variables, key))
-                )
-                err = abs(float(total) - float(target))
-                if err > delta + 1e-9:
-                    raise NumericError(f"stored witness misses marginal key {key!r} by {err}")
+        verify_witness(space, marginals, witness, delta=delta, exact=exact)
         return
     if verdict["status"] == "infeasible":
         certificate = decode_value(verdict["farkas_certificate"])

@@ -2,10 +2,11 @@
 
 Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``.
 Pivot selection uses Bland's lowest-index rule throughout, which prevents
-cycling and makes every run deterministic.  Two arithmetic backends are
-provided: a float64 tableau driven by the compiled kernel, and exact
-``fractions.Fraction`` arithmetic for rational inputs.  Infeasible systems
-come back with a Farkas certificate ``y`` satisfying ``y.A >= 0``
+cycling and makes every run deterministic.  One two-phase driver serves both
+arithmetics: ``solve_lp_float`` hands it a float64 tableau with tolerances,
+``solve_lp_exact`` an object tableau of ``fractions.Fraction`` with every
+tolerance 0, and both pivot through ``_kernels.simplex_loop``.  Infeasible
+systems come back with a Farkas certificate ``y`` satisfying ``y.A >= 0``
 componentwise and ``y.b < 0``.
 """
 
@@ -17,7 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from ._kernels import LOOP_ITER_LIMIT, LOOP_OPTIMAL, LOOP_UNBOUNDED, simplex_loop
+from ._kernels import LOOP_ITER_LIMIT, LOOP_OPTIMAL, LOOP_UNBOUNDED, pivot, simplex_loop
 from .errors import NumericError, ValidationError
 
 DEFAULT_FEAS_TOL = 1e-9
@@ -46,97 +47,89 @@ def _default_iterations(m: int, n: int) -> int:
     return 200 * (m + n) + 2000
 
 
-# ---------------------------------------------------------------------------
-# float backend
-# ---------------------------------------------------------------------------
+def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
+               max_iter: int | None) -> LPResult:
+    """Phase 1, Farkas certificate or artificial drive-out, phase 2, read-out.
 
-def _manual_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    # mirrors the kernel's pivot arithmetic exactly
-    tableau[row, :] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, tableau[row, :])
-    basis[row] = col
-
-
-def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL,
-                   pivot_tol: float = DEFAULT_PIVOT_TOL,
-                   max_iter: int | None = None,
-                   backend: str | None = None) -> LPResult:
-    """Solve min c.x, A x = b, x >= 0 in floating point."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
+    ``A``, ``b`` and ``c`` are float64 arrays, or object arrays of Fractions
+    with ``tol = feas_tol = 0``; exact results come back as lists.
+    """
+    exact = A.dtype == object
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     m, n = A.shape
-    c = np.zeros(n) if c is None else np.array(c, dtype=float)
-    if c.shape != (n,):
-        raise ValidationError(f"cost vector must have length {n}")
 
-    flips = np.where(b < 0.0, -1.0, 1.0)
-    A *= flips[:, None]
-    b *= flips
+    flips = np.where(b < zero, -one, one)
+    A = A * flips[:, None]
+    b = b * flips
 
-    tableau = np.zeros((m + 1, n + m + 1))
+    tableau = np.full((m + 1, n + m + 1), zero, dtype=A.dtype)
     tableau[:m, :n] = A
-    tableau[:m, n:n + m] = np.eye(m)
+    tableau[np.arange(m), n + np.arange(m)] = one
     tableau[:m, -1] = b
     tableau[m, :n] = -A.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
     iterations = max_iter if max_iter is not None else _default_iterations(m, n)
 
-    code = simplex_loop(tableau, basis, n, pivot_tol, iterations, backend)
+    code = simplex_loop(tableau, basis, n, tol, iterations)
     if code != LOOP_OPTIMAL:
         raise NumericError(f"phase-1 simplex did not terminate cleanly (code {code})")
 
-    phase1_objective = -tableau[m, -1]
-    if phase1_objective > feas_tol:
-        duals = 1.0 - tableau[m, n:n + m]
-        certificate = -(flips * duals)
-        return LPResult(status=INFEASIBLE, certificate=certificate)
+    if -tableau[m, -1] > feas_tol:
+        certificate = -(flips * (one - tableau[m, n:n + m]))
+        return LPResult(status=INFEASIBLE,
+                        certificate=certificate.tolist() if exact else certificate)
 
     # drive leftover artificials out of the basis; drop redundant rows
     drop: list[int] = []
     for r in range(m):
         if basis[r] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[r, j]) > pivot_tol:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            row = tableau[r, :n].tolist()
+            col = next((j for j, v in enumerate(row) if abs(v) > tol), -1)
+            if col < 0:
                 drop.append(r)
             else:
-                _manual_pivot(tableau, basis, r, pivot_col)
+                pivot(tableau, basis, r, col)
     keep = [r for r in range(m) if r not in drop]
     cols = list(range(n)) + [n + m]
     tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)])
     basis = basis[keep].copy()
     m2 = len(keep)
 
-    if np.any(c != 0.0):
+    if np.any(c != zero):
         tableau[m2, :n] = c
-        tableau[m2, -1] = 0.0
+        tableau[m2, -1] = zero
         for i in range(m2):
             weight = c[basis[i]]
-            if weight != 0.0:
+            if weight != zero:
                 tableau[m2, :] -= weight * tableau[i, :]
-        code = simplex_loop(tableau, basis, n, pivot_tol, iterations, backend)
+        code = simplex_loop(tableau, basis, n, tol, iterations)
         if code == LOOP_UNBOUNDED:
             return LPResult(status=UNBOUNDED)
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
-    x = np.zeros(n)
-    for i in range(m2):
-        x[basis[i]] = tableau[i, -1]
+    x = np.full(n, zero, dtype=A.dtype)
+    x[basis] = tableau[:m2, -1]
+    if exact:
+        return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x))
     return LPResult(status=OPTIMAL, x=x, objective=float(c @ x))
 
 
-# ---------------------------------------------------------------------------
-# exact backend
-# ---------------------------------------------------------------------------
+def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL,
+                   pivot_tol: float = DEFAULT_PIVOT_TOL,
+                   max_iter: int | None = None) -> LPResult:
+    """Solve min c.x, A x = b, x >= 0 in floating point."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
+    n = A.shape[1]
+    c = np.zeros(n) if c is None else np.array(c, dtype=float)
+    if c.shape != (n,):
+        raise ValidationError(f"cost vector must have length {n}")
+    return _two_phase(A, b, c, pivot_tol, feas_tol, max_iter)
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -148,48 +141,6 @@ def _as_fraction(value) -> Fraction:
             raise ValidationError(f"exact mode requires rational inputs, got float {value!r}")
         return Fraction(int(value))
     raise ValidationError(f"exact mode cannot coerce {value!r} to a rational")
-
-
-def _exact_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    pivot_row = tableau[row]
-    for i, current in enumerate(tableau):
-        if i == row:
-            continue
-        factor = current[col]
-        if factor:
-            tableau[i] = [v - factor * p for v, p in zip(current, pivot_row)]
-    basis[row] = col
-
-
-def _exact_loop(tableau: list[list[Fraction]], basis: list[int], n_eligible: int,
-                max_iter: int) -> int:
-    m = len(tableau) - 1
-    last = len(tableau[0]) - 1
-    for _ in range(max_iter):
-        cost_row = tableau[m]
-        enter = -1
-        for j in range(n_eligible):
-            if cost_row[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return LOOP_OPTIMAL
-        best_ratio = None
-        leave = -1
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][last] / coef
-                if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return LOOP_UNBOUNDED
-        _exact_pivot(tableau, basis, leave, enter)
-    return LOOP_ITER_LIMIT
 
 
 def solve_lp_exact(A, b, c=None, *, max_iter: int | None = None) -> LPResult:
@@ -205,72 +156,15 @@ def solve_lp_exact(A, b, c=None, *, max_iter: int | None = None) -> LPResult:
     cost = [Fraction(0)] * n if c is None else [_as_fraction(v) for v in c]
     if len(cost) != n:
         raise ValidationError(f"cost vector must have length {n}")
-
-    flips = [Fraction(-1) if v < 0 else Fraction(1) for v in rhs]
-    rows = [[f * v for v in row] for f, row in zip(flips, rows)]
-    rhs = [f * v for f, v in zip(flips, rhs)]
-
-    zero, one = Fraction(0), Fraction(1)
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        art = [one if k == i else zero for k in range(m)]
-        tableau.append(list(rows[i]) + art + [rhs[i]])
-    objective_row = [zero] * (n + m + 1)
-    for j in range(n):
-        objective_row[j] = -sum(rows[i][j] for i in range(m))
-    objective_row[-1] = -sum(rhs)
-    tableau.append(objective_row)
-    basis = list(range(n, n + m))
-    iterations = max_iter if max_iter is not None else _default_iterations(m, n)
-
-    code = _exact_loop(tableau, basis, n, iterations)
-    if code != LOOP_OPTIMAL:
-        raise NumericError(f"exact phase-1 simplex did not terminate cleanly (code {code})")
-
-    phase1_objective = -tableau[m][-1]
-    if phase1_objective > 0:
-        duals = [one - tableau[m][n + i] for i in range(m)]
-        certificate = [-(f * y) for f, y in zip(flips, duals)]
-        return LPResult(status=INFEASIBLE, certificate=certificate)
-
-    drop: list[int] = []
-    for r in range(m):
-        if basis[r] >= n:
-            pivot_col = next((j for j in range(n) if tableau[r][j] != 0), -1)
-            if pivot_col < 0:
-                drop.append(r)
-            else:
-                _exact_pivot(tableau, basis, r, pivot_col)
-    keep = [r for r in range(m) if r not in drop]
-    tableau = [[tableau[r][j] for j in list(range(n)) + [n + m]] for r in keep + [m]]
-    basis = [basis[r] for r in keep]
-    m2 = len(keep)
-
-    if any(v != 0 for v in cost):
-        tableau[m2] = list(cost) + [zero]
-        for i in range(m2):
-            weight = cost[basis[i]]
-            if weight:
-                tableau[m2] = [v - weight * p for v, p in zip(tableau[m2], tableau[i])]
-        code = _exact_loop(tableau, basis, n, iterations)
-        if code == LOOP_UNBOUNDED:
-            return LPResult(status=UNBOUNDED)
-        if code == LOOP_ITER_LIMIT:
-            raise NumericError("exact phase-2 simplex hit the iteration limit")
-
-    x = [zero] * n
-    for i in range(m2):
-        x[basis[i]] = tableau[i][-1]
-    objective = sum(ci * xi for ci, xi in zip(cost, x))
-    return LPResult(status=OPTIMAL, x=x, objective=objective)
+    return _two_phase(np.array(rows, dtype=object), np.array(rhs, dtype=object),
+                      np.array(cost, dtype=object), 0, 0, max_iter)
 
 
-def solve_lp(A, b, c=None, *, exact: bool = False, backend: str | None = None,
-             max_iter: int | None = None) -> LPResult:
-    """Dispatch to the exact or floating solver (``backend`` applies to float only)."""
+def solve_lp(A, b, c=None, *, exact: bool = False, max_iter: int | None = None) -> LPResult:
+    """Dispatch to the exact or floating solver."""
     if exact:
         return solve_lp_exact(A, b, c, max_iter=max_iter)
-    return solve_lp_float(A, b, c, backend=backend, max_iter=max_iter)
+    return solve_lp_float(A, b, c, max_iter=max_iter)
 
 
 def verify_certificate(A, b, certificate, tol: float = 1e-9) -> bool:

@@ -490,8 +490,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                               delta: float = DEFAULT_DELTA, exact: bool = False,
-                              backend: str | None = None,
-                              cells_cap: int = DEFAULT_JOINT_CAP) -> FeasibilityVerdict:
+                              *, cells_cap: int = DEFAULT_JOINT_CAP) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
@@ -504,7 +503,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     if space.size > cells_cap:
         return FeasibilityVerdict(status=NOT_EVALUATED, mode="exact" if exact else "float", delta=delta)
     system = build_constraint_system(space, marginals, delta, exact)
-    result = solve_lp(system.matrix, system.rhs, None, exact=exact, backend=backend)
+    result = solve_lp(system.matrix, system.rhs, None, exact=exact)
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
         cell_values = result.x[: system.n_cells]
@@ -523,8 +522,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
 
 
 def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                     delta: float = DEFAULT_DELTA, exact: bool = False,
-                     backend: str | None = None) -> FeasibilityVerdict:
+                     delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Per-cell min/max LPs under the marginal constraints; unique iff every cell is pinned.
 
     A cell is pinned when its attainable range is at most delta (exact mode
@@ -532,7 +530,7 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     constraints; with the delta-band system every cell would trivially have a
     range of about 2*delta and nothing could ever be reported unique.
     """
-    verdict = find_unifying_probability(space, marginals, delta, exact, backend)
+    verdict = find_unifying_probability(space, marginals, delta, exact)
     if not verdict.feasible:
         return verdict
     system = build_constraint_system(space, marginals, delta, exact, relax=False)
@@ -542,12 +540,10 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     for k, cell in enumerate(system.cells):
         lo_c = [Fraction(0)] * n_cols if exact else np.zeros(n_cols)
         lo_c[k] = Fraction(1) if exact else 1.0
-        low = solve_lp(system.matrix, system.rhs, lo_c, exact=exact,
-                       backend=backend)
+        low = solve_lp(system.matrix, system.rhs, lo_c, exact=exact)
         hi_c = [Fraction(0)] * n_cols if exact else np.zeros(n_cols)
         hi_c[k] = Fraction(-1) if exact else -1.0
-        high = solve_lp(system.matrix, system.rhs, hi_c, exact=exact,
-                        backend=backend)
+        high = solve_lp(system.matrix, system.rhs, hi_c, exact=exact)
         if low.status != OPTIMAL or high.status != OPTIMAL:
             raise NumericError("uniqueness probe LP did not solve")
         lo = low.objective

@@ -1,16 +1,7 @@
 import numpy as np
-import pytest
 
-from histories_lab._kernels import warm_up
 from histories_lab.histories import ClassOperator, HistorySchedule, HistorySet, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT-compile the simplex kernel once so timed tests measure the solver,
-    # not compilation
-    warm_up()
 
 
 def random_hermitian(rng, dim):

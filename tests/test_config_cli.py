@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from histories_lab.analysis import AnalysisOptions, analyze, report_to_json, reverify
+from histories_lab.analysis import (
+    AnalysisOptions,
+    analyze,
+    decode_value,
+    encode_value,
+    report_to_json,
+    reverify,
+)
 from histories_lab.cli import main
 from histories_lab.config import parse_config, scenario_to_config
-from histories_lab.errors import ConfigValidationError
+from histories_lab.errors import ConfigValidationError, NumericError
 from histories_lab.scenarios import build_scenario, three_box
 
 
@@ -242,3 +249,23 @@ def test_report_json_round_trips(tmp_path):
     text = report_to_json(report)
     assert json.loads(text) == json.loads(report_to_json(json.loads(text)))
     reverify(json.loads(text))
+
+
+def test_reverify_rejects_tampered_evidence():
+    for exact in (False, True):
+        options = AnalysisOptions(exact=exact)
+        report = json.loads(report_to_json(analyze(build_scenario("griffiths_spin"), options)))
+        reverify(report)
+        cells = report["unification"]["verdict"]["witness"]
+        i = next(k for k, (_, value) in enumerate(cells) if value != cells[0][1])
+        cells[0][1], cells[i][1] = cells[i][1], cells[0][1]
+        with pytest.raises(NumericError):
+            reverify(report)
+
+    report = json.loads(report_to_json(analyze(three_box(), AnalysisOptions(exact=True))))
+    reverify(report)
+    verdict = report["unification"]["verdict"]
+    verdict["farkas_certificate"] = encode_value(
+        [-y for y in decode_value(verdict["farkas_certificate"])])
+    with pytest.raises(NumericError):
+        reverify(report)
