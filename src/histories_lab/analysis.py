@@ -24,7 +24,7 @@ from .classicality import (
     detect_zero_cover,
 )
 from .errors import NumericError, ValidationError
-from .histories import DEFAULT_HISTORY_CAP, decoherence_functional, quasi_probabilities
+from .histories import decoherence_functional, quasi_probabilities
 from .scenarios import ScenarioDescriptor
 from .simplex import verify_certificate
 from .unify import (
@@ -51,9 +51,6 @@ class AnalysisOptions:
     tol: float = 1e-10
     delta: float = 1e-9
     exact: bool = False
-    zero_cover_threshold: float = DEFAULT_ZERO_COVER_THRESHOLD
-    history_cap: int = DEFAULT_HISTORY_CAP
-    probe_cells_cap: int = PROBE_CELLS_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +126,12 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     excluded: dict[str, str] = {}
 
     for sset in descriptor.sets:
-        hset = descriptor.build(sset.name, options.history_cap)
+        hset = descriptor.build(sset.name)
         functional = decoherence_functional(hset)
         probabilities = dict(zip(functional.labels, functional.diagonal()))
         quasi = quasi_probabilities(hset)
-        report = classify(hset, options.tol, functional=functional)
-        cover = detect_zero_cover(hset, options.zero_cover_threshold, functional=functional)
+        report = classify(hset, options.tol)
+        cover = detect_zero_cover(hset)
 
         sets_report[sset.name] = {
             "labels": encode_value(list(functional.labels)),
@@ -187,7 +184,7 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
             except ValidationError:
                 chsh = None
 
-        if descriptor.space.size <= options.probe_cells_cap:
+        if descriptor.space.size <= PROBE_CELLS_CAP:
             verdict = probe_uniqueness(descriptor.space, marginals,
                                        delta=options.delta, exact=options.exact)
         else:
@@ -227,7 +224,7 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
             "tol": options.tol,
             "delta": options.delta,
             "exact": options.exact,
-            "zero_cover_threshold": options.zero_cover_threshold,
+            "zero_cover_threshold": DEFAULT_ZERO_COVER_THRESHOLD,
             "arithmetic_mode": "exact" if options.exact else "float",
         },
         "expected": {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import DecoherenceFunctional, HistorySet, Label, decoherence_functional, quasi_probabilities
+from .histories import HistorySet, Label, decoherence_functional, quasi_probabilities
 
 DEFAULT_ZERO_COVER_THRESHOLD = 1e-9
 MAX_ENUMERATED_SUBSETS = 1 << 20
@@ -52,14 +52,14 @@ class ClassicalityReport:
             raise AssertionError("classicality flags violate the hierarchy")
 
 
-def classify(hset: HistorySet, tol: float = 1e-10,
-             functional: DecoherenceFunctional | None = None) -> ClassicalityReport:
+def classify(hset: HistorySet, tol: float = 1e-10) -> ClassicalityReport:
     """Classify a history set at an absolute tolerance.
 
-    Enlarging ``tol`` can only turn flags on, never off.  A precomputed
-    decoherence functional may be supplied to avoid recomputation.
+    Enlarging ``tol`` can only turn flags on, never off.  The decoherence
+    functional and quasi-probabilities are read from the set, which computes
+    each once.
     """
-    d = functional if functional is not None else decoherence_functional(hset)
+    d = decoherence_functional(hset)
     probs = d.diagonal()
     quasi = quasi_probabilities(hset)
     q = np.array([quasi[label] for label in d.labels])
@@ -111,8 +111,7 @@ def _not_evaluated(threshold: float) -> ZeroCoverReport:
 
 
 def detect_zero_cover(hset: HistorySet, threshold: float = DEFAULT_ZERO_COVER_THRESHOLD,
-                      max_subset: int | None = None,
-                      functional: DecoherenceFunctional | None = None) -> ZeroCoverReport:
+                      max_subset: int | None = None) -> ZeroCoverReport:
     """Search unions of 2..max_subset histories for a zero cover.
 
     A union's measure is the bilinear sum of decoherence-functional entries
@@ -120,7 +119,8 @@ def detect_zero_cover(hset: HistorySet, threshold: float = DEFAULT_ZERO_COVER_TH
     Without an explicit ``max_subset`` the search runs only for sets of at
     most 12 histories (all subset sizes); larger sets come back not-evaluated.
     The reported witness is the smallest one; ties are broken by the
-    lexicographically smallest complement, i.e. the coarsest negation.
+    lexicographically smallest complement, i.e. the coarsest negation.  The
+    decoherence functional is the set's own, computed once per set.
     """
     n = len(hset.class_operators)
     if max_subset is None:
@@ -133,7 +133,7 @@ def detect_zero_cover(hset: HistorySet, threshold: float = DEFAULT_ZERO_COVER_TH
     if total > MAX_ENUMERATED_SUBSETS:
         return _not_evaluated(threshold)
 
-    d = functional if functional is not None else decoherence_functional(hset)
+    d = decoherence_functional(hset)
     entries = d.entries
     measures = d.diagonal()
 

@@ -7,12 +7,15 @@ Heisenberg-picture projectors; the family sums to the identity.  Probabilities
 are diagonal entries of the decoherence functional
 ``D(x, y) = Tr(C_x rho C_y^dag)``, optionally post-selected on a final state
 with the ``1 / Tr(rho_f rho)`` normalization.
+Inputs are validated once, where they enter; objects derived from validated
+ones are trusted by construction, and each ``HistorySet`` computes its
+decoherence functional and quasi-probabilities at most once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -28,9 +31,9 @@ from .operators import (
     Projector,
     as_square_matrix,
     frozen_array,
-    heisenberg_projector,
     is_hermitian,
     max_abs,
+    propagator,
     validate_projective_decomposition,
 )
 
@@ -41,7 +44,7 @@ Label = tuple  # tuple of outcome symbols, one per schedule slot
 
 @dataclass(frozen=True)
 class Slot:
-    """One moment of the schedule: a time, a decomposition and its outcome symbols."""
+    """One moment of the schedule: a time, a projective decomposition and its outcome symbols."""
 
     time: float
     projectors: tuple[Projector, ...]
@@ -58,6 +61,11 @@ class Slot:
             )
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("slot symbols must be distinct")
+        report = validate_projective_decomposition(projs)
+        if not report.valid:
+            raise ValidationError(
+                f"slot is not a projective decomposition (max violation {report.max_violation:.3e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,6 @@ class HistorySchedule:
 
     slots: tuple[Slot, ...]
     hamiltonian: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         slots = tuple(self.slots)
@@ -74,7 +81,7 @@ class HistorySchedule:
             raise ValidationError("schedule must contain at least one slot")
         object.__setattr__(self, "slots", slots)
         h = as_square_matrix(self.hamiltonian, "hamiltonian")
-        if not is_hermitian(h, self.tol):
+        if not is_hermitian(h):
             raise ValidationError("schedule hamiltonian must be Hermitian")
         object.__setattr__(self, "hamiltonian", frozen_array(h))
 
@@ -85,12 +92,6 @@ class HistorySchedule:
         for k, slot in enumerate(slots):
             if any(p.dim != dim for p in slot.projectors):
                 raise ValidationError(f"slot {k} projector dimension does not match hamiltonian")
-            report = validate_projective_decomposition(slot.projectors, self.tol)
-            if not report.valid:
-                raise ValidationError(
-                    f"slot {k} is not a projective decomposition "
-                    f"(max violation {report.max_violation:.3e})"
-                )
 
     @property
     def dim(self) -> int:
@@ -123,30 +124,23 @@ class ClassOperator:
 def build_class_operators(schedule: HistorySchedule, cap: int = DEFAULT_HISTORY_CAP) -> list[ClassOperator]:
     """Build every class operator of a schedule, one per outcome-label tuple.
 
-    The returned list sums to the identity.  Raises ``HistoryCountError``
+    The returned list sums to the identity.  Products grow slot by slot over
+    the label tree, with one propagator per slot.  Raises ``HistoryCountError``
     when the schedule would produce more than ``cap`` histories.
     """
     n = schedule.label_count()
     if n > cap:
         raise HistoryCountError(f"schedule yields {n} histories, cap is {cap}")
 
-    moved: list[list[np.ndarray]] = []
+    prefixes: list[tuple[Label, np.ndarray | None]] = [((), None)]
     for slot in schedule.slots:
-        moved.append(
-            [heisenberg_projector(p, schedule.hamiltonian, slot.time, schedule.tol).matrix
-             for p in slot.projectors]
-        )
-
-    symbol_axes = [slot.symbols for slot in schedule.slots]
-    out = []
-    for choice in itertools.product(*(range(len(sym)) for sym in symbol_axes)):
-        label = tuple(symbol_axes[k][i] for k, i in enumerate(choice))
+        u = propagator(schedule.hamiltonian, slot.time)
+        moved = [u.conj().T @ p.matrix @ u for p in slot.projectors]
         # latest-time projector on the left
-        op = moved[0][choice[0]]
-        for k in range(1, len(choice)):
-            op = moved[k][choice[k]] @ op
-        out.append(ClassOperator(label=label, matrix=op, homogeneous=True))
-    return out
+        prefixes = [(label + (symbol,), p if op is None else p @ op)
+                    for label, op in prefixes
+                    for symbol, p in zip(slot.symbols, moved)]
+    return [ClassOperator(label=label, matrix=op, homogeneous=True) for label, op in prefixes]
 
 
 def negate(c: ClassOperator) -> ClassOperator:
@@ -171,15 +165,16 @@ def coarse_grain(operators: Sequence[ClassOperator], label: Label | None = None)
 class HistorySet:
     """A labelled family of class operators plus boundary conditions.
 
-    The class operators must sum to the identity within ``tol``.  When a final
-    state is present, probabilities are conditioned on it and the overlap
-    ``Tr(rho_f rho)`` must be resolvable.
+    The class operators must sum to the identity within ``DEFAULT_TOL``.  When
+    a final state is present, probabilities are conditioned on it and the
+    overlap ``Tr(rho_f rho)`` must be resolvable.  The set is immutable, so
+    its decoherence functional and quasi-probabilities are computed once, on
+    first use, and every consumer reads those values.
     """
 
     class_operators: tuple[ClassOperator, ...]
     initial: DensityOperator
     final: DensityOperator | None = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         ops = tuple(self.class_operators)
@@ -196,13 +191,13 @@ class HistorySet:
         for c in ops:
             total += c.matrix
         dev = max_abs(total - np.eye(dim))
-        if dev > self.tol:
+        if dev > DEFAULT_TOL:
             raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
         if self.final is not None:
             if self.final.dim != dim:
                 raise ValidationError("final state dimension does not match initial state")
             overlap = float(np.trace(self.final.matrix @ self.initial.matrix).real)
-            if overlap <= self.tol:
+            if overlap <= DEFAULT_TOL:
                 raise DegeneratePostSelectionError(
                     f"Tr(rho_f rho) = {overlap:.3e} is too small to normalize by"
                 )
@@ -227,6 +222,24 @@ class HistorySet:
             return 1.0
         return float(np.trace(self.final.matrix @ self.initial.matrix).real)
 
+    @cached_property
+    def _functional(self) -> "DecoherenceFunctional":
+        ops = np.stack([c.matrix for c in self.class_operators])
+        rho = self.initial.matrix
+        left = ops @ rho if self.final is None else self.final.matrix @ ops @ rho
+        # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
+        flat_left = left.reshape(left.shape[0], -1)
+        flat_ops = ops.reshape(ops.shape[0], -1)
+        entries = (flat_left @ flat_ops.conj().T) / self.post_selection_weight()
+        entries = (entries + entries.conj().T) / 2
+        return DecoherenceFunctional(labels=self.labels, entries=entries,
+                                     post_selected=self.final is not None)
+
+    @cached_property
+    def _quasi(self) -> dict[Label, float]:
+        return {c.label: float(_weighted_trace(self, c.matrix @ self.initial.matrix).real)
+                for c in self.class_operators}
+
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,
                 final: DensityOperator | None = None,
@@ -236,7 +249,6 @@ def history_set(schedule: HistorySchedule, initial: DensityOperator,
         class_operators=tuple(build_class_operators(schedule, cap)),
         initial=initial,
         final=final,
-        tol=schedule.tol,
     )
 
 
@@ -292,23 +304,10 @@ def _max_offdiag(mag: np.ndarray) -> float:
 def decoherence_functional(hset: HistorySet) -> DecoherenceFunctional:
     """Interference matrix D(x, y) = Tr(C_x rho C_y^dag), post-selected if a final state is set.
 
-    Hermiticity is enforced structurally by symmetrizing, so
-    ``D(x, y) == conj(D(y, x))`` holds exactly.
+    Computed once per set, read-only.  Hermiticity is enforced structurally
+    by symmetrizing, so ``D(x, y) == conj(D(y, x))`` holds exactly.
     """
-    ops = np.stack([c.matrix for c in hset.class_operators])
-    if hset.final is None:
-        left = ops @ hset.initial.matrix
-        weight = 1.0
-    else:
-        left = hset.final.matrix @ ops @ hset.initial.matrix
-        weight = hset.post_selection_weight()
-    # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
-    flat_left = left.reshape(left.shape[0], -1)
-    flat_ops = ops.reshape(ops.shape[0], -1)
-    entries = (flat_left @ flat_ops.conj().T) / weight
-    entries = (entries + entries.conj().T) / 2
-    return DecoherenceFunctional(labels=hset.labels, entries=entries,
-                                 post_selected=hset.final is not None)
+    return hset._functional
 
 
 def _weighted_trace(hset: HistorySet, matrix: np.ndarray) -> complex:
@@ -319,8 +318,7 @@ def _weighted_trace(hset: HistorySet, matrix: np.ndarray) -> complex:
 
 def history_probability(hset: HistorySet, label: Label) -> float:
     """Diagonal decoherence-functional entry for one history."""
-    c = hset.operator(label)
-    return float(_weighted_trace(hset, c.matrix @ hset.initial.matrix @ c.matrix.conj().T).real)
+    return decoherence_functional(hset).probability(label)
 
 
 def history_probabilities(hset: HistorySet) -> dict[Label, float]:
@@ -334,12 +332,15 @@ def quasi_probability(hset: HistorySet, label: Label) -> float:
     May be negative; the values sum to 1 over the whole set, and coincide with
     the history probabilities exactly when the set is consistent.
     """
-    c = hset.operator(label)
-    return float(_weighted_trace(hset, c.matrix @ hset.initial.matrix).real)
+    try:
+        return hset._quasi[tuple(label)]
+    except KeyError:
+        raise ValidationError(f"label {label!r} is not in this history set") from None
 
 
 def quasi_probabilities(hset: HistorySet) -> dict[Label, float]:
-    return {c.label: quasi_probability(hset, c.label) for c in hset.class_operators}
+    """Every history's quasi-probability, computed once per set; the dict is a copy."""
+    return dict(hset._quasi)
 
 
 def negation_interference(hset: HistorySet, label: Label) -> complex:

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small finite-dimensional quantum systems.
 
 Everything here works on square ``complex128`` numpy arrays.  Values are
-validated at construction time against an absolute max-norm tolerance
-(default ``1e-10``) and are immutable afterwards; all functions are pure.
+validated once, at construction, against the fixed max-norm tolerance
+``DEFAULT_TOL`` and are immutable afterwards; all functions are pure.
 """
 
 from __future__ import annotations
@@ -114,20 +114,19 @@ def propagator(hamiltonian, time: float, tol: float = DEFAULT_TOL) -> np.ndarray
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """State matrix: Hermitian, unit trace, positive semidefinite (within tol)."""
+    """State matrix: Hermitian, unit trace, positive semidefinite (within ``DEFAULT_TOL``)."""
 
     matrix: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "density operator")
-        if not is_hermitian(m, self.tol):
+        if not is_hermitian(m):
             raise ValidationError("density operator must be Hermitian")
         tr = np.trace(m)
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"density operator must have unit trace, got {tr}")
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -self.tol:
+        if eigs.min() < -DEFAULT_TOL:
             raise ValidationError(f"density operator must be PSD, min eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", frozen_array(m))
 
@@ -136,26 +135,25 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, state, tol: float = DEFAULT_TOL) -> "DensityOperator":
-        return cls(projector_onto(state), tol)
+    def pure(cls, state) -> "DensityOperator":
+        return cls(projector_onto(state))
 
     @classmethod
-    def maximally_mixed(cls, dim: int, tol: float = DEFAULT_TOL) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim, tol)
+    def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)
 class Projector:
-    """Hermitian idempotent matrix (within tol)."""
+    """Hermitian idempotent matrix (within ``DEFAULT_TOL``)."""
 
     matrix: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "projector")
-        if not is_hermitian(m, self.tol):
+        if not is_hermitian(m):
             raise ValidationError("projector must be Hermitian")
-        if max_abs(m @ m - m) > self.tol:
+        if max_abs(m @ m - m) > DEFAULT_TOL:
             raise ValidationError("projector must be idempotent")
         object.__setattr__(self, "matrix", frozen_array(m))
 
@@ -170,23 +168,22 @@ class HamiltonianEvolution:
 
     hamiltonian: np.ndarray
     time: float
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         h = as_square_matrix(self.hamiltonian, "hamiltonian")
-        if not is_hermitian(h, self.tol):
+        if not is_hermitian(h):
             raise ValidationError("hamiltonian must be Hermitian")
         object.__setattr__(self, "hamiltonian", frozen_array(h))
         object.__setattr__(self, "time", float(self.time))
 
     def propagator(self) -> np.ndarray:
-        return propagator(self.hamiltonian, self.time, self.tol)
+        return propagator(self.hamiltonian, self.time)
 
 
-def heisenberg_projector(p: Projector, hamiltonian, time: float, tol: float = DEFAULT_TOL) -> Projector:
+def heisenberg_projector(p: Projector, hamiltonian, time: float) -> Projector:
     """Heisenberg-picture projector U(t)^dag P U(t) with U(t) = exp(-i H t)."""
-    u = propagator(hamiltonian, time, tol)
-    return Projector(u.conj().T @ p.matrix @ u, tol)
+    u = propagator(hamiltonian, time)
+    return Projector(u.conj().T @ p.matrix @ u)
 
 
 @dataclass(frozen=True)

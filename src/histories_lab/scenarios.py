@@ -101,15 +101,15 @@ def griffiths_spin() -> ScenarioDescriptor:
     x_projs = (Projector(projector_onto(plus)), Projector(projector_onto(minus)))
     sx = _spin_half_variable("sx")
     sz = _spin_half_variable("sz")
+    x_first = Slot(1.0, x_projs, (1, -1))
 
     sets = (
         ScenarioSet("z", HistorySchedule((Slot(1.0, z_projs, (1, -1)),), h),
                     VariableMapping((sz,))),
-        ScenarioSet("x", HistorySchedule((Slot(1.0, x_projs, (1, -1)),), h),
+        ScenarioSet("x", HistorySchedule((x_first,), h),
                     VariableMapping((sx,))),
         # x is projected first, then z
-        ScenarioSet("zx", HistorySchedule((Slot(1.0, x_projs, (1, -1)),
-                                           Slot(2.0, z_projs, (1, -1))), h),
+        ScenarioSet("zx", HistorySchedule((x_first, Slot(2.0, z_projs, (1, -1))), h),
                     VariableMapping((sx, sz))),
     )
     expected = {
@@ -196,22 +196,23 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
     h = np.zeros((4, 4))
     eye = np.eye(2, dtype=complex)
 
-    def slot_a(axis, t):
-        return Slot(t, tuple(Projector(np.kron(bloch_projector(s, axis), eye)) for s in (1, -1)), (1, -1))
+    def lift(k, p):  # particle A carries axes 1 and 2, particle B axes 3 and 4
+        return np.kron(p, eye) if k <= 2 else np.kron(eye, p)
 
-    def slot_b(axis, t):
-        return Slot(t, tuple(Projector(np.kron(eye, bloch_projector(s, axis))) for s in (1, -1)), (1, -1))
+    projs = {k: tuple(Projector(lift(k, bloch_projector(s, axes[k - 1]))) for s in (1, -1))
+             for k in (1, 2, 3, 4)}
+    # pairs measure A at t = 1 and B at t = 2; the combined set reuses the
+    # slots of axes 1 and 3 and measures axes 2 and 4 at t = 3 and 4
+    pair_slot = {k: Slot(1.0 if k <= 2 else 2.0, projs[k], (1, -1)) for k in (1, 2, 3, 4)}
 
     var = {i: _spin_half_variable(f"s{i}") for i in (1, 2, 3, 4)}
-    slots_for = {1: slot_a, 2: slot_a, 3: slot_b, 4: slot_b}
 
     sets = []
     for (i, j) in ((1, 3), (1, 4), (2, 3), (2, 4)):
-        schedule = HistorySchedule(
-            (slots_for[i](axes[i - 1], 1.0), slots_for[j](axes[j - 1], 2.0)), h)
+        schedule = HistorySchedule((pair_slot[i], pair_slot[j]), h)
         sets.append(ScenarioSet(f"pair_{i}{j}", schedule, VariableMapping((var[i], var[j]))))
     combined = HistorySchedule(
-        (slot_a(axes[0], 1.0), slot_b(axes[2], 2.0), slot_a(axes[1], 3.0), slot_b(axes[3], 4.0)), h)
+        (pair_slot[1], pair_slot[3], Slot(3.0, projs[2], (1, -1)), Slot(4.0, projs[4], (1, -1))), h)
     sets.append(ScenarioSet("combined", combined,
                             VariableMapping((var[1], var[3], var[2], var[4]))))
 
@@ -280,16 +281,14 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     h = 0.5 * omega * PAULI_X
     times = {1: float(t1), 2: float(t2), 3: float(t3)}
     projs = tuple(Projector(0.5 * (np.eye(2) - s * PAULI_Z)) for s in (1, -1))
-
-    def q_slot(t):
-        return Slot(t, projs, (1, -1))
+    q_slot = {i: Slot(times[i], projs, (1, -1)) for i in (1, 2, 3)}
 
     var = {i: _spin_half_variable(f"q{i}") for i in (1, 2, 3)}
     sets = []
     for (i, j) in ((1, 2), (2, 3), (1, 3)):
-        schedule = HistorySchedule((q_slot(times[i]), q_slot(times[j])), h)
+        schedule = HistorySchedule((q_slot[i], q_slot[j]), h)
         sets.append(ScenarioSet(f"pair_{i}{j}", schedule, VariableMapping((var[i], var[j]))))
-    combined = HistorySchedule((q_slot(times[1]), q_slot(times[2]), q_slot(times[3])), h)
+    combined = HistorySchedule((q_slot[1], q_slot[2], q_slot[3]), h)
     sets.append(ScenarioSet("combined", combined, VariableMapping((var[1], var[2], var[3]))))
 
     expected = {

@@ -205,19 +205,21 @@ class MarginalTable:
     def as_exact(self, max_denominator: int = 10**9, tol: float = 1e-12) -> "MarginalTable":
         """Snap float values onto nearby small rationals, verifying the distance.
 
-        Raises ``ValidationError`` when a value has no rational approximation
-        within ``tol``; exact tables pass through unchanged.
+        Any residual of the snapped sum from 1 goes to the (first) largest
+        entry.  Raises ``ValidationError`` when a value ends up farther than
+        ``tol`` from its float; exact tables pass through unchanged.
         """
         if self.is_exact:
             return self
-        snapped = {}
-        for key, value in self.values.items():
-            frac = Fraction(float(value)).limit_denominator(max_denominator)
+        snapped = {key: Fraction(float(value)).limit_denominator(max_denominator)
+                   for key, value in self.values.items()}
+        snapped[max(snapped, key=snapped.__getitem__)] += 1 - sum(snapped.values())
+        for key, frac in snapped.items():
+            value = self.values[key]
             if abs(float(frac) - float(value)) > tol:
                 raise ValidationError(
                     f"value {value!r} for key {key!r} is not rational within {tol}"
                 )
-            snapped[key] = frac
         return MarginalTable(self.variables, snapped, self.tol)
 
 
@@ -452,10 +454,10 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     return ConstraintSystem(matrix_f, rhs_f, cells, n, meta, False, delta)
 
 
-def _verify_witness(system: ConstraintSystem, marginals: Sequence[MarginalTable],
-                    space: JointSampleSpace, witness: dict) -> None:
-    values = [witness[c] for c in system.cells]
-    if system.exact:
+def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+                    witness: dict, delta: float, exact: bool) -> None:
+    values = [witness[c] for c in space.cells()]
+    if exact:
         if any(v < 0 for v in values):
             raise NumericError("exact witness has a negative cell")
         for table in marginals:
@@ -469,7 +471,7 @@ def _verify_witness(system: ConstraintSystem, marginals: Sequence[MarginalTable]
     arr = np.array([float(v) for v in values])
     if arr.min() < -1e-12:
         raise NumericError(f"witness has a negative cell ({arr.min()})")
-    slop = system.delta + 1e-12
+    slop = delta + 1e-12
     for table in marginals:
         for key, target in table.values.items():
             got = arr[_key_cell_indices(space, table, key)].sum()
@@ -484,8 +486,8 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                    exact: bool = False) -> None:
     """Raise ``NumericError`` unless the witness is non-negative and reproduces
     every marginal within delta (exactly, in exact mode)."""
-    system = build_constraint_system(space, marginals, delta, exact)
-    _verify_witness(system, marginals, space, dict(witness))
+    _check_tables(space, marginals)
+    _verify_witness(space, marginals, dict(witness), delta, exact)
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -510,7 +512,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
         if not exact:
             cell_values = np.where(np.abs(cell_values) < 1e-15, 0.0, cell_values)
         witness = {cell: value for cell, value in zip(system.cells, cell_values)}
-        _verify_witness(system, marginals, space, witness)
+        _verify_witness(space, marginals, witness, delta, exact)
         return FeasibilityVerdict(status=FEASIBLE, witness=witness, mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)

@@ -211,7 +211,7 @@ def test_criterion_7_structural_invariants():
                 gap = quasi[label] - probs[label]
                 assert abs(gap - negation_interference(hset, label).real) <= 1e-10
 
-            report = classify(hset, functional=functional)
+            report = classify(hset)
             assert (not report.decoherent) or report.consistent
             assert (not report.consistent) or report.partially_decoherent
             assert (not report.partially_decoherent) or report.linearly_positive

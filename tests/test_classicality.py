@@ -1,7 +1,14 @@
 import numpy as np
+import pytest
 
 from histories_lab.classicality import classify, detect_zero_cover
-from histories_lab.histories import HistorySchedule, Slot, history_set
+from histories_lab.histories import (
+    HistorySchedule,
+    Slot,
+    decoherence_functional,
+    history_set,
+    quasi_probabilities,
+)
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
 
 from conftest import random_history_set
@@ -55,6 +62,25 @@ def test_hierarchy_never_inverts_on_random_sets():
         assert (not r.decoherent) or r.consistent
         assert (not r.consistent) or r.partially_decoherent
         assert (not r.partially_decoherent) or r.linearly_positive
+
+
+def test_cached_values_cannot_be_changed():
+    # D and the quasi-probabilities are computed once per set and shared by
+    # every consumer, so no caller may be able to alter them
+    rng = np.random.default_rng(24)
+    for post in (False, True):
+        hset = random_history_set(rng, slots=2, post_selected=post)
+        d = decoherence_functional(hset)
+        assert decoherence_functional(hset) is d
+        assert not d.entries.flags.writeable
+        with pytest.raises(ValueError):
+            d.entries[0, 0] = 5.0
+        before = classify(hset)
+        quasi = quasi_probabilities(hset)
+        for label in quasi:
+            quasi[label] = -7.0
+        assert quasi_probabilities(hset) != quasi
+        assert classify(hset) == before
 
 
 def test_classify_monotone_in_tolerance():

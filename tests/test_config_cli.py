@@ -245,10 +245,11 @@ def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
 
 
 def test_report_json_round_trips(tmp_path):
-    report = analyze(build_scenario("leggett_garg"), AnalysisOptions())
-    text = report_to_json(report)
-    assert json.loads(text) == json.loads(report_to_json(json.loads(text)))
-    reverify(json.loads(text))
+    for exact in (False, True):
+        report = analyze(build_scenario("leggett_garg"), AnalysisOptions(exact=exact))
+        text = report_to_json(report)
+        assert json.loads(text) == json.loads(report_to_json(json.loads(text)))
+        reverify(json.loads(text))
 
 
 def test_reverify_rejects_tampered_evidence():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,13 @@ from histories_lab.operators import (
     DensityOperator,
     PAULI_Z,
     Projector,
+    heisenberg_projector,
     ket,
     max_abs,
     projector_onto,
 )
 
-from conftest import random_history_set
+from conftest import random_decomposition, random_hermitian, random_history_set
 
 H2 = np.zeros((2, 2))
 UP = np.array([1.0, 0.0])
@@ -84,7 +87,30 @@ def test_schedule_rejects_unordered_times():
 def test_schedule_rejects_bad_decomposition():
     skew = (Projector(0.5 * (np.eye(2) + PAULI_Z)),)
     with pytest.raises(ValidationError):
+        Slot(0.0, skew, (1,))
+    with pytest.raises(ValidationError):
         HistorySchedule((Slot(0.0, skew, (1,)),), H2)
+
+
+def test_class_operators_match_heisenberg_products():
+    # three slots: the prefix-product construction equals the plain product
+    # of Heisenberg projectors, latest time on the left, bit for bit
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        h = random_hermitian(rng, dim)
+        slots = []
+        for t in np.sort(rng.uniform(0.0, 3.0, size=3)):
+            decomposition = random_decomposition(rng, dim)
+            slots.append(Slot(float(t), decomposition, tuple(range(len(decomposition)))))
+        ops = build_class_operators(HistorySchedule(tuple(slots), h))
+        assert [c.label for c in ops] == list(itertools.product(*(s.symbols for s in slots)))
+        for c in ops:
+            product = None
+            for slot, i in zip(slots, c.label):
+                moved = heisenberg_projector(slot.projectors[i], h, slot.time).matrix
+                product = moved if product is None else moved @ product
+            assert np.array_equal(c.matrix, product)
 
 
 def test_negate_identity_gives_zero():

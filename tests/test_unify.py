@@ -71,6 +71,15 @@ def test_as_exact_snaps_and_verifies():
     noisy = MarginalTable((SA,), {(1,): 0.123456789101112, (-1,): 1 - 0.123456789101112})
     with pytest.raises(ValidationError):
         noisy.as_exact(max_denominator=10)
+    # Leggett-Garg pair table at omega * tau = 2: each value snaps on its own
+    # to a sum just off 1, so the residual goes to the largest entry
+    c = math.cos(2.0)
+    lg = MarginalTable((SA, SB), {(s, r): 0.25 * (1 + s * r * c) for s in (1, -1) for r in (1, -1)})
+    snapped = lg.as_exact()
+    assert sum(snapped.values.values()) == 1
+    for key, value in snapped.values.items():
+        assert isinstance(value, Fraction)
+        assert abs(float(value) - lg.values[key]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
