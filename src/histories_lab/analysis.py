@@ -42,7 +42,7 @@ from .unify import (
     verify_witness,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PROBE_CELLS_CAP = 64
 
 
@@ -244,9 +244,15 @@ def report_to_json(report: dict) -> str:
 def reverify(report: dict) -> None:
     """Check a reloaded report's witness or certificate against its own constraints.
 
-    Raises ``NumericError`` when the stored evidence does not verify;
-    reports without a unification section pass vacuously.
+    Raises ``ValidationError`` for a report of another schema version and
+    ``NumericError`` when the stored evidence does not verify; reports
+    without a unification section pass vacuously.
     """
+    version = report.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValidationError(
+            f"report schema_version {version!r} cannot be re-verified; expected {SCHEMA_VERSION}"
+        )
     unification = report.get("unification")
     if not unification:
         return
@@ -268,6 +274,6 @@ def reverify(report: dict) -> None:
     if verdict["status"] == "infeasible":
         certificate = decode_value(verdict["farkas_certificate"])
         system = build_constraint_system(space, marginals, delta=delta, exact=exact)
-        if not verify_certificate(system.matrix, system.rhs, certificate):
+        if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
             raise NumericError("stored Farkas certificate failed verification")
         return

@@ -193,14 +193,16 @@ class HistorySet:
         dev = max_abs(total - np.eye(dim))
         if dev > DEFAULT_TOL:
             raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
+        weight = 1.0
         if self.final is not None:
             if self.final.dim != dim:
                 raise ValidationError("final state dimension does not match initial state")
-            overlap = float(np.trace(self.final.matrix @ self.initial.matrix).real)
-            if overlap <= DEFAULT_TOL:
+            weight = float(np.trace(self.final.matrix @ self.initial.matrix).real)
+            if weight <= DEFAULT_TOL:
                 raise DegeneratePostSelectionError(
-                    f"Tr(rho_f rho) = {overlap:.3e} is too small to normalize by"
+                    f"Tr(rho_f rho) = {weight:.3e} is too small to normalize by"
                 )
+        object.__setattr__(self, "_weight", weight)
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -217,10 +219,8 @@ class HistorySet:
         raise ValidationError(f"label {label!r} is not in this history set")
 
     def post_selection_weight(self) -> float:
-        """Normalization Tr(rho_f rho); 1.0 when there is no final state."""
-        if self.final is None:
-            return 1.0
-        return float(np.trace(self.final.matrix @ self.initial.matrix).real)
+        """Normalization Tr(rho_f rho), computed once at construction; 1.0 without a final state."""
+        return self._weight
 
     @cached_property
     def _functional(self) -> "DecoherenceFunctional":

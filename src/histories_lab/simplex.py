@@ -1,17 +1,22 @@
 """Two-phase primal simplex for feasibility questions and small LPs.
 
-Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``.
-Pivot selection uses Bland's lowest-index rule throughout, which prevents
-cycling and makes every run deterministic.  One two-phase driver serves both
-arithmetics: ``solve_lp_float`` hands it a float64 tableau with tolerances,
+Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``,
+optionally with per-column upper bounds ``x <= upper`` (the bounded-variable
+simplex: a bound costs no extra row).  Pivot selection uses Bland's
+lowest-index rule throughout, which prevents cycling and makes every run
+deterministic.  One two-phase driver serves both arithmetics:
+``solve_lp_float`` hands it a float64 tableau with tolerances,
 ``solve_lp_exact`` an object tableau of ``fractions.Fraction`` with every
 tolerance 0, and both pivot through ``_kernels.simplex_loop``.  Infeasible
-systems come back with a Farkas certificate ``y`` satisfying ``y.A >= 0``
-componentwise and ``y.b < 0``.
+systems come back with a Farkas certificate ``y``, one entry per row,
+satisfying ``y.A >= 0`` on every unbounded column and
+``y.b < sum_j u_j min(0, (y.A)_j)`` over the bounded ones (``y.b < 0``
+without bounds).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -31,12 +36,18 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LPResult:
-    """Solver outcome; exactly one of ``x`` / ``certificate`` is set."""
+    """Solver outcome; exactly one of ``x`` / ``certificate`` is set.
+
+    ``pivots`` and ``bound_flips`` count the Bland-loop pivots and the
+    entering-column bound flips over phases 1 and 2.
+    """
 
     status: str
     x: object = None           # ndarray (float mode) or list[Fraction]
     objective: object = None
     certificate: object = None  # Farkas vector over the original rows
+    pivots: int = 0
+    bound_flips: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -48,11 +59,13 @@ def _default_iterations(m: int, n: int) -> int:
 
 
 def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
-               max_iter: int | None) -> LPResult:
+               max_iter: int | None, upper: np.ndarray | None = None) -> LPResult:
     """Phase 1, Farkas certificate or artificial drive-out, phase 2, read-out.
 
-    ``A``, ``b`` and ``c`` are float64 arrays, or object arrays of Fractions
-    with ``tol = feas_tol = 0``; exact results come back as lists.
+    ``A``, ``b``, ``c`` and ``upper`` are float64 arrays, or object arrays of
+    Fractions with ``tol = feas_tol = 0``; exact results come back as lists.
+    ``upper`` bounds each column of ``A`` from above (``math.inf`` for no
+    bound); ``None`` leaves every column unbounded.
     """
     exact = A.dtype == object
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
@@ -70,15 +83,18 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
     tableau[m, -1] = -b.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
     iterations = max_iter if max_iter is not None else _default_iterations(m, n)
+    bounds = None if upper is None else upper.tolist() + [math.inf] * m
+    flipped = np.zeros(n + m, dtype=bool)
 
-    code = simplex_loop(tableau, basis, n, tol, iterations)
+    code, pivots, bound_flips = simplex_loop(tableau, basis, n, tol, iterations, bounds, flipped)
     if code != LOOP_OPTIMAL:
         raise NumericError(f"phase-1 simplex did not terminate cleanly (code {code})")
 
     if -tableau[m, -1] > feas_tol:
         certificate = -(flips * (one - tableau[m, n:n + m]))
         return LPResult(status=INFEASIBLE,
-                        certificate=certificate.tolist() if exact else certificate)
+                        certificate=certificate.tolist() if exact else certificate,
+                        pivots=pivots, bound_flips=bound_flips)
 
     # drive leftover artificials out of the basis; drop redundant rows
     drop: list[int] = []
@@ -95,31 +111,55 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
     tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)])
     basis = basis[keep].copy()
     m2 = len(keep)
+    flipped = flipped[:n]
 
     if np.any(c != zero):
-        tableau[m2, :n] = c
+        # the cost in each column's orientation; the objective is read from
+        # x, so the constant a flipped column adds to it is left out
+        oriented = c.copy()
+        oriented[flipped] = -c[flipped]
+        tableau[m2, :n] = oriented
         tableau[m2, -1] = zero
         for i in range(m2):
-            weight = c[basis[i]]
+            weight = oriented[basis[i]]
             if weight != zero:
                 tableau[m2, :] -= weight * tableau[i, :]
-        code = simplex_loop(tableau, basis, n, tol, iterations)
+        code, more_pivots, more_flips = simplex_loop(tableau, basis, n, tol, iterations,
+                                                     bounds, flipped)
+        pivots += more_pivots
+        bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
-            return LPResult(status=UNBOUNDED)
+            return LPResult(status=UNBOUNDED, pivots=pivots, bound_flips=bound_flips)
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
     x = np.full(n, zero, dtype=A.dtype)
     x[basis] = tableau[:m2, -1]
+    if flipped.any():
+        x[flipped] = upper[flipped] - x[flipped]
     if exact:
-        return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x))
-    return LPResult(status=OPTIMAL, x=x, objective=float(c @ x))
+        return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x),
+                        pivots=pivots, bound_flips=bound_flips)
+    return LPResult(status=OPTIMAL, x=x, objective=float(c @ x),
+                    pivots=pivots, bound_flips=bound_flips)
 
 
-def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL,
+def _check_upper(upper, n: int, exact: bool) -> np.ndarray | None:
+    """Validate per-column upper bounds: length ``n``, each ``>= 0`` or ``math.inf``."""
+    if upper is None:
+        return None
+    bounds = [v if v == math.inf else _as_fraction(v) if exact else float(v) for v in upper]
+    if len(bounds) != n:
+        raise ValidationError(f"upper-bound vector must have length {n}")
+    if any(not v >= 0 for v in bounds):
+        raise ValidationError("upper bounds must be non-negative")
+    return np.array(bounds, dtype=object if exact else float)
+
+
+def solve_lp_float(A, b, c=None, *, upper=None, feas_tol: float = DEFAULT_FEAS_TOL,
                    pivot_tol: float = DEFAULT_PIVOT_TOL,
                    max_iter: int | None = None) -> LPResult:
-    """Solve min c.x, A x = b, x >= 0 in floating point."""
+    """Solve min c.x, A x = b, 0 <= x <= upper in floating point."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
@@ -128,7 +168,7 @@ def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL,
     c = np.zeros(n) if c is None else np.array(c, dtype=float)
     if c.shape != (n,):
         raise ValidationError(f"cost vector must have length {n}")
-    return _two_phase(A, b, c, pivot_tol, feas_tol, max_iter)
+    return _two_phase(A, b, c, pivot_tol, feas_tol, max_iter, _check_upper(upper, n, False))
 
 
 def _as_fraction(value) -> Fraction:
@@ -143,8 +183,8 @@ def _as_fraction(value) -> Fraction:
     raise ValidationError(f"exact mode cannot coerce {value!r} to a rational")
 
 
-def solve_lp_exact(A, b, c=None, *, max_iter: int | None = None) -> LPResult:
-    """Solve min c.x, A x = b, x >= 0 in exact rational arithmetic."""
+def solve_lp_exact(A, b, c=None, *, upper=None, max_iter: int | None = None) -> LPResult:
+    """Solve min c.x, A x = b, 0 <= x <= upper in exact rational arithmetic."""
     rows = [[_as_fraction(v) for v in row] for row in A]
     rhs = [_as_fraction(v) for v in b]
     m = len(rows)
@@ -157,33 +197,45 @@ def solve_lp_exact(A, b, c=None, *, max_iter: int | None = None) -> LPResult:
     if len(cost) != n:
         raise ValidationError(f"cost vector must have length {n}")
     return _two_phase(np.array(rows, dtype=object), np.array(rhs, dtype=object),
-                      np.array(cost, dtype=object), 0, 0, max_iter)
+                      np.array(cost, dtype=object), 0, 0, max_iter,
+                      _check_upper(upper, n, True))
 
 
-def solve_lp(A, b, c=None, *, exact: bool = False, max_iter: int | None = None) -> LPResult:
+def solve_lp(A, b, c=None, *, upper=None, exact: bool = False,
+             max_iter: int | None = None) -> LPResult:
     """Dispatch to the exact or floating solver."""
     if exact:
-        return solve_lp_exact(A, b, c, max_iter=max_iter)
-    return solve_lp_float(A, b, c, max_iter=max_iter)
+        return solve_lp_exact(A, b, c, upper=upper, max_iter=max_iter)
+    return solve_lp_float(A, b, c, upper=upper, max_iter=max_iter)
 
 
-def verify_certificate(A, b, certificate, tol: float = 1e-9) -> bool:
-    """Check the Farkas conditions ``y.A >= 0`` (componentwise) and ``y.b < 0``.
+def verify_certificate(A, b, certificate, upper=None, tol: float = 1e-9) -> bool:
+    """Check the Farkas conditions for ``A x = b, 0 <= x <= upper``.
 
+    The certificate ``y`` needs one entry per row of ``A``.  It proves
+    infeasibility when ``(y.A)_j >= 0`` on every column without a finite
+    bound and ``y.b < sum_j u_j * min(0, (y.A)_j)`` over the bounded ones;
+    with ``upper=None`` that is ``y.A >= 0`` componentwise and ``y.b < 0``.
     Exact inputs are checked exactly; float inputs within an absolute
     tolerance scaled by the certificate magnitude.
     """
-    if certificate is None:
+    if certificate is None or len(certificate) != len(A):
         return False
     if all(isinstance(v, Rational) for v in certificate):
         cols = len(A[0])
+        bounds = [math.inf] * cols if upper is None else list(upper)
         combo = [sum(certificate[i] * A[i][j] for i in range(len(A))) for j in range(cols)]
         rhs = sum(ci * bi for ci, bi in zip(certificate, b))
-        return all(v >= 0 for v in combo) and rhs < 0
+        reach = sum(u * min(0, v) for u, v in zip(bounds, combo) if u != math.inf)
+        return all(v >= 0 for u, v in zip(bounds, combo) if u == math.inf) and rhs < reach
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     y = np.asarray(certificate, dtype=float)
     scale = max(1.0, float(np.max(np.abs(y))))
     combo = y @ A
     rhs = float(y @ b)
-    return bool(combo.min() >= -tol * scale and rhs < -tol * scale)
+    bounds = np.full(combo.shape, math.inf) if upper is None else np.asarray(upper, dtype=float)
+    finite = np.isfinite(bounds)
+    reach = float(bounds[finite] @ np.minimum(combo[finite], 0.0))
+    free = combo[~finite]
+    return bool((free.size == 0 or free.min() >= -tol * scale) and rhs - reach < -tol * scale)

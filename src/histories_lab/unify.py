@@ -339,10 +339,16 @@ def extract_marginals(hset: HistorySet, mapping: VariableMapping,
 
 @dataclass
 class ConstraintSystem:
-    """Standard-form system (matrix x = rhs, x >= 0) for the unifier LP.
+    """Standard-form system (matrix x = rhs, 0 <= x <= upper) for the unifier LP.
 
-    The first ``n_cells`` columns are the joint cells in row-major order;
-    float mode appends one slack column per band row.
+    One row per marginal key plus the normalization row.  The first
+    ``n_cells`` columns are the joint cells in row-major order.  A float
+    system of band width ``delta > 0`` appends one slack column per row:
+    row ``r`` reads ``a_r.x + s_r = b_r + delta`` with ``0 <= s_r <= 2*delta``,
+    i.e. ``|a_r.x - b_r| <= delta``, and ``upper`` holds ``inf`` for the cells
+    and ``2*delta`` for the slacks.  Width-0 systems (exact mode, or
+    ``delta = 0``) are hard equalities with no slack columns and
+    ``upper = None``.
     """
 
     matrix: object
@@ -352,6 +358,7 @@ class ConstraintSystem:
     row_meta: list[str]
     exact: bool
     delta: float
+    upper: np.ndarray | None = None
 
 
 def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> None:
@@ -392,66 +399,45 @@ def _key_cell_indices(space: JointSampleSpace, table: MarginalTable, key: tuple)
 
 
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                            delta: float = DEFAULT_DELTA, exact: bool = False,
-                            relax: bool = True) -> ConstraintSystem:
+                            delta: float = DEFAULT_DELTA, exact: bool = False) -> ConstraintSystem:
     """Assemble the marginal-matching constraints over the joint cells.
 
-    Exact mode: one equality row per marginal key plus the normalization row.
-    Float mode with ``relax``: each equality becomes a two-sided band of width
-    delta (slack variables make the bands equalities again); without ``relax``
-    the float system keeps hard equality rows, which the solver's phase-1
+    One row per marginal key plus the normalization row.  Exact mode keeps
+    hard equalities in ``Fraction`` arithmetic and ignores ``delta``.  Float
+    mode widens each row into the band ``|a_r.x - b_r| <= delta`` through
+    one bounded slack column per row (see ``ConstraintSystem``); with
+    ``delta = 0`` the rows stay hard equalities, which the solver's phase-1
     feasibility tolerance still cushions against ~1e-15 marginal noise.
     """
     _check_tables(space, marginals)
     cells = space.cells()
     n = len(cells)
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    width = 0.0 if exact else float(delta)
+    if not width >= 0:
+        raise ValidationError(f"band width delta must be non-negative, got {delta!r}")
 
     entries: list[tuple[list[int], object, str]] = []
     for t, table in enumerate(marginals):
         for key, value in table.values.items():
             idx = _key_cell_indices(space, table, key)
             entries.append((idx, value, f"marginal[{t}]{key!r}"))
-    entries.append((list(range(n)), Fraction(1) if exact else 1.0, "normalization"))
+    entries.append((list(range(n)), one, "normalization"))
 
-    if exact:
-        matrix: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        meta: list[str] = []
-        for idx, value, name in entries:
-            row = [Fraction(0)] * n
-            for k in idx:
-                row[k] = Fraction(1)
-            matrix.append(row)
-            rhs.append(value if isinstance(value, Fraction) else Fraction(value))
-            meta.append(name)
-        return ConstraintSystem(matrix, rhs, cells, n, meta, True, 0.0)
-
-    if not relax:
-        m = len(entries)
-        matrix_f = np.zeros((m, n))
-        rhs_f = np.zeros(m)
-        meta = []
-        for r, (idx, value, name) in enumerate(entries):
-            matrix_f[r, idx] = 1.0
-            rhs_f[r] = float(value)
-            meta.append(name)
-        return ConstraintSystem(matrix_f, rhs_f, cells, n, meta, False, 0.0)
-
-    m = 2 * len(entries)
-    matrix_f = np.zeros((m, n + m))
-    rhs_f = np.zeros(m)
-    meta = []
-    for r, (idx, value, name) in enumerate(entries):
-        value = float(value)
-        upper, lower = 2 * r, 2 * r + 1
-        matrix_f[upper, idx] = 1.0
-        rhs_f[upper] = value + delta
-        matrix_f[lower, idx] = -1.0
-        rhs_f[lower] = -(value - delta)
-        meta.append(f"{name} <= +delta")
-        meta.append(f"{name} >= -delta")
-    matrix_f[:, n:] = np.eye(m)
-    return ConstraintSystem(matrix_f, rhs_f, cells, n, meta, False, delta)
+    m = len(entries)
+    slacks = m if width else 0
+    dtype = object if exact else float
+    matrix = np.full((m, n + slacks), zero, dtype=dtype)
+    rhs = np.full(m, zero, dtype=dtype)
+    for r, (idx, value, _) in enumerate(entries):
+        matrix[r, idx] = one
+        rhs[r] = Fraction(value) if exact else float(value) + width
+    meta = [name for _, _, name in entries]
+    if not slacks:
+        return ConstraintSystem(matrix, rhs, cells, n, meta, exact, width)
+    matrix[:, n:] = np.eye(m)
+    upper = np.concatenate([np.full(n, np.inf), np.full(m, 2 * width)])
+    return ConstraintSystem(matrix, rhs, cells, n, meta, exact, width, upper)
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -505,7 +491,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     if space.size > cells_cap:
         return FeasibilityVerdict(status=NOT_EVALUATED, mode="exact" if exact else "float", delta=delta)
     system = build_constraint_system(space, marginals, delta, exact)
-    result = solve_lp(system.matrix, system.rhs, None, exact=exact)
+    result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
         cell_values = result.x[: system.n_cells]
@@ -516,7 +502,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
         return FeasibilityVerdict(status=FEASIBLE, witness=witness, mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)
-        if not verify_certificate(system.matrix, system.rhs, certificate):
+        if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
             raise NumericError("Farkas certificate failed verification")
         return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=certificate,
                                   mode=mode, delta=delta)
@@ -528,15 +514,16 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     """Per-cell min/max LPs under the marginal constraints; unique iff every cell is pinned.
 
     A cell is pinned when its attainable range is at most delta (exact mode
-    demands a zero range).  The probes run against the unrelaxed equality
-    constraints; with the delta-band system every cell would trivially have a
-    range of about 2*delta and nothing could ever be reported unique.
+    demands a zero range).  The probes run against the width-0 system of hard
+    equalities, without slack columns; with the delta-band system every cell
+    would trivially have a range of about 2*delta and nothing could ever be
+    reported unique.
     """
     verdict = find_unifying_probability(space, marginals, delta, exact)
     if not verdict.feasible:
         return verdict
-    system = build_constraint_system(space, marginals, delta, exact, relax=False)
-    n_cols = len(system.matrix[0]) if exact else system.matrix.shape[1]
+    system = build_constraint_system(space, marginals, 0.0, exact)
+    n_cols = system.matrix.shape[1]
     bounds: dict[Cell, tuple] = {}
     unique = True
     for k, cell in enumerate(system.cells):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from histories_lab.analysis import (
+    SCHEMA_VERSION,
     AnalysisOptions,
     analyze,
     decode_value,
@@ -14,8 +15,10 @@ from histories_lab.analysis import (
 )
 from histories_lab.cli import main
 from histories_lab.config import parse_config, scenario_to_config
-from histories_lab.errors import ConfigValidationError, NumericError
+from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
 from histories_lab.scenarios import build_scenario, three_box
+from histories_lab.simplex import verify_certificate
+from histories_lab.unify import build_constraint_system, extract_marginals
 
 
 @pytest.fixture()
@@ -126,7 +129,7 @@ def test_cli_analyze_writes_report(tmp_path, capsys):
     code = main(["analyze", "--scenario", "griffiths_spin", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == SCHEMA_VERSION
     assert report["unification"]["verdict"]["status"] == "feasible"
     reverify(report)
 
@@ -269,4 +272,29 @@ def test_reverify_rejects_tampered_evidence():
     verdict["farkas_certificate"] = encode_value(
         [-y for y in decode_value(verdict["farkas_certificate"])])
     with pytest.raises(NumericError):
+        reverify(report)
+
+    # float three_box: scale the certificate and add the normalization row so
+    # that y.b is just below 0.  That still refutes the hard equalities, but
+    # not the +-delta bands: delta * sum|y| outweighs y.b
+    desc = three_box()
+    report = json.loads(report_to_json(analyze(desc, AnalysisOptions())))
+    reverify(report)
+    unification = report["unification"]
+    marginals = [extract_marginals(desc.build(name), desc.set_named(name).mapping)
+                 for name in unification["marginal_sets"]]
+    hard = build_constraint_system(desc.space, marginals, 0.0)
+    y = np.array(unification["verdict"]["farkas_certificate"])
+    y = -(1 + 3e-9) / float(y @ hard.rhs) * y
+    y[-1] += 1.0  # the normalization row
+    assert verify_certificate(hard.matrix, hard.rhs, y)
+    unification["verdict"]["farkas_certificate"] = y.tolist()
+    with pytest.raises(NumericError):
+        reverify(report)
+
+
+def test_reverify_rejects_other_schema_versions():
+    report = json.loads(report_to_json(analyze(three_box(), AnalysisOptions())))
+    report["schema_version"] = 1
+    with pytest.raises(ValidationError, match=f"1.*{SCHEMA_VERSION}"):
         reverify(report)

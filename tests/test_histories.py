@@ -239,6 +239,35 @@ def test_interference_with_negation_identity():
             assert abs(gap - negation_interference(hset, label).real) < 1e-10
 
 
+def test_post_selection_weight_is_computed_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        hset = random_history_set(rng, slots=int(rng.integers(1, 4)), post_selected=True)
+        final, rho = hset.final.matrix, hset.initial.matrix
+        weight = float(np.trace(final @ rho).real)
+        assert hset.post_selection_weight() == weight
+        ops = np.stack([c.matrix for c in hset.class_operators])
+        flat_left = (final @ ops @ rho).reshape(len(ops), -1)
+        entries = (flat_left @ ops.reshape(len(ops), -1).conj().T) / weight
+        entries = (entries + entries.conj().T) / 2
+        assert decoherence_functional(hset).entries.tobytes() == entries.tobytes()
+
+        traced = []
+        trace = np.trace
+
+        def counting_trace(m):
+            traced.append(m)
+            return trace(m)
+
+        monkeypatch.setattr(np, "trace", counting_trace)
+        quasi = quasi_probabilities(hset)
+        monkeypatch.undo()
+        assert len(traced) == len(hset.class_operators)  # none for the weight
+        for c in hset.class_operators:
+            expected = float((complex(np.trace(final @ (c.matrix @ rho))) / weight).real)
+            assert quasi[c.label] == expected
+
+
 def test_coarse_measure_matches_summed_operator():
     zx = spin_set([Slot(0.0, X_DECOMP, (1, -1)), Slot(1.0, Z_DECOMP, (1, -1))])
     labels = [(1, 1), (1, -1)]

@@ -115,7 +115,8 @@ def test_witness_and_certificate_validity_randomized():
         else:
             infeasible += 1
             system = build_constraint_system(space, tables, verdict.delta)
-            assert verify_certificate(system.matrix, system.rhs, verdict.farkas_certificate)
+            assert verify_certificate(system.matrix, system.rhs, verdict.farkas_certificate,
+                                      system.upper)
     # random marginals over shared variables should produce both outcomes
     assert feasible > 10 and infeasible > 10
 

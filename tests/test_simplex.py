@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -121,3 +122,154 @@ def test_active_backend_reports_a_known_name():
 def test_solve_lp_dispatch():
     assert solve_lp([[1, 1]], [1], exact=True).x == [Fraction(1), Fraction(0)]
     assert solve_lp([[1, 1]], [1], exact=False).status == OPTIMAL
+
+
+# ---------------------------------------------------------------------------
+# bounded columns (0 <= x <= upper)
+# ---------------------------------------------------------------------------
+
+INF = math.inf
+
+
+def test_entering_column_flips_at_its_bound():
+    # min -x1 s.t. x1 + x2 = 5, x1 <= 2: x1 enters, stops at 2 before the row
+    # ratio 5, and flips without a pivot; x2 then takes the remaining 3
+    for solve, bound in ((solve_lp_float, 2.0), (solve_lp_exact, Fraction(2))):
+        result = solve([[1, 1]], [5], [-1, 0], upper=[bound, INF])
+        assert result.status == OPTIMAL
+        assert list(result.x) == [2, 3]
+        assert result.objective == -2
+        assert result.bound_flips == 1
+        assert result.pivots == 1
+
+
+def test_bound_ties_go_to_the_lowest_label():
+    # x1 + x2 = 1, x2 <= 1, min -x2: phase 1 makes x1 basic; x2's own bound
+    # ties with x1's ratio, and x1 has the lower label, so x1 leaves by a
+    # pivot instead of x2 flipping
+    for solve, bound in ((solve_lp_float, 1.0), (solve_lp_exact, Fraction(1))):
+        result = solve([[1, 1]], [1], [0, -1], upper=[INF, bound])
+        assert list(result.x) == [0, 1]
+        assert (result.pivots, result.bound_flips) == (2, 0)
+
+
+def test_basic_variable_leaves_at_its_upper_bound():
+    # x1 - x2 = 1, x1 <= 3, min -x2: phase 1 makes x1 basic at 1; raising
+    # x2 raises x1 until it reaches 3, so x1 leaves at its bound and is read
+    # out as 3 from the flipped column
+    for solve, bound in ((solve_lp_float, 3.0), (solve_lp_exact, Fraction(3))):
+        result = solve([[1, -1]], [1], [0, -1], upper=[bound, INF])
+        assert result.status == OPTIMAL
+        assert list(result.x) == [3, 2]
+        assert result.objective == -2
+        assert result.bound_flips == 0
+        assert result.pivots == 2
+
+
+def test_read_out_of_a_variable_left_at_its_upper_bound():
+    # phase 1 flips x1 to its bound 1 (it ties with the first row's ratio and
+    # has the lower label); it stays nonbasic in that orientation, and the
+    # read-out maps it back to u - 0 = 1
+    A, b, upper = [[1, 1, 0], [1, 0, 1]], [1, 1.5], [1.0, INF, INF]
+    result = solve_lp_float(A, b, [0, 1, 0], upper=upper)
+    assert result.status == OPTIMAL
+    assert result.bound_flips == 1
+    np.testing.assert_allclose(result.x, [1.0, 0.0, 0.5], atol=1e-12)
+    reference = solve_lp_float([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], [1, 1.5, 1],
+                               [0, 1, 0, 0])
+    assert result.objective == reference.objective
+    np.testing.assert_allclose(result.x, reference.x[:3], atol=1e-12)
+
+
+def test_zero_upper_bound_fixes_the_column_at_zero():
+    result = solve_lp_float([[1, 1]], [1], [-1.0, 0.0], upper=[0.0, INF])
+    assert result.status == OPTIMAL
+    assert list(result.x) == [0.0, 1.0]
+    A, b = [[1, 0], [0, 1]], [1, 0]
+    for solve, zero in ((solve_lp_float, 0.0), (solve_lp_exact, Fraction(0))):
+        infeasible = solve(A, b, upper=[zero, INF])
+        assert infeasible.status == INFEASIBLE
+        assert verify_certificate(A, b, infeasible.certificate, [zero, INF])
+        assert not verify_certificate(A, b, infeasible.certificate)
+
+
+def test_upper_bounds_are_validated():
+    with pytest.raises(ValidationError):
+        solve_lp_float([[1, 1]], [1], upper=[1.0])
+    with pytest.raises(ValidationError):
+        solve_lp_float([[1, 1]], [1], upper=[-1.0, INF])
+    with pytest.raises(ValidationError):
+        solve_lp_exact([[1, 1]], [1], upper=[0.5, INF])  # non-integral float in exact mode
+
+
+def _with_bound_rows(A, b, upper):
+    """The same LP with each finite bound as an explicit row x_j + w_j = u_j."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    bounded = [j for j in range(n) if upper[j] != INF]
+    k = len(bounded)
+    big = np.zeros((m + k, n + k))
+    big[:m, :n] = A
+    for r, j in enumerate(bounded):
+        big[m + r, j] = big[m + r, n + r] = 1.0
+    return big, np.concatenate([b, [upper[j] for j in bounded]])
+
+
+def test_bounded_float_and_exact_agree_with_explicit_bound_rows():
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for _ in range(80):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        A = rng.integers(-3, 4, size=(m, n))
+        b = A @ rng.integers(0, 3, size=n) if rng.random() < 0.6 else rng.integers(-4, 5, size=m)
+        c = rng.integers(-3, 4, size=n) if rng.random() < 0.7 else None
+        upper = [INF if rng.random() < 0.4 else int(rng.integers(0, 3)) for _ in range(n)]
+        fl = solve_lp_float(A, b, c, upper=[float(u) for u in upper])
+        ex = solve_lp_exact(A.tolist(), b.tolist(), None if c is None else c.tolist(),
+                            upper=[u if u == INF else Fraction(u) for u in upper])
+        big, big_b = _with_bound_rows(A, b, upper)
+        ref = solve_lp_float(big, big_b, None if c is None else np.concatenate(
+            [c, np.zeros(big.shape[1] - n)]))
+        assert fl.status == ex.status == ref.status
+        statuses.add(ex.status)
+        if ex.status == OPTIMAL:
+            assert abs(fl.objective - float(ex.objective)) < 1e-9
+            assert abs(fl.objective - ref.objective) < 1e-9
+            assert [sum(a * v for a, v in zip(row, ex.x)) for row in A.tolist()] == b.tolist()
+            assert all(0 <= v <= u for v, u in zip(ex.x, upper))
+            np.testing.assert_allclose(fl.x, [float(v) for v in ex.x], atol=1e-9)
+        if ex.status == INFEASIBLE:
+            assert verify_certificate(A.tolist(), b.tolist(), ex.certificate, upper)
+            assert verify_certificate(A.astype(float), b.astype(float), fl.certificate,
+                                      [float(u) for u in upper])
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_pivot_and_flip_counts_repeat_and_need_bounds():
+    rng = np.random.default_rng(43)
+    A = rng.integers(-2, 3, size=(5, 9)).astype(float)
+    b = A @ rng.uniform(0.0, 0.5, size=9)
+    c = rng.normal(size=9)
+    upper = np.full(9, 0.5)
+    first = solve_lp_float(A, b, c, upper=upper)
+    second = solve_lp_float(A, b, c, upper=upper)
+    assert (first.pivots, first.bound_flips) == (second.pivots, second.bound_flips)
+    assert first.pivots > 0 and first.bound_flips > 0
+    unbounded = [solve_lp_float(A, b, c), solve_lp_float(A, b, c, upper=np.full(9, INF))]
+    for result in unbounded:
+        assert result.bound_flips == 0
+        assert result.pivots == unbounded[0].pivots > 0
+        np.testing.assert_array_equal(result.x, unbounded[0].x)
+
+
+def test_certificate_length_must_match_the_rows():
+    A, b = [[1, 1], [1, 1]], [1, 2]
+    exact = solve_lp_exact(A, b).certificate
+    assert verify_certificate(A, b, exact)
+    assert not verify_certificate(A, b, exact + [Fraction(0)])
+    assert not verify_certificate(A, b, exact[:1])
+    assert not verify_certificate(A, b, [])
+    y = solve_lp_float(A, b).certificate
+    assert verify_certificate(A, b, y)
+    assert not verify_certificate(A, b, np.append(y, 0.0))
+    assert not verify_certificate(A, b, y[:1])

@@ -1,14 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_lab.errors import InconsistentSetError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
-from histories_lab.simplex import verify_certificate
+from histories_lab.simplex import OPTIMAL, solve_lp_float, verify_certificate
 from histories_lab.unify import (
+    DEFAULT_DELTA,
     CorrelationSet,
     JointSampleSpace,
     MarginalTable,
@@ -24,6 +28,7 @@ from histories_lab.unify import (
     pair_correlation,
     probe_uniqueness,
     product_unify,
+    verify_witness,
 )
 
 SA = Variable("a", (1, -1))
@@ -142,12 +147,18 @@ def test_three_box_unification_is_infeasible_with_certificate():
     verdict = find_unifying_probability(space, [m1, m2])
     assert verdict.status == "infeasible"
     system = build_constraint_system(space, [m1, m2], verdict.delta)
-    assert verify_certificate(system.matrix, system.rhs, verdict.farkas_certificate)
+    assert verify_certificate(system.matrix, system.rhs, verdict.farkas_certificate,
+                              system.upper)
 
     exact = find_unifying_probability(space, [m1.as_exact(), m2.as_exact()], exact=True)
     assert exact.status == "infeasible"
     exact_system = build_constraint_system(space, [m1.as_exact(), m2.as_exact()], exact=True)
     assert verify_certificate(exact_system.matrix, exact_system.rhs, exact.farkas_certificate)
+
+
+def test_negative_delta_is_rejected():
+    with pytest.raises(ValidationError, match="delta"):
+        find_unifying_probability(JointSampleSpace((SA,)), [uniform(SA)], delta=-1e-9)
 
 
 def test_exact_mode_requires_rational_values():
@@ -316,3 +327,69 @@ def test_quasi_policy_validation():
     space = JointSampleSpace((SA,))
     with pytest.raises(ValidationError):
         classify_quasiprobability(space, {(1,): 0.5, (-1,): 0.5}, policy="nope")
+
+
+# ---------------------------------------------------------------------------
+# bounded-slack bands against the doubled +-delta rows
+# ---------------------------------------------------------------------------
+
+def _doubled_band_system(space, tables, delta):
+    """Each key as two rows, a.x + s = b + delta and -a.x + s' = -(b - delta), s, s' >= 0."""
+    narrow = build_constraint_system(space, tables, 0.0)
+    m, n = narrow.matrix.shape
+    A = np.zeros((2 * m, n + 2 * m))
+    A[0::2, :n] = narrow.matrix
+    A[1::2, :n] = -narrow.matrix
+    A[:, n:] = np.eye(2 * m)
+    b = np.empty(2 * m)
+    b[0::2] = narrow.rhs + delta
+    b[1::2] = -(narrow.rhs - delta)
+    return A, b
+
+
+@st.composite
+def pairwise_systems(draw):
+    """Pair tables over 3-5 dichotomic variables, with values on a coarse grid.
+
+    Grid values have small denominators, so a system that is infeasible with
+    exact equalities stays infeasible after widening every row by delta: no
+    drawn system sits at the delta boundary.
+    """
+    n = draw(st.integers(3, 5))
+    variables = tuple(Variable(f"v{k}", (1, -1)) for k in range(n))
+    all_pairs = list(itertools.combinations(range(n), 2))
+    tables = []
+    if draw(st.booleans()):  # some pair marginals of one joint distribution: feasible
+        pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(0, 4), min_size=2 ** n, max_size=2 ** n).filter(any))
+        joint = np.array(weights, dtype=float).reshape((2,) * n) / sum(weights)
+        for i, j in pairs:
+            pair = joint.sum(axis=tuple(k for k in range(n) if k not in (i, j)))
+            tables.append(MarginalTable((variables[i], variables[j]), {
+                (s1, s2): float(pair[a, b]) for a, s1 in enumerate((1, -1))
+                for b, s2 in enumerate((1, -1))}))
+    else:  # every pair with its own correlation, in eighths: often infeasible
+        for i, j in all_pairs:
+            c = draw(st.sampled_from(range(-8, 9))) / 8
+            tables.append(MarginalTable((variables[i], variables[j]), {
+                (s1, s2): 0.25 * (1.0 + s1 * s2 * c) for s1 in (1, -1) for s2 in (1, -1)}))
+    return JointSampleSpace(variables), tables
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pairwise_systems())
+def test_bounded_bands_agree_with_doubled_rows(system):
+    space, tables = system
+    verdict = find_unifying_probability(space, tables)
+    A, b = _doubled_band_system(space, tables, DEFAULT_DELTA)
+    doubled = solve_lp_float(A, b)
+    assert verdict.feasible == (doubled.status == OPTIMAL)
+    if verdict.feasible:
+        verify_witness(space, tables, verdict.witness)
+        verify_witness(space, tables, dict(zip(space.cells(), doubled.x[:space.size])))
+    else:
+        bounded = build_constraint_system(space, tables)
+        assert len(verdict.farkas_certificate) == bounded.matrix.shape[0] == A.shape[0] // 2
+        assert verify_certificate(bounded.matrix, bounded.rhs, verdict.farkas_certificate,
+                                  bounded.upper)
+        assert verify_certificate(A, b, doubled.certificate)
