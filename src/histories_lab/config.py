@@ -5,7 +5,7 @@ row-major nested lists)::
 
     {
       "name": "my_scenario",                  # optional
-      "dim": 3,
+      "dim": 3,                               # 1 to DEFAULT_DIMENSION_CAP (1024)
       "initial": <matrix|ket>,
       "final": <matrix|ket> | null,
       "hamiltonian": <matrix>,
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
 from .histories import HistorySchedule, Slot
-from .operators import DensityOperator, Projector
+from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector
 from .scenarios import ScenarioDescriptor, ScenarioSet
 from .unify import JointSampleSpace, Variable, VariableMapping
 
@@ -156,7 +156,9 @@ def parse_config(source) -> ScenarioDescriptor:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         problems.add("$.dim", f"expected a positive integer, got {dim!r}")
-        problems.raise_if_any()
+    elif dim > DEFAULT_DIMENSION_CAP:
+        problems.add("$.dim", f"dimension {dim} exceeds the cap {DEFAULT_DIMENSION_CAP}")
+    problems.raise_if_any()
 
     name = doc.get("name", name_default)
     if not isinstance(name, str) or not name:

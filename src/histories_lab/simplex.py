@@ -221,21 +221,14 @@ def verify_certificate(A, b, certificate, upper=None, tol: float = 1e-9) -> bool
     """
     if certificate is None or len(certificate) != len(A):
         return False
-    if all(isinstance(v, Rational) for v in certificate):
-        cols = len(A[0])
-        bounds = [math.inf] * cols if upper is None else list(upper)
-        combo = [sum(certificate[i] * A[i][j] for i in range(len(A))) for j in range(cols)]
-        rhs = sum(ci * bi for ci, bi in zip(certificate, b))
-        reach = sum(u * min(0, v) for u, v in zip(bounds, combo) if u != math.inf)
-        return all(v >= 0 for u, v in zip(bounds, combo) if u == math.inf) and rhs < reach
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    y = np.asarray(certificate, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(y))))
-    combo = y @ A
-    rhs = float(y @ b)
-    bounds = np.full(combo.shape, math.inf) if upper is None else np.asarray(upper, dtype=float)
-    finite = np.isfinite(bounds)
-    reach = float(bounds[finite] @ np.minimum(combo[finite], 0.0))
+    dtype = object if all(isinstance(v, Rational) for v in certificate) else float
+    y = np.asarray(certificate, dtype=dtype)
+    slack = 0 if dtype is object else tol * max(1.0, float(np.max(np.abs(y))))
+    combo = y @ np.asarray(A, dtype=dtype)
+    rhs = y @ np.asarray(b, dtype=dtype)
+    bounds = np.full(len(combo), math.inf, dtype=dtype) if upper is None \
+        else np.asarray(upper, dtype=dtype)
+    finite = bounds != math.inf
+    reach = bounds[finite] @ np.minimum(combo[finite], 0)
     free = combo[~finite]
-    return bool((free.size == 0 or free.min() >= -tol * scale) and rhs - reach < -tol * scale)
+    return bool((free.size == 0 or free.min() >= -slack) and rhs - reach < -slack)

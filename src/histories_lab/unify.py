@@ -15,7 +15,8 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 from typing import Hashable, Mapping, Sequence
@@ -38,10 +39,10 @@ GroupKey = tuple
 
 DEFAULT_DELTA = 1e-9
 DEFAULT_JOINT_CAP = 10**6
+TABLE_TOL = 1e-9  # slack for marginal sums, signs and correlation ranges
 
 FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
-NOT_EVALUATED = "not-evaluated"
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,14 @@ class JointSampleSpace:
     """Ordered finite variables; the joint cells are their cartesian product."""
 
     variables: tuple[Variable, ...]
-    cap: int = DEFAULT_JOINT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be unique")
-        if self.size > self.cap:
-            raise ValidationError(f"joint size {self.size} exceeds cap {self.cap}")
+        if self.size > DEFAULT_JOINT_CAP:
+            raise ValidationError(f"joint size {self.size} exceeds cap {DEFAULT_JOINT_CAP}")
 
     @property
     def size(self) -> int:
@@ -91,6 +91,15 @@ class JointSampleSpace:
 
     def cells(self) -> list[Cell]:
         return list(itertools.product(*(v.outcomes for v in self.variables)))
+
+    @cached_property
+    def outcome_indices(self) -> np.ndarray:
+        """Read-only ``(size, len(variables))`` array: row ``c`` holds the
+        outcome index of joint cell ``c`` (row-major order) on each axis."""
+        shape = tuple(len(v.outcomes) for v in self.variables)
+        indices = np.indices(shape).reshape(len(shape), self.size).T
+        indices.setflags(write=False)
+        return indices
 
     def variable(self, name: str) -> Variable:
         for v in self.variables:
@@ -127,11 +136,13 @@ class MarginalTable:
     atomic outcome or a group (tuple) of outcomes.  Per variable, the groups
     used must partition its alphabet, and the keys must form the full product
     of those partitions, so the values are a genuine probability table.
+    ``partitions[k]`` lists the groups of the k-th variable in alphabet
+    order; the keys of ``values`` run through their product in that order.
     """
 
     variables: tuple[Variable, ...]
     values: dict
-    tol: float = DEFAULT_DELTA
+    partitions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -164,17 +175,10 @@ class MarginalTable:
                 seen |= set(g)
             if seen != set(var.outcomes):
                 raise ValidationError(f"groups of variable {var.name!r} do not cover its alphabet")
-            partitions.append(groups)
-        expected_keys = set(itertools.product(*partitions))
-        if set(canonical) != expected_keys:
+            partitions.append(tuple(groups))
+        ordered_keys = list(itertools.product(*partitions))
+        if set(canonical) != set(ordered_keys):
             raise ValidationError("marginal table keys must form the full product of the per-variable partitions")
-
-        ordered_keys = sorted(
-            canonical,
-            key=lambda k: tuple(
-                tuple(v.outcome_index(o) for o in g) for v, g in zip(self.variables, k)
-            ),
-        )
         values = {k: canonical[k] for k in ordered_keys}
 
         total = sum(values.values())
@@ -184,11 +188,12 @@ class MarginalTable:
             if any(v < 0 for v in values.values()):
                 raise ValidationError("marginal values must be non-negative")
         else:
-            if abs(float(total) - 1.0) > self.tol:
+            if abs(float(total) - 1.0) > TABLE_TOL:
                 raise ValidationError(f"marginal values must sum to 1, got {float(total)!r}")
-            if any(float(v) < -self.tol for v in values.values()):
+            if any(float(v) < -TABLE_TOL for v in values.values()):
                 raise ValidationError("marginal values must be non-negative within tolerance")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "partitions", tuple(partitions))
 
     @staticmethod
     def is_exact_values(values: Mapping) -> bool:
@@ -220,7 +225,7 @@ class MarginalTable:
                 raise ValidationError(
                     f"value {value!r} for key {key!r} is not rational within {tol}"
                 )
-        return MarginalTable(self.variables, snapped, self.tol)
+        return MarginalTable(self.variables, snapped)
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,6 @@ class CorrelationSet:
     """Pair correlations of dichotomic +-1 variables, keyed by name pairs."""
 
     values: dict
-    tol: float = 1e-9
 
     def __post_init__(self):
         normalized = {}
@@ -239,7 +243,7 @@ class CorrelationSet:
             pair = (a, b) if a <= b else (b, a)
             if pair in normalized:
                 raise ValidationError(f"duplicate correlation pair {pair!r}")
-            if abs(float(value)) > 1.0 + self.tol:
+            if abs(float(value)) > 1.0 + TABLE_TOL:
                 raise ValidationError(f"correlation {pair!r} = {value!r} is outside [-1, 1]")
             normalized[pair] = float(value)
         object.__setattr__(self, "values", dict(sorted(normalized.items())))
@@ -261,7 +265,7 @@ class FeasibilityVerdict:
     feasible   -> ``witness`` is a non-negative joint table matching every
                   marginal within delta;
     infeasible -> ``farkas_certificate`` verifies against the constraint
-                  system; not-evaluated -> the joint size exceeded the cap.
+                  system.
     """
 
     status: str
@@ -341,7 +345,8 @@ def extract_marginals(hset: HistorySet, mapping: VariableMapping,
 class ConstraintSystem:
     """Standard-form system (matrix x = rhs, 0 <= x <= upper) for the unifier LP.
 
-    One row per marginal key plus the normalization row.  The first
+    One row per marginal key, tables in input order and each table's keys in
+    ``table.values`` order, then the normalization row.  The first
     ``n_cells`` columns are the joint cells in row-major order.  A float
     system of band width ``delta > 0`` appends one slack column per row:
     row ``r`` reads ``a_r.x + s_r = b_r + delta`` with ``0 <= s_r <= 2*delta``,
@@ -355,9 +360,6 @@ class ConstraintSystem:
     rhs: object
     cells: list[Cell]
     n_cells: int
-    row_meta: list[str]
-    exact: bool
-    delta: float
     upper: np.ndarray | None = None
 
 
@@ -374,96 +376,77 @@ def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -
                 )
 
 
-def _key_cell_indices(space: JointSampleSpace, table: MarginalTable, key: tuple) -> list[int]:
-    """Joint-cell indices covered by one (possibly grouped) marginal key."""
-    axes = [space.axis(v.name) for v in table.variables]
-    per_axis: dict[int, tuple] = dict(zip(axes, key))
-    choices = []
-    for i, var in enumerate(space.variables):
-        if i in per_axis:
-            group = per_axis[i]
-            choices.append(group if isinstance(group, tuple) else (group,))
-        else:
-            choices.append(var.outcomes)
-    strides = []
-    stride = 1
-    for var in reversed(space.variables):
-        strides.append(stride)
-        stride *= len(var.outcomes)
-    strides = list(reversed(strides))
-    indices = [0]
-    for i, var in enumerate(space.variables):
-        step = [var.outcome_index(o) * strides[i] for o in choices[i]]
-        indices = [base + s for base in indices for s in step]
-    return sorted(indices)
+def _cell_keys(space: JointSampleSpace, variables: Sequence[Variable],
+               partitions: Sequence[Sequence[GroupKey]]) -> np.ndarray:
+    """For each joint cell, the position of the key covering it.
+
+    ``partitions[k]`` are the outcome groups of ``variables[k]`` in alphabet
+    order.  A cell's key is the mixed-radix number of its group indices, the
+    first variable most significant, which is the order of the product of
+    the partitions and so of ``MarginalTable.values``.
+    """
+    keys = np.zeros(space.size, dtype=np.intp)
+    for var, groups in zip(variables, partitions):
+        group_of = np.empty(len(var.outcomes), dtype=np.intp)
+        for g, group in enumerate(groups):
+            group_of[[var.outcome_index(o) for o in group]] = g
+        keys = keys * len(groups) + group_of[space.outcome_indices[:, space.axis(var.name)]]
+    return keys
 
 
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                             delta: float = DEFAULT_DELTA, exact: bool = False) -> ConstraintSystem:
     """Assemble the marginal-matching constraints over the joint cells.
 
-    One row per marginal key plus the normalization row.  Exact mode keeps
-    hard equalities in ``Fraction`` arithmetic and ignores ``delta``.  Float
-    mode widens each row into the band ``|a_r.x - b_r| <= delta`` through
-    one bounded slack column per row (see ``ConstraintSystem``); with
+    Row ``r`` of a table is the indicator of the cells ``_cell_keys`` maps to
+    its ``r``-th key; the normalization row covers every cell.  Exact mode
+    keeps hard equalities in ``Fraction`` arithmetic and ignores ``delta``.
+    Float mode widens each row into the band ``|a_r.x - b_r| <= delta``
+    through one bounded slack column per row (see ``ConstraintSystem``); with
     ``delta = 0`` the rows stay hard equalities, which the solver's phase-1
     feasibility tolerance still cushions against ~1e-15 marginal noise.
     """
     _check_tables(space, marginals)
-    cells = space.cells()
-    n = len(cells)
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     width = 0.0 if exact else float(delta)
     if not width >= 0:
         raise ValidationError(f"band width delta must be non-negative, got {delta!r}")
-
-    entries: list[tuple[list[int], object, str]] = []
-    for t, table in enumerate(marginals):
-        for key, value in table.values.items():
-            idx = _key_cell_indices(space, table, key)
-            entries.append((idx, value, f"marginal[{t}]{key!r}"))
-    entries.append((list(range(n)), one, "normalization"))
-
-    m = len(entries)
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    n = space.size
+    m = sum(len(table.values) for table in marginals) + 1
     slacks = m if width else 0
     dtype = object if exact else float
     matrix = np.full((m, n + slacks), zero, dtype=dtype)
-    rhs = np.full(m, zero, dtype=dtype)
-    for r, (idx, value, _) in enumerate(entries):
-        matrix[r, idx] = one
-        rhs[r] = Fraction(value) if exact else float(value) + width
-    meta = [name for _, _, name in entries]
+    targets = [value for table in marginals for value in table.values.values()] + [one]
+    rhs = np.array([Fraction(v) if exact else float(v) + width for v in targets], dtype=dtype)
+    cols = np.arange(n)
+    row = 0
+    for table in marginals:
+        matrix[row + _cell_keys(space, table.variables, table.partitions), cols] = one
+        row += len(table.values)
+    matrix[row, :n] = one
     if not slacks:
-        return ConstraintSystem(matrix, rhs, cells, n, meta, exact, width)
+        return ConstraintSystem(matrix, rhs, space.cells(), n)
     matrix[:, n:] = np.eye(m)
     upper = np.concatenate([np.full(n, np.inf), np.full(m, 2 * width)])
-    return ConstraintSystem(matrix, rhs, cells, n, meta, exact, width, upper)
+    return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                     witness: dict, delta: float, exact: bool) -> None:
-    values = [witness[c] for c in space.cells()]
-    if exact:
-        if any(v < 0 for v in values):
-            raise NumericError("exact witness has a negative cell")
-        for table in marginals:
-            for key, target in table.values.items():
-                got = sum(values[k] for k in _key_cell_indices(space, table, key))
-                if got != target:
-                    raise NumericError(f"exact witness misses marginal key {key!r}")
-        if sum(values) != 1:
-            raise NumericError("exact witness is not normalized")
-        return
-    arr = np.array([float(v) for v in values])
-    if arr.min() < -1e-12:
-        raise NumericError(f"witness has a negative cell ({arr.min()})")
-    slop = delta + 1e-12
+    """One check for both arithmetics: exact witnesses at tolerance 0, float
+    ones with ``1e-12`` below zero and ``delta + 1e-12`` on every key."""
+    values = np.array([witness[c] for c in space.cells()], dtype=object if exact else float)
+    floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
+    if values.min() < floor:
+        raise NumericError(f"witness has a negative cell ({values.min()})")
     for table in marginals:
-        for key, target in table.values.items():
-            got = arr[_key_cell_indices(space, table, key)].sum()
-            if abs(got - float(target)) > slop:
-                raise NumericError(f"witness misses marginal key {key!r} by {abs(got - float(target))}")
-    if abs(arr.sum() - 1.0) > slop:
+        got = np.zeros(len(table.values), dtype=values.dtype)
+        np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
+        miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
+        for key, off in zip(table.values, miss):
+            if off > slop:
+                raise NumericError(f"witness misses marginal key {key!r} by {off}")
+    if abs(values.sum() - 1) > slop:
         raise NumericError("witness is not normalized within delta")
 
 
@@ -477,19 +460,15 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                              delta: float = DEFAULT_DELTA, exact: bool = False,
-                              *, cells_cap: int = DEFAULT_JOINT_CAP) -> FeasibilityVerdict:
+                              delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
     a verified Farkas certificate.  ``exact=True`` requires rational marginal
-    values and decides feasibility exactly, independent of delta.  Joint
-    spaces larger than ``cells_cap`` come back ``not-evaluated``.
+    values and decides feasibility exactly, independent of delta.
     """
     if exact and not all(t.is_exact for t in marginals):
         raise ValidationError("exact mode requires rational marginal values (see MarginalTable.as_exact)")
-    if space.size > cells_cap:
-        return FeasibilityVerdict(status=NOT_EVALUATED, mode="exact" if exact else "float", delta=delta)
     system = build_constraint_system(space, marginals, delta, exact)
     result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
     mode = "exact" if exact else "float"
@@ -680,35 +659,19 @@ class QuasiClassification:
     verdict: FeasibilityVerdict
 
 
-def _marginalize(space: JointSampleSpace, q: Mapping[Cell, object],
-                 names: tuple[str, ...]) -> dict:
-    axes = [space.axis(n) for n in names]
-    out: dict = {}
-    for cell, value in q.items():
-        key = tuple(cell[a] for a in axes)
-        out[key] = out.get(key, 0) + value
-    return out
-
-
 def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
-                              policy: str = "maximal-nonnegative",
                               delta: float = DEFAULT_DELTA, tol: float = 1e-12,
                               exact: bool = False) -> QuasiClassification:
     """Decide whether a quasi-probability is viable.
 
     Collects the coarse-grainings of ``q`` that are non-negative within
-    ``tol`` and asks whether one true joint probability matches them all.
-    Policies:
-
-    - ``maximal-nonnegative`` (default): marginals over every variable subset,
-      kept when non-negative and not implied by a kept superset; plus, for
-      variables not covered by any kept subset, all two-block groupings of
-      that variable's alphabet.
-    - ``variable-subsets``: as above without the two-block groupings.
-    - ``all-nonnegative``: every non-negative candidate, no maximality filter.
+    ``tol`` and asks whether one true joint probability matches them all:
+    the marginals over every variable subset, kept when non-negative and
+    not implied by a kept superset, plus, for each variable no kept subset
+    covers, every two-block grouping of its alphabet.  A subset marginal
+    sums ``q`` in cell order through the same cell-to-key map as the
+    constraint rows.
     """
-    if policy not in ("maximal-nonnegative", "variable-subsets", "all-nonnegative"):
-        raise ValidationError(f"unknown marginal-selection policy {policy!r}")
     cells = space.cells()
     if set(q) != set(cells):
         raise ValidationError("quasi-probability must assign a value to every joint cell")
@@ -716,51 +679,46 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
     if abs(float(total) - 1.0) > max(tol, 1e-9):
         raise ValidationError(f"quasi-probability must sum to 1, got {float(total)!r}")
 
-    names = tuple(v.name for v in space.variables)
+    values = np.array([q[c] for c in cells], dtype=object)
     subset_tables: dict[tuple[str, ...], dict] = {}
-    nonneg: set[tuple[str, ...]] = set()
-    for size in range(1, len(names) + 1):
-        for subset in itertools.combinations(names, size):
-            marg = _marginalize(space, q, subset)
-            subset_tables[subset] = marg
-            if min(float(v) for v in marg.values()) >= -tol:
-                nonneg.add(subset)
+    nonneg: list[tuple[str, ...]] = []
+    for size in range(1, len(space.variables) + 1):
+        for subset in itertools.combinations(space.variables, size):
+            keys = list(itertools.product(*(v.outcomes for v in subset)))
+            marg = np.zeros(len(keys), dtype=object)
+            atoms = [[(o,) for o in v.outcomes] for v in subset]
+            np.add.at(marg, _cell_keys(space, subset, atoms), values)
+            names = tuple(v.name for v in subset)
+            subset_tables[names] = dict(zip(keys, marg.tolist()))
+            if min(float(v) for v in marg) >= -tol:
+                nonneg.append(names)
 
-    if policy == "all-nonnegative":
-        kept = sorted(nonneg, key=lambda s: (len(s), s))
-    else:
-        kept = sorted(
-            (s for s in nonneg
-             if not any(set(s) < set(other) for other in nonneg)),
-            key=lambda s: (len(s), s),
-        )
-
+    kept = sorted(
+        (s for s in nonneg if not any(set(s) < set(other) for other in nonneg)),
+        key=lambda s: (len(s), s),
+    )
     marginals = [
         MarginalTable(tuple(space.variable(n) for n in subset), subset_tables[subset])
         for subset in kept
     ]
 
-    if policy in ("maximal-nonnegative", "all-nonnegative"):
-        covered = {n for subset in kept for n in subset}
-        for name in names:
-            if name in covered and policy != "all-nonnegative":
-                continue
-            var = space.variable(name)
-            k = len(var.outcomes)
-            if k < 3:
-                continue
-            fine = subset_tables[(name,)]
-            for r in range(1, k // 2 + 1):
-                for block in itertools.combinations(var.outcomes, r):
-                    rest = tuple(o for o in var.outcomes if o not in block)
-                    if len(block) == k - len(block) and block > rest:
-                        continue  # avoid listing each half-half split twice
-                    grouped = {
-                        (block,): sum(fine[(o,)] for o in block),
-                        (rest,): sum(fine[(o,)] for o in rest),
-                    }
-                    if min(float(v) for v in grouped.values()) >= -tol:
-                        marginals.append(MarginalTable((var,), grouped))
+    covered = {n for subset in kept for n in subset}
+    for var in space.variables:
+        k = len(var.outcomes)
+        if var.name in covered or k < 3:
+            continue
+        fine = subset_tables[(var.name,)]
+        for r in range(1, k // 2 + 1):
+            for block in itertools.combinations(var.outcomes, r):
+                rest = tuple(o for o in var.outcomes if o not in block)
+                if len(block) == k - len(block) and block > rest:
+                    continue  # avoid listing each half-half split twice
+                grouped = {
+                    (block,): sum(fine[(o,)] for o in block),
+                    (rest,): sum(fine[(o,)] for o in rest),
+                }
+                if min(float(v) for v in grouped.values()) >= -tol:
+                    marginals.append(MarginalTable((var,), grouped))
 
     verdict = find_unifying_probability(space, marginals, delta=delta, exact=exact)
     return QuasiClassification(viable=verdict.feasible, marginals_used=marginals, verdict=verdict)

@@ -155,6 +155,16 @@ def test_cli_missing_config_is_exit_2(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_cli_dim_above_cap_is_exit_2(tmp_path, capsys):
+    # a dim of a million must be refused before any dim x dim array exists
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"dim": 1_000_000}))
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at $.dim" in err and "exceeds the cap" in err
+    assert "Traceback" not in err
+
+
 def test_cli_config_analysis(tmp_path, three_box_config):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(three_box_config))

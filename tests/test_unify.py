@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_lab.errors import InconsistentSetError, ValidationError
+from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
 from histories_lab.simplex import OPTIMAL, solve_lp_float, verify_certificate
@@ -198,16 +198,10 @@ def test_uniqueness_exact_perfect_anticorrelations():
     assert verdict.witness[(1, -1, 1)] == Fraction(1, 2)
 
 
-def test_not_evaluated_above_joint_cap():
-    # construction enforces the space's own cap
-    with pytest.raises(ValidationError):
-        JointSampleSpace((Variable("v", tuple(range(10))),), cap=5)
-    # the feasibility search has its own cells cap and reports not-evaluated
-    space = JointSampleSpace((Variable("v", tuple(range(100))),))
-    table = MarginalTable((space.variables[0],), {(k,): 0.01 for k in range(100)})
-    verdict = find_unifying_probability(space, [table], cells_cap=50)
-    assert verdict.status == "not-evaluated"
-    assert verdict.witness is None and verdict.farkas_certificate is None
+def test_space_above_joint_cap_is_rejected():
+    JointSampleSpace(tuple(Variable(f"v{k}", tuple(range(10))) for k in range(6)))
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        JointSampleSpace(tuple(Variable(f"v{k}", tuple(range(10))) for k in range(7)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +317,6 @@ def test_quasi_probability_must_sum_to_one():
         classify_quasiprobability(space, {(1,): 0.7, (-1,): 0.7})
 
 
-def test_quasi_policy_validation():
-    space = JointSampleSpace((SA,))
-    with pytest.raises(ValidationError):
-        classify_quasiprobability(space, {(1,): 0.5, (-1,): 0.5}, policy="nope")
-
-
 # ---------------------------------------------------------------------------
 # bounded-slack bands against the doubled +-delta rows
 # ---------------------------------------------------------------------------
@@ -393,3 +381,70 @@ def test_bounded_bands_agree_with_doubled_rows(system):
         assert verify_certificate(bounded.matrix, bounded.rhs, verdict.farkas_certificate,
                                   bounded.upper)
         assert verify_certificate(A, b, doubled.certificate)
+
+
+# ---------------------------------------------------------------------------
+# which joint cells a marginal key covers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def partitioned_tables(draw):
+    """A space of 2-4 variables with 2-4 outcomes, a random joint over it and
+    its marginal tables on variable subsets in shuffled order, each variable
+    cut into random groups; the first table has at least two keys."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    space = JointSampleSpace(tuple(Variable(f"v{k}", tuple(range(s))) for k, s in enumerate(sizes)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=space.size, max_size=space.size)
+                   .filter(any))
+    joint = {cell: Fraction(w, sum(weights)) for cell, w in zip(space.cells(), weights)}
+    axis = {v.name: k for k, v in enumerate(space.variables)}
+    tables = []
+    for t in range(draw(st.integers(1, 3))):
+        variables = draw(st.permutations(space.variables))[:draw(st.integers(1, len(sizes)))]
+        groups = []
+        for v in variables:
+            labels = draw(st.lists(st.integers(0, 3), min_size=len(v.outcomes),
+                                   max_size=len(v.outcomes)))
+            if t == 0 and not groups and len(set(labels)) == 1:
+                labels[0] += 1
+            groups.append([tuple(o for o, lab in zip(v.outcomes, labels) if lab == g)
+                           for g in sorted(set(labels))])
+        values = {key: sum(p for cell, p in joint.items()
+                           if all(cell[axis[v.name]] in g for v, g in zip(variables, key)))
+                  for key in itertools.product(*groups)}
+        tables.append(MarginalTable(tuple(variables), values))
+    return space, joint, tables
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(partitioned_tables())
+def test_cell_to_key_map_matches_membership(drawn):
+    space, joint, tables = drawn
+    cells = space.cells()
+    axis = {v.name: k for k, v in enumerate(space.variables)}
+
+    def covers(table, key, cell):
+        return all(cell[axis[v.name]] in g for v, g in zip(table.variables, key))
+
+    system = build_constraint_system(space, tables, exact=True)
+    rows = iter(zip(system.matrix.tolist(), system.rhs.tolist()))
+    for table in tables:
+        for key, value in table.values.items():
+            row, rhs = next(rows)
+            assert row == [int(covers(table, key, c)) for c in cells]
+            assert rhs == value
+    assert next(rows) == ([1] * len(cells), 1)
+
+    verify_witness(space, tables, joint, exact=True)
+    verify_witness(space, tables, {c: float(p) for c, p in joint.items()})
+    first = tables[0]
+    source = next(c for c in cells if joint[c] > 0)
+    key = next(k for k in first.values if covers(first, k, source))
+    target = next(c for c in cells if not covers(first, key, c))
+    moved = dict(joint)
+    moved[target] += moved.pop(source)
+    moved[source] = Fraction(0)
+    with pytest.raises(NumericError, match="misses marginal key"):
+        verify_witness(space, tables, moved, exact=True)
+    with pytest.raises(NumericError, match="misses marginal key"):
+        verify_witness(space, tables, {c: float(p) for c, p in moved.items()})
