@@ -4,8 +4,9 @@ Build class operators from time-ordered projective decompositions, compute
 decoherence functionals and (quasi-)probabilities with optional
 post-selection, classify history sets on the classicality hierarchy, detect
 zero covers, and decide by LP feasibility whether incompatible consistent
-sets admit one unifying probability, with Bell/CHSH inequalities as analytic
-cross-checks.
+sets admit one unifying probability.  For dichotomic pair correlations around
+an n-cycle, one family of inequalities (Bell and Leggett-Garg for three
+variables, CHSH for four) is an analytic cross-check.
 """
 
 from ._kernels import active_backend
@@ -20,7 +21,6 @@ from .config import parse_config, scenario_to_config
 from .errors import (
     ConfigValidationError,
     DegeneratePostSelectionError,
-    DimensionLimitError,
     HistoriesLabError,
     HistoryCountError,
     InconsistentSetError,
@@ -34,7 +34,6 @@ from .histories import (
     HistorySet,
     Slot,
     build_class_operators,
-    coarse_grain,
     coarse_measure,
     decoherence_functional,
     history_probabilities,
@@ -43,19 +42,15 @@ from .histories import (
     negate,
     negation_interference,
     quasi_probabilities,
-    quasi_probability,
 )
 from .operators import (
     DensityOperator,
-    HamiltonianEvolution,
     Projector,
     bloch_projector,
     heisenberg_projector,
     ket,
-    mats_close,
     projector_onto,
     propagator,
-    tensor_product,
     validate_projective_decomposition,
 )
 from .scenarios import (
@@ -71,17 +66,17 @@ from .scenarios import (
 from .simplex import LPResult, solve_lp, solve_lp_exact, solve_lp_float, verify_certificate
 from .unify import (
     CorrelationSet,
+    CycleCheck,
     FeasibilityVerdict,
     JointSampleSpace,
     MarginalTable,
     QuasiClassification,
     Variable,
     VariableMapping,
-    bell_check,
     build_constraint_system,
-    chsh_check,
     classify_quasiprobability,
     correlations_from_marginals,
+    cycle_check,
     extract_marginals,
     find_unifying_probability,
     pair_correlation,

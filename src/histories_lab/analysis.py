@@ -32,10 +32,9 @@ from .unify import (
     JointSampleSpace,
     MarginalTable,
     Variable,
-    bell_check,
     build_constraint_system,
-    chsh_check,
     correlations_from_marginals,
+    cycle_check,
     extract_marginals,
     find_unifying_probability,
     probe_uniqueness,
@@ -172,17 +171,15 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
         marginals = [t for _, t in tables]
         correlations = correlations_from_marginals(marginals)
         bell = chsh = None
-        if len(correlations.values) == 3 and len(correlations.names) == 3:
-            b = bell_check(correlations)
-            bell = {"satisfied": b.satisfied, "slack": b.slack,
-                    "total": b.total, "upper_bound": b.upper_bound}
-        if len(correlations.values) == 4 and len(correlations.names) == 4:
-            try:
-                c = chsh_check(correlations)
-                chsh = {"satisfied": c.satisfied, "values": list(c.values),
-                        "max_value": c.max_value}
-            except ValidationError:
-                chsh = None
+        if correlations.is_cycle:
+            check = cycle_check(correlations)
+            c = list(correlations.values.values())
+            if len(c) == 3:
+                bell = {"satisfied": check.satisfied, "slack": check.slack,
+                        "total": sum(c), "upper_bound": 1.0 + 2.0 * min(c)}
+            elif len(c) == 4:
+                chsh = {"satisfied": check.satisfied, "values": list(check.values),
+                        "max_value": check.max_value}
 
         if descriptor.space.size <= PROBE_CELLS_CAP:
             verdict = probe_uniqueness(descriptor.space, marginals,

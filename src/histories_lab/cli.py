@@ -23,8 +23,8 @@ from .config import parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .unify import (
-    chsh_check,
     correlations_from_marginals,
+    cycle_check,
     extract_marginals,
     find_unifying_probability,
 )
@@ -97,9 +97,11 @@ def cmd_analyze(args) -> int:
 def evaluate_sweep_point(scenario: str, params: dict) -> dict:
     """One grid point: combined-set consistency, max inequality value, LP feasibility.
 
-    The inequality value is the largest left-hand side of the applicable
-    family: the eight four-variable combinations (bound 2) for eprb, the four
-    three-variable ones rewritten with bound 1 for leggett_garg.
+    The pair correlations of both scenarios go around a cycle, so the
+    inequality value is the largest left-hand side of the n-cycle family
+    (``unify.cycle_check``): the eight CHSH combinations, bound 2, for eprb
+    and the four three-time Leggett-Garg combinations, bound 1, for
+    leggett_garg.
     """
     descriptor = build_scenario(scenario, params)
     tables = []
@@ -111,17 +113,10 @@ def evaluate_sweep_point(scenario: str, params: dict) -> dict:
             combined_consistent = report.consistent
         elif sset.mapping is not None and report.consistent:
             tables.append(extract_marginals(hset, sset.mapping))
-    correlations = correlations_from_marginals(tables)
-    if scenario == "eprb":
-        max_combination = chsh_check(correlations).max_value
-    else:
-        c = list(correlations.values.values())
-        total = sum(c)
-        max_combination = max(-total, total - 2.0 * min(c))
     verdict = find_unifying_probability(descriptor.space, tables)
     return {
         "combined_consistent": int(bool(combined_consistent)),
-        "max_combination": max_combination,
+        "max_combination": cycle_check(correlations_from_marginals(tables)).max_value,
         "feasible": int(verdict.feasible),
     }
 

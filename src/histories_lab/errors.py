@@ -9,10 +9,6 @@ class ValidationError(HistoriesLabError):
     """An input fails a structural or numerical precondition."""
 
 
-class DimensionLimitError(ValidationError):
-    """An operation would exceed the configured Hilbert-space dimension cap."""
-
-
 class HistoryCountError(ValidationError):
     """A schedule would generate more histories than the configured cap."""
 

@@ -149,18 +149,6 @@ def negate(c: ClassOperator) -> ClassOperator:
     return ClassOperator(label=("not",) + c.label, matrix=eye - c.matrix, homogeneous=False)
 
 
-def coarse_grain(operators: Sequence[ClassOperator], label: Label | None = None) -> ClassOperator:
-    """Sum of class operators (the history 'one of these happened')."""
-    ops = list(operators)
-    if not ops:
-        raise ValidationError("coarse graining needs at least one class operator")
-    total = ops[0].matrix.copy()
-    for c in ops[1:]:
-        total = total + c.matrix
-    merged = tuple(c.label for c in ops) if label is None else tuple(label)
-    return ClassOperator(label=merged, matrix=total, homogeneous=len(ops) == 1 and ops[0].homogeneous)
-
-
 @dataclass(frozen=True)
 class HistorySet:
     """A labelled family of class operators plus boundary conditions.
@@ -326,18 +314,6 @@ def history_probabilities(hset: HistorySet) -> dict[Label, float]:
     return {label: float(p) for label, p in zip(d.labels, d.diagonal())}
 
 
-def quasi_probability(hset: HistorySet, label: Label) -> float:
-    """Linear quasi-probability Re Tr(C rho) (post-selected when applicable).
-
-    May be negative; the values sum to 1 over the whole set, and coincide with
-    the history probabilities exactly when the set is consistent.
-    """
-    try:
-        return hset._quasi[tuple(label)]
-    except KeyError:
-        raise ValidationError(f"label {label!r} is not in this history set") from None
-
-
 def quasi_probabilities(hset: HistorySet) -> dict[Label, float]:
     """Every history's quasi-probability, computed once per set; the dict is a copy."""
     return dict(hset._quasi)
@@ -356,7 +332,9 @@ def negation_interference(hset: HistorySet, label: Label) -> complex:
 
 def coarse_measure(hset: HistorySet, labels: Sequence[Label]) -> float:
     """Measure of the union history: probability of the summed class operator."""
-    ops = [hset.operator(label) for label in labels]
-    summed = coarse_grain(ops)
-    m = summed.matrix @ hset.initial.matrix @ summed.matrix.conj().T
+    ops = [hset.operator(label).matrix for label in labels]
+    if not ops:
+        raise ValidationError("coarse graining needs at least one history")
+    summed = sum(ops)
+    m = summed @ hset.initial.matrix @ summed.conj().T
     return float(_weighted_trace(hset, m).real)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionLimitError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_DIMENSION_CAP = 1024
@@ -41,15 +41,6 @@ def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
 def max_abs(m) -> float:
     """Max-norm of a matrix (largest entry magnitude)."""
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
-def mats_close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise equality within an absolute tolerance on the max-norm."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return max_abs(a - b) <= tol
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
@@ -82,21 +73,6 @@ def bloch_projector(sign: int, axis) -> np.ndarray:
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise ValidationError(f"axis must be a unit vector, |a| = {np.linalg.norm(a)!r}")
     return 0.5 * (np.eye(2, dtype=complex) + sign * (a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z))
-
-
-def tensor_product(a, b, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Kronecker product of two square matrices.
-
-    Raises ``DimensionLimitError`` when the combined dimension would exceed
-    ``cap`` (default 1024); the cap guards against accidental exponential
-    blowup when composing long schedules.
-    """
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    dim = a.shape[0] * b.shape[0]
-    if dim > cap:
-        raise DimensionLimitError(f"tensor product dimension {dim} exceeds cap {cap}")
-    return np.kron(a, b)
 
 
 def propagator(hamiltonian, time: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -160,24 +136,6 @@ class Projector:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class HamiltonianEvolution:
-    """A Hermitian generator together with an evolution time (hbar = 1)."""
-
-    hamiltonian: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        h = as_square_matrix(self.hamiltonian, "hamiltonian")
-        if not is_hermitian(h):
-            raise ValidationError("hamiltonian must be Hermitian")
-        object.__setattr__(self, "hamiltonian", frozen_array(h))
-        object.__setattr__(self, "time", float(self.time))
-
-    def propagator(self) -> np.ndarray:
-        return propagator(self.hamiltonian, self.time)
 
 
 def heisenberg_projector(p: Projector, hamiltonian, time: float) -> Projector:

@@ -4,9 +4,10 @@ The central question: given probability tables from several history sets over
 shared finite variables, is there one non-negative joint distribution whose
 coarse-grainings reproduce every table?  This is a linear-programming
 feasibility problem over the joint simplex; infeasibility comes back with a
-verifiable Farkas certificate.  Bell and CHSH inequality checks are provided
-as analytic cross-checks for the dichotomic 3- and 4-variable cases, where
-they are equivalent to LP feasibility.
+verifiable Farkas certificate.  For dichotomic pair correlations around an
+n-cycle, ``cycle_check`` is an analytic cross-check: its inequalities (Bell
+and Leggett-Garg for n = 3, CHSH for n = 4) hold exactly when the LP is
+feasible (Araujo et al. 2013; Fine 1982 for n = 4).
 
 Marginal tables may carry coarse outcome groups (e.g. "box 2 or 3") as well
 as atomic outcomes; each key constrains the sum of the joint cells it covers.
@@ -15,8 +16,10 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from numbers import Rational
 from typing import Hashable, Mapping, Sequence
@@ -59,10 +62,15 @@ class Variable:
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValidationError(f"variable {self.name!r} has duplicate outcomes")
 
+    @cached_property
+    def index_of(self) -> dict:
+        """Outcome -> its position in ``outcomes``."""
+        return {o: i for i, o in enumerate(self.outcomes)}
+
     def outcome_index(self, outcome: Outcome) -> int:
         try:
-            return self.outcomes.index(outcome)
-        except ValueError:
+            return self.index_of[outcome]
+        except (KeyError, TypeError):
             raise ValidationError(
                 f"outcome {outcome!r} is not in the alphabet of variable {self.name!r}"
             ) from None
@@ -116,13 +124,9 @@ class JointSampleSpace:
 
 def _canonical_group(var: Variable, group) -> GroupKey:
     """Normalize one key entry to a tuple of outcomes in alphabet order."""
-    if isinstance(group, (list, set, frozenset)):
-        members: tuple = tuple(group)
-    elif isinstance(group, tuple):
-        members = group
-    else:
-        members = (group,)
-    indices = sorted(var.outcome_index(m) for m in members)
+    if not isinstance(group, (tuple, list, set, frozenset)):
+        return (var.outcomes[var.outcome_index(group)],)
+    indices = sorted(var.outcome_index(m) for m in group)
     if len(set(indices)) != len(indices):
         raise ValidationError(f"group {group!r} repeats an outcome of {var.name!r}")
     return tuple(var.outcomes[i] for i in indices)
@@ -166,8 +170,9 @@ class MarginalTable:
 
         partitions = []
         for pos, var in enumerate(self.variables):
+            index = var.index_of
             groups = sorted({k[pos] for k in canonical},
-                            key=lambda g: tuple(var.outcome_index(o) for o in g))
+                            key=lambda g: tuple(index[o] for o in g))
             seen: set = set()
             for g in groups:
                 if seen & set(g):
@@ -248,14 +253,28 @@ class CorrelationSet:
             normalized[pair] = float(value)
         object.__setattr__(self, "values", dict(sorted(normalized.items())))
 
-    def get(self, a: str, b: str) -> float:
-        pair = (a, b) if a <= b else (b, a)
-        return self.values[pair]
-
     @property
     def names(self) -> tuple[str, ...]:
         seen = sorted({n for pair in self.values for n in pair})
         return tuple(seen)
+
+    @property
+    def is_cycle(self) -> bool:
+        """Whether the pairs form one cycle: at least three of them, every
+        variable in exactly two, all connected."""
+        neighbours: dict[str, list[str]] = {}
+        for a, b in self.values:
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+        if len(self.values) < 3 or any(len(v) != 2 for v in neighbours.values()):
+            return False
+        reached, frontier = set(), [next(iter(neighbours))]
+        while frontier:
+            name = frontier.pop()
+            if name not in reached:
+                reached.add(name)
+                frontier.extend(neighbours[name])
+        return len(reached) == len(neighbours)
 
 
 @dataclass
@@ -388,8 +407,9 @@ def _cell_keys(space: JointSampleSpace, variables: Sequence[Variable],
     keys = np.zeros(space.size, dtype=np.intp)
     for var, groups in zip(variables, partitions):
         group_of = np.empty(len(var.outcomes), dtype=np.intp)
+        index = var.index_of
         for g, group in enumerate(groups):
-            group_of[[var.outcome_index(o) for o in group]] = g
+            group_of[[index[o] for o in group]] = g
         keys = keys * len(groups) + group_of[space.outcome_indices[:, space.axis(var.name)]]
     return keys
 
@@ -454,9 +474,28 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                    witness: Mapping[Cell, object], delta: float = DEFAULT_DELTA,
                    exact: bool = False) -> None:
     """Raise ``NumericError`` unless the witness is non-negative and reproduces
-    every marginal within delta (exactly, in exact mode)."""
+    every marginal within delta (exactly, in exact mode).
+
+    The witness must map exactly the cells of ``space`` to finite numbers
+    (``int``, ``float`` or ``Fraction``); anything else is a
+    ``ValidationError`` naming the offending cell.
+    """
     _check_tables(space, marginals)
-    _verify_witness(space, marginals, dict(witness), delta, exact)
+    witness = dict(witness)
+    cells = space.cells()
+    known = set(cells)
+    for cell in witness:
+        if cell not in known:
+            raise ValidationError(f"witness cell {cell!r} is not in the sample space")
+    for cell in cells:
+        if cell not in witness:
+            raise ValidationError(f"witness has no value for cell {cell!r}")
+        value = witness[cell]
+        finite = math.isfinite(value) if isinstance(value, float) \
+            else isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+        if not finite:
+            raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
+    _verify_witness(space, marginals, witness, delta, exact)
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -552,21 +591,25 @@ def product_unify(marginals: Sequence[MarginalTable]) -> MarginalTable:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BellCheck:
-    satisfied: bool
-    slack: float
-    total: float
-    upper_bound: float
+class CycleCheck:
+    """The n-cycle inequalities: every ``values`` entry must be at most ``bound``.
 
+    ``values`` has one entry per sign vector with an odd number of minus
+    signs, the signed sum of the correlations in ``CorrelationSet`` order.
+    ``slack`` is negative when an inequality is violated.
+    """
 
-@dataclass(frozen=True)
-class CHSHCheck:
     satisfied: bool
     values: tuple[float, ...]
+    bound: int
 
     @property
     def max_value(self) -> float:
         return max(self.values)
+
+    @property
+    def slack(self) -> float:
+        return self.bound - self.max_value
 
 
 def pair_correlation(table: MarginalTable) -> float:
@@ -596,56 +639,38 @@ def correlations_from_marginals(marginals: Sequence[MarginalTable]) -> Correlati
     return CorrelationSet(values)
 
 
-def bell_check(correlations: CorrelationSet, tol: float = 1e-9) -> BellCheck:
-    """Three-variable inequality: -1 <= C12+C13+C23 <= 1 + 2 min(Cij).
+def cycle_check(correlations: CorrelationSet, tol: float = 1e-9) -> CycleCheck:
+    """Check the n-cycle inequalities sum_i g_i C_i <= n - 2 over every sign
+    vector g with an odd number of minus signs.
 
-    Slack is the distance to the nearest bound, negative when violated; a
-    joint distribution over the three dichotomic variables (with unbiased
-    singles) exists iff the check passes.  ``tol`` absorbs float noise for
-    configurations sitting exactly on a bound.
+    The pairs must form one cycle through n >= 3 variables
+    (``CorrelationSet.is_cycle``).  Dichotomic variables with these pair
+    correlations have a joint distribution exactly when every inequality
+    holds (Araujo, Quintino, Budroni, Terra Cunha & Cabello 2013; Fine 1982
+    for CHSH, n = 4).  ``tol`` absorbs float noise at the bound.
     """
-    if len(correlations.values) != 3 or len(correlations.names) != 3:
-        raise ValidationError("bell check needs the three pair correlations of three variables")
+    if not correlations.is_cycle:
+        raise ValidationError(
+            "cycle check needs pairs forming one cycle: every variable in exactly "
+            "two pairs, all connected, at least three of them"
+        )
     c = list(correlations.values.values())
-    total = sum(c)
-    upper = 1.0 + 2.0 * min(c)
-    slack = min(total + 1.0, upper - total)
-    return BellCheck(satisfied=slack >= -tol, slack=slack, total=total, upper_bound=upper)
+    n = len(c)
+    values = []
+    for signs in itertools.product((1, -1), repeat=n):
+        minus = signs.count(-1)
+        if minus % 2:
+            # Sum left to right (sum() compensates rounding from Python 3.12 on)
+            # over whichever of signs and -signs has fewer minus signs, so that
+            # opposite sign vectors give exactly opposite values, zeros included.
+            flip = -1 if 2 * minus > n else 1
+            values.append(flip * reduce(operator.add, (flip * g * v for g, v in zip(signs, c))))
+    return CycleCheck(satisfied=max(values) <= n - 2 + tol, values=tuple(values), bound=n - 2)
 
 
-def chsh_check(correlations: CorrelationSet, tol: float = 1e-9) -> CHSHCheck:
-    """Eight four-variable inequalities over the pairs of a 2x2 bipartite layout.
-
-    The four correlations must form a complete bipartite pair graph; the
-    bipartition is inferred from the missing pairs.  Each value is a signed
-    sum with an odd number of minus signs; satisfied iff all are <= 2, with
-    ``tol`` absorbing float noise at the bound.
-    """
-    if len(correlations.values) != 4:
-        raise ValidationError("chsh check needs exactly four pair correlations")
-    names = correlations.names
-    if len(names) != 4:
-        raise ValidationError("chsh check needs four distinct variables")
-    present = set(correlations.values)
-    missing = [frozenset(p) for p in itertools.combinations(names, 2)
-               if tuple(sorted(p)) not in present]
-    if len(missing) != 2 or (missing[0] & missing[1]):
-        raise ValidationError("the four pairs must form a complete bipartite layout")
-    side_a = tuple(sorted(missing[0]))
-    side_b = tuple(sorted(missing[1]))
-    c = {(a, b): correlations.get(a, b) for a in side_a for b in side_b}
-    c13 = c[(side_a[0], side_b[0])]
-    c14 = c[(side_a[0], side_b[1])]
-    c23 = c[(side_a[1], side_b[0])]
-    c24 = c[(side_a[1], side_b[1])]
-    combos = (
-        c13 + c14 + c23 - c24,
-        c13 + c14 - c23 + c24,
-        c13 - c14 + c23 + c24,
-        -c13 + c14 + c23 + c24,
-    )
-    values = combos + tuple(-v for v in combos)
-    return CHSHCheck(satisfied=max(values) <= 2.0 + tol, values=values)
+# Old names, kept only because ``perfbench/workloads.py`` calls them: the
+# benchmark changes on its own, apart from the library.
+bell_check = chsh_check = cycle_check
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ from histories_lab.operators import max_abs
 from histories_lab.scenarios import build_scenario, eprb, eprb_planar, leggett_garg, three_box
 from histories_lab.simplex import verify_certificate
 from histories_lab.unify import (
-    bell_check,
     build_constraint_system,
-    chsh_check,
     correlations_from_marginals,
+    cycle_check,
     extract_marginals,
     find_unifying_probability,
     pair_correlation,
@@ -126,7 +125,7 @@ def test_criterion_4_eprb_tsirelson():
         desc = eprb_planar(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
         names = ("pair_13", "pair_14", "pair_23", "pair_24")
         tables = _marginals(desc, names)
-        check = chsh_check(correlations_from_marginals(tables))
+        check = cycle_check(correlations_from_marginals(tables))
         assert abs(check.max_value - 2 * math.sqrt(2)) <= 1e-9
         assert not check.satisfied
         verdict = find_unifying_probability(desc.space, tables)
@@ -144,9 +143,9 @@ def test_criterion_5_leggett_garg():
 
         violated = leggett_garg(math.pi / 3, 0.0, 1.0, 2.0)
         tables = _marginals(violated, ("pair_12", "pair_23", "pair_13"))
-        check = bell_check(correlations_from_marginals(tables))
-        assert abs(check.total - 0.5) <= 1e-12
-        assert abs(check.upper_bound) <= 1e-12
+        check = cycle_check(correlations_from_marginals(tables))
+        assert abs(check.max_value - 1.5) <= 1e-12
+        assert abs(check.slack + 0.5) <= 1e-12
         assert not check.satisfied
         assert find_unifying_probability(violated.space, tables).status == "infeasible"
 
@@ -156,9 +155,9 @@ def test_criterion_5_leggett_garg():
 
 
 def test_criterion_6_fine_theorem_equivalence():
-    with criterion(6, 60.0, "Fine's theorem: LP feasibility matches the Bell check on "
-                            "500 random three-time instances and the CHSH check on "
-                            "500 random axis quadruples (boundary cases skipped)"):
+    with criterion(6, 60.0, "Fine's theorem: LP feasibility matches the 3-cycle (Leggett-Garg) "
+                            "inequalities on 500 random three-time instances and the 4-cycle "
+                            "(CHSH) ones on 500 random axis quadruples (boundary cases skipped)"):
         rng = np.random.default_rng(SEED)
 
         checked = 0
@@ -169,7 +168,7 @@ def test_criterion_6_fine_theorem_equivalence():
                 times = np.sort(rng.uniform(0.0, 5.0, size=3))
             desc = leggett_garg(omega, *map(float, times))
             tables = _marginals(desc, ("pair_12", "pair_23", "pair_13"))
-            check = bell_check(correlations_from_marginals(tables))
+            check = cycle_check(correlations_from_marginals(tables))
             if abs(check.slack) < 1e-8:
                 continue
             verdict = find_unifying_probability(desc.space, tables)
@@ -183,7 +182,7 @@ def test_criterion_6_fine_theorem_equivalence():
             axes /= np.linalg.norm(axes, axis=1)[:, None]
             desc = eprb(*map(tuple, axes))
             tables = _marginals(desc, ("pair_13", "pair_14", "pair_23", "pair_24"))
-            check = chsh_check(correlations_from_marginals(tables))
+            check = cycle_check(correlations_from_marginals(tables))
             if abs(2.0 - check.max_value) < 1e-8:
                 continue
             verdict = find_unifying_probability(desc.space, tables)

@@ -303,6 +303,21 @@ def test_reverify_rejects_tampered_evidence():
         reverify(report)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells.pop(0), r"no value for cell \(1, 1\)"),
+    (lambda cells: cells.append([[7, 7], 0.75]), r"cell \(7, 7\) is not in the sample space"),
+    (lambda cells: cells[0].__setitem__(1, "0.5"), r"'0.5' for cell \(1, 1\)"),
+    (lambda cells: cells[0].__setitem__(1, float("nan")), r"nan for cell \(1, 1\)"),
+], ids=["missing-cell", "extra-cell", "string-value", "nan-value"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_reverify_rejects_malformed_witness(exact, edit, message):
+    report = json.loads(report_to_json(analyze(build_scenario("griffiths_spin"),
+                                               AnalysisOptions(exact=exact))))
+    edit(report["unification"]["verdict"]["witness"])
+    with pytest.raises(ValidationError, match=message):
+        reverify(report)
+
+
 def test_reverify_rejects_other_schema_versions():
     report = json.loads(report_to_json(analyze(three_box(), AnalysisOptions())))
     report["schema_version"] = 1

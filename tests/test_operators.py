@@ -1,61 +1,21 @@
 import numpy as np
 import pytest
 
-from histories_lab.errors import DimensionLimitError, ValidationError
+from histories_lab.errors import ValidationError
 from histories_lab.operators import (
     DensityOperator,
-    HamiltonianEvolution,
     PAULI_X,
     PAULI_Z,
     Projector,
     bloch_projector,
     heisenberg_projector,
-    ket,
     max_abs,
     projector_onto,
     propagator,
-    tensor_product,
     validate_projective_decomposition,
 )
 
 from conftest import random_hermitian
-
-
-def test_tensor_product_identity():
-    np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_product_sigma_z():
-    out = tensor_product(PAULI_Z, PAULI_Z)
-    np.testing.assert_array_equal(out, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
-
-
-def test_tensor_product_of_projectors_is_projector():
-    p = projector_onto(ket([1.0, 1.0]))
-    q = projector_onto([0.0, 1.0])
-    Projector(tensor_product(p, q))  # validates hermiticity and idempotency
-
-
-def test_tensor_product_trace_multiplicative_and_associative():
-    rng = np.random.default_rng(1)
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    assert abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-    # associativity is entrywise exact whenever the products are (integer matrices)
-    ia = rng.integers(-3, 4, size=(2, 2))
-    ib = rng.integers(-3, 4, size=(3, 3))
-    ic = rng.integers(-3, 4, size=(2, 2))
-    np.testing.assert_array_equal(
-        tensor_product(tensor_product(ia, ib), ic), tensor_product(ia, tensor_product(ib, ic))
-    )
-
-
-def test_tensor_product_dimension_cap():
-    with pytest.raises(DimensionLimitError):
-        tensor_product(np.eye(40), np.eye(40), cap=1024)
-    # explicit override allows it
-    out = tensor_product(np.eye(40), np.eye(40), cap=1600)
-    assert out.shape == (1600, 1600)
 
 
 def test_propagator_at_zero_time_is_identity():
@@ -166,8 +126,7 @@ def test_bloch_projector_decomposition():
 
 
 def test_hamiltonian_evolution_unitary():
-    evo = HamiltonianEvolution(0.5 * PAULI_X, 1.3)
-    u = evo.propagator()
+    u = propagator(0.5 * PAULI_X, 1.3)
     assert max_abs(u @ u.conj().T - np.eye(2)) < 1e-12
 
 

@@ -1,17 +1,20 @@
-"""The benchmark's span tracer names package functions and classes by string.
+"""The benchmark reads package functions, attributes and report fields by name.
 
 ``perfbench/spans.py`` resolves every ``(module, attribute)`` in ``TRACED``
-with ``getattr`` and wraps a traced class's own ``__post_init__``, and
-``perfbench/run.py`` records ``cli._sweep_threads()``.  A rename in the
-package would break ``--trace 1`` or the run's environment line without any
-other test noticing, so these checks pin the names.
+with ``getattr`` and wraps a traced class's own ``__post_init__``;
+``perfbench/run.py`` records ``cli._sweep_threads()`` and
+``histories_lab.active_backend()``; ``perfbench/workloads.py`` reads the
+inequality checks through ``unify.bell_check``/``unify.chsh_check`` and the
+report's ``bell``/``chsh`` blocks.  A rename in the package would break the
+benchmark without any other test noticing, so these checks pin the names.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from histories_lab import cli
+import histories_lab
+from histories_lab import analysis, cli, scenarios, unify
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +43,29 @@ def test_every_traced_name_resolves():
 def test_sweep_thread_count_is_exposed():
     assert callable(cli._sweep_threads)
     assert cli._sweep_threads() >= 1
+
+
+def test_backend_name_is_exposed():
+    assert isinstance(histories_lab.active_backend(), str)
+
+
+def _correlations(descriptor, names):
+    return unify.correlations_from_marginals(
+        [unify.extract_marginals(descriptor.build(n), descriptor.set_named(n).mapping)
+         for n in names])
+
+
+def test_inequality_check_names_and_fields():
+    bell = unify.bell_check(_correlations(scenarios.build_scenario("leggett_garg"),
+                                          ("pair_12", "pair_23", "pair_13")))
+    assert isinstance(bell.slack, float) and isinstance(bell.satisfied, bool)
+    chsh = unify.chsh_check(_correlations(scenarios.build_scenario("eprb"),
+                                          ("pair_13", "pair_14", "pair_23", "pair_24")))
+    assert isinstance(chsh.max_value, float) and isinstance(chsh.satisfied, bool)
+
+
+def test_report_inequality_fields():
+    bell = analysis.analyze(scenarios.build_scenario("leggett_garg"))["unification"]["bell"]
+    assert {"slack", "satisfied"} <= set(bell)
+    chsh = analysis.analyze(scenarios.build_scenario("eprb"))["unification"]["chsh"]
+    assert {"max_value", "satisfied"} <= set(chsh)

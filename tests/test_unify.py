@@ -18,11 +18,10 @@ from histories_lab.unify import (
     MarginalTable,
     Variable,
     VariableMapping,
-    bell_check,
     build_constraint_system,
-    chsh_check,
     classify_quasiprobability,
     correlations_from_marginals,
+    cycle_check,
     extract_marginals,
     find_unifying_probability,
     pair_correlation,
@@ -65,8 +64,15 @@ def test_marginal_table_grouped_keys_must_partition():
 
 
 def test_marginal_table_rejects_unknown_outcome():
-    with pytest.raises(ValidationError):
-        MarginalTable((SA,), {(1,): 0.5, (2,): 0.5})
+    unknown = "outcome 2 is not in the alphabet of variable 'box'"
+    for key in [(2,), ((2, "3"),)]:
+        with pytest.raises(ValidationError, match=unknown):
+            MarginalTable((BOX,), {("1",): 0.5, key: 0.5})
+    with pytest.raises(ValidationError, match="repeats an outcome"):
+        MarginalTable((BOX,), {("1",): 0.5, (("2", "2", "3"),): 0.5})
+    assert [BOX.outcome_index(o) for o in ("3", "1")] == [2, 0]
+    with pytest.raises(ValidationError, match=r"outcome \['1'\] is not in the alphabet"):
+        BOX.outcome_index(["1"])  # unhashable
 
 
 def test_as_exact_snaps_and_verifies():
@@ -205,41 +211,43 @@ def test_space_above_joint_cap_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# bell / chsh
+# n-cycle inequalities
 # ---------------------------------------------------------------------------
 
 def test_bell_uncorrelated_slack_one():
-    result = bell_check(CorrelationSet({("a", "b"): 0.0, ("a", "c"): 0.0, ("b", "c"): 0.0}))
-    assert result.satisfied and abs(result.slack - 1.0) < 1e-12
+    result = cycle_check(CorrelationSet({("a", "b"): 0.0, ("a", "c"): 0.0, ("b", "c"): 0.0}))
+    assert result.satisfied and result.bound == 1 and abs(result.slack - 1.0) < 1e-12
 
 
 def test_bell_perfectly_correlated_boundary():
-    result = bell_check(CorrelationSet({("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}))
+    result = cycle_check(CorrelationSet({("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}))
     assert result.satisfied and abs(result.slack) < 1e-12
 
 
 def test_bell_equal_spacing_pi_thirds_violated():
-    # C12 = C23 = 1/2, C13 = -1/2: sum 0.5 exceeds the upper bound 0.0
-    result = bell_check(CorrelationSet({("q1", "q2"): 0.5, ("q2", "q3"): 0.5, ("q1", "q3"): -0.5}))
+    # C12 = C23 = 1/2, C13 = -1/2: C12 - C13 + C23 = 1.5 exceeds the bound 1
+    result = cycle_check(CorrelationSet({("q1", "q2"): 0.5, ("q2", "q3"): 0.5, ("q1", "q3"): -0.5}))
     assert not result.satisfied
-    assert abs(result.total - 0.5) < 1e-12
-    assert abs(result.upper_bound) < 1e-12
+    assert len(result.values) == 4
+    assert abs(result.max_value - 1.5) < 1e-12
     assert abs(result.slack + 0.5) < 1e-12
 
 
 def test_chsh_anticorrelated_zx_configuration():
     corr = CorrelationSet({("s1", "s3"): -1.0, ("s2", "s4"): -1.0,
                            ("s1", "s4"): 0.0, ("s2", "s3"): 0.0})
-    result = chsh_check(corr)
-    assert result.satisfied
+    result = cycle_check(corr)
+    assert result.satisfied and result.bound == 2
     assert sorted(set(round(abs(v), 12) for v in result.values)) == [0.0, 2.0]
+    # for even n, -g is odd whenever g is: their values are exact negatives, signed zeros included
+    assert sorted(v.hex() for v in result.values) == sorted((-v).hex() for v in result.values)
 
 
 def test_chsh_tsirelson_violated():
     c = math.sqrt(2) / 2
     corr = CorrelationSet({("s1", "s3"): -c, ("s1", "s4"): c,
                            ("s2", "s3"): -c, ("s2", "s4"): -c})
-    result = chsh_check(corr)
+    result = cycle_check(corr)
     assert not result.satisfied
     assert abs(result.max_value - 2 * math.sqrt(2)) < 1e-12
 
@@ -247,14 +255,88 @@ def test_chsh_tsirelson_violated():
 def test_chsh_all_zero_satisfied():
     corr = CorrelationSet({("s1", "s3"): 0.0, ("s1", "s4"): 0.0,
                            ("s2", "s3"): 0.0, ("s2", "s4"): 0.0})
-    result = chsh_check(corr)
+    result = cycle_check(corr)
     assert result.satisfied and max(result.values) == 0.0
 
 
 def test_chsh_rejects_non_bipartite_pairs():
     corr = CorrelationSet({("a", "b"): 0.0, ("b", "c"): 0.0, ("c", "d"): 0.0, ("a", "c"): 0.0})
     with pytest.raises(ValidationError):
-        chsh_check(corr)
+        cycle_check(corr)
+
+
+def test_cycle_check_five_cycle():
+    # perfect correlations around the cycle except one anticorrelated pair:
+    # no joint assignment exists, and flipping that pair's sign sums to 5 > 3
+    names = ["a", "b", "c", "d", "e"]
+    values = {(names[k], names[(k + 1) % 5]): 1.0 for k in range(5)}
+    values[("e", "a")] = -1.0
+    result = cycle_check(CorrelationSet(values))
+    assert result.bound == 3 and len(result.values) == 16
+    assert result.max_value == 5.0 and result.slack == -2.0 and not result.satisfied
+
+    values[("e", "a")] = 1.0
+    result = cycle_check(CorrelationSet(values))
+    assert result.satisfied and result.max_value == 3.0
+
+
+@pytest.mark.parametrize("pairs", [
+    [("a", "b"), ("b", "c"), ("c", "d")],                           # a path
+    [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],               # triangle plus a pendant pair
+    [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")],  # two triangles
+    [("a", "b"), ("a", "c")],
+    [],
+])
+def test_cycle_check_rejects_other_pair_graphs(pairs):
+    corr = CorrelationSet({pair: 0.0 for pair in pairs})
+    assert not corr.is_cycle
+    with pytest.raises(ValidationError, match="one cycle"):
+        cycle_check(corr)
+
+
+def _cycle_system(means, spreads):
+    """Dichotomic pair tables around a cycle with single-variable means ``means``.
+
+    Pair ``(i, i+1)`` has correlation ``C`` at fraction ``spreads[i]`` of the
+    range ``[|a_i + a_j| - 1, 1 - |a_i - a_j|]`` where its table is
+    non-negative.
+    """
+    n = len(means)
+    variables = [Variable(f"v{k}", (1, -1)) for k in range(n)]
+    tables = []
+    for i in range(n):
+        j = (i + 1) % n
+        a, b = means[i], means[j]
+        lo, hi = abs(a + b) - 1.0, 1.0 - abs(a - b)
+        c = lo + spreads[i] * (hi - lo)
+        tables.append(MarginalTable((variables[i], variables[j]), {
+            (s, t): (1.0 + s * a + t * b + s * t * c) / 4 for s in (1, -1) for t in (1, -1)
+        }))
+    return JointSampleSpace(tuple(variables)), tables
+
+
+# correlations near either end of their range, so that violations occur at n >= 6
+_near_edge = st.tuples(st.booleans(), st.floats(0.0, 0.3)).map(
+    lambda e: 1.0 - e[1] if e[0] else e[1])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cycle_check_matches_lp_feasibility(n):
+    verdicts = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n),
+           st.lists(_near_edge, min_size=n, max_size=n))
+    def check(means, spreads):
+        space, tables = _cycle_system(means, spreads)
+        result = cycle_check(correlations_from_marginals(tables))
+        if abs(result.max_value - (n - 2)) < 1e-7:
+            return
+        assert find_unifying_probability(space, tables).feasible == result.satisfied
+        verdicts.add(result.satisfied)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_pair_correlation_and_collection():
