@@ -37,6 +37,7 @@ from .unify import (
     cycle_check,
     extract_marginals,
     find_unifying_probability,
+    is_finite_number,
     probe_uniqueness,
     verify_witness,
 )
@@ -78,14 +79,23 @@ def encode_value(value):
 
 
 def decode_value(value):
-    """Inverse of ``encode_value`` for the tagged scalar types."""
+    """Inverse of ``encode_value`` for the tagged scalar types.
+
+    A malformed tag is a ``ValidationError``.
+    """
     if isinstance(value, dict):
         if set(value) == {"$fraction"}:
-            num, den = value["$fraction"]
-            return Fraction(num, den)
+            parts = value["$fraction"]
+            if not (isinstance(parts, list) and len(parts) == 2
+                    and all(type(v) is int for v in parts) and parts[1] != 0):
+                raise ValidationError(f"$fraction needs [numerator, nonzero denominator], got {parts!r}")
+            return Fraction(*parts)
         if set(value) == {"$complex"}:
-            re, im = value["$complex"]
-            return complex(re, im)
+            parts = value["$complex"]
+            if not (isinstance(parts, list) and len(parts) == 2
+                    and all(is_finite_number(v) for v in parts)):
+                raise ValidationError(f"$complex needs [real, imaginary], got {parts!r}")
+            return complex(*parts)
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_value(v) for v in value]
@@ -105,12 +115,69 @@ def _encode_marginal(name: str, table: MarginalTable) -> dict:
     }
 
 
-def _decode_marginal(entry: dict, space: JointSampleSpace) -> MarginalTable:
-    variables = tuple(space.variable(n) for n in entry["variables"])
+def _field(parent: dict, key: str, kind, path: str):
+    """``parent[key]``, which must exist and be an instance of ``kind``."""
+    if key not in parent:
+        raise ValidationError(f"report has no field {path}")
+    value = parent[key]
+    if not isinstance(value, kind):
+        raise ValidationError(f"report field {path} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _scalar(value, path: str):
+    """Decode one encoded scalar: a JSON scalar, or a tagged rational or complex."""
+    if isinstance(value, list) or (isinstance(value, dict)
+                                   and set(value) not in ({"$fraction"}, {"$complex"})):
+        raise ValidationError(f"report field {path} holds a list or object where a scalar belongs")
+    return decode_value(value)
+
+
+def _outcomes(value, path: str) -> tuple:
+    """A JSON list of encoded outcomes, decoded into a tuple of hashable values."""
+    if not isinstance(value, list):
+        raise ValidationError(f"report field {path} must be a list of outcomes")
+    return tuple(_scalar(v, path) for v in value)
+
+
+def _number(value, path: str):
+    value = _scalar(value, path)
+    if not is_finite_number(value):
+        raise ValidationError(f"report field {path} is not a finite number: {value!r}")
+    return value
+
+
+def _pairs_of(value, path: str) -> list:
+    if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
+        raise ValidationError(f"report field {path} must be a list of [key, value] pairs")
+    return value
+
+
+def _decode_variable(entry, path: str) -> Variable:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"report field {path} must be an object")
+    name = _field(entry, "name", str, f"{path}.name")
+    return Variable(name, _outcomes(_field(entry, "outcomes", list, f"{path}.outcomes"),
+                                    f"{path}.outcomes"))
+
+
+def _decode_marginal(entry, space: JointSampleSpace, path: str) -> MarginalTable:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"report field {path} must be an object")
+    names = _field(entry, "variables", list, f"{path}.variables")
+    if not all(isinstance(n, str) for n in names):
+        raise ValidationError(f"report field {path}.variables must list variable names")
+    variables = tuple(space.variable(n) for n in names)
     values = {}
-    for key, val in entry["values"]:
-        groups = tuple(tuple(decode_value(g)) for g in key)
-        values[groups] = decode_value(val)
+    for i, (key, val) in enumerate(_pairs_of(_field(entry, "values", list, f"{path}.values"),
+                                             f"{path}.values")):
+        where = f"{path}.values[{i}]"
+        if not isinstance(key, list):
+            raise ValidationError(f"report field {where} must have a list of groups as its key")
+        groups = tuple(_outcomes(g, where) for g in key)
+        if groups in values:
+            raise ValidationError(f"report field {where} repeats the key {groups!r}")
+        values[groups] = _number(val, where)
     return MarginalTable(variables, values)
 
 
@@ -241,36 +308,53 @@ def report_to_json(report: dict) -> str:
 def reverify(report: dict) -> None:
     """Check a reloaded report's witness or certificate against its own constraints.
 
-    Raises ``ValidationError`` for a report of another schema version and
-    ``NumericError`` when the stored evidence does not verify; reports
-    without a unification section pass vacuously.
+    Raises ``ValidationError`` for a report of another schema version or one
+    whose fields are missing or malformed, naming the field, and
+    ``NumericError`` when the stored evidence does not verify; a report whose
+    ``unification`` is null passes vacuously.
     """
+    if not isinstance(report, dict):
+        raise ValidationError("a report must be a JSON object")
     version = report.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"report schema_version {version!r} cannot be re-verified; expected {SCHEMA_VERSION}"
         )
-    unification = report.get("unification")
-    if not unification:
+    unification = _field(report, "unification", (dict, type(None)), "unification")
+    if unification is None:
         return
-    verdict = unification["verdict"]
-    variables = tuple(
-        Variable(v["name"], tuple(decode_value(v["outcomes"])))
-        for v in unification["variables"]
-    )
-    space = JointSampleSpace(variables)
-    marginals = [_decode_marginal(entry, space) for entry in unification["marginals"]]
-    exact = verdict["mode"] == "exact"
-    delta = verdict["delta"]
+    verdict = _field(unification, "verdict", dict, "unification.verdict")
+    variables = _field(unification, "variables", list, "unification.variables")
+    space = JointSampleSpace(tuple(_decode_variable(v, f"unification.variables[{i}]")
+                                   for i, v in enumerate(variables)))
+    entries = _field(unification, "marginals", list, "unification.marginals")
+    marginals = [_decode_marginal(entry, space, f"unification.marginals[{i}]")
+                 for i, entry in enumerate(entries)]
+    mode = _field(verdict, "mode", str, "unification.verdict.mode")
+    if mode not in ("exact", "float"):
+        raise ValidationError(f"report field unification.verdict.mode is {mode!r}")
+    exact = mode == "exact"
+    delta = _field(verdict, "delta", (int, float), "unification.verdict.delta")
+    if not is_finite_number(delta) or delta < 0:
+        raise ValidationError(f"report field unification.verdict.delta is {delta!r}")
+    status = _field(verdict, "status", str, "unification.verdict.status")
 
-    if verdict["status"] == FEASIBLE:
-        witness = {tuple(decode_value(cell)): decode_value(val)
-                   for cell, val in verdict["witness"]}
+    if status == FEASIBLE:
+        path = "unification.verdict.witness"
+        witness = {}
+        for i, (cell, val) in enumerate(_pairs_of(_field(verdict, "witness", list, path), path)):
+            cell = _outcomes(cell, f"{path}[{i}]")
+            if cell in witness:
+                raise ValidationError(f"report field {path}[{i}] repeats the cell {cell!r}")
+            witness[cell] = _scalar(val, f"{path}[{i}]")
         verify_witness(space, marginals, witness, delta=delta, exact=exact)
         return
-    if verdict["status"] == "infeasible":
-        certificate = decode_value(verdict["farkas_certificate"])
+    if status == "infeasible":
+        path = "unification.verdict.farkas_certificate"
+        certificate = [_number(y, f"{path}[{i}]")
+                       for i, y in enumerate(_field(verdict, "farkas_certificate", list, path))]
         system = build_constraint_system(space, marginals, delta=delta, exact=exact)
         if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
             raise NumericError("stored Farkas certificate failed verification")
         return
+    raise ValidationError(f"report field unification.verdict.status is {status!r}")

@@ -1,7 +1,8 @@
-"""Command-line front end: scenario analysis and parameter sweeps.
+"""Command-line front end: scenario analysis, report verification and parameter sweeps.
 
 Exit codes: 0 success, 2 user or validation error, 3 internal numeric
-failure.  Reports are deterministic: identical inputs and flags produce
+failure (for ``verify``: stored evidence that does not check out).
+Reports are deterministic: identical inputs and flags produce
 byte-identical output.
 """
 
@@ -11,13 +12,14 @@ import argparse
 import csv
 import io
 import itertools
+import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import AnalysisOptions, analyze, report_to_json
+from .analysis import AnalysisOptions, analyze, report_to_json, reverify
 from .classicality import classify
 from .config import parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
@@ -51,6 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--delta", type=float, default=1e-9,
                     help="marginal-matching relaxation for the float LP (default 1e-9)")
     an.add_argument("--out", help="write the JSON report here (default: stdout)")
+
+    ve = sub.add_parser("verify", help="re-check a saved report's witness or Farkas certificate")
+    ve.add_argument("report", help="path to a JSON report written by analyze")
 
     sw = sub.add_parser("sweep", help="grid-evaluate a scenario over parameter ranges")
     sw.add_argument("--scenario", choices=SWEEPABLE, required=True)
@@ -91,6 +96,19 @@ def cmd_analyze(args) -> int:
     options = AnalysisOptions(tol=args.tol, delta=args.delta, exact=args.exact)
     report = analyze(descriptor, options)
     _write_output(report_to_json(report), args.out)
+    return 0
+
+
+def cmd_verify(args) -> int:
+    try:
+        with open(args.report, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read report: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
+        raise ValidationError(f"report is not valid JSON: {exc}") from None
+    reverify(report)
+    print(f"{args.report}: evidence verified")
     return 0
 
 
@@ -169,6 +187,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             return cmd_analyze(args)
+        if args.command == "verify":
+            return cmd_verify(args)
         return cmd_sweep(args)
     except ConfigValidationError as exc:
         for path, reason in exc.problems:

@@ -7,7 +7,10 @@ lowest-index rule throughout, which prevents cycling and makes every run
 deterministic.  One two-phase driver serves both arithmetics:
 ``solve_lp_float`` hands it a float64 tableau with tolerances,
 ``solve_lp_exact`` an object tableau of ``fractions.Fraction`` with every
-tolerance 0, and both pivot through ``_kernels.simplex_loop``.  Infeasible
+tolerance 0, and both pivot through ``_kernels.simplex_loop``.  Its two
+phases are separate steps: ``feasible_start`` runs phase 1 once and
+``FeasibleStart.solve`` runs phase 2 for one cost vector on a copy of its
+end state, so many objectives over one system share one phase 1.  Infeasible
 systems come back with a Farkas certificate ``y``, one entry per row,
 satisfying ``y.A >= 0`` on every unbounded column and
 ``y.b < sum_j u_j min(0, (y.A)_j)`` over the bounded ones (``y.b < 0``
@@ -17,7 +20,7 @@ without bounds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -39,7 +42,10 @@ class LPResult:
     """Solver outcome; exactly one of ``x`` / ``certificate`` is set.
 
     ``pivots`` and ``bound_flips`` count the Bland-loop pivots and the
-    entering-column bound flips over phases 1 and 2.
+    entering-column bound flips over phases 1 and 2.  A result solved from
+    a shared ``FeasibleStart`` reports the same counts as a fresh solve of
+    its system: phase 1's counts, although phase 1 ran only once for every
+    result read from that start, plus its own phase 2's.
     """
 
     status: str
@@ -58,12 +64,48 @@ def _default_iterations(m: int, n: int) -> int:
     return 200 * (m + n) + 2000
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
-               max_iter: int | None, upper: np.ndarray | None = None) -> LPResult:
-    """Phase 1, Farkas certificate or artificial drive-out, phase 2, read-out.
+@dataclass
+class FeasibleStart:
+    """Phase 1's end state on a feasible system, reusable by any number of phase 2s.
 
-    ``A``, ``b``, ``c`` and ``upper`` are float64 arrays, or object arrays of
-    Fractions with ``tol = feas_tol = 0``; exact results come back as lists.
+    The tableau holds the original columns and the rhs after the artificials
+    were driven out and redundant rows dropped; its last row is left free
+    for a cost row.  ``basis`` and ``flipped`` give each row's basic column
+    and each column's orientation, ``bounds`` the per-column bounds the loop
+    reads, ``upper`` the caller's bounds for the read-out, and ``iterations``
+    each loop's budget.  ``pivots`` and ``bound_flips`` are phase 1's counts.
+    ``solve`` never changes the start, so every cost vector starts from the
+    same tableau that a fresh solve of the same system reaches.
+    """
+
+    tableau: np.ndarray
+    basis: np.ndarray
+    flipped: np.ndarray
+    bounds: list | None
+    upper: np.ndarray | None
+    tol: object
+    iterations: int
+    pivots: int
+    bound_flips: int
+
+    @property
+    def exact(self) -> bool:
+        return self.tableau.dtype == object
+
+    def solve(self, c=None) -> LPResult:
+        """Phase 2 for min c.x from a copy of this start; ``None`` is the zero cost."""
+        copy = replace(self, tableau=self.tableau.copy(), basis=self.basis.copy(),
+                       flipped=self.flipped.copy())
+        return _phase_two(copy, _cost(c, len(self.flipped), self.exact))
+
+
+def _phase_one(A: np.ndarray, b: np.ndarray, tol, feas_tol, max_iter: int | None,
+               upper: np.ndarray | None = None) -> LPResult | FeasibleStart:
+    """Phase 1 and, on a feasible system, artificial drive-out.
+
+    Returns an infeasible ``LPResult`` with its Farkas certificate, or the
+    ``FeasibleStart`` phase 2 works on.  ``A``, ``b`` and ``upper`` are
+    float64 arrays, or object arrays of Fractions with ``tol = feas_tol = 0``.
     ``upper`` bounds each column of ``A`` from above (``math.inf`` for no
     bound); ``None`` leaves every column unbounded.
     """
@@ -108,10 +150,19 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
                 pivot(tableau, basis, r, col)
     keep = [r for r in range(m) if r not in drop]
     cols = list(range(n)) + [n + m]
-    tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)])
-    basis = basis[keep].copy()
-    m2 = len(keep)
-    flipped = flipped[:n]
+    return FeasibleStart(tableau=np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)]),
+                         basis=basis[keep].copy(), flipped=flipped[:n], bounds=bounds,
+                         upper=upper, tol=tol, iterations=iterations, pivots=pivots,
+                         bound_flips=bound_flips)
+
+
+def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
+    """Put the cost row ``c`` on ``start``, run the loop, read out x; ``start`` is used up."""
+    exact = start.exact
+    zero = Fraction(0) if exact else 0.0
+    tableau, basis, flipped = start.tableau, start.basis, start.flipped
+    m2, n = len(basis), len(flipped)
+    pivots, bound_flips = start.pivots, start.bound_flips
 
     if np.any(c != zero):
         # the cost in each column's orientation; the objective is read from
@@ -124,8 +175,8 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
             weight = oriented[basis[i]]
             if weight != zero:
                 tableau[m2, :] -= weight * tableau[i, :]
-        code, more_pivots, more_flips = simplex_loop(tableau, basis, n, tol, iterations,
-                                                     bounds, flipped)
+        code, more_pivots, more_flips = simplex_loop(tableau, basis, n, start.tol,
+                                                     start.iterations, start.bounds, flipped)
         pivots += more_pivots
         bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
@@ -133,15 +184,22 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
-    x = np.full(n, zero, dtype=A.dtype)
+    x = np.full(n, zero, dtype=tableau.dtype)
     x[basis] = tableau[:m2, -1]
     if flipped.any():
-        x[flipped] = upper[flipped] - x[flipped]
+        x[flipped] = start.upper[flipped] - x[flipped]
     if exact:
         return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x),
                         pivots=pivots, bound_flips=bound_flips)
     return LPResult(status=OPTIMAL, x=x, objective=float(c @ x),
                     pivots=pivots, bound_flips=bound_flips)
+
+
+def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
+               max_iter: int | None, upper: np.ndarray | None = None) -> LPResult:
+    """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
+    start = _phase_one(A, b, tol, feas_tol, max_iter, upper)
+    return start if isinstance(start, LPResult) else _phase_two(start, c)
 
 
 def _check_upper(upper, n: int, exact: bool) -> np.ndarray | None:
@@ -156,19 +214,43 @@ def _check_upper(upper, n: int, exact: bool) -> np.ndarray | None:
     return np.array(bounds, dtype=object if exact else float)
 
 
-def solve_lp_float(A, b, c=None, *, upper=None, feas_tol: float = DEFAULT_FEAS_TOL,
-                   pivot_tol: float = DEFAULT_PIVOT_TOL,
-                   max_iter: int | None = None) -> LPResult:
-    """Solve min c.x, A x = b, 0 <= x <= upper in floating point."""
+def _float_system(A, b, upper):
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
-    n = A.shape[1]
-    c = np.zeros(n) if c is None else np.array(c, dtype=float)
-    if c.shape != (n,):
+    return A, b, _check_upper(upper, A.shape[1], False)
+
+
+def _exact_system(A, b, upper):
+    rows = [[_as_fraction(v) for v in row] for row in A]
+    rhs = [_as_fraction(v) for v in b]
+    m = len(rows)
+    if m == 0 or len(rhs) != m:
+        raise ValidationError("exact LP needs at least one constraint row and matching rhs")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValidationError("constraint rows must share one length")
+    return (np.array(rows, dtype=object), np.array(rhs, dtype=object),
+            _check_upper(upper, n, True))
+
+
+def _cost(c, n: int, exact: bool) -> np.ndarray:
+    """The cost vector as a float64 or ``Fraction`` array of length ``n``; ``None`` is 0."""
+    if c is None:
+        return np.full(n, Fraction(0) if exact else 0.0, dtype=object if exact else float)
+    cost = np.array([_as_fraction(v) for v in c] if exact else c, dtype=object if exact else float)
+    if cost.shape != (n,):
         raise ValidationError(f"cost vector must have length {n}")
-    return _two_phase(A, b, c, pivot_tol, feas_tol, max_iter, _check_upper(upper, n, False))
+    return cost
+
+
+def solve_lp_float(A, b, c=None, *, upper=None, feas_tol: float = DEFAULT_FEAS_TOL,
+                   pivot_tol: float = DEFAULT_PIVOT_TOL,
+                   max_iter: int | None = None) -> LPResult:
+    """Solve min c.x, A x = b, 0 <= x <= upper in floating point."""
+    A, b, upper = _float_system(A, b, upper)
+    return _two_phase(A, b, _cost(c, A.shape[1], False), pivot_tol, feas_tol, max_iter, upper)
 
 
 def _as_fraction(value) -> Fraction:
@@ -185,20 +267,22 @@ def _as_fraction(value) -> Fraction:
 
 def solve_lp_exact(A, b, c=None, *, upper=None, max_iter: int | None = None) -> LPResult:
     """Solve min c.x, A x = b, 0 <= x <= upper in exact rational arithmetic."""
-    rows = [[_as_fraction(v) for v in row] for row in A]
-    rhs = [_as_fraction(v) for v in b]
-    m = len(rows)
-    if m == 0 or len(rhs) != m:
-        raise ValidationError("exact LP needs at least one constraint row and matching rhs")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValidationError("constraint rows must share one length")
-    cost = [Fraction(0)] * n if c is None else [_as_fraction(v) for v in c]
-    if len(cost) != n:
-        raise ValidationError(f"cost vector must have length {n}")
-    return _two_phase(np.array(rows, dtype=object), np.array(rhs, dtype=object),
-                      np.array(cost, dtype=object), 0, 0, max_iter,
-                      _check_upper(upper, n, True))
+    A, b, upper = _exact_system(A, b, upper)
+    return _two_phase(A, b, _cost(c, A.shape[1], True), 0, 0, max_iter, upper)
+
+
+def feasible_start(A, b, *, upper=None, exact: bool = False) -> LPResult | FeasibleStart:
+    """Run phase 1 once for ``A x = b, 0 <= x <= upper``.
+
+    Returns the infeasible ``LPResult`` with its Farkas certificate, or a
+    ``FeasibleStart`` whose ``solve(c)`` gives, for each cost vector, the
+    result ``solve_lp(A, b, c, upper=upper, exact=exact)`` would give.
+    """
+    if exact:
+        A, b, upper = _exact_system(A, b, upper)
+        return _phase_one(A, b, 0, 0, None, upper)
+    A, b, upper = _float_system(A, b, upper)
+    return _phase_one(A, b, DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL, None, upper)
 
 
 def solve_lp(A, b, c=None, *, upper=None, exact: bool = False,

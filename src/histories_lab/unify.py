@@ -16,8 +16,8 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -32,6 +32,8 @@ from .histories import HistorySet, history_probabilities
 from .simplex import (
     INFEASIBLE,
     OPTIMAL,
+    LPResult,
+    feasible_start,
     solve_lp,
     verify_certificate,
 )
@@ -470,6 +472,13 @@ def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         raise NumericError("witness is not normalized within delta")
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an ``int``, ``float`` or ``Fraction`` (not a bool)
+    within the float range, so that both arithmetics can use it."""
+    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
 def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                    witness: Mapping[Cell, object], delta: float = DEFAULT_DELTA,
                    exact: bool = False) -> None:
@@ -491,25 +500,21 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         if cell not in witness:
             raise ValidationError(f"witness has no value for cell {cell!r}")
         value = witness[cell]
-        finite = math.isfinite(value) if isinstance(value, float) \
-            else isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-        if not finite:
+        if not is_finite_number(value):
             raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
     _verify_witness(space, marginals, witness, delta, exact)
 
 
-def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                              delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
-    """Search for a non-negative joint table reproducing every marginal.
-
-    Returns a witness (verified against the inputs before being reported) or
-    a verified Farkas certificate.  ``exact=True`` requires rational marginal
-    values and decides feasibility exactly, independent of delta.
-    """
-    if exact and not all(t.is_exact for t in marginals):
+def _require_exact(marginals: Sequence[MarginalTable]) -> None:
+    if not all(t.is_exact for t in marginals):
         raise ValidationError("exact mode requires rational marginal values (see MarginalTable.as_exact)")
-    system = build_constraint_system(space, marginals, delta, exact)
-    result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
+
+
+def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+                     system: ConstraintSystem, result: LPResult, delta: float,
+                     exact: bool) -> FeasibilityVerdict:
+    """Turn a feasibility LP result into a verdict whose evidence has been checked:
+    the witness against the marginals, the certificate against ``system``."""
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
         cell_values = result.x[: system.n_cells]
@@ -527,6 +532,21 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     raise NumericError(f"unexpected LP status {result.status!r} in feasibility solve")
 
 
+def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+                              delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
+    """Search for a non-negative joint table reproducing every marginal.
+
+    Returns a witness (verified against the inputs before being reported) or
+    a verified Farkas certificate.  ``exact=True`` requires rational marginal
+    values and decides feasibility exactly, independent of delta.
+    """
+    if exact:
+        _require_exact(marginals)
+    system = build_constraint_system(space, marginals, delta, exact)
+    result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
+    return _checked_verdict(space, marginals, system, result, delta, exact)
+
+
 def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                      delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Per-cell min/max LPs under the marginal constraints; unique iff every cell is pinned.
@@ -535,22 +555,34 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     demands a zero range).  The probes run against the width-0 system of hard
     equalities, without slack columns; with the delta-band system every cell
     would trivially have a range of about 2*delta and nothing could ever be
-    reported unique.
+    reported unique.  Phase 1 of that system runs once and every probe is one
+    phase 2 from its end state.  In exact mode the width-0 system is also the
+    feasibility system, so the same phase 1, read at zero cost, gives the
+    verdict.
     """
-    verdict = find_unifying_probability(space, marginals, delta, exact)
-    if not verdict.feasible:
-        return verdict
-    system = build_constraint_system(space, marginals, 0.0, exact)
+    if exact:
+        _require_exact(marginals)
+        system = build_constraint_system(space, marginals, 0.0, exact=True)
+        start = feasible_start(system.matrix, system.rhs, exact=True)
+        result = start if isinstance(start, LPResult) else start.solve()
+        verdict = _checked_verdict(space, marginals, system, result, delta, exact)
+        if not verdict.feasible:
+            return verdict
+    else:
+        verdict = find_unifying_probability(space, marginals, delta)
+        if not verdict.feasible:
+            return verdict
+        system = build_constraint_system(space, marginals, 0.0)
+        start = feasible_start(system.matrix, system.rhs)
+    if isinstance(start, LPResult):
+        raise NumericError("uniqueness probe LP did not solve")
     n_cols = system.matrix.shape[1]
     bounds: dict[Cell, tuple] = {}
     unique = True
     for k, cell in enumerate(system.cells):
-        lo_c = [Fraction(0)] * n_cols if exact else np.zeros(n_cols)
-        lo_c[k] = Fraction(1) if exact else 1.0
-        low = solve_lp(system.matrix, system.rhs, lo_c, exact=exact)
-        hi_c = [Fraction(0)] * n_cols if exact else np.zeros(n_cols)
-        hi_c[k] = Fraction(-1) if exact else -1.0
-        high = solve_lp(system.matrix, system.rhs, hi_c, exact=exact)
+        unit = [int(j == k) for j in range(n_cols)]
+        low = start.solve(unit)
+        high = start.solve([-v for v in unit])
         if low.status != OPTIMAL or high.status != OPTIMAL:
             raise NumericError("uniqueness probe LP did not solve")
         lo = low.objective

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_lab.analysis import (
     SCHEMA_VERSION,
@@ -323,3 +326,168 @@ def test_reverify_rejects_other_schema_versions():
     report["schema_version"] = 1
     with pytest.raises(ValidationError, match=f"1.*{SCHEMA_VERSION}"):
         reverify(report)
+
+
+def _griffiths_report(exact=False):
+    return json.loads(report_to_json(analyze(build_scenario("griffiths_spin"),
+                                             AnalysisOptions(exact=exact))))
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda u: u["verdict"]["witness"][0].__setitem__(0, [[1], 1]),
+     r"unification\.verdict\.witness\[0\] holds a list or object where a scalar belongs"),
+    (lambda u: u["verdict"]["witness"][0].__setitem__(0, _nested(900)),
+     r"unification\.verdict\.witness\[0\] holds a list or object"),
+    (lambda u: u["verdict"].__setitem__("witness", None),
+     r"unification\.verdict\.witness has the wrong type NoneType"),
+    (lambda u: u["verdict"].__setitem__("witness", 5),
+     r"unification\.verdict\.witness has the wrong type int"),
+    (lambda u: u.pop("marginals"), r"no field unification\.marginals"),
+    (lambda u: u["verdict"]["witness"].append(list(u["verdict"]["witness"][0])),
+     r"unification\.verdict\.witness\[4\] repeats the cell \(1, 1\)"),
+    (lambda u: u["verdict"].__setitem__("delta", "1e-9"),
+     r"unification\.verdict\.delta has the wrong type str"),
+    (lambda u: u["marginals"][0]["values"][0].__setitem__(1, {"$fraction": [1, 0]}),
+     r"\$fraction needs"),
+], ids=["list-in-cell", "deeply-nested-cell", "null-witness", "int-witness", "no-marginals", "duplicate-cell",
+        "string-delta", "zero-denominator"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_reverify_names_the_malformed_field(exact, edit, message):
+    report = _griffiths_report(exact)
+    edit(report["unification"])
+    with pytest.raises(ValidationError, match=message):
+        reverify(report)
+
+
+_REPLACEMENTS = (None, 5, -1.5, True, "x", [], {}, [[1]], {"$fraction": [1, 0]},
+                 {"$fraction": [1.5, 2]}, {"$complex": ["a", 1]})
+
+
+def _nodes(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _nodes(child, path + (i,))
+
+
+def _mutate(report, path, how, replacement):
+    """Apply one edit at ``path``: drop it, replace it, duplicate it or wrap it in a list."""
+    if not path:
+        return replacement if how == "swap" else report
+    parent = report
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "swap":
+        parent[key] = replacement
+    elif how == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    elif how == "nest":
+        parent[key] = [parent[key]]
+    return report
+
+
+_FUZZ_REPORTS = {
+    (name, exact): report_to_json(analyze(build_scenario(name), AnalysisOptions(exact=exact)))
+    for name in ("griffiths_spin", "three_box") for exact in (False, True)
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_reverify_of_a_mutated_report_raises_only_library_errors(data):
+    report = json.loads(data.draw(st.sampled_from(sorted(_FUZZ_REPORTS.items())))[1])
+    for _ in range(data.draw(st.integers(1, 3))):
+        unification = report.get("unification") if isinstance(report, dict) else None
+        # mutate the fields reverify reads, and the report object itself
+        paths = [()] + [("unification",) + p for p in _nodes(unification)] \
+            if isinstance(unification, dict) else [()]
+        report = _mutate(report, data.draw(st.sampled_from(paths)),
+                         data.draw(st.sampled_from(("drop", "swap", "duplicate", "nest"))),
+                         json.loads(json.dumps(data.draw(st.sampled_from(_REPLACEMENTS)))))
+    try:
+        reverify(report)
+    except (ValidationError, NumericError):
+        pass
+
+
+# ---------------------------------------------------------------------------
+# histories-lab verify
+# ---------------------------------------------------------------------------
+
+def _write_report(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return str(path)
+
+
+@pytest.mark.parametrize("scenario, exact", [("griffiths_spin", False), ("eprb", True),
+                                             ("three_box", True), ("three_box", False)])
+def test_cli_verify_accepts_reports(tmp_path, capsys, scenario, exact):
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", scenario, "--out", str(out)]
+                + (["--exact"] if exact else [])) == 0
+    assert main(["verify", str(out)]) == 0
+    assert "evidence verified" in capsys.readouterr().out
+
+
+def test_cli_verify_exit_codes(tmp_path, capsys):
+    assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read report" in capsys.readouterr().err
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["verify", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["verify", str(bad)]) == 2
+    bad.write_text("[" * 100000)
+    assert main(["verify", str(bad)]) == 2
+
+    report = _griffiths_report()
+    del report["unification"]["marginals"]
+    assert main(["verify", _write_report(tmp_path, report)]) == 2
+    assert "unification.marginals" in capsys.readouterr().err
+
+    report = _griffiths_report()
+    report["schema_version"] = 1
+    assert main(["verify", _write_report(tmp_path, report)]) == 2
+    assert "schema_version" in capsys.readouterr().err
+
+    # a tampered witness value: well formed, but the evidence fails
+    report = _griffiths_report()
+    cells = report["unification"]["verdict"]["witness"]
+    i = next(k for k, (_, value) in enumerate(cells) if value != cells[0][1])
+    cells[0][1], cells[i][1] = cells[i][1], cells[0][1]
+    assert main(["verify", _write_report(tmp_path, report)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+# Taken from the reports before the uniqueness probes shared one phase 1: the
+# verdict fields are all rationals in exact mode, so the hashes hold on every
+# platform.
+EXACT_VERDICT_SHA256 = {
+    "griffiths_spin": "43450abfe3036e49720ed293143a4563bd9b13f94b8bab8537234d3e6c88b769",
+    "three_box": "23fd112a971fcc8f752c3527217d9376ed548baae4c318fe67b1a39d2ed8b5c1",
+    "eprb": "694a114accaacb7b9d95d1afb13d9d9a672d644532eb979c87641bb6b11742eb",
+    "leggett_garg": "02ffb56314832ca90185519c81fa3bb59b32ccf4c9985e88be6fe1d3f9d60726",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EXACT_VERDICT_SHA256))
+def test_exact_verdicts_are_pinned(scenario):
+    verdict = analyze(build_scenario(scenario), AnalysisOptions(exact=True))["unification"]["verdict"]
+    text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_VERDICT_SHA256[scenario]

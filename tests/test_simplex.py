@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_lab._kernels import active_backend
 from histories_lab.errors import NumericError, ValidationError
@@ -10,6 +12,9 @@ from histories_lab.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    FeasibleStart,
+    LPResult,
+    feasible_start,
     solve_lp,
     solve_lp_exact,
     solve_lp_float,
@@ -273,3 +278,60 @@ def test_certificate_length_must_match_the_rows():
     assert verify_certificate(A, b, y)
     assert not verify_certificate(A, b, np.append(y, 0.0))
     assert not verify_certificate(A, b, y[:1])
+
+
+# ---------------------------------------------------------------------------
+# one phase 1 shared by many phase 2s
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_lps(draw):
+    """A small integer LP, optional upper bounds and a few cost vectors."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    A = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))).reshape(m, n)
+    if draw(st.booleans()):  # b from a non-negative point: phase 1 succeeds unless bounds cut it
+        b = A @ np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    else:
+        b = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+    upper = None
+    if draw(st.booleans()):
+        upper = draw(st.lists(st.sampled_from([INF, 0, 1, 2]), min_size=n, max_size=n))
+    costs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=1, max_size=4))
+    return A.tolist(), b.tolist(), upper, costs, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_lps())
+def test_shared_start_matches_fresh_solves(lp):
+    A, b, upper, costs, exact = lp
+    if upper is not None and not exact:
+        upper = [float(u) for u in upper]
+    start = feasible_start(A, b, upper=upper, exact=exact)
+    fresh = [solve_lp(A, b, c, upper=upper, exact=exact) for c in costs]
+    if isinstance(start, LPResult):
+        assert start.status == INFEASIBLE
+        for result in fresh:
+            assert result.status == INFEASIBLE
+            assert list(result.certificate) == list(start.certificate)
+        assert verify_certificate(A, b, start.certificate, upper)
+        return
+    assert isinstance(start, FeasibleStart)
+    for c, result in zip(costs, fresh):
+        warm = start.solve(c)
+        assert warm.status == result.status
+        assert (warm.pivots, warm.bound_flips) == (result.pivots, result.bound_flips)
+        if result.status == OPTIMAL:
+            if exact:
+                assert warm.objective == result.objective
+            else:
+                assert abs(warm.objective - result.objective) <= 1e-9
+
+
+def test_shared_start_zero_cost_and_cost_length():
+    A, b = [[1, 1, 1], [1, -1, 0]], [2, 0]
+    for exact in (False, True):
+        start = feasible_start(A, b, exact=exact)
+        assert list(start.solve().x) == list(solve_lp(A, b, exact=exact).x)
+        with pytest.raises(ValidationError):
+            start.solve([1, 0])

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histories_lab import _kernels, simplex
+from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
-from histories_lab.simplex import OPTIMAL, solve_lp_float, verify_certificate
+from histories_lab.scenarios import build_scenario
+from histories_lab.simplex import OPTIMAL, solve_lp_exact, solve_lp_float, verify_certificate
 from histories_lab.unify import (
     DEFAULT_DELTA,
     CorrelationSet,
@@ -202,6 +205,50 @@ def test_uniqueness_exact_perfect_anticorrelations():
     verdict = probe_uniqueness(space, [mab, mbc, mac], exact=True)
     assert verdict.feasible and verdict.unique
     assert verdict.witness[(1, -1, 1)] == Fraction(1, 2)
+
+
+def _exact_tables(scenario):
+    """The exact marginal tables ``analyze --exact`` unifies for a built-in scenario."""
+    descriptor = build_scenario(scenario)
+    tables = [extract_marginals(descriptor.build(s.name), s.mapping).as_exact()
+              for s in descriptor.sets
+              if s.mapping is not None and classify(descriptor.build(s.name)).consistent]
+    return descriptor.space, tables
+
+
+@pytest.mark.parametrize("scenario", ["eprb", "griffiths_spin"])
+def test_exact_probe_bounds_match_independent_solves(scenario):
+    space, tables = _exact_tables(scenario)
+    verdict = probe_uniqueness(space, tables, exact=True)
+    system = build_constraint_system(space, tables, exact=True)
+    n = system.matrix.shape[1]
+    assert list(verdict.component_bounds) == system.cells
+    for k, cell in enumerate(system.cells):
+        unit = [Fraction(int(j == k)) for j in range(n)]
+        low = solve_lp_exact(system.matrix, system.rhs, unit)
+        high = solve_lp_exact(system.matrix, system.rhs, [-v for v in unit])
+        assert verdict.component_bounds[cell] == (low.objective, -high.objective)
+
+
+def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
+    """Pinned work: one phase 1 for the feasibility solve and all 32 probes.
+
+    Redoing phase 1 per probe took 65 loop calls and 407 pivots on this case.
+    """
+    space, tables = _exact_tables("eprb")
+    calls, pivots = [], []
+
+    def counting(*args, **kwargs):
+        code, n_pivots, n_flips = _kernels.simplex_loop(*args, **kwargs)
+        calls.append(code)
+        pivots.append(n_pivots)
+        return code, n_pivots, n_flips
+
+    monkeypatch.setattr(simplex, "simplex_loop", counting)
+    verdict = probe_uniqueness(space, tables, exact=True)
+    assert verdict.feasible and verdict.unique and space.size == 16
+    assert len(calls) <= 34
+    assert sum(pivots) <= 70
 
 
 def test_space_above_joint_cap_is_rejected():
