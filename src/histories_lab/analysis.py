@@ -19,6 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .classicality import (
+    DEFAULT_CLASSIFY_TOL,
     DEFAULT_ZERO_COVER_THRESHOLD,
     classify,
     detect_zero_cover,
@@ -28,6 +29,7 @@ from .histories import decoherence_functional, quasi_probabilities
 from .scenarios import ScenarioDescriptor
 from .simplex import verify_certificate
 from .unify import (
+    DEFAULT_DELTA,
     FEASIBLE,
     JointSampleSpace,
     MarginalTable,
@@ -48,8 +50,8 @@ PROBE_CELLS_CAP = 64
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    tol: float = 1e-10
-    delta: float = 1e-9
+    tol: float = DEFAULT_CLASSIFY_TOL
+    delta: float = DEFAULT_DELTA
     exact: bool = False
 
 

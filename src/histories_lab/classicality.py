@@ -11,15 +11,14 @@ likely histories whose union has zero measure.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .histories import HistorySet, Label, decoherence_functional, quasi_probabilities
 
+DEFAULT_CLASSIFY_TOL = 1e-10
 DEFAULT_ZERO_COVER_THRESHOLD = 1e-9
-MAX_ENUMERATED_SUBSETS = 1 << 20
 AUTO_ENUMERATION_LIMIT = 12
 
 
@@ -52,7 +51,7 @@ class ClassicalityReport:
             raise AssertionError("classicality flags violate the hierarchy")
 
 
-def classify(hset: HistorySet, tol: float = 1e-10) -> ClassicalityReport:
+def classify(hset: HistorySet, tol: float = DEFAULT_CLASSIFY_TOL) -> ClassicalityReport:
     """Classify a history set at an absolute tolerance.
 
     Enlarging ``tol`` can only turn flags on, never off.  The decoherence
@@ -105,40 +104,30 @@ class ZeroCoverReport:
     threshold_used: float
 
 
-def _not_evaluated(threshold: float) -> ZeroCoverReport:
-    return ZeroCoverReport(found=False, witness=None, preclusive=False,
-                           evaluated=False, threshold_used=threshold)
-
-
-def detect_zero_cover(hset: HistorySet, threshold: float = DEFAULT_ZERO_COVER_THRESHOLD,
-                      max_subset: int | None = None) -> ZeroCoverReport:
-    """Search unions of 2..max_subset histories for a zero cover.
+def detect_zero_cover(hset: HistorySet) -> ZeroCoverReport:
+    """Search unions of two or more histories for a zero cover.
 
     A union's measure is the bilinear sum of decoherence-functional entries
-    over its members, which equals the measure of the summed class operator.
-    Without an explicit ``max_subset`` the search runs only for sets of at
-    most 12 histories (all subset sizes); larger sets come back not-evaluated.
-    The reported witness is the smallest one; ties are broken by the
-    lexicographically smallest complement, i.e. the coarsest negation.  The
-    decoherence functional is the set's own, computed once per set.
+    over its members, which equals the measure of the summed class operator;
+    a member or union counts as zero at ``DEFAULT_ZERO_COVER_THRESHOLD``.
+    The search runs over every subset size for sets of at most
+    ``AUTO_ENUMERATION_LIMIT`` histories; larger sets come back
+    not-evaluated.  The reported witness is the smallest one; ties are broken
+    by the lexicographically smallest complement, i.e. the coarsest negation.
+    The decoherence functional is the set's own, computed once per set.
     """
+    threshold = DEFAULT_ZERO_COVER_THRESHOLD
     n = len(hset.class_operators)
-    if max_subset is None:
-        if n > AUTO_ENUMERATION_LIMIT:
-            return _not_evaluated(threshold)
-        max_subset = n
-    max_subset = min(max_subset, n)
-
-    total = sum(math.comb(n, k) for k in range(2, max_subset + 1))
-    if total > MAX_ENUMERATED_SUBSETS:
-        return _not_evaluated(threshold)
+    if n > AUTO_ENUMERATION_LIMIT:
+        return ZeroCoverReport(found=False, witness=None, preclusive=False,
+                               evaluated=False, threshold_used=threshold)
 
     d = decoherence_functional(hset)
     entries = d.entries
     measures = d.diagonal()
 
     best: tuple | None = None
-    for size in range(2, max_subset + 1):
+    for size in range(2, n + 1):
         for subset in itertools.combinations(range(n), size):
             if any(measures[i] <= threshold for i in subset):
                 continue

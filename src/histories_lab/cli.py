@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,11 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .analysis import AnalysisOptions, analyze, report_to_json, reverify
-from .classicality import classify
-from .config import parse_config
+from .classicality import DEFAULT_CLASSIFY_TOL, classify
+from .config import load_json, parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .unify import (
+    DEFAULT_DELTA,
     correlations_from_marginals,
     cycle_check,
     extract_marginals,
@@ -48,10 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="path to a scenario config JSON file")
     an.add_argument("--exact", action="store_true",
                     help="decide unification in exact rational arithmetic")
-    an.add_argument("--tol", type=float, default=1e-10,
-                    help="classification tolerance (default 1e-10)")
-    an.add_argument("--delta", type=float, default=1e-9,
-                    help="marginal-matching relaxation for the float LP (default 1e-9)")
+    an.add_argument("--tol", type=float, default=DEFAULT_CLASSIFY_TOL,
+                    help="classification tolerance (default %(default)s)")
+    an.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                    help="marginal-matching relaxation for the float LP (default %(default)s)")
     an.add_argument("--out", help="write the JSON report here (default: stdout)")
 
     ve = sub.add_parser("verify", help="re-check a saved report's witness or Farkas certificate")
@@ -100,14 +100,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read report: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
-        raise ValidationError(f"report is not valid JSON: {exc}") from None
-    reverify(report)
+    reverify(load_json(args.report, "report"))
     print(f"{args.report}: evidence verified")
     return 0
 

@@ -24,8 +24,11 @@ row-major nested lists)::
 A value that parses as a ``dim x dim`` matrix is taken as a matrix; flat
 lists are kets (tagged forms ``{"matrix": ...}`` / ``{"ket": ...}`` resolve
 the dim-2 ambiguity between a matrix and a ket of two ``[re, im]`` pairs).
+Every number (times, matrix entries, ket amplitudes) must be finite: JSON
+``NaN`` and ``Infinity``, which Python's ``json`` accepts, are rejected.
 Validation is exhaustive: every schema problem is collected and reported
-with its JSON path, not just the first one.
+with its JSON path, not just the first one, and a problem is reported once,
+where it is, not again at every place that would have used the bad value.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
 from .histories import HistorySchedule, Slot
-from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector
+from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, ScenarioSet
-from .unify import JointSampleSpace, Variable, VariableMapping
+from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number
 
 
 class _Problems:
@@ -55,17 +58,32 @@ class _Problems:
             raise ConfigValidationError(self.items)
 
 
-def _parse_scalar(value, path: str, problems: _Problems) -> complex:
+def load_json(path, what: str):
+    """The JSON document in the file ``path``.
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests too deeply
+    is a ``ValidationError`` naming ``what``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _parse_scalar(value, path: str, problems: _Problems) -> complex | None:
+    """A finite number or ``[re, im]`` pair as a complex, or None after adding its problem."""
     if isinstance(value, bool):
         problems.add(path, "expected a number, got a boolean")
-        return 0j
-    if isinstance(value, (int, float)):
+        return None
+    if is_finite_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+    if isinstance(value, list) and len(value) == 2 and all(is_finite_number(v) for v in value):
         return complex(value[0], value[1])
-    problems.add(path, f"expected a number or [re, im] pair, got {value!r}")
-    return 0j
+    problems.add(path, f"expected a finite number or [re, im] pair, got {value!r}")
+    return None
 
 
 def _looks_like_matrix(value, dim: int) -> bool:
@@ -84,19 +102,23 @@ def _looks_like_matrix(value, dim: int) -> bool:
     return True
 
 
-def _parse_matrix(value, dim: int, path: str, problems: _Problems) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
+def _parse_entries(values, path: str, problems: _Problems) -> list | None:
+    """Every scalar of ``values``, or None once any of them had a problem."""
+    out = [_parse_scalar(v, f"{path}[{k}]", problems) for k, v in enumerate(values)]
+    return None if any(v is None for v in out) else out
+
+
+def _parse_matrix(value, dim: int, path: str, problems: _Problems) -> np.ndarray | None:
+    """A ``dim x dim`` complex matrix, or None after adding its problems."""
     if not _looks_like_matrix(value, dim):
         problems.add(path, f"expected a {dim}x{dim} row-major matrix")
-        return out
-    for i, row in enumerate(value):
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_scalar(entry, f"{path}[{i}][{j}]", problems)
-    return out
+        return None
+    rows = [_parse_entries(row, f"{path}[{i}]", problems) for i, row in enumerate(value)]
+    return None if any(row is None for row in rows) else np.array(rows, dtype=complex)
 
 
-def _parse_state(value, dim: int, path: str, problems: _Problems) -> np.ndarray:
-    """Matrix or ket; returns a density matrix (unvalidated)."""
+def _parse_state(value, dim: int, path: str, problems: _Problems) -> np.ndarray | None:
+    """Matrix or ket as a density matrix (unvalidated), or None after adding its problems."""
     if isinstance(value, Mapping):
         if set(value) == {"matrix"}:
             return _parse_matrix(value["matrix"], dim, f"{path}.matrix", problems)
@@ -104,23 +126,37 @@ def _parse_state(value, dim: int, path: str, problems: _Problems) -> np.ndarray:
             value = value["ket"]
             if not (isinstance(value, list) and len(value) == dim):
                 problems.add(f"{path}.ket", f"expected a length-{dim} amplitude list")
-                return np.zeros((dim, dim), dtype=complex)
-            amps = np.array([_parse_scalar(v, f"{path}.ket[{k}]", problems)
-                             for k, v in enumerate(value)])
+                return None
+            amps = _parse_entries(value, f"{path}.ket", problems)
+            if amps is None:
+                return None
+            amps = np.array(amps)
             norm = np.linalg.norm(amps)
             if norm == 0:
                 problems.add(f"{path}.ket", "ket must not be the zero vector")
-                return np.zeros((dim, dim), dtype=complex)
+                return None
             amps = amps / norm
             return np.outer(amps, amps.conj())
         problems.add(path, "tagged state must be {'matrix': ...} or {'ket': ...}")
-        return np.zeros((dim, dim), dtype=complex)
+        return None
     if _looks_like_matrix(value, dim):
         return _parse_matrix(value, dim, path, problems)
     if isinstance(value, list) and len(value) == dim:
         return _parse_state({"ket": value}, dim, path, problems)
     problems.add(path, f"expected a {dim}x{dim} matrix or a length-{dim} ket")
-    return np.zeros((dim, dim), dtype=complex)
+    return None
+
+
+def _density(value, dim: int, path: str, problems: _Problems) -> DensityOperator | None:
+    """A validated state, or None after adding its problems."""
+    matrix = _parse_state(value, dim, path, problems)
+    if matrix is None:
+        return None
+    try:
+        return DensityOperator(matrix)
+    except ValidationError as exc:
+        problems.add(path, str(exc))
+        return None
 
 
 def _parse_label(value, path: str, problems: _Problems):
@@ -131,24 +167,17 @@ def _parse_label(value, path: str, problems: _Problems):
 
 
 def parse_config(source) -> ScenarioDescriptor:
-    """Parse and validate a config document (path, JSON text, or dict).
+    """Parse and validate a config document (a file path or a dict).
 
-    Raises ``ConfigValidationError`` carrying every problem found.
+    Raises ``ConfigValidationError`` carrying every problem found, and
+    ``ValidationError`` for a file ``load_json`` cannot decode.
     """
     if isinstance(source, Mapping):
         doc = source
         name_default = "config"
     else:
-        path = Path(source)
-        try:
-            text = path.read_text()
-            name_default = path.stem
-        except OSError as exc:
-            raise ConfigValidationError([("<file>", f"cannot read config: {exc}")]) from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigValidationError([("<file>", f"not valid JSON: {exc}")]) from None
+        doc = load_json(source, "config")
+        name_default = Path(source).stem
     if not isinstance(doc, Mapping):
         raise ConfigValidationError([("$", "config document must be a JSON object")])
 
@@ -165,31 +194,28 @@ def parse_config(source) -> ScenarioDescriptor:
         problems.add("$.name", "expected a non-empty string")
         name = name_default
 
+    hamiltonian = None
     if "hamiltonian" not in doc:
         problems.add("$.hamiltonian", "missing")
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
     else:
         hamiltonian = _parse_matrix(doc["hamiltonian"], dim, "$.hamiltonian", problems)
-        if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > 1e-10:
+        if hamiltonian is not None and not is_hermitian(hamiltonian):
             problems.add("$.hamiltonian", "must be Hermitian")
+            hamiltonian = None
+    if hamiltonian is None:
+        # a stand-in, so that the sets are still checked, each on its own
+        hamiltonian = np.zeros((dim, dim), dtype=complex)
 
     initial = final = None
     if "initial" not in doc:
         problems.add("$.initial", "missing")
     else:
-        matrix = _parse_state(doc["initial"], dim, "$.initial", problems)
-        try:
-            initial = DensityOperator(matrix)
-        except ValidationError as exc:
-            problems.add("$.initial", str(exc))
+        initial = _density(doc["initial"], dim, "$.initial", problems)
     if doc.get("final") is not None:
-        matrix = _parse_state(doc["final"], dim, "$.final", problems)
-        try:
-            final = DensityOperator(matrix)
-        except ValidationError as exc:
-            problems.add("$.final", str(exc))
+        final = _density(doc["final"], dim, "$.final", problems)
 
     raw_sets = doc.get("sets")
+    declared: set[str] = set()  # set names, whether or not the set is valid
     schedules: dict[str, tuple[HistorySchedule, int]] = {}
     slot_labels: dict[str, list[tuple]] = {}
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -204,9 +230,10 @@ def parse_config(source) -> ScenarioDescriptor:
         if not isinstance(sname, str) or not sname:
             problems.add(f"{spath}.name", "expected a non-empty string")
             continue
-        if sname in schedules:
+        if sname in declared:
             problems.add(f"{spath}.name", f"duplicate set name {sname!r}")
             continue
+        declared.add(sname)
         raw_slots = raw.get("slots")
         if not isinstance(raw_slots, list) or not raw_slots:
             problems.add(f"{spath}.slots", "expected a non-empty list of slots")
@@ -221,9 +248,9 @@ def parse_config(source) -> ScenarioDescriptor:
                 broken = True
                 continue
             time = raw_slot.get("time")
-            if not isinstance(time, (int, float)) or isinstance(time, bool):
-                problems.add(f"{kpath}.time", f"expected a number, got {time!r}")
-                time = float(k)
+            if not is_finite_number(time):
+                problems.add(f"{kpath}.time", f"expected a finite number, got {time!r}")
+                broken = True
             raw_projectors = raw_slot.get("projectors")
             raw_labels = raw_slot.get("labels")
             if not isinstance(raw_projectors, list) or not raw_projectors:
@@ -237,6 +264,9 @@ def parse_config(source) -> ScenarioDescriptor:
             projectors = []
             for pidx, raw_p in enumerate(raw_projectors):
                 matrix = _parse_matrix(raw_p, dim, f"{kpath}.projectors[{pidx}]", problems)
+                if matrix is None:
+                    broken = True
+                    continue
                 try:
                     projectors.append(Projector(matrix))
                 except ValidationError as exc:
@@ -303,7 +333,8 @@ def parse_config(source) -> ScenarioDescriptor:
             for sname, raw_entries in raw_map.items():
                 mpath = f"{upath}.map.{sname}"
                 if sname not in schedules:
-                    problems.add(mpath, f"no set named {sname!r}")
+                    if sname not in declared:
+                        problems.add(mpath, f"no set named {sname!r}")
                     continue
                 n_slots = len(slot_labels[sname])
                 if not isinstance(raw_entries, list) or len(raw_entries) != n_slots:
@@ -389,13 +420,20 @@ def _encode_complex_matrix(matrix: np.ndarray) -> list:
 
 
 def scenario_to_config(descriptor: ScenarioDescriptor) -> dict:
-    """Emit a config dict that parses back to an equivalent descriptor."""
+    """Emit a config dict that parses back to an equivalent descriptor.
+
+    The schema has one Hamiltonian, so a descriptor whose sets evolve under
+    different Hamiltonians is a ``ValidationError``.
+    """
+    hamiltonian = descriptor.sets[0].schedule.hamiltonian
+    if any(not np.array_equal(s.schedule.hamiltonian, hamiltonian) for s in descriptor.sets):
+        raise ValidationError("config documents have one hamiltonian; these sets use several")
     doc: dict = {
         "name": descriptor.name,
         "dim": descriptor.initial.dim,
         "initial": _encode_complex_matrix(descriptor.initial.matrix),
         "final": _encode_complex_matrix(descriptor.final.matrix) if descriptor.final is not None else None,
-        "hamiltonian": _encode_complex_matrix(descriptor.sets[0].schedule.hamiltonian),
+        "hamiltonian": _encode_complex_matrix(hamiltonian),
         "sets": [],
     }
     for sset in descriptor.sets:

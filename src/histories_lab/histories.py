@@ -14,6 +14,7 @@ decoherence functional and quasi-probabilities at most once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
@@ -52,6 +53,8 @@ class Slot:
 
     def __post_init__(self):
         object.__setattr__(self, "time", float(self.time))
+        if not math.isfinite(self.time):
+            raise ValidationError(f"slot time must be finite, got {self.time!r}")
         projs = tuple(p if isinstance(p, Projector) else Projector(p) for p in self.projectors)
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -121,16 +124,16 @@ class ClassOperator:
         return self.matrix.shape[0]
 
 
-def build_class_operators(schedule: HistorySchedule, cap: int = DEFAULT_HISTORY_CAP) -> list[ClassOperator]:
+def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
     """Build every class operator of a schedule, one per outcome-label tuple.
 
     The returned list sums to the identity.  Products grow slot by slot over
     the label tree, with one propagator per slot.  Raises ``HistoryCountError``
-    when the schedule would produce more than ``cap`` histories.
+    when the schedule would produce more than ``DEFAULT_HISTORY_CAP`` histories.
     """
     n = schedule.label_count()
-    if n > cap:
-        raise HistoryCountError(f"schedule yields {n} histories, cap is {cap}")
+    if n > DEFAULT_HISTORY_CAP:
+        raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
 
     prefixes: list[tuple[Label, np.ndarray | None]] = [((), None)]
     for slot in schedule.slots:
@@ -179,7 +182,7 @@ class HistorySet:
         for c in ops:
             total += c.matrix
         dev = max_abs(total - np.eye(dim))
-        if dev > DEFAULT_TOL:
+        if not dev <= DEFAULT_TOL:
             raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
         weight = 1.0
         if self.final is not None:
@@ -230,11 +233,10 @@ class HistorySet:
 
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,
-                final: DensityOperator | None = None,
-                cap: int = DEFAULT_HISTORY_CAP) -> HistorySet:
+                final: DensityOperator | None = None) -> HistorySet:
     """Convenience: build the class operators of a schedule into a HistorySet."""
     return HistorySet(
-        class_operators=tuple(build_class_operators(schedule, cap)),
+        class_operators=tuple(build_class_operators(schedule)),
         initial=initial,
         final=final,
     )

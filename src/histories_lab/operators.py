@@ -43,9 +43,9 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m, dtype=complex)
-    return max_abs(m - m.conj().T) <= tol
+    return max_abs(m - m.conj().T) <= DEFAULT_TOL
 
 
 def ket(amplitudes) -> np.ndarray:
@@ -75,14 +75,14 @@ def bloch_projector(sign: int, axis) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + sign * (a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z))
 
 
-def propagator(hamiltonian, time: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def propagator(hamiltonian, time: float) -> np.ndarray:
     """Unitary exp(-i H t) computed by Hermitian eigendecomposition.
 
-    The input must be Hermitian within ``tol``; a general matrix exponential
-    is deliberately not provided.
+    The input must be Hermitian within ``DEFAULT_TOL``; a general matrix
+    exponential is deliberately not provided.
     """
     h = as_square_matrix(hamiltonian, "hamiltonian")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValidationError("propagator requires a Hermitian generator")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * float(time))) @ v.conj().T
@@ -151,15 +151,15 @@ class DecompositionReport:
     valid: bool
     max_sum_deviation: float
     max_orthogonality_deviation: float
-    tolerance_used: float
 
     @property
     def max_violation(self) -> float:
         return max(self.max_sum_deviation, self.max_orthogonality_deviation)
 
 
-def validate_projective_decomposition(projectors, tol: float = DEFAULT_TOL) -> DecompositionReport:
-    """Check sum-to-identity and mutual orthogonality of a projector family.
+def validate_projective_decomposition(projectors) -> DecompositionReport:
+    """Check sum-to-identity and mutual orthogonality of a projector family
+    within ``DEFAULT_TOL``.
 
     Failures are reported, not raised; the report carries the worst deviation
     found for each condition.
@@ -178,8 +178,7 @@ def validate_projective_decomposition(projectors, tol: float = DEFAULT_TOL) -> D
             target = pi if i == j else 0.0
             orth_dev = max(orth_dev, max_abs(pi @ pj - target))
     return DecompositionReport(
-        valid=(sum_dev <= tol and orth_dev <= tol),
+        valid=(sum_dev <= DEFAULT_TOL and orth_dev <= DEFAULT_TOL),
         max_sum_deviation=sum_dev,
         max_orthogonality_deviation=orth_dev,
-        tolerance_used=tol,
     )

@@ -10,6 +10,7 @@ an independent route), or ``trivial`` (immediate from definitions).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, HistorySet, Slot, history_set
+from .histories import HistorySchedule, HistorySet, Slot, history_set
 from .operators import (
     DensityOperator,
     PAULI_X,
@@ -75,8 +76,8 @@ class ScenarioDescriptor:
                 return s
         raise ValidationError(f"scenario has no set named {name!r}")
 
-    def build(self, name: str, cap: int = DEFAULT_HISTORY_CAP) -> HistorySet:
-        return history_set(self.set_named(name).schedule, self.initial, self.final, cap)
+    def build(self, name: str) -> HistorySet:
+        return history_set(self.set_named(name).schedule, self.initial, self.final)
 
 
 def _spin_half_variable(name: str) -> Variable:
@@ -308,28 +309,20 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
 
 
 def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> ScenarioDescriptor:
-    """Construct a built-in scenario by CLI name, with optional parameter overrides."""
+    """Construct a built-in scenario by CLI name, with optional parameter overrides.
+
+    The parameters a scenario accepts, and their defaults, are its builder's
+    keyword arguments.
+    """
+    builders = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,
+                "three_box": three_box, "leggett_garg": leggett_garg}
+    if name not in builders:
+        raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     parameters = dict(parameters or {})
-    if name == "griffiths_spin":
-        if parameters:
-            raise ValidationError("griffiths_spin takes no parameters")
-        return griffiths_spin()
-    if name == "three_box":
-        if parameters:
-            raise ValidationError("three_box takes no parameters")
-        return three_box()
-    if name == "eprb":
-        defaults = {"theta1": 0.0, "theta2": math.pi / 2, "theta3": 0.0, "theta4": math.pi / 2}
-        unknown = set(parameters) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown eprb parameters {sorted(unknown)}")
-        defaults.update(parameters)
-        return eprb_planar(**defaults)
-    if name == "leggett_garg":
-        defaults = {"omega": 1.0, "t1": 0.0, "t2": 1.0, "t3": 2.0}
-        unknown = set(parameters) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown leggett_garg parameters {sorted(unknown)}")
-        defaults.update(parameters)
-        return leggett_garg(**defaults)
-    raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    accepted = inspect.signature(builders[name]).parameters
+    if parameters and not accepted:
+        raise ValidationError(f"{name} takes no parameters")
+    unknown = set(parameters) - set(accepted)
+    if unknown:
+        raise ValidationError(f"unknown {name} parameters {sorted(unknown)}")
+    return builders[name](**parameters)

@@ -71,20 +71,16 @@ class FeasibleStart:
     The tableau holds the original columns and the rhs after the artificials
     were driven out and redundant rows dropped; its last row is left free
     for a cost row.  ``basis`` and ``flipped`` give each row's basic column
-    and each column's orientation, ``bounds`` the per-column bounds the loop
-    reads, ``upper`` the caller's bounds for the read-out, and ``iterations``
-    each loop's budget.  ``pivots`` and ``bound_flips`` are phase 1's counts.
-    ``solve`` never changes the start, so every cost vector starts from the
-    same tableau that a fresh solve of the same system reaches.
+    and each column's orientation, ``upper`` the per-column bounds.
+    ``pivots`` and ``bound_flips`` are phase 1's counts.  ``solve`` never
+    changes the start, so every cost vector starts from the same tableau that
+    a fresh solve of the same system reaches.
     """
 
     tableau: np.ndarray
     basis: np.ndarray
     flipped: np.ndarray
-    bounds: list | None
     upper: np.ndarray | None
-    tol: object
-    iterations: int
     pivots: int
     bound_flips: int
 
@@ -99,18 +95,18 @@ class FeasibleStart:
         return _phase_two(copy, _cost(c, len(self.flipped), self.exact))
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray, tol, feas_tol, max_iter: int | None,
-               upper: np.ndarray | None = None) -> LPResult | FeasibleStart:
+def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResult | FeasibleStart:
     """Phase 1 and, on a feasible system, artificial drive-out.
 
     Returns an infeasible ``LPResult`` with its Farkas certificate, or the
     ``FeasibleStart`` phase 2 works on.  ``A``, ``b`` and ``upper`` are
-    float64 arrays, or object arrays of Fractions with ``tol = feas_tol = 0``.
-    ``upper`` bounds each column of ``A`` from above (``math.inf`` for no
-    bound); ``None`` leaves every column unbounded.
+    float64 arrays, or object arrays of Fractions, which every tolerance
+    treats as 0.  ``upper`` bounds each column of ``A`` from above
+    (``math.inf`` for no bound); ``None`` leaves every column unbounded.
     """
     exact = A.dtype == object
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    tol, feas_tol = (0, 0) if exact else (DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL)
     m, n = A.shape
 
     flips = np.where(b < zero, -one, one)
@@ -124,11 +120,11 @@ def _phase_one(A: np.ndarray, b: np.ndarray, tol, feas_tol, max_iter: int | None
     tableau[m, :n] = -A.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
-    iterations = max_iter if max_iter is not None else _default_iterations(m, n)
     bounds = None if upper is None else upper.tolist() + [math.inf] * m
     flipped = np.zeros(n + m, dtype=bool)
 
-    code, pivots, bound_flips = simplex_loop(tableau, basis, n, tol, iterations, bounds, flipped)
+    code, pivots, bound_flips = simplex_loop(tableau, basis, n, tol, _default_iterations(m, n),
+                                             bounds, flipped)
     if code != LOOP_OPTIMAL:
         raise NumericError(f"phase-1 simplex did not terminate cleanly (code {code})")
 
@@ -151,16 +147,15 @@ def _phase_one(A: np.ndarray, b: np.ndarray, tol, feas_tol, max_iter: int | None
     keep = [r for r in range(m) if r not in drop]
     cols = list(range(n)) + [n + m]
     return FeasibleStart(tableau=np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)]),
-                         basis=basis[keep].copy(), flipped=flipped[:n], bounds=bounds,
-                         upper=upper, tol=tol, iterations=iterations, pivots=pivots,
-                         bound_flips=bound_flips)
+                         basis=basis[keep].copy(), flipped=flipped[:n], upper=upper,
+                         pivots=pivots, bound_flips=bound_flips)
 
 
 def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
     """Put the cost row ``c`` on ``start``, run the loop, read out x; ``start`` is used up."""
     exact = start.exact
     zero = Fraction(0) if exact else 0.0
-    tableau, basis, flipped = start.tableau, start.basis, start.flipped
+    tableau, basis, flipped, upper = start.tableau, start.basis, start.flipped, start.upper
     m2, n = len(basis), len(flipped)
     pivots, bound_flips = start.pivots, start.bound_flips
 
@@ -175,8 +170,9 @@ def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
             weight = oriented[basis[i]]
             if weight != zero:
                 tableau[m2, :] -= weight * tableau[i, :]
-        code, more_pivots, more_flips = simplex_loop(tableau, basis, n, start.tol,
-                                                     start.iterations, start.bounds, flipped)
+        code, more_pivots, more_flips = simplex_loop(
+            tableau, basis, n, 0 if exact else DEFAULT_PIVOT_TOL, _default_iterations(m2, n),
+            None if upper is None else upper.tolist(), flipped)
         pivots += more_pivots
         bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
@@ -187,7 +183,7 @@ def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
     x = np.full(n, zero, dtype=tableau.dtype)
     x[basis] = tableau[:m2, -1]
     if flipped.any():
-        x[flipped] = start.upper[flipped] - x[flipped]
+        x[flipped] = upper[flipped] - x[flipped]
     if exact:
         return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x),
                         pivots=pivots, bound_flips=bound_flips)
@@ -195,44 +191,34 @@ def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
                     pivots=pivots, bound_flips=bound_flips)
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol, feas_tol,
-               max_iter: int | None, upper: np.ndarray | None = None) -> LPResult:
+def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray | None) -> LPResult:
     """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
-    start = _phase_one(A, b, tol, feas_tol, max_iter, upper)
+    start = _phase_one(A, b, upper)
     return start if isinstance(start, LPResult) else _phase_two(start, c)
 
 
-def _check_upper(upper, n: int, exact: bool) -> np.ndarray | None:
-    """Validate per-column upper bounds: length ``n``, each ``>= 0`` or ``math.inf``."""
+def _system(A, b, upper, exact: bool) -> tuple:
+    """``A``, ``b`` and ``upper`` as float64 or ``Fraction`` arrays, validated.
+
+    ``A`` needs at least one row and ``b`` one entry per row; ``upper``, when
+    given, one bound per column, each ``>= 0`` or ``math.inf``.
+    """
+    dtype = object if exact else float
+    if exact:
+        A = [[_as_fraction(v) for v in row] for row in A]
+        b = [_as_fraction(v) for v in b]
+    A = np.array(A, dtype=dtype)
+    b = np.array(b, dtype=dtype)
+    if A.ndim != 2 or A.shape[0] == 0 or b.shape != (A.shape[0],):
+        raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
     if upper is None:
-        return None
+        return A, b, None
     bounds = [v if v == math.inf else _as_fraction(v) if exact else float(v) for v in upper]
-    if len(bounds) != n:
-        raise ValidationError(f"upper-bound vector must have length {n}")
+    if len(bounds) != A.shape[1]:
+        raise ValidationError(f"upper-bound vector must have length {A.shape[1]}")
     if any(not v >= 0 for v in bounds):
         raise ValidationError("upper bounds must be non-negative")
-    return np.array(bounds, dtype=object if exact else float)
-
-
-def _float_system(A, b, upper):
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
-    return A, b, _check_upper(upper, A.shape[1], False)
-
-
-def _exact_system(A, b, upper):
-    rows = [[_as_fraction(v) for v in row] for row in A]
-    rhs = [_as_fraction(v) for v in b]
-    m = len(rows)
-    if m == 0 or len(rhs) != m:
-        raise ValidationError("exact LP needs at least one constraint row and matching rhs")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValidationError("constraint rows must share one length")
-    return (np.array(rows, dtype=object), np.array(rhs, dtype=object),
-            _check_upper(upper, n, True))
+    return A, b, np.array(bounds, dtype=dtype)
 
 
 def _cost(c, n: int, exact: bool) -> np.ndarray:
@@ -245,12 +231,10 @@ def _cost(c, n: int, exact: bool) -> np.ndarray:
     return cost
 
 
-def solve_lp_float(A, b, c=None, *, upper=None, feas_tol: float = DEFAULT_FEAS_TOL,
-                   pivot_tol: float = DEFAULT_PIVOT_TOL,
-                   max_iter: int | None = None) -> LPResult:
+def solve_lp_float(A, b, c=None, *, upper=None) -> LPResult:
     """Solve min c.x, A x = b, 0 <= x <= upper in floating point."""
-    A, b, upper = _float_system(A, b, upper)
-    return _two_phase(A, b, _cost(c, A.shape[1], False), pivot_tol, feas_tol, max_iter, upper)
+    A, b, upper = _system(A, b, upper, False)
+    return _two_phase(A, b, _cost(c, A.shape[1], False), upper)
 
 
 def _as_fraction(value) -> Fraction:
@@ -265,10 +249,10 @@ def _as_fraction(value) -> Fraction:
     raise ValidationError(f"exact mode cannot coerce {value!r} to a rational")
 
 
-def solve_lp_exact(A, b, c=None, *, upper=None, max_iter: int | None = None) -> LPResult:
+def solve_lp_exact(A, b, c=None, *, upper=None) -> LPResult:
     """Solve min c.x, A x = b, 0 <= x <= upper in exact rational arithmetic."""
-    A, b, upper = _exact_system(A, b, upper)
-    return _two_phase(A, b, _cost(c, A.shape[1], True), 0, 0, max_iter, upper)
+    A, b, upper = _system(A, b, upper, True)
+    return _two_phase(A, b, _cost(c, A.shape[1], True), upper)
 
 
 def feasible_start(A, b, *, upper=None, exact: bool = False) -> LPResult | FeasibleStart:
@@ -278,36 +262,31 @@ def feasible_start(A, b, *, upper=None, exact: bool = False) -> LPResult | Feasi
     ``FeasibleStart`` whose ``solve(c)`` gives, for each cost vector, the
     result ``solve_lp(A, b, c, upper=upper, exact=exact)`` would give.
     """
-    if exact:
-        A, b, upper = _exact_system(A, b, upper)
-        return _phase_one(A, b, 0, 0, None, upper)
-    A, b, upper = _float_system(A, b, upper)
-    return _phase_one(A, b, DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL, None, upper)
+    return _phase_one(*_system(A, b, upper, exact))
 
 
-def solve_lp(A, b, c=None, *, upper=None, exact: bool = False,
-             max_iter: int | None = None) -> LPResult:
+def solve_lp(A, b, c=None, *, upper=None, exact: bool = False) -> LPResult:
     """Dispatch to the exact or floating solver."""
     if exact:
-        return solve_lp_exact(A, b, c, upper=upper, max_iter=max_iter)
-    return solve_lp_float(A, b, c, upper=upper, max_iter=max_iter)
+        return solve_lp_exact(A, b, c, upper=upper)
+    return solve_lp_float(A, b, c, upper=upper)
 
 
-def verify_certificate(A, b, certificate, upper=None, tol: float = 1e-9) -> bool:
+def verify_certificate(A, b, certificate, upper=None) -> bool:
     """Check the Farkas conditions for ``A x = b, 0 <= x <= upper``.
 
     The certificate ``y`` needs one entry per row of ``A``.  It proves
     infeasibility when ``(y.A)_j >= 0`` on every column without a finite
     bound and ``y.b < sum_j u_j * min(0, (y.A)_j)`` over the bounded ones;
     with ``upper=None`` that is ``y.A >= 0`` componentwise and ``y.b < 0``.
-    Exact inputs are checked exactly; float inputs within an absolute
-    tolerance scaled by the certificate magnitude.
+    Exact inputs are checked exactly; float inputs within ``DEFAULT_FEAS_TOL``
+    scaled by the certificate magnitude.
     """
     if certificate is None or len(certificate) != len(A):
         return False
     dtype = object if all(isinstance(v, Rational) for v in certificate) else float
     y = np.asarray(certificate, dtype=dtype)
-    slack = 0 if dtype is object else tol * max(1.0, float(np.max(np.abs(y))))
+    slack = 0 if dtype is object else DEFAULT_FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
     combo = y @ np.asarray(A, dtype=dtype)
     rhs = y @ np.asarray(b, dtype=dtype)
     bounds = np.full(len(combo), math.inf, dtype=dtype) if upper is None \

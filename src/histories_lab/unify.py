@@ -16,6 +16,7 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .classicality import classify
+from .classicality import DEFAULT_CLASSIFY_TOL, classify
 from .errors import InconsistentSetError, NumericError, ValidationError
 from .histories import HistorySet, history_probabilities
 from .simplex import (
@@ -44,7 +45,10 @@ GroupKey = tuple
 
 DEFAULT_DELTA = 1e-9
 DEFAULT_JOINT_CAP = 10**6
-TABLE_TOL = 1e-9  # slack for marginal sums, signs and correlation ranges
+TABLE_TOL = 1e-9  # slack for marginal sums, signs, correlation ranges and cycle bounds
+SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
+SNAP_TOL = 1e-12  # as_exact: largest distance of a snapped value from its float
+QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
 
 FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -187,6 +191,9 @@ class MarginalTable:
         if set(canonical) != set(ordered_keys):
             raise ValidationError("marginal table keys must form the full product of the per-variable partitions")
         values = {k: canonical[k] for k in ordered_keys}
+        for key, value in values.items():
+            if not (isinstance(value, Rational) or math.isfinite(value)):
+                raise ValidationError(f"marginal value {value!r} for key {key!r} is not finite")
 
         total = sum(values.values())
         if self.is_exact_values(values):
@@ -214,23 +221,24 @@ class MarginalTable:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def as_exact(self, max_denominator: int = 10**9, tol: float = 1e-12) -> "MarginalTable":
-        """Snap float values onto nearby small rationals, verifying the distance.
+    def as_exact(self) -> "MarginalTable":
+        """Snap float values onto rationals with denominators up to
+        ``SNAP_MAX_DENOMINATOR``, verifying the distance.
 
         Any residual of the snapped sum from 1 goes to the (first) largest
         entry.  Raises ``ValidationError`` when a value ends up farther than
-        ``tol`` from its float; exact tables pass through unchanged.
+        ``SNAP_TOL`` from its float; exact tables pass through unchanged.
         """
         if self.is_exact:
             return self
-        snapped = {key: Fraction(float(value)).limit_denominator(max_denominator)
+        snapped = {key: Fraction(float(value)).limit_denominator(SNAP_MAX_DENOMINATOR)
                    for key, value in self.values.items()}
         snapped[max(snapped, key=snapped.__getitem__)] += 1 - sum(snapped.values())
         for key, frac in snapped.items():
             value = self.values[key]
-            if abs(float(frac) - float(value)) > tol:
+            if abs(float(frac) - float(value)) > SNAP_TOL:
                 raise ValidationError(
-                    f"value {value!r} for key {key!r} is not rational within {tol}"
+                    f"value {value!r} for key {key!r} is not rational within {SNAP_TOL}"
                 )
         return MarginalTable(self.variables, snapped)
 
@@ -250,7 +258,7 @@ class CorrelationSet:
             pair = (a, b) if a <= b else (b, a)
             if pair in normalized:
                 raise ValidationError(f"duplicate correlation pair {pair!r}")
-            if abs(float(value)) > 1.0 + TABLE_TOL:
+            if not abs(float(value)) <= 1.0 + TABLE_TOL:  # NaN fails too
                 raise ValidationError(f"correlation {pair!r} = {value!r} is outside [-1, 1]")
             normalized[pair] = float(value)
         object.__setattr__(self, "values", dict(sorted(normalized.items())))
@@ -340,7 +348,7 @@ class VariableMapping:
 
 
 def extract_marginals(hset: HistorySet, mapping: VariableMapping,
-                      tol: float = 1e-10) -> MarginalTable:
+                      tol: float = DEFAULT_CLASSIFY_TOL) -> MarginalTable:
     """Turn a consistent history set's probabilities into a marginal table.
 
     Refuses inconsistent sets: their diagonal entries do not obey the sum
@@ -456,19 +464,21 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                     witness: dict, delta: float, exact: bool) -> None:
     """One check for both arithmetics: exact witnesses at tolerance 0, float
-    ones with ``1e-12`` below zero and ``delta + 1e-12`` on every key."""
+    ones with ``1e-12`` below zero and ``delta + 1e-12`` on every key.  Every
+    comparison is written so that a NaN fails it."""
     values = np.array([witness[c] for c in space.cells()], dtype=object if exact else float)
     floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
-    if values.min() < floor:
-        raise NumericError(f"witness has a negative cell ({values.min()})")
+    below = np.logical_not(values >= floor)
+    if below.any():
+        raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
     for table in marginals:
         got = np.zeros(len(table.values), dtype=values.dtype)
         np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
         miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
         for key, off in zip(table.values, miss):
-            if off > slop:
+            if not off <= slop:
                 raise NumericError(f"witness misses marginal key {key!r} by {off}")
-    if abs(values.sum() - 1) > slop:
+    if not abs(values.sum() - 1) <= slop:
         raise NumericError("witness is not normalized within delta")
 
 
@@ -671,7 +681,7 @@ def correlations_from_marginals(marginals: Sequence[MarginalTable]) -> Correlati
     return CorrelationSet(values)
 
 
-def cycle_check(correlations: CorrelationSet, tol: float = 1e-9) -> CycleCheck:
+def cycle_check(correlations: CorrelationSet) -> CycleCheck:
     """Check the n-cycle inequalities sum_i g_i C_i <= n - 2 over every sign
     vector g with an odd number of minus signs.
 
@@ -679,7 +689,7 @@ def cycle_check(correlations: CorrelationSet, tol: float = 1e-9) -> CycleCheck:
     (``CorrelationSet.is_cycle``).  Dichotomic variables with these pair
     correlations have a joint distribution exactly when every inequality
     holds (Araujo, Quintino, Budroni, Terra Cunha & Cabello 2013; Fine 1982
-    for CHSH, n = 4).  ``tol`` absorbs float noise at the bound.
+    for CHSH, n = 4).  ``TABLE_TOL`` absorbs float noise at the bound.
     """
     if not correlations.is_cycle:
         raise ValidationError(
@@ -697,7 +707,7 @@ def cycle_check(correlations: CorrelationSet, tol: float = 1e-9) -> CycleCheck:
             # opposite sign vectors give exactly opposite values, zeros included.
             flip = -1 if 2 * minus > n else 1
             values.append(flip * reduce(operator.add, (flip * g * v for g, v in zip(signs, c))))
-    return CycleCheck(satisfied=max(values) <= n - 2 + tol, values=tuple(values), bound=n - 2)
+    return CycleCheck(satisfied=max(values) <= n - 2 + TABLE_TOL, values=tuple(values), bound=n - 2)
 
 
 # Old names, kept only because ``perfbench/workloads.py`` calls them: the
@@ -717,12 +727,12 @@ class QuasiClassification:
 
 
 def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
-                              delta: float = DEFAULT_DELTA, tol: float = 1e-12,
                               exact: bool = False) -> QuasiClassification:
     """Decide whether a quasi-probability is viable.
 
     Collects the coarse-grainings of ``q`` that are non-negative within
-    ``tol`` and asks whether one true joint probability matches them all:
+    ``QUASI_NONNEG_TOL`` and asks whether one true joint probability matches
+    them all, within ``DEFAULT_DELTA`` in float mode:
     the marginals over every variable subset, kept when non-negative and
     not implied by a kept superset, plus, for each variable no kept subset
     covers, every two-block grouping of its alphabet.  A subset marginal
@@ -733,7 +743,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
     if set(q) != set(cells):
         raise ValidationError("quasi-probability must assign a value to every joint cell")
     total = sum(q.values())
-    if abs(float(total) - 1.0) > max(tol, 1e-9):
+    if abs(float(total) - 1.0) > TABLE_TOL:
         raise ValidationError(f"quasi-probability must sum to 1, got {float(total)!r}")
 
     values = np.array([q[c] for c in cells], dtype=object)
@@ -747,7 +757,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
             np.add.at(marg, _cell_keys(space, subset, atoms), values)
             names = tuple(v.name for v in subset)
             subset_tables[names] = dict(zip(keys, marg.tolist()))
-            if min(float(v) for v in marg) >= -tol:
+            if min(float(v) for v in marg) >= -QUASI_NONNEG_TOL:
                 nonneg.append(names)
 
     kept = sorted(
@@ -774,8 +784,8 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
                     (block,): sum(fine[(o,)] for o in block),
                     (rest,): sum(fine[(o,)] for o in rest),
                 }
-                if min(float(v) for v in grouped.values()) >= -tol:
+                if min(float(v) for v in grouped.values()) >= -QUASI_NONNEG_TOL:
                     marginals.append(MarginalTable((var,), grouped))
 
-    verdict = find_unifying_probability(space, marginals, delta=delta, exact=exact)
+    verdict = find_unifying_probability(space, marginals, exact=exact)
     return QuasiClassification(viable=verdict.feasible, marginals_used=marginals, verdict=verdict)

@@ -136,7 +136,7 @@ def test_zero_cover_threshold_zero_on_exactly_consistent_set():
     # additivity: union measure equals the member sum, so no cover can exist
     rho = DensityOperator.maximally_mixed(2)
     hset = history_set(HistorySchedule((Slot(0.0, X_DECOMP, (1, -1)),), H2), rho)
-    report = detect_zero_cover(hset, threshold=0.0)
+    report = detect_zero_cover(hset)
     assert report.preclusive and not report.found
 
 
@@ -150,8 +150,3 @@ def test_zero_cover_not_evaluated_when_too_large():
     report = detect_zero_cover(hset)
     assert not report.evaluated
     assert not report.found and not report.preclusive
-
-
-def test_zero_cover_respects_explicit_max_subset():
-    report = detect_zero_cover(three_box_fine(), max_subset=2)
-    assert report.found and len(report.witness) == 2

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from histories_lab.analysis import (
 from histories_lab.cli import main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
-from histories_lab.scenarios import build_scenario, three_box
+from histories_lab.histories import HistorySchedule, Slot, history_probability
+from histories_lab.operators import PAULI_X, DensityOperator, Projector, projector_onto
+from histories_lab.scenarios import ScenarioDescriptor, ScenarioSet, build_scenario, three_box
 from histories_lab.simplex import verify_certificate
 from histories_lab.unify import build_constraint_system, extract_marginals
 
@@ -123,6 +129,39 @@ def test_config_non_unit_state_reports_field():
     assert any(path == "$.initial" for path, _ in err.value.problems)
 
 
+def test_config_non_finite_numbers_are_named_at_their_paths():
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["hamiltonian"][0][1][0] = math.inf
+    doc["initial"] = {"ket": [1.0, math.nan]}
+    doc["sets"][1]["slots"][0]["projectors"][0][1][1] = -math.inf
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert sorted(path for path, _ in err.value.problems) == [
+        "$.hamiltonian[0][1]", "$.initial.ket[1]", "$.sets[1].slots[0].projectors[0][1][1]"]
+
+
+def test_config_bad_hamiltonian_is_one_problem():
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["hamiltonian"][0][1] = [1.0, 0.0]  # [1][0] stays 0.5
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == [("$.hamiltonian", "must be Hermitian")]
+
+
+def test_scenario_to_config_refuses_several_hamiltonians():
+    up = np.array([1.0, 0.0])
+    z_slot = Slot(1.0, (Projector(projector_onto(up)), Projector(projector_onto([0.0, 1.0]))),
+                  (1, -1))
+    desc = ScenarioDescriptor(
+        name="mixed", initial=DensityOperator.pure(up), final=None,
+        sets=(ScenarioSet("a", HistorySchedule((z_slot,), np.zeros((2, 2)))),
+              ScenarioSet("b", HistorySchedule((z_slot,), PAULI_X))),
+        space=None)
+    assert abs(history_probability(desc.build("b"), (1,)) - math.cos(1.0) ** 2) < 1e-12
+    with pytest.raises(ValidationError, match="one hamiltonian"):
+        scenario_to_config(desc)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -156,6 +195,43 @@ def test_cli_reports_are_byte_identical(tmp_path):
 def test_cli_missing_config_is_exit_2(capsys):
     assert main(["analyze", "--config", "does-not-exist.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100000],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_cli_undecodable_json_is_exit_2(tmp_path, capsys, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = ["analyze", "--config", str(path)] if command == "analyze" else ["verify", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
+def test_cli_nan_time_config_is_exit_2(tmp_path, capsys):
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["sets"][0]["slots"][0]["time"] = math.nan
+    path = tmp_path / "lg.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "config error at $.sets[0].slots[0].time: expected a finite number, got nan"]
+
+
+def test_cli_overflowing_propagator_is_exit_2(tmp_path, capsys):
+    # finite inputs whose H * t overflows give NaN class operators
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["hamiltonian"] = [[0, 1e300], [1e300, 0]]
+    for sset in doc["sets"]:
+        for slot in sset["slots"]:
+            slot["time"] *= 1e10
+    path = tmp_path / "lg.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main(["analyze", "--config", str(path)]) == 2
+    assert "must sum to the identity (deviation nan)" in capsys.readouterr().err
 
 
 def test_cli_dim_above_cap_is_exit_2(tmp_path, capsys):
@@ -421,6 +497,38 @@ def test_reverify_of_a_mutated_report_raises_only_library_errors(data):
         reverify(report)
     except (ValidationError, NumericError):
         pass
+
+
+_CONFIG_REPLACEMENTS = (None, True, False, math.nan, math.inf, -math.inf, 0, -1.5, "x",
+                        [], {}, [[1]], [1.0, math.nan])
+_FUZZ_CONFIG = json.dumps(scenario_to_config(three_box()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_analyze_of_a_mutated_config_exits_0_or_2(data):
+    doc = json.loads(_FUZZ_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data.draw(st.sampled_from(list(_nodes(doc)))),
+                      data.draw(st.sampled_from(("drop", "swap", "duplicate", "nest"))),
+                      json.loads(json.dumps(data.draw(st.sampled_from(_CONFIG_REPLACEMENTS)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "report.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["analyze", "--config", path, "--out", out])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:  # the report is strict JSON: no NaN or Infinity tokens
+            with open(out) as fh:
+                json.load(fh, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}")
 
 
 # ---------------------------------------------------------------------------

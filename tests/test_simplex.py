@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histories_lab import simplex
 from histories_lab._kernels import active_backend
 from histories_lab.errors import NumericError, ValidationError
 from histories_lab.simplex import (
@@ -82,11 +83,12 @@ def test_shape_validation():
         solve_lp_exact([[1, 1]], [1], c=[0.5, 0])  # non-integral float in exact mode
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "_default_iterations", lambda m, n: 1)
     with pytest.raises(NumericError):
-        solve_lp_float([[1, 1], [1, -1]], [1, 0], max_iter=1)
+        solve_lp_float([[1, 1], [1, -1]], [1, 0])
     with pytest.raises(NumericError):
-        solve_lp_exact([[1, 1], [1, -1]], [1, 0], max_iter=1)
+        solve_lp_exact([[1, 1], [1, -1]], [1, 0])
 
 
 def test_float_and_exact_agree_on_rational_instances():

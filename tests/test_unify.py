@@ -32,6 +32,7 @@ from histories_lab.unify import (
     product_unify,
     verify_witness,
 )
+from histories_lab.unify import _verify_witness
 
 SA = Variable("a", (1, -1))
 SB = Variable("b", (1, -1))
@@ -58,6 +59,30 @@ def test_marginal_table_canonical_ordering_and_sum():
         MarginalTable((SA,), {(1,): 0.9, (-1,): 0.3})  # sums to 1.2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_rejected_naming_the_key(value):
+    with pytest.raises(ValidationError, match=r"for key \(\(1,\),\) is not finite"):
+        MarginalTable((SA,), {(1,): value, (-1,): value})
+    with pytest.raises(ValidationError, match=r"\('a', 'b'\)"):
+        CorrelationSet({("a", "b"): value})
+
+
+def test_nan_table_never_reaches_a_verdict():
+    with pytest.raises(ValidationError):
+        find_unifying_probability(JointSampleSpace((SA,)),
+                                  [MarginalTable((SA,), {(1,): math.nan, (-1,): math.nan})])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("cell", [(1,), (-1,)])
+def test_verify_witness_rejects_a_nan_cell(exact, cell):
+    table = uniform(SA).as_exact() if exact else uniform(SA)
+    witness = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)}
+    witness[cell] = math.nan
+    with pytest.raises(NumericError, match="negative or undefined cell"), np.errstate(invalid="ignore"):
+        _verify_witness(JointSampleSpace((SA,)), [table], witness, DEFAULT_DELTA, exact)
+
+
 def test_marginal_table_grouped_keys_must_partition():
     MarginalTable((BOX,), {("1",): 1.0, (("2", "3"),): 0.0})
     with pytest.raises(ValidationError):
@@ -82,9 +107,10 @@ def test_as_exact_snaps_and_verifies():
     table = MarginalTable((SA,), {(1,): 1 / 3 + 1e-16, (-1,): 2 / 3})
     exact = table.as_exact()
     assert exact.values[((1,),)] == Fraction(1, 3)
-    noisy = MarginalTable((SA,), {(1,): 0.123456789101112, (-1,): 1 - 0.123456789101112})
-    with pytest.raises(ValidationError):
-        noisy.as_exact(max_denominator=10)
+    # 1e-11 from its best fraction with denominator <= SNAP_MAX_DENOMINATOR
+    noisy = MarginalTable((SA,), {(1,): 1 / 3 + 1e-11, (-1,): 2 / 3})
+    with pytest.raises(ValidationError, match="is not rational within"):
+        noisy.as_exact()
     # Leggett-Garg pair table at omega * tau = 2: each value snaps on its own
     # to a sum just off 1, so the residual goes to the largest entry
     c = math.cos(2.0)
