@@ -50,9 +50,21 @@ PROBE_CELLS_CAP = 64
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """Classification tolerance, float-LP band width and arithmetic of one analysis.
+
+    ``tol`` and ``delta`` must be finite and non-negative; one
+    ``ValidationError`` names every field that is not.
+    """
+
     tol: float = DEFAULT_CLASSIFY_TOL
     delta: float = DEFAULT_DELTA
     exact: bool = False
+
+    def __post_init__(self):
+        bad = [f"{name}={value!r}" for name, value in (("tol", self.tol), ("delta", self.delta))
+               if not (is_finite_number(value) and value >= 0)]
+        if bad:
+            raise ValidationError(f"analysis options must be finite and non-negative: {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@
 Exit codes: 0 success, 2 user or validation error, 3 internal numeric
 failure (for ``verify``: stored evidence that does not check out).
 Reports are deterministic: identical inputs and flags produce
-byte-identical output.
+byte-identical output.  ``sweep`` evaluates its grid points in worker
+processes forked from this one, at most ``HISTORIES_LAB_THREADS`` of them
+(default: the CPUs this process may run on, capped at 8); with one worker,
+or where ``fork`` is unavailable, the points run in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,7 +81,11 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValidationError(f"range {spec!r} must be numeric lo:hi:steps") from None
     if steps < 1:
         raise ValidationError(f"range {spec!r} must have at least one step")
-    return np.linspace(lo, hi, steps)
+    with np.errstate(all="ignore"):
+        grid = np.linspace(lo, hi, steps)
+    if not np.isfinite(grid).all():
+        raise ValidationError(f"range {spec!r} must give finite grid values")
+    return grid
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -133,13 +141,38 @@ def evaluate_sweep_point(scenario: str, params: dict) -> dict:
 
 
 def _sweep_threads() -> int:
+    """Worker processes a sweep may use: ``HISTORIES_LAB_THREADS``, else the usable CPUs, at most 8."""
     raw = os.environ.get("HISTORIES_LAB_THREADS", "").strip()
     if raw:
         try:
             return max(1, int(raw))
         except ValueError:
             raise ValidationError(f"HISTORIES_LAB_THREADS must be an integer, got {raw!r}") from None
-    return min(8, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(8, cpus or 1)
+
+
+def _evaluate_grid(scenario: str, points: list[dict]) -> list[dict]:
+    """``evaluate_sweep_point`` over the points, in order, forked across workers.
+
+    ``map`` yields rows in grid order and re-raises the first failing
+    point's error, so output and errors match a serial loop.  With one
+    worker nothing is forked.
+    """
+    evaluate = functools.partial(evaluate_sweep_point, scenario)
+    workers = min(_sweep_threads(), len(points))
+    if workers > 1:
+        # imported here: the pool modules add about 2 MB to every process
+        # that loads the CLI, and only a pooled sweep uses them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            chunk = math.ceil(len(points) / (4 * workers))
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(evaluate, points, chunksize=chunk))
+    return list(map(evaluate, points))
 
 
 def cmd_sweep(args) -> int:
@@ -159,8 +192,7 @@ def cmd_sweep(args) -> int:
         for combo in itertools.product(*(range(len(g)) for g in grids))
     ]
 
-    with ThreadPoolExecutor(max_workers=_sweep_threads()) as pool:
-        rows = list(pool.map(lambda p: evaluate_sweep_point(args.scenario, p), points))
+    rows = _evaluate_grid(args.scenario, points)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

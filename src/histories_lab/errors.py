@@ -33,6 +33,10 @@ class ConfigValidationError(ValidationError):
         lines = "; ".join(f"{path}: {reason}" for path, reason in self.problems)
         super().__init__(f"invalid config ({len(self.problems)} problem(s)): {lines}")
 
+    def __reduce__(self):
+        # pickling (e.g. out of a worker process) rebuilds from the problems list
+        return type(self), (self.problems,)
+
 
 class NumericError(HistoriesLabError):
     """Internal numerical failure: a solver did not converge or a self-check failed."""

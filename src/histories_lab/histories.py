@@ -31,10 +31,10 @@ from .operators import (
     DensityOperator,
     Projector,
     as_square_matrix,
+    eigen_propagator,
     frozen_array,
     is_hermitian,
     max_abs,
-    propagator,
     validate_projective_decomposition,
 )
 
@@ -106,6 +106,11 @@ class HistorySchedule:
             n *= len(slot.projectors)
         return n
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        # the Hamiltonian was validated above; every slot's propagator shares this
+        return np.linalg.eigh(self.hamiltonian)
+
 
 @dataclass(frozen=True)
 class ClassOperator:
@@ -128,8 +133,10 @@ def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
     """Build every class operator of a schedule, one per outcome-label tuple.
 
     The returned list sums to the identity.  Products grow slot by slot over
-    the label tree, with one propagator per slot.  Raises ``HistoryCountError``
-    when the schedule would produce more than ``DEFAULT_HISTORY_CAP`` histories.
+    the label tree, with one propagator per slot, each formed from the
+    schedule's one eigendecomposition of its Hamiltonian.  Raises
+    ``HistoryCountError`` when the schedule would produce more than
+    ``DEFAULT_HISTORY_CAP`` histories.
     """
     n = schedule.label_count()
     if n > DEFAULT_HISTORY_CAP:
@@ -137,7 +144,7 @@ def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
 
     prefixes: list[tuple[Label, np.ndarray | None]] = [((), None)]
     for slot in schedule.slots:
-        u = propagator(schedule.hamiltonian, slot.time)
+        u = eigen_propagator(schedule._eigh, slot.time)
         moved = [u.conj().T @ p.matrix @ u for p in slot.projectors]
         # latest-time projector on the left
         prefixes = [(label + (symbol,), p if op is None else p @ op)

@@ -84,7 +84,12 @@ def propagator(hamiltonian, time: float) -> np.ndarray:
     h = as_square_matrix(hamiltonian, "hamiltonian")
     if not is_hermitian(h):
         raise ValidationError("propagator requires a Hermitian generator")
-    w, v = np.linalg.eigh(h)
+    return eigen_propagator(np.linalg.eigh(h), time)
+
+
+def eigen_propagator(eigh, time: float) -> np.ndarray:
+    """exp(-i H t) from the ``(w, v)`` pair ``np.linalg.eigh(H)`` returns; no validation."""
+    w, v = eigh
     return (v * np.exp(-1j * w * float(time))) @ v.conj().T
 
 

@@ -275,12 +275,18 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     maximally mixed state.  Every two-time set is consistent with pair table
     (1/4)(1 + s s' cos(omega tau)), so the two-time correlator is
     cos(omega tau); the combined three-time set is inconsistent in general.
+    ``omega`` times every time gap must be a finite float.
     """
     if not (t1 < t2 < t3):
         raise ValidationError(f"times must be strictly increasing, got {(t1, t2, t3)}")
     omega = float(omega)
     h = 0.5 * omega * PAULI_X
     times = {1: float(t1), 2: float(t2), 3: float(t3)}
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        if not math.isfinite(omega * (times[j] - times[i])):
+            raise ValidationError(
+                f"omega * (t{j} - t{i}) must be finite, got omega={omega!r}, "
+                f"t{i}={times[i]!r}, t{j}={times[j]!r}")
     projs = tuple(Projector(0.5 * (np.eye(2) - s * PAULI_Z)) for s in (1, -1))
     q_slot = {i: Slot(times[i], projs, (1, -1)) for i in (1, 2, 3)}
 

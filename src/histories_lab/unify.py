@@ -438,8 +438,8 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     """
     _check_tables(space, marginals)
     width = 0.0 if exact else float(delta)
-    if not width >= 0:
-        raise ValidationError(f"band width delta must be non-negative, got {delta!r}")
+    if not 0 <= width < math.inf:
+        raise ValidationError(f"band width delta must be finite and non-negative, got {delta!r}")
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     n = space.size
     m = sum(len(table.values) for table in marginals) + 1

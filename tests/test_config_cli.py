@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -303,10 +305,78 @@ def test_sweep_thread_cap_env(tmp_path, monkeypatch):
                  "--param", "omega", "--range", "0.2:1.2:2"]) == 2
 
 
+def _sweep(monkeypatch, capsys, workers, argv):
+    monkeypatch.setenv("HISTORIES_LAB_THREADS", str(workers))
+    code = main(["sweep", *argv])
+    return code, capsys.readouterr()
+
+
+README_SWEEPS = (["--scenario", "leggett_garg", "--param", "omega", "--range", "0:3.14159:181"],
+                 ["--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"])
+
+
+@pytest.mark.parametrize("argv", README_SWEEPS, ids=["leggett_garg", "eprb"])
+def test_sweep_csv_is_the_same_in_process_and_forked(monkeypatch, capsys, argv):
+    serial = _sweep(monkeypatch, capsys, 1, argv)
+    pooled = _sweep(monkeypatch, capsys, 2, argv)
+    assert serial[0] == pooled[0] == 0
+    assert serial[1].out == pooled[1].out
+    assert len(pooled[1].out.splitlines()) == int(argv[-1].rsplit(":", 1)[1]) + 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    # t1 reaches t2 = 1 at the eleventh of 20 points, so the last ten fail
+    ["--scenario", "leggett_garg", "--param", "t1", "--range", "0:1.9:20"],
+    # omega * (t3 - t2) overflows from the second of three points on
+    ["--scenario", "leggett_garg", "--param", "omega", "--range", "1:1e300:3",
+     "--param", "t3", "--range", "1e10:1e10:1"],
+], ids=["unordered-times", "overflowing-phase"])
+def test_sweep_failure_is_the_first_in_grid_order_in_process_and_forked(monkeypatch, capsys, argv):
+    serial = _sweep(monkeypatch, capsys, 1, argv)
+    pooled = _sweep(monkeypatch, capsys, 2, argv)
+    assert serial[0] == pooled[0] == 2
+    assert serial[1] == pooled[1]
+    assert len(serial[1].err.splitlines()) == 1 and "Traceback" not in serial[1].err
+    assert multiprocessing.active_children() == []
+
+
+def test_one_sweep_worker_builds_no_process_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    code, out = _sweep(monkeypatch, capsys, 1, README_SWEEPS[1])
+    assert code == 0 and len(out.out.splitlines()) == 42
+
+
+def test_config_validation_error_survives_pickling():
+    problems = [("$", "bad"), ("$.dim", "expected an integer, got 'x'")]
+    clone = pickle.loads(pickle.dumps(ConfigValidationError(problems)))
+    assert type(clone) is ConfigValidationError
+    assert clone.problems == problems
+    assert str(clone) == str(ConfigValidationError(problems))
+
+
+def test_cli_non_finite_tol_and_delta_are_exit_2(capsys):
+    assert main(["analyze", "--scenario", "eprb", "--tol", "nan", "--delta", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: analysis options must be finite and non-negative: "
+                                "tol=nan, delta=inf"]
+    assert main(["analyze", "--scenario", "eprb", "--delta=-1e-9"]) == 2
+    assert "delta=-1e-09" in capsys.readouterr().err
+
+
 def test_cli_sweep_zero_steps_is_exit_2(capsys):
     assert main(["sweep", "--scenario", "leggett_garg",
                  "--param", "omega", "--range", "0:3:0"]) == 2
     assert "at least one step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0:inf:2", "nan:1:2", "-1e308:1e308:3"])
+def test_cli_sweep_non_finite_range_is_exit_2(capsys, spec):
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta4", f"--range={spec}"]) == 2
+    assert capsys.readouterr().err == f"error: range {spec!r} must give finite grid values\n"
 
 
 def test_cli_sweep_unknown_param_is_exit_2(capsys):

@@ -113,6 +113,27 @@ def test_class_operators_match_heisenberg_products():
             assert np.array_equal(c.matrix, product)
 
 
+def test_one_eigendecomposition_per_schedule(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = random_hermitian(rng, 3)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m)
+        return eigh(m)
+
+    slots = []
+    for t in (0.5, 1.0, 2.0):
+        decomposition = random_decomposition(rng, 3)
+        slots.append(Slot(t, decomposition, tuple(range(len(decomposition)))))
+    schedule = HistorySchedule(tuple(slots), h)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    build_class_operators(schedule)
+    build_class_operators(schedule)
+    assert len(calls) == 1
+
+
 def test_negate_identity_gives_zero():
     schedule = HistorySchedule((Slot(0.0, (Projector(np.eye(2)),), ("all",)),), H2)
     (c,) = build_class_operators(schedule)

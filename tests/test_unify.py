@@ -196,6 +196,12 @@ def test_negative_delta_is_rejected():
         find_unifying_probability(JointSampleSpace((SA,)), [uniform(SA)], delta=-1e-9)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_non_finite_delta_is_rejected(delta):
+    with pytest.raises(ValidationError, match="delta"):
+        find_unifying_probability(JointSampleSpace((SA,)), [uniform(SA)], delta=delta)
+
+
 def test_exact_mode_requires_rational_values():
     space = JointSampleSpace((SA,))
     table = MarginalTable((SA,), {(1,): 0.5 + 1e-13, (-1,): 0.5 - 1e-13})
