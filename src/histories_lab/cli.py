@@ -6,7 +6,8 @@ Reports are deterministic: identical inputs and flags produce
 byte-identical output.  ``sweep`` evaluates its grid points in worker
 processes forked from this one, at most ``HISTORIES_LAB_THREADS`` of them
 (default: the CPUs this process may run on, capped at 8); with one worker,
-or where ``fork`` is unavailable, the points run in this process.
+or where ``fork`` is unavailable, the points run in this process.  A grid
+of more than ``SWEEP_POINT_CAP`` points is refused before it is built.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .unify import (
 )
 
 SWEEPABLE = ("eprb", "leggett_garg")
+SWEEP_POINT_CAP = 10**6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(spec: str) -> np.ndarray:
+def _parse_range(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range {spec!r} must look like lo:hi:steps")
@@ -81,11 +83,24 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValidationError(f"range {spec!r} must be numeric lo:hi:steps") from None
     if steps < 1:
         raise ValidationError(f"range {spec!r} must have at least one step")
-    with np.errstate(all="ignore"):
-        grid = np.linspace(lo, hi, steps)
-    if not np.isfinite(grid).all():
-        raise ValidationError(f"range {spec!r} must give finite grid values")
-    return grid
+    return lo, hi, steps
+
+
+def _grids(specs: list[str]) -> list[np.ndarray]:
+    """The grid of each ``lo:hi:steps`` spec, refused before any is built when
+    their product exceeds ``SWEEP_POINT_CAP`` points."""
+    ranges = [_parse_range(spec) for spec in specs]
+    count = math.prod(steps for _, _, steps in ranges)
+    if count > SWEEP_POINT_CAP:
+        raise ValidationError(f"sweep grid has {count} points, cap is {SWEEP_POINT_CAP}")
+    grids = []
+    for spec, (lo, hi, steps) in zip(specs, ranges):
+        with np.errstate(all="ignore"):
+            grid = np.linspace(lo, hi, steps)
+        if not np.isfinite(grid).all():
+            raise ValidationError(f"range {spec!r} must give finite grid values")
+        grids.append(grid)
+    return grids
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -182,7 +197,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("each --param needs exactly one matching --range")
     if len(set(args.param)) != len(args.param):
         raise ValidationError("sweep parameters must be distinct")
-    grids = [_parse_range(spec) for spec in args.ranges]
+    grids = _grids(args.ranges)
     # validate parameter names against the scenario before launching the grid
     build_scenario(args.scenario, {name: float(g[0]) for name, g in zip(args.param, grids)})
 

@@ -21,49 +21,75 @@ row-major nested lists)::
       }                                       # variable name or {"variable": ...,
     }                                         #  "groups": {"label": [outcomes]}}
 
-A value that parses as a ``dim x dim`` matrix is taken as a matrix; flat
-lists are kets (tagged forms ``{"matrix": ...}`` / ``{"ket": ...}`` resolve
-the dim-2 ambiguity between a matrix and a ket of two ``[re, im]`` pairs).
-Every number (times, matrix entries, ket amplitudes) must be finite: JSON
-``NaN`` and ``Infinity``, which Python's ``json`` accepts, are rejected.
+A state shaped as a matrix (``dim`` rows of ``dim`` entries) is taken as a
+matrix, and each of its entries is then checked on its own; any other list
+of ``dim`` entries is a ket (tagged forms ``{"matrix": ...}`` /
+``{"ket": ...}`` resolve the dim-2 ambiguity between a matrix and a ket of
+two ``[re, im]`` pairs).  Every number (times, matrix entries, ket
+amplitudes) must be finite: JSON ``NaN`` and ``Infinity``, which Python's
+``json`` accepts, are rejected.  Each ``unify.map`` entry is checked here,
+whether or not its set turns out consistent: a map that names a variable
+twice, or whose groups overlap or miss an outcome, is a problem at
+``$.unify.map.<set>``.
+
 Validation is exhaustive: every schema problem is collected and reported
 with its JSON path, not just the first one, and a problem is reported once,
 where it is, not again at every place that would have used the bad value.
+This module checks the JSON shape; the domain constructors (``Slot``,
+``Variable``, ``MarginalTable`` ...) check the domain rules, and their
+``ValidationError`` is recorded at the path of the value they were given.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
-from .histories import HistorySchedule, Slot
+from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, Slot
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, ScenarioSet
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number
 
 
-class _Problems:
-    def __init__(self):
-        self.items: list[tuple[str, str]] = []
+class _Problems(list):
+    """The ``(json_path, reason)`` pairs found so far."""
 
     def add(self, path: str, reason: str) -> None:
-        self.items.append((path, reason))
+        self.append((path, reason))
+
+    def under(self, path: str) -> bool:
+        """Whether a problem was recorded at ``path`` or inside it."""
+        return any(p == path or p.startswith((path + ".", path + "[")) for p, _ in self)
 
     def raise_if_any(self) -> None:
-        if self.items:
-            raise ConfigValidationError(self.items)
+        if self:
+            raise ConfigValidationError(self)
+
+
+def _attempt(problems: _Problems, path: str, build, *args):
+    """``build(*args)``, or None after recording its ``ValidationError`` at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        problems.add(path, str(exc))
+        return None
 
 
 def load_json(path, what: str):
-    """The JSON document in the file ``path``.
+    """The JSON document in the file ``path`` (a ``str`` or ``os.PathLike``).
 
-    A file that cannot be read, is not UTF-8, is not JSON or nests too deeply
-    is a ``ValidationError`` naming ``what``.
+    Any other ``path``, or a file that cannot be read, is not UTF-8, is not
+    JSON or nests too deeply, is a ``ValidationError`` naming ``what``.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"{what} must be a file path, got {type(path).__name__}")
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -87,19 +113,9 @@ def _parse_scalar(value, path: str, problems: _Problems) -> complex | None:
 
 
 def _looks_like_matrix(value, dim: int) -> bool:
-    if not (isinstance(value, list) and len(value) == dim):
-        return False
-    for row in value:
-        if not (isinstance(row, list) and len(row) == dim):
-            return False
-        for entry in row:
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                continue
-            if isinstance(entry, list) and len(entry) == 2 and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry):
-                continue
-            return False
-    return True
+    """Whether ``value`` has the shape of a matrix: ``dim`` rows of ``dim`` entries."""
+    return isinstance(value, list) and len(value) == dim \
+        and all(isinstance(row, list) and len(row) == dim for row in value)
 
 
 def _parse_entries(values, path: str, problems: _Problems) -> list | None:
@@ -147,16 +163,10 @@ def _parse_state(value, dim: int, path: str, problems: _Problems) -> np.ndarray 
     return None
 
 
-def _density(value, dim: int, path: str, problems: _Problems) -> DensityOperator | None:
-    """A validated state, or None after adding its problems."""
-    matrix = _parse_state(value, dim, path, problems)
-    if matrix is None:
-        return None
-    try:
-        return DensityOperator(matrix)
-    except ValidationError as exc:
-        problems.add(path, str(exc))
-        return None
+def _operator(build, parse, value, dim: int, path: str, problems: _Problems):
+    """``build`` of the matrix ``parse`` reads from ``value``, or None after adding its problems."""
+    matrix = parse(value, dim, path, problems)
+    return None if matrix is None else _attempt(problems, path, build, matrix)
 
 
 def _parse_label(value, path: str, problems: _Problems):
@@ -166,18 +176,195 @@ def _parse_label(value, path: str, problems: _Problems):
     return str(value)
 
 
+def _parse_slot(raw, dim: int, path: str, problems: _Problems) -> Slot | None:
+    """One slot, or None after adding its problems."""
+    if not isinstance(raw, Mapping):
+        problems.add(path, "expected an object")
+        return None
+    time = raw.get("time")
+    if not is_finite_number(time):
+        problems.add(f"{path}.time", f"expected a finite number, got {time!r}")
+        time = None
+    raw_projectors, raw_labels = raw.get("projectors"), raw.get("labels")
+    if not isinstance(raw_projectors, list) or not raw_projectors:
+        problems.add(f"{path}.projectors", "expected a non-empty list of matrices")
+        return None
+    if not isinstance(raw_labels, list) or len(raw_labels) != len(raw_projectors):
+        problems.add(f"{path}.labels", "expected one label per projector")
+        return None
+    projectors = tuple(_operator(Projector, _parse_matrix, p, dim, f"{path}.projectors[{i}]", problems)
+                       for i, p in enumerate(raw_projectors))
+    labels = tuple(_parse_label(v, f"{path}.labels[{i}]", problems) for i, v in enumerate(raw_labels))
+    if time is None or any(p is None for p in projectors):
+        return None
+    return _attempt(problems, path, Slot, float(time), projectors, labels)
+
+
+def _parse_sets(raw_sets, dim: int, hamiltonian: np.ndarray,
+                problems: _Problems) -> tuple[dict[str, HistorySchedule], dict[str, str]]:
+    """The schedules of the sets without a fatal problem, and every declared set
+    name with its JSON path, both in document order."""
+    schedules: dict[str, HistorySchedule] = {}
+    declared: dict[str, str] = {}
+    if not isinstance(raw_sets, list) or not raw_sets:
+        problems.add("$.sets", "expected a non-empty list of sets")
+        return schedules, declared
+    for s, raw in enumerate(raw_sets):
+        path = f"$.sets[{s}]"
+        if not isinstance(raw, Mapping):
+            problems.add(path, "expected an object")
+            continue
+        name = raw.get("name")
+        if not isinstance(name, str) or not name:
+            problems.add(f"{path}.name", "expected a non-empty string")
+            continue
+        if name in declared:
+            problems.add(f"{path}.name", f"duplicate set name {name!r}")
+            continue
+        declared[name] = path
+        raw_slots = raw.get("slots")
+        if not isinstance(raw_slots, list) or not raw_slots:
+            problems.add(f"{path}.slots", "expected a non-empty list of slots")
+            continue
+        slots = tuple(_parse_slot(raw_slot, dim, f"{path}.slots[{k}]", problems)
+                      for k, raw_slot in enumerate(raw_slots))
+        if all(slot is not None for slot in slots):
+            schedule = _attempt(problems, path, HistorySchedule, slots, hamiltonian)
+            if schedule is not None:
+                schedules[name] = schedule
+    return schedules, declared
+
+
+def _parse_variable(raw, path: str, problems: _Problems) -> Variable | None:
+    if not (isinstance(raw, Mapping) and isinstance(raw.get("name"), str)
+            and isinstance(raw.get("outcomes"), list)):
+        problems.add(path, "expected {'name': str, 'outcomes': [...]}")
+        return None
+    outcomes = tuple(_parse_label(o, f"{path}.outcomes[{j}]", problems)
+                     for j, o in enumerate(raw["outcomes"]))
+    return _attempt(problems, path, Variable, raw["name"], outcomes)
+
+
+def _parse_group(symbol, members, slot: int, symbols: tuple, var: Variable, path: str,
+                 problems: _Problems) -> tuple | None:
+    """One ``groups`` item as ``(slot label, outcomes)``, or None after adding its problem."""
+    # JSON object keys are strings; fall back to the original label types
+    label = symbol if symbol in symbols else next((l for l in symbols if str(l) == symbol), None)
+    if label is None:
+        problems.add(path, f"label {symbol!r} not in slot {slot}")
+    elif not isinstance(members, list) or not members:
+        problems.add(path, "expected a non-empty outcome list")
+    elif bad := [o for o in members if o not in var.outcomes]:
+        problems.add(path, f"outcomes {bad!r} not in variable {var.name!r}")
+    else:
+        return label, tuple(members)
+    return None
+
+
+def _parse_entry(entry, slot: int, symbols: tuple, variables: dict[str, Variable], path: str,
+                 problems: _Problems) -> tuple | None:
+    """One map entry as ``(variable, label translation or None)``, or None after adding its problems."""
+    if isinstance(entry, str):
+        name, raw_groups = entry, None
+    elif isinstance(entry, Mapping) and isinstance(entry.get("variable"), str):
+        name, raw_groups = entry["variable"], entry.get("groups")
+        if raw_groups is not None and not isinstance(raw_groups, Mapping):
+            problems.add(f"{path}.groups", "expected an object")
+            return None
+    else:
+        problems.add(path, "expected a variable name or {'variable': ..., 'groups': ...}")
+        return None
+    if name not in variables:
+        problems.add(path, f"unknown variable {name!r}")
+        return None
+    var = variables[name]
+    if not raw_groups:
+        return var, None
+    groups = [_parse_group(symbol, members, slot, symbols, var, f"{path}.groups.{symbol}", problems)
+              for symbol, members in raw_groups.items()]
+    return None if any(g is None for g in groups) else (var, dict(groups))
+
+
+def _parse_mapping(raw, schedule: HistorySchedule, variables: dict[str, Variable], path: str,
+                   problems: _Problems) -> VariableMapping | None:
+    """The mapping of one set's label positions, or None after adding its problems."""
+    slots = schedule.slots
+    if not isinstance(raw, list) or len(raw) != len(slots):
+        problems.add(path, f"expected one entry per slot ({len(slots)})")
+        return None
+    entries = [_parse_entry(entry, k, slots[k].symbols, variables, f"{path}[{k}]", problems)
+               for k, entry in enumerate(raw)]
+    if any(e is None for e in entries):
+        return None
+    return _attempt(problems, path, VariableMapping,
+                    tuple(var for var, _ in entries), tuple(groups for _, groups in entries))
+
+
+def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str, str],
+                 problems: _Problems) -> tuple[JointSampleSpace | None, dict[str, VariableMapping]]:
+    """The joint sample space and the per-set mappings of the ``unify`` section.
+
+    Each mapping is checked as its analysis will use it: uniform values over
+    the schedule's labels must sum onto a valid marginal table.  The check
+    is left out where the set or the variables already have a problem, which
+    it would only repeat, and for a set of more than ``DEFAULT_HISTORY_CAP``
+    histories, which analysis refuses.
+    """
+    if raw is None:
+        return None, {}
+    if not isinstance(raw, Mapping):
+        problems.add("$.unify", "expected an object")
+        return None, {}
+    variables: dict[str, Variable] = {}
+    raw_vars = raw.get("variables")
+    if not isinstance(raw_vars, list) or not raw_vars:
+        problems.add("$.unify.variables", "expected a non-empty list")
+        raw_vars = []
+    for i, raw_var in enumerate(raw_vars):
+        var = _parse_variable(raw_var, f"$.unify.variables[{i}]", problems)
+        if var is not None and var.name in variables:
+            problems.add(f"$.unify.variables[{i}]", f"duplicate variable {var.name!r}")
+        elif var is not None:
+            variables[var.name] = var
+    space = _attempt(problems, "$.unify.variables", JointSampleSpace,
+                     tuple(variables.values())) if variables else None
+
+    raw_map = raw.get("map", {})
+    if not isinstance(raw_map, Mapping):
+        problems.add("$.unify.map", "expected an object keyed by set name")
+        raw_map = {}
+    mappings: dict[str, VariableMapping] = {}
+    for name, raw_entries in raw_map.items():
+        path = f"$.unify.map.{name}"
+        if name not in declared:
+            problems.add(path, f"no set named {name!r}")
+        if name not in schedules:
+            continue
+        schedule = schedules[name]
+        mapping = _parse_mapping(raw_entries, schedule, variables, path, problems)
+        if mapping is None:
+            continue
+        mappings[name] = mapping
+        n_labels = schedule.label_count()
+        if n_labels <= DEFAULT_HISTORY_CAP and not (
+                problems.under(declared[name]) or problems.under("$.unify.variables")):
+            labels = itertools.product(*(slot.symbols for slot in schedule.slots))
+            _attempt(problems, path, mapping.marginal_table,
+                     dict.fromkeys(labels, Fraction(1, n_labels)))
+    return space, mappings
+
+
 def parse_config(source) -> ScenarioDescriptor:
-    """Parse and validate a config document (a file path or a dict).
+    """Parse and validate a config document (a ``str`` or ``os.PathLike`` file path, or a mapping).
 
     Raises ``ConfigValidationError`` carrying every problem found, and
-    ``ValidationError`` for a file ``load_json`` cannot decode.
+    ``ValidationError`` for any other source or a file ``load_json`` cannot
+    decode.
     """
     if isinstance(source, Mapping):
-        doc = source
-        name_default = "config"
+        doc, name_default = source, "config"
     else:
-        doc = load_json(source, "config")
-        name_default = Path(source).stem
+        doc, name_default = load_json(source, "config"), Path(source).stem
     if not isinstance(doc, Mapping):
         raise ConfigValidationError([("$", "config document must be a JSON object")])
 
@@ -210,209 +397,15 @@ def parse_config(source) -> ScenarioDescriptor:
     if "initial" not in doc:
         problems.add("$.initial", "missing")
     else:
-        initial = _density(doc["initial"], dim, "$.initial", problems)
+        initial = _operator(DensityOperator, _parse_state, doc["initial"], dim, "$.initial", problems)
     if doc.get("final") is not None:
-        final = _density(doc["final"], dim, "$.final", problems)
+        final = _operator(DensityOperator, _parse_state, doc["final"], dim, "$.final", problems)
 
-    raw_sets = doc.get("sets")
-    declared: set[str] = set()  # set names, whether or not the set is valid
-    schedules: dict[str, tuple[HistorySchedule, int]] = {}
-    slot_labels: dict[str, list[tuple]] = {}
-    if not isinstance(raw_sets, list) or not raw_sets:
-        problems.add("$.sets", "expected a non-empty list of sets")
-        raw_sets = []
-    for s, raw in enumerate(raw_sets):
-        spath = f"$.sets[{s}]"
-        if not isinstance(raw, Mapping):
-            problems.add(spath, "expected an object")
-            continue
-        sname = raw.get("name")
-        if not isinstance(sname, str) or not sname:
-            problems.add(f"{spath}.name", "expected a non-empty string")
-            continue
-        if sname in declared:
-            problems.add(f"{spath}.name", f"duplicate set name {sname!r}")
-            continue
-        declared.add(sname)
-        raw_slots = raw.get("slots")
-        if not isinstance(raw_slots, list) or not raw_slots:
-            problems.add(f"{spath}.slots", "expected a non-empty list of slots")
-            continue
-        slots = []
-        labels_per_slot = []
-        broken = False
-        for k, raw_slot in enumerate(raw_slots):
-            kpath = f"{spath}.slots[{k}]"
-            if not isinstance(raw_slot, Mapping):
-                problems.add(kpath, "expected an object")
-                broken = True
-                continue
-            time = raw_slot.get("time")
-            if not is_finite_number(time):
-                problems.add(f"{kpath}.time", f"expected a finite number, got {time!r}")
-                broken = True
-            raw_projectors = raw_slot.get("projectors")
-            raw_labels = raw_slot.get("labels")
-            if not isinstance(raw_projectors, list) or not raw_projectors:
-                problems.add(f"{kpath}.projectors", "expected a non-empty list of matrices")
-                broken = True
-                continue
-            if not isinstance(raw_labels, list) or len(raw_labels) != len(raw_projectors):
-                problems.add(f"{kpath}.labels", "expected one label per projector")
-                broken = True
-                continue
-            projectors = []
-            for pidx, raw_p in enumerate(raw_projectors):
-                matrix = _parse_matrix(raw_p, dim, f"{kpath}.projectors[{pidx}]", problems)
-                if matrix is None:
-                    broken = True
-                    continue
-                try:
-                    projectors.append(Projector(matrix))
-                except ValidationError as exc:
-                    problems.add(f"{kpath}.projectors[{pidx}]", str(exc))
-                    broken = True
-            labels = tuple(_parse_label(v, f"{kpath}.labels[{i}]", problems)
-                           for i, v in enumerate(raw_labels))
-            if broken:
-                continue
-            try:
-                slots.append(Slot(float(time), tuple(projectors), labels))
-                labels_per_slot.append(labels)
-            except ValidationError as exc:
-                problems.add(kpath, str(exc))
-                broken = True
-        if broken or len(slots) != len(raw_slots):
-            continue
-        try:
-            schedules[sname] = (HistorySchedule(tuple(slots), hamiltonian), s)
-            slot_labels[sname] = labels_per_slot
-        except ValidationError as exc:
-            problems.add(spath, str(exc))
-
-    space = None
-    mappings: dict[str, VariableMapping] = {}
-    raw_unify = doc.get("unify")
-    if raw_unify is not None:
-        upath = "$.unify"
-        if not isinstance(raw_unify, Mapping):
-            problems.add(upath, "expected an object")
-        else:
-            variables: dict[str, Variable] = {}
-            raw_vars = raw_unify.get("variables")
-            if not isinstance(raw_vars, list) or not raw_vars:
-                problems.add(f"{upath}.variables", "expected a non-empty list")
-            else:
-                for i, raw_v in enumerate(raw_vars):
-                    vpath = f"{upath}.variables[{i}]"
-                    if not (isinstance(raw_v, Mapping) and isinstance(raw_v.get("name"), str)
-                            and isinstance(raw_v.get("outcomes"), list)):
-                        problems.add(vpath, "expected {'name': str, 'outcomes': [...]}")
-                        continue
-                    outcomes = tuple(_parse_label(o, f"{vpath}.outcomes[{j}]", problems)
-                                     for j, o in enumerate(raw_v["outcomes"]))
-                    try:
-                        var = Variable(raw_v["name"], outcomes)
-                    except ValidationError as exc:
-                        problems.add(vpath, str(exc))
-                        continue
-                    if var.name in variables:
-                        problems.add(vpath, f"duplicate variable {var.name!r}")
-                        continue
-                    variables[var.name] = var
-            if variables:
-                try:
-                    space = JointSampleSpace(tuple(variables.values()))
-                except ValidationError as exc:
-                    problems.add(f"{upath}.variables", str(exc))
-
-            raw_map = raw_unify.get("map", {})
-            if not isinstance(raw_map, Mapping):
-                problems.add(f"{upath}.map", "expected an object keyed by set name")
-                raw_map = {}
-            for sname, raw_entries in raw_map.items():
-                mpath = f"{upath}.map.{sname}"
-                if sname not in schedules:
-                    if sname not in declared:
-                        problems.add(mpath, f"no set named {sname!r}")
-                    continue
-                n_slots = len(slot_labels[sname])
-                if not isinstance(raw_entries, list) or len(raw_entries) != n_slots:
-                    problems.add(mpath, f"expected one entry per slot ({n_slots})")
-                    continue
-                mapped_vars = []
-                groups: list[dict | None] = []
-                ok = True
-                for k, entry in enumerate(raw_entries):
-                    epath = f"{mpath}[{k}]"
-                    if isinstance(entry, str):
-                        var_name, var_groups = entry, None
-                    elif isinstance(entry, Mapping) and isinstance(entry.get("variable"), str):
-                        var_name = entry["variable"]
-                        var_groups = entry.get("groups")
-                        if var_groups is not None and not isinstance(var_groups, Mapping):
-                            problems.add(f"{epath}.groups", "expected an object")
-                            ok = False
-                            continue
-                    else:
-                        problems.add(epath, "expected a variable name or {'variable': ..., 'groups': ...}")
-                        ok = False
-                        continue
-                    if var_name not in variables:
-                        problems.add(epath, f"unknown variable {var_name!r}")
-                        ok = False
-                        continue
-                    var = variables[var_name]
-                    translation = None
-                    if var_groups:
-                        translation = {}
-                        for symbol, members in var_groups.items():
-                            gpath = f"{epath}.groups.{symbol}"
-                            key = symbol
-                            if symbol not in slot_labels[sname][k]:
-                                # JSON object keys are strings; try the original label types
-                                matches = [l for l in slot_labels[sname][k] if str(l) == symbol]
-                                if not matches:
-                                    problems.add(gpath, f"label {symbol!r} not in slot {k}")
-                                    ok = False
-                                    continue
-                                key = matches[0]
-                            if not isinstance(members, list) or not members:
-                                problems.add(gpath, "expected a non-empty outcome list")
-                                ok = False
-                                continue
-                            bad = [o for o in members if o not in var.outcomes]
-                            if bad:
-                                problems.add(gpath, f"outcomes {bad!r} not in variable {var_name!r}")
-                                ok = False
-                                continue
-                            translation[key] = tuple(members)
-                    mapped_vars.append(var)
-                    groups.append(translation)
-                if not ok:
-                    continue
-                try:
-                    mappings[sname] = VariableMapping(tuple(mapped_vars), tuple(groups))
-                except ValidationError as exc:
-                    problems.add(mpath, str(exc))
-
+    schedules, declared = _parse_sets(doc.get("sets"), dim, hamiltonian, problems)
+    space, mappings = _parse_unify(doc.get("unify"), schedules, declared, problems)
     problems.raise_if_any()
-    assert initial is not None
-
-    ordered = sorted(schedules.items(), key=lambda item: item[1][1])
-    sets = tuple(
-        ScenarioSet(sname, schedule, mappings.get(sname))
-        for sname, (schedule, _) in ordered
-    )
-    return ScenarioDescriptor(
-        name=name,
-        initial=initial,
-        final=final,
-        sets=sets,
-        space=space,
-        expected={},
-        parameters={},
-    )
+    sets = tuple(ScenarioSet(n, schedule, mappings.get(n)) for n, schedule in schedules.items())
+    return ScenarioDescriptor(name=name, initial=initial, final=final, sets=sets, space=space)
 
 
 def _encode_complex_matrix(matrix: np.ndarray) -> list:

@@ -346,6 +346,14 @@ class VariableMapping:
                 key.append(symbol)
         return tuple(key)
 
+    def marginal_table(self, probabilities: Mapping[tuple, object]) -> MarginalTable:
+        """The table of history ``probabilities`` (label -> value), summed per key."""
+        values: dict = {}
+        for label, prob in probabilities.items():
+            key = self.key_for(label)
+            values[key] = values.get(key, 0) + prob  # int 0 keeps Fraction values exact
+        return MarginalTable(self.variables, values)
+
 
 def extract_marginals(hset: HistorySet, mapping: VariableMapping,
                       tol: float = DEFAULT_CLASSIFY_TOL) -> MarginalTable:
@@ -359,11 +367,7 @@ def extract_marginals(hset: HistorySet, mapping: VariableMapping,
         raise InconsistentSetError(
             f"history set is not consistent (max off-diagonal Re = {report.max_offdiag_re:.3e})"
         )
-    values: dict = {}
-    for label, prob in history_probabilities(hset).items():
-        key = mapping.key_for(label)
-        values[key] = values.get(key, 0.0) + prob
-    return MarginalTable(mapping.variables, values)
+    return mapping.marginal_table(history_probabilities(hset))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +572,9 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     reported unique.  Phase 1 of that system runs once and every probe is one
     phase 2 from its end state.  In exact mode the width-0 system is also the
     feasibility system, so the same phase 1, read at zero cost, gives the
-    verdict.
+    verdict.  A float verdict whose delta band is feasible while the hard
+    equalities are not comes back with ``unique`` and ``component_bounds``
+    left None.
     """
     if exact:
         _require_exact(marginals)
@@ -584,8 +590,8 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
             return verdict
         system = build_constraint_system(space, marginals, 0.0)
         start = feasible_start(system.matrix, system.rhs)
-    if isinstance(start, LPResult):
-        raise NumericError("uniqueness probe LP did not solve")
+        if isinstance(start, LPResult):
+            return verdict
     n_cols = system.matrix.shape[1]
     bounds: dict[Cell, tuple] = {}
     unique = True

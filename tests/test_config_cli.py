@@ -150,6 +150,76 @@ def test_config_bad_hamiltonian_is_one_problem():
     assert err.value.problems == [("$.hamiltonian", "must be Hermitian")]
 
 
+def test_config_bad_entry_of_a_matrix_is_named_at_its_entry():
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["hamiltonian"][0][1] = "x"
+    doc["initial"][1][1] = True  # a 2x2 matrix, not a ket of two pairs
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == [
+        ("$.hamiltonian[0][1]", "expected a finite number or [re, im] pair, got 'x'"),
+        ("$.initial[1][1]", "expected a number, got a boolean")]
+
+
+def test_config_map_naming_a_variable_twice_is_a_parse_problem():
+    # the combined set is inconsistent, so analysis would never have built its table
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    doc["unify"]["map"]["combined"] = ["q1", "q1", "q2"]
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == [
+        ("$.unify.map.combined", "marginal table variables must be distinct")]
+
+
+def test_config_overlapping_groups_are_a_parse_problem():
+    doc = scenario_to_config(three_box())
+    doc["unify"]["map"]["box1"][0]["groups"]["1"] = ["1", "2"]
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == [("$.unify.map.box1", "groups of variable 'box' overlap")]
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda doc: doc["sets"][0]["slots"][0]["labels"].__setitem__(0, 1.5),
+     "$.sets[0].slots[0].labels[0]"),
+    (lambda doc: doc["unify"]["variables"][0]["outcomes"].__setitem__(0, 1.5),
+     "$.unify.variables[0].outcomes[0]"),
+], ids=["slot-label", "variable-outcome"])
+def test_config_bad_label_is_not_reported_again_at_the_map(edit, path):
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    edit(doc)
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == [(path, "labels must be strings or integers, got 1.5")]
+
+
+def test_config_checks_every_slot_of_a_set():
+    doc = scenario_to_config(build_scenario("leggett_garg"))
+    slots = doc["sets"][0]["slots"]
+    slots[0]["projectors"][0][0][0] = "x"
+    slots[1]["projectors"][1] = slots[1]["projectors"][0]  # P + P is not the identity
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert [path for path, _ in err.value.problems] == [
+        "$.sets[0].slots[0].projectors[0][0][0]", "$.sets[0].slots[1]"]
+
+
+@pytest.mark.parametrize("source", [1.5, None, [], b"config.json"])
+def test_parse_config_refuses_a_source_that_is_not_a_path(source):
+    with pytest.raises(ValidationError, match="config must be a file path"):
+        parse_config(source)
+
+
+def test_parse_config_leaves_an_integer_source_unopened():
+    fd = os.dup(2)
+    try:
+        with pytest.raises(ValidationError, match="got int"):
+            parse_config(fd)
+        os.fstat(fd)  # raises OSError once the descriptor is closed
+    finally:
+        os.close(fd)
+
+
 def test_scenario_to_config_refuses_several_hamiltonians():
     up = np.array([1.0, 0.0])
     z_slot = Slot(1.0, (Projector(projector_onto(up)), Projector(projector_onto([0.0, 1.0]))),
@@ -394,6 +464,46 @@ def test_cli_sweep_mismatched_ranges_is_exit_2(capsys):
     assert main(["sweep", "--scenario", "eprb", "--param", "theta1"]) == 2
 
 
+def test_cli_sweep_grid_above_the_cap_is_exit_2(monkeypatch, capsys):
+    from histories_lab import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert main(["sweep", "--scenario", "leggett_garg",
+                 "--param", "omega", "--range", "0:1:1000000000000"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: sweep grid has 1000000000000 points, cap is {cli.SWEEP_POINT_CAP}\n"
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta1", "--param", "theta2",
+                 "--range", "0:1:1001", "--range", "0:1:1000"]) == 2
+    assert "sweep grid has 1001000 points" in capsys.readouterr().err
+
+
+def test_cli_analyze_delta_band_without_an_exact_unifier(tmp_path):
+    # z and z tilted by 0.02 rad, both read as v: the marginals differ by
+    # about 1e-4, inside a 1e-3 band, but no table matches both exactly
+    def slot(angle):  # the state angle is half the Bloch-sphere tilt
+        up = np.array([math.cos(angle), math.sin(angle)])
+        down = np.array([-math.sin(angle), math.cos(angle)])
+        return {"time": 0.0, "labels": ["up", "down"],
+                "projectors": [np.outer(up, up).tolist(), np.outer(down, down).tolist()]}
+    doc = {"dim": 2, "initial": [1, 0], "hamiltonian": [[0, 0], [0, 0]],
+           "sets": [{"name": "z", "slots": [slot(0.0)]},
+                    {"name": "tilted", "slots": [slot(0.01)]}],
+           "unify": {"variables": [{"name": "v", "outcomes": ["up", "down"]}],
+                     "map": {"z": ["v"], "tilted": ["v"]}}}
+    path, out = tmp_path / "tilt.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path), "--delta", "1e-3", "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["unification"]["verdict"]
+    assert verdict["status"] == "feasible"
+    assert verdict["unique"] is None and verdict["component_bounds"] is None
+    assert main(["verify", str(out)]) == 0
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["unification"]["verdict"]["status"] == "infeasible"
+
+
 def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     from histories_lab import cli
     from histories_lab.errors import NumericError
@@ -571,17 +681,22 @@ def test_reverify_of_a_mutated_report_raises_only_library_errors(data):
 
 _CONFIG_REPLACEMENTS = (None, True, False, math.nan, math.inf, -math.inf, 0, -1.5, "x",
                         [], {}, [[1]], [1.0, math.nan])
-_FUZZ_CONFIG = json.dumps(scenario_to_config(three_box()))
+_FUZZ_CONFIGS = {name: json.dumps(scenario_to_config(build_scenario(name)))
+                 for name in ("three_box", "leggett_garg", "griffiths_spin")}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_cli_analyze_of_a_mutated_config_exits_0_or_2(data):
-    doc = json.loads(_FUZZ_CONFIG)
+    doc = json.loads(data.draw(st.sampled_from(sorted(_FUZZ_CONFIGS.items())))[1])
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(doc, data.draw(st.sampled_from(list(_nodes(doc)))),
                       data.draw(st.sampled_from(("drop", "swap", "duplicate", "nest"))),
                       json.loads(json.dumps(data.draw(st.sampled_from(_CONFIG_REPLACEMENTS)))))
+    try:
+        parse_config(doc)
+    except ValidationError:  # ConfigValidationError included
+        pass
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
