@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 user or validation error, 3 internal numeric
 failure (for ``verify``: stored evidence that does not check out).
 Reports are deterministic: identical inputs and flags produce
 byte-identical output.  ``sweep`` evaluates its grid points in worker
-processes forked from this one, at most ``HISTORIES_LAB_THREADS`` of them
-(default: the CPUs this process may run on, capped at 8); with one worker,
-or where ``fork`` is unavailable, the points run in this process.  A grid
-of more than ``SWEEP_POINT_CAP`` points is refused before it is built.
+processes forked from this one: ``HISTORIES_LAB_THREADS`` of them (default:
+the CPUs this process may run on), never more than ``SWEEP_WORKER_CAP`` = 8;
+with one worker, or where ``fork`` is unavailable, the points run in this
+process.  A grid of more than ``SWEEP_POINT_CAP`` points is refused before
+it is built.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .unify import (
 
 SWEEPABLE = ("eprb", "leggett_garg")
 SWEEP_POINT_CAP = 10**6
+SWEEP_WORKER_CAP = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,15 +158,17 @@ def evaluate_sweep_point(scenario: str, params: dict) -> dict:
 
 
 def _sweep_threads() -> int:
-    """Worker processes a sweep may use: ``HISTORIES_LAB_THREADS``, else the usable CPUs, at most 8."""
+    """Worker processes a sweep may use: ``HISTORIES_LAB_THREADS``, else the usable CPUs;
+    at most ``SWEEP_WORKER_CAP`` either way."""
     raw = os.environ.get("HISTORIES_LAB_THREADS", "").strip()
     if raw:
         try:
-            return max(1, int(raw))
+            requested = int(raw)
         except ValueError:
             raise ValidationError(f"HISTORIES_LAB_THREADS must be an integer, got {raw!r}") from None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(8, cpus or 1)
+    else:
+        requested = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(SWEEP_WORKER_CAP, requested or 1))
 
 
 def _evaluate_grid(scenario: str, points: list[dict]) -> list[dict]:

@@ -133,8 +133,9 @@ def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
     """Build every class operator of a schedule, one per outcome-label tuple.
 
     The returned list sums to the identity.  Products grow slot by slot over
-    the label tree, with one propagator per slot, each formed from the
-    schedule's one eigendecomposition of its Hamiltonian.  Raises
+    the label tree, one stacked matmul per slot, with one propagator per
+    slot, each formed from the schedule's one eigendecomposition of its
+    Hamiltonian.  Raises
     ``HistoryCountError`` when the schedule would produce more than
     ``DEFAULT_HISTORY_CAP`` histories.
     """
@@ -142,15 +143,15 @@ def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
     if n > DEFAULT_HISTORY_CAP:
         raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
 
-    prefixes: list[tuple[Label, np.ndarray | None]] = [((), None)]
+    labels: list[Label] = [()]
+    ops = None  # one stacked product per label prefix
     for slot in schedule.slots:
         u = eigen_propagator(schedule._eigh, slot.time)
-        moved = [u.conj().T @ p.matrix @ u for p in slot.projectors]
-        # latest-time projector on the left
-        prefixes = [(label + (symbol,), p if op is None else p @ op)
-                    for label, op in prefixes
-                    for symbol, p in zip(slot.symbols, moved)]
-    return [ClassOperator(label=label, matrix=op, homogeneous=True) for label, op in prefixes]
+        moved = u.conj().T @ np.stack([p.matrix for p in slot.projectors]) @ u
+        # latest-time projector on the left: each prefix times each projector, one matmul
+        ops = moved if ops is None else (moved[None] @ ops[:, None]).reshape(-1, *moved.shape[1:])
+        labels = [label + (symbol,) for label in labels for symbol in slot.symbols]
+    return [ClassOperator(label=label, matrix=op, homogeneous=True) for label, op in zip(labels, ops)]
 
 
 def negate(c: ClassOperator) -> ClassOperator:
@@ -241,12 +242,22 @@ class HistorySet:
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,
                 final: DensityOperator | None = None) -> HistorySet:
-    """Convenience: build the class operators of a schedule into a HistorySet."""
-    return HistorySet(
+    """Build the class operators of a schedule into a HistorySet.
+
+    The schedule keeps the last set built from it, with strong references
+    to its boundary states, so asking again with the same ``initial`` and
+    ``final`` objects returns that same set and everything it has computed.
+    """
+    last = schedule.__dict__.get("_last_set")
+    if last is not None and last[0] is initial and last[1] is final:
+        return last[2]
+    hset = HistorySet(
         class_operators=tuple(build_class_operators(schedule)),
         initial=initial,
         final=final,
     )
+    schedule.__dict__["_last_set"] = (initial, final, hset)
+    return hset
 
 
 @dataclass(frozen=True)

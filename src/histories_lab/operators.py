@@ -70,7 +70,7 @@ def bloch_projector(sign: int, axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float).reshape(-1)
     if a.shape != (3,):
         raise ValidationError(f"axis must be a 3-vector, got shape {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(a) - 1.0) <= 1e-9:  # NaN fails too
         raise ValidationError(f"axis must be a unit vector, |a| = {np.linalg.norm(a)!r}")
     return 0.5 * (np.eye(2, dtype=complex) + sign * (a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z))
 

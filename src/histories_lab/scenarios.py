@@ -6,12 +6,22 @@ sample space their variables live in, and a map of expected quantities used
 by the acceptance suite.  Expected values carry a provenance tag:
 ``published`` (stated in the source material), ``derived`` (computed here by
 an independent route), or ``trivial`` (immediate from definitions).
+
+``eprb`` and ``leggett_garg`` hand out the same validated objects for the
+same parameter values: their parameter-free parts are built once per
+process, and each projector pair, slot and schedule is kept in a bounded
+LRU memo keyed on the exact values it reads.  A sweep point therefore
+rebuilds only what its swept parameter touches, and everything cached on
+a reused schedule (its history set, and that set's decoherence functional
+and classification diagnostics) is reused with it.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
+import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -26,12 +36,40 @@ from .operators import (
     PAULI_Z,
     Projector,
     bloch_projector,
+    frozen_array,
     ket,
     projector_onto,
 )
 from .unify import JointSampleSpace, Variable, VariableMapping
 
 SCENARIO_NAMES = ("griffiths_spin", "eprb", "three_box", "leggett_garg")
+MEMO_SIZE = 64  # entries per scenario-piece memo
+
+_MEMOS = []  # every memo below, so that tests can start from cold
+
+
+def _once(build):
+    """``build`` run once per process: a scenario's parameter-free parts."""
+    cached = functools.cache(build)
+    _MEMOS.append(cached)
+    return cached
+
+
+def _memo(build):
+    """``build`` behind an LRU of ``MEMO_SIZE`` entries keyed on its arguments' exact values.
+
+    ``-0.0 == 0.0`` and the two hash alike, so the key also carries the
+    arguments' pickle, which holds every float's exact bits.  Arguments are
+    numbers and tuples of numbers.
+    """
+    cached = functools.lru_cache(MEMO_SIZE)(lambda key, *args: build(*args))
+    _MEMOS.append(cached)
+
+    @functools.wraps(build)
+    def memoized(*args):
+        return cached(pickle.dumps(args), *args)
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -174,6 +212,46 @@ def three_box() -> ScenarioDescriptor:
 
 
 _ZX_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+_EPRB_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
+_EPRB_HAMILTONIAN = frozen_array(np.zeros((4, 4)))
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """The parameter-free parts of a scenario, built once per process."""
+
+    initial: DensityOperator
+    space: JointSampleSpace
+    mappings: Mapping[str, VariableMapping]
+
+
+@_once
+def _eprb_fixed() -> _Fixed:
+    var = {i: _spin_half_variable(f"s{i}") for i in (1, 2, 3, 4)}
+    mappings = {f"pair_{i}{j}": VariableMapping((var[i], var[j])) for i, j in _EPRB_PAIRS}
+    mappings["combined"] = VariableMapping((var[1], var[3], var[2], var[4]))
+    return _Fixed(initial=DensityOperator.pure(ket([0.0, 1.0, -1.0, 0.0])),
+                  space=JointSampleSpace(tuple(var[i] for i in (1, 2, 3, 4))),
+                  mappings=mappings)
+
+
+@_memo
+def _eprb_projectors(k: int, axis: tuple[float, float, float]) -> tuple[Projector, Projector]:
+    """The outcome projectors of axis ``k``: particle A carries axes 1 and 2, particle B axes 3 and 4."""
+    eye = np.eye(2, dtype=complex)
+    blochs = (bloch_projector(s, axis) for s in (1, -1))
+    return tuple(Projector(np.kron(b, eye) if k <= 2 else np.kron(eye, b)) for b in blochs)
+
+
+@_memo
+def _eprb_slot(k: int, time: float, axis: tuple[float, float, float]) -> Slot:
+    return Slot(time, _eprb_projectors(k, axis), (1, -1))
+
+
+@_memo
+def _eprb_schedule(*slots: tuple[int, float, tuple[float, float, float]]) -> HistorySchedule:
+    """The schedule of ``(k, time, axis)`` slots."""
+    return HistorySchedule(tuple(_eprb_slot(*slot) for slot in slots), _EPRB_HAMILTONIAN)
 
 
 def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
@@ -191,31 +269,19 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         v = np.asarray(a, dtype=float).reshape(-1)
         if v.shape != (3,):
             raise ValidationError(f"axis a{k} must be a 3-vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
             raise ValidationError(f"axis a{k} must be a unit vector")
-        axes.append(tuple(v))
-    h = np.zeros((4, 4))
-    eye = np.eye(2, dtype=complex)
-
-    def lift(k, p):  # particle A carries axes 1 and 2, particle B axes 3 and 4
-        return np.kron(p, eye) if k <= 2 else np.kron(eye, p)
-
-    projs = {k: tuple(Projector(lift(k, bloch_projector(s, axes[k - 1]))) for s in (1, -1))
-             for k in (1, 2, 3, 4)}
+        axes.append(tuple(float(c) for c in v))
+    fixed = _eprb_fixed()
     # pairs measure A at t = 1 and B at t = 2; the combined set reuses the
     # slots of axes 1 and 3 and measures axes 2 and 4 at t = 3 and 4
-    pair_slot = {k: Slot(1.0 if k <= 2 else 2.0, projs[k], (1, -1)) for k in (1, 2, 3, 4)}
-
-    var = {i: _spin_half_variable(f"s{i}") for i in (1, 2, 3, 4)}
-
-    sets = []
-    for (i, j) in ((1, 3), (1, 4), (2, 3), (2, 4)):
-        schedule = HistorySchedule((pair_slot[i], pair_slot[j]), h)
-        sets.append(ScenarioSet(f"pair_{i}{j}", schedule, VariableMapping((var[i], var[j]))))
-    combined = HistorySchedule(
-        (pair_slot[1], pair_slot[3], Slot(3.0, projs[2], (1, -1)), Slot(4.0, projs[4], (1, -1))), h)
-    sets.append(ScenarioSet("combined", combined,
-                            VariableMapping((var[1], var[3], var[2], var[4]))))
+    pair_slot = {k: (k, 1.0 if k <= 2 else 2.0, axes[k - 1]) for k in (1, 2, 3, 4)}
+    schedules = {f"pair_{i}{j}": _eprb_schedule(pair_slot[i], pair_slot[j])
+                 for i, j in _EPRB_PAIRS}
+    schedules["combined"] = _eprb_schedule(pair_slot[1], pair_slot[3],
+                                           (2, 3.0, axes[1]), (4, 4.0, axes[3]))
+    sets = tuple(ScenarioSet(name, schedule, fixed.mappings[name])
+                 for name, schedule in schedules.items())
 
     expected = {
         "C13": ExpectedValue(-float(np.dot(axes[0], axes[2])) + 0.0, "derived"),
@@ -233,13 +299,12 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         expected["unifying_table"] = ExpectedValue(table, "published")
         expected["unifier_unique"] = ExpectedValue(True, "published")
 
-    singlet = ket([0.0, 1.0, -1.0, 0.0])
     return ScenarioDescriptor(
         name="eprb",
-        initial=DensityOperator.pure(singlet),
+        initial=fixed.initial,
         final=None,
-        sets=tuple(sets),
-        space=JointSampleSpace(tuple(var[i] for i in (1, 2, 3, 4))),
+        sets=sets,
+        space=fixed.space,
         expected=expected,
         parameters={f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4)
                     for ci, c in enumerate("xyz")},
@@ -267,6 +332,33 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     return desc
 
 
+_LG_PAIRS = ((1, 2), (2, 3), (1, 3))
+
+
+@_once
+def _lg_fixed() -> _Fixed:
+    var = {i: _spin_half_variable(f"q{i}") for i in (1, 2, 3)}
+    mappings = {f"pair_{i}{j}": VariableMapping((var[i], var[j])) for i, j in _LG_PAIRS}
+    mappings["combined"] = VariableMapping((var[1], var[2], var[3]))
+    return _Fixed(initial=DensityOperator.maximally_mixed(2),
+                  space=JointSampleSpace((var[1], var[2], var[3])), mappings=mappings)
+
+
+@_once
+def _lg_projectors() -> tuple[Projector, Projector]:
+    return tuple(Projector(0.5 * (np.eye(2) - s * PAULI_Z)) for s in (1, -1))
+
+
+@_memo
+def _lg_slot(time: float) -> Slot:
+    return Slot(time, _lg_projectors(), (1, -1))
+
+
+@_memo
+def _lg_schedule(omega: float, *times: float) -> HistorySchedule:
+    return HistorySchedule(tuple(_lg_slot(t) for t in times), 0.5 * omega * PAULI_X)
+
+
 def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
                  t3: float = 2.0) -> ScenarioDescriptor:
     """A spin observable watched at three times under Rabi-style evolution.
@@ -280,23 +372,17 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     if not (t1 < t2 < t3):
         raise ValidationError(f"times must be strictly increasing, got {(t1, t2, t3)}")
     omega = float(omega)
-    h = 0.5 * omega * PAULI_X
     times = {1: float(t1), 2: float(t2), 3: float(t3)}
-    for i, j in ((1, 2), (2, 3), (1, 3)):
+    for i, j in _LG_PAIRS:
         if not math.isfinite(omega * (times[j] - times[i])):
             raise ValidationError(
                 f"omega * (t{j} - t{i}) must be finite, got omega={omega!r}, "
                 f"t{i}={times[i]!r}, t{j}={times[j]!r}")
-    projs = tuple(Projector(0.5 * (np.eye(2) - s * PAULI_Z)) for s in (1, -1))
-    q_slot = {i: Slot(times[i], projs, (1, -1)) for i in (1, 2, 3)}
-
-    var = {i: _spin_half_variable(f"q{i}") for i in (1, 2, 3)}
-    sets = []
-    for (i, j) in ((1, 2), (2, 3), (1, 3)):
-        schedule = HistorySchedule((q_slot[i], q_slot[j]), h)
-        sets.append(ScenarioSet(f"pair_{i}{j}", schedule, VariableMapping((var[i], var[j]))))
-    combined = HistorySchedule((q_slot[1], q_slot[2], q_slot[3]), h)
-    sets.append(ScenarioSet("combined", combined, VariableMapping((var[1], var[2], var[3]))))
+    fixed = _lg_fixed()
+    schedules = {f"pair_{i}{j}": _lg_schedule(omega, times[i], times[j]) for i, j in _LG_PAIRS}
+    schedules["combined"] = _lg_schedule(omega, times[1], times[2], times[3])
+    sets = tuple(ScenarioSet(name, schedule, fixed.mappings[name])
+                 for name, schedule in schedules.items())
 
     expected = {
         "C12": ExpectedValue(math.cos(omega * (times[2] - times[1])), "published"),
@@ -305,13 +391,19 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     }
     return ScenarioDescriptor(
         name="leggett_garg",
-        initial=DensityOperator.maximally_mixed(2),
+        initial=fixed.initial,
         final=None,
-        sets=tuple(sets),
-        space=JointSampleSpace((var[1], var[2], var[3])),
+        sets=sets,
+        space=fixed.space,
         expected=expected,
         parameters={"omega": omega, "t1": times[1], "t2": times[2], "t3": times[3]},
     )
+
+
+_BUILDERS = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,
+             "three_box": three_box, "leggett_garg": leggett_garg}
+_ACCEPTED = {name: frozenset(inspect.signature(builder).parameters)
+             for name, builder in _BUILDERS.items()}
 
 
 def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> ScenarioDescriptor:
@@ -320,15 +412,13 @@ def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> 
     The parameters a scenario accepts, and their defaults, are its builder's
     keyword arguments.
     """
-    builders = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,
-                "three_box": three_box, "leggett_garg": leggett_garg}
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     parameters = dict(parameters or {})
-    accepted = inspect.signature(builders[name]).parameters
+    accepted = _ACCEPTED[name]
     if parameters and not accepted:
         raise ValidationError(f"{name} takes no parameters")
-    unknown = set(parameters) - set(accepted)
+    unknown = set(parameters) - accepted
     if unknown:
         raise ValidationError(f"unknown {name} parameters {sorted(unknown)}")
-    return builders[name](**parameters)
+    return _BUILDERS[name](**parameters)

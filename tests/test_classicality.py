@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from histories_lab.classicality import classify, detect_zero_cover
+from histories_lab.classicality import DEFAULT_ZERO_COVER_THRESHOLD, classify, detect_zero_cover
 from histories_lab.histories import (
     HistorySchedule,
     Slot,
@@ -150,3 +152,51 @@ def test_zero_cover_not_evaluated_when_too_large():
     report = detect_zero_cover(hset)
     assert not report.evaluated
     assert not report.found and not report.preclusive
+
+
+def _zero_cover_one_subset_at_a_time(hset):
+    """Reference search: every subset's sub-matrix summed on its own."""
+    d = decoherence_functional(hset)
+    n, threshold = len(d.labels), DEFAULT_ZERO_COVER_THRESHOLD
+    measures = d.diagonal()
+    for size in range(2, n + 1):
+        keys = [(tuple(i for i in range(n) if i not in subset), subset)
+                for subset in itertools.combinations(range(n), size)
+                if all(measures[i] > threshold for i in subset)
+                and d.entries[np.ix_(subset, subset)].sum().real <= threshold]
+        if keys:
+            return tuple(d.labels[i] for i in min(keys)[1])
+    return None
+
+
+def test_zero_cover_matches_the_one_subset_at_a_time_search():
+    # post-select on a state orthogonal to (sum of P_k over S)|psi> for one or
+    # two subsets S of one size: those unions have measure zero, like
+    # three_box's {2, 3}, and two of them exercise the tie-break
+    rng = np.random.default_rng(41)
+    found = ties = 0
+    for _ in range(80):
+        dim = int(rng.integers(3, 8))
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        projs = tuple(Projector(projector_onto(basis[:, k])) for k in range(dim))
+        psi = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        size = int(rng.integers(2, dim))
+        zero = [sum(projs[k].matrix for k in rng.choice(dim, size=size, replace=False)) @ psi
+                for _ in range(int(rng.integers(1, 3)))]
+        q, _ = np.linalg.qr(np.stack(zero, axis=1))
+        f = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        f -= q @ (q.conj().T @ f)
+        if abs(np.vdot(f, psi)) < 1e-3:
+            continue
+        hset = history_set(HistorySchedule((Slot(0.0, projs, tuple(range(dim))),), np.zeros((dim, dim))),
+                           DensityOperator.pure(psi), DensityOperator.pure(f))
+        report = detect_zero_cover(hset)
+        expected = _zero_cover_one_subset_at_a_time(hset)
+        assert report.witness == expected
+        assert report.found == (expected is not None)
+        found += report.found
+        d = decoherence_functional(hset)
+        ties += report.found and sum(
+            d.entries[np.ix_(subset, subset)].sum().real <= DEFAULT_ZERO_COVER_THRESHOLD
+            for subset in itertools.combinations(range(dim), len(report.witness))) > 1
+    assert found > 60 and ties > 20

@@ -22,7 +22,7 @@ from histories_lab.analysis import (
     report_to_json,
     reverify,
 )
-from histories_lab.cli import main
+from histories_lab.cli import SWEEP_WORKER_CAP, _sweep_threads, main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_probability
@@ -373,6 +373,15 @@ def test_sweep_thread_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HISTORIES_LAB_THREADS", "junk")
     assert main(["sweep", "--scenario", "leggett_garg",
                  "--param", "omega", "--range", "0.2:1.2:2"]) == 2
+
+
+def test_sweep_workers_are_capped_whatever_the_environment_says(monkeypatch):
+    # only reads the variable: no process is started
+    for raw, expected in (("500", SWEEP_WORKER_CAP), (str(10**12), SWEEP_WORKER_CAP),
+                          ("3", 3), ("0", 1), ("-4", 1)):
+        monkeypatch.setenv("HISTORIES_LAB_THREADS", raw)
+        assert _sweep_threads() == expected
+    assert SWEEP_WORKER_CAP == 8
 
 
 def _sweep(monkeypatch, capsys, workers, argv):

@@ -6,7 +6,7 @@ import pytest
 from histories_lab.classicality import classify, detect_zero_cover
 from histories_lab.errors import ValidationError
 from histories_lab.histories import history_probabilities, quasi_probabilities
-from histories_lab.operators import max_abs
+from histories_lab.operators import bloch_projector, max_abs
 from histories_lab.scenarios import (
     build_scenario,
     eprb,
@@ -83,6 +83,13 @@ def test_eprb_correlation_is_minus_dot_product():
 def test_eprb_rejects_non_unit_axis():
     with pytest.raises(ValidationError):
         eprb((1.0, 1.0, 0.0), XHAT, ZHAT, XHAT)
+
+
+def test_eprb_rejects_a_nan_axis_as_not_a_unit_vector():
+    with pytest.raises(ValidationError, match="a1 must be a unit vector"):
+        build_scenario("eprb", {"theta1": math.nan})
+    with pytest.raises(ValidationError, match="unit vector"):
+        bloch_projector(1, (math.nan, 0.0, 1.0))
 
 
 def test_eprb_degenerate_equal_axes_give_identical_pair_sets():
