@@ -28,18 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .histories import (
-    ClassOperator,
     DecoherenceFunctional,
     HistorySchedule,
     HistorySet,
     Slot,
     build_class_operators,
-    coarse_measure,
     decoherence_functional,
     history_probabilities,
-    history_probability,
     history_set,
-    negate,
     negation_interference,
     quasi_probabilities,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import HistorySet, Label, decoherence_functional, quasi_probabilities
+from .histories import HistorySet, Label, decoherence_functional
 
 DEFAULT_CLASSIFY_TOL = 1e-10
 DEFAULT_ZERO_COVER_THRESHOLD = 1e-9
@@ -51,23 +51,6 @@ class ClassicalityReport:
             raise AssertionError("classicality flags violate the hierarchy")
 
 
-def _diagnostics(hset: HistorySet) -> tuple[float, float, float, float]:
-    """What ``classify`` compares with its tolerance, computed once per set and kept on it.
-
-    In order: max off-diagonal |D| and |Re D|, min quasi-probability, and
-    max |quasi - probability|.
-    """
-    cached = hset.__dict__.get("_classicality")
-    if cached is None:
-        d = decoherence_functional(hset)
-        quasi = quasi_probabilities(hset)
-        q = np.array([quasi[label] for label in d.labels])
-        cached = (d.max_offdiagonal_abs(), d.max_offdiagonal_re(), float(q.min()),
-                  float(np.max(np.abs(q - d.diagonal()))))
-        hset.__dict__["_classicality"] = cached
-    return cached
-
-
 def classify(hset: HistorySet, tol: float = DEFAULT_CLASSIFY_TOL) -> ClassicalityReport:
     """Classify a history set at an absolute tolerance.
 
@@ -75,7 +58,7 @@ def classify(hset: HistorySet, tol: float = DEFAULT_CLASSIFY_TOL) -> Classicalit
     depend only on the set, which computes them once; a call compares them
     with ``tol``.
     """
-    max_abs_off, max_re_off, min_q, max_gap = _diagnostics(hset)
+    max_abs_off, max_re_off, min_q, max_gap = hset.classicality_diagnostics
 
     decoherent = max_abs_off <= tol
     consistent = max_re_off <= tol or decoherent
@@ -128,7 +111,7 @@ def detect_zero_cover(hset: HistorySet) -> ZeroCoverReport:
     matrix of their indicator rows.
     """
     threshold = DEFAULT_ZERO_COVER_THRESHOLD
-    n = len(hset.class_operators)
+    n = len(hset.labels)
     if n > AUTO_ENUMERATION_LIMIT:
         return ZeroCoverReport(found=False, witness=None, preclusive=False,
                                evaluated=False, threshold_used=threshold)
@@ -154,6 +137,6 @@ def detect_zero_cover(hset: HistorySet) -> ZeroCoverReport:
     if best is None:
         return ZeroCoverReport(found=False, witness=None, preclusive=True,
                                evaluated=True, threshold_used=threshold)
-    witness = tuple(hset.class_operators[i].label for i in best)
+    witness = tuple(hset.labels[i] for i in best)
     return ZeroCoverReport(found=True, witness=witness, preclusive=False,
                            evaluated=True, threshold_used=threshold)

@@ -42,7 +42,6 @@ This module checks the JSON shape; the domain constructors (``Slot``,
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from fractions import Fraction
@@ -348,9 +347,8 @@ def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str,
         n_labels = schedule.label_count()
         if n_labels <= DEFAULT_HISTORY_CAP and not (
                 problems.under(declared[name]) or problems.under("$.unify.variables")):
-            labels = itertools.product(*(slot.symbols for slot in schedule.slots))
             _attempt(problems, path, mapping.marginal_table,
-                     dict.fromkeys(labels, Fraction(1, n_labels)))
+                     dict.fromkeys(schedule.labels, Fraction(1, n_labels)))
     return space, mappings
 
 

@@ -7,17 +7,22 @@ Heisenberg-picture projectors; the family sums to the identity.  Probabilities
 are diagonal entries of the decoherence functional
 ``D(x, y) = Tr(C_x rho C_y^dag)``, optionally post-selected on a final state
 with the ``1 / Tr(rho_f rho)`` normalization.
-Inputs are validated once, where they enter; objects derived from validated
-ones are trusted by construction, and each ``HistorySet`` computes its
-decoherence functional and quasi-probabilities at most once.
+
+A ``HistorySet`` is three values: its labels, one read-only ``(n, dim, dim)``
+stack of class operators in label order, and its boundary states.  Inputs
+are validated once, where they enter; the set is the only place class
+operators are checked.  Everything derived from a set (its decoherence
+functional, quasi-probabilities and classification diagnostics) is computed
+at most once and cached on the set itself, by the set's own properties.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -43,6 +48,15 @@ DEFAULT_HISTORY_CAP = 4096
 Label = tuple  # tuple of outcome symbols, one per schedule slot
 
 
+def _check_distinct(items: tuple, what: str) -> None:
+    try:
+        distinct = len(set(items)) == len(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be hashable, got {items!r}") from None
+    if not distinct:
+        raise ValidationError(f"{what} must be distinct")
+
+
 @dataclass(frozen=True)
 class Slot:
     """One moment of the schedule: a time, a projective decomposition and its outcome symbols."""
@@ -62,8 +76,7 @@ class Slot:
             raise ValidationError(
                 f"slot needs one symbol per projector, got {len(self.symbols)} for {len(projs)}"
             )
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValidationError("slot symbols must be distinct")
+        _check_distinct(self.symbols, "slot symbols")
         report = validate_projective_decomposition(projs)
         if not report.valid:
             raise ValidationError(
@@ -100,6 +113,11 @@ class HistorySchedule:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        """Every outcome-label tuple: the product of the slot symbols, earliest slot most significant."""
+        return tuple(itertools.product(*(slot.symbols for slot in self.slots)))
+
     def label_count(self) -> int:
         n = 1
         for slot in self.slots:
@@ -112,83 +130,71 @@ class HistorySchedule:
         return np.linalg.eigh(self.hamiltonian)
 
 
-@dataclass(frozen=True)
-class ClassOperator:
-    """One history: a label and its operator; homogeneous = product of projectors."""
+def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
+    """Every class operator of a schedule, as one ``(n, dim, dim)`` stack in
+    ``schedule.labels`` order; the stack sums to the identity.
 
-    label: Label
-    matrix: np.ndarray
-    homogeneous: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "label", tuple(self.label))
-        object.__setattr__(self, "matrix", frozen_array(as_square_matrix(self.matrix, "class operator")))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_class_operators(schedule: HistorySchedule) -> list[ClassOperator]:
-    """Build every class operator of a schedule, one per outcome-label tuple.
-
-    The returned list sums to the identity.  Products grow slot by slot over
-    the label tree, one stacked matmul per slot, with one propagator per
-    slot, each formed from the schedule's one eigendecomposition of its
-    Hamiltonian.  Raises
-    ``HistoryCountError`` when the schedule would produce more than
-    ``DEFAULT_HISTORY_CAP`` histories.
+    Products grow slot by slot, one stacked matmul per slot, with one
+    propagator per slot, each formed from the schedule's one
+    eigendecomposition of its Hamiltonian.  Raises ``HistoryCountError``
+    when the schedule would produce more than ``DEFAULT_HISTORY_CAP``
+    histories.
     """
     n = schedule.label_count()
     if n > DEFAULT_HISTORY_CAP:
         raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
 
-    labels: list[Label] = [()]
     ops = None  # one stacked product per label prefix
     for slot in schedule.slots:
         u = eigen_propagator(schedule._eigh, slot.time)
         moved = u.conj().T @ np.stack([p.matrix for p in slot.projectors]) @ u
         # latest-time projector on the left: each prefix times each projector, one matmul
         ops = moved if ops is None else (moved[None] @ ops[:, None]).reshape(-1, *moved.shape[1:])
-        labels = [label + (symbol,) for label in labels for symbol in slot.symbols]
-    return [ClassOperator(label=label, matrix=op, homogeneous=True) for label, op in zip(labels, ops)]
-
-
-def negate(c: ClassOperator) -> ClassOperator:
-    """Negation 1 - C of a history; the result is inhomogeneous."""
-    eye = np.eye(c.dim, dtype=complex)
-    return ClassOperator(label=("not",) + c.label, matrix=eye - c.matrix, homogeneous=False)
+    return ops
 
 
 @dataclass(frozen=True)
 class HistorySet:
-    """A labelled family of class operators plus boundary conditions.
+    """Labelled class operators plus boundary conditions.
 
-    The class operators must sum to the identity within ``DEFAULT_TOL``.  When
-    a final state is present, probabilities are conditioned on it and the
-    overlap ``Tr(rho_f rho)`` must be resolvable.  The set is immutable, so
-    its decoherence functional and quasi-probabilities are computed once, on
-    first use, and every consumer reads those values.
+    ``class_operators[i]`` is the class operator of ``labels[i]``; the labels
+    are distinct tuples, and the operators must sum to the identity within
+    ``DEFAULT_TOL``.  When a final state is present, probabilities are
+    conditioned on it and the overlap ``Tr(rho_f rho)`` must be resolvable.
+    The set keeps its own read-only copy of the stack and is immutable, so
+    its decoherence functional, quasi-probabilities and classification
+    diagnostics are computed once, on first use, and every consumer reads
+    those values.
     """
 
-    class_operators: tuple[ClassOperator, ...]
+    labels: tuple[Label, ...]
+    class_operators: np.ndarray
     initial: DensityOperator
     final: DensityOperator | None = None
 
     def __post_init__(self):
-        ops = tuple(self.class_operators)
-        if not ops:
-            raise ValidationError("history set must contain at least one class operator")
-        object.__setattr__(self, "class_operators", ops)
+        labels = tuple(self.labels)
+        if not labels:
+            raise ValidationError("history set must contain at least one history")
+        for label in labels:
+            if not isinstance(label, tuple):
+                raise ValidationError(f"history label {label!r} must be a tuple")
+        _check_distinct(labels, "history labels")
+        object.__setattr__(self, "labels", labels)
         dim = self.initial.dim
-        if any(c.dim != dim for c in ops):
-            raise ValidationError("class operators must match the initial state dimension")
-        labels = [c.label for c in ops]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("class operator labels must be distinct")
+        try:
+            ops = frozen_array(self.class_operators)
+        except (TypeError, ValueError):
+            raise ValidationError("class operators must be a stack of complex matrices") from None
+        if ops.shape != (len(labels), dim, dim):
+            raise ValidationError(
+                f"class operators must form a ({len(labels)}, {dim}, {dim}) stack, "
+                f"one {dim}x{dim} matrix per label, got shape {ops.shape}"
+            )
+        object.__setattr__(self, "class_operators", ops)
         total = np.zeros((dim, dim), dtype=complex)
         for c in ops:
-            total += c.matrix
+            total += c
         dev = max_abs(total - np.eye(dim))
         if not dev <= DEFAULT_TOL:
             raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
@@ -204,18 +210,8 @@ class HistorySet:
         object.__setattr__(self, "_weight", weight)
 
     @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(c.label for c in self.class_operators)
-
-    @property
     def dim(self) -> int:
         return self.initial.dim
-
-    def operator(self, label: Label) -> ClassOperator:
-        for c in self.class_operators:
-            if c.label == tuple(label):
-                return c
-        raise ValidationError(f"label {label!r} is not in this history set")
 
     def post_selection_weight(self) -> float:
         """Normalization Tr(rho_f rho), computed once at construction; 1.0 without a final state."""
@@ -223,7 +219,7 @@ class HistorySet:
 
     @cached_property
     def _functional(self) -> "DecoherenceFunctional":
-        ops = np.stack([c.matrix for c in self.class_operators])
+        ops = self.class_operators
         rho = self.initial.matrix
         left = ops @ rho if self.final is None else self.final.matrix @ ops @ rho
         # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
@@ -231,13 +227,26 @@ class HistorySet:
         flat_ops = ops.reshape(ops.shape[0], -1)
         entries = (flat_left @ flat_ops.conj().T) / self.post_selection_weight()
         entries = (entries + entries.conj().T) / 2
+        entries.setflags(write=False)
         return DecoherenceFunctional(labels=self.labels, entries=entries,
                                      post_selected=self.final is not None)
 
     @cached_property
     def _quasi(self) -> dict[Label, float]:
-        return {c.label: float(_weighted_trace(self, c.matrix @ self.initial.matrix).real)
-                for c in self.class_operators}
+        return {label: float(_weighted_trace(self, c @ self.initial.matrix).real)
+                for label, c in zip(self.labels, self.class_operators)}
+
+    @cached_property
+    def classicality_diagnostics(self) -> tuple[float, float, float, float]:
+        """What ``classify`` compares with its tolerance, in order: max
+        off-diagonal |D| and |Re D|, min quasi-probability, and max
+        |quasi - probability|."""
+        d = self._functional
+        off = ~np.eye(len(self.labels), dtype=bool)
+        q = np.array(list(self._quasi.values()))
+        return (float(np.abs(d.entries).max(where=off, initial=0.0)),
+                float(np.abs(d.entries.real).max(where=off, initial=0.0)),
+                float(q.min()), float(np.max(np.abs(q - d.diagonal()))))
 
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,
@@ -251,11 +260,8 @@ def history_set(schedule: HistorySchedule, initial: DensityOperator,
     last = schedule.__dict__.get("_last_set")
     if last is not None and last[0] is initial and last[1] is final:
         return last[2]
-    hset = HistorySet(
-        class_operators=tuple(build_class_operators(schedule)),
-        initial=initial,
-        final=final,
-    )
+    ops = build_class_operators(schedule)  # checks the history cap before any label is built
+    hset = HistorySet(schedule.labels, ops, initial, final)
     schedule.__dict__["_last_set"] = (initial, final, hset)
     return hset
 
@@ -266,47 +272,19 @@ class DecoherenceFunctional:
 
     The diagonal holds the candidate probabilities.  Without a final state the
     entries sum to exactly 1 up to floating error; with post-selection that sum
-    is only a diagnostic (it equals 1 when the set is consistent).
+    is only a diagnostic (it equals 1 when the set is consistent).  Only a
+    ``HistorySet`` makes one, with read-only entries in its label order.
     """
 
     labels: tuple[Label, ...]
     entries: np.ndarray
     post_selected: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        m = as_square_matrix(self.entries, "decoherence functional")
-        if m.shape[0] != len(self.labels):
-            raise ValidationError("decoherence functional must be indexed by the label list")
-        object.__setattr__(self, "entries", frozen_array(m))
-
-    def index(self, label: Label) -> int:
-        try:
-            return self.labels.index(tuple(label))
-        except ValueError:
-            raise ValidationError(f"label {label!r} is not in this decoherence functional") from None
-
     def diagonal(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
 
-    def probability(self, label: Label) -> float:
-        return float(self.entries[self.index(label), self.index(label)].real)
-
     def total(self) -> complex:
         return complex(self.entries.sum())
-
-    def max_offdiagonal_abs(self) -> float:
-        return _max_offdiag(np.abs(self.entries))
-
-    def max_offdiagonal_re(self) -> float:
-        return _max_offdiag(np.abs(self.entries.real))
-
-
-def _max_offdiag(mag: np.ndarray) -> float:
-    if mag.shape[0] < 2:
-        return 0.0
-    off = mag - np.diag(np.diag(mag))
-    return float(off.max())
 
 
 def decoherence_functional(hset: HistorySet) -> DecoherenceFunctional:
@@ -322,11 +300,6 @@ def _weighted_trace(hset: HistorySet, matrix: np.ndarray) -> complex:
     if hset.final is None:
         return complex(np.trace(matrix))
     return complex(np.trace(hset.final.matrix @ matrix)) / hset.post_selection_weight()
-
-
-def history_probability(hset: HistorySet, label: Label) -> float:
-    """Diagonal decoherence-functional entry for one history."""
-    return decoherence_functional(hset).probability(label)
 
 
 def history_probabilities(hset: HistorySet) -> dict[Label, float]:
@@ -345,16 +318,9 @@ def negation_interference(hset: HistorySet, label: Label) -> complex:
     Its real part is exactly the gap between the quasi-probability and the
     probability of the history: ``q - p = Re D(x, not-x)``.
     """
-    c = hset.operator(label)
-    cbar = negate(c)
-    return _weighted_trace(hset, c.matrix @ hset.initial.matrix @ cbar.matrix.conj().T)
-
-
-def coarse_measure(hset: HistorySet, labels: Sequence[Label]) -> float:
-    """Measure of the union history: probability of the summed class operator."""
-    ops = [hset.operator(label).matrix for label in labels]
-    if not ops:
-        raise ValidationError("coarse graining needs at least one history")
-    summed = sum(ops)
-    m = summed @ hset.initial.matrix @ summed.conj().T
-    return float(_weighted_trace(hset, m).real)
+    try:
+        c = hset.class_operators[hset.labels.index(tuple(label))]
+    except (TypeError, ValueError):
+        raise ValidationError(f"label {label!r} is not in this history set") from None
+    negation = np.eye(hset.dim, dtype=complex) - c
+    return _weighted_trace(hset, c @ hset.initial.matrix @ negation.conj().T)

@@ -192,7 +192,7 @@ class MarginalTable:
             raise ValidationError("marginal table keys must form the full product of the per-variable partitions")
         values = {k: canonical[k] for k in ordered_keys}
         for key, value in values.items():
-            if not (isinstance(value, Rational) or math.isfinite(value)):
+            if not is_finite_number(value):
                 raise ValidationError(f"marginal value {value!r} for key {key!r} is not finite")
 
         total = sum(values.values())
@@ -258,7 +258,9 @@ class CorrelationSet:
             pair = (a, b) if a <= b else (b, a)
             if pair in normalized:
                 raise ValidationError(f"duplicate correlation pair {pair!r}")
-            if not abs(float(value)) <= 1.0 + TABLE_TOL:  # NaN fails too
+            if not is_finite_number(value):
+                raise ValidationError(f"correlation {pair!r} = {value!r} is not a finite number")
+            if not abs(value) <= 1.0 + TABLE_TOL:
                 raise ValidationError(f"correlation {pair!r} = {value!r} is outside [-1, 1]")
             normalized[pair] = float(value)
         object.__setattr__(self, "values", dict(sorted(normalized.items())))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from histories_lab.histories import ClassOperator, HistorySchedule, HistorySet, Slot, history_set
+from histories_lab.histories import HistorySchedule, HistorySet, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector
 
 
@@ -50,10 +50,7 @@ def product_history_set(rng, dim_a=2, dim_b=2):
     """Uncorrelated non-interacting composite: product state, product class operators."""
     set_a = random_history_set(rng, dim=dim_a)
     set_b = random_history_set(rng, dim=dim_b)
-    ops = []
-    for ca in set_a.class_operators:
-        for cb in set_b.class_operators:
-            ops.append(ClassOperator(label=(ca.label, cb.label),
-                                     matrix=np.kron(ca.matrix, cb.matrix)))
+    labels = tuple((la, lb) for la in set_a.labels for lb in set_b.labels)
+    ops = [np.kron(ca, cb) for ca in set_a.class_operators for cb in set_b.class_operators]
     rho = DensityOperator(np.kron(set_a.initial.matrix, set_b.initial.matrix))
-    return set_a, set_b, HistorySet(tuple(ops), rho)
+    return set_a, set_b, HistorySet(labels, ops, rho)

@@ -197,7 +197,7 @@ def test_criterion_7_structural_invariants():
         rng = np.random.default_rng(SEED + 1)
         for _ in range(1000):
             hset = random_history_set(rng)
-            total = sum(c.matrix for c in hset.class_operators)
+            total = sum(hset.class_operators)
             assert max_abs(total - np.eye(hset.dim)) <= 1e-10
 
             functional = decoherence_functional(hset)

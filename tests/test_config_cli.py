@@ -25,7 +25,7 @@ from histories_lab.analysis import (
 from histories_lab.cli import SWEEP_WORKER_CAP, _sweep_threads, main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
-from histories_lab.histories import HistorySchedule, Slot, history_probability
+from histories_lab.histories import HistorySchedule, Slot, history_probabilities
 from histories_lab.operators import PAULI_X, DensityOperator, Projector, projector_onto
 from histories_lab.scenarios import ScenarioDescriptor, ScenarioSet, build_scenario, three_box
 from histories_lab.simplex import verify_certificate
@@ -229,7 +229,7 @@ def test_scenario_to_config_refuses_several_hamiltonians():
         sets=(ScenarioSet("a", HistorySchedule((z_slot,), np.zeros((2, 2)))),
               ScenarioSet("b", HistorySchedule((z_slot,), PAULI_X))),
         space=None)
-    assert abs(history_probability(desc.build("b"), (1,)) - math.cos(1.0) ** 2) < 1e-12
+    assert abs(history_probabilities(desc.build("b"))[(1,)] - math.cos(1.0) ** 2) < 1e-12
     with pytest.raises(ValidationError, match="one hamiltonian"):
         scenario_to_config(desc)
 

@@ -13,12 +13,9 @@ from histories_lab.histories import (
     HistorySet,
     Slot,
     build_class_operators,
-    coarse_measure,
     decoherence_functional,
     history_probabilities,
-    history_probability,
     history_set,
-    negate,
     negation_interference,
     quasi_probabilities,
 )
@@ -53,22 +50,21 @@ def spin_set(slots, initial=UP, final=PLUS):
 def test_single_slot_class_operators_are_the_projectors():
     schedule = HistorySchedule((Slot(0.0, Z_DECOMP, (1, -1)),), H2)
     ops = build_class_operators(schedule)
-    assert [c.label for c in ops] == [(1,), (-1,)]
-    np.testing.assert_array_equal(ops[0].matrix, Z_DECOMP[0].matrix)
-    assert all(c.homogeneous for c in ops)
+    assert schedule.labels == ((1,), (-1,))
+    np.testing.assert_array_equal(ops[0], Z_DECOMP[0].matrix)
 
 
 def test_two_slot_ordering_latest_projector_leftmost():
     # x projected first, z second: C = P_z P_x
     schedule = HistorySchedule((Slot(0.0, X_DECOMP, (1, -1)), Slot(1.0, Z_DECOMP, (1, -1))), H2)
-    ops = {c.label: c.matrix for c in build_class_operators(schedule)}
+    ops = dict(zip(schedule.labels, build_class_operators(schedule)))
     expected = Z_DECOMP[0].matrix @ X_DECOMP[1].matrix
     np.testing.assert_allclose(ops[(-1, 1)], expected, atol=1e-15)
 
 
 def test_class_operators_sum_to_identity():
     schedule = HistorySchedule((Slot(0.0, X_DECOMP, (1, -1)), Slot(1.0, Z_DECOMP, (1, -1))), H2)
-    total = sum(c.matrix for c in build_class_operators(schedule))
+    total = sum(build_class_operators(schedule))
     assert max_abs(total - np.eye(2)) < 1e-12
 
 
@@ -103,14 +99,15 @@ def test_class_operators_match_heisenberg_products():
         for t in np.sort(rng.uniform(0.0, 3.0, size=3)):
             decomposition = random_decomposition(rng, dim)
             slots.append(Slot(float(t), decomposition, tuple(range(len(decomposition)))))
-        ops = build_class_operators(HistorySchedule(tuple(slots), h))
-        assert [c.label for c in ops] == list(itertools.product(*(s.symbols for s in slots)))
-        for c in ops:
+        schedule = HistorySchedule(tuple(slots), h)
+        ops = build_class_operators(schedule)
+        assert list(schedule.labels) == list(itertools.product(*(s.symbols for s in slots)))
+        for label, c in zip(schedule.labels, ops):
             product = None
-            for slot, i in zip(slots, c.label):
+            for slot, i in zip(slots, label):
                 moved = heisenberg_projector(slot.projectors[i], h, slot.time).matrix
                 product = moved if product is None else moved @ product
-            assert np.array_equal(c.matrix, product)
+            assert np.array_equal(c, product)
 
 
 def test_one_eigendecomposition_per_schedule(monkeypatch):
@@ -134,20 +131,6 @@ def test_one_eigendecomposition_per_schedule(monkeypatch):
     assert len(calls) == 1
 
 
-def test_negate_identity_gives_zero():
-    schedule = HistorySchedule((Slot(0.0, (Projector(np.eye(2)),), ("all",)),), H2)
-    (c,) = build_class_operators(schedule)
-    neg = negate(c)
-    assert not neg.homogeneous
-    assert max_abs(neg.matrix) == 0.0
-
-
-def test_negate_is_involution_on_dyadic_entries():
-    schedule = HistorySchedule((Slot(0.0, X_DECOMP, (1, -1)), Slot(1.0, Z_DECOMP, (1, -1))), H2)
-    for c in build_class_operators(schedule):
-        np.testing.assert_array_equal(negate(negate(c)).matrix, c.matrix)
-
-
 def test_post_selected_probabilities_griffiths():
     zset = spin_set([Slot(0.0, Z_DECOMP, (1, -1))])
     probs = history_probabilities(zset)
@@ -167,7 +150,7 @@ def test_decoherence_functional_griffiths_z_diagonal():
     zset = spin_set([Slot(0.0, Z_DECOMP, (1, -1))])
     d = decoherence_functional(zset)
     np.testing.assert_allclose(d.diagonal(), [1.0, 0.0], atol=1e-12)
-    assert d.max_offdiagonal_abs() < 1e-12
+    assert zset.classicality_diagnostics[0] < 1e-12  # max off-diagonal |D|
 
 
 def test_single_decomposition_gives_born_diagonal():
@@ -179,7 +162,7 @@ def test_single_decomposition_gives_born_diagonal():
     schedule = HistorySchedule((Slot(0.0, decomposition, (0, 1, 2)),), np.zeros((3, 3)))
     hset = history_set(schedule, rho)
     d = decoherence_functional(hset)
-    assert d.max_offdiagonal_abs() < 1e-12
+    assert hset.classicality_diagnostics[0] < 1e-12  # max off-diagonal |D|
     born = [np.trace(p.matrix @ rho.matrix).real for p in decomposition]
     np.testing.assert_allclose(d.diagonal(), born, atol=1e-12)
     assert abs(sum(d.diagonal()) - 1.0) < 1e-12
@@ -267,7 +250,7 @@ def test_post_selection_weight_is_computed_once(monkeypatch):
         final, rho = hset.final.matrix, hset.initial.matrix
         weight = float(np.trace(final @ rho).real)
         assert hset.post_selection_weight() == weight
-        ops = np.stack([c.matrix for c in hset.class_operators])
+        ops = hset.class_operators
         flat_left = (final @ ops @ rho).reshape(len(ops), -1)
         entries = (flat_left @ ops.reshape(len(ops), -1).conj().T) / weight
         entries = (entries + entries.conj().T) / 2
@@ -283,28 +266,62 @@ def test_post_selection_weight_is_computed_once(monkeypatch):
         monkeypatch.setattr(np, "trace", counting_trace)
         quasi = quasi_probabilities(hset)
         monkeypatch.undo()
-        assert len(traced) == len(hset.class_operators)  # none for the weight
-        for c in hset.class_operators:
-            expected = float((complex(np.trace(final @ (c.matrix @ rho))) / weight).real)
-            assert quasi[c.label] == expected
-
-
-def test_coarse_measure_matches_summed_operator():
-    zx = spin_set([Slot(0.0, X_DECOMP, (1, -1)), Slot(1.0, Z_DECOMP, (1, -1))])
-    labels = [(1, 1), (1, -1)]
-    summed = sum(zx.operator(l).matrix for l in labels)
-    z = zx.post_selection_weight()
-    direct = np.trace(zx.final.matrix @ summed @ zx.initial.matrix @ summed.conj().T).real / z
-    assert abs(coarse_measure(zx, labels) - direct) < 1e-12
+        assert len(traced) == len(hset.labels)  # none for the weight
+        for label, c in zip(hset.labels, hset.class_operators):
+            expected = float((complex(np.trace(final @ (c @ rho))) / weight).real)
+            assert quasi[label] == expected
 
 
 def test_history_probability_unknown_label():
+    # an unknown history label is rejected, with and without a final state
     zset = spin_set([Slot(0.0, Z_DECOMP, (1, -1))])
-    with pytest.raises(ValidationError):
-        history_probability(zset, ("nope",))
+    rng = np.random.default_rng(11)
+    for hset in (zset, random_history_set(rng, post_selected=False)):
+        with pytest.raises(ValidationError):
+            negation_interference(hset, ("nope",))
 
 
 def test_history_set_requires_sum_to_identity():
     ops = build_class_operators(HistorySchedule((Slot(0.0, Z_DECOMP, (1, -1)),), H2))
     with pytest.raises(ValidationError):
-        HistorySet((ops[0],), DensityOperator.pure(UP))
+        HistorySet(((1,),), ops[:1], DensityOperator.pure(UP))
+
+
+def test_slot_rejects_unhashable_symbols():
+    with pytest.raises(ValidationError, match="slot symbols must be hashable"):
+        Slot(0.0, Z_DECOMP, ([1], [2]))
+
+
+def test_history_set_rejects_malformed_labels():
+    ops = build_class_operators(HistorySchedule((Slot(0.0, Z_DECOMP, (1, -1)),), H2))
+    up = DensityOperator.pure(UP)
+    with pytest.raises(ValidationError, match="must be a tuple"):
+        HistorySet((1, -1), ops, up)
+    with pytest.raises(ValidationError, match="must be hashable"):
+        HistorySet(((1,), ([2],)), ops, up)
+    with pytest.raises(ValidationError, match="must be distinct"):
+        HistorySet(((1,), (1,)), ops, up)
+    HistorySet(((1,), (-1,)), ops, up)
+
+
+def test_history_set_rejects_a_stack_of_the_wrong_shape_or_count():
+    ops = build_class_operators(HistorySchedule((Slot(0.0, Z_DECOMP, (1, -1)),), H2))
+    up = DensityOperator.pure(UP)
+    labels = ((1,), (-1,))
+    for bad in (ops[0], ops[:, :1], np.zeros((2, 3, 3)), list(ops) + [np.eye(3)]):
+        with pytest.raises(ValidationError, match="class operators must"):
+            HistorySet(labels, bad, up)
+    with pytest.raises(ValidationError, match=r"must form a \(3, 2, 2\) stack"):
+        HistorySet(labels + ((0,),), ops, up)  # one label too many
+    with pytest.raises(ValidationError, match=r"must form a \(1, 2, 2\) stack"):
+        HistorySet(labels[:1], ops, up)
+
+
+def test_history_set_keeps_its_own_read_only_stack():
+    schedule = HistorySchedule((Slot(0.0, Z_DECOMP, (1, -1)),), H2)
+    ops = build_class_operators(schedule)
+    hset = HistorySet(schedule.labels, ops, DensityOperator.pure(UP))
+    ops[0, 0, 0] = 7.0
+    assert hset.class_operators[0, 0, 0] == 1.0
+    assert not hset.class_operators.flags.writeable
+    assert not decoherence_functional(hset).entries.flags.writeable

@@ -34,7 +34,7 @@ def test_class_operators_sum_to_identity_randomized():
     rng = np.random.default_rng(101)
     for _ in range(100):
         hset = random_history_set(rng)
-        total = sum(c.matrix for c in hset.class_operators)
+        total = sum(hset.class_operators)
         assert max_abs(total - np.eye(hset.dim)) < 1e-10
 
 
@@ -43,7 +43,7 @@ def test_homogeneous_normalization_identity():
     rng = np.random.default_rng(102)
     for _ in range(100):
         hset = random_history_set(rng)
-        total = sum(c.matrix.conj().T @ c.matrix for c in hset.class_operators)
+        total = sum(c.conj().T @ c for c in hset.class_operators)
         assert max_abs(total - np.eye(hset.dim)) < 1e-10
 
 

@@ -97,7 +97,7 @@ def test_eprb_degenerate_equal_axes_give_identical_pair_sets():
     ops13 = desc.build("pair_13").class_operators
     ops23 = desc.build("pair_23").class_operators
     for a, b in zip(ops13, ops23):
-        assert max_abs(a.matrix - b.matrix) == 0.0
+        assert max_abs(a - b) == 0.0
 
 
 def test_eprb_planar_defaults_are_the_zx_configuration():

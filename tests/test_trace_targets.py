@@ -1,8 +1,9 @@
 """The benchmark reads package functions, attributes and report fields by name.
 
 ``perfbench/spans.py`` resolves every ``(module, attribute)`` in ``TRACED``
-with ``getattr`` and wraps a traced class's own ``__post_init__``;
-``perfbench/run.py`` records ``cli._sweep_threads()`` and
+with ``getattr``, wraps a traced class's own ``__post_init__`` and counts
+histories built as the ``len`` of what ``histories.build_class_operators``
+returns; ``perfbench/run.py`` records ``cli._sweep_threads()`` and
 ``histories_lab.active_backend()``; ``perfbench/workloads.py`` reads the
 inequality checks through ``unify.bell_check``/``unify.chsh_check`` and the
 report's ``bell``/``chsh`` blocks.  A rename in the package would break the
@@ -13,8 +14,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import histories_lab
-from histories_lab import analysis, cli, scenarios, unify
+from histories_lab import analysis, cli, histories, operators, scenarios, unify
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,6 +41,15 @@ def test_every_traced_name_resolves():
             assert (method or "__post_init__") in owner.__dict__, (module_name, attr)
         else:
             assert callable(owner) and not method, (module_name, attr)
+
+
+def test_histories_built_counts_one_per_label():
+    # spans.py counts histories.histories_built as len(build_class_operators(schedule))
+    z = operators.Projector(np.diag([1.0, 0.0])), operators.Projector(np.diag([0.0, 1.0]))
+    for times in ((0.0,), (0.0, 1.0, 2.0)):
+        schedule = histories.HistorySchedule(
+            tuple(histories.Slot(t, z, (1, -1)) for t in times), np.zeros((2, 2)))
+        assert len(histories.build_class_operators(schedule)) == schedule.label_count()
 
 
 def test_sweep_thread_count_is_exposed():

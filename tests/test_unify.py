@@ -67,6 +67,20 @@ def test_non_finite_values_are_rejected_naming_the_key(value):
         CorrelationSet({("a", "b"): value})
 
 
+@pytest.mark.parametrize("values", [{1: True, -1: False}, {1: "0.5", -1: "0.5"},
+                                    {1: None, -1: 1.0}, {1: [1.0], -1: 0.0}])
+def test_non_number_values_are_rejected_naming_the_key(values):
+    # bools are not probabilities: {1: True, -1: False} once built an "exact" table
+    with pytest.raises(ValidationError, match=r"for key \(\(1,\),\) is not finite"):
+        MarginalTable((SA,), values)
+
+
+@pytest.mark.parametrize("value", [True, "x", None, 0.5j])
+def test_non_number_correlations_are_rejected_naming_the_pair(value):
+    with pytest.raises(ValidationError, match=r"\('a', 'b'\) = .* is not a finite number"):
+        CorrelationSet({("b", "a"): value})
+
+
 def test_nan_table_never_reaches_a_verdict():
     with pytest.raises(ValidationError):
         find_unifying_probability(JointSampleSpace((SA,)),
