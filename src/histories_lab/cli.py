@@ -3,24 +3,30 @@
 Exit codes: 0 success, 2 user or validation error, 3 internal numeric
 failure (for ``verify``: stored evidence that does not check out).
 Reports are deterministic: identical inputs and flags produce
-byte-identical output.  ``sweep`` evaluates its grid points in worker
-processes forked from this one: ``HISTORIES_LAB_THREADS`` of them (default:
-the CPUs this process may run on), never more than ``SWEEP_WORKER_CAP`` = 8;
-with one worker, or where ``fork`` is unavailable, the points run in this
-process.  A grid of more than ``SWEEP_POINT_CAP`` points is refused before
-it is built.
+byte-identical output.  ``sweep`` splits its row-major grid into
+``HISTORIES_LAB_THREADS`` equal contiguous slices (default: the CPUs this
+process may run on, never more than ``SWEEP_WORKER_CAP`` = 8); this process
+evaluates the first slice and each later one runs in a child forked from it.
+With one slice, or where ``fork`` is unavailable, every point runs in this
+process.  Within a slice each infeasible point offers its Farkas certificate
+to the next, which reports it only after checking it against its own
+constraint system.  A grid of more than ``SWEEP_POINT_CAP`` points is
+refused before it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import functools
 import io
 import itertools
 import math
 import os
+import pickle
+import signal
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,15 +136,27 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def evaluate_sweep_point(scenario: str, params: dict) -> dict:
+@dataclass
+class Carry:
+    """What a grid point hands the next point of its slice: the Farkas
+    certificate of an infeasible point, or ``None`` after a feasible one."""
+
+    certificate: list | None = None
+
+
+def evaluate_sweep_point(scenario: str, params: dict, carry: Carry | None = None) -> dict:
     """One grid point: combined-set consistency, max inequality value, LP feasibility.
 
     The pair correlations of both scenarios go around a cycle, so the
     inequality value is the largest left-hand side of the n-cycle family
     (``unify.cycle_check``): the eight CHSH combinations, bound 2, for eprb
     and the four three-time Leggett-Garg combinations, bound 1, for
-    leggett_garg.
+    leggett_garg.  ``carry`` offers the previous point's certificate to
+    ``find_unifying_probability``, which reports it only if it verifies
+    against this point's own constraint system, and keeps this point's
+    certificate for the next point.
     """
+    carry = Carry() if carry is None else carry
     descriptor = build_scenario(scenario, params)
     tables = []
     combined_consistent = None
@@ -149,7 +167,8 @@ def evaluate_sweep_point(scenario: str, params: dict) -> dict:
             combined_consistent = report.consistent
         elif sset.mapping is not None and report.consistent:
             tables.append(extract_marginals(hset, sset.mapping))
-    verdict = find_unifying_probability(descriptor.space, tables)
+    verdict = find_unifying_probability(descriptor.space, tables, certificate=carry.certificate)
+    carry.certificate = verdict.farkas_certificate
     return {
         "combined_consistent": int(bool(combined_consistent)),
         "max_combination": cycle_check(correlations_from_marginals(tables)).max_value,
@@ -158,8 +177,8 @@ def evaluate_sweep_point(scenario: str, params: dict) -> dict:
 
 
 def _sweep_threads() -> int:
-    """Worker processes a sweep may use: ``HISTORIES_LAB_THREADS``, else the usable CPUs;
-    at most ``SWEEP_WORKER_CAP`` either way."""
+    """Processes a sweep may use, this one included: ``HISTORIES_LAB_THREADS``,
+    else the usable CPUs; at most ``SWEEP_WORKER_CAP`` either way."""
     raw = os.environ.get("HISTORIES_LAB_THREADS", "").strip()
     if raw:
         try:
@@ -171,27 +190,77 @@ def _sweep_threads() -> int:
     return max(1, min(SWEEP_WORKER_CAP, requested or 1))
 
 
+def _evaluate_slice(scenario: str, points: list[dict]) -> list[dict]:
+    """``evaluate_sweep_point`` over contiguous points, each carrying its
+    certificate to the next."""
+    carry = Carry()
+    return [evaluate_sweep_point(scenario, point, carry) for point in points]
+
+
+def _fork_slice(scenario: str, points: list[dict]) -> tuple[int, io.BufferedReader]:
+    """Fork a child that pickles the rows of ``_evaluate_slice``, or its
+    first error, into a pipe and exits; return its pid and the pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = _evaluate_slice(scenario, points)
+            except Exception as exc:
+                payload = exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+        finally:
+            os._exit(0)  # never return into the parent's stack
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _slice_rows(worker: int, pipe: io.BufferedReader) -> list[dict]:
+    """The rows a child sent, or the error it sent raised here."""
+    try:
+        payload = pickle.loads(pipe.read())
+    except (EOFError, pickle.UnpicklingError):
+        raise HistoriesLabError(f"sweep worker {worker} exited without a result") from None
+    if isinstance(payload, Exception):
+        raise payload
+    return payload
+
+
 def _evaluate_grid(scenario: str, points: list[dict]) -> list[dict]:
-    """``evaluate_sweep_point`` over the points, in order, forked across workers.
+    """``_evaluate_slice`` over ``_sweep_threads()`` equal contiguous slices, in grid order.
 
-    ``map`` yields rows in grid order and re-raises the first failing
-    point's error, so output and errors match a serial loop.  With one
-    worker nothing is forked.
+    This process evaluates the first slice and each later slice runs in a
+    forked child.  Children are read in slice order, so rows come back in
+    grid order and a failing grid raises its first failing point's error,
+    as a serial loop does.  Every child is killed and reaped before this
+    returns or raises.  With one worker, or without ``os.fork``, nothing is
+    forked.
     """
-    evaluate = functools.partial(evaluate_sweep_point, scenario)
     workers = min(_sweep_threads(), len(points))
-    if workers > 1:
-        # imported here: the pool modules add about 2 MB to every process
-        # that loads the CLI, and only a pooled sweep uses them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            chunk = math.ceil(len(points) / (4 * workers))
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(evaluate, points, chunksize=chunk))
-    return list(map(evaluate, points))
+    if workers == 1 or not hasattr(os, "fork"):
+        return _evaluate_slice(scenario, points)
+    edges = [len(points) * k // workers for k in range(workers + 1)]
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_slice(scenario, points[edges[k]:edges[k + 1]]))
+        rows = _evaluate_slice(scenario, points[:edges[1]])
+        for worker, (_, pipe) in enumerate(children, 1):
+            rows += _slice_rows(worker, pipe)
+        return rows
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def cmd_sweep(args) -> int:

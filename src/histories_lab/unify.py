@@ -252,9 +252,12 @@ class CorrelationSet:
     def __post_init__(self):
         normalized = {}
         for key, value in self.values.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(name, str) for name in key) and key[0] != key[1]):
+                raise ValidationError(
+                    f"correlation key {key!r} must be a pair of two distinct variable names"
+                )
             a, b = key
-            if a == b:
-                raise ValidationError("correlation pairs need two distinct variables")
             pair = (a, b) if a <= b else (b, a)
             if pair in normalized:
                 raise ValidationError(f"duplicate correlation pair {pair!r}")
@@ -549,16 +552,29 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                              delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
+                              delta: float = DEFAULT_DELTA, exact: bool = False, *,
+                              certificate: Sequence | None = None) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
     a verified Farkas certificate.  ``exact=True`` requires rational marginal
     values and decides feasibility exactly, independent of delta.
+
+    ``certificate`` is a candidate Farkas vector, such as the certificate of
+    a neighbouring system that differs only in its right-hand side (a Farkas
+    certificate stays valid on an open set of right-hand sides).  When
+    ``verify_certificate`` accepts it against this system, it is the verdict
+    and no LP is solved; otherwise, and on a feasible system, the LP solves
+    as without it.  Exact mode checks only an all-rational candidate, exactly.
     """
     if exact:
         _require_exact(marginals)
     system = build_constraint_system(space, marginals, delta, exact)
+    if certificate is not None \
+            and (not exact or all(isinstance(v, Rational) for v in certificate)) \
+            and verify_certificate(system.matrix, system.rhs, certificate, system.upper):
+        return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=list(certificate),
+                                  mode="exact" if exact else "float", delta=delta)
     result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
     return _checked_verdict(space, marginals, system, result, delta, exact)
 

@@ -3,9 +3,9 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import pickle
+import signal
 import tempfile
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histories_lab import cli
 from histories_lab.analysis import (
     SCHEMA_VERSION,
     AnalysisOptions,
@@ -384,6 +385,15 @@ def test_sweep_workers_are_capped_whatever_the_environment_says(monkeypatch):
     assert SWEEP_WORKER_CAP == 8
 
 
+def _no_child_left():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def _sweep(monkeypatch, capsys, workers, argv):
     monkeypatch.setenv("HISTORIES_LAB_THREADS", str(workers))
     code = main(["sweep", *argv])
@@ -401,7 +411,7 @@ def test_sweep_csv_is_the_same_in_process_and_forked(monkeypatch, capsys, argv):
     assert serial[0] == pooled[0] == 0
     assert serial[1].out == pooled[1].out
     assert len(pooled[1].out.splitlines()) == int(argv[-1].rsplit(":", 1)[1]) + 1
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,16 +427,58 @@ def test_sweep_failure_is_the_first_in_grid_order_in_process_and_forked(monkeypa
     assert serial[0] == pooled[0] == 2
     assert serial[1] == pooled[1]
     assert len(serial[1].err.splitlines()) == 1 and "Traceback" not in serial[1].err
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
 
-def test_one_sweep_worker_builds_no_process_pool(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was built")
+def test_one_sweep_worker_forks_nothing(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     code, out = _sweep(monkeypatch, capsys, 1, README_SWEEPS[1])
     assert code == 0 and len(out.out.splitlines()) == 42
+
+
+def _slice_work(monkeypatch, in_children, in_parent=None):
+    """Replace the slice work of forked workers by ``in_children`` and, when
+    given, the slice work of this process by ``in_parent``."""
+    parent = os.getpid()
+    in_parent = in_parent or cli._evaluate_slice
+
+    def slice_work(scenario, points):
+        return (in_parent if os.getpid() == parent else in_children)(scenario, points)
+
+    monkeypatch.setattr(cli, "_evaluate_slice", slice_work)
+
+
+def test_sweep_worker_without_a_result_is_an_internal_error(monkeypatch, capsys):
+    _slice_work(monkeypatch, lambda scenario, points: os._exit(1))
+    code, out = _sweep(monkeypatch, capsys, 2, README_SWEEPS[1])
+    assert code == 3 and out.out == ""
+    assert out.err.splitlines() == ["internal error: sweep worker 1 exited without a result"]
+    assert _no_child_left()
+
+
+def test_failing_first_slice_does_not_wait_on_a_full_pipe(monkeypatch, capsys):
+    def first_slice_fails(scenario, points):
+        raise ValidationError("the first slice failed")
+
+    # a child's rows pickle to far more than a 64 KiB pipe buffer holds
+    _slice_work(monkeypatch, lambda scenario, points: [{"padding": "x" * (1 << 20)}],
+                first_slice_fails)
+
+    def hung(signum, frame):
+        raise AssertionError("the sweep waited on a worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code, out = _sweep(monkeypatch, capsys, 2, README_SWEEPS[1])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out.err == "error: the first slice failed\n"
+    assert _no_child_left()
 
 
 def test_config_validation_error_survives_pickling():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +445,13 @@ def test_correlation_set_validation():
         CorrelationSet({("a", "b"): 1.5})
     with pytest.raises(ValidationError):
         CorrelationSet({("a", "a"): 0.0})
+
+
+@pytest.mark.parametrize("key", ["ab", ("a", "b", "c"), 5, ("a", 1)],
+                         ids=["string", "triple", "int", "non-string-name"])
+def test_correlation_keys_must_be_pairs_of_distinct_names(key):
+    with pytest.raises(ValidationError, match=f"correlation key {re.escape(repr(key))} must be a pair"):
+        CorrelationSet({key: 0.5})
 
 
 # ---------------------------------------------------------------------------
