@@ -1,19 +1,29 @@
 """The Bland-rule pivot loop shared by float and exact simplex solves.
 
-One loop and one pivot work on a dense numpy tableau of either dtype:
-``float64`` with a small pivot tolerance, or ``object`` holding
-``fractions.Fraction`` entries with tolerance 0.  The Bland scans run on
-``.tolist()`` copies, whose Python floats divide and compare exactly like
-numpy scalars.  Only the rank-1 update depends on the dtype: float tableaus
-take the dense ``np.outer`` update, rational ones touch only the nonzero rows
-and pivot-row columns, which leaves every value the same (``x - f*0 == x``)
-and saves most of the ``Fraction`` arithmetic.
+One loop works on either of two tableau representations:
+
+- a dense ``float64`` numpy tableau with a small pivot tolerance, whose
+  Bland scans run on ``.tolist()`` copies and whose pivot is the dense
+  ``np.outer`` rank-1 update;
+- an ``IntTableau`` of Python-``int`` rows, row ``i`` meaning
+  ``rows[i] / den[i]`` with ``den[i] > 0`` and the row reduced by its gcd
+  after every update (fraction-free elimination, Edmonds 1967; Bareiss
+  1968).  A value's sign is its numerator's, a ratio of two entries of one
+  row is a ratio of numerators, and ratios are compared by cross
+  multiplication, so no rational number is ever built and no tolerance
+  is needed.
+
+The Bland control flow (entering column, ratio test, ties, bound flips,
+counts) is the same for both; only the arithmetic at each step is picked by
+the representation.  Every exact tableau value equals the rational the
+textbook ``Fraction`` tableau would hold, so both take the same pivots.
 
 Columns may carry finite upper bounds (Dantzig's upper-bounded simplex).  A
 variable at its upper bound ``u`` is kept in the tableau as ``u - x``: its
 column is negated and ``u`` times the old column moves into the rhs, so every
 nonbasic variable still sits at 0 and the rhs still holds the basic values.
-``flipped[j]`` records which orientation column ``j`` is in.
+``flipped[j]`` records which orientation column ``j`` is in.  An exact bound
+is an ``(numerator, denominator)`` pair of ints.
 """
 
 from __future__ import annotations
@@ -32,24 +42,168 @@ def active_backend() -> str:
     return "numpy"
 
 
-def pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Pivot on ``tableau[row, col]`` in place and record ``col`` as basic in ``row``."""
-    tableau[row, :] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0
-    if tableau.dtype == object:
-        rows = np.flatnonzero(column)
-        cols = np.flatnonzero(tableau[row, :])
-        tableau[np.ix_(rows, cols)] -= np.outer(column[rows], tableau[row, cols])
+class IntTableau:
+    """An exact tableau: row ``i`` is ``rows[i] / den[i]``, its last entry the rhs.
+
+    Every ``den[i]`` is positive and every row is kept reduced:
+    ``gcd(den[i], *rows[i]) == 1``.  A basic column's entry in its row is
+    therefore ``den[i]``.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: list[list[int]], den: list[int]):
+        self.rows = rows
+        self.den = den
+
+    def copy(self) -> "IntTableau":
+        return IntTableau([row[:] for row in self.rows], self.den[:])
+
+
+def reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row / den`` divided through by the gcd of its entries and ``den``."""
+    if den == 1:
+        return row, den
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def eliminate(row: list[int], den: int, prow: list[int], p: int, col: int) -> tuple[list[int], int]:
+    """``row / den`` minus its column-``col`` value times ``prow / p``, reduced.
+
+    ``prow[col]`` must equal ``p > 0``, so ``prow / p`` is 1 in column
+    ``col`` and the result is 0 there: the row becomes
+    ``row * p - row[col] * prow`` over ``den * p``.
+    """
+    f = row[col]
+    if p == 1:
+        return reduced([a - f * b for a, b in zip(row, prow)], den)
+    return reduced([a * p - f * b for a, b in zip(row, prow)], den * p)
+
+
+def pivot(tableau, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on entry ``(row, col)`` in place and record ``col`` as basic in ``row``."""
+    if isinstance(tableau, IntTableau):
+        rows, den = tableau.rows, tableau.den
+        prow, p = rows[row], rows[row][col]
+        if p < 0:
+            prow, p = [-v for v in prow], -p
+        # row / den divided by its entry p / den is prow / p
+        prow, p = reduced(prow, p)
+        rows[row], den[row] = prow, p
+        for i, other in enumerate(rows):
+            if i != row and other[col]:
+                rows[i], den[i] = eliminate(other, den[i], prow, p, col)
     else:
+        tableau[row, :] /= tableau[row, col]
+        column = tableau[:, col].copy()
+        column[row] = 0
         tableau -= np.outer(column, tableau[row, :])
     basis[row] = col
 
 
-def simplex_loop(tableau: np.ndarray, basis: np.ndarray, n_eligible: int,
+def _float_ratio_test(tableau: np.ndarray, basis: np.ndarray, enter: int,
+                      row_upper: list | None, bound, tol) -> tuple[int, bool, bool]:
+    """The ratio test on a float tableau: the leaving row (``-1`` when no row
+    bounds the step), whether its basic variable stops at its upper bound,
+    and whether the entering column's own ``bound`` comes first."""
+    m = len(basis)
+    column = tableau[:m, enter].tolist()
+    rhs = tableau[:m, -1].tolist()
+    leave = -1
+    best = None
+    for i, coef in enumerate(column):
+        if coef > tol:
+            ratio = rhs[i] / coef
+        elif row_upper is not None and coef < -tol and row_upper[i] != math.inf:
+            ratio = (row_upper[i] - rhs[i]) / -coef
+        else:
+            continue
+        if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+            leave, best = i, ratio
+    bound_first = bound != math.inf and (leave < 0 or bound < best
+                                         or (bound == best and enter < basis[leave]))
+    return leave, leave >= 0 and column[leave] < 0, bound_first
+
+
+def _float_flip_column(tableau: np.ndarray, enter: int, bound: float) -> None:
+    entering = tableau[:, enter].copy()
+    tableau[:, -1] -= bound * entering
+    tableau[:, enter] = -entering
+
+
+def _float_flip_row(tableau: np.ndarray, i: int, label: int, bound: float) -> None:
+    value = tableau[i, -1]
+    tableau[i, :] = -tableau[i, :]
+    tableau[i, label] = -tableau[i, label]
+    tableau[i, -1] = bound - value
+
+
+def _exact_ratio_test(tableau: IntTableau, basis: np.ndarray, enter: int,
+                      row_upper: list | None, bound, tol) -> tuple[int, bool, bool]:
+    """``_float_ratio_test`` on an exact tableau; signs need no ``tol``, which is unused.
+
+    A row's denominator cancels from ``rhs / coef``; a bounded row's step
+    ``(u - rhs/den) / (-coef/den)`` is ``(un*den - rhs*ud) / (-coef*ud)``.
+    Steps are ``(numerator, denominator)`` pairs with a positive
+    denominator, compared by cross multiplication.
+    """
+    rows, den = tableau.rows, tableau.den
+    leave, bp, bq = -1, 0, 1
+    for i in range(len(basis)):
+        row = rows[i]
+        coef = row[enter]
+        if coef > 0:
+            p, q = row[-1], coef
+        elif row_upper is not None and coef < 0 and row_upper[i] != math.inf:
+            un, ud = row_upper[i]
+            p, q = un * den[i] - row[-1] * ud, -coef * ud
+        else:
+            continue
+        if leave < 0 or p * bq < bp * q or (p * bq == bp * q and basis[i] < basis[leave]):
+            leave, bp, bq = i, p, q
+    at_bound = leave >= 0 and rows[leave][enter] < 0
+    if bound == math.inf:
+        return leave, at_bound, False
+    un, ud = bound
+    return leave, at_bound, (leave < 0 or un * bq < bp * ud
+                             or (un * bq == bp * ud and enter < basis[leave]))
+
+
+def _exact_flip_column(tableau: IntTableau, enter: int, bound: tuple[int, int]) -> None:
+    """Substitute ``u - x`` for column ``enter`` in every row that holds it.
+
+    Row ``i`` becomes ``(row*ud, rhs*ud - un*e)`` over ``den*ud`` with the
+    column negated, where ``e`` is its entry; rows with ``e == 0`` stay.
+    """
+    un, ud = bound
+    rows, den = tableau.rows, tableau.den
+    for i, row in enumerate(rows):
+        e = row[enter]
+        if e:
+            new = [v * ud for v in row]
+            new[enter] = -new[enter]
+            new[-1] -= un * e
+            rows[i], den[i] = reduced(new, den[i] * ud)
+
+
+def _exact_flip_row(tableau: IntTableau, i: int, label: int, bound: tuple[int, int]) -> None:
+    """Rewrite row ``i`` for ``u - x`` of its basic variable ``label``:
+    the row negated, ``label`` back at 1 and the rhs ``u - rhs``."""
+    un, ud = bound
+    row, d = tableau.rows[i], tableau.den[i]
+    new = [-v * ud for v in row]
+    new[label] = d * ud
+    new[-1] = un * d - row[-1] * ud
+    tableau.rows[i], tableau.den[i] = reduced(new, d * ud)
+
+
+def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
                  tol, max_iter: int, upper: list | None = None,
                  flipped: np.ndarray | None = None) -> tuple[int, int, int]:
-    """Bland-rule simplex iterations on a dense tableau, in place.
+    """Bland-rule simplex iterations on a float or ``IntTableau``, in place.
 
     Layout: rows 0..m-1 are constraints, row m is the reduced-cost row with
     the negated objective in its last entry; the last column is the rhs.
@@ -59,55 +213,43 @@ def simplex_loop(tableau: np.ndarray, basis: np.ndarray, n_eligible: int,
     variable drops to 0), ``(u - rhs)/-coef`` over entries below ``-tol``
     whose basic variable has a finite bound ``u`` (it reaches ``u``), and
     the entering column's own bound.  Ties go to the lowest column label,
-    the entering column counting with its own index.
+    the entering column counting with its own index.  An exact tableau
+    takes ``tol=0``.
 
-    ``upper`` holds one bound per column (``math.inf`` when unbounded) and
-    ``flipped`` the orientation of each column, updated in place; with
-    ``upper=None`` every bound is infinite.  Returns a LOOP_* code, the
-    number of pivots and the number of entering-column bound flips.
+    ``upper`` holds one bound per column (``math.inf`` when unbounded; an
+    int pair for an exact tableau) and ``flipped`` the orientation of each
+    column, updated in place; with ``upper=None`` every bound is infinite.
+    Returns a LOOP_* code, the number of pivots and the number of
+    entering-column bound flips.
     """
-    m = tableau.shape[0] - 1
+    exact = isinstance(tableau, IntTableau)
+    ratio_test, flip_column, flip_row = (
+        (_exact_ratio_test, _exact_flip_column, _exact_flip_row) if exact
+        else (_float_ratio_test, _float_flip_column, _float_flip_row))
+    m = len(basis)
     row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
     pivots = flips = 0
     for _ in range(max_iter):
-        costs = tableau[m, :n_eligible].tolist()
+        costs = tableau.rows[m][:n_eligible] if exact else tableau[m, :n_eligible].tolist()
         enter = next((j for j, v in enumerate(costs) if v < -tol), -1)
         if enter < 0:
             return LOOP_OPTIMAL, pivots, flips
 
-        column = tableau[:m, enter].tolist()
-        rhs = tableau[:m, -1].tolist()
-        leave = -1
-        best = None
-        for i, coef in enumerate(column):
-            if coef > tol:
-                ratio = rhs[i] / coef
-            elif row_upper is not None and coef < -tol and row_upper[i] != math.inf:
-                ratio = (row_upper[i] - rhs[i]) / -coef
-            else:
-                continue
-            if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                leave, best = i, ratio
         bound = math.inf if upper is None else upper[enter]
-        if bound != math.inf and (leave < 0 or bound < best
-                                  or (bound == best and enter < basis[leave])):
+        leave, at_bound, bound_first = ratio_test(tableau, basis, enter, row_upper, bound, tol)
+        if bound_first:
             # the entering variable reaches its own bound first: substitute
             # bound - x for it in every row, the cost row included; no pivot
-            entering = tableau[:, enter].copy()
-            tableau[:, -1] -= bound * entering
-            tableau[:, enter] = -entering
+            flip_column(tableau, enter, bound)
             flipped[enter] = not flipped[enter]
             flips += 1
             continue
         if leave < 0:
             return LOOP_UNBOUNDED, pivots, flips
-        if row_upper is not None and column[leave] < 0:
+        if at_bound:
             # the leaving variable stops at its bound: rewrite its row for u - x
             label = basis[leave]
-            value = tableau[leave, -1]
-            tableau[leave, :] = -tableau[leave, :]
-            tableau[leave, label] = -tableau[leave, label]
-            tableau[leave, -1] = row_upper[leave] - value
+            flip_row(tableau, leave, label, row_upper[leave])
             flipped[label] = not flipped[label]
         pivot(tableau, basis, leave, enter)
         pivots += 1

@@ -6,8 +6,12 @@ simplex: a bound costs no extra row).  Pivot selection uses Bland's
 lowest-index rule throughout, which prevents cycling and makes every run
 deterministic.  One two-phase driver serves both arithmetics:
 ``solve_lp_float`` hands it a float64 tableau with tolerances,
-``solve_lp_exact`` an object tableau of ``fractions.Fraction`` with every
-tolerance 0, and both pivot through ``_kernels.simplex_loop``.  Its two
+``solve_lp_exact`` an ``_kernels.IntTableau`` with every tolerance 0, and
+both pivot through ``_kernels.simplex_loop``.  The exact tableau holds
+Python-``int`` rows, each over its own positive denominator; ``Fraction``s
+exist only at the boundary: the inputs, bounds and each cost vector become
+integer rows once, and ``x``, ``objective`` and ``certificate`` are read
+back out as ``Fraction``s.  Its two
 phases are separate steps: ``feasible_start`` runs phase 1 once and
 ``FeasibleStart.solve`` runs phase 2 for one cost vector on a copy of its
 end state, so many objectives over one system share one phase 1.  Infeasible
@@ -20,13 +24,23 @@ without bounds).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
-from ._kernels import LOOP_ITER_LIMIT, LOOP_OPTIMAL, LOOP_UNBOUNDED, pivot, simplex_loop
+from ._kernels import (
+    LOOP_ITER_LIMIT,
+    LOOP_OPTIMAL,
+    LOOP_UNBOUNDED,
+    IntTableau,
+    eliminate,
+    pivot,
+    reduced,
+    simplex_loop,
+)
 from .errors import NumericError, ValidationError
 
 DEFAULT_FEAS_TOL = 1e-9
@@ -46,10 +60,14 @@ class LPResult:
     a shared ``FeasibleStart`` reports the same counts as a fresh solve of
     its system: phase 1's counts, although phase 1 ran only once for every
     result read from that start, plus its own phase 2's.
+
+    Float solves give ``x`` and ``certificate`` as float64 arrays and
+    ``objective`` as a float; exact solves give lists of ``Fraction`` and a
+    ``Fraction``, read out of the integer tableau.
     """
 
     status: str
-    x: object = None           # ndarray (float mode) or list[Fraction]
+    x: object = None
     objective: object = None
     certificate: object = None  # Farkas vector over the original rows
     pivots: int = 0
@@ -70,14 +88,17 @@ class FeasibleStart:
 
     The tableau holds the original columns and the rhs after the artificials
     were driven out and redundant rows dropped; its last row is left free
-    for a cost row.  ``basis`` and ``flipped`` give each row's basic column
-    and each column's orientation, ``upper`` the per-column bounds.
+    for a cost row.  It is a float64 array, or in exact mode an
+    ``IntTableau`` of reduced integer rows, each over its own positive
+    denominator.  ``basis`` and ``flipped`` give each row's basic column
+    and each column's orientation, ``upper`` the per-column bounds (float64,
+    or exact rationals and ``math.inf``).
     ``pivots`` and ``bound_flips`` are phase 1's counts.  ``solve`` never
     changes the start, so every cost vector starts from the same tableau that
     a fresh solve of the same system reaches.
     """
 
-    tableau: np.ndarray
+    tableau: np.ndarray | IntTableau
     basis: np.ndarray
     flipped: np.ndarray
     upper: np.ndarray | None
@@ -86,7 +107,7 @@ class FeasibleStart:
 
     @property
     def exact(self) -> bool:
-        return self.tableau.dtype == object
+        return isinstance(self.tableau, IntTableau)
 
     def solve(self, c=None) -> LPResult:
         """Phase 2 for min c.x from a copy of this start; ``None`` is the zero cost."""
@@ -95,84 +116,137 @@ class FeasibleStart:
         return _phase_two(copy, _cost(c, len(self.flipped), self.exact))
 
 
+def _int_row(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator;
+    the result is reduced because every ``Fraction`` is."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_bounds(upper) -> list:
+    """Exact bounds as the loop's ``(numerator, denominator)`` pairs; ``math.inf`` stays."""
+    return [u if u == math.inf else (u.numerator, u.denominator) for u in upper]
+
+
+def _exact_phase_one_tableau(A: np.ndarray, b: np.ndarray, signs: list[int]) -> IntTableau:
+    """Phase 1's exact tableau: row ``i`` is ``signs[i] * [A_i, e_i, b_i]``
+    over its own denominator, and the cost row is minus the sum of the
+    constraint rows with 0 on the artificials, over the lcm of theirs."""
+    m, n = A.shape
+    rows, den = [], []
+    for i, (values, sign) in enumerate(zip(np.column_stack([A, b]).tolist(), signs)):
+        nums, d = _int_row(values)
+        artificial = [0] * m
+        artificial[i] = d
+        rows.append([sign * v for v in nums[:n]] + artificial + [sign * nums[-1]])
+        den.append(d)
+    common = math.lcm(*den)
+    scaled = [[v * (common // d) for v in row] for row, d in zip(rows, den)]
+    cost = [-sum(column) for column in zip(*scaled)]
+    cost[n:n + m] = [0] * m
+    cost, cost_den = reduced(cost, common)
+    return IntTableau(rows + [cost], den + [cost_den])
+
+
 def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResult | FeasibleStart:
     """Phase 1 and, on a feasible system, artificial drive-out.
 
     Returns an infeasible ``LPResult`` with its Farkas certificate, or the
     ``FeasibleStart`` phase 2 works on.  ``A``, ``b`` and ``upper`` are
-    float64 arrays, or object arrays of Fractions, which every tolerance
-    treats as 0.  ``upper`` bounds each column of ``A`` from above
-    (``math.inf`` for no bound); ``None`` leaves every column unbounded.
+    float64 arrays, or object arrays of exact rationals (``int`` or
+    ``Fraction``), which solve on an ``IntTableau`` with every tolerance 0.
+    ``upper`` bounds each column of ``A`` from above (``math.inf`` for no
+    bound); ``None`` leaves every column unbounded.
     """
     exact = A.dtype == object
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    tol, feas_tol = (0, 0) if exact else (DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL)
     m, n = A.shape
-
-    flips = np.where(b < zero, -one, one)
-    A = A * flips[:, None]
-    b = b * flips
-
-    tableau = np.full((m + 1, n + m + 1), zero, dtype=A.dtype)
-    tableau[:m, :n] = A
-    tableau[np.arange(m), n + np.arange(m)] = one
-    tableau[:m, -1] = b
-    tableau[m, :n] = -A.sum(axis=0)
-    tableau[m, -1] = -b.sum()
+    signs = np.where(b < 0, -1, 1)
     basis = np.arange(n, n + m, dtype=np.int64)
-    bounds = None if upper is None else upper.tolist() + [math.inf] * m
     flipped = np.zeros(n + m, dtype=bool)
+    bounds = None if upper is None else upper.tolist() + [math.inf] * m
+    if exact:
+        tol = 0
+        tableau = _exact_phase_one_tableau(A, b, signs.tolist())
+        bounds = None if bounds is None else _int_bounds(bounds)
+    else:
+        tol, feas_tol = DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL
+        A = A * signs[:, None]
+        b = b * signs
+        tableau = np.zeros((m + 1, n + m + 1))
+        tableau[:m, :n] = A
+        tableau[np.arange(m), n + np.arange(m)] = 1.0
+        tableau[:m, -1] = b
+        tableau[m, :n] = -A.sum(axis=0)
+        tableau[m, -1] = -b.sum()
 
     code, pivots, bound_flips = simplex_loop(tableau, basis, n, tol, _default_iterations(m, n),
                                              bounds, flipped)
     if code != LOOP_OPTIMAL:
         raise NumericError(f"phase-1 simplex did not terminate cleanly (code {code})")
 
-    if -tableau[m, -1] > feas_tol:
-        certificate = -(flips * (one - tableau[m, n:n + m]))
-        return LPResult(status=INFEASIBLE,
-                        certificate=certificate.tolist() if exact else certificate,
+    if (tableau.rows[m][-1] < 0) if exact else (-tableau[m, -1] > feas_tol):
+        if exact:
+            d = tableau.den[m]
+            certificate = [Fraction(-sign * (d - v), d)
+                           for sign, v in zip(signs.tolist(), tableau.rows[m][n:n + m])]
+        else:
+            certificate = -(signs * (1.0 - tableau[m, n:n + m]))
+        return LPResult(status=INFEASIBLE, certificate=certificate,
                         pivots=pivots, bound_flips=bound_flips)
 
     # drive leftover artificials out of the basis; drop redundant rows
     drop: list[int] = []
     for r in range(m):
         if basis[r] >= n:
-            row = tableau[r, :n].tolist()
+            row = tableau.rows[r][:n] if exact else tableau[r, :n].tolist()
             col = next((j for j, v in enumerate(row) if abs(v) > tol), -1)
             if col < 0:
                 drop.append(r)
             else:
                 pivot(tableau, basis, r, col)
     keep = [r for r in range(m) if r not in drop]
-    cols = list(range(n)) + [n + m]
-    return FeasibleStart(tableau=np.ascontiguousarray(tableau[np.ix_(keep + [m], cols)]),
-                         basis=basis[keep].copy(), flipped=flipped[:n], upper=upper,
-                         pivots=pivots, bound_flips=bound_flips)
+    if exact:
+        kept = [reduced(tableau.rows[r][:n] + tableau.rows[r][-1:], tableau.den[r])
+                for r in keep + [m]]
+        tableau = IntTableau([row for row, _ in kept], [d for _, d in kept])
+    else:
+        tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], list(range(n)) + [n + m])])
+    return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), flipped=flipped[:n],
+                         upper=upper, pivots=pivots, bound_flips=bound_flips)
 
 
-def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
-    """Put the cost row ``c`` on ``start``, run the loop, read out x; ``start`` is used up."""
+def _phase_two(start: FeasibleStart, c) -> LPResult:
+    """Put the cost row ``c`` (from ``_cost``) on ``start``, run the loop,
+    read out x; ``start`` is used up."""
     exact = start.exact
-    zero = Fraction(0) if exact else 0.0
     tableau, basis, flipped, upper = start.tableau, start.basis, start.flipped, start.upper
     m2, n = len(basis), len(flipped)
     pivots, bound_flips = start.pivots, start.bound_flips
 
-    if np.any(c != zero):
+    if (any(c[0]) if exact else np.any(c != 0.0)):
         # the cost in each column's orientation; the objective is read from
         # x, so the constant a flipped column adds to it is left out
-        oriented = c.copy()
-        oriented[flipped] = -c[flipped]
-        tableau[m2, :n] = oriented
-        tableau[m2, -1] = zero
-        for i in range(m2):
-            weight = oriented[basis[i]]
-            if weight != zero:
-                tableau[m2, :] -= weight * tableau[i, :]
+        bounds = None if upper is None else upper.tolist()
+        if exact:
+            cost = [-v if f else v for v, f in zip(c[0], flipped.tolist())] + [0]
+            cost_den = c[1]
+            for i, j in enumerate(basis.tolist()):
+                if cost[j]:
+                    cost, cost_den = eliminate(cost, cost_den, tableau.rows[i], tableau.den[i], j)
+            tableau.rows[m2], tableau.den[m2] = cost, cost_den
+            bounds = None if bounds is None else _int_bounds(bounds)
+        else:
+            oriented = c.copy()
+            oriented[flipped] = -c[flipped]
+            tableau[m2, :n] = oriented
+            tableau[m2, -1] = 0.0
+            for i in range(m2):
+                weight = oriented[basis[i]]
+                if weight != 0.0:
+                    tableau[m2, :] -= weight * tableau[i, :]
         code, more_pivots, more_flips = simplex_loop(
             tableau, basis, n, 0 if exact else DEFAULT_PIVOT_TOL, _default_iterations(m2, n),
-            None if upper is None else upper.tolist(), flipped)
+            bounds, flipped)
         pivots += more_pivots
         bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
@@ -180,40 +254,47 @@ def _phase_two(start: FeasibleStart, c: np.ndarray) -> LPResult:
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
-    x = np.full(n, zero, dtype=tableau.dtype)
-    x[basis] = tableau[:m2, -1]
-    if flipped.any():
-        x[flipped] = upper[flipped] - x[flipped]
-    if exact:
-        return LPResult(status=OPTIMAL, x=x.tolist(), objective=sum(c * x),
+    if not exact:
+        x = np.zeros(n)
+        x[basis] = tableau[:m2, -1]
+        if flipped.any():
+            x[flipped] = upper[flipped] - x[flipped]
+        return LPResult(status=OPTIMAL, x=x, objective=float(c @ x),
                         pivots=pivots, bound_flips=bound_flips)
-    return LPResult(status=OPTIMAL, x=x, objective=float(c @ x),
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis.tolist()):
+        x[j] = Fraction(tableau.rows[i][-1], tableau.den[i])
+    for j in np.flatnonzero(flipped).tolist():
+        x[j] = upper[j] - x[j]
+    objective = sum((v * xj for v, xj in zip(c[0], x) if v), Fraction(0))
+    return LPResult(status=OPTIMAL, x=x, objective=objective if c[1] == 1 else objective / c[1],
                     pivots=pivots, bound_flips=bound_flips)
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray | None) -> LPResult:
+def _two_phase(A: np.ndarray, b: np.ndarray, c, upper: np.ndarray | None) -> LPResult:
     """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
     start = _phase_one(A, b, upper)
     return start if isinstance(start, LPResult) else _phase_two(start, c)
 
 
 def _system(A, b, upper, exact: bool) -> tuple:
-    """``A``, ``b`` and ``upper`` as float64 or ``Fraction`` arrays, validated.
+    """``A``, ``b`` and ``upper`` as float64 arrays or object arrays of
+    rationals (``int`` or ``Fraction``), validated.
 
     ``A`` needs at least one row and ``b`` one entry per row; ``upper``, when
     given, one bound per column, each ``>= 0`` or ``math.inf``.
     """
     dtype = object if exact else float
     if exact:
-        A = [[_as_fraction(v) for v in row] for row in A]
-        b = [_as_fraction(v) for v in b]
+        A = [[_as_rational(v) for v in row] for row in A]
+        b = [_as_rational(v) for v in b]
     A = np.array(A, dtype=dtype)
     b = np.array(b, dtype=dtype)
     if A.ndim != 2 or A.shape[0] == 0 or b.shape != (A.shape[0],):
         raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
     if upper is None:
         return A, b, None
-    bounds = [v if v == math.inf else _as_fraction(v) if exact else float(v) for v in upper]
+    bounds = [v if v == math.inf else _as_rational(v) if exact else float(v) for v in upper]
     if len(bounds) != A.shape[1]:
         raise ValidationError(f"upper-bound vector must have length {A.shape[1]}")
     if any(not v >= 0 for v in bounds):
@@ -221,11 +302,17 @@ def _system(A, b, upper, exact: bool) -> tuple:
     return A, b, np.array(bounds, dtype=dtype)
 
 
-def _cost(c, n: int, exact: bool) -> np.ndarray:
-    """The cost vector as a float64 or ``Fraction`` array of length ``n``; ``None`` is 0."""
+def _cost(c, n: int, exact: bool):
+    """The cost vector of length ``n``, ``None`` being 0: a float64 array, or
+    in exact mode an integer row and its denominator."""
     if c is None:
-        return np.full(n, Fraction(0) if exact else 0.0, dtype=object if exact else float)
-    cost = np.array([_as_fraction(v) for v in c] if exact else c, dtype=object if exact else float)
+        return ([0] * n, 1) if exact else np.zeros(n)
+    if exact:
+        values = [_as_rational(v) for v in c]
+        if len(values) != n:
+            raise ValidationError(f"cost vector must have length {n}")
+        return _int_row(values)
+    cost = np.array(c, dtype=float)
     if cost.shape != (n,):
         raise ValidationError(f"cost vector must have length {n}")
     return cost
@@ -237,15 +324,19 @@ def solve_lp_float(A, b, c=None, *, upper=None) -> LPResult:
     return _two_phase(A, b, _cost(c, A.shape[1], False), upper)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value) -> int | Fraction:
+    """An exact input as an ``int`` or a ``Fraction``; both carry
+    ``numerator`` and ``denominator``."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
-    if isinstance(value, Rational) or isinstance(value, int):
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, Rational):
         return Fraction(value)
     if isinstance(value, float):
         if not value.is_integer():
             raise ValidationError(f"exact mode requires rational inputs, got float {value!r}")
-        return Fraction(int(value))
+        return int(value)
     raise ValidationError(f"exact mode cannot coerce {value!r} to a rational")
 
 
@@ -280,13 +371,25 @@ def verify_certificate(A, b, certificate, upper=None) -> bool:
     bound and ``y.b < sum_j u_j * min(0, (y.A)_j)`` over the bounded ones;
     with ``upper=None`` that is ``y.A >= 0`` componentwise and ``y.b < 0``.
     Exact inputs are checked exactly; float inputs within ``DEFAULT_FEAS_TOL``
-    scaled by the certificate magnitude.
+    scaled by the certificate magnitude.  A candidate that is not a flat
+    sequence of finite real numbers with one entry per row is rejected.
     """
-    if certificate is None or len(certificate) != len(A):
+    if isinstance(certificate, str) or not isinstance(certificate, (Sequence, np.ndarray)) \
+            or len(certificate) != len(A):
         return False
-    dtype = object if all(isinstance(v, Rational) for v in certificate) else float
-    y = np.asarray(certificate, dtype=dtype)
-    slack = 0 if dtype is object else DEFAULT_FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
+    types = set(map(type, certificate))
+    if not all(issubclass(t, Real) for t in types):
+        return False
+    exact = all(issubclass(t, Rational) for t in types)
+    dtype = object if exact else float
+    try:
+        y = np.asarray(certificate, dtype=dtype)
+    except OverflowError:  # an int beyond the float range among float entries
+        return False
+    scale = 1.0 if exact else float(np.max(np.abs(y)))
+    if not math.isfinite(scale):
+        return False
+    slack = 0 if exact else DEFAULT_FEAS_TOL * max(1.0, scale)
     combo = y @ np.asarray(A, dtype=dtype)
     rhs = y @ np.asarray(b, dtype=dtype)
     bounds = np.full(len(combo), math.inf, dtype=dtype) if upper is None \

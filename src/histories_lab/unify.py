@@ -565,14 +565,16 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     certificate stays valid on an open set of right-hand sides).  When
     ``verify_certificate`` accepts it against this system, it is the verdict
     and no LP is solved; otherwise, and on a feasible system, the LP solves
-    as without it.  Exact mode checks only an all-rational candidate, exactly.
+    as without it.  A candidate that is not a flat sequence of finite real
+    numbers with one entry per row never verifies.  Exact mode accepts only
+    an all-rational candidate, checked exactly.
     """
     if exact:
         _require_exact(marginals)
     system = build_constraint_system(space, marginals, delta, exact)
     if certificate is not None \
-            and (not exact or all(isinstance(v, Rational) for v in certificate)) \
-            and verify_certificate(system.matrix, system.rhs, certificate, system.upper):
+            and verify_certificate(system.matrix, system.rhs, certificate, system.upper) \
+            and (not exact or all(isinstance(v, Rational) for v in certificate)):
         return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=list(certificate),
                                   mode="exact" if exact else "float", delta=delta)
     result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)

@@ -21,6 +21,9 @@ from histories_lab.simplex import (
     solve_lp_float,
     verify_certificate,
 )
+from histories_lab.unify import SNAP_MAX_DENOMINATOR
+
+import fraction_simplex
 
 
 def test_feasible_point_found():
@@ -282,6 +285,13 @@ def test_certificate_length_must_match_the_rows():
     assert not verify_certificate(A, b, y[:1])
 
 
+@pytest.mark.parametrize("candidate", [["x", 1], [1j, 1], [[1], [2]], [math.nan, -1],
+                                       [10**400, -0.5], np.array([1j, -1]), "ab", 5,
+                                       {0: 1, 1: -1}])
+def test_malformed_certificate_is_rejected(candidate):
+    assert not verify_certificate([[1, 1], [1, 1]], [1, 2], candidate)
+
+
 # ---------------------------------------------------------------------------
 # one phase 1 shared by many phase 2s
 # ---------------------------------------------------------------------------
@@ -337,3 +347,63 @@ def test_shared_start_zero_cost_and_cost_length():
         assert list(start.solve().x) == list(solve_lp(A, b, exact=exact).x)
         with pytest.raises(ValidationError):
             start.solve([1, 0])
+
+
+# ---------------------------------------------------------------------------
+# the integer exact tableau against the textbook Fraction tableau
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rational_lps(draw):
+    """A small rational LP: negative rhs entries, redundant rows, bounds that
+    include 0 and non-dyadic rationals, infeasible systems, several costs.
+
+    Entries are small numerators over small or snap-sized denominators, or
+    ``1 +- eps`` for one ``eps`` per LP near ``1 / SNAP_MAX_DENOMINATOR``, so
+    that two ratios can differ by about ``eps**2``, below float resolution.
+    """
+    eps = Fraction(1, draw(st.integers(SNAP_MAX_DENOMINATOR // 10, SNAP_MAX_DENOMINATOR)))
+    rationals = st.one_of(
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3, 7])),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, SNAP_MAX_DENOMINATOR)),
+        st.sampled_from([1 + eps, 1 - eps]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    A = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):  # b from a non-negative point
+        point = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(1, 3), Fraction(5, 2)]),
+                              min_size=n, max_size=n))
+        b = [sum(a * x for a, x in zip(row, point)) for row in A]
+    else:
+        b = draw(st.lists(rationals, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):  # a redundant row: a combination of two rows
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        f = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+        A.append([u + f * v for u, v in zip(A[i], A[j])])
+        b.append(b[i] + f * b[j])
+    upper = None
+    if draw(st.booleans()):
+        upper = draw(st.lists(st.sampled_from([INF, INF, 0, 1, Fraction(1, 3), Fraction(5, 7),
+                                               1 - eps]),
+                              min_size=n, max_size=n))
+    costs = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=3))
+    return A, b, upper, costs
+
+
+def _fields(result: LPResult) -> dict:
+    return dict(status=result.status, x=result.x, objective=result.objective,
+                certificate=result.certificate, pivots=result.pivots,
+                bound_flips=result.bound_flips)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_lps())
+def test_integer_tableau_matches_the_fraction_tableau(lp):
+    A, b, upper, costs = lp
+    start = feasible_start(A, b, upper=upper, exact=True)
+    for c in costs + [None]:
+        result = solve_lp_exact(A, b, c, upper=upper)
+        assert _fields(result) == fraction_simplex.solve(A, b, c, upper)
+        for values in (result.x, result.certificate):
+            assert values is None or all(type(v) is Fraction for v in values)
+        assert result.objective is None or type(result.objective) is Fraction
+        assert _fields(start if isinstance(start, LPResult) else start.solve(c)) == _fields(result)

@@ -1,6 +1,8 @@
+import fractions
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +256,23 @@ def test_uniqueness_exact_perfect_anticorrelations():
     assert verdict.witness[(1, -1, 1)] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("malformed", [lambda rows: ["x"] + [1] * (rows - 1),
+                                       lambda rows: [1j] + [1] * (rows - 1),
+                                       lambda rows: [[1]] * rows])
+def test_malformed_candidate_certificate_is_ignored(exact, malformed):
+    space = JointSampleSpace((SA, SB, SC))
+    tables = [anticorrelated(SA, SB), anticorrelated(SB, SC), anticorrelated(SA, SC)]
+    if exact:
+        tables = [table.as_exact() for table in tables]
+    rows = build_constraint_system(space, tables, exact=exact).matrix.shape[0]
+    fresh = find_unifying_probability(space, tables, exact=exact)
+    verdict = find_unifying_probability(space, tables, exact=exact, certificate=malformed(rows))
+    assert not fresh.feasible
+    assert verdict.status == fresh.status
+    assert list(verdict.farkas_certificate) == list(fresh.farkas_certificate)
+
+
 def _exact_tables(scenario):
     """The exact marginal tables ``analyze --exact`` unifies for a built-in scenario."""
     descriptor = build_scenario(scenario)
@@ -296,6 +315,50 @@ def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
     assert verdict.feasible and verdict.unique and space.size == 16
     assert len(calls) <= 34
     assert sum(pivots) <= 70
+
+
+def _fraction_calls(fn, *args, **kwargs):
+    """``fn``'s result and the names of the ``fractions`` functions it ran."""
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        return fn(*args, **kwargs), calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_exact_eprb_probe_loops_build_no_fraction(monkeypatch):
+    """Pinned mechanism: the exact tableau is integer rows, so the pivot loop
+    builds no ``Fraction``; the results still carry ``Fraction``s."""
+    assert _fraction_calls(lambda: Fraction(1, 3) + 1)[1]  # the watch sees Fraction work
+    space, tables = _exact_tables("eprb")
+    in_loops, results = [], []
+    phase_two = simplex._phase_two
+
+    def watched_loop(*args, **kwargs):
+        result, calls = _fraction_calls(_kernels.simplex_loop, *args, **kwargs)
+        in_loops.append(calls)
+        return result
+
+    def recorded_phase_two(*args):
+        results.append(phase_two(*args))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "simplex_loop", watched_loop)
+    monkeypatch.setattr(simplex, "_phase_two", recorded_phase_two)
+    verdict = probe_uniqueness(space, tables, exact=True)
+    assert verdict.feasible and verdict.unique
+    assert len(in_loops) == 33 and not any(in_loops)
+    assert len(results) == 33
+    for result in results:
+        assert result.status == OPTIMAL and type(result.objective) is Fraction
+        assert all(type(v) is Fraction for v in result.x)
 
 
 def test_space_above_joint_cap_is_rejected():
