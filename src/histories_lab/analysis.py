@@ -11,9 +11,9 @@ system it claims to solve.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -73,7 +73,12 @@ class AnalysisOptions:
 
 def encode_value(value):
     """Encode numbers, sequences and maps into JSON-safe structures, losslessly."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    kind = type(value)
+    if kind is float or kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is list or kind is tuple:
+        return [encode_value(v) for v in value]
+    if isinstance(value, str):
         return value
     if isinstance(value, Fraction):
         return {"$fraction": [value.numerator, value.denominator]}
@@ -314,9 +319,63 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     }
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
+                bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+_JSON_KINDS = (str, float, int, list, tuple, dict)
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append the canonical text of ``value`` to ``out``; ``indent`` is the
+    newline and indentation that precede its closing bracket."""
+    kind = type(value)
+    if kind not in _SCALAR_TEXT and kind not in _JSON_KINDS:
+        # a subclass such as np.float64 is written as its base type, as json writes it
+        kind = next((k for k in _JSON_KINDS if isinstance(value, k)), None)
+        if kind is None:
+            raise TypeError(f"cannot write {type(value).__name__} into a report")
+    if kind in _SCALAR_TEXT:
+        out.append(_SCALAR_TEXT[kind](value))
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = indent + "  "
+        out.append("{")
+        for key in sorted(value):  # encode_basestring_ascii refuses a key that is not a str
+            out += (inner, encode_basestring_ascii(key), ": ")
+            _write_json(value[key], out, inner)
+            out.append(",")
+        out[-1] = indent + "}"
+    else:
+        inner = indent + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(item, out, inner)
+            out.append(",")
+        out[-1] = indent + "]"
+
+
 def report_to_json(report: dict) -> str:
-    """Canonical JSON text: key-sorted, newline-terminated, deterministic."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report's canonical text: ``json.dumps(report, sort_keys=True, indent=2)``
+    plus a newline, ASCII only, so byte-identical across runs.
+
+    Floats are written by ``float.__repr__`` (``NaN`` and ``Infinity`` as
+    ``json`` writes them) and strings by ``json``'s ASCII escaping; object
+    keys must be strings, and a value of any type ``json`` cannot write is a
+    ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def reverify(report: dict) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -48,7 +49,10 @@ SWEEP_POINT_CAP = 10**6
 SWEEP_WORKER_CAP = 8
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged
+    (``append`` copies its shared ``default=[]`` before adding to it)."""
     parser = argparse.ArgumentParser(
         prog="histories-lab",
         description="Consistent-histories analysis: classicality classification and "
@@ -295,8 +299,7 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -55,6 +56,8 @@ from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, Slot
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, ScenarioSet
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class _Problems(list):
@@ -117,10 +120,28 @@ def _looks_like_matrix(value, dim: int) -> bool:
         and all(isinstance(row, list) and len(row) == dim for row in value)
 
 
+def _plain_finite(value) -> bool:
+    """Whether ``value`` is exactly an ``int`` or ``float`` within the float range."""
+    kind = type(value)
+    return (kind is float or kind is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def _parse_entries(values, path: str, problems: _Problems) -> list | None:
-    """Every scalar of ``values``, or None once any of them had a problem."""
-    out = [_parse_scalar(v, f"{path}[{k}]", problems) for k, v in enumerate(values)]
-    return None if any(v is None for v in out) else out
+    """Every scalar of ``values``, or None once any of them had a problem.
+
+    Plain finite numbers and pairs of them, nearly every entry of a document,
+    are read directly; only another entry is handed to ``_parse_scalar`` with
+    its path, so a path is formatted only for an entry that may be a problem.
+    """
+    out = []
+    for k, v in enumerate(values):
+        if _plain_finite(v):
+            out.append(complex(v))
+        elif type(v) is list and len(v) == 2 and _plain_finite(v[0]) and _plain_finite(v[1]):
+            out.append(complex(v[0], v[1]))
+        else:
+            out.append(_parse_scalar(v, f"{path}[{k}]", problems))
+    return None if None in out else out
 
 
 def _parse_matrix(value, dim: int, path: str, problems: _Problems) -> np.ndarray | None:

@@ -162,6 +162,34 @@ def test_config_bad_entry_of_a_matrix_is_named_at_its_entry():
         ("$.initial[1][1]", "expected a number, got a boolean")]
 
 
+def test_config_scalar_problems_are_listed_in_document_order():
+    # the final state and the second projector mix numbers with [re, im] pairs and are fine
+    doc = json.loads("""{
+      "dim": 3,
+      "initial": {"ket": [1, [0.5, NaN], [1, true]]},
+      "final": [[1, [0, 0], 0], [[0, 0], 0, [0.0, 0.0]], [0, 0, 0]],
+      "hamiltonian": [[true, "x", NaN], [Infinity, 1%s, [1]], [[1, true], -Infinity, [2.5, -1]]],
+      "sets": [{"name": "s", "slots": [{"time": 0.0, "labels": ["a", "b"], "projectors": [
+        [[1, 0, 0], [0, 0, 0], [0, 0, false]], [[0, 0, 0], [0, 1, [0, 0]], [0, 0, 1]]]}]}]
+    }""" % ("0" * 400))
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    bad = "expected a finite number or [re, im] pair, got "
+    assert list(err.value.problems) == [
+        ("$.hamiltonian[0][0]", "expected a number, got a boolean"),
+        ("$.hamiltonian[0][1]", bad + "'x'"),
+        ("$.hamiltonian[0][2]", bad + "nan"),
+        ("$.hamiltonian[1][0]", bad + "inf"),
+        ("$.hamiltonian[1][1]", bad + str(10**400)),
+        ("$.hamiltonian[1][2]", bad + "[1]"),
+        ("$.hamiltonian[2][0]", bad + "[1, True]"),
+        ("$.hamiltonian[2][1]", bad + "-inf"),
+        ("$.initial.ket[1]", bad + "[0.5, nan]"),
+        ("$.initial.ket[2]", bad + "[1, True]"),
+        ("$.sets[0].slots[0].projectors[0][2][2]", "expected a number, got a boolean"),
+    ]
+
+
 def test_config_map_naming_a_variable_twice_is_a_parse_problem():
     # the combined set is inconsistent, so analysis would never have built its table
     doc = scenario_to_config(build_scenario("leggett_garg"))
@@ -263,6 +291,38 @@ def test_cli_reports_are_byte_identical(tmp_path):
     for p in paths:
         assert main(["analyze", "--scenario", "eprb", "--out", str(p)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys, tmp_path, three_box_config):
+    monkeypatch.setenv("HISTORIES_LAB_THREADS", "1")
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+
+    # the --param and --range append actions share one default=[] list
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:2",
+                 "--param", "theta3", "--range", "0:1:2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("theta4,theta3,")
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta1", "--range", "0:0.5:3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "theta1,combined_consistent,max_combination,feasible" and len(lines) == 4
+    args = parser.parse_args(["sweep", "--scenario", "eprb"])
+    assert args.param == [] and args.ranges == []
+
+    with pytest.raises(SystemExit) as usage:
+        main(["analyze", "--scenario", "no_such_scenario"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+
+    config = tmp_path / "three_box.json"
+    config.write_text(json.dumps(three_box_config))
+    sources = [["--scenario", "three_box"], ["--config", str(config)]] * 2
+    reports = []
+    for i, source in enumerate(sources):
+        out = tmp_path / f"report{i}.json"
+        assert main(["analyze", *source, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[2] != reports[1] == reports[3]
+    assert parser.parse_args(["analyze", "--config", str(config)]).scenario is None
 
 
 def test_cli_missing_config_is_exit_2(capsys):
