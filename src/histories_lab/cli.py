@@ -3,29 +3,25 @@
 Exit codes: 0 success, 2 user or validation error, 3 internal numeric
 failure (for ``verify``: stored evidence that does not check out).
 Reports are deterministic: identical inputs and flags produce
-byte-identical output.  ``sweep`` splits its row-major grid into
-``HISTORIES_LAB_THREADS`` equal contiguous slices (default: the CPUs this
-process may run on, never more than ``SWEEP_WORKER_CAP`` = 8); this process
-evaluates the first slice and each later one runs in a child forked from it.
-With one slice, or where ``fork`` is unavailable, every point runs in this
-process.  Within a slice each infeasible point offers its Farkas certificate
-to the next, which reports it only after checking it against its own
-constraint system.  A grid of more than ``SWEEP_POINT_CAP`` points is
-refused before it is built.
+byte-identical output.  ``sweep`` evaluates its row-major grid in this
+process, ``SWEEP_CHUNK`` contiguous points at a time, each chunk as one
+stacked computation with a leading grid axis (``scenarios.ScenarioGrid``).
+Each infeasible point offers its Farkas certificate to the points after it,
+across chunks, and a point reports it only after checking it against its
+own constraint system.  A grid of more than ``SWEEP_POINT_CAP`` points is
+refused before it is built.  ``HISTORIES_LAB_THREADS`` is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
 import itertools
 import math
 import os
-import pickle
-import signal
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -35,18 +31,27 @@ from .analysis import AnalysisOptions, analyze, report_to_json, reverify
 from .classicality import DEFAULT_CLASSIFY_TOL, classify
 from .config import load_json, parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
-from .scenarios import SCENARIO_NAMES, build_scenario
+from .histories import decoherence_stack, identity_deviation, interference_maxima
+from .operators import DEFAULT_TOL
+from .scenarios import SCENARIO_NAMES, build_scenario, scenario_grid
+from .simplex import farkas_test
 from .unify import (
     DEFAULT_DELTA,
+    TABLE_TOL,
+    build_constraint_system,
     correlations_from_marginals,
     cycle_check,
+    cycle_values,
     extract_marginals,
     find_unifying_probability,
+    pair_correlations,
+    refused_tables,
+    stacked_rhs,
 )
 
 SWEEPABLE = ("eprb", "leggett_garg")
 SWEEP_POINT_CAP = 10**6
-SWEEP_WORKER_CAP = 8
+SWEEP_CHUNK = 256  # grid points stacked at once, so memory does not grow with the grid
 
 
 @functools.cache
@@ -116,11 +121,15 @@ def _grids(specs: list[str]) -> list[np.ndarray]:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout or ``out``; a regular file is rewritten in place and
+    cut to length, cheaper than truncating it first, and anything else just written."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def cmd_analyze(args) -> int:
@@ -142,8 +151,8 @@ def cmd_verify(args) -> int:
 
 @dataclass
 class Carry:
-    """What a grid point hands the next point of its slice: the Farkas
-    certificate of an infeasible point, or ``None`` after a feasible one."""
+    """What a grid point hands the points after it: the Farkas certificate
+    of an infeasible point, or ``None`` after a feasible one."""
 
     certificate: list | None = None
 
@@ -155,116 +164,86 @@ def evaluate_sweep_point(scenario: str, params: dict, carry: Carry | None = None
     inequality value is the largest left-hand side of the n-cycle family
     (``unify.cycle_check``): the eight CHSH combinations, bound 2, for eprb
     and the four three-time Leggett-Garg combinations, bound 1, for
-    leggett_garg.  ``carry`` offers the previous point's certificate to
-    ``find_unifying_probability``, which reports it only if it verifies
-    against this point's own constraint system, and keeps this point's
-    certificate for the next point.
+    leggett_garg.  ``carry`` offers the previous point's certificate, which
+    is reported only if it verifies against this point's own constraint
+    system, and keeps this point's certificate for the next point.  A stack
+    of one ``_evaluate_points`` point.
     """
-    carry = Carry() if carry is None else carry
+    columns = {name: np.array([value], dtype=float) for name, value in params.items()}
+    return _evaluate_points(scenario, columns, 1, Carry() if carry is None else carry)[0]
+
+
+def _raise_point_error(scenario: str, params: dict) -> None:
+    """Build one grid point from validated objects, as ``analyze`` does, to raise its error."""
     descriptor = build_scenario(scenario, params)
     tables = []
-    combined_consistent = None
     for sset in descriptor.sets:
         hset = descriptor.build(sset.name)
-        report = classify(hset)
-        if sset.name == "combined":
-            combined_consistent = report.consistent
-        elif sset.mapping is not None and report.consistent:
+        if sset.name != "combined" and classify(hset).consistent:
             tables.append(extract_marginals(hset, sset.mapping))
-    verdict = find_unifying_probability(descriptor.space, tables, certificate=carry.certificate)
-    carry.certificate = verdict.farkas_certificate
-    return {
-        "combined_consistent": int(bool(combined_consistent)),
-        "max_combination": cycle_check(correlations_from_marginals(tables)).max_value,
-        "feasible": int(verdict.feasible),
-    }
+    cycle_check(correlations_from_marginals(tables))
+    raise NumericError(f"sweep point {params} fails a stacked check that its own build passes")
+
+
+def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> list[dict]:
+    """``evaluate_sweep_point`` rows of ``size`` contiguous grid points, ``params``
+    holding each swept parameter as a ``(size,)`` array.  The physics, tables
+    and correlations are stacks, checked in one vectorized pass; the first
+    refused point is built alone to raise its error.  Only the right-hand
+    side of the constraint system moves, so a carried certificate is checked
+    against each point's (``farkas_test``), and only a point it does not
+    refute builds its tables and runs the LP."""
+    grid = scenario_grid(scenario, params)
+    refused = np.broadcast_to(grid.refused, (size,))
+    pairs = []  # (mapping, labels, (size, n) probabilities) of each pair set, in set order
+    with np.errstate(all="ignore"):  # refused points may compute non-finite values
+        for name in grid.slots:
+            ops = grid.class_operators(name)
+            entries = decoherence_stack(ops, grid.fixed.initial.matrix)
+            consistent = np.broadcast_to(  # classify's consistency
+                np.min(interference_maxima(entries), axis=0) <= DEFAULT_CLASSIFY_TOL, (size,))
+            refused = refused | ~(identity_deviation(ops) <= DEFAULT_TOL)
+            if name == "combined":
+                combined = consistent
+                continue
+            p = np.broadcast_to(entries.diagonal(axis1=1, axis2=2).real, (size, entries.shape[1]))
+            refused = refused | ~consistent | refused_tables(p)
+            pairs.append((grid.fixed.mappings[name], grid.labels(name), p))
+        correlations = np.stack([pair_correlations([tuple((o,) for o in label) for label in labels], p)
+                                 for _, labels, p in pairs], axis=1)
+        refused = refused | ~(np.abs(correlations) <= 1.0 + TABLE_TOL).all(axis=1)
+    if refused.any():
+        g = int(np.argmax(refused))
+        _raise_point_error(scenario, {name: float(v[min(g, len(v) - 1)]) for name, v in params.items()})
+    # CorrelationSet order: the pairs sorted by their sorted variable names
+    order = sorted(range(len(pairs)), key=lambda k: sorted(v.name for v in pairs[k][0].variables))
+    values = cycle_values(correlations[:, order])
+    maxima = values[:, 0]
+    for column in values.T[1:]:
+        maxima = np.where(column > maxima, column, maxima)  # max() keeps the first of equal values
+    rhs = stacked_rhs(np.concatenate([p for *_, p in pairs], axis=1))
+
+    def tables(g: int) -> list:
+        return [mapping.marginal_table(dict(zip(labels, p[g].tolist()))) for mapping, labels, p in pairs]
+
+    system = refutes = tested = None
+    rows = []
+    for g in range(size):
+        if carry.certificate is not tested:
+            tested, refutes = carry.certificate, None
+            if tested is not None:
+                system = system or build_constraint_system(grid.fixed.space, tables(g))
+                refutes = farkas_test(system.matrix, tested, system.upper)
+        if refutes is None or not refutes(rhs[g]):
+            carry.certificate = find_unifying_probability(grid.fixed.space, tables(g)).farkas_certificate
+        rows.append({"combined_consistent": int(combined[g]), "max_combination": float(maxima[g]),
+                     "feasible": int(carry.certificate is None)})  # only infeasible verdicts carry one
+    return rows
 
 
 def _sweep_threads() -> int:
-    """Processes a sweep may use, this one included: ``HISTORIES_LAB_THREADS``,
-    else the usable CPUs; at most ``SWEEP_WORKER_CAP`` either way."""
-    raw = os.environ.get("HISTORIES_LAB_THREADS", "").strip()
-    if raw:
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValidationError(f"HISTORIES_LAB_THREADS must be an integer, got {raw!r}") from None
-    else:
-        requested = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(SWEEP_WORKER_CAP, requested or 1))
-
-
-def _evaluate_slice(scenario: str, points: list[dict]) -> list[dict]:
-    """``evaluate_sweep_point`` over contiguous points, each carrying its
-    certificate to the next."""
-    carry = Carry()
-    return [evaluate_sweep_point(scenario, point, carry) for point in points]
-
-
-def _fork_slice(scenario: str, points: list[dict]) -> tuple[int, io.BufferedReader]:
-    """Fork a child that pickles the rows of ``_evaluate_slice``, or its
-    first error, into a pipe and exits; return its pid and the pipe."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                payload = _evaluate_slice(scenario, points)
-            except Exception as exc:
-                payload = exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe)
-        finally:
-            os._exit(0)  # never return into the parent's stack
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _slice_rows(worker: int, pipe: io.BufferedReader) -> list[dict]:
-    """The rows a child sent, or the error it sent raised here."""
-    try:
-        payload = pickle.loads(pipe.read())
-    except (EOFError, pickle.UnpicklingError):
-        raise HistoriesLabError(f"sweep worker {worker} exited without a result") from None
-    if isinstance(payload, Exception):
-        raise payload
-    return payload
-
-
-def _evaluate_grid(scenario: str, points: list[dict]) -> list[dict]:
-    """``_evaluate_slice`` over ``_sweep_threads()`` equal contiguous slices, in grid order.
-
-    This process evaluates the first slice and each later slice runs in a
-    forked child.  Children are read in slice order, so rows come back in
-    grid order and a failing grid raises its first failing point's error,
-    as a serial loop does.  Every child is killed and reaped before this
-    returns or raises.  With one worker, or without ``os.fork``, nothing is
-    forked.
-    """
-    workers = min(_sweep_threads(), len(points))
-    if workers == 1 or not hasattr(os, "fork"):
-        return _evaluate_slice(scenario, points)
-    edges = [len(points) * k // workers for k in range(workers + 1)]
-    children = []
-    try:
-        for k in range(1, workers):
-            children.append(_fork_slice(scenario, points[edges[k]:edges[k + 1]]))
-        rows = _evaluate_slice(scenario, points[:edges[1]])
-        for worker, (_, pipe) in enumerate(children, 1):
-            rows += _slice_rows(worker, pipe)
-        return rows
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    """Processes a sweep uses: always this one.  Kept for the benchmark, which records it."""
+    return 1
 
 
 def cmd_sweep(args) -> int:
@@ -275,25 +254,16 @@ def cmd_sweep(args) -> int:
     if len(set(args.param)) != len(args.param):
         raise ValidationError("sweep parameters must be distinct")
     grids = _grids(args.ranges)
-    # validate parameter names against the scenario before launching the grid
-    build_scenario(args.scenario, {name: float(g[0]) for name, g in zip(args.param, grids)})
-
-    # row-major: the last parameter varies fastest
-    points = [
-        {name: float(grids[k][combo[k]]) for k, name in enumerate(args.param)}
-        for combo in itertools.product(*(range(len(g)) for g in grids))
-    ]
-
-    rows = _evaluate_grid(args.scenario, points)
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(args.param) + ["combined_consistent", "max_combination", "feasible"])
-    for point, row in zip(points, rows):
-        writer.writerow(
-            [repr(point[name]) for name in args.param]
-            + [row["combined_consistent"], repr(row["max_combination"]), row["feasible"]]
-        )
+    points = itertools.product(*(g.tolist() for g in grids))  # row-major: the last varies fastest
+    carry = Carry()
+    while chunk := list(itertools.islice(points, SWEEP_CHUNK)):
+        columns = dict(zip(args.param, np.array(chunk).T))
+        for point, row in zip(chunk, _evaluate_points(args.scenario, columns, len(chunk), carry)):
+            writer.writerow([repr(v) for v in point]
+                            + [row["combined_consistent"], repr(row["max_combination"]), row["feasible"]])
     _write_output(buffer.getvalue(), args.out)
     return 0
 

@@ -8,12 +8,12 @@ are diagonal entries of the decoherence functional
 ``D(x, y) = Tr(C_x rho C_y^dag)``, optionally post-selected on a final state
 with the ``1 / Tr(rho_f rho)`` normalization.
 
-A ``HistorySet`` is three values: its labels, one read-only ``(n, dim, dim)``
-stack of class operators in label order, and its boundary states.  Inputs
-are validated once, where they enter; the set is the only place class
-operators are checked.  Everything derived from a set (its decoherence
-functional, quasi-probabilities and classification diagnostics) is computed
-at most once and cached on the set itself, by the set's own properties.
+The physics runs on stacks with a leading axis of G grid points; a sweep
+evaluates its grid at once and a ``HistorySet`` is a stack of one.  A set is
+three values: its labels, one read-only ``(n, dim, dim)`` stack of class
+operators in label order, and its boundary states.  Inputs are validated
+once, where they enter.  Everything derived from a set is computed at most
+once and cached on the set itself, by the set's own properties.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .operators import (
     DensityOperator,
     Projector,
     as_square_matrix,
-    eigen_propagator,
     frozen_array,
     is_hermitian,
-    max_abs,
     validate_projective_decomposition,
 )
 
@@ -130,12 +128,28 @@ class HistorySchedule:
         return np.linalg.eigh(self.hamiltonian)
 
 
+def class_operator_stack(eigvals: np.ndarray, eigvecs: np.ndarray, times, projectors) -> np.ndarray:
+    """The ``(G, n, dim, dim)`` class operators of G grid points in label order, from
+    each point's ``eigh`` of its Hamiltonian and, per slot, a ``(G,)`` time array and
+    a ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point."""
+    phases, adjoint = -1j * eigvals, eigvecs.conj().transpose(0, 2, 1)
+    ops = None  # one stacked product per label prefix
+    for t, p in zip(times, projectors):
+        u = (eigvecs * np.exp(phases * t[:, None])[:, None, :]) @ adjoint
+        moved = u.conj().transpose(0, 2, 1)[:, None] @ p @ u[:, None]
+        if ops is not None:
+            # latest-time projector on the left: each prefix times each projector, one matmul
+            moved = moved[:, None] @ ops[:, :, None]
+            moved = moved.reshape(len(moved), -1, *moved.shape[-2:])
+        ops = moved
+    return ops
+
+
 def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
     """Every class operator of a schedule, as one ``(n, dim, dim)`` stack in
     ``schedule.labels`` order; the stack sums to the identity.
 
-    Products grow slot by slot, one stacked matmul per slot, with one
-    propagator per slot, each formed from the schedule's one
+    A stack of one ``class_operator_stack`` point, from the schedule's one
     eigendecomposition of its Hamiltonian.  Raises ``HistoryCountError``
     when the schedule would produce more than ``DEFAULT_HISTORY_CAP``
     histories.
@@ -143,14 +157,40 @@ def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
     n = schedule.label_count()
     if n > DEFAULT_HISTORY_CAP:
         raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
+    w, v = schedule._eigh
+    return class_operator_stack(w[None], v[None], [np.array([s.time]) for s in schedule.slots],
+                                [np.stack([p.matrix for p in s.projectors])[None]
+                                 for s in schedule.slots])[0]
 
-    ops = None  # one stacked product per label prefix
-    for slot in schedule.slots:
-        u = eigen_propagator(schedule._eigh, slot.time)
-        moved = u.conj().T @ np.stack([p.matrix for p in slot.projectors]) @ u
-        # latest-time projector on the left: each prefix times each projector, one matmul
-        ops = moved if ops is None else (moved[None] @ ops[:, None]).reshape(-1, *moved.shape[1:])
-    return ops
+
+def identity_deviation(ops: np.ndarray) -> np.ndarray:
+    """Each point's max-norm distance of its class-operator sum from the identity, ``(G,)``."""
+    return np.abs(ops.sum(axis=1) - np.eye(ops.shape[-1])).max(axis=(1, 2))
+
+
+def decoherence_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None = None,
+                      weight: float = 1.0) -> np.ndarray:
+    """Each point's D[i, j] = Tr(C_i rho C_j^dag), or Tr(rho_f C_i rho C_j^dag) / weight,
+    ``(G, n, n)``; symmetrized, so ``D[i, j] == conj(D[j, i])`` holds exactly."""
+    left = ops @ rho if final is None else final @ ops @ rho
+    # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
+    flat_left, flat_ops = (m.reshape(*m.shape[:2], -1) for m in (left, ops))
+    entries = (flat_left @ flat_ops.conj().transpose(0, 2, 1)) / weight
+    return (entries + entries.conj().transpose(0, 2, 1)) / 2
+
+
+def quasi_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None = None,
+                weight: float = 1.0) -> np.ndarray:
+    """Each point's quasi-probabilities Re Tr(C_i rho), or Re Tr(rho_f C_i rho) / weight, ``(G, n)``."""
+    moved = ops @ rho if final is None else final @ (ops @ rho)
+    return np.trace(moved, axis1=2, axis2=3).real / weight
+
+
+def interference_maxima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's max off-diagonal |D| and |Re D| of a ``(G, n, n)`` stack."""
+    off = ~np.eye(entries.shape[1], dtype=bool)
+    return (np.abs(entries).max(axis=(1, 2), where=off, initial=0.0),
+            np.abs(entries.real).max(axis=(1, 2), where=off, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -192,10 +232,7 @@ class HistorySet:
                 f"one {dim}x{dim} matrix per label, got shape {ops.shape}"
             )
         object.__setattr__(self, "class_operators", ops)
-        total = np.zeros((dim, dim), dtype=complex)
-        for c in ops:
-            total += c
-        dev = max_abs(total - np.eye(dim))
+        dev = float(identity_deviation(ops[None])[0])
         if not dev <= DEFAULT_TOL:
             raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
         weight = 1.0
@@ -208,6 +245,7 @@ class HistorySet:
                     f"Tr(rho_f rho) = {weight:.3e} is too small to normalize by"
                 )
         object.__setattr__(self, "_weight", weight)
+        object.__setattr__(self, "_final", None if self.final is None else self.final.matrix)
 
     @property
     def dim(self) -> int:
@@ -219,22 +257,16 @@ class HistorySet:
 
     @cached_property
     def _functional(self) -> "DecoherenceFunctional":
-        ops = self.class_operators
-        rho = self.initial.matrix
-        left = ops @ rho if self.final is None else self.final.matrix @ ops @ rho
-        # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
-        flat_left = left.reshape(left.shape[0], -1)
-        flat_ops = ops.reshape(ops.shape[0], -1)
-        entries = (flat_left @ flat_ops.conj().T) / self.post_selection_weight()
-        entries = (entries + entries.conj().T) / 2
+        entries = decoherence_stack(self.class_operators[None], self.initial.matrix, self._final,
+                                    self._weight)[0]
         entries.setflags(write=False)
         return DecoherenceFunctional(labels=self.labels, entries=entries,
                                      post_selected=self.final is not None)
 
     @cached_property
     def _quasi(self) -> dict[Label, float]:
-        return {label: float(_weighted_trace(self, c @ self.initial.matrix).real)
-                for label, c in zip(self.labels, self.class_operators)}
+        quasi = quasi_stack(self.class_operators[None], self.initial.matrix, self._final, self._weight)
+        return dict(zip(self.labels, quasi[0].tolist()))
 
     @cached_property
     def classicality_diagnostics(self) -> tuple[float, float, float, float]:
@@ -242,28 +274,16 @@ class HistorySet:
         off-diagonal |D| and |Re D|, min quasi-probability, and max
         |quasi - probability|."""
         d = self._functional
-        off = ~np.eye(len(self.labels), dtype=bool)
         q = np.array(list(self._quasi.values()))
-        return (float(np.abs(d.entries).max(where=off, initial=0.0)),
-                float(np.abs(d.entries.real).max(where=off, initial=0.0)),
-                float(q.min()), float(np.max(np.abs(q - d.diagonal()))))
+        max_abs, max_re = interference_maxima(d.entries[None])
+        return float(max_abs[0]), float(max_re[0]), float(q.min()), float(np.max(np.abs(q - d.diagonal())))
 
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,
                 final: DensityOperator | None = None) -> HistorySet:
-    """Build the class operators of a schedule into a HistorySet.
-
-    The schedule keeps the last set built from it, with strong references
-    to its boundary states, so asking again with the same ``initial`` and
-    ``final`` objects returns that same set and everything it has computed.
-    """
-    last = schedule.__dict__.get("_last_set")
-    if last is not None and last[0] is initial and last[1] is final:
-        return last[2]
+    """Build the class operators of a schedule into a new HistorySet."""
     ops = build_class_operators(schedule)  # checks the history cap before any label is built
-    hset = HistorySet(schedule.labels, ops, initial, final)
-    schedule.__dict__["_last_set"] = (initial, final, hset)
-    return hset
+    return HistorySet(schedule.labels, ops, initial, final)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
 
 def max_abs(m) -> float:
     """Max-norm of a matrix (largest entry magnitude)."""
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
+    return float(np.abs(m).max(initial=0.0))
 
 
 def is_hermitian(m) -> bool:
@@ -84,12 +84,7 @@ def propagator(hamiltonian, time: float) -> np.ndarray:
     h = as_square_matrix(hamiltonian, "hamiltonian")
     if not is_hermitian(h):
         raise ValidationError("propagator requires a Hermitian generator")
-    return eigen_propagator(np.linalg.eigh(h), time)
-
-
-def eigen_propagator(eigh, time: float) -> np.ndarray:
-    """exp(-i H t) from the ``(w, v)`` pair ``np.linalg.eigh(H)`` returns; no validation."""
-    w, v = eigh
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * float(time))) @ v.conj().T
 
 
@@ -149,6 +144,15 @@ def heisenberg_projector(p: Projector, hamiltonian, time: float) -> Projector:
     return Projector(u.conj().T @ p.matrix @ u)
 
 
+def family_deviations(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each ``(k, dim, dim)`` family's max-norm deviation from Hermiticity, from
+    summing to the identity and from ``P_i P_j = delta_ij P_i``."""
+    products = stack[:, :, None] @ stack[:, None] - np.eye(stack.shape[1])[:, :, None, None] * stack[:, :, None]
+    return (np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)),
+            np.abs(stack.sum(axis=1) - np.eye(stack.shape[-1])).max(axis=(1, 2)),
+            np.abs(products).max(axis=(1, 2, 3, 4)))
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Outcome of checking that projectors resolve the identity orthogonally."""
@@ -176,12 +180,7 @@ def validate_projective_decomposition(projectors) -> DecompositionReport:
     if any(p.shape[0] != dim for p in ps):
         raise ValidationError("all projectors in a decomposition must share one dimension")
 
-    sum_dev = max_abs(sum(ps) - np.eye(dim))
-    orth_dev = 0.0
-    for i, pi in enumerate(ps):
-        for j, pj in enumerate(ps):
-            target = pi if i == j else 0.0
-            orth_dev = max(orth_dev, max_abs(pi @ pj - target))
+    _, sum_dev, orth_dev = (float(v[0]) for v in family_deviations(np.stack(ps)[None]))
     return DecompositionReport(
         valid=(sum_dev <= DEFAULT_TOL and orth_dev <= DEFAULT_TOL),
         max_sum_deviation=sum_dev,

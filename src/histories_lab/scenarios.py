@@ -7,35 +7,35 @@ by the acceptance suite.  Expected values carry a provenance tag:
 ``published`` (stated in the source material), ``derived`` (computed here by
 an independent route), or ``trivial`` (immediate from definitions).
 
-``eprb`` and ``leggett_garg`` hand out the same validated objects for the
-same parameter values: their parameter-free parts are built once per
-process, and each projector pair, slot and schedule is kept in a bounded
-LRU memo keyed on the exact values it reads.  A sweep point therefore
-rebuilds only what its swept parameter touches, and everything cached on
-a reused schedule (its history set, and that set's decoherence functional
-and classification diagnostics) is reused with it.
+``eprb`` and ``leggett_garg`` are built for G parameter points at once, as a
+``ScenarioGrid`` of stacks (``scenario_grid``); their descriptor builders
+take a grid's one point as validated objects.  Only their parameter-free
+parts are built once per process.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
-import pickle
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .histories import HistorySchedule, HistorySet, Slot, history_set
+from .histories import HistorySchedule, HistorySet, Slot, class_operator_stack, history_set
 from .operators import (
+    DEFAULT_TOL,
     DensityOperator,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     Projector,
-    bloch_projector,
+    family_deviations,
     frozen_array,
     ket,
     projector_onto,
@@ -43,33 +43,6 @@ from .operators import (
 from .unify import JointSampleSpace, Variable, VariableMapping
 
 SCENARIO_NAMES = ("griffiths_spin", "eprb", "three_box", "leggett_garg")
-MEMO_SIZE = 64  # entries per scenario-piece memo
-
-_MEMOS = []  # every memo below, so that tests can start from cold
-
-
-def _once(build):
-    """``build`` run once per process: a scenario's parameter-free parts."""
-    cached = functools.cache(build)
-    _MEMOS.append(cached)
-    return cached
-
-
-def _memo(build):
-    """``build`` behind an LRU of ``MEMO_SIZE`` entries keyed on its arguments' exact values.
-
-    ``-0.0 == 0.0`` and the two hash alike, so the key also carries the
-    arguments' pickle, which holds every float's exact bits.  Arguments are
-    numbers and tuples of numbers.
-    """
-    cached = functools.lru_cache(MEMO_SIZE)(lambda key, *args: build(*args))
-    _MEMOS.append(cached)
-
-    @functools.wraps(build)
-    def memoized(*args):
-        return cached(pickle.dumps(args), *args)
-
-    return memoized
 
 
 @dataclass(frozen=True)
@@ -100,6 +73,7 @@ class ScenarioDescriptor:
     space: JointSampleSpace | None
     expected: Mapping[str, ExpectedValue] = field(default_factory=dict)
     parameters: Mapping[str, float] = field(default_factory=dict)
+    grid: "ScenarioGrid | None" = field(default=None, compare=False, repr=False)  # of one point
 
     def __post_init__(self):
         names = [s.name for s in self.sets]
@@ -115,7 +89,10 @@ class ScenarioDescriptor:
         raise ValidationError(f"scenario has no set named {name!r}")
 
     def build(self, name: str) -> HistorySet:
-        return history_set(self.set_named(name).schedule, self.initial, self.final)
+        sset = self.set_named(name)
+        if self.grid is None:
+            return history_set(sset.schedule, self.initial, self.final)
+        return HistorySet(self.grid.labels(name), self.grid.class_operators(name)[0], self.initial)
 
 
 def _spin_half_variable(name: str) -> Variable:
@@ -211,9 +188,66 @@ def three_box() -> ScenarioDescriptor:
     )
 
 
+@dataclass(frozen=True)
+class ScenarioGrid:
+    """A scenario at G parameter points as stacks with a leading grid axis, an axis of
+    length 1 shared by every point.  ``slots[name]`` lists one set's slots: a ``(G,)``
+    time array, a ``(G, k, dim, dim)`` projector stack and the outcome symbols.
+    ``invalid`` marks the points that fail the builder's own parameter checks."""
+
+    name: str
+    hamiltonians: np.ndarray
+    fixed: "_Fixed"
+    slots: Mapping[str, tuple]
+    invalid: np.ndarray
+
+    @cached_property
+    def refused(self) -> np.ndarray:
+        """``invalid``, or a Hamiltonian or projector family that fails its checks."""
+        h = self.hamiltonians
+        families = np.stack(np.broadcast_arrays(*{id(p): p for slots in self.slots.values()
+                                                  for _, p, _ in slots}.values()))  # (F, G, k, dim, dim)
+        deviation = np.max(family_deviations(families.reshape(-1, *families.shape[2:])), axis=0)
+        return (self.invalid | ~(np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= DEFAULT_TOL)
+                | ~(deviation.reshape(families.shape[:2]) <= DEFAULT_TOL).all(axis=0))
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.hamiltonians)  # one batched call for every point
+
+    def labels(self, name: str) -> tuple:
+        return tuple(itertools.product(*(symbols for _, _, symbols in self.slots[name])))
+
+    def class_operators(self, name: str) -> np.ndarray:
+        return class_operator_stack(*self._eigh, *zip(*((t, p) for t, p, _ in self.slots[name])))
+
+    def descriptor(self, expected: Mapping, parameters: Mapping) -> "ScenarioDescriptor":
+        """The first point as a descriptor; a refused point raises its objects' own error."""
+        sets = tuple(_GridSet(name, self) for name in self.slots)
+        if self.refused[0]:
+            for sset in sets:
+                sset.schedule  # noqa: B018 -- built to raise
+        return ScenarioDescriptor(self.name, self.fixed.initial, None, sets, self.fixed.space,
+                                  expected, parameters, self)
+
+
+class _GridSet(ScenarioSet):
+    """A set of a one-point grid, whose schedule of validated objects is built on first use."""
+
+    def __init__(self, name: str, grid: ScenarioGrid):
+        for key, value in (("name", name), ("mapping", grid.fixed.mappings[name]), ("grid", grid)):
+            object.__setattr__(self, key, value)
+
+    @cached_property
+    def schedule(self) -> HistorySchedule:
+        slots = self.grid.slots[self.name]
+        return HistorySchedule(tuple(Slot(float(t[0]), tuple(map(Projector, p[0])), symbols)
+                                     for t, p, symbols in slots), self.grid.hamiltonians[0])
+
+
 _ZX_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 _EPRB_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
-_EPRB_HAMILTONIAN = frozen_array(np.zeros((4, 4)))
+_EPRB_HAMILTONIAN = frozen_array(np.zeros((1, 4, 4)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +259,7 @@ class _Fixed:
     mappings: Mapping[str, VariableMapping]
 
 
-@_once
+@functools.cache
 def _eprb_fixed() -> _Fixed:
     var = {i: _spin_half_variable(f"s{i}") for i in (1, 2, 3, 4)}
     mappings = {f"pair_{i}{j}": VariableMapping((var[i], var[j])) for i, j in _EPRB_PAIRS}
@@ -235,23 +269,27 @@ def _eprb_fixed() -> _Fixed:
                   mappings=mappings)
 
 
-@_memo
-def _eprb_projectors(k: int, axis: tuple[float, float, float]) -> tuple[Projector, Projector]:
-    """The outcome projectors of axis ``k``: particle A carries axes 1 and 2, particle B axes 3 and 4."""
+def eprb_grid(axes) -> ScenarioGrid:
+    """EPRB at G points, ``axes[k - 1]`` holding the ``(G, 3)`` unit vectors of
+    axis k.  Particle A carries axes 1 and 2, B axes 3 and 4.  Pairs measure A
+    at t = 1 and B at t = 2; the combined set measures axes 2 and 4 again at
+    t = 3 and 4."""
     eye = np.eye(2, dtype=complex)
-    blochs = (bloch_projector(s, axis) for s in (1, -1))
-    return tuple(Projector(np.kron(b, eye) if k <= 2 else np.kron(eye, b)) for b in blochs)
-
-
-@_memo
-def _eprb_slot(k: int, time: float, axis: tuple[float, float, float]) -> Slot:
-    return Slot(time, _eprb_projectors(k, axis), (1, -1))
-
-
-@_memo
-def _eprb_schedule(*slots: tuple[int, float, tuple[float, float, float]]) -> HistorySchedule:
-    """The schedule of ``(k, time, axis)`` slots."""
-    return HistorySchedule(tuple(_eprb_slot(*slot) for slot in slots), _EPRB_HAMILTONIAN)
+    invalid = np.zeros(max(len(a) for a in axes), dtype=bool)
+    pairs = {}
+    for k, a in enumerate(axes, start=1):
+        invalid = invalid | ~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-9)  # NaN fails too
+        sigma = (a[:, 0, None, None] * PAULI_X + a[:, 1, None, None] * PAULI_Y
+                 + a[:, 2, None, None] * PAULI_Z)
+        blochs = np.stack([0.5 * (eye + s * sigma) for s in (1, -1)], axis=1)  # bloch_projector
+        # np.kron with the identity on the other particle, operands in its order, for the whole stack
+        pairs[k] = (blochs[:, :, :, None, :, None] * eye[:, None, :] if k <= 2 else
+                    eye[:, None, :, None] * blochs[:, :, None, :, None, :]).reshape(len(a), 2, 4, 4)
+    slot = {(k, t): (np.array([t]), pairs[k], (1, -1))
+            for k, t in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0), (2, 3.0), (4, 4.0))}
+    sets = {f"pair_{i}{j}": (slot[i, 1.0], slot[j, 2.0]) for i, j in _EPRB_PAIRS}
+    sets["combined"] = (slot[1, 1.0], slot[3, 2.0], slot[2, 3.0], slot[4, 4.0])
+    return ScenarioGrid("eprb", _EPRB_HAMILTONIAN, _eprb_fixed(), sets, invalid)
 
 
 def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
@@ -272,16 +310,6 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
             raise ValidationError(f"axis a{k} must be a unit vector")
         axes.append(tuple(float(c) for c in v))
-    fixed = _eprb_fixed()
-    # pairs measure A at t = 1 and B at t = 2; the combined set reuses the
-    # slots of axes 1 and 3 and measures axes 2 and 4 at t = 3 and 4
-    pair_slot = {k: (k, 1.0 if k <= 2 else 2.0, axes[k - 1]) for k in (1, 2, 3, 4)}
-    schedules = {f"pair_{i}{j}": _eprb_schedule(pair_slot[i], pair_slot[j])
-                 for i, j in _EPRB_PAIRS}
-    schedules["combined"] = _eprb_schedule(pair_slot[1], pair_slot[3],
-                                           (2, 3.0, axes[1]), (4, 4.0, axes[3]))
-    sets = tuple(ScenarioSet(name, schedule, fixed.mappings[name])
-                 for name, schedule in schedules.items())
 
     expected = {
         "C13": ExpectedValue(-float(np.dot(axes[0], axes[2])) + 0.0, "derived"),
@@ -299,16 +327,8 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         expected["unifying_table"] = ExpectedValue(table, "published")
         expected["unifier_unique"] = ExpectedValue(True, "published")
 
-    return ScenarioDescriptor(
-        name="eprb",
-        initial=fixed.initial,
-        final=None,
-        sets=sets,
-        space=fixed.space,
-        expected=expected,
-        parameters={f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4)
-                    for ci, c in enumerate("xyz")},
-    )
+    return eprb_grid([np.array([a]) for a in axes]).descriptor(
+        expected, {f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
 
 
 def planar_axis(theta: float) -> tuple[float, float, float]:
@@ -332,10 +352,16 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     return desc
 
 
+def _eprb_planar_grid(theta1, theta2, theta3, theta4) -> ScenarioGrid:
+    # planar_axis point by point: math.sin and math.cos, as the descriptor builder
+    return eprb_grid([np.array([planar_axis(t) for t in theta.tolist()])
+                      for theta in (theta1, theta2, theta3, theta4)])
+
+
 _LG_PAIRS = ((1, 2), (2, 3), (1, 3))
 
 
-@_once
+@functools.cache
 def _lg_fixed() -> _Fixed:
     var = {i: _spin_half_variable(f"q{i}") for i in (1, 2, 3)}
     mappings = {f"pair_{i}{j}": VariableMapping((var[i], var[j])) for i, j in _LG_PAIRS}
@@ -344,19 +370,22 @@ def _lg_fixed() -> _Fixed:
                   space=JointSampleSpace((var[1], var[2], var[3])), mappings=mappings)
 
 
-@_once
-def _lg_projectors() -> tuple[Projector, Projector]:
-    return tuple(Projector(0.5 * (np.eye(2) - s * PAULI_Z)) for s in (1, -1))
+_LG_PROJECTORS = frozen_array([[0.5 * (np.eye(2) - s * PAULI_Z) for s in (1, -1)]])
 
 
-@_memo
-def _lg_slot(time: float) -> Slot:
-    return Slot(time, _lg_projectors(), (1, -1))
-
-
-@_memo
-def _lg_schedule(omega: float, *times: float) -> HistorySchedule:
-    return HistorySchedule(tuple(_lg_slot(t) for t in times), 0.5 * omega * PAULI_X)
+def _leggett_garg_grid(omega, t1, t2, t3) -> ScenarioGrid:
+    """``leggett_garg`` at G points, each parameter a ``(G,)`` array; ``invalid``
+    marks unordered times and an ``omega`` times a time gap that overflows."""
+    times = {1: t1, 2: t2, 3: t3}
+    with np.errstate(all="ignore"):
+        invalid = ~((t1 < t2) & (t2 < t3))
+        for i, j in _LG_PAIRS:
+            invalid = invalid | ~np.isfinite(omega * (times[j] - times[i]))
+    slot = {i: (times[i], _LG_PROJECTORS, (1, -1)) for i in (1, 2, 3)}
+    sets = {f"pair_{i}{j}": (slot[i], slot[j]) for i, j in _LG_PAIRS}
+    sets["combined"] = (slot[1], slot[2], slot[3])
+    return ScenarioGrid("leggett_garg", (0.5 * omega)[:, None, None] * PAULI_X, _lg_fixed(), sets,
+                        invalid)
 
 
 def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
@@ -378,26 +407,13 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
             raise ValidationError(
                 f"omega * (t{j} - t{i}) must be finite, got omega={omega!r}, "
                 f"t{i}={times[i]!r}, t{j}={times[j]!r}")
-    fixed = _lg_fixed()
-    schedules = {f"pair_{i}{j}": _lg_schedule(omega, times[i], times[j]) for i, j in _LG_PAIRS}
-    schedules["combined"] = _lg_schedule(omega, times[1], times[2], times[3])
-    sets = tuple(ScenarioSet(name, schedule, fixed.mappings[name])
-                 for name, schedule in schedules.items())
-
     expected = {
         "C12": ExpectedValue(math.cos(omega * (times[2] - times[1])), "published"),
         "C23": ExpectedValue(math.cos(omega * (times[3] - times[2])), "published"),
         "C13": ExpectedValue(math.cos(omega * (times[3] - times[1])), "published"),
     }
-    return ScenarioDescriptor(
-        name="leggett_garg",
-        initial=fixed.initial,
-        final=None,
-        sets=sets,
-        space=fixed.space,
-        expected=expected,
-        parameters={"omega": omega, "t1": times[1], "t2": times[2], "t3": times[3]},
-    )
+    parameters = {"omega": omega, "t1": times[1], "t2": times[2], "t3": times[3]}
+    return _leggett_garg_grid(*(np.array([v]) for v in parameters.values())).descriptor(expected, parameters)
 
 
 _BUILDERS = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,
@@ -406,12 +422,7 @@ _ACCEPTED = {name: frozenset(inspect.signature(builder).parameters)
              for name, builder in _BUILDERS.items()}
 
 
-def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> ScenarioDescriptor:
-    """Construct a built-in scenario by CLI name, with optional parameter overrides.
-
-    The parameters a scenario accepts, and their defaults, are its builder's
-    keyword arguments.
-    """
+def _checked_parameters(name: str, parameters: Mapping | None) -> dict:
     if name not in _BUILDERS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     parameters = dict(parameters or {})
@@ -421,4 +432,30 @@ def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> 
     unknown = set(parameters) - accepted
     if unknown:
         raise ValidationError(f"unknown {name} parameters {sorted(unknown)}")
+    return parameters
+
+
+def build_scenario(name: str, parameters: Mapping[str, float] | None = None) -> ScenarioDescriptor:
+    """Construct a built-in scenario by CLI name, with optional parameter overrides.
+
+    The parameters a scenario accepts, and their defaults, are its builder's
+    keyword arguments.
+    """
+    parameters = _checked_parameters(name, parameters)
     return _BUILDERS[name](**parameters)
+
+
+_GRID_BUILDERS = {"eprb": _eprb_planar_grid, "leggett_garg": _leggett_garg_grid}
+
+
+def scenario_grid(name: str, parameters: Mapping[str, np.ndarray]) -> ScenarioGrid:
+    """A sweepable scenario at G points: ``parameters`` maps names, checked as
+    ``build_scenario`` checks them, to ``(G,)`` arrays; the others keep the
+    descriptor builder's defaults."""
+    parameters = _checked_parameters(name, parameters)
+    if name not in _GRID_BUILDERS:
+        raise ValidationError(f"{name} cannot be swept")
+    bound = inspect.signature(_BUILDERS[name]).bind(**parameters)
+    bound.apply_defaults()
+    return _GRID_BUILDERS[name](*(np.atleast_1d(np.asarray(v, dtype=float))
+                                  for v in bound.arguments.values()))

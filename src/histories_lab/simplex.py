@@ -374,27 +374,36 @@ def verify_certificate(A, b, certificate, upper=None) -> bool:
     scaled by the certificate magnitude.  A candidate that is not a flat
     sequence of finite real numbers with one entry per row is rejected.
     """
+    refutes = farkas_test(A, certificate, upper)
+    return refutes is not None and refutes(b)
+
+
+def farkas_test(A, certificate, upper=None):
+    """``verify_certificate`` with its ``b``-free part done once: a function
+    ``refutes(b)`` for systems that differ only in ``b``, or ``None`` when the
+    candidate refutes no right-hand side at all."""
     if isinstance(certificate, str) or not isinstance(certificate, (Sequence, np.ndarray)) \
             or len(certificate) != len(A):
-        return False
+        return None
     types = set(map(type, certificate))
     if not all(issubclass(t, Real) for t in types):
-        return False
+        return None
     exact = all(issubclass(t, Rational) for t in types)
     dtype = object if exact else float
     try:
         y = np.asarray(certificate, dtype=dtype)
     except OverflowError:  # an int beyond the float range among float entries
-        return False
+        return None
     scale = 1.0 if exact else float(np.max(np.abs(y)))
     if not math.isfinite(scale):
-        return False
+        return None
     slack = 0 if exact else DEFAULT_FEAS_TOL * max(1.0, scale)
     combo = y @ np.asarray(A, dtype=dtype)
-    rhs = y @ np.asarray(b, dtype=dtype)
     bounds = np.full(len(combo), math.inf, dtype=dtype) if upper is None \
         else np.asarray(upper, dtype=dtype)
     finite = bounds != math.inf
-    reach = bounds[finite] @ np.minimum(combo[finite], 0)
     free = combo[~finite]
-    return bool((free.size == 0 or free.min() >= -slack) and rhs - reach < -slack)
+    if free.size and not free.min() >= -slack:
+        return None
+    reach = bounds[finite] @ np.minimum(combo[finite], 0)
+    return lambda b: bool(y @ np.asarray(b, dtype=dtype) - reach < -slack)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 from typing import Hashable, Mapping, Sequence
@@ -387,10 +386,11 @@ class ConstraintSystem:
     ``table.values`` order, then the normalization row.  The first
     ``n_cells`` columns are the joint cells in row-major order.  A float
     system of band width ``delta > 0`` appends one slack column per row:
-    row ``r`` reads ``a_r.x + s_r = b_r + delta`` with ``0 <= s_r <= 2*delta``,
-    i.e. ``|a_r.x - b_r| <= delta``, and ``upper`` holds ``inf`` for the cells
-    and ``2*delta`` for the slacks.  Width-0 systems (exact mode, or
-    ``delta = 0``) are hard equalities with no slack columns and
+    marginal row ``r`` reads ``a_r.x + s_r = b_r + delta`` with
+    ``0 <= s_r <= 2*delta``, i.e. ``|a_r.x - b_r| <= delta``, while the
+    normalization row's slack is bounded by 0, so that the cells sum to
+    exactly 1; ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact
+    mode, or ``delta = 0``) are hard equalities with no slack columns and
     ``upper = None``.
     """
 
@@ -440,7 +440,7 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     Row ``r`` of a table is the indicator of the cells ``_cell_keys`` maps to
     its ``r``-th key; the normalization row covers every cell.  Exact mode
     keeps hard equalities in ``Fraction`` arithmetic and ignores ``delta``.
-    Float mode widens each row into the band ``|a_r.x - b_r| <= delta``
+    Float mode widens each marginal row into the band ``|a_r.x - b_r| <= delta``
     through one bounded slack column per row (see ``ConstraintSystem``); with
     ``delta = 0`` the rows stay hard equalities, which the solver's phase-1
     feasibility tolerance still cushions against ~1e-15 marginal noise.
@@ -455,8 +455,8 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     slacks = m if width else 0
     dtype = object if exact else float
     matrix = np.full((m, n + slacks), zero, dtype=dtype)
-    targets = [value for table in marginals for value in table.values.values()] + [one]
-    rhs = np.array([Fraction(v) if exact else float(v) + width for v in targets], dtype=dtype)
+    rhs = np.array([Fraction(v) if exact else float(v) + width
+                    for table in marginals for v in table.values.values()] + [one], dtype=dtype)
     cols = np.arange(n)
     row = 0
     for table in marginals:
@@ -466,15 +466,26 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     if not slacks:
         return ConstraintSystem(matrix, rhs, space.cells(), n)
     matrix[:, n:] = np.eye(m)
-    upper = np.concatenate([np.full(n, np.inf), np.full(m, 2 * width)])
+    upper = np.concatenate([np.full(n, np.inf), np.full(m - 1, 2 * width), [0.0]])
     return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
+
+
+def refused_tables(values: np.ndarray) -> np.ndarray:
+    """The rows of a ``(G, k)`` stack of float table values that ``MarginalTable`` refuses."""
+    return ~(np.isfinite(values).all(axis=1) & (values >= -TABLE_TOL).all(axis=1)
+             & (np.abs(values.sum(axis=1) - 1.0) <= TABLE_TOL))
+
+
+def stacked_rhs(values: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
+    """Float ``build_constraint_system`` right-hand sides, one per row of table values."""
+    return np.concatenate([values + float(delta), np.ones((len(values), 1))], axis=1)
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                     witness: dict, delta: float, exact: bool) -> None:
     """One check for both arithmetics: exact witnesses at tolerance 0, float
-    ones with ``1e-12`` below zero and ``delta + 1e-12`` on every key.  Every
-    comparison is written so that a NaN fails it."""
+    ones with ``1e-12`` below zero, ``delta + 1e-12`` on every key and
+    ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it."""
     values = np.array([witness[c] for c in space.cells()], dtype=object if exact else float)
     floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
     below = np.logical_not(values >= floor)
@@ -487,8 +498,8 @@ def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         for key, off in zip(table.values, miss):
             if not off <= slop:
                 raise NumericError(f"witness misses marginal key {key!r} by {off}")
-    if not abs(values.sum() - 1) <= slop:
-        raise NumericError("witness is not normalized within delta")
+    if not abs(values.sum() - 1) <= (0 if exact else 1e-12):
+        raise NumericError(f"witness sums to {values.sum()}, not 1")
 
 
 def is_finite_number(value) -> bool:
@@ -684,8 +695,15 @@ def pair_correlation(table: MarginalTable) -> float:
     """Correlation sum(v1 * v2 * p) of a two-variable table with numeric outcomes."""
     if len(table.variables) != 2:
         raise ValidationError("pair correlation needs a table over exactly two variables")
-    total = 0.0
-    for key, value in table.values.items():
+    values = np.array([list(table.values.values())], dtype=float)
+    return float(pair_correlations(list(table.values), values)[0])
+
+
+def pair_correlations(keys: Sequence[tuple], values: np.ndarray) -> np.ndarray:
+    """``pair_correlation`` of G tables that share ``keys``, one per row of the
+    ``(G, len(keys))`` stack ``values``, summed in key order."""
+    total = np.zeros(len(values))
+    for key, column in zip(keys, values.T):
         factors = []
         for group in key:
             if len(group) != 1:
@@ -694,7 +712,7 @@ def pair_correlation(table: MarginalTable) -> float:
                 factors.append(float(group[0]))
             except (TypeError, ValueError):
                 raise ValidationError(f"outcome {group[0]!r} is not numeric") from None
-        total += factors[0] * factors[1] * float(value)
+        total = total + factors[0] * factors[1] * column
     return total
 
 
@@ -722,18 +740,24 @@ def cycle_check(correlations: CorrelationSet) -> CycleCheck:
             "cycle check needs pairs forming one cycle: every variable in exactly "
             "two pairs, all connected, at least three of them"
         )
-    c = list(correlations.values.values())
-    n = len(c)
-    values = []
-    for signs in itertools.product((1, -1), repeat=n):
-        minus = signs.count(-1)
-        if minus % 2:
-            # Sum left to right (sum() compensates rounding from Python 3.12 on)
-            # over whichever of signs and -signs has fewer minus signs, so that
-            # opposite sign vectors give exactly opposite values, zeros included.
-            flip = -1 if 2 * minus > n else 1
-            values.append(flip * reduce(operator.add, (flip * g * v for g, v in zip(signs, c))))
-    return CycleCheck(satisfied=max(values) <= n - 2 + TABLE_TOL, values=tuple(values), bound=n - 2)
+    n = len(correlations.values)
+    values = tuple(map(float, cycle_values(np.array([list(correlations.values.values())]))[0]))
+    return CycleCheck(satisfied=max(values) <= n - 2 + TABLE_TOL, values=values, bound=n - 2)
+
+
+def cycle_values(correlations: np.ndarray) -> np.ndarray:
+    """``CycleCheck.values`` of G cycles, one per row of the ``(G, n)`` stack
+    of their correlations in ``CorrelationSet`` order."""
+    n = correlations.shape[1]
+    signs = np.array([s for s in itertools.product((1, -1), repeat=n) if s.count(-1) % 2])
+    # sum left to right over whichever of signs and -signs has fewer minus signs,
+    # so that opposite sign vectors give exactly opposite values, zeros included
+    flips = np.where(2 * (signs == -1).sum(axis=1) > n, -1.0, 1.0)
+    signs = signs * flips[:, None]
+    total = correlations[:, :1] * signs[:, 0]
+    for k in range(1, n):
+        total = total + correlations[:, k:k + 1] * signs[:, k]
+    return total * flips
 
 
 # Old names, kept only because ``perfbench/workloads.py`` calls them: the

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import pickle
-import signal
 import tempfile
 
 import numpy as np
@@ -23,7 +22,7 @@ from histories_lab.analysis import (
     report_to_json,
     reverify,
 )
-from histories_lab.cli import SWEEP_WORKER_CAP, _sweep_threads, main
+from histories_lab.cli import _sweep_threads, main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_probabilities
@@ -426,23 +425,25 @@ def test_sweep_through_tsirelson_excludes_the_peak():
 
 
 def test_sweep_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HISTORIES_LAB_THREADS", "2")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenario", "leggett_garg",
-                 "--param", "omega", "--range", "0.2:1.2:4", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 5
-    monkeypatch.setenv("HISTORIES_LAB_THREADS", "junk")
-    assert main(["sweep", "--scenario", "leggett_garg",
-                 "--param", "omega", "--range", "0.2:1.2:2"]) == 2
+    # HISTORIES_LAB_THREADS is ignored: the sweep runs in this process whatever it says
+    argv = ["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0.2:1.2:4"]
+    outs = []
+    for raw in ("2", "junk", None):
+        if raw is None:
+            monkeypatch.delenv("HISTORIES_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HISTORIES_LAB_THREADS", raw)
+        out = tmp_path / f"sweep_{raw}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2] and len(outs[0].splitlines()) == 5
 
 
 def test_sweep_workers_are_capped_whatever_the_environment_says(monkeypatch):
     # only reads the variable: no process is started
-    for raw, expected in (("500", SWEEP_WORKER_CAP), (str(10**12), SWEEP_WORKER_CAP),
-                          ("3", 3), ("0", 1), ("-4", 1)):
+    for raw in ("500", str(10**12), "3", "0", "-4", "junk"):
         monkeypatch.setenv("HISTORIES_LAB_THREADS", raw)
-        assert _sweep_threads() == expected
-    assert SWEEP_WORKER_CAP == 8
+        assert _sweep_threads() == 1
 
 
 def _no_child_left():
@@ -454,40 +455,26 @@ def _no_child_left():
     return False
 
 
-def _sweep(monkeypatch, capsys, workers, argv):
-    monkeypatch.setenv("HISTORIES_LAB_THREADS", str(workers))
-    code = main(["sweep", *argv])
-    return code, capsys.readouterr()
-
-
 README_SWEEPS = (["--scenario", "leggett_garg", "--param", "omega", "--range", "0:3.14159:181"],
                  ["--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"])
 
 
-@pytest.mark.parametrize("argv", README_SWEEPS, ids=["leggett_garg", "eprb"])
-def test_sweep_csv_is_the_same_in_process_and_forked(monkeypatch, capsys, argv):
-    serial = _sweep(monkeypatch, capsys, 1, argv)
-    pooled = _sweep(monkeypatch, capsys, 2, argv)
-    assert serial[0] == pooled[0] == 0
-    assert serial[1].out == pooled[1].out
-    assert len(pooled[1].out.splitlines()) == int(argv[-1].rsplit(":", 1)[1]) + 1
-    assert _no_child_left()
-
-
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, err", [
     # t1 reaches t2 = 1 at the eleventh of 20 points, so the last ten fail
-    ["--scenario", "leggett_garg", "--param", "t1", "--range", "0:1.9:20"],
+    (["--scenario", "leggett_garg", "--param", "t1", "--range", "0:1.9:20"],
+     "error: times must be strictly increasing, got (1.0999999999999999, 1.0, 2.0)\n"),
     # omega * (t3 - t2) overflows from the second of three points on
-    ["--scenario", "leggett_garg", "--param", "omega", "--range", "1:1e300:3",
-     "--param", "t3", "--range", "1e10:1e10:1"],
-], ids=["unordered-times", "overflowing-phase"])
-def test_sweep_failure_is_the_first_in_grid_order_in_process_and_forked(monkeypatch, capsys, argv):
-    serial = _sweep(monkeypatch, capsys, 1, argv)
-    pooled = _sweep(monkeypatch, capsys, 2, argv)
-    assert serial[0] == pooled[0] == 2
-    assert serial[1] == pooled[1]
-    assert len(serial[1].err.splitlines()) == 1 and "Traceback" not in serial[1].err
-    assert _no_child_left()
+    (["--scenario", "leggett_garg", "--param", "omega", "--range", "1:1e300:3",
+      "--param", "t3", "--range", "1e10:1e10:1"],
+     "error: omega * (t3 - t2) must be finite, got omega=5e+299, t2=1.0, t3=10000000000.0\n"),
+    # t1 reaches t2 = 1 at point 316 of 600, in the second chunk of the grid
+    (["--scenario", "leggett_garg", "--param", "t1", "--range", "0:1.9:600"],
+     "error: times must be strictly increasing, got (1.002337228714524, 1.0, 2.0)\n"),
+], ids=["unordered-times", "overflowing-phase", "second-chunk"])
+def test_sweep_failure_is_the_first_in_grid_order(capsys, argv, err):
+    assert main(["sweep", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err
 
 
 def test_one_sweep_worker_forks_nothing(monkeypatch, capsys):
@@ -495,50 +482,25 @@ def test_one_sweep_worker_forks_nothing(monkeypatch, capsys):
         raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    code, out = _sweep(monkeypatch, capsys, 1, README_SWEEPS[1])
-    assert code == 0 and len(out.out.splitlines()) == 42
-
-
-def _slice_work(monkeypatch, in_children, in_parent=None):
-    """Replace the slice work of forked workers by ``in_children`` and, when
-    given, the slice work of this process by ``in_parent``."""
-    parent = os.getpid()
-    in_parent = in_parent or cli._evaluate_slice
-
-    def slice_work(scenario, points):
-        return (in_parent if os.getpid() == parent else in_children)(scenario, points)
-
-    monkeypatch.setattr(cli, "_evaluate_slice", slice_work)
-
-
-def test_sweep_worker_without_a_result_is_an_internal_error(monkeypatch, capsys):
-    _slice_work(monkeypatch, lambda scenario, points: os._exit(1))
-    code, out = _sweep(monkeypatch, capsys, 2, README_SWEEPS[1])
-    assert code == 3 and out.out == ""
-    assert out.err.splitlines() == ["internal error: sweep worker 1 exited without a result"]
+    monkeypatch.setenv("HISTORIES_LAB_THREADS", "2")
+    assert main(["sweep", *README_SWEEPS[1]]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 42
     assert _no_child_left()
 
 
-def test_failing_first_slice_does_not_wait_on_a_full_pipe(monkeypatch, capsys):
-    def first_slice_fails(scenario, points):
-        raise ValidationError("the first slice failed")
+def test_out_rewrites_a_longer_file_in_place(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * 100_000)
+    assert main(["analyze", "--scenario", "three_box", "--out", str(out)]) == 0
+    expected = report_to_json(analyze(three_box())).encode()
+    assert out.read_bytes() == expected
+    assert main(["sweep", *README_SWEEPS[1], "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"theta4,") and len(out.read_bytes().splitlines()) == 42
 
-    # a child's rows pickle to far more than a 64 KiB pipe buffer holds
-    _slice_work(monkeypatch, lambda scenario, points: [{"padding": "x" * (1 << 20)}],
-                first_slice_fails)
 
-    def hung(signum, frame):
-        raise AssertionError("the sweep waited on a worker")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(10)
-    try:
-        code, out = _sweep(monkeypatch, capsys, 2, README_SWEEPS[1])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == 2 and out.err == "error: the first slice failed\n"
-    assert _no_child_left()
+def test_out_to_dev_null_exits_0():
+    assert main(["analyze", "--scenario", "three_box", "--out", os.devnull]) == 0
+    assert main(["sweep", *README_SWEEPS[1], "--out", os.devnull]) == 0
 
 
 def test_config_validation_error_survives_pickling():
@@ -666,7 +628,8 @@ def test_reverify_rejects_tampered_evidence():
 
     # float three_box: scale the certificate and add the normalization row so
     # that y.b is just below 0.  That still refutes the hard equalities, but
-    # not the +-delta bands: delta * sum|y| outweighs y.b
+    # not the +-delta bands of the marginal rows: delta * sum|y| over those
+    # rows (2.0e-9; the normalization row has no band) outweighs y.b = -1.5e-9
     desc = three_box()
     report = json.loads(report_to_json(analyze(desc, AnalysisOptions())))
     reverify(report)
@@ -675,7 +638,7 @@ def test_reverify_rejects_tampered_evidence():
                  for name in unification["marginal_sets"]]
     hard = build_constraint_system(desc.space, marginals, 0.0)
     y = np.array(unification["verdict"]["farkas_certificate"])
-    y = -(1 + 3e-9) / float(y @ hard.rhs) * y
+    y = -(1 + 1.5e-9) / float(y @ hard.rhs) * y
     y[-1] += 1.0  # the normalization row
     assert verify_certificate(hard.matrix, hard.rhs, y)
     unification["verdict"]["farkas_certificate"] = y.tolist()

@@ -259,14 +259,15 @@ def test_post_selection_weight_is_computed_once(monkeypatch):
         traced = []
         trace = np.trace
 
-        def counting_trace(m):
+        def counting_trace(m, *args, **kwargs):
             traced.append(m)
-            return trace(m)
+            return trace(m, *args, **kwargs)
 
         monkeypatch.setattr(np, "trace", counting_trace)
         quasi = quasi_probabilities(hset)
         monkeypatch.undo()
-        assert len(traced) == len(hset.labels)  # none for the weight
+        # one trace of the stacked products, none for the weight
+        assert [m.shape[:2] for m in traced] == [(1, len(hset.labels))]
         for label, c in zip(hset.labels, hset.class_operators):
             expected = float((complex(np.trace(final @ (c @ rho))) / weight).real)
             assert quasi[label] == expected

@@ -1,9 +1,9 @@
-"""A sweep slice carries each infeasible point's Farkas certificate to the next.
+"""A sweep carries each infeasible point's Farkas certificate to the points after it.
 
 ``find_unifying_probability(..., certificate=y)`` reports ``y`` only when
 ``verify_certificate`` accepts it against the system at hand; otherwise the
 LP solves as without it.  Carried verdicts must therefore equal fresh ones
-away from the feasibility boundary, and every certificate a slice reports
+away from the feasibility boundary, and every certificate a sweep reports
 must verify against its own point's constraint system.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from histories_lab import unify
 from histories_lab.classicality import classify
-from histories_lab.cli import Carry, _evaluate_slice, evaluate_sweep_point
+from histories_lab.cli import Carry, evaluate_sweep_point, main
 from histories_lab.scenarios import build_scenario
 from histories_lab.simplex import verify_certificate
 from histories_lab.unify import (
@@ -83,13 +83,13 @@ def test_a_valid_certificate_is_reported_without_a_solve(monkeypatch):
     assert _certified(space, tables, carried.farkas_certificate)
 
 
-def test_the_readme_eprb_slice_solves_one_lp(monkeypatch):
+def test_the_readme_eprb_slice_solves_one_lp(monkeypatch, capsys):
     solves = []
     solve_lp = unify.solve_lp
     monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k))
-    points = [{"theta4": float(v)} for v in np.linspace(2, 2.8, 41)]
-    rows = _evaluate_slice("eprb", points)
-    assert [r["feasible"] for r in rows] == [0] * 41
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["0"] * 41
     assert len(solves) == 1
 
 

@@ -1,10 +1,10 @@
-"""Scenario pieces are memoized across builds; results must not depend on it.
+"""Results must not depend on what was built or evaluated before.
 
-``eprb`` and ``leggett_garg`` hand out the same validated projectors, slots
-and schedules for the same parameter values, a schedule keeps its history
-set, and a history set keeps its classification diagnostics.  Every output
-must be byte-identical whether the memos start cold or warm, signed zeros
-included.
+No scenario piece is reused across builds: only the parameter-free parts of
+``eprb`` and ``leggett_garg`` are built once per process, and a sweep
+evaluates its grid as stacks.  Every output must be byte-identical whichever
+points came first and whether a point is evaluated alone or in a grid,
+signed zeros included.
 """
 
 import itertools
@@ -15,14 +15,8 @@ import pytest
 
 from histories_lab.analysis import analyze, report_to_json
 from histories_lab.classicality import classify
-from histories_lab.cli import evaluate_sweep_point
-from histories_lab.histories import history_set
-from histories_lab.scenarios import _MEMOS, MEMO_SIZE, build_scenario
-
-
-def _cold():
-    for memo in _MEMOS:
-        memo.cache_clear()
+from histories_lab.cli import Carry, _evaluate_points, evaluate_sweep_point
+from histories_lab.scenarios import build_scenario
 
 
 def _row(scenario, params):
@@ -43,14 +37,12 @@ OTHER_POINTS = (("eprb", {"theta4": 3 * math.pi / 4, "theta3": math.pi / 4}),
 
 @pytest.mark.parametrize("scenario,params", SIGNED_ZERO_POINTS + list(OTHER_POINTS))
 def test_cold_and_warm_builds_give_identical_rows_and_reports(scenario, params):
-    _cold()
-    cold = (_row(scenario, params), _report(scenario, params))
-    _cold()
-    # warm every memo with the other signed zero and other points first
+    first = (_row(scenario, params), _report(scenario, params))
+    # evaluate every other point, the other signed zero included, in between
     for other_scenario, other in SIGNED_ZERO_POINTS + list(OTHER_POINTS):
         evaluate_sweep_point(other_scenario, other)
-    assert (_row(scenario, params), _report(scenario, params)) == cold
-    assert (_row(scenario, params), _report(scenario, params)) == cold
+    assert (_row(scenario, params), _report(scenario, params)) == first
+    assert (_row(scenario, params), _report(scenario, params)) == first
 
 
 @pytest.mark.parametrize("scenario,names,grids", (
@@ -60,39 +52,18 @@ def test_cold_and_warm_builds_give_identical_rows_and_reports(scenario, params):
 def test_two_parameter_grids_match_cold_points(scenario, names, grids):
     values = [[float(v) for v in g] + [0.0, -0.0] for g in grids]
     points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
-    assert len(points) > MEMO_SIZE // 2  # long enough for memo entries to be evicted and rebuilt
-    warm = [_row(scenario, p) for p in points]
-    cold = []
-    for p in points:
-        _cold()
-        cold.append(_row(scenario, p))
-    assert warm == cold
+    columns = {name: np.array([p[name] for p in points]) for name in names}
+    stacked = [repr(row) for row in _evaluate_points(scenario, columns, len(points), Carry())]
+    assert stacked == [_row(scenario, p) for p in points]
 
 
-def test_memoized_pieces_are_shared_and_signed_zeros_are_not():
-    _cold()
-    a = build_scenario("eprb", {"theta4": 2.1})
-    b = build_scenario("eprb", {"theta4": 2.2})
-    for name in ("pair_13", "pair_23"):  # untouched by theta4
-        assert a.set_named(name).schedule is b.set_named(name).schedule
-        assert a.build(name) is b.build(name)
-    for name in ("pair_14", "pair_24", "combined"):
-        assert a.set_named(name).schedule is not b.set_named(name).schedule
+def test_signed_zero_parameters_are_kept():
     plus = build_scenario("leggett_garg", {"t1": 0.0}).set_named("pair_12").schedule
     minus = build_scenario("leggett_garg", {"t1": -0.0}).set_named("pair_12").schedule
-    assert plus is not minus
+    assert math.copysign(1.0, plus.slots[0].time) == 1.0
     assert math.copysign(1.0, minus.slots[0].time) == -1.0
-    assert build_scenario("leggett_garg", {"t1": 0.0}).set_named("pair_12").schedule is plus
-
-
-def test_a_schedule_reuses_its_set_only_for_the_same_boundary_states():
-    desc = build_scenario("leggett_garg")
-    schedule = desc.set_named("pair_12").schedule
-    hset = history_set(schedule, desc.initial)
-    assert history_set(schedule, desc.initial) is hset
-    other = build_scenario("griffiths_spin").initial
-    assert history_set(schedule, other) is not hset
-    assert history_set(schedule, other, other).final is other
+    eprb = build_scenario("eprb", {"theta1": -0.0})
+    assert math.copysign(1.0, eprb.parameters["theta1"]) == -1.0
 
 
 @pytest.mark.parametrize("scenario", ("eprb", "leggett_garg"))
@@ -111,13 +82,11 @@ def test_memoized_matrices_are_read_only(scenario):
 
 def test_classify_on_a_cached_set_matches_fresh_sets_at_every_tolerance():
     for scenario in ("eprb", "leggett_garg"):
-        _cold()
         cached = {s.name: build_scenario(scenario).build(s.name)
                   for s in build_scenario(scenario).sets}
         reports = {(name, tol): classify(hset, tol)
                    for name, hset in cached.items() for tol in (1e-10, 0.3)}
         for (name, tol), report in reports.items():
-            _cold()
             fresh = build_scenario(scenario).build(name)
             assert fresh is not cached[name]
             assert classify(fresh, tol) == report

@@ -1,0 +1,155 @@
+"""A sweep is one stacked computation per chunk of its grid.
+
+The stacked rows must equal point-by-point ``evaluate_sweep_point`` rows,
+the README sweeps must reproduce their committed CSVs byte for byte, every
+infeasible verdict must carry a certificate that verifies against its own
+point's constraint system, and memory must not grow with the grid.
+"""
+
+import math
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from histories_lab import cli, simplex
+from histories_lab.classicality import classify
+from histories_lab.cli import SWEEP_CHUNK, Carry, _evaluate_points, evaluate_sweep_point, main
+from histories_lab.scenarios import build_scenario
+from histories_lab.unify import build_constraint_system, extract_marginals
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+README_SWEEPS = (
+    (["--scenario", "leggett_garg", "--param", "omega", "--range", "0:3.14159:181"],
+     "sweep_leggett_garg_omega.csv"),
+    (["--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"], "sweep_eprb_theta4.csv"),
+)
+BOUNDS = {"eprb": 2.0, "leggett_garg": 1.0}
+
+
+@pytest.mark.parametrize("argv, golden", README_SWEEPS, ids=["leggett_garg", "eprb"])
+def test_readme_sweeps_reproduce_their_committed_csvs(tmp_path, argv, golden):
+    out = tmp_path / golden
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _stacked_rows(scenario, points):
+    columns = {name: np.array([p[name] for p in points]) for name in points[0]}
+    return _evaluate_points(scenario, columns, len(points), Carry())
+
+
+def _grid(names, values):
+    return [dict(zip(names, combo)) for combo in np.array(np.meshgrid(*values, indexing="ij"))
+            .reshape(len(names), -1).T.tolist()]
+
+
+angles = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4)
+signed_zero = st.booleans()
+
+
+@st.composite
+def grids(draw):
+    """A random 1- or 2-parameter grid, sometimes through -0.0."""
+    if draw(st.booleans()):
+        scenario = "eprb"
+        names = draw(st.lists(st.sampled_from([f"theta{k}" for k in (1, 2, 3, 4)]),
+                              min_size=1, max_size=2, unique=True))
+        values = [draw(angles) for _ in names]
+    else:
+        scenario = "leggett_garg"
+        ranges = {"t1": (-3.0, 0.9), "t2": (0.05, 1.95), "t3": (1.05, 5.0)}
+        names = ["omega"] + draw(st.lists(st.sampled_from(sorted(ranges)), max_size=1))
+        values = [draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))]
+        values += [draw(st.lists(st.floats(*ranges[name]), min_size=1, max_size=4))
+                   for name in names[1:]]
+    if draw(signed_zero):
+        values[0] = values[0] + [-0.0, 0.0]
+    return scenario, _grid(names, values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(grids())
+def test_stacked_rows_match_fresh_points(grid):
+    scenario, points = grid
+    for params, row in zip(points, _stacked_rows(scenario, points)):
+        fresh = evaluate_sweep_point(scenario, params)
+        assert row["combined_consistent"] == fresh["combined_consistent"]
+        assert repr(row["max_combination"]) == repr(fresh["max_combination"])
+        if abs(BOUNDS[scenario] - row["max_combination"]) > 1e-6:
+            assert row == fresh
+
+
+def test_two_chunks_and_a_point_match_carried_points(capsys):
+    steps = 2 * SWEEP_CHUNK + 1
+    assert main(["sweep", "--scenario", "leggett_garg", "--param", "omega",
+                 "--range", f"0:3:{steps}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    carry = Carry()
+    expected = []
+    for omega in np.linspace(0, 3, steps).tolist():
+        row = evaluate_sweep_point("leggett_garg", {"omega": omega}, carry)
+        expected.append(f"{omega!r},{row['combined_consistent']},{row['max_combination']!r},"
+                        f"{row['feasible']}")
+    assert lines[1:] == expected
+
+
+def _point_system(scenario, params):
+    desc = build_scenario(scenario, params)
+    tables = [extract_marginals(desc.build(s.name), s.mapping) for s in desc.sets
+              if s.name != "combined" and classify(desc.build(s.name)).consistent]
+    return build_constraint_system(desc.space, tables)
+
+
+def test_every_infeasible_point_reports_a_certificate_of_its_own_system(monkeypatch):
+    verdicts = []  # per point: the certificate it reports, None when feasible
+    farkas_test = cli.farkas_test
+    find = cli.find_unifying_probability
+
+    def carried(A, certificate, upper):
+        refutes = farkas_test(A, certificate, upper)
+
+        def logged(b):
+            refuted = refutes(b)
+            if refuted:
+                verdicts.append(certificate)
+            return refuted
+        return logged
+
+    def solved(space, tables):
+        verdict = find(space, tables)
+        verdicts.append(verdict.farkas_certificate)
+        return verdict
+
+    monkeypatch.setattr(cli, "farkas_test", carried)
+    monkeypatch.setattr(cli, "find_unifying_probability", solved)
+    points = _grid(["theta3", "theta4"], [np.linspace(0.0, 1.0, 3).tolist(),
+                                         np.linspace(2.0, 2.8, 9).tolist()])
+    rows = _stacked_rows("eprb", points)
+    assert len(verdicts) == len(points)
+    assert sum(row["feasible"] == 0 for row in rows) > 2
+    for params, row, certificate in zip(points, rows, verdicts):
+        assert row["feasible"] == int(certificate is None)
+        if certificate is not None:
+            system = _point_system("eprb", params)
+            assert simplex.verify_certificate(system.matrix, system.rhs, certificate, system.upper)
+
+
+def _stacking_peak(chunks):
+    points = np.linspace(-3.0, 3.0, chunks * SWEEP_CHUNK)
+    tracemalloc.start()
+    carry = Carry()
+    for start in range(0, len(points), SWEEP_CHUNK):
+        chunk = points[start:start + SWEEP_CHUNK]
+        _evaluate_points("eprb", {"theta4": chunk}, len(chunk), carry)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_stacking_memory_does_not_grow_with_the_grid():
+    _stacking_peak(1)  # settle one-time allocations
+    assert _stacking_peak(4) <= 2 * _stacking_peak(1)

@@ -100,6 +100,20 @@ def test_verify_witness_rejects_a_nan_cell(exact, cell):
         _verify_witness(JointSampleSpace((SA,)), [table], witness, DEFAULT_DELTA, exact)
 
 
+def test_a_float_unifier_must_sum_to_one():
+    # one variable read by two sets, z and z tilted by 0.02 rad: each cell is
+    # within delta of both tables, but the cells sum to 1.001
+    space = JointSampleSpace((SA,))
+    tilt = math.sin(0.01) ** 2
+    tables = [MarginalTable((SA,), {(1,): 1.0, (-1,): 0.0}),
+              MarginalTable((SA,), {(1,): 1.0 - tilt, (-1,): tilt})]
+    with pytest.raises(NumericError, match="sums to"):
+        verify_witness(space, tables, {(1,): 0.9999999999999999, (-1,): 0.001}, delta=1e-3)
+    verdict = find_unifying_probability(space, tables, delta=1e-3)
+    assert verdict.feasible and abs(sum(verdict.witness.values()) - 1.0) <= 1e-12
+    verify_witness(space, tables, verdict.witness, delta=1e-3)
+
+
 def test_marginal_table_grouped_keys_must_partition():
     MarginalTable((BOX,), {("1",): 1.0, (("2", "3"),): 0.0})
     with pytest.raises(ValidationError):
@@ -568,16 +582,19 @@ def test_quasi_probability_must_sum_to_one():
 # ---------------------------------------------------------------------------
 
 def _doubled_band_system(space, tables, delta):
-    """Each key as two rows, a.x + s = b + delta and -a.x + s' = -(b - delta), s, s' >= 0."""
+    """Each key as two rows, a.x + s = b + delta and -a.x + s' = -(b - delta), s, s' >= 0;
+    the normalization row keeps width 0, a hard equality as in the bounded system."""
     narrow = build_constraint_system(space, tables, 0.0)
     m, n = narrow.matrix.shape
     A = np.zeros((2 * m, n + 2 * m))
     A[0::2, :n] = narrow.matrix
     A[1::2, :n] = -narrow.matrix
     A[:, n:] = np.eye(2 * m)
+    width = np.full(m, delta)
+    width[-1] = 0.0
     b = np.empty(2 * m)
-    b[0::2] = narrow.rhs + delta
-    b[1::2] = -(narrow.rhs - delta)
+    b[0::2] = narrow.rhs + width
+    b[1::2] = -(narrow.rhs - width)
     return A, b
 
 
