@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ConfigValidationError, ValidationError
 from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, Slot
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
-from .scenarios import ScenarioDescriptor, ScenarioSet
+from .scenarios import ScenarioDescriptor, _Fixed, point_grid
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number
 
 _FLOAT_MAX = sys.float_info.max
@@ -423,8 +423,9 @@ def parse_config(source) -> ScenarioDescriptor:
     schedules, declared = _parse_sets(doc.get("sets"), dim, hamiltonian, problems)
     space, mappings = _parse_unify(doc.get("unify"), schedules, declared, problems)
     problems.raise_if_any()
-    sets = tuple(ScenarioSet(n, schedule, mappings.get(n)) for n, schedule in schedules.items())
-    return ScenarioDescriptor(name=name, initial=initial, final=final, sets=sets, space=space)
+    sets = {n: [(slot.time, [p.matrix for p in slot.projectors], slot.symbols) for slot in schedule.slots]
+            for n, schedule in schedules.items()}
+    return point_grid(name, hamiltonian, sets, _Fixed(initial, space, mappings, final)).descriptor()
 
 
 def _encode_complex_matrix(matrix: np.ndarray) -> list:
@@ -432,32 +433,27 @@ def _encode_complex_matrix(matrix: np.ndarray) -> list:
 
 
 def scenario_to_config(descriptor: ScenarioDescriptor) -> dict:
-    """Emit a config dict that parses back to an equivalent descriptor.
-
-    The schema has one Hamiltonian, so a descriptor whose sets evolve under
-    different Hamiltonians is a ``ValidationError``.
-    """
-    hamiltonian = descriptor.sets[0].schedule.hamiltonian
-    if any(not np.array_equal(s.schedule.hamiltonian, hamiltonian) for s in descriptor.sets):
-        raise ValidationError("config documents have one hamiltonian; these sets use several")
+    """Emit a config dict that parses back to an equivalent descriptor: point 0
+    of the descriptor's grid, its one Hamiltonian and every set's slots."""
+    grid = descriptor.grid
     doc: dict = {
         "name": descriptor.name,
         "dim": descriptor.initial.dim,
         "initial": _encode_complex_matrix(descriptor.initial.matrix),
         "final": _encode_complex_matrix(descriptor.final.matrix) if descriptor.final is not None else None,
-        "hamiltonian": _encode_complex_matrix(hamiltonian),
+        "hamiltonian": _encode_complex_matrix(grid.hamiltonians[0]),
         "sets": [],
     }
-    for sset in descriptor.sets:
+    for name, slots in grid.slots.items():
         doc["sets"].append({
-            "name": sset.name,
+            "name": name,
             "slots": [
                 {
-                    "time": slot.time,
-                    "projectors": [_encode_complex_matrix(p.matrix) for p in slot.projectors],
-                    "labels": list(slot.symbols),
+                    "time": float(times[0]),
+                    "projectors": [_encode_complex_matrix(p) for p in projectors[0]],
+                    "labels": list(symbols),
                 }
-                for slot in sset.schedule.slots
+                for times, projectors, symbols in slots
             ],
         })
     if descriptor.space is not None:

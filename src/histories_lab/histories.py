@@ -131,7 +131,12 @@ class HistorySchedule:
 def class_operator_stack(eigvals: np.ndarray, eigvecs: np.ndarray, times, projectors) -> np.ndarray:
     """The ``(G, n, dim, dim)`` class operators of G grid points in label order, from
     each point's ``eigh`` of its Hamiltonian and, per slot, a ``(G,)`` time array and
-    a ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point."""
+    a ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point.
+    Raises ``HistoryCountError``, before any product, for more than
+    ``DEFAULT_HISTORY_CAP`` histories."""
+    n = math.prod(p.shape[1] for p in projectors)
+    if n > DEFAULT_HISTORY_CAP:
+        raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
     phases, adjoint = -1j * eigvals, eigvecs.conj().transpose(0, 2, 1)
     ops = None  # one stacked product per label prefix
     for t, p in zip(times, projectors):
@@ -150,13 +155,8 @@ def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
     ``schedule.labels`` order; the stack sums to the identity.
 
     A stack of one ``class_operator_stack`` point, from the schedule's one
-    eigendecomposition of its Hamiltonian.  Raises ``HistoryCountError``
-    when the schedule would produce more than ``DEFAULT_HISTORY_CAP``
-    histories.
+    eigendecomposition of its Hamiltonian, and subject to its history cap.
     """
-    n = schedule.label_count()
-    if n > DEFAULT_HISTORY_CAP:
-        raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
     w, v = schedule._eigh
     return class_operator_stack(w[None], v[None], [np.array([s.time]) for s in schedule.slots],
                                 [np.stack([p.matrix for p in s.projectors])[None]

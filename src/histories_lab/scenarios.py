@@ -1,16 +1,19 @@
-"""Built-in worked examples: boundary conditions, schedules, and expected values.
+"""Built-in worked examples: boundary conditions, history sets, and expected values.
 
-Each constructor returns a ``ScenarioDescriptor`` bundling the initial (and
-optional final) state, the named history schedules to compare, the joint
-sample space their variables live in, and a map of expected quantities used
-by the acceptance suite.  Expected values carry a provenance tag:
-``published`` (stated in the source material), ``derived`` (computed here by
-an independent route), or ``trivial`` (immediate from definitions).
+A scenario is one ``ScenarioGrid``: one Hamiltonian and one pair of
+boundary states, and named sets of time-ordered projective decompositions,
+held as read-only stacks with a leading axis of G parameter points.  A
+``ScenarioDescriptor`` is point 0 of a grid, bundled with a map of expected
+quantities used by the acceptance suite; only ``ScenarioGrid.descriptor``
+makes one.  Expected values carry a provenance tag: ``published`` (stated in
+the source material), ``derived`` (computed here by an independent route),
+or ``trivial`` (immediate from definitions).
 
-``eprb`` and ``leggett_garg`` are built for G parameter points at once, as a
-``ScenarioGrid`` of stacks (``scenario_grid``); their descriptor builders
-take a grid's one point as validated objects.  Only their parameter-free
-parts are built once per process.
+``eprb`` and ``leggett_garg`` are built for G points at once
+(``scenario_grid``), and their descriptors are grids of one point; only their
+parameter-free parts are built once per process.  ``griffiths_spin``,
+``three_box`` and config documents are one-point grids of fixed matrices
+(``point_grid``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .histories import HistorySchedule, HistorySet, Slot, class_operator_stack, history_set
+from .histories import HistorySchedule, HistorySet, Slot, class_operator_stack
 from .operators import (
     DEFAULT_TOL,
     DensityOperator,
@@ -57,30 +60,33 @@ class ExpectedValue:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """One named history schedule, optionally mapped onto joint variables."""
+    """One named set of histories, optionally mapped onto joint variables."""
 
     name: str
-    schedule: HistorySchedule
     mapping: VariableMapping | None = None
 
 
 @dataclass(frozen=True)
 class ScenarioDescriptor:
-    name: str
-    initial: DensityOperator
-    final: DensityOperator | None
-    sets: tuple[ScenarioSet, ...]
-    space: JointSampleSpace | None
+    """Point 0 of ``grid``, whose boundary states, sample space and sets it reads;
+    only ``ScenarioGrid.descriptor`` makes one."""
+
+    grid: "ScenarioGrid" = field(repr=False)
     expected: Mapping[str, ExpectedValue] = field(default_factory=dict)
     parameters: Mapping[str, float] = field(default_factory=dict)
-    grid: "ScenarioGrid | None" = field(default=None, compare=False, repr=False)  # of one point
 
     def __post_init__(self):
-        names = [s.name for s in self.sets]
-        if len(set(names)) != len(names):
-            raise ValidationError("scenario set names must be unique")
         object.__setattr__(self, "expected", dict(self.expected))
         object.__setattr__(self, "parameters", dict(self.parameters))
+
+    name = property(lambda self: self.grid.name)
+    initial = property(lambda self: self.grid.fixed.initial)
+    final = property(lambda self: self.grid.fixed.final)
+    space = property(lambda self: self.grid.fixed.space)
+
+    @cached_property
+    def sets(self) -> tuple[ScenarioSet, ...]:
+        return tuple(ScenarioSet(name, self.grid.fixed.mappings.get(name)) for name in self.grid.slots)
 
     def set_named(self, name: str) -> ScenarioSet:
         for s in self.sets:
@@ -89,14 +95,99 @@ class ScenarioDescriptor:
         raise ValidationError(f"scenario has no set named {name!r}")
 
     def build(self, name: str) -> HistorySet:
-        sset = self.set_named(name)
-        if self.grid is None:
-            return history_set(sset.schedule, self.initial, self.final)
-        return HistorySet(self.grid.labels(name), self.grid.class_operators(name)[0], self.initial)
+        self.set_named(name)  # an unknown name is a ValidationError
+        ops = self.grid.class_operators(name)[0]  # checks the history cap before any label is built
+        return HistorySet(self.grid.labels(name), ops, self.initial, self.final)
 
 
 def _spin_half_variable(name: str) -> Variable:
     return Variable(name, (1, -1))
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """The parameter-free parts of a scenario."""
+
+    initial: DensityOperator
+    space: JointSampleSpace | None
+    mappings: Mapping[str, VariableMapping]
+    final: DensityOperator | None = None
+
+
+@dataclass(frozen=True)
+class ScenarioGrid:
+    """A scenario at G parameter points as stacks with a leading grid axis, an axis of
+    length 1 shared by every point.  ``slots[name]`` lists one set's slots: a ``(G,)``
+    time array, a ``(G, k, dim, dim)`` projector stack and the outcome symbols.
+    ``invalid`` marks the points that fail the builder's own parameter checks.  The
+    grid holds read-only views of the arrays it is given, one view per array."""
+
+    name: str
+    hamiltonians: np.ndarray
+    fixed: _Fixed
+    slots: Mapping[str, tuple]
+    invalid: np.ndarray
+
+    def __post_init__(self):
+        views = {}  # by id, so a stack shared by several slots stays one stack
+
+        def view(a: np.ndarray) -> np.ndarray:
+            return views.setdefault(id(a), np.broadcast_to(a, a.shape))  # a read-only view
+
+        object.__setattr__(self, "hamiltonians", view(self.hamiltonians))
+        object.__setattr__(self, "invalid", view(self.invalid))
+        object.__setattr__(self, "slots", {name: tuple((view(t), view(p), tuple(symbols))
+                                                       for t, p, symbols in slots)
+                                           for name, slots in self.slots.items()})
+
+    @cached_property
+    def refused(self) -> np.ndarray:
+        """``invalid``, or a Hamiltonian or projector family that fails its checks.
+        Each distinct family is checked once, in one call with the families of its shape."""
+        h = self.hamiltonians
+        refused = self.invalid | ~(np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= DEFAULT_TOL)
+        shapes = {}  # (G or 1, k, dim, dim) -> the distinct families of that shape, by id
+        for slots in self.slots.values():
+            for _, p, _ in slots:
+                shapes.setdefault(p.shape, {})[id(p)] = p
+        for (points, *_), families in shapes.items():
+            deviation = np.max(family_deviations(np.concatenate(list(families.values()))), axis=0)
+            refused = refused | ~(deviation.reshape(-1, points) <= DEFAULT_TOL).all(axis=0)
+        return refused
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.hamiltonians)  # one batched call for every point
+
+    def labels(self, name: str) -> tuple:
+        return tuple(itertools.product(*(symbols for _, _, symbols in self.slots[name])))
+
+    def class_operators(self, name: str) -> np.ndarray:
+        return class_operator_stack(*self._eigh, *zip(*((t, p) for t, p, _ in self.slots[name])))
+
+    def schedule(self, name: str) -> HistorySchedule:
+        """Point 0 of one set as validated objects, built so that they raise their own error."""
+        return HistorySchedule(tuple(Slot(float(t[0]), tuple(map(Projector, p[0])), symbols)
+                                     for t, p, symbols in self.slots[name]), self.hamiltonians[0])
+
+    def descriptor(self, expected: Mapping = {}, parameters: Mapping = {}) -> ScenarioDescriptor:
+        """The first point as a descriptor; a refused point raises its objects' own error."""
+        if self.refused[0]:
+            for name in self.slots:
+                self.schedule(name)
+        return ScenarioDescriptor(self, expected, parameters)
+
+
+def point_grid(name: str, hamiltonian, sets: Mapping, fixed: _Fixed) -> ScenarioGrid:
+    """The one-point grid of one Hamiltonian and ``sets``, which maps each set name
+    to its ``(time, projector matrices, symbols)`` slots.  Every array is copied;
+    a projector family passed as one object is one stack, checked once."""
+    stacks = {id(family): np.array([family], dtype=complex)
+              for slots in sets.values() for _, family, _ in slots}
+    return ScenarioGrid(name, np.array([hamiltonian], dtype=complex), fixed,
+                        {n: tuple((np.array([t], dtype=float), stacks[id(family)], symbols)
+                                  for t, family, symbols in slots) for n, slots in sets.items()},
+                        np.zeros(1, dtype=bool))
 
 
 def griffiths_spin() -> ScenarioDescriptor:
@@ -111,37 +202,26 @@ def griffiths_spin() -> ScenarioDescriptor:
     down = np.array([0.0, 1.0])
     plus = ket([1.0, 1.0])
     minus = ket([1.0, -1.0])
-    h = np.zeros((2, 2))
-
-    z_projs = (Projector(projector_onto(up)), Projector(projector_onto(down)))
-    x_projs = (Projector(projector_onto(plus)), Projector(projector_onto(minus)))
+    z = (projector_onto(up), projector_onto(down))
+    x = (projector_onto(plus), projector_onto(minus))
     sx = _spin_half_variable("sx")
     sz = _spin_half_variable("sz")
-    x_first = Slot(1.0, x_projs, (1, -1))
-
-    sets = (
-        ScenarioSet("z", HistorySchedule((Slot(1.0, z_projs, (1, -1)),), h),
-                    VariableMapping((sz,))),
-        ScenarioSet("x", HistorySchedule((x_first,), h),
-                    VariableMapping((sx,))),
-        # x is projected first, then z
-        ScenarioSet("zx", HistorySchedule((x_first, Slot(2.0, z_projs, (1, -1))), h),
-                    VariableMapping((sx, sz))),
-    )
+    fixed = _Fixed(initial=DensityOperator.pure(up), final=DensityOperator.pure(plus),
+                   space=JointSampleSpace((sx, sz)),
+                   mappings={"z": VariableMapping((sz,)), "x": VariableMapping((sx,)),
+                             "zx": VariableMapping((sx, sz))})
+    sets = {
+        "z": [(1.0, z, (1, -1))],
+        "x": [(1.0, x, (1, -1))],
+        "zx": [(1.0, x, (1, -1)), (2.0, z, (1, -1))],  # x is projected first, then z
+    }
     expected = {
         "z_probabilities": ExpectedValue({(1,): Fraction(1), (-1,): Fraction(0)}, "published"),
         "x_probabilities": ExpectedValue({(1,): Fraction(1), (-1,): Fraction(0)}, "published"),
         "zx_consistent": ExpectedValue(False, "published"),
         "unifier_cell_plus_up": ExpectedValue(Fraction(1), "published"),
     }
-    return ScenarioDescriptor(
-        name="griffiths_spin",
-        initial=DensityOperator.pure(up),
-        final=DensityOperator.pure(plus),
-        sets=sets,
-        space=JointSampleSpace((sx, sz)),
-        expected=expected,
-    )
+    return point_grid("griffiths_spin", np.zeros((2, 2)), sets, fixed).descriptor(expected)
 
 
 def three_box() -> ScenarioDescriptor:
@@ -153,23 +233,21 @@ def three_box() -> ScenarioDescriptor:
     set is inconsistent, carries quasi-probabilities (1, 1, -1), and shows a
     zero cover; no unifying probability exists for the two coarse sets.
     """
-    psi = ket([1.0, 1.0, 1.0])
-    psi_f = ket([1.0, 1.0, -1.0])
-    h = np.zeros((3, 3))
     basis = np.eye(3)
-    p = [Projector(projector_onto(basis[i])) for i in range(3)]
-    p23 = Projector(p[1].matrix + p[2].matrix)
-    p13 = Projector(p[0].matrix + p[2].matrix)
+    p = [projector_onto(basis[i]) for i in range(3)]
     box = Variable("box", ("1", "2", "3"))
-
-    sets = (
-        ScenarioSet("box1", HistorySchedule((Slot(1.0, (p[0], p23), ("1", "23")),), h),
-                    VariableMapping((box,), ({"1": ("1",), "23": ("2", "3")},))),
-        ScenarioSet("box2", HistorySchedule((Slot(1.0, (p[1], p13), ("2", "13")),), h),
-                    VariableMapping((box,), ({"2": ("2",), "13": ("1", "3")},))),
-        ScenarioSet("fine", HistorySchedule((Slot(1.0, tuple(p), ("1", "2", "3")),), h),
-                    VariableMapping((box,))),
-    )
+    fixed = _Fixed(
+        initial=DensityOperator.pure(ket([1.0, 1.0, 1.0])),
+        final=DensityOperator.pure(ket([1.0, 1.0, -1.0])),
+        space=JointSampleSpace((box,)),
+        mappings={"box1": VariableMapping((box,), ({"1": ("1",), "23": ("2", "3")},)),
+                  "box2": VariableMapping((box,), ({"2": ("2",), "13": ("1", "3")},)),
+                  "fine": VariableMapping((box,))})
+    sets = {
+        "box1": [(1.0, (p[0], p[1] + p[2]), ("1", "23"))],
+        "box2": [(1.0, (p[1], p[0] + p[2]), ("2", "13"))],
+        "fine": [(1.0, p, ("1", "2", "3"))],
+    }
     expected = {
         "box1_probabilities": ExpectedValue({("1",): Fraction(1), ("23",): Fraction(0)}, "published"),
         "box2_probabilities": ExpectedValue({("2",): Fraction(1), ("13",): Fraction(0)}, "published"),
@@ -178,85 +256,12 @@ def three_box() -> ScenarioDescriptor:
         "zero_cover_witness": ExpectedValue((("2",), ("3",)), "derived"),
         "unification": ExpectedValue("infeasible", "published"),
     }
-    return ScenarioDescriptor(
-        name="three_box",
-        initial=DensityOperator.pure(psi),
-        final=DensityOperator.pure(psi_f),
-        sets=sets,
-        space=JointSampleSpace((box,)),
-        expected=expected,
-    )
-
-
-@dataclass(frozen=True)
-class ScenarioGrid:
-    """A scenario at G parameter points as stacks with a leading grid axis, an axis of
-    length 1 shared by every point.  ``slots[name]`` lists one set's slots: a ``(G,)``
-    time array, a ``(G, k, dim, dim)`` projector stack and the outcome symbols.
-    ``invalid`` marks the points that fail the builder's own parameter checks."""
-
-    name: str
-    hamiltonians: np.ndarray
-    fixed: "_Fixed"
-    slots: Mapping[str, tuple]
-    invalid: np.ndarray
-
-    @cached_property
-    def refused(self) -> np.ndarray:
-        """``invalid``, or a Hamiltonian or projector family that fails its checks."""
-        h = self.hamiltonians
-        families = np.stack(np.broadcast_arrays(*{id(p): p for slots in self.slots.values()
-                                                  for _, p, _ in slots}.values()))  # (F, G, k, dim, dim)
-        deviation = np.max(family_deviations(families.reshape(-1, *families.shape[2:])), axis=0)
-        return (self.invalid | ~(np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= DEFAULT_TOL)
-                | ~(deviation.reshape(families.shape[:2]) <= DEFAULT_TOL).all(axis=0))
-
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.hamiltonians)  # one batched call for every point
-
-    def labels(self, name: str) -> tuple:
-        return tuple(itertools.product(*(symbols for _, _, symbols in self.slots[name])))
-
-    def class_operators(self, name: str) -> np.ndarray:
-        return class_operator_stack(*self._eigh, *zip(*((t, p) for t, p, _ in self.slots[name])))
-
-    def descriptor(self, expected: Mapping, parameters: Mapping) -> "ScenarioDescriptor":
-        """The first point as a descriptor; a refused point raises its objects' own error."""
-        sets = tuple(_GridSet(name, self) for name in self.slots)
-        if self.refused[0]:
-            for sset in sets:
-                sset.schedule  # noqa: B018 -- built to raise
-        return ScenarioDescriptor(self.name, self.fixed.initial, None, sets, self.fixed.space,
-                                  expected, parameters, self)
-
-
-class _GridSet(ScenarioSet):
-    """A set of a one-point grid, whose schedule of validated objects is built on first use."""
-
-    def __init__(self, name: str, grid: ScenarioGrid):
-        for key, value in (("name", name), ("mapping", grid.fixed.mappings[name]), ("grid", grid)):
-            object.__setattr__(self, key, value)
-
-    @cached_property
-    def schedule(self) -> HistorySchedule:
-        slots = self.grid.slots[self.name]
-        return HistorySchedule(tuple(Slot(float(t[0]), tuple(map(Projector, p[0])), symbols)
-                                     for t, p, symbols in slots), self.grid.hamiltonians[0])
+    return point_grid("three_box", np.zeros((3, 3)), sets, fixed).descriptor(expected)
 
 
 _ZX_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 _EPRB_PAIRS = ((1, 3), (1, 4), (2, 3), (2, 4))
 _EPRB_HAMILTONIAN = frozen_array(np.zeros((1, 4, 4)))
-
-
-@dataclass(frozen=True)
-class _Fixed:
-    """The parameter-free parts of a scenario, built once per process."""
-
-    initial: DensityOperator
-    space: JointSampleSpace
-    mappings: Mapping[str, VariableMapping]
 
 
 @functools.cache

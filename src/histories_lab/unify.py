@@ -563,31 +563,16 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                              delta: float = DEFAULT_DELTA, exact: bool = False, *,
-                              certificate: Sequence | None = None) -> FeasibilityVerdict:
+                              delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
     a verified Farkas certificate.  ``exact=True`` requires rational marginal
     values and decides feasibility exactly, independent of delta.
-
-    ``certificate`` is a candidate Farkas vector, such as the certificate of
-    a neighbouring system that differs only in its right-hand side (a Farkas
-    certificate stays valid on an open set of right-hand sides).  When
-    ``verify_certificate`` accepts it against this system, it is the verdict
-    and no LP is solved; otherwise, and on a feasible system, the LP solves
-    as without it.  A candidate that is not a flat sequence of finite real
-    numbers with one entry per row never verifies.  Exact mode accepts only
-    an all-rational candidate, checked exactly.
     """
     if exact:
         _require_exact(marginals)
     system = build_constraint_system(space, marginals, delta, exact)
-    if certificate is not None \
-            and verify_certificate(system.matrix, system.rhs, certificate, system.upper) \
-            and (not exact or all(isinstance(v, Rational) for v in certificate)):
-        return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=list(certificate),
-                                  mode="exact" if exact else "float", delta=delta)
     result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
     return _checked_verdict(space, marginals, system, result, delta, exact)
 

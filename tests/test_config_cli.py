@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_lab import cli
+from histories_lab import cli, histories, scenarios
 from histories_lab.analysis import (
     SCHEMA_VERSION,
     AnalysisOptions,
@@ -25,9 +25,7 @@ from histories_lab.analysis import (
 from histories_lab.cli import _sweep_threads, main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
-from histories_lab.histories import HistorySchedule, Slot, history_probabilities
-from histories_lab.operators import PAULI_X, DensityOperator, Projector, projector_onto
-from histories_lab.scenarios import ScenarioDescriptor, ScenarioSet, build_scenario, three_box
+from histories_lab.scenarios import build_scenario, three_box
 from histories_lab.simplex import verify_certificate
 from histories_lab.unify import build_constraint_system, extract_marginals
 
@@ -62,7 +60,8 @@ def test_config_complex_entries_parse_exactly():
         }]}],
     }
     desc = parse_config(doc)
-    p = desc.sets[0].schedule.slots[0].projectors[0].matrix
+    _, projectors, _ = desc.grid.slots["y"][0]
+    p = projectors[0, 0]  # point 0, first projector
     assert p[0, 1] == -0.5j and p[1, 0] == 0.5j
 
 
@@ -248,20 +247,6 @@ def test_parse_config_leaves_an_integer_source_unopened():
         os.close(fd)
 
 
-def test_scenario_to_config_refuses_several_hamiltonians():
-    up = np.array([1.0, 0.0])
-    z_slot = Slot(1.0, (Projector(projector_onto(up)), Projector(projector_onto([0.0, 1.0]))),
-                  (1, -1))
-    desc = ScenarioDescriptor(
-        name="mixed", initial=DensityOperator.pure(up), final=None,
-        sets=(ScenarioSet("a", HistorySchedule((z_slot,), np.zeros((2, 2)))),
-              ScenarioSet("b", HistorySchedule((z_slot,), PAULI_X))),
-        space=None)
-    assert abs(history_probabilities(desc.build("b"))[(1,)] - math.cos(1.0) ** 2) < 1e-12
-    with pytest.raises(ValidationError, match="one hamiltonian"):
-        scenario_to_config(desc)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -364,6 +349,28 @@ def test_cli_overflowing_propagator_is_exit_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["analyze", "--config", str(path)]) == 2
     assert "must sum to the identity (deviation nan)" in capsys.readouterr().err
+
+
+def test_cli_history_cap_is_exit_2_before_any_class_operator(tmp_path, capsys, monkeypatch):
+    z = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    doc = {"dim": 2, "initial": [1, 0], "hamiltonian": [[0, 0], [0, 0]],
+           "sets": [{"name": "big", "slots": [{"time": float(t), "projectors": z, "labels": [1, -1]}
+                                              for t in range(13)]}]}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(doc))
+    built = []
+
+    def counted(*args):
+        ops = stack(*args)
+        built.append(len(ops))
+        return ops
+
+    stack = histories.class_operator_stack
+    for module in (histories, scenarios):
+        monkeypatch.setattr(module, "class_operator_stack", counted)
+    assert main(["analyze", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: schedule yields 8192 histories, cap is 4096\n"
+    assert built == []
 
 
 def test_cli_dim_above_cap_is_exit_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from histories_lab.histories import (
     HistorySet,
     Slot,
     build_class_operators,
+    class_operator_stack,
     decoherence_functional,
     history_probabilities,
     history_set,
@@ -73,6 +74,13 @@ def test_history_cap():
     schedule = HistorySchedule(slots, H2)
     with pytest.raises(HistoryCountError):
         build_class_operators(schedule)  # 2^13 > 4096
+
+
+def test_class_operator_stack_checks_the_cap_before_any_product():
+    times = [np.zeros(1)] * 13
+    projectors = [np.stack([p.matrix for p in Z_DECOMP])[None]] * 13
+    with pytest.raises(HistoryCountError, match="schedule yields 8192 histories, cap is 4096"):
+        class_operator_stack(None, None, times, projectors)  # any product would fail on None
 
 
 def test_schedule_rejects_unordered_times():

@@ -14,6 +14,7 @@ from histories_lab.scenarios import (
     griffiths_spin,
     leggett_garg,
     planar_axis,
+    point_grid,
     three_box,
 )
 from histories_lab.unify import (
@@ -137,10 +138,28 @@ def test_leggett_garg_deterministic_constructor():
     a = leggett_garg(0.9, 0.0, 1.0, 2.0)
     b = leggett_garg(0.9, 0.0, 1.0, 2.0)
     assert a.expected["C12"].value == b.expected["C12"].value
-    for sa, sb in zip(a.sets, b.sets):
-        for slot_a, slot_b in zip(sa.schedule.slots, sb.schedule.slots):
-            np.testing.assert_array_equal(slot_a.projectors[0].matrix,
-                                          slot_b.projectors[0].matrix)
+    assert list(a.grid.slots) == list(b.grid.slots)
+    for name, slots in a.grid.slots.items():
+        for (_, projectors_a, _), (_, projectors_b, _) in zip(slots, b.grid.slots[name]):
+            np.testing.assert_array_equal(projectors_a, projectors_b)
+
+
+def test_a_grid_checks_every_family_whatever_its_outcome_count():
+    fixed = three_box().grid.fixed
+    e = np.eye(3)
+    good = {"box1": [(1.0, (np.diag(e[0]), np.diag(e[1] + e[2])), ("1", "23"))],
+            "fine": [(1.0, tuple(np.diag(e[i]) for i in range(3)), ("1", "2", "3"))]}
+    assert not point_grid("mixed", np.zeros((3, 3)), good, fixed).refused.any()
+    bad = dict(good, fine=[(1.0, (np.diag(e[0]), np.diag(e[1]), np.diag([0.0, 0.0, 0.5])),
+                            ("1", "2", "3"))])
+    grid = point_grid("mixed", np.zeros((3, 3)), bad, fixed)
+    assert grid.refused.tolist() == [True]
+    with pytest.raises(ValidationError, match="projector must be idempotent"):
+        grid.descriptor()
+    grid = point_grid("mixed", np.triu(np.ones((3, 3))), good, fixed)
+    assert grid.refused.tolist() == [True]
+    with pytest.raises(ValidationError, match="hamiltonian must be Hermitian"):
+        grid.descriptor()
 
 
 def test_build_scenario_dispatch_and_validation():

@@ -1,10 +1,11 @@
 """A sweep carries each infeasible point's Farkas certificate to the points after it.
 
-``find_unifying_probability(..., certificate=y)`` reports ``y`` only when
-``verify_certificate`` accepts it against the system at hand; otherwise the
-LP solves as without it.  Carried verdicts must therefore equal fresh ones
-away from the feasibility boundary, and every certificate a sweep reports
-must verify against its own point's constraint system.
+``evaluate_sweep_point(..., carry)`` reports the carried certificate only
+when ``farkas_test`` finds that it refutes the point's own constraint
+system; otherwise the point solves its LP as without it.  Carried verdicts
+must therefore equal fresh ones away from the feasibility boundary, and
+every certificate a sweep reports must verify against its own point's
+constraint system.
 """
 
 import math
@@ -14,11 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_lab import unify
+from histories_lab import cli, unify
 from histories_lab.classicality import classify
 from histories_lab.cli import Carry, evaluate_sweep_point, main
 from histories_lab.scenarios import build_scenario
-from histories_lab.simplex import verify_certificate
+from histories_lab.simplex import farkas_test, verify_certificate
 from histories_lab.unify import (
     build_constraint_system,
     extract_marginals,
@@ -47,40 +48,50 @@ def _certified(space, tables, certificate):
     return verify_certificate(system.matrix, system.rhs, certificate, system.upper)
 
 
+def _carried(scenario, params):
+    """The certificate a sweep carries away from the point ``params``."""
+    carry = Carry()
+    evaluate_sweep_point(scenario, params, carry)
+    return carry.certificate
+
+
 def test_a_tampered_certificate_gives_the_fresh_verdict():
     space, tables = _point_tables("eprb", TSIRELSON)
-    fresh = find_unifying_probability(space, tables)
-    assert not fresh.feasible and _certified(space, tables, fresh.farkas_certificate)
-    for tampered in ([-v for v in fresh.farkas_certificate],
-                     [0.0] * len(fresh.farkas_certificate),
-                     fresh.farkas_certificate[:-1]):
+    fresh = _carried("eprb", TSIRELSON)
+    assert _certified(space, tables, fresh)
+    row = evaluate_sweep_point("eprb", TSIRELSON)
+    for tampered in ([-v for v in fresh], [0.0] * len(fresh), fresh[:-1]):
         assert not _certified(space, tables, tampered)
-        carried = find_unifying_probability(space, tables, certificate=tampered)
-        assert carried.status == fresh.status
-        assert np.array_equal(carried.farkas_certificate, fresh.farkas_certificate)
+        carry = Carry(tampered)
+        assert evaluate_sweep_point("eprb", TSIRELSON, carry) == row
+        assert np.array_equal(carry.certificate, fresh)
 
 
-def test_a_feasible_system_handed_a_certificate_returns_its_verified_witness():
-    space, tables = _point_tables("eprb", TSIRELSON)
-    certificate = find_unifying_probability(space, tables).farkas_certificate
-    space, tables = _point_tables("eprb", {})  # the z/x axes: a unifier exists
-    fresh = find_unifying_probability(space, tables)
-    carried = find_unifying_probability(space, tables, certificate=certificate)
-    assert carried.feasible and carried.farkas_certificate is None
-    assert carried.witness == fresh.witness
-    verify_witness(space, tables, carried.witness)
+def test_a_feasible_system_handed_a_certificate_returns_its_verified_witness(monkeypatch):
+    carry = Carry(_carried("eprb", TSIRELSON))
+    solves = []
+    solve = cli.find_unifying_probability
+
+    def recorded(space, tables):
+        solves.append((space, tables, solve(space, tables)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(cli, "find_unifying_probability", recorded)
+    row = evaluate_sweep_point("eprb", {}, carry)  # the z/x axes: a unifier exists
+    assert row["feasible"] == 1 and carry.certificate is None
+    [(space, tables, verdict)] = solves
+    assert verdict.feasible and verdict.farkas_certificate is None
+    verify_witness(space, tables, verdict.witness)
 
 
 def test_a_valid_certificate_is_reported_without_a_solve(monkeypatch):
-    space, tables = _point_tables("eprb", TSIRELSON)
-    certificate = find_unifying_probability(space, tables).farkas_certificate
+    certificate = _carried("eprb", TSIRELSON)
     nearby = dict(TSIRELSON, theta4=TSIRELSON["theta4"] + 0.01)
-    space, tables = _point_tables("eprb", nearby)
-    monkeypatch.setattr(unify, "solve_lp", None)  # any solve would fail
-    carried = find_unifying_probability(space, tables, certificate=certificate)
-    assert not carried.feasible
-    assert carried.farkas_certificate == list(certificate)
-    assert _certified(space, tables, carried.farkas_certificate)
+    monkeypatch.setattr(cli, "find_unifying_probability", None)  # any solve would fail
+    carry = Carry(certificate)
+    assert evaluate_sweep_point("eprb", nearby, carry)["feasible"] == 0
+    assert carry.certificate is certificate
+    assert _certified(*_point_tables("eprb", nearby), certificate)
 
 
 def test_the_readme_eprb_slice_solves_one_lp(monkeypatch, capsys):
@@ -128,9 +139,9 @@ def test_carried_verdicts_match_fresh_ones_and_their_certificates_verify(run):
 def test_exact_mode_reports_only_a_rational_certificate():
     space, tables = _point_tables("eprb", TSIRELSON)
     tables = [t.as_exact() for t in tables]
-    fresh = find_unifying_probability(space, tables, exact=True)
-    assert not fresh.feasible
-    carried = find_unifying_probability(space, tables, exact=True,
-                                        certificate=[float(v) for v in fresh.farkas_certificate])
-    assert carried.farkas_certificate == fresh.farkas_certificate
-    assert all(isinstance(v, Fraction) for v in carried.farkas_certificate)
+    verdict = find_unifying_probability(space, tables, exact=True)
+    assert not verdict.feasible
+    assert all(isinstance(v, Fraction) for v in verdict.farkas_certificate)
+    system = build_constraint_system(space, tables, exact=True)
+    refutes = farkas_test(system.matrix, verdict.farkas_certificate, system.upper)
+    assert refutes is not None and refutes(system.rhs)

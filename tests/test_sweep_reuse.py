@@ -16,7 +16,8 @@ import pytest
 from histories_lab.analysis import analyze, report_to_json
 from histories_lab.classicality import classify
 from histories_lab.cli import Carry, _evaluate_points, evaluate_sweep_point
-from histories_lab.scenarios import build_scenario
+from histories_lab.config import parse_config, scenario_to_config
+from histories_lab.scenarios import SCENARIO_NAMES, build_scenario, scenario_grid
 
 
 def _row(scenario, params):
@@ -58,26 +59,44 @@ def test_two_parameter_grids_match_cold_points(scenario, names, grids):
 
 
 def test_signed_zero_parameters_are_kept():
-    plus = build_scenario("leggett_garg", {"t1": 0.0}).set_named("pair_12").schedule
-    minus = build_scenario("leggett_garg", {"t1": -0.0}).set_named("pair_12").schedule
-    assert math.copysign(1.0, plus.slots[0].time) == 1.0
-    assert math.copysign(1.0, minus.slots[0].time) == -1.0
+    plus = build_scenario("leggett_garg", {"t1": 0.0}).grid.slots["pair_12"]
+    minus = build_scenario("leggett_garg", {"t1": -0.0}).grid.slots["pair_12"]
+    assert math.copysign(1.0, plus[0][0][0]) == 1.0  # the first slot's time at point 0
+    assert math.copysign(1.0, minus[0][0][0]) == -1.0
     eprb = build_scenario("eprb", {"theta1": -0.0})
     assert math.copysign(1.0, eprb.parameters["theta1"]) == -1.0
 
 
-@pytest.mark.parametrize("scenario", ("eprb", "leggett_garg"))
-def test_memoized_matrices_are_read_only(scenario):
-    desc = build_scenario(scenario)
-    for sset in desc.sets:
-        for slot in sset.schedule.slots:
-            for projector in slot.projectors:
-                with pytest.raises(ValueError):
-                    projector.matrix[0, 0] = 2.0
+def _assert_read_only(grid):
+    arrays = [grid.hamiltonians, grid.invalid, grid.fixed.initial.matrix]
+    arrays += [a for slots in grid.slots.values() for times, projectors, _ in slots
+               for a in (times, projectors)]
+    for a in arrays:
         with pytest.raises(ValueError):
-            sset.schedule.hamiltonian[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        desc.initial.matrix[0, 0] = 1.0
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+@pytest.mark.parametrize("source", SCENARIO_NAMES + ("config",))
+def test_descriptor_grids_are_read_only(source):
+    desc = parse_config(scenario_to_config(build_scenario("three_box"))) if source == "config" \
+        else build_scenario(source)
+    _assert_read_only(desc.grid)
+    if desc.final is not None:
+        with pytest.raises(ValueError):
+            desc.final.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("scenario,param", (("eprb", "theta4"), ("leggett_garg", "omega"),
+                                            ("leggett_garg", "t1")))
+def test_a_sweep_grid_is_read_only_and_its_parameters_stay_writable(scenario, param):
+    chunk = np.array([[-0.5], [-0.25]])
+    values = chunk.T[0]  # a view of the caller's chunk, as the sweep passes its columns
+    grid = scenario_grid(scenario, {param: values})
+    assert len(grid.refused) == 2 and not grid.refused.any()
+    _assert_read_only(grid)
+    values[0] = 0.25
+    chunk[1, 0] = 0.5
+    assert values.tolist() == [0.25, 0.5]
 
 
 def test_classify_on_a_cached_set_matches_fresh_sets_at_every_tolerance():

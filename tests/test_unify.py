@@ -16,7 +16,7 @@ from histories_lab.errors import InconsistentSetError, NumericError, ValidationE
 from histories_lab.histories import HistorySchedule, Slot, history_set
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
 from histories_lab.scenarios import build_scenario
-from histories_lab.simplex import OPTIMAL, solve_lp_exact, solve_lp_float, verify_certificate
+from histories_lab.simplex import OPTIMAL, farkas_test, solve_lp_exact, solve_lp_float, verify_certificate
 from histories_lab.unify import (
     DEFAULT_DELTA,
     CorrelationSet,
@@ -279,12 +279,13 @@ def test_malformed_candidate_certificate_is_ignored(exact, malformed):
     tables = [anticorrelated(SA, SB), anticorrelated(SB, SC), anticorrelated(SA, SC)]
     if exact:
         tables = [table.as_exact() for table in tables]
-    rows = build_constraint_system(space, tables, exact=exact).matrix.shape[0]
+    system = build_constraint_system(space, tables, exact=exact)
+    candidate = malformed(system.matrix.shape[0])
+    assert farkas_test(system.matrix, candidate, system.upper) is None
+    assert not verify_certificate(system.matrix, system.rhs, candidate, system.upper)
     fresh = find_unifying_probability(space, tables, exact=exact)
-    verdict = find_unifying_probability(space, tables, exact=exact, certificate=malformed(rows))
     assert not fresh.feasible
-    assert verdict.status == fresh.status
-    assert list(verdict.farkas_certificate) == list(fresh.farkas_certificate)
+    assert verify_certificate(system.matrix, system.rhs, fresh.farkas_certificate, system.upper)
 
 
 def _exact_tables(scenario):
