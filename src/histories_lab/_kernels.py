@@ -1,9 +1,9 @@
-"""The Bland-rule pivot loop shared by float and exact simplex solves.
+"""The simplex pivot loop shared by float and exact simplex solves.
 
 One loop works on either of two tableau representations:
 
 - a dense ``float64`` numpy tableau with a small pivot tolerance, whose
-  Bland scans run on ``.tolist()`` copies and whose pivot is the dense
+  column scans run on ``.tolist()`` copies and whose pivot is the dense
   ``np.outer`` rank-1 update;
 - an ``IntTableau`` of Python-``int`` rows, row ``i`` meaning
   ``rows[i] / den[i]`` with ``den[i] > 0`` and the row reduced by its gcd
@@ -13,10 +13,16 @@ One loop works on either of two tableau representations:
   multiplication, so no rational number is ever built and no tolerance
   is needed.
 
-The Bland control flow (entering column, ratio test, ties, bound flips,
-counts) is the same for both; only the arithmetic at each step is picked by
-the representation.  Every exact tableau value equals the rational the
-textbook ``Fraction`` tableau would hold, so both take the same pivots.
+The entering column is the one with the most negative reduced cost
+(Dantzig's rule), ties going to the lowest index.  Dantzig's rule can cycle
+on a degenerate basis, so once ``m`` consecutive steps (``m`` rows) leave
+the objective no better than the best value reached, the loop finishes on
+Bland's lowest-index rule (Bland 1977), which terminates from any basis.
+The control flow (entering column, stall guard, ratio test, ties, bound
+flips, counts) is the same for both representations; only the arithmetic
+at each step is picked by the representation.  Every exact tableau value
+equals the rational the textbook ``Fraction`` tableau would hold, so both
+take the same pivots.
 
 Columns may carry finite upper bounds (Dantzig's upper-bounded simplex).  A
 variable at its upper bound ``u`` is kept in the tableau as ``u - x``: its
@@ -203,18 +209,23 @@ def _exact_flip_row(tableau: IntTableau, i: int, label: int, bound: tuple[int, i
 def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
                  tol, max_iter: int, upper: list | None = None,
                  flipped: np.ndarray | None = None) -> tuple[int, int, int]:
-    """Bland-rule simplex iterations on a float or ``IntTableau``, in place.
+    """Simplex iterations on a float or ``IntTableau``, in place.
 
     Layout: rows 0..m-1 are constraints, row m is the reduced-cost row with
     the negated objective in its last entry; the last column is the rhs.
     Only columns < n_eligible may enter the basis.  The entering column is
-    the first with reduced cost below ``-tol``.  The step length is the
-    smallest of: ``rhs/coef`` over entries above ``tol`` (that basic
+    the one with the most negative reduced cost below ``-tol``, the lowest
+    index among equals.  The loop keeps the best negated objective reached;
+    after ``m`` consecutive entering steps that do not raise it, the rest of
+    the call enters the first column with reduced cost below ``-tol``
+    (Bland's rule), so a degenerate cycle cannot last.  The step length is
+    the smallest of: ``rhs/coef`` over entries above ``tol`` (that basic
     variable drops to 0), ``(u - rhs)/-coef`` over entries below ``-tol``
     whose basic variable has a finite bound ``u`` (it reaches ``u``), and
     the entering column's own bound.  Ties go to the lowest column label,
     the entering column counting with its own index.  An exact tableau
-    takes ``tol=0``.
+    takes ``tol=0``; its cost row has one denominator, so its reduced costs
+    compare as numerators and its objectives by cross multiplication.
 
     ``upper`` holds one bound per column (``math.inf`` when unbounded; an
     int pair for an exact tableau) and ``flipped`` the orientation of each
@@ -229,9 +240,24 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
     m = len(basis)
     row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
     pivots = flips = 0
+    bland = False
+    stalled = 0
+    best = best_den = None  # the highest negated objective so far is best / best_den
     for _ in range(max_iter):
         costs = tableau.rows[m][:n_eligible] if exact else tableau[m, :n_eligible].tolist()
-        enter = next((j for j, v in enumerate(costs) if v < -tol), -1)
+        if not bland:
+            value, den = (tableau.rows[m][-1], tableau.den[m]) if exact \
+                else (float(tableau[m, -1]), 1.0)
+            if best is None or value * best_den > best * den:
+                best, best_den, stalled = value, den, 0
+            else:
+                stalled += 1
+                bland = stalled >= m
+        if bland:
+            enter = next((j for j, v in enumerate(costs) if v < -tol), -1)
+        else:
+            low = min(costs, default=0)
+            enter = costs.index(low) if low < -tol else -1
         if enter < 0:
             return LOOP_OPTIMAL, pivots, flips
 

@@ -2,9 +2,11 @@
 
 Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``,
 optionally with per-column upper bounds ``x <= upper`` (the bounded-variable
-simplex: a bound costs no extra row).  Pivot selection uses Bland's
-lowest-index rule throughout, which prevents cycling and makes every run
-deterministic.  One two-phase driver serves both arithmetics:
+simplex: a bound costs no extra row).  The entering column is the one with
+the most negative reduced cost (Dantzig's rule, lowest index among equals);
+after as many non-improving steps in a row as the tableau has rows, a loop
+finishes on Bland's lowest-index rule, which prevents cycling.  Every run
+is deterministic.  One two-phase driver serves both arithmetics:
 ``solve_lp_float`` hands it a float64 tableau with tolerances,
 ``solve_lp_exact`` an ``_kernels.IntTableau`` with every tolerance 0, and
 both pivot through ``_kernels.simplex_loop``.  The exact tableau holds
@@ -55,7 +57,7 @@ UNBOUNDED = "unbounded"
 class LPResult:
     """Solver outcome; exactly one of ``x`` / ``certificate`` is set.
 
-    ``pivots`` and ``bound_flips`` count the Bland-loop pivots and the
+    ``pivots`` and ``bound_flips`` count the pivot-loop pivots and the
     entering-column bound flips over phases 1 and 2.  A result solved from
     a shared ``FeasibleStart`` reports the same counts as a fresh solve of
     its system: phase 1's counts, although phase 1 ran only once for every

@@ -391,13 +391,16 @@ class ConstraintSystem:
     normalization row's slack is bounded by 0, so that the cells sum to
     exactly 1; ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact
     mode, or ``delta = 0``) are hard equalities with no slack columns and
-    ``upper = None``.
+    ``upper = None``.  ``cell_keys[t]`` is table ``t``'s cell-to-key map
+    (``_cell_keys``), computed once for the rows and reused by the witness
+    check.
     """
 
     matrix: object
     rhs: object
     cells: list[Cell]
     n_cells: int
+    cell_keys: tuple[np.ndarray, ...]
     upper: np.ndarray | None = None
 
 
@@ -458,16 +461,17 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     rhs = np.array([Fraction(v) if exact else float(v) + width
                     for table in marginals for v in table.values.values()] + [one], dtype=dtype)
     cols = np.arange(n)
+    keys = tuple(_cell_keys(space, table.variables, table.partitions) for table in marginals)
     row = 0
-    for table in marginals:
-        matrix[row + _cell_keys(space, table.variables, table.partitions), cols] = one
+    for table, table_keys in zip(marginals, keys):
+        matrix[row + table_keys, cols] = one
         row += len(table.values)
     matrix[row, :n] = one
     if not slacks:
-        return ConstraintSystem(matrix, rhs, space.cells(), n)
+        return ConstraintSystem(matrix, rhs, space.cells(), n, keys)
     matrix[:, n:] = np.eye(m)
     upper = np.concatenate([np.full(n, np.inf), np.full(m - 1, 2 * width), [0.0]])
-    return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
+    return ConstraintSystem(matrix, rhs, space.cells(), n, keys, upper)
 
 
 def refused_tables(values: np.ndarray) -> np.ndarray:
@@ -482,18 +486,23 @@ def stacked_rhs(values: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                    witness: dict, delta: float, exact: bool) -> None:
+                    witness: dict, delta: float, exact: bool,
+                    cell_keys: Sequence[np.ndarray] | None = None) -> None:
     """One check for both arithmetics: exact witnesses at tolerance 0, float
     ones with ``1e-12`` below zero, ``delta + 1e-12`` on every key and
-    ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it."""
+    ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it.
+    ``cell_keys`` are the tables' cell-to-key maps when the caller has them
+    (``ConstraintSystem.cell_keys``); otherwise they are computed here."""
     values = np.array([witness[c] for c in space.cells()], dtype=object if exact else float)
     floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
     below = np.logical_not(values >= floor)
     if below.any():
         raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
-    for table in marginals:
+    if cell_keys is None:
+        cell_keys = [_cell_keys(space, t.variables, t.partitions) for t in marginals]
+    for table, keys in zip(marginals, cell_keys):
         got = np.zeros(len(table.values), dtype=values.dtype)
-        np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
+        np.add.at(got, keys, values)
         miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
         for key, off in zip(table.values, miss):
             if not off <= slop:
@@ -551,7 +560,7 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
         if not exact:
             cell_values = np.where(np.abs(cell_values) < 1e-15, 0.0, cell_values)
         witness = {cell: value for cell, value in zip(system.cells, cell_values)}
-        _verify_witness(space, marginals, witness, delta, exact)
+        _verify_witness(space, marginals, witness, delta, exact, system.cell_keys)
         return FeasibilityVerdict(status=FEASIBLE, witness=witness, mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)

@@ -1,10 +1,14 @@
 """Reference exact simplex on a textbook ``Fraction`` tableau.
 
-The rational pivot, Bland loop and two-phase driver the library ran before
+The rational pivot, pivot loop and two-phase driver the library ran before
 its exact tableau became integer rows over per-row denominators, kept here
 (and only here) as the oracle ``tests/test_simplex.py`` compares the integer
 path against: the same inputs must give the same status, x, objective,
-certificate, pivot count and bound-flip count.
+certificate, pivot count and bound-flip count.  The loop follows the
+library's pivot rule: the most negative reduced cost enters (Dantzig's
+rule, lowest index among equals) until ``m`` consecutive entering steps
+leave the best objective reached unimproved, and Bland's lowest-index rule
+for the rest of the call.
 """
 
 from __future__ import annotations
@@ -26,13 +30,24 @@ def pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def simplex_loop(tableau, basis, n_eligible, max_iter, upper=None, flipped=None):
-    """Bland's rule at tolerance 0; returns ("optimal" | "unbounded" | "limit", pivots, flips)."""
+    """Dantzig's rule with the stall guard's switch to Bland's rule, at
+    tolerance 0; returns ("optimal" | "unbounded" | "limit", pivots, flips)."""
     m = tableau.shape[0] - 1
     row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
-    pivots = flips = 0
+    pivots = flips = stalled = 0
+    top = None  # the highest negated objective reached
     for _ in range(max_iter):
         costs = tableau[m, :n_eligible].tolist()
-        enter = next((j for j, v in enumerate(costs) if v < 0), -1)
+        if stalled < m:
+            if top is None or tableau[m, -1] > top:
+                top, stalled = tableau[m, -1], 0
+            else:
+                stalled += 1
+        if stalled < m:
+            low = min(costs, default=0)
+            enter = costs.index(low) if low < 0 else -1
+        else:
+            enter = next((j for j, v in enumerate(costs) if v < 0), -1)
         if enter < 0:
             return "optimal", pivots, flips
         column = tableau[:m, enter].tolist()

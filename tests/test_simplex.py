@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histories_lab import simplex
-from histories_lab._kernels import active_backend
+from histories_lab._kernels import LOOP_OPTIMAL, IntTableau, active_backend, simplex_loop
 from histories_lab.errors import NumericError, ValidationError
 from histories_lab.simplex import (
     INFEASIBLE,
@@ -132,6 +132,36 @@ def test_active_backend_reports_a_known_name():
 def test_solve_lp_dispatch():
     assert solve_lp([[1, 1]], [1], exact=True).x == [Fraction(1), Fraction(0)]
     assert solve_lp([[1, 1]], [1], exact=False).status == OPTIMAL
+
+
+# Beale's example (Beale 1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over three
+# rows whose slacks x1..x3 form the starting basis; its first two rows have
+# rhs 0, so the most-negative-cost rule with lowest-label ties cycles there
+BEALE_ROWS = [[Fraction(1, 4), -8, -1, 9, 1, 0, 0, 0],
+              [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0, 0],
+              [0, 0, 1, 0, 0, 0, 1, 1],
+              [Fraction(-3, 4), 20, Fraction(-1, 2), 6, 0, 0, 0, 0]]
+
+
+def _int_tableau(rows) -> IntTableau:
+    ints, dens = [], []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        ints.append([int(v * den) for v in row])
+        dens.append(den)
+    return IntTableau(ints, dens)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_stall_guard_ends_the_beale_cycle(exact):
+    tableau = _int_tableau(BEALE_ROWS) if exact else np.array(BEALE_ROWS, dtype=float)
+    basis = np.array([4, 5, 6])
+    code, pivots, flips = simplex_loop(tableau, basis, 7, 0 if exact else 1e-11, 1000)
+    assert (code, pivots, flips) == (LOOP_OPTIMAL, 6, 0)
+    if exact:
+        assert Fraction(-tableau.rows[3][-1], tableau.den[3]) == Fraction(-5, 4)
+    else:
+        assert -tableau[3, -1] == pytest.approx(-1.25, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
