@@ -14,6 +14,15 @@ three values: its labels, one read-only ``(n, dim, dim)`` stack of class
 operators in label order, and its boundary states.  Inputs are validated
 once, where they enter.  Everything derived from a set is computed at most
 once and cached on the set itself, by the set's own properties.
+
+Class operators come from two helpers, the only code that multiplies them:
+``heisenberg_stack`` gives one slot's ``u^dag P u`` stack and
+``extend_prefix`` puts a later slot's projectors on the left of a label
+prefix, so a grid can share both between its sets.  A product whose right
+operand is shared by many left matrices stacks the left matrices' rows into
+one BLAS call, never the right operand's columns: each output row is then
+the same dot products as a product per matrix, bit for bit, while a
+column-stacked product can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -128,25 +137,59 @@ class HistorySchedule:
         return np.linalg.eigh(self.hamiltonian)
 
 
+def check_history_count(projectors) -> None:
+    """Raise ``HistoryCountError`` when slots with these ``(G, k, dim, dim)``
+    projector stacks yield more than ``DEFAULT_HISTORY_CAP`` histories."""
+    n = math.prod(p.shape[1] for p in projectors)
+    if n > DEFAULT_HISTORY_CAP:
+        raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
+
+
+def _shared_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` for one ``(dim, e)`` matrix shared by every matrix of the
+    ``(..., r, dim)`` stack ``left``: one product of left's stacked rows."""
+    return (left.reshape(-1, left.shape[-1]) @ right).reshape(*left.shape[:-1], right.shape[-1])
+
+
+def heisenberg_stack(eigvals: np.ndarray, eigvecs: np.ndarray, t: np.ndarray,
+                     p: np.ndarray) -> np.ndarray:
+    """One slot's Heisenberg projectors ``u(t)^dag P u(t)`` at G points, ``(G, k, dim, dim)``,
+    from each point's ``eigh`` of its Hamiltonian, a ``(G,)`` time array and a
+    ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point.
+    A left factor's rows are stacked against a shared right factor, never a right
+    factor's columns against a shared left one."""
+    v_dag = eigvecs.conj().transpose(0, 2, 1)
+    u = (eigvecs * np.exp(-1j * eigvals * t[:, None])[:, None, :]) @ v_dag
+    adjoint = u.conj().transpose(0, 2, 1)
+    if len(p) == 1:  # a family shared by every point: one product per projector
+        moved = np.stack([_shared_right(adjoint, projector) for projector in p[0]], axis=1)
+    else:
+        moved = adjoint[:, None] @ p
+    if len(u) == 1:
+        return _shared_right(moved, u[0])
+    return (moved.reshape(len(u), -1, u.shape[-1]) @ u).reshape(moved.shape)
+
+
+def extend_prefix(prefix: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The ``(G, n * k, dim, dim)`` class operators of a ``(G, n, dim, dim)`` label
+    prefix extended by a later slot's ``(G, k, dim, dim)`` Heisenberg projectors, in
+    label order: the latest projector on the left, its k rows stacked against each
+    prefix operator."""
+    points, k, dim = max(len(prefix), len(moved)), moved.shape[1], moved.shape[-1]
+    return (moved.reshape(len(moved), 1, k * dim, dim) @ prefix).reshape(points, -1, dim, dim)
+
+
 def class_operator_stack(eigvals: np.ndarray, eigvecs: np.ndarray, times, projectors) -> np.ndarray:
     """The ``(G, n, dim, dim)`` class operators of G grid points in label order, from
     each point's ``eigh`` of its Hamiltonian and, per slot, a ``(G,)`` time array and
     a ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point.
     Raises ``HistoryCountError``, before any product, for more than
     ``DEFAULT_HISTORY_CAP`` histories."""
-    n = math.prod(p.shape[1] for p in projectors)
-    if n > DEFAULT_HISTORY_CAP:
-        raise HistoryCountError(f"schedule yields {n} histories, cap is {DEFAULT_HISTORY_CAP}")
-    phases, adjoint = -1j * eigvals, eigvecs.conj().transpose(0, 2, 1)
-    ops = None  # one stacked product per label prefix
+    check_history_count(projectors)
+    ops = None
     for t, p in zip(times, projectors):
-        u = (eigvecs * np.exp(phases * t[:, None])[:, None, :]) @ adjoint
-        moved = u.conj().transpose(0, 2, 1)[:, None] @ p @ u[:, None]
-        if ops is not None:
-            # latest-time projector on the left: each prefix times each projector, one matmul
-            moved = moved[:, None] @ ops[:, :, None]
-            moved = moved.reshape(len(moved), -1, *moved.shape[-2:])
-        ops = moved
+        moved = heisenberg_stack(eigvals, eigvecs, t, p)
+        ops = moved if ops is None else extend_prefix(ops, moved)
     return ops
 
 
@@ -172,7 +215,7 @@ def decoherence_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None
                       weight: float = 1.0) -> np.ndarray:
     """Each point's D[i, j] = Tr(C_i rho C_j^dag), or Tr(rho_f C_i rho C_j^dag) / weight,
     ``(G, n, n)``; symmetrized, so ``D[i, j] == conj(D[j, i])`` holds exactly."""
-    left = ops @ rho if final is None else final @ ops @ rho
+    left = _shared_right(ops if final is None else final @ ops, rho)
     # D[i, j] = Tr(left_i C_j^dag) = sum_ab left_i[a, b] * conj(C_j[a, b])
     flat_left, flat_ops = (m.reshape(*m.shape[:2], -1) for m in (left, ops))
     entries = (flat_left @ flat_ops.conj().transpose(0, 2, 1)) / weight
@@ -182,7 +225,9 @@ def decoherence_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None
 def quasi_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None = None,
                 weight: float = 1.0) -> np.ndarray:
     """Each point's quasi-probabilities Re Tr(C_i rho), or Re Tr(rho_f C_i rho) / weight, ``(G, n)``."""
-    moved = ops @ rho if final is None else final @ (ops @ rho)
+    moved = _shared_right(ops, rho)
+    if final is not None:
+        moved = final @ moved
     return np.trace(moved, axis1=2, axis2=3).real / weight
 
 

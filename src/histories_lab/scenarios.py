@@ -30,7 +30,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .histories import HistorySchedule, HistorySet, Slot, class_operator_stack
+from .histories import (
+    HistorySchedule,
+    HistorySet,
+    Slot,
+    check_history_count,
+    extend_prefix,
+    heisenberg_stack,
+)
 from .operators import (
     DEFAULT_TOL,
     DensityOperator,
@@ -162,8 +169,30 @@ class ScenarioGrid:
     def labels(self, name: str) -> tuple:
         return tuple(itertools.product(*(symbols for _, _, symbols in self.slots[name])))
 
+    @cached_property
+    def _stacks(self) -> dict:
+        # by the ids of the grid's own views, which live as long as the grid
+        return {}
+
     def class_operators(self, name: str) -> np.ndarray:
-        return class_operator_stack(*self._eigh, *zip(*((t, p) for t, p, _ in self.slots[name])))
+        """One set's ``(G, n, dim, dim)`` class operators in label order, read-only.
+        Each distinct slot's Heisenberg stack and each label prefix is computed once
+        per grid, so a set whose slots begin another set's shares its stack.  The
+        history cap is checked before any product."""
+        slots = self.slots[name]
+        check_history_count([p for _, p, _ in slots])
+        stacks, key, ops = self._stacks, (), None
+        for t, p, _ in slots:
+            slot = (id(t), id(p))
+            if slot not in stacks:
+                stacks[slot] = heisenberg_stack(*self._eigh, t, p)
+                stacks[slot].setflags(write=False)
+            key += (slot,)
+            if key not in stacks:
+                stacks[key] = stacks[slot] if ops is None else extend_prefix(ops, stacks[slot])
+                stacks[key].setflags(write=False)
+            ops = stacks[key]
+        return ops
 
     def schedule(self, name: str) -> HistorySchedule:
         """Point 0 of one set as validated objects, built so that they raise their own error."""

@@ -358,16 +358,13 @@ def test_cli_history_cap_is_exit_2_before_any_class_operator(tmp_path, capsys, m
                                               for t in range(13)]}]}
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(doc))
-    built = []
-
-    def counted(*args):
-        ops = stack(*args)
-        built.append(len(ops))
-        return ops
-
-    stack = histories.class_operator_stack
-    for module in (histories, scenarios):
-        monkeypatch.setattr(module, "class_operator_stack", counted)
+    built = []  # every class-operator product goes through these two helpers
+    for helper in ("heisenberg_stack", "extend_prefix"):
+        def counted(*args, helper=helper, real=getattr(histories, helper)):
+            built.append(helper)
+            return real(*args)
+        for module in (histories, scenarios):
+            monkeypatch.setattr(module, helper, counted)
     assert main(["analyze", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: schedule yields 8192 histories, cap is 4096\n"
     assert built == []

@@ -26,11 +26,14 @@ README_SWEEPS = (
     (["--scenario", "leggett_garg", "--param", "omega", "--range", "0:3.14159:181"],
      "sweep_leggett_garg_omega.csv"),
     (["--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"], "sweep_eprb_theta4.csv"),
+    (["--scenario", "leggett_garg", "--param", "omega", "--range", "0:6:50", "--param", "t3",
+      "--range", "2.1:5:13"], "sweep_leggett_garg_omega_t3.csv"),  # 650 points, three chunks
 )
 BOUNDS = {"eprb": 2.0, "leggett_garg": 1.0}
 
 
-@pytest.mark.parametrize("argv, golden", README_SWEEPS, ids=["leggett_garg", "eprb"])
+@pytest.mark.parametrize("argv, golden", README_SWEEPS,
+                         ids=["leggett_garg", "eprb", "leggett_garg_omega_t3"])
 def test_readme_sweeps_reproduce_their_committed_csvs(tmp_path, argv, golden):
     out = tmp_path / golden
     assert main(["sweep", *argv, "--out", str(out)]) == 0
