@@ -36,7 +36,7 @@ Validation is exhaustive: every schema problem is collected and reported
 with its JSON path, not just the first one, and a problem is reported once,
 where it is, not again at every place that would have used the bad value.
 This module checks the JSON shape; the domain constructors (``Slot``,
-``Variable``, ``MarginalTable`` ...) check the domain rules, and their
+``Variable``, ``unify.table_layout`` ...) check the domain rules, and their
 ``ValidationError`` is recorded at the path of the value they were given.
 """
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -55,7 +54,7 @@ from .errors import ConfigValidationError, ValidationError
 from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, Slot
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, _Fixed, point_grid
-from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number
+from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number, table_layout
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -324,11 +323,12 @@ def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str,
                  problems: _Problems) -> tuple[JointSampleSpace | None, dict[str, VariableMapping]]:
     """The joint sample space and the per-set mappings of the ``unify`` section.
 
-    Each mapping is checked as its analysis will use it: uniform values over
-    the schedule's labels must sum onto a valid marginal table.  The check
-    is left out where the set or the variables already have a problem, which
-    it would only repeat, and for a set of more than ``DEFAULT_HISTORY_CAP``
-    histories, which analysis refuses.
+    Each mapping is checked as its analysis will use it: the keys that the
+    schedule's labels map to must have a ``table_layout``, which analysis
+    then finds decided.  The check is left out where the set or the
+    variables already have a problem, which it would only repeat, and for a
+    set of more than ``DEFAULT_HISTORY_CAP`` histories, which analysis
+    refuses.
     """
     if raw is None:
         return None, {}
@@ -365,11 +365,10 @@ def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str,
         if mapping is None:
             continue
         mappings[name] = mapping
-        n_labels = schedule.label_count()
-        if n_labels <= DEFAULT_HISTORY_CAP and not (
+        if schedule.label_count() <= DEFAULT_HISTORY_CAP and not (
                 problems.under(declared[name]) or problems.under("$.unify.variables")):
-            _attempt(problems, path, mapping.marginal_table,
-                     dict.fromkeys(schedule.labels, Fraction(1, n_labels)))
+            _attempt(problems, path, table_layout, mapping.variables,
+                     tuple(dict.fromkeys(map(mapping.key_for, schedule.labels))))
     return space, mappings
 
 

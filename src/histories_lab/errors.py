@@ -34,7 +34,7 @@ class ConfigValidationError(ValidationError):
         super().__init__(f"invalid config ({len(self.problems)} problem(s)): {lines}")
 
     def __reduce__(self):
-        # pickling (e.g. out of a worker process) rebuilds from the problems list
+        # an exception pickles by its constructor arguments: here, the problems list
         return type(self), (self.problems,)
 
 

@@ -15,6 +15,7 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -40,7 +41,6 @@ from .simplex import (
 
 Outcome = Hashable
 Cell = tuple
-GroupKey = tuple
 
 DEFAULT_DELTA = 1e-9
 DEFAULT_JOINT_CAP = 10**6
@@ -127,14 +127,43 @@ class JointSampleSpace:
         raise ValidationError(f"no variable named {name!r} in the sample space")
 
 
-def _canonical_group(var: Variable, group) -> GroupKey:
-    """Normalize one key entry to a tuple of outcomes in alphabet order."""
-    if not isinstance(group, (tuple, list, set, frozenset)):
-        return (var.outcomes[var.outcome_index(group)],)
-    indices = sorted(var.outcome_index(m) for m in group)
-    if len(set(indices)) != len(indices):
-        raise ValidationError(f"group {group!r} repeats an outcome of {var.name!r}")
-    return tuple(var.outcomes[i] for i in indices)
+@functools.cache
+def table_layout(variables: tuple[Variable, ...], keys: tuple) -> tuple[tuple, tuple]:
+    """``(partitions, order)`` of a ``MarginalTable`` over ``variables`` with raw
+    ``keys``, checked and decided once per distinct pair: ``partitions[k]`` are
+    the groups of ``variables[k]`` in alphabet order and ``order[j]`` is the
+    position in ``keys`` of the ``j``-th key of their product.  Groups hold
+    outcome indices, not outcomes: equal variables may hold ``1`` or ``True``."""
+    if not variables:
+        raise ValidationError("marginal table needs at least one variable")
+    names = [v.name for v in variables]
+    if len(set(names)) != len(names):
+        raise ValidationError("marginal table variables must be distinct")
+    position: dict[tuple, int] = {}
+    for p, key in enumerate(keys):
+        key = key if isinstance(key, tuple) else (key,)
+        if len(key) != len(variables):
+            raise ValidationError(f"key {key!r} must have one entry per variable ({len(variables)})")
+        norm = []
+        for var, group in zip(variables, key):
+            members = group if isinstance(group, (tuple, list, set, frozenset)) else (group,)
+            indices = tuple(sorted(var.outcome_index(m) for m in members))
+            if len(set(indices)) != len(indices):
+                raise ValidationError(f"group {group!r} repeats an outcome of {var.name!r}")
+            norm.append(indices)
+        if tuple(norm) in position:
+            raise ValidationError(f"duplicate key {key!r} in marginal table")
+        position[tuple(norm)] = p
+    partitions = tuple(tuple(sorted({norm[k] for norm in position})) for k in range(len(variables)))
+    for var, groups in zip(variables, partitions):
+        members = [i for g in groups for i in g]
+        if len(set(members)) != len(members):
+            raise ValidationError(f"groups of variable {var.name!r} overlap")
+        if len(members) != len(var.outcomes):
+            raise ValidationError(f"groups of variable {var.name!r} do not cover its alphabet")
+    if len(position) != math.prod(len(groups) for groups in partitions):
+        raise ValidationError("marginal table keys must form the full product of the per-variable partitions")
+    return partitions, tuple(position[key] for key in itertools.product(*partitions))
 
 
 @dataclass(frozen=True)
@@ -146,7 +175,7 @@ class MarginalTable:
     used must partition its alphabet, and the keys must form the full product
     of those partitions, so the values are a genuine probability table.
     ``partitions[k]`` lists the groups of the k-th variable in alphabet
-    order; the keys of ``values`` run through their product in that order.
+    order (``table_layout``); the keys of ``values`` run through their product.
     """
 
     variables: tuple[Variable, ...]
@@ -155,41 +184,11 @@ class MarginalTable:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
-            raise ValidationError("marginal table needs at least one variable")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValidationError("marginal table variables must be distinct")
-
-        canonical: dict[tuple[GroupKey, ...], object] = {}
-        for key, value in self.values.items():
-            key = key if isinstance(key, tuple) else (key,)
-            if len(key) != len(self.variables):
-                raise ValidationError(
-                    f"key {key!r} must have one entry per variable ({len(self.variables)})"
-                )
-            norm = tuple(_canonical_group(v, g) for v, g in zip(self.variables, key))
-            if norm in canonical:
-                raise ValidationError(f"duplicate key {key!r} in marginal table")
-            canonical[norm] = value
-
-        partitions = []
-        for pos, var in enumerate(self.variables):
-            index = var.index_of
-            groups = sorted({k[pos] for k in canonical},
-                            key=lambda g: tuple(index[o] for o in g))
-            seen: set = set()
-            for g in groups:
-                if seen & set(g):
-                    raise ValidationError(f"groups of variable {var.name!r} overlap")
-                seen |= set(g)
-            if seen != set(var.outcomes):
-                raise ValidationError(f"groups of variable {var.name!r} do not cover its alphabet")
-            partitions.append(tuple(groups))
-        ordered_keys = list(itertools.product(*partitions))
-        if set(canonical) != set(ordered_keys):
-            raise ValidationError("marginal table keys must form the full product of the per-variable partitions")
-        values = {k: canonical[k] for k in ordered_keys}
+        partitions, order = table_layout(self.variables, tuple(self.values))
+        raw = list(self.values.values())
+        keys = itertools.product(*(tuple(tuple(var.outcomes[i] for i in g) for g in groups)
+                                   for var, groups in zip(self.variables, partitions)))
+        values = {key: raw[p] for key, p in zip(keys, order)}
         for key, value in values.items():
             if not is_finite_number(value):
                 raise ValidationError(f"marginal value {value!r} for key {key!r} is not finite")
@@ -206,7 +205,7 @@ class MarginalTable:
             if any(float(v) < -TABLE_TOL for v in values.values()):
                 raise ValidationError("marginal values must be non-negative within tolerance")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "partitions", tuple(partitions))
+        object.__setattr__(self, "partitions", partitions)
 
     @staticmethod
     def is_exact_values(values: Mapping) -> bool:
@@ -391,16 +390,14 @@ class ConstraintSystem:
     normalization row's slack is bounded by 0, so that the cells sum to
     exactly 1; ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact
     mode, or ``delta = 0``) are hard equalities with no slack columns and
-    ``upper = None``.  ``cell_keys[t]`` is table ``t``'s cell-to-key map
-    (``_cell_keys``), computed once for the rows and reused by the witness
-    check.
+    ``upper = None``.  Which cells a row covers is read from ``_cell_keys``,
+    which decides it once per sample space and table layout.
     """
 
     matrix: object
     rhs: object
     cells: list[Cell]
     n_cells: int
-    cell_keys: tuple[np.ndarray, ...]
     upper: np.ndarray | None = None
 
 
@@ -417,22 +414,24 @@ def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -
                 )
 
 
-def _cell_keys(space: JointSampleSpace, variables: Sequence[Variable],
-               partitions: Sequence[Sequence[GroupKey]]) -> np.ndarray:
-    """For each joint cell, the position of the key covering it.
+@functools.cache
+def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
+               partitions: tuple) -> np.ndarray:
+    """For each joint cell, the position of the key covering it: a read-only
+    array decided once per space and layout, the only place that decides it.
 
-    ``partitions[k]`` are the outcome groups of ``variables[k]`` in alphabet
-    order.  A cell's key is the mixed-radix number of its group indices, the
-    first variable most significant, which is the order of the product of
-    the partitions and so of ``MarginalTable.values``.
+    ``partitions`` is a ``table_layout``.  A cell's key is the mixed-radix
+    number of its group indices, the first variable most significant, which
+    is the order of the product of the partitions and so of
+    ``MarginalTable.values``.
     """
     keys = np.zeros(space.size, dtype=np.intp)
     for var, groups in zip(variables, partitions):
         group_of = np.empty(len(var.outcomes), dtype=np.intp)
-        index = var.index_of
         for g, group in enumerate(groups):
-            group_of[[index[o] for o in group]] = g
+            group_of[list(group)] = g
         keys = keys * len(groups) + group_of[space.outcome_indices[:, space.axis(var.name)]]
+    keys.setflags(write=False)
     return keys
 
 
@@ -461,17 +460,16 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     rhs = np.array([Fraction(v) if exact else float(v) + width
                     for table in marginals for v in table.values.values()] + [one], dtype=dtype)
     cols = np.arange(n)
-    keys = tuple(_cell_keys(space, table.variables, table.partitions) for table in marginals)
     row = 0
-    for table, table_keys in zip(marginals, keys):
-        matrix[row + table_keys, cols] = one
+    for table in marginals:
+        matrix[row + _cell_keys(space, table.variables, table.partitions), cols] = one
         row += len(table.values)
     matrix[row, :n] = one
     if not slacks:
-        return ConstraintSystem(matrix, rhs, space.cells(), n, keys)
+        return ConstraintSystem(matrix, rhs, space.cells(), n)
     matrix[:, n:] = np.eye(m)
     upper = np.concatenate([np.full(n, np.inf), np.full(m - 1, 2 * width), [0.0]])
-    return ConstraintSystem(matrix, rhs, space.cells(), n, keys, upper)
+    return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
 
 
 def refused_tables(values: np.ndarray) -> np.ndarray:
@@ -486,23 +484,19 @@ def stacked_rhs(values: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                    witness: dict, delta: float, exact: bool,
-                    cell_keys: Sequence[np.ndarray] | None = None) -> None:
-    """One check for both arithmetics: exact witnesses at tolerance 0, float
-    ones with ``1e-12`` below zero, ``delta + 1e-12`` on every key and
-    ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it.
-    ``cell_keys`` are the tables' cell-to-key maps when the caller has them
-    (``ConstraintSystem.cell_keys``); otherwise they are computed here."""
-    values = np.array([witness[c] for c in space.cells()], dtype=object if exact else float)
+                    values: Sequence, delta: float, exact: bool) -> None:
+    """Check a witness given as its cell values in ``space.cells()`` order, in
+    both arithmetics: exact ones at tolerance 0, float ones with ``1e-12``
+    below zero, ``delta + 1e-12`` on every key (summed through ``_cell_keys``)
+    and ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it."""
+    values = np.asarray(values, dtype=object if exact else float)
     floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
     below = np.logical_not(values >= floor)
     if below.any():
         raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
-    if cell_keys is None:
-        cell_keys = [_cell_keys(space, t.variables, t.partitions) for t in marginals]
-    for table, keys in zip(marginals, cell_keys):
+    for table in marginals:
         got = np.zeros(len(table.values), dtype=values.dtype)
-        np.add.at(got, keys, values)
+        np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
         miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
         for key, off in zip(table.values, miss):
             if not off <= slop:
@@ -541,7 +535,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         value = witness[cell]
         if not is_finite_number(value):
             raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
-    _verify_witness(space, marginals, witness, delta, exact)
+    _verify_witness(space, marginals, [witness[c] for c in cells], delta, exact)
 
 
 def _require_exact(marginals: Sequence[MarginalTable]) -> None:
@@ -559,9 +553,9 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
         cell_values = result.x[: system.n_cells]
         if not exact:
             cell_values = np.where(np.abs(cell_values) < 1e-15, 0.0, cell_values)
-        witness = {cell: value for cell, value in zip(system.cells, cell_values)}
-        _verify_witness(space, marginals, witness, delta, exact, system.cell_keys)
-        return FeasibilityVerdict(status=FEASIBLE, witness=witness, mode=mode, delta=delta)
+        _verify_witness(space, marginals, cell_values, delta, exact)
+        return FeasibilityVerdict(status=FEASIBLE, witness=dict(zip(system.cells, cell_values)),
+                                  mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)
         if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
@@ -797,7 +791,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
         for subset in itertools.combinations(space.variables, size):
             keys = list(itertools.product(*(v.outcomes for v in subset)))
             marg = np.zeros(len(keys), dtype=object)
-            atoms = [[(o,) for o in v.outcomes] for v in subset]
+            atoms = tuple(tuple((i,) for i in range(len(v.outcomes))) for v in subset)
             np.add.at(marg, _cell_keys(space, subset, atoms), values)
             names = tuple(v.name for v in subset)
             subset_tables[names] = dict(zip(keys, marg.tolist()))

@@ -507,6 +507,19 @@ def test_out_to_dev_null_exits_0():
     assert main(["sweep", *README_SWEEPS[1], "--out", os.devnull]) == 0
 
 
+@pytest.mark.parametrize("command", [["analyze", "--scenario", "three_box"], ["sweep", *README_SWEEPS[1]]],
+                         ids=["analyze", "sweep"])
+@pytest.mark.parametrize("target, reason", [("missing/out.txt", "No such file or directory"),
+                                            (".", "Is a directory")], ids=["missing-parent", "directory"])
+def test_out_that_cannot_be_written_is_exit_2(tmp_path, capsys, command, target, reason):
+    out = tmp_path / target
+    assert main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert "Traceback" not in captured.err
+
+
 def test_config_validation_error_survives_pickling():
     problems = [("$", "bad"), ("$.dim", "expected an integer, got 'x'")]
     clone = pickle.loads(pickle.dumps(ConfigValidationError(problems)))

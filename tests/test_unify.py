@@ -1,5 +1,6 @@
 import fractions
 import itertools
+import json
 import math
 import re
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histories_lab import _kernels, simplex
+from histories_lab.analysis import analyze, encode_value
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set
@@ -33,9 +35,10 @@ from histories_lab.unify import (
     pair_correlation,
     probe_uniqueness,
     product_unify,
+    table_layout,
     verify_witness,
 )
-from histories_lab.unify import _verify_witness
+from histories_lab.unify import _cell_keys, _verify_witness
 
 SA = Variable("a", (1, -1))
 SB = Variable("b", (1, -1))
@@ -94,10 +97,12 @@ def test_nan_table_never_reaches_a_verdict():
 @pytest.mark.parametrize("cell", [(1,), (-1,)])
 def test_verify_witness_rejects_a_nan_cell(exact, cell):
     table = uniform(SA).as_exact() if exact else uniform(SA)
+    space = JointSampleSpace((SA,))
     witness = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)}
     witness[cell] = math.nan
+    values = [witness[c] for c in space.cells()]  # the private check takes cell values in order
     with pytest.raises(NumericError, match="negative or undefined cell"), np.errstate(invalid="ignore"):
-        _verify_witness(JointSampleSpace((SA,)), [table], witness, DEFAULT_DELTA, exact)
+        _verify_witness(space, [table], values, DEFAULT_DELTA, exact)
 
 
 def test_a_float_unifier_must_sum_to_one():
@@ -712,3 +717,49 @@ def test_cell_to_key_map_matches_membership(drawn):
         verify_witness(space, tables, moved, exact=True)
     with pytest.raises(NumericError, match="misses marginal key"):
         verify_witness(space, tables, {c: float(p) for c, p in moved.items()})
+
+
+# ---------------------------------------------------------------------------
+# layouts and cell-to-key maps, each decided once
+# ---------------------------------------------------------------------------
+
+def test_a_shared_layout_keeps_each_tables_own_outcomes():
+    # these two variables compare and hash equal, so their tables share one
+    # memoized layout; each table must still key by its own outcome objects
+    ints = MarginalTable((Variable("v", (1, 0)),), {1: 0.25, 0: 0.75})
+    bools = MarginalTable((Variable("v", (True, False)),), {True: 0.25, False: 0.75})
+    assert table_layout(bools.variables, (True, False)) is table_layout(ints.variables, (1, 0))
+    assert [type(o) for key in bools.values for group in key for o in group] == [bool, bool]
+    assert [type(o) for key in ints.values for group in key for o in group] == [int, int]
+
+    def encoded(table):
+        return json.dumps([encode_value([list(g) for g in key]) for key in table.values])
+
+    assert encoded(bools) == "[[[true]], [[false]]]"
+    assert encoded(ints) == "[[[1]], [[0]]]"
+
+
+def test_layouts_are_tuples_and_cell_keys_are_read_only():
+    table = MarginalTable((BOX,), {(("2", "3"),): 0.5, ("1",): 0.5})
+    partitions, order = table_layout(table.variables, ((("2", "3"),), ("1",)))
+    assert partitions == table.partitions == (((0,), (1, 2)),) and order == (1, 0)
+    assert all(type(x) is tuple for x in (partitions, order, *partitions, *partitions[0]))
+    space = JointSampleSpace((SA, BOX))
+    keys = _cell_keys(space, table.variables, table.partitions)
+    assert keys.tolist() == [0, 1, 1] * 2
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 1
+    assert _cell_keys(space, table.variables, table.partitions) is keys
+
+
+def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once():
+    table_layout.cache_clear()
+    _cell_keys.cache_clear()
+    report = analyze(build_scenario("eprb"))
+    n_tables = len(report["unification"]["marginals"])
+    assert n_tables == 4 and report["unification"]["verdict"]["status"] == "feasible"
+    layouts, maps = table_layout.cache_info(), _cell_keys.cache_info()
+    assert (layouts.misses, layouts.hits) == (n_tables, 0)
+    # each table's map serves the band system, its witness check and the width-0 system
+    assert (maps.misses, maps.hits) == (n_tables, 2 * n_tables)
