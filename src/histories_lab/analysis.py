@@ -378,8 +378,46 @@ def report_to_json(report: dict) -> str:
     return "".join(out)
 
 
+def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
+    """Check a feasible verdict's ``unique`` against its ``component_bounds``:
+    every ``lo == hi`` in exact mode, every ``hi - lo <= delta`` in float
+    mode.  In exact mode each cell's bounds must also contain its value in
+    the (verified) witness."""
+    unique = _field(verdict, "unique", (bool, type(None)), "unification.verdict.unique")
+    path = "unification.verdict.component_bounds"
+    entries = _field(verdict, "component_bounds", (list, type(None)), path)
+    if (unique is None) != (entries is None):
+        raise ValidationError(f"report fields unification.verdict.unique and {path} "
+                              "must both be null or both be set")
+    if entries is None:
+        return
+    if len(entries) != len(witness):
+        raise ValidationError(f"report field {path} must hold one entry per witness cell")
+    seen = set()
+    pinned = True
+    for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValidationError(f"report field {where} must be a [cell, lo, hi] triple")
+        cell = _outcomes(entry[0], where)
+        if cell not in witness or cell in seen:
+            raise ValidationError(f"report field {where} names the cell {cell!r}, which the "
+                                  "witness lacks or an earlier entry names")
+        seen.add(cell)
+        lo, hi = _number(entry[1], where), _number(entry[2], where)
+        if exact and not lo <= witness[cell] <= hi:
+            raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} exclude its witness "
+                               f"value {witness[cell]}")
+        pinned = pinned and (lo == hi if exact else hi - lo <= delta)
+    if unique != pinned:
+        raise NumericError(f"report says unique is {unique}, but its component bounds "
+                           f"say {pinned}")
+
+
 def reverify(report: dict) -> None:
-    """Check a reloaded report's witness or certificate against its own constraints.
+    """Check a reloaded report's witness or certificate against its own constraints,
+    and a feasible verdict's ``unique`` and ``component_bounds`` against each
+    other and the witness (``_check_uniqueness``).
 
     Raises ``ValidationError`` for a report of another schema version or one
     whose fields are missing or malformed, naming the field, and
@@ -421,6 +459,7 @@ def reverify(report: dict) -> None:
                 raise ValidationError(f"report field {path}[{i}] repeats the cell {cell!r}")
             witness[cell] = _scalar(val, f"{path}[{i}]")
         verify_witness(space, marginals, witness, delta=delta, exact=exact)
+        _check_uniqueness(verdict, witness, delta, exact)
         return
     if status == "infeasible":
         path = "unification.verdict.farkas_certificate"

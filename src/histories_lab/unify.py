@@ -33,6 +33,7 @@ from .histories import HistorySet, history_probabilities
 from .simplex import (
     INFEASIBLE,
     OPTIMAL,
+    FeasibleStart,
     LPResult,
     feasible_start,
     solve_lp,
@@ -580,20 +581,66 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     return _checked_verdict(space, marginals, system, result, delta, exact)
 
 
+def _exact_bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+                  start: FeasibleStart, witness: list) -> list[tuple]:
+    """Exact ``(lo, hi)`` of every cell over the width-0 system, solving only
+    the probes that no known feasible point settles.
+
+    ``known`` holds feasible points of the system: the verified ``witness``
+    and every probe optimum solved so far.  A cell that is 0 in one of them
+    has ``lo = 0``: ``x >= 0`` bounds it (dual ``y = 0``).  A cell's ``hi``
+    is at most its cap, the least of ``1 - sum of the other cells' lo``
+    (the normalization row, given those bounds) and the value of each
+    table's key that covers it (dual ``y = e_r``: the key's other cells are
+    non-negative).  A known point that reaches the cap proves ``hi = cap``.
+    Each remaining bound is one phase 2 from ``start``, whose optimum joins
+    ``known``.  When the lower bounds sum to 1 every cap is its ``lo``, and
+    the witness attains it, so a unique unifier needs no max probe.
+    """
+    n = len(witness)
+    known = [witness]
+
+    def probe(cost: list[int]) -> Fraction:
+        result = start.solve(cost)
+        if result.status != OPTIMAL:
+            raise NumericError("uniqueness probe LP did not solve")
+        known.append(result.x)
+        return result.objective
+
+    lows = [Fraction(0) if any(x[k] == 0 for x in known)
+            else probe([int(j == k) for j in range(n)]) for k in range(n)]
+    covers = [(list(t.values.values()), _cell_keys(space, t.variables, t.partitions))
+              for t in marginals]
+    spare = 1 - sum(lows)
+    bounds = []
+    for k, lo in enumerate(lows):
+        cap = Fraction(min([spare + lo] + [values[cell_keys[k]] for values, cell_keys in covers]))
+        hi = cap if any(x[k] == cap for x in known) else -probe([-int(j == k) for j in range(n)])
+        bounds.append((lo, hi))
+    return bounds
+
+
 def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                      delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
-    """Per-cell min/max LPs under the marginal constraints; unique iff every cell is pinned.
+    """Per-cell min/max bounds under the marginal constraints; unique iff every cell is pinned.
 
     A cell is pinned when its attainable range is at most delta (exact mode
-    demands a zero range).  The probes run against the width-0 system of hard
-    equalities, without slack columns; with the delta-band system every cell
-    would trivially have a range of about 2*delta and nothing could ever be
-    reported unique.  Phase 1 of that system runs once and every probe is one
-    phase 2 from its end state.  In exact mode the width-0 system is also the
-    feasibility system, so the same phase 1, read at zero cost, gives the
-    verdict.  A float verdict whose delta band is feasible while the hard
-    equalities are not comes back with ``unique`` and ``component_bounds``
-    left None.
+    demands a zero range).  The bounds are taken over the width-0 system of
+    hard equalities, without slack columns; with the delta-band system every
+    cell would trivially have a range of about 2*delta and nothing could ever
+    be reported unique.  Phase 1 of that system runs once and every probe LP
+    is one phase 2 from its end state.
+
+    In exact mode the width-0 system is also the feasibility system, so the
+    same phase 1, read at zero cost, gives the verdict, and each bound is one
+    rational number, so a bound proven without an LP is that LP's answer:
+    ``_exact_bounds`` proves ``lo = 0`` from ``x >= 0`` and ``hi`` from a key's
+    value or the normalization row whenever a known feasible point attains
+    it, and solves only the other probes.  Float mode solves all 2n probes:
+    a float optimum depends in its last bits on the pivot path, and a proof
+    from a known point would change those bits in the report.  A float
+    verdict whose delta band is feasible while the hard equalities are not
+    comes back with ``unique`` and ``component_bounds`` left None.
     """
     if exact:
         _require_exact(marginals)
@@ -601,16 +648,18 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
         start = feasible_start(system.matrix, system.rhs, exact=True)
         result = start if isinstance(start, LPResult) else start.solve()
         verdict = _checked_verdict(space, marginals, system, result, delta, exact)
-        if not verdict.feasible:
-            return verdict
-    else:
-        verdict = find_unifying_probability(space, marginals, delta)
-        if not verdict.feasible:
-            return verdict
-        system = build_constraint_system(space, marginals, 0.0)
-        start = feasible_start(system.matrix, system.rhs)
-        if isinstance(start, LPResult):
-            return verdict
+        if verdict.feasible:
+            bounds = _exact_bounds(space, marginals, start, result.x)
+            verdict.unique = all(lo == hi for lo, hi in bounds)
+            verdict.component_bounds = dict(zip(system.cells, bounds))
+        return verdict
+    verdict = find_unifying_probability(space, marginals, delta)
+    if not verdict.feasible:
+        return verdict
+    system = build_constraint_system(space, marginals, 0.0)
+    start = feasible_start(system.matrix, system.rhs)
+    if isinstance(start, LPResult):
+        return verdict
     n_cols = system.matrix.shape[1]
     bounds: dict[Cell, tuple] = {}
     unique = True
@@ -623,8 +672,7 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
         lo = low.objective
         hi = -high.objective
         bounds[cell] = (lo, hi)
-        spread = hi - lo
-        if (spread > 0) if exact else (float(spread) > delta):
+        if float(hi - lo) > delta:
             unique = False
     verdict.unique = unique
     verdict.component_bounds = bounds

@@ -869,6 +869,54 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def _tampered_bounds(exact):
+    """A griffiths_spin report whose ``unique`` still agrees with its bounds,
+    but whose first cell's bounds no longer hold: in exact mode both move to
+    the witness value plus 1 (still pinned, now excluding the witness), in
+    float mode ``hi`` moves to ``lo + 2 delta`` (no longer pinned)."""
+    report = _griffiths_report(exact)
+    verdict = report["unification"]["verdict"]
+    entry = verdict["component_bounds"][0]
+    if exact:
+        entry[1] = entry[2] = encode_value(decode_value(verdict["witness"][0][1]) + 1)
+    else:
+        entry[2] = entry[1] + 2 * verdict["delta"]
+    return report
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cli_verify_rejects_tampered_uniqueness(tmp_path, capsys, exact):
+    report = _griffiths_report(exact)
+    assert report["unification"]["verdict"]["unique"] is True
+    assert main(["verify", _write_report(tmp_path, report)]) == 0
+    capsys.readouterr()
+
+    report["unification"]["verdict"]["unique"] = False
+    assert main(["verify", _write_report(tmp_path, report)]) == 3
+    assert "unique is False, but its component bounds say True" in capsys.readouterr().err
+
+    assert main(["verify", _write_report(tmp_path, _tampered_bounds(exact))]) == 3
+    assert ("exclude its witness value" if exact
+            else "unique is True, but its component bounds say False") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda verdict: verdict.__setitem__("unique", None), "must both be null or both be set"),
+    (lambda verdict: verdict["component_bounds"].pop(), "one entry per witness cell"),
+    (lambda verdict: verdict["component_bounds"][0].pop(),
+     r"component_bounds\[0\] must be a \[cell, lo, hi\]"),
+    (lambda verdict: verdict["component_bounds"][1].__setitem__(0, [1, 1]),
+     r"names the cell \(1, 1\)"),
+    (lambda verdict: verdict["component_bounds"][0].__setitem__(1, "0"),
+     r"component_bounds\[0\] is not a finite"),
+], ids=["unique-null", "short", "pair", "repeated-cell", "string-bound"])
+def test_reverify_rejects_malformed_uniqueness(edit, message):
+    report = _griffiths_report(exact=True)
+    edit(report["unification"]["verdict"])
+    with pytest.raises(ValidationError, match=message):
+        reverify(report)
+
+
 # Taken from the reports before the uniqueness probes shared one phase 1: the
 # verdict fields are all rationals in exact mode, so the hashes hold on every
 # platform.

@@ -302,9 +302,9 @@ def _exact_tables(scenario):
     return descriptor.space, tables
 
 
-@pytest.mark.parametrize("scenario", ["eprb", "griffiths_spin"])
-def test_exact_probe_bounds_match_independent_solves(scenario):
-    space, tables = _exact_tables(scenario)
+def _assert_bounds_match_independent_solves(space, tables):
+    """``probe_uniqueness``'s exact bounds against a fresh min and max LP per
+    cell, and ``unique`` against the bounds; returns the verdict."""
     verdict = probe_uniqueness(space, tables, exact=True)
     system = build_constraint_system(space, tables, exact=True)
     n = system.matrix.shape[1]
@@ -314,12 +314,74 @@ def test_exact_probe_bounds_match_independent_solves(scenario):
         low = solve_lp_exact(system.matrix, system.rhs, unit)
         high = solve_lp_exact(system.matrix, system.rhs, [-v for v in unit])
         assert verdict.component_bounds[cell] == (low.objective, -high.objective)
+        assert all(type(v) is Fraction for v in verdict.component_bounds[cell])
+    assert verdict.unique == all(lo == hi for lo, hi in verdict.component_bounds.values())
+    return verdict
+
+
+@pytest.mark.parametrize("scenario", ["eprb", "griffiths_spin"])
+def test_exact_probe_bounds_match_independent_solves(scenario):
+    _assert_bounds_match_independent_solves(*_exact_tables(scenario))
+
+
+@st.composite
+def exact_pairwise_systems(draw):
+    """Exact pair tables over 3-4 dichotomic variables, the marginals of a
+    drawn rational joint (so feasible, and mostly not unique) or of a point
+    mass; returns the space, the tables and whether they pin the joint: a
+    point mass is pinned once the pairs name every variable."""
+    space = JointSampleSpace(tuple(Variable(f"v{i}", (0, 1))
+                                   for i in range(draw(st.integers(3, 4)))))
+    point = draw(st.booleans())
+    if point:
+        weights = [0] * space.size
+        weights[draw(st.integers(0, space.size - 1))] = 1
+    else:
+        weights = draw(st.lists(st.integers(0, 4), min_size=space.size, max_size=space.size)
+                       .filter(any))
+    joint = [Fraction(w, sum(weights)) for w in weights]
+    all_pairs = list(itertools.combinations(range(len(space.variables)), 2))
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+    tables = []
+    for pair in pairs:
+        values = dict.fromkeys(itertools.product((0, 1), repeat=2), Fraction(0))
+        for cell, p in zip(space.cells(), joint):
+            values[tuple(cell[i] for i in pair)] += p
+        tables.append(MarginalTable(tuple(space.variables[i] for i in pair), values))
+    return space, tables, point and len(set().union(*pairs)) == len(space.variables)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exact_pairwise_systems())
+def test_exact_proven_bounds_match_independent_solves(system):
+    space, tables, pinned = system
+    verdict = _assert_bounds_match_independent_solves(space, tables)
+    assert verdict.feasible and (verdict.unique or not pinned)
+
+
+@pytest.mark.parametrize("scenario, solved", [("eprb", 4), ("griffiths_spin", 1)])
+def test_exact_probes_solve_only_the_unproven_bounds(monkeypatch, scenario, solved):
+    """Of the 2n probes, an LP runs only for a bound no known feasible point proves."""
+    space, tables = _exact_tables(scenario)
+    costs = []
+    solve = simplex.FeasibleStart.solve
+
+    def recorded(start, c=None):
+        costs.append(c)
+        return solve(start, c)
+
+    monkeypatch.setattr(simplex.FeasibleStart, "solve", recorded)
+    verdict = probe_uniqueness(space, tables, exact=True)
+    assert verdict.feasible and verdict.unique
+    assert costs[0] is None and len(costs) == 1 + solved
 
 
 def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
-    """Pinned work: one phase 1 for the feasibility solve and all 32 probes.
+    """Pinned work: one phase 1 for the feasibility solve and every probe, and
+    LPs only for the 4 of the 32 bounds that no known feasible point proves.
 
-    Redoing phase 1 per probe took 65 loop calls and 407 pivots on this case.
+    Redoing phase 1 per probe took 65 loop calls and 407 pivots on this case;
+    solving all 32 probes from one phase 1 took 33 calls and 55 pivots.
     """
     space, tables = _exact_tables("eprb")
     calls, pivots = [], []
@@ -333,8 +395,8 @@ def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
     monkeypatch.setattr(simplex, "simplex_loop", counting)
     verdict = probe_uniqueness(space, tables, exact=True)
     assert verdict.feasible and verdict.unique and space.size == 16
-    assert len(calls) <= 34
-    assert sum(pivots) <= 70
+    assert len(calls) <= 5
+    assert sum(pivots) <= 22
 
 
 def _fraction_calls(fn, *args, **kwargs):
@@ -355,7 +417,9 @@ def _fraction_calls(fn, *args, **kwargs):
 
 def test_exact_eprb_probe_loops_build_no_fraction(monkeypatch):
     """Pinned mechanism: the exact tableau is integer rows, so the pivot loop
-    builds no ``Fraction``; the results still carry ``Fraction``s."""
+    builds no ``Fraction``; the results still carry ``Fraction``s.  The loops
+    are phase 1 and the 4 probes that no known point proves, the results the
+    zero-cost witness and those 4 optima."""
     assert _fraction_calls(lambda: Fraction(1, 3) + 1)[1]  # the watch sees Fraction work
     space, tables = _exact_tables("eprb")
     in_loops, results = [], []
@@ -374,8 +438,8 @@ def test_exact_eprb_probe_loops_build_no_fraction(monkeypatch):
     monkeypatch.setattr(simplex, "_phase_two", recorded_phase_two)
     verdict = probe_uniqueness(space, tables, exact=True)
     assert verdict.feasible and verdict.unique
-    assert len(in_loops) == 33 and not any(in_loops)
-    assert len(results) == 33
+    assert len(in_loops) == 5 and not any(in_loops)
+    assert len(results) == 5
     for result in results:
         assert result.status == OPTIMAL and type(result.objective) is Fraction
         assert all(type(v) is Fraction for v in result.x)
