@@ -77,7 +77,6 @@ from .unify import (
     find_unifying_probability,
     pair_correlation,
     probe_uniqueness,
-    product_unify,
     verify_witness,
 )
 

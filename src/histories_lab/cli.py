@@ -191,13 +191,15 @@ def _raise_point_error(scenario: str, params: dict) -> None:
 def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> list[dict]:
     """``evaluate_sweep_point`` rows of ``size`` contiguous grid points, ``params``
     holding each swept parameter as a ``(size,)`` array.  The physics, tables
-    and correlations are stacks, checked in one vectorized pass; the first
-    refused point is built alone to raise its error.  Only the right-hand
+    and correlations are stacks.  A point is refused when it fails its
+    builder's parameter checks (``grid.invalid``) or one vectorized check of
+    its class operators, tables and correlations; the first refused point is
+    built alone to raise its error.  Only the right-hand
     side of the constraint system moves, so a carried certificate is checked
     against each point's (``farkas_test``), and only a point it does not
     refute builds its tables and runs the LP."""
     grid = scenario_grid(scenario, params)
-    refused = np.broadcast_to(grid.refused, (size,))
+    refused = np.broadcast_to(grid.invalid, (size,))
     pairs = []  # (mapping, labels, (size, n) probabilities) of each pair set, in set order
     with np.errstate(all="ignore"):  # refused points may compute non-finite values
         for name in grid.slots:

@@ -35,14 +35,22 @@ twice, or whose groups overlap or miss an outcome, is a problem at
 Validation is exhaustive: every schema problem is collected and reported
 with its JSON path, not just the first one, and a problem is reported once,
 where it is, not again at every place that would have used the bad value.
-This module checks the JSON shape; the domain constructors (``Slot``,
-``Variable``, ``unify.table_layout`` ...) check the domain rules, and their
-``ValidationError`` is recorded at the path of the value they were given.
+Each rule is checked once.  This module checks the JSON shape, that the
+Hamiltonian is Hermitian (``$.hamiltonian``) and that a set's slot times
+strictly increase (``$.sets[i]``).  The domain constructors check the other
+domain rules, and their ``ValidationError`` is recorded at the path of the
+value they were given: ``DensityOperator`` a state, ``Projector`` one
+projector, ``Slot`` one slot's projective decomposition and outcome labels,
+``Variable`` and ``JointSampleSpace`` the unify variables, and
+``VariableMapping`` and ``unify.table_layout`` a map entry.  The descriptor
+is made of these checked values; nothing checks them again.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,7 +59,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
-from .histories import DEFAULT_HISTORY_CAP, HistorySchedule, Slot
+from .histories import DEFAULT_HISTORY_CAP, Slot
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, _Fixed, point_grid
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number, table_layout
@@ -219,15 +227,15 @@ def _parse_slot(raw, dim: int, path: str, problems: _Problems) -> Slot | None:
     return _attempt(problems, path, Slot, float(time), projectors, labels)
 
 
-def _parse_sets(raw_sets, dim: int, hamiltonian: np.ndarray,
-                problems: _Problems) -> tuple[dict[str, HistorySchedule], dict[str, str]]:
-    """The schedules of the sets without a fatal problem, and every declared set
+def _parse_sets(raw_sets, dim: int,
+                problems: _Problems) -> tuple[dict[str, tuple[Slot, ...]], dict[str, str]]:
+    """The slots of the sets without a fatal problem, and every declared set
     name with its JSON path, both in document order."""
-    schedules: dict[str, HistorySchedule] = {}
+    sets: dict[str, tuple[Slot, ...]] = {}
     declared: dict[str, str] = {}
     if not isinstance(raw_sets, list) or not raw_sets:
         problems.add("$.sets", "expected a non-empty list of sets")
-        return schedules, declared
+        return sets, declared
     for s, raw in enumerate(raw_sets):
         path = f"$.sets[{s}]"
         if not isinstance(raw, Mapping):
@@ -247,11 +255,14 @@ def _parse_sets(raw_sets, dim: int, hamiltonian: np.ndarray,
             continue
         slots = tuple(_parse_slot(raw_slot, dim, f"{path}.slots[{k}]", problems)
                       for k, raw_slot in enumerate(raw_slots))
-        if all(slot is not None for slot in slots):
-            schedule = _attempt(problems, path, HistorySchedule, slots, hamiltonian)
-            if schedule is not None:
-                schedules[name] = schedule
-    return schedules, declared
+        if any(slot is None for slot in slots):
+            continue
+        times = [slot.time for slot in slots]
+        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+            problems.add(path, f"slot times must be strictly increasing, got {times}")
+        else:
+            sets[name] = slots
+    return sets, declared
 
 
 def _parse_variable(raw, path: str, problems: _Problems) -> Variable | None:
@@ -304,10 +315,9 @@ def _parse_entry(entry, slot: int, symbols: tuple, variables: dict[str, Variable
     return None if any(g is None for g in groups) else (var, dict(groups))
 
 
-def _parse_mapping(raw, schedule: HistorySchedule, variables: dict[str, Variable], path: str,
+def _parse_mapping(raw, slots: tuple[Slot, ...], variables: dict[str, Variable], path: str,
                    problems: _Problems) -> VariableMapping | None:
     """The mapping of one set's label positions, or None after adding its problems."""
-    slots = schedule.slots
     if not isinstance(raw, list) or len(raw) != len(slots):
         problems.add(path, f"expected one entry per slot ({len(slots)})")
         return None
@@ -319,12 +329,12 @@ def _parse_mapping(raw, schedule: HistorySchedule, variables: dict[str, Variable
                     tuple(var for var, _ in entries), tuple(groups for _, groups in entries))
 
 
-def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str, str],
+def _parse_unify(raw, sets: dict[str, tuple[Slot, ...]], declared: dict[str, str],
                  problems: _Problems) -> tuple[JointSampleSpace | None, dict[str, VariableMapping]]:
     """The joint sample space and the per-set mappings of the ``unify`` section.
 
     Each mapping is checked as its analysis will use it: the keys that the
-    schedule's labels map to must have a ``table_layout``, which analysis
+    set's labels map to must have a ``table_layout``, which analysis
     then finds decided.  The check is left out where the set or the
     variables already have a problem, which it would only repeat, and for a
     set of more than ``DEFAULT_HISTORY_CAP`` histories, which analysis
@@ -358,17 +368,17 @@ def _parse_unify(raw, schedules: dict[str, HistorySchedule], declared: dict[str,
         path = f"$.unify.map.{name}"
         if name not in declared:
             problems.add(path, f"no set named {name!r}")
-        if name not in schedules:
+        if name not in sets:
             continue
-        schedule = schedules[name]
-        mapping = _parse_mapping(raw_entries, schedule, variables, path, problems)
+        symbols = [slot.symbols for slot in sets[name]]
+        mapping = _parse_mapping(raw_entries, sets[name], variables, path, problems)
         if mapping is None:
             continue
         mappings[name] = mapping
-        if schedule.label_count() <= DEFAULT_HISTORY_CAP and not (
+        if math.prod(map(len, symbols)) <= DEFAULT_HISTORY_CAP and not (
                 problems.under(declared[name]) or problems.under("$.unify.variables")):
             _attempt(problems, path, table_layout, mapping.variables,
-                     tuple(dict.fromkeys(map(mapping.key_for, schedule.labels))))
+                     tuple(dict.fromkeys(map(mapping.key_for, itertools.product(*symbols)))))
     return space, mappings
 
 
@@ -406,10 +416,6 @@ def parse_config(source) -> ScenarioDescriptor:
         hamiltonian = _parse_matrix(doc["hamiltonian"], dim, "$.hamiltonian", problems)
         if hamiltonian is not None and not is_hermitian(hamiltonian):
             problems.add("$.hamiltonian", "must be Hermitian")
-            hamiltonian = None
-    if hamiltonian is None:
-        # a stand-in, so that the sets are still checked, each on its own
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
 
     initial = final = None
     if "initial" not in doc:
@@ -419,12 +425,12 @@ def parse_config(source) -> ScenarioDescriptor:
     if doc.get("final") is not None:
         final = _operator(DensityOperator, _parse_state, doc["final"], dim, "$.final", problems)
 
-    schedules, declared = _parse_sets(doc.get("sets"), dim, hamiltonian, problems)
-    space, mappings = _parse_unify(doc.get("unify"), schedules, declared, problems)
+    sets, declared = _parse_sets(doc.get("sets"), dim, problems)
+    space, mappings = _parse_unify(doc.get("unify"), sets, declared, problems)
     problems.raise_if_any()
-    sets = {n: [(slot.time, [p.matrix for p in slot.projectors], slot.symbols) for slot in schedule.slots]
-            for n, schedule in schedules.items()}
-    return point_grid(name, hamiltonian, sets, _Fixed(initial, space, mappings, final)).descriptor()
+    slots = {n: [(slot.time, [p.matrix for p in slot.projectors], slot.symbols) for slot in set_slots]
+             for n, set_slots in sets.items()}
+    return ScenarioDescriptor(point_grid(name, hamiltonian, slots, _Fixed(initial, space, mappings, final)))
 
 
 def _encode_complex_matrix(matrix: np.ndarray) -> list:

@@ -64,13 +64,16 @@ def projector_onto(state) -> np.ndarray:
 
 
 def bloch_projector(sign: int, axis) -> np.ndarray:
-    """Spin-1/2 projector (1 + s a.sigma)/2 for s = +-1 and a unit 3-vector a."""
+    """Spin-1/2 projector (1 + s a.sigma)/2 for s = +-1 and a unit 3-vector a.
+
+    |a| must be within ``DEFAULT_TOL`` of 1, so that ``Projector``'s checks hold:
+    P^2 - P = (|a|^2 - 1)/4 times the identity."""
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
     a = np.asarray(axis, dtype=float).reshape(-1)
     if a.shape != (3,):
         raise ValidationError(f"axis must be a 3-vector, got shape {a.shape}")
-    if not abs(np.linalg.norm(a) - 1.0) <= 1e-9:  # NaN fails too
+    if not abs(np.linalg.norm(a) - 1.0) <= DEFAULT_TOL:  # NaN fails too
         raise ValidationError(f"axis must be a unit vector, |a| = {np.linalg.norm(a)!r}")
     return 0.5 * (np.eye(2, dtype=complex) + sign * (a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z))
 

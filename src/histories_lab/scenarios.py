@@ -3,21 +3,33 @@
 A scenario is one ``ScenarioGrid``: one Hamiltonian and one pair of
 boundary states, and named sets of time-ordered projective decompositions,
 held as read-only stacks with a leading axis of G parameter points.  A
-``ScenarioDescriptor`` is point 0 of a grid, bundled with a map of expected
-quantities used by the acceptance suite; only ``ScenarioGrid.descriptor``
-makes one.  Expected values carry a provenance tag: ``published`` (stated in
-the source material), ``derived`` (computed here by an independent route),
-or ``trivial`` (immediate from definitions).
+``ScenarioDescriptor`` is point 0 of a grid, bundled with the builder's
+parameters and a map of expected quantities used by the acceptance suite.
+Expected values carry a provenance tag: ``published`` (stated in the source
+material), ``derived`` (computed here by an independent route), or
+``trivial`` (immediate from definitions).
 
 ``eprb`` and ``leggett_garg`` are built for G points at once
 (``scenario_grid``), and their descriptors are grids of one point; only their
 parameter-free parts are built once per process.  ``griffiths_spin``,
 ``three_box`` and config documents are one-point grids of fixed matrices
 (``point_grid``).
+
+Each input is checked once, where it enters, and no grid checks its
+matrices again.  A builder checks its own parameters: ``eprb`` that each
+axis is a unit 3-vector, ``leggett_garg`` that its times increase and that
+``omega`` times each gap is finite; a sweep grid marks the points that fail
+the same checks in ``invalid``.  The matrices built from checked parameters
+are valid by construction: H = (omega/2) sigma_x is Hermitian for any finite
+omega, the ``leggett_garg`` projectors are fixed, and (1 +- a.sigma)/2 with
+|a| within ``DEFAULT_TOL`` of 1 passes the projector checks.  Tests check the
+fixed matrices of ``griffiths_spin`` and ``three_box``; ``config.parse_config``
+checks a document's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -31,9 +43,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .histories import (
-    HistorySchedule,
     HistorySet,
-    Slot,
     check_history_count,
     extend_prefix,
     heisenberg_stack,
@@ -44,8 +54,6 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Projector,
-    family_deviations,
     frozen_array,
     ket,
     projector_onto,
@@ -75,8 +83,9 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class ScenarioDescriptor:
-    """Point 0 of ``grid``, whose boundary states, sample space and sets it reads;
-    only ``ScenarioGrid.descriptor`` makes one."""
+    """Point 0 of ``grid``, whose boundary states, sample space and sets it reads.
+    A builder makes one of a grid whose inputs it has checked; nothing here checks
+    them again."""
 
     grid: "ScenarioGrid" = field(repr=False)
     expected: Mapping[str, ExpectedValue] = field(default_factory=dict)
@@ -126,8 +135,9 @@ class ScenarioGrid:
     """A scenario at G parameter points as stacks with a leading grid axis, an axis of
     length 1 shared by every point.  ``slots[name]`` lists one set's slots: a ``(G,)``
     time array, a ``(G, k, dim, dim)`` projector stack and the outcome symbols.
-    ``invalid`` marks the points that fail the builder's own parameter checks.  The
-    grid holds read-only views of the arrays it is given, one view per array."""
+    ``invalid`` marks the points that fail the builder's own parameter checks, the
+    only check a grid makes.  The grid holds read-only views of the arrays it is
+    given, one view per array."""
 
     name: str
     hamiltonians: np.ndarray
@@ -146,21 +156,6 @@ class ScenarioGrid:
         object.__setattr__(self, "slots", {name: tuple((view(t), view(p), tuple(symbols))
                                                        for t, p, symbols in slots)
                                            for name, slots in self.slots.items()})
-
-    @cached_property
-    def refused(self) -> np.ndarray:
-        """``invalid``, or a Hamiltonian or projector family that fails its checks.
-        Each distinct family is checked once, in one call with the families of its shape."""
-        h = self.hamiltonians
-        refused = self.invalid | ~(np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= DEFAULT_TOL)
-        shapes = {}  # (G or 1, k, dim, dim) -> the distinct families of that shape, by id
-        for slots in self.slots.values():
-            for _, p, _ in slots:
-                shapes.setdefault(p.shape, {})[id(p)] = p
-        for (points, *_), families in shapes.items():
-            deviation = np.max(family_deviations(np.concatenate(list(families.values()))), axis=0)
-            refused = refused | ~(deviation.reshape(-1, points) <= DEFAULT_TOL).all(axis=0)
-        return refused
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,23 +189,11 @@ class ScenarioGrid:
             ops = stacks[key]
         return ops
 
-    def schedule(self, name: str) -> HistorySchedule:
-        """Point 0 of one set as validated objects, built so that they raise their own error."""
-        return HistorySchedule(tuple(Slot(float(t[0]), tuple(map(Projector, p[0])), symbols)
-                                     for t, p, symbols in self.slots[name]), self.hamiltonians[0])
-
-    def descriptor(self, expected: Mapping = {}, parameters: Mapping = {}) -> ScenarioDescriptor:
-        """The first point as a descriptor; a refused point raises its objects' own error."""
-        if self.refused[0]:
-            for name in self.slots:
-                self.schedule(name)
-        return ScenarioDescriptor(self, expected, parameters)
-
 
 def point_grid(name: str, hamiltonian, sets: Mapping, fixed: _Fixed) -> ScenarioGrid:
     """The one-point grid of one Hamiltonian and ``sets``, which maps each set name
-    to its ``(time, projector matrices, symbols)`` slots.  Every array is copied;
-    a projector family passed as one object is one stack, checked once."""
+    to its ``(time, projector matrices, symbols)`` slots, each already checked.
+    Every array is copied; a projector family passed as one object is one stack."""
     stacks = {id(family): np.array([family], dtype=complex)
               for slots in sets.values() for _, family, _ in slots}
     return ScenarioGrid(name, np.array([hamiltonian], dtype=complex), fixed,
@@ -250,7 +233,7 @@ def griffiths_spin() -> ScenarioDescriptor:
         "zx_consistent": ExpectedValue(False, "published"),
         "unifier_cell_plus_up": ExpectedValue(Fraction(1), "published"),
     }
-    return point_grid("griffiths_spin", np.zeros((2, 2)), sets, fixed).descriptor(expected)
+    return ScenarioDescriptor(point_grid("griffiths_spin", np.zeros((2, 2)), sets, fixed), expected)
 
 
 def three_box() -> ScenarioDescriptor:
@@ -285,7 +268,7 @@ def three_box() -> ScenarioDescriptor:
         "zero_cover_witness": ExpectedValue((("2",), ("3",)), "derived"),
         "unification": ExpectedValue("infeasible", "published"),
     }
-    return point_grid("three_box", np.zeros((3, 3)), sets, fixed).descriptor(expected)
+    return ScenarioDescriptor(point_grid("three_box", np.zeros((3, 3)), sets, fixed), expected)
 
 
 _ZX_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
@@ -312,7 +295,7 @@ def eprb_grid(axes) -> ScenarioGrid:
     invalid = np.zeros(max(len(a) for a in axes), dtype=bool)
     pairs = {}
     for k, a in enumerate(axes, start=1):
-        invalid = invalid | ~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-9)  # NaN fails too
+        invalid = invalid | ~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= DEFAULT_TOL)  # NaN fails too
         sigma = (a[:, 0, None, None] * PAULI_X + a[:, 1, None, None] * PAULI_Y
                  + a[:, 2, None, None] * PAULI_Z)
         blochs = np.stack([0.5 * (eye + s * sigma) for s in (1, -1)], axis=1)  # bloch_projector
@@ -334,14 +317,15 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
     decoherent with correlation C(a, b) = -a.b; the combined four-spin set is
     inconsistent in general.  For the all-z/x configuration the pairwise
     correlations are C13 = C24 = -1 and C14 = C23 = 0, and the unique
-    unifying probability is (1/16)(1 - s1 s3)(1 - s2 s4).
+    unifying probability is (1/16)(1 - s1 s3)(1 - s2 s4).  Each axis must
+    have a norm within ``DEFAULT_TOL`` of 1.
     """
     axes = []
     for k, a in enumerate((a1, a2, a3, a4), start=1):
         v = np.asarray(a, dtype=float).reshape(-1)
         if v.shape != (3,):
             raise ValidationError(f"axis a{k} must be a 3-vector")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
+        if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:  # NaN fails too
             raise ValidationError(f"axis a{k} must be a unit vector")
         axes.append(tuple(float(c) for c in v))
 
@@ -361,8 +345,8 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         expected["unifying_table"] = ExpectedValue(table, "published")
         expected["unifier_unique"] = ExpectedValue(True, "published")
 
-    return eprb_grid([np.array([a]) for a in axes]).descriptor(
-        expected, {f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
+    return ScenarioDescriptor(eprb_grid([np.array([a]) for a in axes]), expected,
+                              {f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
 
 
 def planar_axis(theta: float) -> tuple[float, float, float]:
@@ -379,11 +363,10 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     """
     desc = eprb(planar_axis(theta1), planar_axis(theta2),
                 planar_axis(theta3), planar_axis(theta4))
-    object.__setattr__(desc, "parameters", {
+    return dataclasses.replace(desc, parameters={
         "theta1": float(theta1), "theta2": float(theta2),
         "theta3": float(theta3), "theta4": float(theta4),
     })
-    return desc
 
 
 def _eprb_planar_grid(theta1, theta2, theta3, theta4) -> ScenarioGrid:
@@ -447,7 +430,8 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
         "C13": ExpectedValue(math.cos(omega * (times[3] - times[1])), "published"),
     }
     parameters = {"omega": omega, "t1": times[1], "t2": times[2], "t3": times[3]}
-    return _leggett_garg_grid(*(np.array([v]) for v in parameters.values())).descriptor(expected, parameters)
+    return ScenarioDescriptor(_leggett_garg_grid(*(np.array([v]) for v in parameters.values())),
+                              expected, parameters)
 
 
 _BUILDERS = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,

@@ -679,28 +679,6 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     return verdict
 
 
-def product_unify(marginals: Sequence[MarginalTable]) -> MarginalTable:
-    """Product joint table for marginals over pairwise disjoint variables."""
-    tables = list(marginals)
-    if not tables:
-        raise ValidationError("product unification needs at least one marginal")
-    seen: set[str] = set()
-    for table in tables:
-        overlap = seen & set(table.names)
-        if overlap:
-            raise ValidationError(f"marginals overlap on variables {sorted(overlap)}")
-        seen |= set(table.names)
-    variables = tuple(v for table in tables for v in table.variables)
-    values: dict = {}
-    for combo in itertools.product(*(t.values.items() for t in tables)):
-        key = tuple(g for part, _ in combo for g in part)
-        value = combo[0][1]
-        for _, v in combo[1:]:
-            value = value * v
-        values[key] = value
-    return MarginalTable(variables, values)
-
-
 # ---------------------------------------------------------------------------
 # inequality cross-checks
 # ---------------------------------------------------------------------------
@@ -824,6 +802,17 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
     covers, every two-block grouping of its alphabet.  A subset marginal
     sums ``q`` in cell order through the same cell-to-key map as the
     constraint rows.
+
+    On a built-in scenario's ``combined`` set this is not the unifier's
+    question.  For ``leggett_garg`` it is: each projector family sums to the
+    identity, so summing q over one time leaves the quasi-probability of the
+    other two times' set, which is consistent and so equals its pair table.
+    A q with a negative cell therefore keeps exactly the three pair tables,
+    and one without is itself a unifying joint.  For ``eprb`` it is not: the
+    same-particle marginals over (s1, s2) and (s3, s4) are non-negative, with
+    correlations a1.a2 and a3.a4, and are kept as extra constraints.  At
+    theta = (0, 120, 60, 60) degrees the unifier is feasible, but
+    C12 + C13 + C23 = -1.5 < -1, so q is not viable.
     """
     cells = space.cells()
     if set(q) != set(cells):

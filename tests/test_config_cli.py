@@ -231,6 +231,80 @@ def test_config_checks_every_slot_of_a_set():
         "$.sets[0].slots[0].projectors[0][0][0]", "$.sets[0].slots[1]"]
 
 
+def _edited(doc, *edits):
+    for path, value in edits:
+        *parents, last = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[last] = value
+    return doc
+
+
+def _lg_doc(*edits):
+    return _edited(scenario_to_config(build_scenario("leggett_garg")), *edits)
+
+
+def _three_box_doc(*edits):
+    return _edited(scenario_to_config(three_box()), *edits)
+
+
+_NOT_A_DECOMPOSITION = "slot is not a projective decomposition (max violation 1.000e+00)"
+
+INVALID_DOCUMENTS = {
+    "unordered-times": (
+        lambda: _lg_doc((("sets", 0, "slots", 1, "time"), -1.0)),
+        [("$.sets[0]", "slot times must be strictly increasing, got [0.0, -1.0]")]),
+    "equal-times": (
+        lambda: _lg_doc((("sets", 3, "slots", 2, "time"), 1.0)),
+        [("$.sets[3]", "slot times must be strictly increasing, got [0.0, 1.0, 1.0]")]),
+    "non-hermitian-projector": (
+        lambda: _lg_doc((("sets", 1, "slots", 0, "projectors", 0), [[1, 1], [0, 0]])),
+        [("$.sets[1].slots[0].projectors[0]", "projector must be Hermitian")]),
+    "non-idempotent-projector": (
+        lambda: _lg_doc((("sets", 2, "slots", 1, "projectors", 0), [[0.5, 0], [0, 0.5]])),
+        [("$.sets[2].slots[1].projectors[0]", "projector must be idempotent")]),
+    "duplicate-labels": (
+        lambda: _lg_doc((("sets", 0, "slots", 0, "labels"), [1, 1])),
+        [("$.sets[0].slots[0]", "slot symbols must be distinct")]),
+    "bad-third-projector": (
+        lambda: _three_box_doc((("sets", 2, "slots", 0, "projectors", 2), np.diag([0, 0, 0.5]).tolist())),
+        [("$.sets[2].slots[0].projectors[2]", "projector must be idempotent")]),
+    "bad-hamiltonian-and-sets": (
+        lambda: _lg_doc((("hamiltonian",), [[0, 1], [0, 0]]),
+                        (("sets", 0, "slots", 1, "time"), 0.0),
+                        (("sets", 1, "slots", 1, "projectors", 1), [[0, 0], [0, 1]])),  # projector 0 again
+        [("$.hamiltonian", "must be Hermitian"),
+         ("$.sets[0]", "slot times must be strictly increasing, got [0.0, 0.0]"),
+         ("$.sets[1].slots[1]", _NOT_A_DECOMPOSITION)]),
+    "bad-map-on-bad-set": (  # the map of a set with a problem is not checked
+        lambda: _three_box_doc((("sets", 0, "slots", 0, "projectors", 1), np.diag([1, 0, 0]).tolist()),
+                               (("unify", "map", "box1", 0, "groups", "23"), ["2", "nope"])),
+        [("$.sets[0].slots[0]", _NOT_A_DECOMPOSITION)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
+def test_config_problem_lists_are_pinned(name):
+    build, problems = INVALID_DOCUMENTS[name]
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(build())
+    assert err.value.problems == problems
+
+
+def test_cli_prints_each_config_problem_and_exits_2(tmp_path, capsys):
+    build, problems = INVALID_DOCUMENTS["bad-hamiltonian-and-sets"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build()))
+    assert main(["analyze", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error at $.hamiltonian: must be Hermitian",
+        "config error at $.sets[0]: slot times must be strictly increasing, got [0.0, 0.0]",
+        f"config error at $.sets[1].slots[1]: {_NOT_A_DECOMPOSITION}"]
+
+
 @pytest.mark.parametrize("source", [1.5, None, [], b"config.json"])
 def test_parse_config_refuses_a_source_that_is_not_a_path(source):
     with pytest.raises(ValidationError, match="config must be a file path"):

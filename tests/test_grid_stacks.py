@@ -17,7 +17,7 @@ from histories_lab.scenarios import scenario_grid, three_box
 def _reference_class_operators(grid, name):
     """Per point and per matrix: C = P_n(t_n) ... P_1(t_1), each P(t) = u(t)^dag P u(t)."""
     points = []
-    for g in range(len(grid.refused)):
+    for g in range(len(grid.invalid)):
         w, v = np.linalg.eigh(grid.hamiltonians[min(g, len(grid.hamiltonians) - 1)])
         ops = None
         for t, p, _ in grid.slots[name]:
@@ -63,7 +63,7 @@ def _random_grids(seed):
 def test_grid_stacks_equal_the_per_matrix_formulas_bit_for_bit(seed):
     grids = list(_random_grids(seed)) + [three_box().grid]
     for grid in grids:
-        assert not grid.refused.any()
+        assert not grid.invalid.any()
         rho = grid.fixed.initial.matrix
         final = None if grid.fixed.final is None else grid.fixed.final.matrix
         weight = 1.0 if final is None else float(np.trace(final @ rho).real)

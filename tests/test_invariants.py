@@ -6,6 +6,9 @@ interference-with-negation identity, the classicality hierarchy, composite
 factorization, and witness/certificate validity of the unifier LP.
 """
 
+import functools
+import itertools
+
 import numpy as np
 
 from histories_lab.classicality import classify
@@ -23,7 +26,6 @@ from histories_lab.unify import (
     Variable,
     build_constraint_system,
     find_unifying_probability,
-    product_unify,
     verify_witness,
 )
 
@@ -121,18 +123,16 @@ def test_witness_and_certificate_validity_randomized():
     assert feasible > 10 and infeasible > 10
 
 
-def test_product_unify_accepted_by_unifier():
+def test_product_of_independent_tables_accepted_by_unifier():
     rng = np.random.default_rng(108)
     for _ in range(20):
         variables = [Variable(f"v{k}", (0, 1)) for k in range(3)]
-        tables = []
-        for v in variables:
-            p = float(rng.uniform(0.05, 0.95))
-            tables.append(MarginalTable((v,), {(0,): p, (1,): 1.0 - p}))
-        product = product_unify(tables)
+        marginals = [np.array([p, 1.0 - p]) for p in rng.uniform(0.05, 0.95, len(variables))]
+        tables = [MarginalTable((v,), {(0,): p0, (1,): p1}) for v, (p0, p1) in zip(variables, marginals)]
         space = JointSampleSpace(tuple(variables))
         verdict = find_unifying_probability(space, tables)
         assert verdict.feasible
-        # the product table itself passes the witness validator
-        witness = {tuple(g[0] for g in key): value for key, value in product.values.items()}
+        # the product joint itself passes the witness validator; outcome k is index k
+        product = functools.reduce(np.multiply.outer, marginals)
+        witness = {cell: float(product[cell]) for cell in itertools.product((0, 1), repeat=3)}
         verify_witness(space, tables, witness)

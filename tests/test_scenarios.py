@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histories_lab.classicality import classify, detect_zero_cover
 from histories_lab.errors import ValidationError
 from histories_lab.histories import history_probabilities, quasi_probabilities
-from histories_lab.operators import bloch_projector, max_abs
+from histories_lab.operators import DEFAULT_TOL, Projector, bloch_projector, family_deviations, max_abs
 from histories_lab.scenarios import (
     build_scenario,
     eprb,
+    eprb_grid,
     eprb_planar,
     griffiths_spin,
     leggett_garg,
     planar_axis,
-    point_grid,
+    scenario_grid,
     three_box,
 )
 from histories_lab.unify import (
@@ -144,22 +147,66 @@ def test_leggett_garg_deterministic_constructor():
             np.testing.assert_array_equal(projectors_a, projectors_b)
 
 
-def test_a_grid_checks_every_family_whatever_its_outcome_count():
-    fixed = three_box().grid.fixed
-    e = np.eye(3)
-    good = {"box1": [(1.0, (np.diag(e[0]), np.diag(e[1] + e[2])), ("1", "23"))],
-            "fine": [(1.0, tuple(np.diag(e[i]) for i in range(3)), ("1", "2", "3"))]}
-    assert not point_grid("mixed", np.zeros((3, 3)), good, fixed).refused.any()
-    bad = dict(good, fine=[(1.0, (np.diag(e[0]), np.diag(e[1]), np.diag([0.0, 0.0, 0.5])),
-                            ("1", "2", "3"))])
-    grid = point_grid("mixed", np.zeros((3, 3)), bad, fixed)
-    assert grid.refused.tolist() == [True]
-    with pytest.raises(ValidationError, match="projector must be idempotent"):
-        grid.descriptor()
-    grid = point_grid("mixed", np.triu(np.ones((3, 3))), good, fixed)
-    assert grid.refused.tolist() == [True]
-    with pytest.raises(ValidationError, match="hamiltonian must be Hermitian"):
-        grid.descriptor()
+def _assert_matrices_valid(grid):
+    """Every Hamiltonian of ``grid`` is Hermitian and every projector family is a
+    projective decomposition, within ``DEFAULT_TOL``: the checks no grid makes itself."""
+    h = grid.hamiltonians
+    assert np.abs(h - h.conj().transpose(0, 2, 1)).max() <= DEFAULT_TOL
+    families = {id(p): p for slots in grid.slots.values() for _, p, _ in slots}
+    for p in families.values():
+        assert max(float(d.max()) for d in family_deviations(p)) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("builder", [griffiths_spin, three_box])
+def test_fixed_scenario_matrices_are_valid(builder):
+    _assert_matrices_valid(builder().grid)
+
+
+_ANGLES = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _valid_sweep_grids(draw):
+    size = draw(st.integers(1, 5))
+    column = lambda values: np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        names = draw(st.sets(st.sampled_from(["theta1", "theta2", "theta3", "theta4"]), min_size=1))
+        return scenario_grid("eprb", {name: column(_ANGLES) for name in sorted(names)})
+    t1 = column(st.floats(-10.0, 10.0))
+    t2 = t1 + column(st.floats(1e-3, 10.0))
+    t3 = t2 + column(st.floats(1e-3, 10.0))
+    return scenario_grid("leggett_garg", {"omega": column(st.floats(-1e3, 1e3)),
+                                          "t1": t1, "t2": t2, "t3": t3})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_sweep_grids())
+def test_sweep_grid_matrices_are_valid_at_every_valid_point(grid):
+    assert not grid.invalid.any()
+    _assert_matrices_valid(grid)
+
+
+def _eprb_axes(axis):
+    return (axis, XHAT, ZHAT, XHAT)
+
+
+@pytest.mark.parametrize("excess", [0.9e-10, -0.9e-10])
+def test_an_axis_within_default_tol_of_unit_length_gives_projectors(excess):
+    axis = (0.0, 0.0, 1.0 + excess)
+    for s in (1, -1):
+        Projector(bloch_projector(s, axis))  # Hermitian and idempotent
+    eprb(*_eprb_axes(axis))
+    assert not eprb_grid([np.array([a]) for a in _eprb_axes(axis)]).invalid.any()
+
+
+@pytest.mark.parametrize("excess", [1.5e-10, 6e-10, -6e-10])
+def test_an_axis_further_from_unit_length_is_not_a_unit_vector(excess):
+    axis = (0.0, 0.0, 1.0 + excess)
+    with pytest.raises(ValidationError, match="axis must be a unit vector"):
+        bloch_projector(1, axis)
+    with pytest.raises(ValidationError, match="axis a1 must be a unit vector"):
+        eprb(*_eprb_axes(axis))
+    assert eprb_grid([np.array([a]) for a in _eprb_axes(axis)]).invalid.all()
 
 
 def test_build_scenario_dispatch_and_validation():

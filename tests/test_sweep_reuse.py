@@ -92,7 +92,7 @@ def test_a_sweep_grid_is_read_only_and_its_parameters_stay_writable(scenario, pa
     chunk = np.array([[-0.5], [-0.25]])
     values = chunk.T[0]  # a view of the caller's chunk, as the sweep passes its columns
     grid = scenario_grid(scenario, {param: values})
-    assert len(grid.refused) == 2 and not grid.refused.any()
+    assert len(grid.invalid) == 2 and not grid.invalid.any()
     _assert_read_only(grid)
     values[0] = 0.25
     chunk[1, 0] = 0.5

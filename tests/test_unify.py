@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories_lab import _kernels, simplex
 from histories_lab.analysis import analyze, encode_value
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
-from histories_lab.histories import HistorySchedule, Slot, history_set
+from histories_lab.histories import HistorySchedule, Slot, history_set, quasi_probabilities
 from histories_lab.operators import DensityOperator, Projector, ket, projector_onto
 from histories_lab.scenarios import build_scenario
 from histories_lab.simplex import OPTIMAL, farkas_test, solve_lp_exact, solve_lp_float, verify_certificate
@@ -34,7 +34,6 @@ from histories_lab.unify import (
     find_unifying_probability,
     pair_correlation,
     probe_uniqueness,
-    product_unify,
     table_layout,
     verify_witness,
 )
@@ -196,19 +195,6 @@ def test_product_of_marginals_is_a_witness():
     verdict = find_unifying_probability(space, [ma, mb])
     assert verdict.feasible
     assert abs(verdict.witness[(1, 1)] - 1.0) < 2e-9
-    product = product_unify([ma, mb])
-    assert abs(product.values[((1,), (1,))] - 1.0) < 1e-12
-
-
-def test_product_unify_rejects_overlapping_variables():
-    with pytest.raises(ValidationError):
-        product_unify([uniform(SA), uniform(SA)])
-
-
-def test_product_unify_three_tables_normalized():
-    product = product_unify([uniform(SA), uniform(SB), uniform(SC)])
-    assert abs(sum(product.values.values()) - 1.0) < 1e-12
-    assert len(product.values) == 8
 
 
 def test_three_box_unification_is_infeasible_with_certificate():
@@ -639,6 +625,44 @@ def test_three_box_quasi_classification_exact_mode():
     assert not result.viable
     assert result.verdict.mode == "exact"
     assert all(isinstance(v, Fraction) for v in result.verdict.farkas_certificate)
+
+
+def _combined_quasi_and_pair_tables(desc):
+    """The ``combined`` set's quasi-probability over the joint cells, and the pair tables."""
+    mapping = desc.set_named("combined").mapping
+    order = [mapping.variables.index(v) for v in desc.space.variables]
+    q = {tuple(label[i] for i in order): value
+         for label, value in quasi_probabilities(desc.build("combined")).items()}
+    tables = [extract_marginals(desc.build(s.name), s.mapping) for s in desc.sets if s.name != "combined"]
+    return q, tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega=st.floats(-4.0, 4.0), t1=st.floats(-3.0, 3.0), gap12=st.floats(0.01, 3.0),
+       gap23=st.floats(0.01, 3.0))
+def test_leggett_garg_quasi_verdict_is_the_unifier_verdict(omega, t1, gap12, gap23):
+    desc = build_scenario("leggett_garg", {"omega": omega, "t1": t1, "t2": t1 + gap12,
+                                           "t3": t1 + gap12 + gap23})
+    q, tables = _combined_quasi_and_pair_tables(desc)
+    assume(abs(cycle_check(correlations_from_marginals(tables)).max_value - 1.0) > 1e-6)
+    quasi = classify_quasiprobability(desc.space, q)
+    assert quasi.viable is find_unifying_probability(desc.space, tables).feasible
+    if min(q.values()) < -1e-9:  # then exactly the pair tables are kept
+        assert sorted(t.names for t in quasi.marginals_used) == sorted(t.names for t in tables)
+
+
+def test_eprb_quasi_verdict_adds_the_same_particle_marginals():
+    desc = build_scenario("eprb", {"theta1": 0.0, "theta2": math.radians(120),
+                                   "theta3": math.radians(60), "theta4": math.radians(60)})
+    q, tables = _combined_quasi_and_pair_tables(desc)
+    assert find_unifying_probability(desc.space, tables).feasible
+    quasi = classify_quasiprobability(desc.space, q)
+    assert not quasi.viable
+    same_particle = next(t for t in quasi.marginals_used if t.names == ("s1", "s2"))
+    correlations = correlations_from_marginals([same_particle, *tables]).values
+    c12, c13, c23 = (correlations[key] for key in (("s1", "s2"), ("s1", "s3"), ("s2", "s3")))
+    assert abs(c12 - math.cos(math.radians(120))) < 1e-12  # a1.a2
+    assert abs(c12 + c13 + c23 + 1.5) < 1e-12  # below -1, which no joint of s1, s2, s3 allows
 
 
 def test_quasi_probability_must_sum_to_one():
