@@ -379,9 +379,11 @@ def report_to_json(report: dict) -> str:
 
 
 def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
-    """Check a feasible verdict's ``unique`` against its ``component_bounds``:
-    every ``lo == hi`` in exact mode, every ``hi - lo <= delta`` in float
-    mode.  In exact mode each cell's bounds must also contain its value in
+    """Check a feasible verdict's ``unique`` against its ``component_bounds``
+    by the rule ``probe_uniqueness`` uses, ``hi - lo <= tol`` in every cell,
+    with ``tol`` 0 in exact mode and delta in float mode.  No cell's bounds
+    may cross by more than ``tol``: float bounds carry the tables' float
+    noise.  In exact mode each cell's bounds must also contain its value in
     the (verified) witness."""
     unique = _field(verdict, "unique", (bool, type(None)), "unification.verdict.unique")
     path = "unification.verdict.component_bounds"
@@ -394,6 +396,7 @@ def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
     if len(entries) != len(witness):
         raise ValidationError(f"report field {path} must hold one entry per witness cell")
     seen = set()
+    tol = 0 if exact else delta
     pinned = True
     for i, entry in enumerate(entries):
         where = f"{path}[{i}]"
@@ -405,10 +408,12 @@ def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
                                   "witness lacks or an earlier entry names")
         seen.add(cell)
         lo, hi = _number(entry[1], where), _number(entry[2], where)
+        if not lo - hi <= tol:
+            raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} are in the wrong order")
         if exact and not lo <= witness[cell] <= hi:
             raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} exclude its witness "
                                f"value {witness[cell]}")
-        pinned = pinned and (lo == hi if exact else hi - lo <= delta)
+        pinned = pinned and hi - lo <= tol
     if unique != pinned:
         raise NumericError(f"report says unique is {unique}, but its component bounds "
                            f"say {pinned}")

@@ -581,41 +581,45 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     return _checked_verdict(space, marginals, system, result, delta, exact)
 
 
-def _exact_bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                  start: FeasibleStart, witness: list) -> list[tuple]:
-    """Exact ``(lo, hi)`` of every cell over the width-0 system, solving only
-    the probes that no known feasible point settles.
+def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+            start: FeasibleStart, x0: Sequence) -> list[tuple]:
+    """``(lo, hi)`` of every cell over the width-0 system, in the arithmetic of
+    ``start``, solving only the probes that no known feasible point settles.
 
-    ``known`` holds feasible points of the system: the verified ``witness``
-    and every probe optimum solved so far.  A cell that is 0 in one of them
-    has ``lo = 0``: ``x >= 0`` bounds it (dual ``y = 0``).  A cell's ``hi``
-    is at most its cap, the least of ``1 - sum of the other cells' lo``
-    (the normalization row, given those bounds) and the value of each
-    table's key that covers it (dual ``y = e_r``: the key's other cells are
-    non-negative).  A known point that reaches the cap proves ``hi = cap``.
-    Each remaining bound is one phase 2 from ``start``, whose optimum joins
-    ``known``.  When the lower bounds sum to 1 every cap is its ``lo``, and
-    the witness attains it, so a unique unifier needs no max probe.
+    ``known`` holds feasible points of the system: ``x0``, the zero-cost
+    solution from ``start``, and every probe optimum solved so far.  A cell
+    that is 0 in one of them has ``lo = 0``: ``x >= 0`` bounds it (dual
+    ``y = 0``).  A cell's ``hi`` is at most its cap, the least of ``1 - sum
+    of the other cells' lo`` (the normalization row, given those bounds) and
+    the value of each table's key that covers it (dual ``y = e_r``: the key's
+    other cells are non-negative).  A known point that reaches the cap proves
+    ``hi = cap``.  Each remaining bound is one phase 2 from ``start``, whose
+    optimum joins ``known``; a max probe's bound is read as ``zero -
+    objective``, so that no bound is ``-0.0``.  When the lower bounds sum to
+    1 every cap is its ``lo``, and ``x0`` attains it, so a unique unifier
+    needs no max probe.
     """
-    n = len(witness)
-    known = [witness]
+    n = len(x0)
+    number = Fraction if start.exact else float
+    zero = number(0)
+    known = [x0]
 
-    def probe(cost: list[int]) -> Fraction:
+    def probe(cost: list[int]) -> Fraction | float:
         result = start.solve(cost)
         if result.status != OPTIMAL:
             raise NumericError("uniqueness probe LP did not solve")
         known.append(result.x)
         return result.objective
 
-    lows = [Fraction(0) if any(x[k] == 0 for x in known)
+    lows = [zero if any(x[k] == 0 for x in known)
             else probe([int(j == k) for j in range(n)]) for k in range(n)]
     covers = [(list(t.values.values()), _cell_keys(space, t.variables, t.partitions))
               for t in marginals]
     spare = 1 - sum(lows)
     bounds = []
     for k, lo in enumerate(lows):
-        cap = Fraction(min([spare + lo] + [values[cell_keys[k]] for values, cell_keys in covers]))
-        hi = cap if any(x[k] == cap for x in known) else -probe([-int(j == k) for j in range(n)])
+        cap = number(min([spare + lo] + [values[cell_keys[k]] for values, cell_keys in covers]))
+        hi = cap if any(x[k] == cap for x in known) else zero - probe([-int(j == k) for j in range(n)])
         bounds.append((lo, hi))
     return bounds
 
@@ -624,58 +628,40 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
                      delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Per-cell min/max bounds under the marginal constraints; unique iff every cell is pinned.
 
-    A cell is pinned when its attainable range is at most delta (exact mode
-    demands a zero range).  The bounds are taken over the width-0 system of
-    hard equalities, without slack columns; with the delta-band system every
+    A cell is pinned when ``hi - lo`` is at most delta (exact mode demands a
+    zero range).  The bounds are taken over the width-0 system of hard
+    equalities, without slack columns; with the delta-band system every
     cell would trivially have a range of about 2*delta and nothing could ever
     be reported unique.  Phase 1 of that system runs once and every probe LP
-    is one phase 2 from its end state.
+    is one phase 2 from its end state.  ``_bounds`` proves ``lo = 0`` from
+    ``x >= 0`` and ``hi`` from a key's value or the normalization row
+    whenever a known feasible point attains it, and solves only the other
+    probes: exact ``eprb`` solves 4 of its 32 and float ``eprb`` 6.
 
     In exact mode the width-0 system is also the feasibility system, so the
-    same phase 1, read at zero cost, gives the verdict, and each bound is one
-    rational number, so a bound proven without an LP is that LP's answer:
-    ``_exact_bounds`` proves ``lo = 0`` from ``x >= 0`` and ``hi`` from a key's
-    value or the normalization row whenever a known feasible point attains
-    it, and solves only the other probes.  Float mode solves all 2n probes:
-    a float optimum depends in its last bits on the pivot path, and a proof
-    from a known point would change those bits in the report.  A float
-    verdict whose delta band is feasible while the hard equalities are not
-    comes back with ``unique`` and ``component_bounds`` left None.
+    same phase 1, read at zero cost, gives the verdict.  Float mode takes its
+    verdict from the delta band (``find_unifying_probability``); a verdict
+    whose band is feasible while the hard equalities are not comes back
+    with ``unique`` and ``component_bounds`` left None.  Float bounds carry
+    the float noise of the tables, so ``lo`` may exceed ``hi`` by about
+    1e-16; ``reverify`` allows up to delta.
     """
     if exact:
         _require_exact(marginals)
-        system = build_constraint_system(space, marginals, 0.0, exact=True)
-        start = feasible_start(system.matrix, system.rhs, exact=True)
-        result = start if isinstance(start, LPResult) else start.solve()
+    else:
+        verdict = find_unifying_probability(space, marginals, delta)
+        if not verdict.feasible:
+            return verdict
+    system = build_constraint_system(space, marginals, 0.0, exact)
+    start = feasible_start(system.matrix, system.rhs, exact=exact)
+    result = start if isinstance(start, LPResult) else start.solve()
+    if exact:
         verdict = _checked_verdict(space, marginals, system, result, delta, exact)
-        if verdict.feasible:
-            bounds = _exact_bounds(space, marginals, start, result.x)
-            verdict.unique = all(lo == hi for lo, hi in bounds)
-            verdict.component_bounds = dict(zip(system.cells, bounds))
-        return verdict
-    verdict = find_unifying_probability(space, marginals, delta)
-    if not verdict.feasible:
-        return verdict
-    system = build_constraint_system(space, marginals, 0.0)
-    start = feasible_start(system.matrix, system.rhs)
-    if isinstance(start, LPResult):
-        return verdict
-    n_cols = system.matrix.shape[1]
-    bounds: dict[Cell, tuple] = {}
-    unique = True
-    for k, cell in enumerate(system.cells):
-        unit = [int(j == k) for j in range(n_cols)]
-        low = start.solve(unit)
-        high = start.solve([-v for v in unit])
-        if low.status != OPTIMAL or high.status != OPTIMAL:
-            raise NumericError("uniqueness probe LP did not solve")
-        lo = low.objective
-        hi = -high.objective
-        bounds[cell] = (lo, hi)
-        if float(hi - lo) > delta:
-            unique = False
-    verdict.unique = unique
-    verdict.component_bounds = bounds
+    if result.status == OPTIMAL:
+        bounds = _bounds(space, marginals, start, result.x)
+        tol = 0 if exact else delta
+        verdict.unique = all(hi - lo <= tol for lo, hi in bounds)
+        verdict.component_bounds = dict(zip(system.cells, bounds))
     return verdict
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -972,6 +973,14 @@ def test_cli_verify_rejects_tampered_uniqueness(tmp_path, capsys, exact):
     assert main(["verify", _write_report(tmp_path, _tampered_bounds(exact))]) == 3
     assert ("exclude its witness value" if exact
             else "unique is True, but its component bounds say False") in capsys.readouterr().err
+
+    # bounds in the wrong order, which no hi - lo rule alone would catch
+    report = _griffiths_report(exact)
+    entry = report["unification"]["verdict"]["component_bounds"][0]
+    entry[1], entry[2] = (encode_value(Fraction(9, 10)), encode_value(Fraction(1, 10))) if exact \
+        else (0.9, 0.1)
+    assert main(["verify", _write_report(tmp_path, report)]) == 3
+    assert "are in the wrong order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories_lab import _kernels, simplex
-from histories_lab.analysis import analyze, encode_value
+from histories_lab.analysis import AnalysisOptions, analyze, decode_value, encode_value, report_to_json
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set, quasi_probabilities
@@ -279,35 +279,45 @@ def test_malformed_candidate_certificate_is_ignored(exact, malformed):
     assert verify_certificate(system.matrix, system.rhs, fresh.farkas_certificate, system.upper)
 
 
-def _exact_tables(scenario):
-    """The exact marginal tables ``analyze --exact`` unifies for a built-in scenario."""
+def _tables(scenario, exact):
+    """The marginal tables ``analyze`` unifies for a built-in scenario, snapped
+    to rationals as ``analyze --exact`` does them when ``exact``."""
     descriptor = build_scenario(scenario)
-    tables = [extract_marginals(descriptor.build(s.name), s.mapping).as_exact()
+    tables = [extract_marginals(descriptor.build(s.name), s.mapping)
               for s in descriptor.sets
               if s.mapping is not None and classify(descriptor.build(s.name)).consistent]
-    return descriptor.space, tables
+    return descriptor.space, [t.as_exact() for t in tables] if exact else tables
 
 
-def _assert_bounds_match_independent_solves(space, tables):
-    """``probe_uniqueness``'s exact bounds against a fresh min and max LP per
-    cell, and ``unique`` against the bounds; returns the verdict."""
-    verdict = probe_uniqueness(space, tables, exact=True)
-    system = build_constraint_system(space, tables, exact=True)
+def _assert_bounds_match_independent_solves(space, tables, exact):
+    """``probe_uniqueness``'s bounds against a fresh min and max LP per cell of
+    the width-0 system, equal in exact mode and within 1e-12 in float mode,
+    and ``unique`` against those bounds; returns the verdict."""
+    verdict = probe_uniqueness(space, tables, exact=exact)
+    system = build_constraint_system(space, tables, 0.0, exact)
+    solve, number, tol = (solve_lp_exact, Fraction, 0) if exact else (solve_lp_float, float, DEFAULT_DELTA)
     n = system.matrix.shape[1]
     assert list(verdict.component_bounds) == system.cells
+    fresh = []
     for k, cell in enumerate(system.cells):
-        unit = [Fraction(int(j == k)) for j in range(n)]
-        low = solve_lp_exact(system.matrix, system.rhs, unit)
-        high = solve_lp_exact(system.matrix, system.rhs, [-v for v in unit])
-        assert verdict.component_bounds[cell] == (low.objective, -high.objective)
-        assert all(type(v) is Fraction for v in verdict.component_bounds[cell])
-    assert verdict.unique == all(lo == hi for lo, hi in verdict.component_bounds.values())
+        unit = [number(int(j == k)) for j in range(n)]
+        low = solve(system.matrix, system.rhs, unit)
+        high = solve(system.matrix, system.rhs, [-v for v in unit])
+        fresh.append((low.objective, -high.objective))
+        bounds = verdict.component_bounds[cell]
+        if exact:
+            assert bounds == fresh[-1]
+        else:
+            assert bounds == pytest.approx(fresh[-1], rel=0, abs=1e-12)
+        assert all(type(v) is number for v in bounds)
+    assert verdict.unique == all(hi - lo <= tol for lo, hi in fresh)
     return verdict
 
 
+@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("scenario", ["eprb", "griffiths_spin"])
-def test_exact_probe_bounds_match_independent_solves(scenario):
-    _assert_bounds_match_independent_solves(*_exact_tables(scenario))
+def test_probe_bounds_match_independent_solves(scenario, exact):
+    _assert_bounds_match_independent_solves(*_tables(scenario, exact), exact)
 
 
 @st.composite
@@ -337,18 +347,24 @@ def exact_pairwise_systems(draw):
     return space, tables, point and len(set().union(*pairs)) == len(space.variables)
 
 
+@pytest.mark.parametrize("exact", [False, True])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(exact_pairwise_systems())
-def test_exact_proven_bounds_match_independent_solves(system):
+def test_proven_bounds_match_independent_solves(exact, system):
     space, tables, pinned = system
-    verdict = _assert_bounds_match_independent_solves(space, tables)
+    if not exact:
+        tables = [MarginalTable(t.variables, {k: float(v) for k, v in t.values.items()})
+                  for t in tables]
+    verdict = _assert_bounds_match_independent_solves(space, tables, exact)
     assert verdict.feasible and (verdict.unique or not pinned)
 
 
-@pytest.mark.parametrize("scenario, solved", [("eprb", 4), ("griffiths_spin", 1)])
-def test_exact_probes_solve_only_the_unproven_bounds(monkeypatch, scenario, solved):
-    """Of the 2n probes, an LP runs only for a bound no known feasible point proves."""
-    space, tables = _exact_tables(scenario)
+@pytest.mark.parametrize("exact, scenario, solved", [(False, "eprb", 6), (False, "griffiths_spin", 3),
+                                                     (True, "eprb", 4), (True, "griffiths_spin", 1)])
+def test_probes_solve_only_the_unproven_bounds(monkeypatch, exact, scenario, solved):
+    """Of the 2n probes, an LP runs only for a bound no known feasible point
+    proves, in either arithmetic."""
+    space, tables = _tables(scenario, exact)
     costs = []
     solve = simplex.FeasibleStart.solve
 
@@ -357,9 +373,18 @@ def test_exact_probes_solve_only_the_unproven_bounds(monkeypatch, scenario, solv
         return solve(start, c)
 
     monkeypatch.setattr(simplex.FeasibleStart, "solve", recorded)
-    verdict = probe_uniqueness(space, tables, exact=True)
+    verdict = probe_uniqueness(space, tables, exact=exact)
     assert verdict.feasible and verdict.unique
     assert costs[0] is None and len(costs) == 1 + solved
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("scenario", ["griffiths_spin", "three_box", "eprb", "leggett_garg"])
+def test_no_reported_component_bound_is_a_negative_zero(scenario, exact):
+    report = json.loads(report_to_json(analyze(build_scenario(scenario), AnalysisOptions(exact=exact))))
+    bounds = report["unification"]["verdict"]["component_bounds"] or []
+    values = [decode_value(v) for _, lo, hi in bounds for v in (lo, hi)]
+    assert all(math.copysign(1.0, v) > 0 for v in values if v == 0)
 
 
 def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
@@ -369,7 +394,7 @@ def test_exact_eprb_probes_share_one_phase_one(monkeypatch):
     Redoing phase 1 per probe took 65 loop calls and 407 pivots on this case;
     solving all 32 probes from one phase 1 took 33 calls and 55 pivots.
     """
-    space, tables = _exact_tables("eprb")
+    space, tables = _tables("eprb", exact=True)
     calls, pivots = [], []
 
     def counting(*args, **kwargs):
@@ -407,7 +432,7 @@ def test_exact_eprb_probe_loops_build_no_fraction(monkeypatch):
     are phase 1 and the 4 probes that no known point proves, the results the
     zero-cost witness and those 4 optima."""
     assert _fraction_calls(lambda: Fraction(1, 3) + 1)[1]  # the watch sees Fraction work
-    space, tables = _exact_tables("eprb")
+    space, tables = _tables("eprb", exact=True)
     in_loops, results = [], []
     phase_two = simplex._phase_two
 
@@ -849,5 +874,6 @@ def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once():
     assert n_tables == 4 and report["unification"]["verdict"]["status"] == "feasible"
     layouts, maps = table_layout.cache_info(), _cell_keys.cache_info()
     assert (layouts.misses, layouts.hits) == (n_tables, 0)
-    # each table's map serves the band system, its witness check and the width-0 system
-    assert (maps.misses, maps.hits) == (n_tables, 2 * n_tables)
+    # each table's map serves the band system, its witness check, the width-0
+    # system and the uniqueness prover's caps (the key value covering each cell)
+    assert (maps.misses, maps.hits) == (n_tables, 3 * n_tables)
