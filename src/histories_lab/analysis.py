@@ -6,14 +6,16 @@ dict ready for JSON.  The encoding is lossless: rationals are tagged, label
 and outcome types survive a round trip, and anything whose order matters
 (marginal tables, witness cells) is stored as lists, so a reloaded report can
 re-verify its own witness or Farkas certificate against the constraint
-system it claims to solve.
+system it claims to solve.  The one exception is a mapping's non-string
+keys, which ``encode_value`` writes as ``str(key)``: the tuple keys of the
+``expected`` block (``"(1,)"``) come back as strings.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -319,63 +321,15 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     }
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
-_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
-                bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
-_JSON_KINDS = (str, float, int, list, tuple, dict)
-
-
-def _write_json(value, out: list, indent: str) -> None:
-    """Append the canonical text of ``value`` to ``out``; ``indent`` is the
-    newline and indentation that precede its closing bracket."""
-    kind = type(value)
-    if kind not in _SCALAR_TEXT and kind not in _JSON_KINDS:
-        # a subclass such as np.float64 is written as its base type, as json writes it
-        kind = next((k for k in _JSON_KINDS if isinstance(value, k)), None)
-        if kind is None:
-            raise TypeError(f"cannot write {type(value).__name__} into a report")
-    if kind in _SCALAR_TEXT:
-        out.append(_SCALAR_TEXT[kind](value))
-    elif not value:
-        out.append("{}" if kind is dict else "[]")
-    elif kind is dict:
-        inner = indent + "  "
-        out.append("{")
-        for key in sorted(value):  # encode_basestring_ascii refuses a key that is not a str
-            out += (inner, encode_basestring_ascii(key), ": ")
-            _write_json(value[key], out, inner)
-            out.append(",")
-        out[-1] = indent + "}"
-    else:
-        inner = indent + "  "
-        out.append("[")
-        for item in value:
-            out.append(inner)
-            _write_json(item, out, inner)
-            out.append(",")
-        out[-1] = indent + "]"
-
-
 def report_to_json(report: dict) -> str:
-    """The report's canonical text: ``json.dumps(report, sort_keys=True, indent=2)``
-    plus a newline, ASCII only, so byte-identical across runs.
+    """The report's canonical text: ``json.dumps(report, sort_keys=True,
+    separators=(",", ":"))`` plus a newline, written by ``json``'s C encoder.
 
-    Floats are written by ``float.__repr__`` (``NaN`` and ``Infinity`` as
-    ``json`` writes them) and strings by ``json``'s ASCII escaping; object
-    keys must be strings, and a value of any type ``json`` cannot write is a
+    The text is one ASCII line, byte-identical across runs; read it with
+    ``python -m json.tool``.  A value of a type ``json`` cannot write is a
     ``TypeError``.
     """
-    out: list[str] = []
-    _write_json(report, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
