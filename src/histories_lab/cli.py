@@ -6,9 +6,12 @@ Reports are deterministic: identical inputs and flags produce
 byte-identical output.  ``sweep`` evaluates its row-major grid in this
 process, ``SWEEP_CHUNK`` contiguous points at a time, each chunk as one
 stacked computation with a leading grid axis (``scenarios.ScenarioGrid``).
-Each infeasible point offers its Farkas certificate to the points after it,
-across chunks, and a point reports it only after checking it against its
-own constraint system.  A grid of more than ``SWEEP_POINT_CAP`` points is
+A point is refused only by its builder's parameter checks: the class
+operators, tables and correlations derived from checked parameters are
+valid by construction, and nothing checks them again.  Each infeasible
+point offers its Farkas certificate to the points after it, across chunks,
+and a point reports it only after checking it against its own constraint
+system.  A grid of more than ``SWEEP_POINT_CAP`` points is
 refused before it is built.  ``HISTORIES_LAB_THREADS`` is ignored.
 """
 
@@ -28,24 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AnalysisOptions, analyze, report_to_json, reverify
-from .classicality import DEFAULT_CLASSIFY_TOL, classify
+from .classicality import DEFAULT_CLASSIFY_TOL
 from .config import load_json, parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
-from .histories import decoherence_stack, identity_deviation, interference_maxima
-from .operators import DEFAULT_TOL
+from .histories import decoherence_stack, interference_maxima
 from .scenarios import SCENARIO_NAMES, build_scenario, scenario_grid
 from .simplex import farkas_test
 from .unify import (
     DEFAULT_DELTA,
-    TABLE_TOL,
     build_constraint_system,
-    correlations_from_marginals,
-    cycle_check,
     cycle_values,
-    extract_marginals,
     find_unifying_probability,
     pair_correlations,
-    refused_tables,
     stacked_rhs,
 )
 
@@ -176,50 +173,33 @@ def evaluate_sweep_point(scenario: str, params: dict, carry: Carry | None = None
     return _evaluate_points(scenario, columns, 1, Carry() if carry is None else carry)[0]
 
 
-def _raise_point_error(scenario: str, params: dict) -> None:
-    """Build one grid point from validated objects, as ``analyze`` does, to raise its error."""
-    descriptor = build_scenario(scenario, params)
-    tables = []
-    for sset in descriptor.sets:
-        hset = descriptor.build(sset.name)
-        if sset.name != "combined" and classify(hset).consistent:
-            tables.append(extract_marginals(hset, sset.mapping))
-    cycle_check(correlations_from_marginals(tables))
-    raise NumericError(f"sweep point {params} fails a stacked check that its own build passes")
-
-
 def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> list[dict]:
     """``evaluate_sweep_point`` rows of ``size`` contiguous grid points, ``params``
     holding each swept parameter as a ``(size,)`` array.  The physics, tables
-    and correlations are stacks.  A point is refused when it fails its
-    builder's parameter checks (``grid.invalid``) or one vectorized check of
-    its class operators, tables and correlations; the first refused point is
-    built alone to raise its error.  Only the right-hand
-    side of the constraint system moves, so a carried certificate is checked
-    against each point's (``farkas_test``), and only a point it does not
-    refute builds its tables and runs the LP."""
+    and correlations are stacks.  A point is refused only by its builder's
+    parameter checks, which the grid marks in ``invalid``: before any physics
+    is computed, the first such point is built alone to raise its error.  What
+    the physics derives from checked parameters is valid by construction.
+    Only the right-hand side of the constraint system moves, so a carried
+    certificate is checked against each point's (``farkas_test``), and only a
+    point it does not refute builds its tables and runs the LP."""
     grid = scenario_grid(scenario, params)
-    refused = np.broadcast_to(grid.invalid, (size,))
+    if grid.invalid.any():
+        g = int(np.argmax(grid.invalid))
+        point = {name: float(v[min(g, len(v) - 1)]) for name, v in params.items()}
+        build_scenario(scenario, point)  # raises the builder's ValidationError
+        raise NumericError(f"sweep point {point} is refused by its grid but not by its builder")
     pairs = []  # (mapping, labels, (size, n) probabilities) of each pair set, in set order
-    with np.errstate(all="ignore"):  # refused points may compute non-finite values
-        for name in grid.slots:
-            ops = grid.class_operators(name)
-            entries = decoherence_stack(ops, grid.fixed.initial.matrix)
-            consistent = np.broadcast_to(  # classify's consistency
+    for name in grid.slots:
+        entries = decoherence_stack(grid.class_operators(name), grid.fixed.initial.matrix)
+        if name == "combined":
+            combined = np.broadcast_to(  # classify's consistency
                 np.min(interference_maxima(entries), axis=0) <= DEFAULT_CLASSIFY_TOL, (size,))
-            refused = refused | ~(identity_deviation(ops) <= DEFAULT_TOL)
-            if name == "combined":
-                combined = consistent
-                continue
-            p = np.broadcast_to(entries.diagonal(axis1=1, axis2=2).real, (size, entries.shape[1]))
-            refused = refused | ~consistent | refused_tables(p)
-            pairs.append((grid.fixed.mappings[name], grid.labels(name), p))
-        correlations = np.stack([pair_correlations([tuple((o,) for o in label) for label in labels], p)
-                                 for _, labels, p in pairs], axis=1)
-        refused = refused | ~(np.abs(correlations) <= 1.0 + TABLE_TOL).all(axis=1)
-    if refused.any():
-        g = int(np.argmax(refused))
-        _raise_point_error(scenario, {name: float(v[min(g, len(v) - 1)]) for name, v in params.items()})
+            continue
+        p = np.broadcast_to(entries.diagonal(axis1=1, axis2=2).real, (size, entries.shape[1]))
+        pairs.append((grid.fixed.mappings[name], grid.labels(name), p))
+    correlations = np.stack([pair_correlations([tuple((o,) for o in label) for label in labels], p)
+                             for _, labels, p in pairs], axis=1)
     # CorrelationSet order: the pairs sorted by their sorted variable names
     order = sorted(range(len(pairs)), key=lambda k: sorted(v.name for v in pairs[k][0].variables))
     values = cycle_values(correlations[:, order])

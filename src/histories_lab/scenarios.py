@@ -18,13 +18,13 @@ parameter-free parts are built once per process.  ``griffiths_spin``,
 Each input is checked once, where it enters, and no grid checks its
 matrices again.  A builder checks its own parameters: ``eprb`` that each
 axis is a unit 3-vector, ``leggett_garg`` that its times increase and that
-``omega`` times each gap is finite; a sweep grid marks the points that fail
-the same checks in ``invalid``.  The matrices built from checked parameters
-are valid by construction: H = (omega/2) sigma_x is Hermitian for any finite
-omega, the ``leggett_garg`` projectors are fixed, and (1 +- a.sigma)/2 with
-|a| within ``DEFAULT_TOL`` of 1 passes the projector checks.  Tests check the
-fixed matrices of ``griffiths_spin`` and ``three_box``; ``config.parse_config``
-checks a document's.
+``omega`` times each gap and each time is finite; a sweep grid marks the
+points that fail the same checks in ``invalid``.  The matrices built from
+checked parameters are valid by construction: H = (omega/2) sigma_x is
+Hermitian for any finite omega, the ``leggett_garg`` projectors are fixed,
+and (1 +- a.sigma)/2 with |a| within ``DEFAULT_TOL`` of 1 passes the
+projector checks.  Tests check the fixed matrices of ``griffiths_spin`` and
+``three_box``; ``config.parse_config`` checks a document's.
 """
 
 from __future__ import annotations
@@ -392,12 +392,15 @@ _LG_PROJECTORS = frozen_array([[0.5 * (np.eye(2) - s * PAULI_Z) for s in (1, -1)
 
 def _leggett_garg_grid(omega, t1, t2, t3) -> ScenarioGrid:
     """``leggett_garg`` at G points, each parameter a ``(G,)`` array; ``invalid``
-    marks unordered times and an ``omega`` times a time gap that overflows."""
+    marks unordered times and an ``omega`` times a time gap or a time that
+    overflows."""
     times = {1: t1, 2: t2, 3: t3}
     with np.errstate(all="ignore"):
         invalid = ~((t1 < t2) & (t2 < t3))
         for i, j in _LG_PAIRS:
             invalid = invalid | ~np.isfinite(omega * (times[j] - times[i]))
+        for t in times.values():
+            invalid = invalid | ~np.isfinite(omega * t)
     slot = {i: (times[i], _LG_PROJECTORS, (1, -1)) for i in (1, 2, 3)}
     sets = {f"pair_{i}{j}": (slot[i], slot[j]) for i, j in _LG_PAIRS}
     sets["combined"] = (slot[1], slot[2], slot[3])
@@ -413,7 +416,8 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     maximally mixed state.  Every two-time set is consistent with pair table
     (1/4)(1 + s s' cos(omega tau)), so the two-time correlator is
     cos(omega tau); the combined three-time set is inconsistent in general.
-    ``omega`` times every time gap must be a finite float.
+    ``omega`` times every time gap, and times every time (the phase of the
+    propagator), must be a finite float.
     """
     if not (t1 < t2 < t3):
         raise ValidationError(f"times must be strictly increasing, got {(t1, t2, t3)}")
@@ -424,6 +428,9 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
             raise ValidationError(
                 f"omega * (t{j} - t{i}) must be finite, got omega={omega!r}, "
                 f"t{i}={times[i]!r}, t{j}={times[j]!r}")
+    for i, t in times.items():
+        if not math.isfinite(omega * t):
+            raise ValidationError(f"omega * t{i} must be finite, got omega={omega!r}, t{i}={t!r}")
     expected = {
         "C12": ExpectedValue(math.cos(omega * (times[2] - times[1])), "published"),
         "C23": ExpectedValue(math.cos(omega * (times[3] - times[2])), "published"),

@@ -473,12 +473,6 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
 
 
-def refused_tables(values: np.ndarray) -> np.ndarray:
-    """The rows of a ``(G, k)`` stack of float table values that ``MarginalTable`` refuses."""
-    return ~(np.isfinite(values).all(axis=1) & (values >= -TABLE_TOL).all(axis=1)
-             & (np.abs(values.sum(axis=1) - 1.0) <= TABLE_TOL))
-
-
 def stacked_rhs(values: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
     """Float ``build_constraint_system`` right-hand sides, one per row of table values."""
     return np.concatenate([values + float(delta), np.ones((len(values), 1))], axis=1)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,7 +29,7 @@ from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
 from histories_lab.scenarios import build_scenario, three_box
 from histories_lab.simplex import verify_certificate
-from histories_lab.unify import build_constraint_system, extract_marginals
+from histories_lab.unify import build_constraint_system, extract_marginals, probe_uniqueness
 
 
 @pytest.fixture()
@@ -554,6 +555,56 @@ def test_sweep_failure_is_the_first_in_grid_order(capsys, argv, err):
     assert main(["sweep", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == err
+
+
+def test_sweep_point_of_a_gap_that_fits_and_a_time_that_overflows_is_exit_2(capsys):
+    # omega * (t3 - t1) = 1e307 fits, omega * t1 = 1e309 does not, from the second point on
+    assert main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "1:1e307:2",
+                 "--param", "t1", "--range", "100:100:1", "--param", "t2", "--range", "100.5:100.5:1",
+                 "--param", "t3", "--range", "101:101:1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: omega * t1 must be finite, got omega=1e+307, t1=100.0\n"
+
+
+def test_sweep_point_its_grid_refuses_and_its_builder_accepts_is_exit_3(monkeypatch, capsys):
+    real = scenarios._GRID_BUILDERS["leggett_garg"]
+
+    def third_point_refused(*parameters):
+        grid = real(*parameters)
+        invalid = grid.invalid.copy()
+        invalid[2] = True
+        return dataclasses.replace(grid, invalid=invalid)
+
+    def no_physics(*args):
+        raise AssertionError("a refused chunk computed its physics")
+
+    monkeypatch.setitem(scenarios._GRID_BUILDERS, "leggett_garg", third_point_refused)
+    monkeypatch.setattr(cli, "decoherence_stack", no_physics)
+    assert main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0:2:5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("numeric failure: sweep point {'omega': 1.0} is refused by its grid "
+                       "but not by its builder\n")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "phase 1 calls the delta-band system feasible when its objective is at most "
+    "DEFAULT_FEAS_TOL (1e-9), but the witness check allows only 1e-12 below zero "
+    "and on the sum; just past that point phase 1 calls it infeasible, and the "
+    "Farkas certificate's margin is below farkas_test's slack of 1e-9 * max(1, max|y|)"))
+def test_leggett_garg_near_its_unifier_boundary_has_no_numeric_failure(capsys):
+    code = main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0.0001:0.00012:21"])
+    capsys.readouterr()
+    failures = []
+    for omega in np.geomspace(1.05e-4, 1.2e-4, 100).tolist():
+        desc = build_scenario("leggett_garg", {"omega": omega})
+        tables = [extract_marginals(desc.build(n), desc.set_named(n).mapping)
+                  for n in ("pair_12", "pair_23", "pair_13")]
+        try:
+            probe_uniqueness(desc.space, tables)
+        except NumericError as exc:
+            failures.append((omega, str(exc)))
+    assert code == 0 and failures == []
 
 
 def test_one_sweep_worker_forks_nothing(monkeypatch, capsys):

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histories_lab.classicality import classify, detect_zero_cover
+from histories_lab.cli import SWEEPABLE
 from histories_lab.errors import ValidationError
-from histories_lab.histories import history_probabilities, quasi_probabilities
+from histories_lab.histories import (
+    HistorySet,
+    decoherence_stack,
+    history_probabilities,
+    identity_deviation,
+    quasi_probabilities,
+)
 from histories_lab.operators import DEFAULT_TOL, Projector, bloch_projector, family_deviations, max_abs
 from histories_lab.scenarios import (
     build_scenario,
@@ -21,6 +28,7 @@ from histories_lab.scenarios import (
     three_box,
 )
 from histories_lab.unify import (
+    correlations_from_marginals,
     extract_marginals,
     find_unifying_probability,
     pair_correlation,
@@ -137,6 +145,15 @@ def test_leggett_garg_rejects_unordered_times():
         leggett_garg(1.0, 0.0, 2.0, 1.0)
 
 
+def test_leggett_garg_refuses_omega_times_a_time_that_overflows():
+    # omega times every gap is finite, but the propagator's phase omega * t is not
+    with pytest.raises(ValidationError, match=r"omega \* t1 must be finite, got omega=1e\+307, t1=100.0"):
+        leggett_garg(1e307, 100.0, 100.5, 101.0)
+    grid = scenario_grid("leggett_garg", {"omega": np.array([1.0, 1e307]), "t1": np.array([100.0]),
+                                          "t2": np.array([100.5]), "t3": np.array([101.0])})
+    assert grid.invalid.tolist() == [False, True]
+
+
 def test_leggett_garg_deterministic_constructor():
     a = leggett_garg(0.9, 0.0, 1.0, 2.0)
     b = leggett_garg(0.9, 0.0, 1.0, 2.0)
@@ -165,25 +182,60 @@ def test_fixed_scenario_matrices_are_valid(builder):
 _ANGLES = st.floats(-10.0, 10.0)
 
 
+def _valid_eprb_parameters(draw, column):
+    names = draw(st.sets(st.sampled_from(["theta1", "theta2", "theta3", "theta4"]), min_size=1))
+    return {name: column(_ANGLES) for name in sorted(names)}
+
+
+def _valid_leggett_garg_parameters(draw, column):
+    t1 = column(st.floats(-10.0, 10.0))
+    t2 = t1 + column(st.floats(1e-3, 10.0))
+    t3 = t2 + column(st.floats(1e-3, 10.0))
+    return {"omega": column(st.floats(-1e3, 1e3)), "t1": t1, "t2": t2, "t3": t3}
+
+
+_VALID_SWEEP_PARAMETERS = {"eprb": _valid_eprb_parameters, "leggett_garg": _valid_leggett_garg_parameters}
+
+
 @st.composite
 def _valid_sweep_grids(draw):
     size = draw(st.integers(1, 5))
     column = lambda values: np.array(draw(st.lists(values, min_size=size, max_size=size)))
-    if draw(st.booleans()):
-        names = draw(st.sets(st.sampled_from(["theta1", "theta2", "theta3", "theta4"]), min_size=1))
-        return scenario_grid("eprb", {name: column(_ANGLES) for name in sorted(names)})
-    t1 = column(st.floats(-10.0, 10.0))
-    t2 = t1 + column(st.floats(1e-3, 10.0))
-    t3 = t2 + column(st.floats(1e-3, 10.0))
-    return scenario_grid("leggett_garg", {"omega": column(st.floats(-1e3, 1e3)),
-                                          "t1": t1, "t2": t2, "t3": t3})
+    name = draw(st.sampled_from(sorted(_VALID_SWEEP_PARAMETERS)))
+    return scenario_grid(name, _VALID_SWEEP_PARAMETERS[name](draw, column))
+
+
+def _assert_derived_values_valid(grid):
+    """What a sweep derives from a grid without checking it: at every point each
+    set's class operators sum to the identity, every set but ``combined`` is
+    consistent by ``classify``'s rule, each pair table is a ``MarginalTable``
+    and their correlations are a ``CorrelationSet``."""
+    size = len(grid.invalid)
+    tables = [[] for _ in range(size)]
+    for name in grid.slots:
+        ops = grid.class_operators(name)
+        ops = np.broadcast_to(ops, (size, *ops.shape[1:]))
+        assert identity_deviation(ops).max() <= DEFAULT_TOL
+        if name == "combined":
+            continue
+        p = decoherence_stack(ops, grid.fixed.initial.matrix).diagonal(axis1=1, axis2=2).real
+        mapping = grid.fixed.mappings[name]
+        for g in range(size):
+            hset = HistorySet(grid.labels(name), ops[g], grid.fixed.initial, grid.fixed.final)
+            assert classify(hset).consistent
+            tables[g].append(mapping.marginal_table(dict(zip(grid.labels(name), p[g].tolist()))))
+    for point in tables:
+        correlations_from_marginals(point)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_valid_sweep_grids())
 def test_sweep_grid_matrices_are_valid_at_every_valid_point(grid):
+    # a new sweepable built-in joins the strategy before its derived values are trusted
+    assert sorted(_VALID_SWEEP_PARAMETERS) == sorted(SWEEPABLE)
     assert not grid.invalid.any()
     _assert_matrices_valid(grid)
+    _assert_derived_values_valid(grid)
 
 
 def _eprb_axes(axis):
