@@ -18,18 +18,18 @@ The entering column is the one with the most negative reduced cost
 on a degenerate basis, so once ``m`` consecutive steps (``m`` rows) leave
 the objective no better than the best value reached, the loop finishes on
 Bland's lowest-index rule (Bland 1977), which terminates from any basis.
-The control flow (entering column, stall guard, ratio test, ties, bound
-flips, counts) is the same for both representations; only the arithmetic
-at each step is picked by the representation.  Every exact tableau value
-equals the rational the textbook ``Fraction`` tableau would hold, so both
-take the same pivots.
+The control flow (entering column, stall guard, ratio test, ties, counts)
+is the same for both representations; only the arithmetic at each step is
+picked by the representation.  Every exact tableau value equals the
+rational the textbook ``Fraction`` tableau would hold, so both take the
+same pivots.
 
-Columns may carry finite upper bounds (Dantzig's upper-bounded simplex).  A
-variable at its upper bound ``u`` is kept in the tableau as ``u - x``: its
-column is negated and ``u`` times the old column moves into the rhs, so every
-nonbasic variable still sits at 0 and the rhs still holds the basic values.
-``flipped[j]`` records which orientation column ``j`` is in.  An exact bound
-is an ``(numerator, denominator)`` pair of ints.
+A float tableau's columns may carry finite upper bounds (Dantzig's
+upper-bounded simplex).  A variable at its upper bound ``u`` is kept in the
+tableau as ``u - x``: its column is negated and ``u`` times the old column
+moves into the rhs, so every nonbasic variable still sits at 0 and the rhs
+still holds the basic values.  ``flipped[j]`` records which orientation
+column ``j`` is in.  An exact tableau takes no bounds.
 """
 
 from __future__ import annotations
@@ -147,63 +147,23 @@ def _float_flip_row(tableau: np.ndarray, i: int, label: int, bound: float) -> No
     tableau[i, -1] = bound - value
 
 
-def _exact_ratio_test(tableau: IntTableau, basis: np.ndarray, enter: int,
-                      row_upper: list | None, bound, tol) -> tuple[int, bool, bool]:
-    """``_float_ratio_test`` on an exact tableau; signs need no ``tol``, which is unused.
+def _exact_ratio_test(tableau: IntTableau, basis: np.ndarray, enter: int) -> int:
+    """The leaving row of an exact tableau, ``-1`` when no row bounds the step.
 
-    A row's denominator cancels from ``rhs / coef``; a bounded row's step
-    ``(u - rhs/den) / (-coef/den)`` is ``(un*den - rhs*ud) / (-coef*ud)``.
-    Steps are ``(numerator, denominator)`` pairs with a positive
-    denominator, compared by cross multiplication.
+    A row's denominator cancels from ``rhs / coef``, so its step is the pair
+    ``(rhs, coef)`` over entries ``coef > 0``; steps compare by cross
+    multiplication, ties going to the lowest basic label.
     """
-    rows, den = tableau.rows, tableau.den
+    rows = tableau.rows
     leave, bp, bq = -1, 0, 1
     for i in range(len(basis)):
         row = rows[i]
-        coef = row[enter]
-        if coef > 0:
-            p, q = row[-1], coef
-        elif row_upper is not None and coef < 0 and row_upper[i] != math.inf:
-            un, ud = row_upper[i]
-            p, q = un * den[i] - row[-1] * ud, -coef * ud
-        else:
-            continue
-        if leave < 0 or p * bq < bp * q or (p * bq == bp * q and basis[i] < basis[leave]):
-            leave, bp, bq = i, p, q
-    at_bound = leave >= 0 and rows[leave][enter] < 0
-    if bound == math.inf:
-        return leave, at_bound, False
-    un, ud = bound
-    return leave, at_bound, (leave < 0 or un * bq < bp * ud
-                             or (un * bq == bp * ud and enter < basis[leave]))
-
-
-def _exact_flip_column(tableau: IntTableau, enter: int, bound: tuple[int, int]) -> None:
-    """Substitute ``u - x`` for column ``enter`` in every row that holds it.
-
-    Row ``i`` becomes ``(row*ud, rhs*ud - un*e)`` over ``den*ud`` with the
-    column negated, where ``e`` is its entry; rows with ``e == 0`` stay.
-    """
-    un, ud = bound
-    rows, den = tableau.rows, tableau.den
-    for i, row in enumerate(rows):
-        e = row[enter]
-        if e:
-            new = [v * ud for v in row]
-            new[enter] = -new[enter]
-            new[-1] -= un * e
-            rows[i], den[i] = reduced(new, den[i] * ud)
-
-
-def _exact_flip_row(tableau: IntTableau, i: int, label: int, bound: tuple[int, int]) -> None:
-    """Rewrite row ``i`` for ``u - x`` of its basic variable ``label``:
-    the row negated, ``label`` back at 1 and the rhs ``u - rhs``."""
-    un, ud = bound
-    row, d = tableau.rows[i], tableau.den[i]
-    new = [-v * ud for v in row]
-    new[label] = d * ud
-    new[-1] = un * d - row[-1] * ud
-    tableau.rows[i], tableau.den[i] = reduced(new, d * ud)
+        q = row[enter]
+        if q > 0:
+            p = row[-1]
+            if leave < 0 or p * bq < bp * q or (p * bq == bp * q and basis[i] < basis[leave]):
+                leave, bp, bq = i, p, q
+    return leave
 
 
 def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
@@ -227,16 +187,13 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
     takes ``tol=0``; its cost row has one denominator, so its reduced costs
     compare as numerators and its objectives by cross multiplication.
 
-    ``upper`` holds one bound per column (``math.inf`` when unbounded; an
-    int pair for an exact tableau) and ``flipped`` the orientation of each
-    column, updated in place; with ``upper=None`` every bound is infinite.
-    Returns a LOOP_* code, the number of pivots and the number of
-    entering-column bound flips.
+    ``upper`` holds one float bound per column (``math.inf`` when unbounded)
+    and ``flipped`` the orientation of each column, updated in place; with
+    ``upper=None`` every bound is infinite.  An exact tableau takes no
+    bounds: its ``upper`` is ``None``.  Returns a LOOP_* code, the number of
+    pivots and the number of entering-column bound flips.
     """
     exact = isinstance(tableau, IntTableau)
-    ratio_test, flip_column, flip_row = (
-        (_exact_ratio_test, _exact_flip_column, _exact_flip_row) if exact
-        else (_float_ratio_test, _float_flip_column, _float_flip_row))
     m = len(basis)
     row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
     pivots = flips = 0
@@ -262,11 +219,15 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
             return LOOP_OPTIMAL, pivots, flips
 
         bound = math.inf if upper is None else upper[enter]
-        leave, at_bound, bound_first = ratio_test(tableau, basis, enter, row_upper, bound, tol)
+        if exact:
+            leave, at_bound, bound_first = _exact_ratio_test(tableau, basis, enter), False, False
+        else:
+            leave, at_bound, bound_first = _float_ratio_test(tableau, basis, enter, row_upper,
+                                                             bound, tol)
         if bound_first:
             # the entering variable reaches its own bound first: substitute
             # bound - x for it in every row, the cost row included; no pivot
-            flip_column(tableau, enter, bound)
+            _float_flip_column(tableau, enter, bound)
             flipped[enter] = not flipped[enter]
             flips += 1
             continue
@@ -275,7 +236,7 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
         if at_bound:
             # the leaving variable stops at its bound: rewrite its row for u - x
             label = basis[leave]
-            flip_row(tableau, leave, label, row_upper[leave])
+            _float_flip_row(tableau, leave, label, row_upper[leave])
             flipped[label] = not flipped[label]
         pivot(tableau, basis, leave, enter)
         pivots += 1

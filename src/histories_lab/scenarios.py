@@ -350,7 +350,10 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
 
 
 def planar_axis(theta: float) -> tuple[float, float, float]:
-    """Unit vector at angle theta from z in the x-z plane."""
+    """Unit vector at angle theta from z in the x-z plane; a non-finite angle
+    gives NaN components, which the unit-length check refuses."""
+    if not math.isfinite(theta):
+        return (math.nan, 0.0, math.nan)
     return (math.sin(theta), 0.0, math.cos(theta))
 
 

@@ -1,24 +1,24 @@
 """Two-phase primal simplex for feasibility questions and small LPs.
 
 Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``,
-optionally with per-column upper bounds ``x <= upper`` (the bounded-variable
-simplex: a bound costs no extra row).  The entering column is the one with
-the most negative reduced cost (Dantzig's rule, lowest index among equals);
-after as many non-improving steps in a row as the tableau has rows, a loop
-finishes on Bland's lowest-index rule, which prevents cycling.  Every run
-is deterministic.  One two-phase driver serves both arithmetics:
+in float mode optionally with per-column upper bounds ``x <= upper`` (the
+bounded-variable simplex: a bound costs no extra row).  Exact mode takes no
+bounds; an exact LP writes each bound as a row.  The entering column is the
+one with the most negative reduced cost (Dantzig's rule, lowest index among
+equals); after as many non-improving steps in a row as the tableau has rows,
+a loop finishes on Bland's lowest-index rule, which prevents cycling.  Every
+run is deterministic.  One two-phase driver serves both arithmetics:
 ``solve_lp_float`` hands it a float64 tableau with tolerances,
 ``solve_lp_exact`` an ``_kernels.IntTableau`` with every tolerance 0, and
 both pivot through ``_kernels.simplex_loop``.  The exact tableau holds
 Python-``int`` rows, each over its own positive denominator; ``Fraction``s
-exist only at the boundary: the inputs, bounds and each cost vector become
-integer rows once, and ``x``, ``objective`` and ``certificate`` are read
-back out as ``Fraction``s.  Its two
-phases are separate steps: ``feasible_start`` runs phase 1 once and
-``FeasibleStart.solve`` runs phase 2 for one cost vector on a copy of its
-end state, so many objectives over one system share one phase 1.  Infeasible
-systems come back with a Farkas certificate ``y``, one entry per row,
-satisfying ``y.A >= 0`` on every unbounded column and
+exist only at the boundary: the inputs and each cost vector become integer
+rows once, and ``x``, ``objective`` and ``certificate`` are read back out
+as ``Fraction``s.  Its two phases are separate steps: ``feasible_start``
+runs phase 1 once and ``FeasibleStart.solve`` runs phase 2 for one cost
+vector on a copy of its end state, so many objectives over one system share
+one phase 1.  Infeasible systems come back with a Farkas certificate ``y``,
+one entry per row, satisfying ``y.A >= 0`` on every unbounded column and
 ``y.b < sum_j u_j min(0, (y.A)_j)`` over the bounded ones (``y.b < 0``
 without bounds).
 """
@@ -93,8 +93,8 @@ class FeasibleStart:
     for a cost row.  It is a float64 array, or in exact mode an
     ``IntTableau`` of reduced integer rows, each over its own positive
     denominator.  ``basis`` and ``flipped`` give each row's basic column
-    and each column's orientation, ``upper`` the per-column bounds (float64,
-    or exact rationals and ``math.inf``).
+    and each column's orientation, ``upper`` the per-column float64 bounds
+    (``None`` without bounds, and always ``None`` in exact mode).
     ``pivots`` and ``bound_flips`` are phase 1's counts.  ``solve`` never
     changes the start, so every cost vector starts from the same tableau that
     a fresh solve of the same system reaches.
@@ -125,11 +125,6 @@ def _int_row(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_bounds(upper) -> list:
-    """Exact bounds as the loop's ``(numerator, denominator)`` pairs; ``math.inf`` stays."""
-    return [u if u == math.inf else (u.numerator, u.denominator) for u in upper]
-
-
 def _exact_phase_one_tableau(A: np.ndarray, b: np.ndarray, signs: list[int]) -> IntTableau:
     """Phase 1's exact tableau: row ``i`` is ``signs[i] * [A_i, e_i, b_i]``
     over its own denominator, and the cost row is minus the sum of the
@@ -155,10 +150,11 @@ def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResu
 
     Returns an infeasible ``LPResult`` with its Farkas certificate, or the
     ``FeasibleStart`` phase 2 works on.  ``A``, ``b`` and ``upper`` are
-    float64 arrays, or object arrays of exact rationals (``int`` or
-    ``Fraction``), which solve on an ``IntTableau`` with every tolerance 0.
-    ``upper`` bounds each column of ``A`` from above (``math.inf`` for no
-    bound); ``None`` leaves every column unbounded.
+    float64 arrays, or ``A`` and ``b`` are object arrays of exact rationals
+    (``int`` or ``Fraction``), which solve on an ``IntTableau`` with every
+    tolerance 0 and ``upper=None``.  ``upper`` bounds each column of ``A``
+    from above (``math.inf`` for no bound); ``None`` leaves every column
+    unbounded.
     """
     exact = A.dtype == object
     m, n = A.shape
@@ -169,7 +165,6 @@ def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResu
     if exact:
         tol = 0
         tableau = _exact_phase_one_tableau(A, b, signs.tolist())
-        bounds = None if bounds is None else _int_bounds(bounds)
     else:
         tol, feas_tol = DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL
         A = A * signs[:, None]
@@ -226,18 +221,15 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
     pivots, bound_flips = start.pivots, start.bound_flips
 
     if (any(c[0]) if exact else np.any(c != 0.0)):
-        # the cost in each column's orientation; the objective is read from
-        # x, so the constant a flipped column adds to it is left out
-        bounds = None if upper is None else upper.tolist()
         if exact:
-            cost = [-v if f else v for v, f in zip(c[0], flipped.tolist())] + [0]
-            cost_den = c[1]
+            cost, cost_den = c[0] + [0], c[1]
             for i, j in enumerate(basis.tolist()):
                 if cost[j]:
                     cost, cost_den = eliminate(cost, cost_den, tableau.rows[i], tableau.den[i], j)
             tableau.rows[m2], tableau.den[m2] = cost, cost_den
-            bounds = None if bounds is None else _int_bounds(bounds)
         else:
+            # the cost in each column's orientation; the objective is read
+            # from x, so the constant a flipped column adds to it is left out
             oriented = c.copy()
             oriented[flipped] = -c[flipped]
             tableau[m2, :n] = oriented
@@ -248,7 +240,7 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
                     tableau[m2, :] -= weight * tableau[i, :]
         code, more_pivots, more_flips = simplex_loop(
             tableau, basis, n, 0 if exact else DEFAULT_PIVOT_TOL, _default_iterations(m2, n),
-            bounds, flipped)
+            None if upper is None else upper.tolist(), flipped)
         pivots += more_pivots
         bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
@@ -266,8 +258,6 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
     x = [Fraction(0)] * n
     for i, j in enumerate(basis.tolist()):
         x[j] = Fraction(tableau.rows[i][-1], tableau.den[i])
-    for j in np.flatnonzero(flipped).tolist():
-        x[j] = upper[j] - x[j]
     objective = sum((v * xj for v, xj in zip(c[0], x) if v), Fraction(0))
     return LPResult(status=OPTIMAL, x=x, objective=objective if c[1] == 1 else objective / c[1],
                     pivots=pivots, bound_flips=bound_flips)
@@ -280,12 +270,15 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c, upper: np.ndarray | None) -> LPR
 
 
 def _system(A, b, upper, exact: bool) -> tuple:
-    """``A``, ``b`` and ``upper`` as float64 arrays or object arrays of
-    rationals (``int`` or ``Fraction``), validated.
+    """``A``, ``b`` and ``upper`` as float64 arrays, or ``A`` and ``b`` as
+    object arrays of rationals (``int`` or ``Fraction``), validated.
 
     ``A`` needs at least one row and ``b`` one entry per row; ``upper``, when
-    given, one bound per column, each ``>= 0`` or ``math.inf``.
+    given, one bound per column, each ``>= 0`` or ``math.inf``.  Exact mode
+    takes no ``upper``.
     """
+    if exact and upper is not None:
+        raise ValidationError("exact mode takes no upper bounds; write each bound as a row")
     dtype = object if exact else float
     if exact:
         A = [[_as_rational(v) for v in row] for row in A]
@@ -296,12 +289,12 @@ def _system(A, b, upper, exact: bool) -> tuple:
         raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
     if upper is None:
         return A, b, None
-    bounds = [v if v == math.inf else _as_rational(v) if exact else float(v) for v in upper]
+    bounds = np.array([float(v) for v in upper])
     if len(bounds) != A.shape[1]:
         raise ValidationError(f"upper-bound vector must have length {A.shape[1]}")
-    if any(not v >= 0 for v in bounds):
+    if not (bounds >= 0).all():
         raise ValidationError("upper bounds must be non-negative")
-    return A, b, np.array(bounds, dtype=dtype)
+    return A, b, bounds
 
 
 def _cost(c, n: int, exact: bool):
@@ -343,13 +336,14 @@ def _as_rational(value) -> int | Fraction:
 
 
 def solve_lp_exact(A, b, c=None, *, upper=None) -> LPResult:
-    """Solve min c.x, A x = b, 0 <= x <= upper in exact rational arithmetic."""
+    """Solve min c.x, A x = b, x >= 0 in exact rational arithmetic; ``upper``
+    is refused (write each bound as a row)."""
     A, b, upper = _system(A, b, upper, True)
     return _two_phase(A, b, _cost(c, A.shape[1], True), upper)
 
 
 def feasible_start(A, b, *, upper=None, exact: bool = False) -> LPResult | FeasibleStart:
-    """Run phase 1 once for ``A x = b, 0 <= x <= upper``.
+    """Run phase 1 once for ``A x = b, 0 <= x <= upper`` (no ``upper`` in exact mode).
 
     Returns the infeasible ``LPResult`` with its Farkas certificate, or a
     ``FeasibleStart`` whose ``solve(c)`` gives, for each cost vector, the

@@ -385,12 +385,12 @@ class ConstraintSystem:
     One row per marginal key, tables in input order and each table's keys in
     ``table.values`` order, then the normalization row.  The first
     ``n_cells`` columns are the joint cells in row-major order.  A float
-    system of band width ``delta > 0`` appends one slack column per row:
-    marginal row ``r`` reads ``a_r.x + s_r = b_r + delta`` with
+    system of band width ``delta > 0`` appends one slack column per marginal
+    row: row ``r`` reads ``a_r.x + s_r = b_r + delta`` with
     ``0 <= s_r <= 2*delta``, i.e. ``|a_r.x - b_r| <= delta``, while the
-    normalization row's slack is bounded by 0, so that the cells sum to
-    exactly 1; ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact
-    mode, or ``delta = 0``) are hard equalities with no slack columns and
+    normalization row has no slack, so that the cells sum to exactly 1;
+    ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact mode, or
+    ``delta = 0``) are hard equalities with no slack columns and
     ``upper = None``.  Which cells a row covers is read from ``_cell_keys``,
     which decides it once per sample space and table layout.
     """
@@ -444,9 +444,10 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     its ``r``-th key; the normalization row covers every cell.  Exact mode
     keeps hard equalities in ``Fraction`` arithmetic and ignores ``delta``.
     Float mode widens each marginal row into the band ``|a_r.x - b_r| <= delta``
-    through one bounded slack column per row (see ``ConstraintSystem``); with
-    ``delta = 0`` the rows stay hard equalities, which the solver's phase-1
-    feasibility tolerance still cushions against ~1e-15 marginal noise.
+    through one bounded slack column per marginal row (see
+    ``ConstraintSystem``); with ``delta = 0`` the rows stay hard equalities,
+    which the solver's phase-1 feasibility tolerance still cushions against
+    ~1e-15 marginal noise.
     """
     _check_tables(space, marginals)
     width = 0.0 if exact else float(delta)
@@ -455,7 +456,7 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     n = space.size
     m = sum(len(table.values) for table in marginals) + 1
-    slacks = m if width else 0
+    slacks = m - 1 if width else 0
     dtype = object if exact else float
     matrix = np.full((m, n + slacks), zero, dtype=dtype)
     rhs = np.array([Fraction(v) if exact else float(v) + width
@@ -468,8 +469,8 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     matrix[row, :n] = one
     if not slacks:
         return ConstraintSystem(matrix, rhs, space.cells(), n)
-    matrix[:, n:] = np.eye(m)
-    upper = np.concatenate([np.full(n, np.inf), np.full(m - 1, 2 * width), [0.0]])
+    matrix[:-1, n:] = np.eye(slacks)
+    upper = np.concatenate([np.full(n, np.inf), np.full(slacks, 2 * width)])
     return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
 
 

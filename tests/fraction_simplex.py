@@ -4,7 +4,8 @@ The rational pivot, pivot loop and two-phase driver the library ran before
 its exact tableau became integer rows over per-row denominators, kept here
 (and only here) as the oracle ``tests/test_simplex.py`` compares the integer
 path against: the same inputs must give the same status, x, objective,
-certificate, pivot count and bound-flip count.  The loop follows the
+certificate and pivot count, and no bound flip (exact LPs take no upper
+bounds).  The loop follows the
 library's pivot rule: the most negative reduced cost enters (Dantzig's
 rule, lowest index among equals) until ``m`` consecutive entering steps
 leave the best objective reached unimproved, and Bland's lowest-index rule
@@ -13,7 +14,6 @@ for the rest of the call.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +29,11 @@ def pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def simplex_loop(tableau, basis, n_eligible, max_iter, upper=None, flipped=None):
+def simplex_loop(tableau, basis, n_eligible, max_iter):
     """Dantzig's rule with the stall guard's switch to Bland's rule, at
-    tolerance 0; returns ("optimal" | "unbounded" | "limit", pivots, flips)."""
+    tolerance 0; returns ("optimal" | "unbounded" | "limit", pivots)."""
     m = tableau.shape[0] - 1
-    row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
-    pivots = flips = stalled = 0
+    pivots = stalled = 0
     top = None  # the highest negated objective reached
     for _ in range(max_iter):
         costs = tableau[m, :n_eligible].tolist()
@@ -49,53 +48,29 @@ def simplex_loop(tableau, basis, n_eligible, max_iter, upper=None, flipped=None)
         else:
             enter = next((j for j, v in enumerate(costs) if v < 0), -1)
         if enter < 0:
-            return "optimal", pivots, flips
+            return "optimal", pivots
         column = tableau[:m, enter].tolist()
         rhs = tableau[:m, -1].tolist()
         leave, best = -1, None
         for i, coef in enumerate(column):
             if coef > 0:
                 ratio = rhs[i] / coef
-            elif row_upper is not None and coef < 0 and row_upper[i] != math.inf:
-                ratio = (row_upper[i] - rhs[i]) / -coef
-            else:
-                continue
-            if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                leave, best = i, ratio
-        bound = math.inf if upper is None else upper[enter]
-        if bound != math.inf and (leave < 0 or bound < best
-                                  or (bound == best and enter < basis[leave])):
-            entering = tableau[:, enter].copy()
-            tableau[:, -1] -= bound * entering
-            tableau[:, enter] = -entering
-            flipped[enter] = not flipped[enter]
-            flips += 1
-            continue
+                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
         if leave < 0:
-            return "unbounded", pivots, flips
-        if row_upper is not None and column[leave] < 0:
-            label = basis[leave]
-            value = tableau[leave, -1]
-            tableau[leave, :] = -tableau[leave, :]
-            tableau[leave, label] = -tableau[leave, label]
-            tableau[leave, -1] = row_upper[leave] - value
-            flipped[label] = not flipped[label]
+            return "unbounded", pivots
         pivot(tableau, basis, leave, enter)
         pivots += 1
-        if row_upper is not None:
-            row_upper[leave] = upper[enter]
-    return "limit", pivots, flips
+    return "limit", pivots
 
 
-def solve(A, b, c=None, upper=None) -> dict:
-    """min c.x, A x = b, 0 <= x <= upper: a dict of the ``LPResult`` fields."""
+def solve(A, b, c=None) -> dict:
+    """min c.x, A x = b, x >= 0: a dict of the ``LPResult`` fields."""
     zero, one = Fraction(0), Fraction(1)
     A = np.array([[Fraction(v) for v in row] for row in A], dtype=object)
     b = np.array([Fraction(v) for v in b], dtype=object)
     m, n = A.shape
     c = np.array([Fraction(v) for v in c] if c is not None else [zero] * n, dtype=object)
-    upper = None if upper is None else np.array(
-        [u if u == math.inf else Fraction(u) for u in upper], dtype=object)
     limit = 200 * (m + n) + 2000
 
     signs = np.where(b < zero, -one, one)
@@ -108,12 +83,10 @@ def solve(A, b, c=None, upper=None) -> dict:
     tableau[m, :n] = -A.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = np.arange(n, n + m, dtype=np.int64)
-    bounds = None if upper is None else upper.tolist() + [math.inf] * m
-    flipped = np.zeros(n + m, dtype=bool)
-    code, pivots, flips = simplex_loop(tableau, basis, n, limit, bounds, flipped)
+    code, pivots = simplex_loop(tableau, basis, n, limit)
     assert code == "optimal"
     result = dict(status="infeasible", x=None, objective=None, certificate=None,
-                  pivots=pivots, bound_flips=flips)
+                  pivots=pivots, bound_flips=0)
     if -tableau[m, -1] > 0:
         result["certificate"] = (-(signs * (one - tableau[m, n:n + m]))).tolist()
         return result
@@ -128,26 +101,21 @@ def solve(A, b, c=None, upper=None) -> dict:
                 pivot(tableau, basis, r, col)
     keep = [r for r in range(m) if r not in drop]
     tableau = tableau[np.ix_(keep + [m], list(range(n)) + [n + m])]
-    basis, flipped, m2 = basis[keep], flipped[:n], len(keep)
+    basis, m2 = basis[keep], len(keep)
 
     if np.any(c != zero):
-        oriented = c.copy()
-        oriented[flipped] = -c[flipped]
-        tableau[m2, :n] = oriented
+        tableau[m2, :n] = c
         tableau[m2, -1] = zero
         for i in range(m2):
-            if oriented[basis[i]] != zero:
-                tableau[m2, :] -= oriented[basis[i]] * tableau[i, :]
-        code, more_pivots, more_flips = simplex_loop(
-            tableau, basis, n, limit, None if upper is None else upper.tolist(), flipped)
+            if c[basis[i]] != zero:
+                tableau[m2, :] -= c[basis[i]] * tableau[i, :]
+        code, more_pivots = simplex_loop(tableau, basis, n, limit)
         assert code != "limit"
-        result.update(pivots=pivots + more_pivots, bound_flips=flips + more_flips)
+        result.update(pivots=pivots + more_pivots)
         if code == "unbounded":
             result["status"] = "unbounded"
             return result
     x = np.full(n, zero, dtype=object)
     x[basis] = tableau[:m2, -1]
-    if flipped.any():
-        x[flipped] = upper[flipped] - x[flipped]
     result.update(status="optimal", x=x.tolist(), objective=sum(c * x))
     return result

@@ -104,6 +104,17 @@ def test_eprb_rejects_a_nan_axis_as_not_a_unit_vector():
         bloch_projector(1, (math.nan, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf])
+def test_eprb_refuses_an_infinite_angle_as_not_a_unit_vector(theta):
+    with pytest.raises(ValidationError, match="a3 must be a unit vector"):
+        build_scenario("eprb", {"theta3": theta})
+
+
+def test_eprb_grid_marks_a_non_finite_angle_invalid():
+    grid = scenario_grid("eprb", {"theta1": np.array([0.0, math.inf, -math.inf, math.nan])})
+    assert grid.invalid.tolist() == [False, True, True, True]
+
+
 def test_eprb_degenerate_equal_axes_give_identical_pair_sets():
     desc = eprb(ZHAT, ZHAT, XHAT, XHAT)
     ops13 = desc.build("pair_13").class_operators

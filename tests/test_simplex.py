@@ -174,36 +174,33 @@ INF = math.inf
 def test_entering_column_flips_at_its_bound():
     # min -x1 s.t. x1 + x2 = 5, x1 <= 2: x1 enters, stops at 2 before the row
     # ratio 5, and flips without a pivot; x2 then takes the remaining 3
-    for solve, bound in ((solve_lp_float, 2.0), (solve_lp_exact, Fraction(2))):
-        result = solve([[1, 1]], [5], [-1, 0], upper=[bound, INF])
-        assert result.status == OPTIMAL
-        assert list(result.x) == [2, 3]
-        assert result.objective == -2
-        assert result.bound_flips == 1
-        assert result.pivots == 1
+    result = solve_lp_float([[1, 1]], [5], [-1, 0], upper=[2.0, INF])
+    assert result.status == OPTIMAL
+    assert list(result.x) == [2, 3]
+    assert result.objective == -2
+    assert result.bound_flips == 1
+    assert result.pivots == 1
 
 
 def test_bound_ties_go_to_the_lowest_label():
     # x1 + x2 = 1, x2 <= 1, min -x2: phase 1 makes x1 basic; x2's own bound
     # ties with x1's ratio, and x1 has the lower label, so x1 leaves by a
     # pivot instead of x2 flipping
-    for solve, bound in ((solve_lp_float, 1.0), (solve_lp_exact, Fraction(1))):
-        result = solve([[1, 1]], [1], [0, -1], upper=[INF, bound])
-        assert list(result.x) == [0, 1]
-        assert (result.pivots, result.bound_flips) == (2, 0)
+    result = solve_lp_float([[1, 1]], [1], [0, -1], upper=[INF, 1.0])
+    assert list(result.x) == [0, 1]
+    assert (result.pivots, result.bound_flips) == (2, 0)
 
 
 def test_basic_variable_leaves_at_its_upper_bound():
     # x1 - x2 = 1, x1 <= 3, min -x2: phase 1 makes x1 basic at 1; raising
     # x2 raises x1 until it reaches 3, so x1 leaves at its bound and is read
     # out as 3 from the flipped column
-    for solve, bound in ((solve_lp_float, 3.0), (solve_lp_exact, Fraction(3))):
-        result = solve([[1, -1]], [1], [0, -1], upper=[bound, INF])
-        assert result.status == OPTIMAL
-        assert list(result.x) == [3, 2]
-        assert result.objective == -2
-        assert result.bound_flips == 0
-        assert result.pivots == 2
+    result = solve_lp_float([[1, -1]], [1], [0, -1], upper=[3.0, INF])
+    assert result.status == OPTIMAL
+    assert list(result.x) == [3, 2]
+    assert result.objective == -2
+    assert result.bound_flips == 0
+    assert result.pivots == 2
 
 
 def test_read_out_of_a_variable_left_at_its_upper_bound():
@@ -226,11 +223,10 @@ def test_zero_upper_bound_fixes_the_column_at_zero():
     assert result.status == OPTIMAL
     assert list(result.x) == [0.0, 1.0]
     A, b = [[1, 0], [0, 1]], [1, 0]
-    for solve, zero in ((solve_lp_float, 0.0), (solve_lp_exact, Fraction(0))):
-        infeasible = solve(A, b, upper=[zero, INF])
-        assert infeasible.status == INFEASIBLE
-        assert verify_certificate(A, b, infeasible.certificate, [zero, INF])
-        assert not verify_certificate(A, b, infeasible.certificate)
+    infeasible = solve_lp_float(A, b, upper=[0.0, INF])
+    assert infeasible.status == INFEASIBLE
+    assert verify_certificate(A, b, infeasible.certificate, [0.0, INF])
+    assert not verify_certificate(A, b, infeasible.certificate)
 
 
 def test_upper_bounds_are_validated():
@@ -238,21 +234,27 @@ def test_upper_bounds_are_validated():
         solve_lp_float([[1, 1]], [1], upper=[1.0])
     with pytest.raises(ValidationError):
         solve_lp_float([[1, 1]], [1], upper=[-1.0, INF])
-    with pytest.raises(ValidationError):
-        solve_lp_exact([[1, 1]], [1], upper=[0.5, INF])  # non-integral float in exact mode
+
+
+def test_exact_mode_refuses_upper_bounds():
+    refused = "exact mode takes no upper bounds; write each bound as a row"
+    for call in (lambda: solve_lp([[1, 1]], [1], upper=[1, INF], exact=True),
+                 lambda: solve_lp_exact([[1, 1]], [1], upper=[Fraction(1), INF]),
+                 lambda: feasible_start([[1, 1]], [1], upper=[INF, INF], exact=True)):
+        with pytest.raises(ValidationError, match=refused):
+            call()
 
 
 def _with_bound_rows(A, b, upper):
-    """The same LP with each finite bound as an explicit row x_j + w_j = u_j."""
-    A = np.asarray(A, dtype=float)
+    """The same integer LP with each finite bound as an explicit row x_j + w_j = u_j."""
     m, n = A.shape
     bounded = [j for j in range(n) if upper[j] != INF]
     k = len(bounded)
-    big = np.zeros((m + k, n + k))
+    big = np.zeros((m + k, n + k), dtype=np.int64)
     big[:m, :n] = A
     for r, j in enumerate(bounded):
-        big[m + r, j] = big[m + r, n + r] = 1.0
-    return big, np.concatenate([b, [upper[j] for j in bounded]])
+        big[m + r, j] = big[m + r, n + r] = 1
+    return big, np.concatenate([b, [upper[j] for j in bounded]]).astype(np.int64)
 
 
 def test_bounded_float_and_exact_agree_with_explicit_bound_rows():
@@ -265,21 +267,17 @@ def test_bounded_float_and_exact_agree_with_explicit_bound_rows():
         c = rng.integers(-3, 4, size=n) if rng.random() < 0.7 else None
         upper = [INF if rng.random() < 0.4 else int(rng.integers(0, 3)) for _ in range(n)]
         fl = solve_lp_float(A, b, c, upper=[float(u) for u in upper])
-        ex = solve_lp_exact(A.tolist(), b.tolist(), None if c is None else c.tolist(),
-                            upper=[u if u == INF else Fraction(u) for u in upper])
         big, big_b = _with_bound_rows(A, b, upper)
-        ref = solve_lp_float(big, big_b, None if c is None else np.concatenate(
-            [c, np.zeros(big.shape[1] - n)]))
-        assert fl.status == ex.status == ref.status
+        ex = solve_lp_exact(big.tolist(), big_b.tolist(), None if c is None else
+                            c.tolist() + [0] * (big.shape[1] - n))
+        assert fl.status == ex.status
         statuses.add(ex.status)
         if ex.status == OPTIMAL:
             assert abs(fl.objective - float(ex.objective)) < 1e-9
-            assert abs(fl.objective - ref.objective) < 1e-9
-            assert [sum(a * v for a, v in zip(row, ex.x)) for row in A.tolist()] == b.tolist()
-            assert all(0 <= v <= u for v, u in zip(ex.x, upper))
-            np.testing.assert_allclose(fl.x, [float(v) for v in ex.x], atol=1e-9)
+            np.testing.assert_allclose(A @ fl.x, b, atol=1e-9)
+            assert all(-1e-9 <= v <= u + 1e-9 for v, u in zip(fl.x, upper))
         if ex.status == INFEASIBLE:
-            assert verify_certificate(A.tolist(), b.tolist(), ex.certificate, upper)
+            assert verify_certificate(big.tolist(), big_b.tolist(), ex.certificate)
             assert verify_certificate(A.astype(float), b.astype(float), fl.certificate,
                                       [float(u) for u in upper])
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
@@ -328,7 +326,9 @@ def test_malformed_certificate_is_rejected(candidate):
 
 @st.composite
 def small_lps(draw):
-    """A small integer LP, optional upper bounds and a few cost vectors."""
+    """A small integer LP, a few cost vectors and the arithmetic; a float LP
+    may carry upper bounds."""
+    exact = draw(st.booleans())
     m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
     A = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))).reshape(m, n)
     if draw(st.booleans()):  # b from a non-negative point: phase 1 succeeds unless bounds cut it
@@ -336,19 +336,17 @@ def small_lps(draw):
     else:
         b = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
     upper = None
-    if draw(st.booleans()):
-        upper = draw(st.lists(st.sampled_from([INF, 0, 1, 2]), min_size=n, max_size=n))
+    if not exact and draw(st.booleans()):
+        upper = draw(st.lists(st.sampled_from([INF, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
     costs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                           min_size=1, max_size=4))
-    return A.tolist(), b.tolist(), upper, costs, draw(st.booleans())
+    return A.tolist(), b.tolist(), upper, costs, exact
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_lps())
 def test_shared_start_matches_fresh_solves(lp):
     A, b, upper, costs, exact = lp
-    if upper is not None and not exact:
-        upper = [float(u) for u in upper]
     start = feasible_start(A, b, upper=upper, exact=exact)
     fresh = [solve_lp(A, b, c, upper=upper, exact=exact) for c in costs]
     if isinstance(start, LPResult):
@@ -385,8 +383,8 @@ def test_shared_start_zero_cost_and_cost_length():
 
 @st.composite
 def rational_lps(draw):
-    """A small rational LP: negative rhs entries, redundant rows, bounds that
-    include 0 and non-dyadic rationals, infeasible systems, several costs.
+    """A small rational LP: negative rhs entries, redundant rows, infeasible
+    systems, several costs.
 
     Entries are small numerators over small or snap-sized denominators, or
     ``1 +- eps`` for one ``eps`` per LP near ``1 / SNAP_MAX_DENOMINATOR``, so
@@ -410,13 +408,8 @@ def rational_lps(draw):
         f = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
         A.append([u + f * v for u, v in zip(A[i], A[j])])
         b.append(b[i] + f * b[j])
-    upper = None
-    if draw(st.booleans()):
-        upper = draw(st.lists(st.sampled_from([INF, INF, 0, 1, Fraction(1, 3), Fraction(5, 7),
-                                               1 - eps]),
-                              min_size=n, max_size=n))
     costs = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=3))
-    return A, b, upper, costs
+    return A, b, costs
 
 
 def _fields(result: LPResult) -> dict:
@@ -428,11 +421,11 @@ def _fields(result: LPResult) -> dict:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rational_lps())
 def test_integer_tableau_matches_the_fraction_tableau(lp):
-    A, b, upper, costs = lp
-    start = feasible_start(A, b, upper=upper, exact=True)
+    A, b, costs = lp
+    start = feasible_start(A, b, exact=True)
     for c in costs + [None]:
-        result = solve_lp_exact(A, b, c, upper=upper)
-        assert _fields(result) == fraction_simplex.solve(A, b, c, upper)
+        result = solve_lp_exact(A, b, c)
+        assert _fields(result) == fraction_simplex.solve(A, b, c)
         for values in (result.x, result.certificate):
             assert values is None or all(type(v) is Fraction for v in values)
         assert result.objective is None or type(result.objective) is Fraction

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 
 from histories_lab import cli, unify
 from histories_lab.classicality import classify
-from histories_lab.cli import Carry, evaluate_sweep_point, main
-from histories_lab.scenarios import build_scenario
+from histories_lab.cli import SWEEPABLE, Carry, evaluate_sweep_point, main
+from histories_lab.scenarios import build_scenario, scenario_grid
 from histories_lab.simplex import farkas_test, verify_certificate
 from histories_lab.unify import (
+    DEFAULT_DELTA,
     build_constraint_system,
     extract_marginals,
     find_unifying_probability,
+    stacked_rhs,
     verify_witness,
 )
 
@@ -145,3 +147,33 @@ def test_exact_mode_reports_only_a_rational_certificate():
     system = build_constraint_system(space, tables, exact=True)
     refutes = farkas_test(system.matrix, verdict.farkas_certificate, system.upper)
     assert refutes is not None and refutes(system.rhs)
+
+
+@st.composite
+def sweep_pair_tables(draw):
+    """A sweepable scenario's pair sets, each with random probabilities in
+    label order: what a sweep point hands ``stacked_rhs`` and, through the
+    set's mapping, ``build_constraint_system``."""
+    grid = scenario_grid(draw(st.sampled_from(SWEEPABLE)), {})
+    pairs = []
+    for name in grid.slots:
+        if name != "combined":
+            labels = grid.labels(name)
+            weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels),
+                                             max_size=len(labels))))
+            p = weights / weights.sum() if weights.sum() > 0 else np.full(len(labels), 1 / len(labels))
+            pairs.append((grid.fixed.mappings[name], labels, p))
+    return grid.fixed.space, pairs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sweep_pair_tables())
+def test_stacked_rhs_is_the_constraint_systems_rhs(drawn):
+    """The sweep tests a carried certificate against ``stacked_rhs``, while
+    the LP solves ``build_constraint_system``'s rhs: they are one array."""
+    space, pairs = drawn
+    tables = [mapping.marginal_table(dict(zip(labels, p.tolist()))) for mapping, labels, p in pairs]
+    values = np.concatenate([p for *_, p in pairs])[None, :]
+    for delta in (DEFAULT_DELTA, 0.0):
+        system = build_constraint_system(space, tables, delta)
+        assert stacked_rhs(values, delta)[0].tobytes() == system.rhs.tobytes()
