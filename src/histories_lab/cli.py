@@ -6,13 +6,13 @@ Reports are deterministic: identical inputs and flags produce
 byte-identical output.  ``sweep`` evaluates its row-major grid in this
 process, ``SWEEP_CHUNK`` contiguous points at a time, each chunk as one
 stacked computation with a leading grid axis (``scenarios.ScenarioGrid``).
-A point is refused only by its builder's parameter checks: the class
-operators, tables and correlations derived from checked parameters are
-valid by construction, and nothing checks them again.  Each infeasible
-point offers its Farkas certificate to the points after it, across chunks,
-and a point reports it only after checking it against its own constraint
-system.  A grid of more than ``SWEEP_POINT_CAP`` points is
-refused before it is built.  ``HISTORIES_LAB_THREADS`` is ignored.
+A point is refused, before its chunk's physics, only by the parameter
+rules that refuse a built-in's one point; nothing checks what the physics
+derives from checked parameters.  Each infeasible point offers its Farkas
+certificate to the points after it, across chunks, and a point reports it
+only after checking it against its own constraint system.  A grid of more
+than ``SWEEP_POINT_CAP`` points is refused before it is built.
+``HISTORIES_LAB_THREADS`` is ignored.
 """
 
 from __future__ import annotations
@@ -169,26 +169,21 @@ def evaluate_sweep_point(scenario: str, params: dict, carry: Carry | None = None
     system, and keeps this point's certificate for the next point.  A stack
     of one ``_evaluate_points`` point.
     """
-    columns = {name: np.array([value], dtype=float) for name, value in params.items()}
+    columns = {name: np.array([value]) for name, value in params.items()}
     return _evaluate_points(scenario, columns, 1, Carry() if carry is None else carry)[0]
 
 
 def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> list[dict]:
     """``evaluate_sweep_point`` rows of ``size`` contiguous grid points, ``params``
     holding each swept parameter as a ``(size,)`` array.  The physics, tables
-    and correlations are stacks.  A point is refused only by its builder's
-    parameter checks, which the grid marks in ``invalid``: before any physics
-    is computed, the first such point is built alone to raise its error.  What
-    the physics derives from checked parameters is valid by construction.
+    and correlations are stacks.  ``ScenarioGrid.check`` refuses the first
+    point its grid's rules refuse, before any physics is computed.  What the
+    physics derives from checked parameters is valid by construction.
     Only the right-hand side of the constraint system moves, so a carried
     certificate is checked against each point's (``farkas_test``), and only a
     point it does not refute builds its tables and runs the LP."""
     grid = scenario_grid(scenario, params)
-    if grid.invalid.any():
-        g = int(np.argmax(grid.invalid))
-        point = {name: float(v[min(g, len(v) - 1)]) for name, v in params.items()}
-        build_scenario(scenario, point)  # raises the builder's ValidationError
-        raise NumericError(f"sweep point {point} is refused by its grid but not by its builder")
+    grid.check()
     pairs = []  # (mapping, labels, (size, n) probabilities) of each pair set, in set order
     for name in grid.slots:
         entries = decoherence_stack(grid.class_operators(name), grid.fixed.initial.matrix)

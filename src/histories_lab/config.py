@@ -35,12 +35,12 @@ twice, or whose groups overlap or miss an outcome, is a problem at
 Validation is exhaustive: every schema problem is collected and reported
 with its JSON path, not just the first one, and a problem is reported once,
 where it is, not again at every place that would have used the bad value.
-Each rule is checked once.  This module checks the JSON shape, that the
-Hamiltonian is Hermitian (``$.hamiltonian``) and that a set's slot times
-strictly increase (``$.sets[i]``).  The domain constructors check the other
-domain rules, and their ``ValidationError`` is recorded at the path of the
-value they were given: ``DensityOperator`` a state, ``Projector`` one
-projector, ``Slot`` one slot's projective decomposition and outcome labels,
+Each rule is checked once.  This module checks the JSON shape and that
+the Hamiltonian is Hermitian (``$.hamiltonian``).  The domain constructors
+and checks own the other rules, and their ``ValidationError`` is recorded
+at the path of the value they were given: ``DensityOperator`` a state,
+``Projector`` one projector, ``Slot`` one slot's projective decomposition
+and outcome labels, ``histories.time_ordered`` a set's slot times,
 ``Variable`` and ``JointSampleSpace`` the unify variables, and
 ``VariableMapping`` and ``unify.table_layout`` a map entry.  The descriptor
 is made of these checked values; nothing checks them again.
@@ -59,7 +59,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
-from .histories import DEFAULT_HISTORY_CAP, Slot
+from .histories import DEFAULT_HISTORY_CAP, Slot, time_ordered
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, _Fixed, point_grid
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number, table_layout
@@ -255,12 +255,7 @@ def _parse_sets(raw_sets, dim: int,
             continue
         slots = tuple(_parse_slot(raw_slot, dim, f"{path}.slots[{k}]", problems)
                       for k, raw_slot in enumerate(raw_slots))
-        if any(slot is None for slot in slots):
-            continue
-        times = [slot.time for slot in slots]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            problems.add(path, f"slot times must be strictly increasing, got {times}")
-        else:
+        if all(slot is not None for slot in slots) and _attempt(problems, path, time_ordered, slots):
             sets[name] = slots
     return sets, declared
 

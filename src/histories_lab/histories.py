@@ -91,6 +91,14 @@ class Slot:
             )
 
 
+def time_ordered(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
+    """``slots``, refused unless their times strictly increase."""
+    times = [s.time for s in slots]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValidationError(f"slot times must be strictly increasing, got {times}")
+    return slots
+
+
 @dataclass(frozen=True)
 class HistorySchedule:
     """Strictly time-ordered slots sharing one Hamiltonian."""
@@ -109,9 +117,7 @@ class HistorySchedule:
         object.__setattr__(self, "hamiltonian", frozen_array(h))
 
         dim = h.shape[0]
-        times = [s.time for s in slots]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValidationError(f"slot times must be strictly increasing, got {times}")
+        time_ordered(slots)
         for k, slot in enumerate(slots):
             if any(p.dim != dim for p in slot.projectors):
                 raise ValidationError(f"slot {k} projector dimension does not match hamiltonian")

@@ -16,19 +16,21 @@ parameter-free parts are built once per process.  ``griffiths_spin``,
 (``point_grid``).
 
 Each input is checked once, where it enters, and no grid checks its
-matrices again.  A builder checks its own parameters: ``eprb`` that each
-axis is a unit 3-vector, ``leggett_garg`` that its times increase and that
-``omega`` times each gap and each time is finite; a sweep grid marks the
-points that fail the same checks in ``invalid``.  The matrices built from
-checked parameters are valid by construction: H = (omega/2) sigma_x is
-Hermitian for any finite omega, the ``leggett_garg`` projectors are fixed,
-and (1 +- a.sigma)/2 with |a| within ``DEFAULT_TOL`` of 1 passes the
+matrices again.  Each parameter rule and its message is written once, in a
+grid builder: ``eprb_grid`` that each axis is a unit vector,
+``_leggett_garg_grid`` that the times increase and that ``omega`` times
+each gap and each time is finite.  A sweep and a descriptor builder (a
+one-point grid) refuse through ``ScenarioGrid.check``.  The matrices built
+from checked parameters are valid by construction: H = (omega/2) sigma_x
+is Hermitian for any finite omega, the ``leggett_garg`` projectors are
+fixed, and (1 +- a.sigma)/2 with |a| within ``DEFAULT_TOL`` of 1 passes the
 projector checks.  Tests check the fixed matrices of ``griffiths_spin`` and
 ``three_box``; ``config.parse_config`` checks a document's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -135,27 +137,44 @@ class ScenarioGrid:
     """A scenario at G parameter points as stacks with a leading grid axis, an axis of
     length 1 shared by every point.  ``slots[name]`` lists one set's slots: a ``(G,)``
     time array, a ``(G, k, dim, dim)`` projector stack and the outcome symbols.
-    ``invalid`` marks the points that fail the builder's own parameter checks, the
-    only check a grid makes.  The grid holds read-only views of the arrays it is
-    given, one view per array."""
+    ``rules`` are the builder's parameter rules in its order, each a ``(G,)`` mask of
+    the points it refuses, a ``%``-format message and the ``(G,)`` arrays it names;
+    ``invalid``, their union, is the only check a grid makes.  The grid holds
+    read-only views of the arrays it is given, one view per array."""
 
     name: str
     hamiltonians: np.ndarray
     fixed: _Fixed
     slots: Mapping[str, tuple]
-    invalid: np.ndarray
+    rules: tuple = ()
+    invalid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         views = {}  # by id, so a stack shared by several slots stays one stack
 
         def view(a: np.ndarray) -> np.ndarray:
-            return views.setdefault(id(a), np.broadcast_to(a, a.shape))  # a read-only view
+            v = views.setdefault(id(a), a.view())
+            v.setflags(write=False)  # a read-only view: the given array stays writable
+            return v
 
         object.__setattr__(self, "hamiltonians", view(self.hamiltonians))
-        object.__setattr__(self, "invalid", view(self.invalid))
+        invalid = np.zeros(1, dtype=bool)
+        for refused, _, _ in self.rules:
+            invalid = invalid | refused
+        object.__setattr__(self, "invalid", view(invalid))
+        object.__setattr__(self, "rules", tuple((view(refused), message, tuple(map(view, values)))
+                                                for refused, message, values in self.rules))
         object.__setattr__(self, "slots", {name: tuple((view(t), view(p), tuple(symbols))
                                                        for t, p, symbols in slots)
                                            for name, slots in self.slots.items()})
+
+    def check(self) -> None:
+        """Raise the message of the first rule that the first refused point fails."""
+        if self.invalid.any():
+            g = int(np.argmax(self.invalid))
+            at = functools.partial(np.broadcast_to, shape=self.invalid.shape)  # shares a length-1 axis
+            message, values = next((m, v) for refused, m, v in self.rules if at(refused)[g])
+            raise ValidationError(message % tuple(float(at(v)[g]) for v in values))
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +217,7 @@ def point_grid(name: str, hamiltonian, sets: Mapping, fixed: _Fixed) -> Scenario
               for slots in sets.values() for _, family, _ in slots}
     return ScenarioGrid(name, np.array([hamiltonian], dtype=complex), fixed,
                         {n: tuple((np.array([t], dtype=float), stacks[id(family)], symbols)
-                                  for t, family, symbols in slots) for n, slots in sets.items()},
-                        np.zeros(1, dtype=bool))
+                                  for t, family, symbols in slots) for n, slots in sets.items()})
 
 
 def griffiths_spin() -> ScenarioDescriptor:
@@ -290,23 +308,24 @@ def eprb_grid(axes) -> ScenarioGrid:
     """EPRB at G points, ``axes[k - 1]`` holding the ``(G, 3)`` unit vectors of
     axis k.  Particle A carries axes 1 and 2, B axes 3 and 4.  Pairs measure A
     at t = 1 and B at t = 2; the combined set measures axes 2 and 4 again at
-    t = 3 and 4."""
+    t = 3 and 4.  Its rule refuses a norm not within ``DEFAULT_TOL`` of 1."""
     eye = np.eye(2, dtype=complex)
-    invalid = np.zeros(max(len(a) for a in axes), dtype=bool)
-    pairs = {}
-    for k, a in enumerate(axes, start=1):
-        invalid = invalid | ~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= DEFAULT_TOL)  # NaN fails too
-        sigma = (a[:, 0, None, None] * PAULI_X + a[:, 1, None, None] * PAULI_Y
-                 + a[:, 2, None, None] * PAULI_Z)
-        blochs = np.stack([0.5 * (eye + s * sigma) for s in (1, -1)], axis=1)  # bloch_projector
-        # np.kron with the identity on the other particle, operands in its order, for the whole stack
-        pairs[k] = (blochs[:, :, :, None, :, None] * eye[:, None, :] if k <= 2 else
-                    eye[:, None, :, None] * blochs[:, :, None, :, None, :]).reshape(len(a), 2, 4, 4)
+    rules, pairs = [], {}
+    with np.errstate(all="ignore"):  # a non-finite axis, which its rule refuses, makes NaN projectors
+        for k, a in enumerate(axes, start=1):
+            rules.append((~(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= DEFAULT_TOL),  # NaN fails too
+                          f"axis a{k} must be a unit vector", ()))
+            sigma = (a[:, 0, None, None] * PAULI_X + a[:, 1, None, None] * PAULI_Y
+                     + a[:, 2, None, None] * PAULI_Z)
+            blochs = np.stack([0.5 * (eye + s * sigma) for s in (1, -1)], axis=1)  # bloch_projector
+            # np.kron with the identity on the other particle, operands in its order, for the whole stack
+            pairs[k] = (blochs[:, :, :, None, :, None] * eye[:, None, :] if k <= 2 else
+                        eye[:, None, :, None] * blochs[:, :, None, :, None, :]).reshape(len(a), 2, 4, 4)
     slot = {(k, t): (np.array([t]), pairs[k], (1, -1))
             for k, t in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0), (2, 3.0), (4, 4.0))}
     sets = {f"pair_{i}{j}": (slot[i, 1.0], slot[j, 2.0]) for i, j in _EPRB_PAIRS}
     sets["combined"] = (slot[1, 1.0], slot[3, 2.0], slot[2, 3.0], slot[4, 4.0])
-    return ScenarioGrid("eprb", _EPRB_HAMILTONIAN, _eprb_fixed(), sets, invalid)
+    return ScenarioGrid("eprb", _EPRB_HAMILTONIAN, _eprb_fixed(), sets, rules)
 
 
 def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
@@ -318,34 +337,24 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
     inconsistent in general.  For the all-z/x configuration the pairwise
     correlations are C13 = C24 = -1 and C14 = C23 = 0, and the unique
     unifying probability is (1/16)(1 - s1 s3)(1 - s2 s4).  Each axis must
-    have a norm within ``DEFAULT_TOL`` of 1.
+    be a 3-vector, and ``eprb_grid``'s rule checks its norm.
     """
     axes = []
     for k, a in enumerate((a1, a2, a3, a4), start=1):
         v = np.asarray(a, dtype=float).reshape(-1)
         if v.shape != (3,):
             raise ValidationError(f"axis a{k} must be a 3-vector")
-        if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:  # NaN fails too
-            raise ValidationError(f"axis a{k} must be a unit vector")
         axes.append(tuple(float(c) for c in v))
-
-    expected = {
-        "C13": ExpectedValue(-float(np.dot(axes[0], axes[2])) + 0.0, "derived"),
-        "C14": ExpectedValue(-float(np.dot(axes[0], axes[3])) + 0.0, "derived"),
-        "C23": ExpectedValue(-float(np.dot(axes[1], axes[2])) + 0.0, "derived"),
-        "C24": ExpectedValue(-float(np.dot(axes[1], axes[3])) + 0.0, "derived"),
-    }
+    grid = eprb_grid([np.array([a]) for a in axes])
+    grid.check()
+    expected = {f"C{i}{j}": ExpectedValue(-float(np.dot(axes[i - 1], axes[j - 1])) + 0.0,
+                                          "derived") for i, j in _EPRB_PAIRS}
     if np.allclose(np.asarray(axes), np.asarray(_ZX_AXES), atol=1e-12):
-        table = {}
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    for s4 in (1, -1):
-                        table[(s1, s2, s3, s4)] = Fraction((1 - s1 * s3) * (1 - s2 * s4), 16)
+        table = {s: Fraction((1 - s[0] * s[2]) * (1 - s[1] * s[3]), 16)
+                 for s in itertools.product((1, -1), repeat=4)}
         expected["unifying_table"] = ExpectedValue(table, "published")
         expected["unifier_unique"] = ExpectedValue(True, "published")
-
-    return ScenarioDescriptor(eprb_grid([np.array([a]) for a in axes]), expected,
+    return ScenarioDescriptor(grid, expected,
                               {f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
 
 
@@ -366,10 +375,8 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     """
     desc = eprb(planar_axis(theta1), planar_axis(theta2),
                 planar_axis(theta3), planar_axis(theta4))
-    return dataclasses.replace(desc, parameters={
-        "theta1": float(theta1), "theta2": float(theta2),
-        "theta3": float(theta3), "theta4": float(theta4),
-    })
+    thetas = (theta1, theta2, theta3, theta4)
+    return dataclasses.replace(desc, parameters={f"theta{k}": float(t) for k, t in enumerate(thetas, 1)})
 
 
 def _eprb_planar_grid(theta1, theta2, theta3, theta4) -> ScenarioGrid:
@@ -394,21 +401,22 @@ _LG_PROJECTORS = frozen_array([[0.5 * (np.eye(2) - s * PAULI_Z) for s in (1, -1)
 
 
 def _leggett_garg_grid(omega, t1, t2, t3) -> ScenarioGrid:
-    """``leggett_garg`` at G points, each parameter a ``(G,)`` array; ``invalid``
-    marks unordered times and an ``omega`` times a time gap or a time that
-    overflows."""
+    """``leggett_garg`` at G points, each parameter a ``(G,)`` array.  Its rules refuse
+    unordered times, then an overflowing ``omega`` times a gap, then ``omega`` times a time."""
     times = {1: t1, 2: t2, 3: t3}
     with np.errstate(all="ignore"):
-        invalid = ~((t1 < t2) & (t2 < t3))
-        for i, j in _LG_PAIRS:
-            invalid = invalid | ~np.isfinite(omega * (times[j] - times[i]))
-        for t in times.values():
-            invalid = invalid | ~np.isfinite(omega * t)
+        rules = [(~((t1 < t2) & (t2 < t3)), "times must be strictly increasing, got (%r, %r, %r)",
+                  (t1, t2, t3))]
+        rules += [(~np.isfinite(omega * (times[j] - times[i])),
+                   f"omega * (t{j} - t{i}) must be finite, got omega=%r, t{i}=%r, t{j}=%r",
+                   (omega, times[i], times[j])) for i, j in _LG_PAIRS]
+        rules += [(~np.isfinite(omega * t), f"omega * t{i} must be finite, got omega=%r, t{i}=%r",
+                   (omega, t)) for i, t in times.items()]
+        hamiltonians = (0.5 * omega)[:, None, None] * PAULI_X
     slot = {i: (times[i], _LG_PROJECTORS, (1, -1)) for i in (1, 2, 3)}
     sets = {f"pair_{i}{j}": (slot[i], slot[j]) for i, j in _LG_PAIRS}
     sets["combined"] = (slot[1], slot[2], slot[3])
-    return ScenarioGrid("leggett_garg", (0.5 * omega)[:, None, None] * PAULI_X, _lg_fixed(), sets,
-                        invalid)
+    return ScenarioGrid("leggett_garg", hamiltonians, _lg_fixed(), sets, rules)
 
 
 def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
@@ -419,29 +427,14 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     maximally mixed state.  Every two-time set is consistent with pair table
     (1/4)(1 + s s' cos(omega tau)), so the two-time correlator is
     cos(omega tau); the combined three-time set is inconsistent in general.
-    ``omega`` times every time gap, and times every time (the phase of the
-    propagator), must be a finite float.
+    ``_leggett_garg_grid``'s rules check the parameters.
     """
-    if not (t1 < t2 < t3):
-        raise ValidationError(f"times must be strictly increasing, got {(t1, t2, t3)}")
-    omega = float(omega)
-    times = {1: float(t1), 2: float(t2), 3: float(t3)}
-    for i, j in _LG_PAIRS:
-        if not math.isfinite(omega * (times[j] - times[i])):
-            raise ValidationError(
-                f"omega * (t{j} - t{i}) must be finite, got omega={omega!r}, "
-                f"t{i}={times[i]!r}, t{j}={times[j]!r}")
-    for i, t in times.items():
-        if not math.isfinite(omega * t):
-            raise ValidationError(f"omega * t{i} must be finite, got omega={omega!r}, t{i}={t!r}")
-    expected = {
-        "C12": ExpectedValue(math.cos(omega * (times[2] - times[1])), "published"),
-        "C23": ExpectedValue(math.cos(omega * (times[3] - times[2])), "published"),
-        "C13": ExpectedValue(math.cos(omega * (times[3] - times[1])), "published"),
-    }
-    parameters = {"omega": omega, "t1": times[1], "t2": times[2], "t3": times[3]}
-    return ScenarioDescriptor(_leggett_garg_grid(*(np.array([v]) for v in parameters.values())),
-                              expected, parameters)
+    omega, t = float(omega), {1: float(t1), 2: float(t2), 3: float(t3)}
+    grid = _leggett_garg_grid(*(np.array([v]) for v in (omega, t[1], t[2], t[3])))
+    grid.check()
+    expected = {f"C{i}{j}": ExpectedValue(math.cos(omega * (t[j] - t[i])), "published")
+                for i, j in _LG_PAIRS}
+    return ScenarioDescriptor(grid, expected, {"omega": omega, "t1": t[1], "t2": t[2], "t3": t[3]})
 
 
 _BUILDERS = {"griffiths_spin": griffiths_spin, "eprb": eprb_planar,
@@ -450,7 +443,8 @@ _ACCEPTED = {name: frozenset(inspect.signature(builder).parameters)
              for name, builder in _BUILDERS.items()}
 
 
-def _checked_parameters(name: str, parameters: Mapping | None) -> dict:
+def _checked_parameters(name: str, parameters: Mapping | None, ndim: int = 0) -> dict:
+    """``parameters`` if each is one of ``name``'s and a number (or, ``ndim`` 1, a 1-D array)."""
     if name not in _BUILDERS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     parameters = dict(parameters or {})
@@ -460,6 +454,12 @@ def _checked_parameters(name: str, parameters: Mapping | None) -> dict:
     unknown = set(parameters) - accepted
     if unknown:
         raise ValidationError(f"unknown {name} parameters {sorted(unknown)}")
+    for key, value in parameters.items():
+        with contextlib.suppress(ValueError):  # a ragged sequence is not a number either
+            if np.asarray(value).dtype.kind in "iuf" and np.ndim(value) <= ndim:
+                continue
+        kind = "an int or a float" + (", or a 1-D array of them" if ndim else "")
+        raise ValidationError(f"{name} parameter {key} must be {kind}, got {value!r}")
     return parameters
 
 
@@ -478,12 +478,15 @@ _GRID_BUILDERS = {"eprb": _eprb_planar_grid, "leggett_garg": _leggett_garg_grid}
 
 def scenario_grid(name: str, parameters: Mapping[str, np.ndarray]) -> ScenarioGrid:
     """A sweepable scenario at G points: ``parameters`` maps names, checked as
-    ``build_scenario`` checks them, to ``(G,)`` arrays; the others keep the
-    descriptor builder's defaults."""
-    parameters = _checked_parameters(name, parameters)
+    ``build_scenario`` checks them, to ``(G,)`` or ``(1,)`` arrays or numbers;
+    the others keep the descriptor builder's defaults."""
+    parameters = _checked_parameters(name, parameters, ndim=1)
     if name not in _GRID_BUILDERS:
         raise ValidationError(f"{name} cannot be swept")
     bound = inspect.signature(_BUILDERS[name]).bind(**parameters)
     bound.apply_defaults()
-    return _GRID_BUILDERS[name](*(np.atleast_1d(np.asarray(v, dtype=float))
-                                  for v in bound.arguments.values()))
+    columns = {key: np.atleast_1d(np.asarray(v, dtype=float)) for key, v in bound.arguments.items()}
+    if len({len(v) for v in columns.values()} - {1}) > 1:
+        raise ValidationError(f"{name} parameter arrays must share one length or have length 1, got "
+                              f"lengths { {key: len(v) for key, v in columns.items()} }")
+    return _GRID_BUILDERS[name](*columns.values())

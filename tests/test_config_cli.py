@@ -1,7 +1,7 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from histories_lab import cli, histories, scenarios
@@ -566,25 +566,50 @@ def test_sweep_point_of_a_gap_that_fits_and_a_time_that_overflows_is_exit_2(caps
     assert out.out == "" and out.err == "error: omega * t1 must be finite, got omega=1e+307, t1=100.0\n"
 
 
-def test_sweep_point_its_grid_refuses_and_its_builder_accepts_is_exit_3(monkeypatch, capsys):
-    real = scenarios._GRID_BUILDERS["leggett_garg"]
-
-    def third_point_refused(*parameters):
-        grid = real(*parameters)
-        invalid = grid.invalid.copy()
-        invalid[2] = True
-        return dataclasses.replace(grid, invalid=invalid)
-
+def test_a_chunk_with_a_refused_point_computes_no_physics(monkeypatch, capsys):
     def no_physics(*args):
         raise AssertionError("a refused chunk computed its physics")
 
-    monkeypatch.setitem(scenarios._GRID_BUILDERS, "leggett_garg", third_point_refused)
     monkeypatch.setattr(cli, "decoherence_stack", no_physics)
-    assert main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0:2:5"]) == 3
+    assert main(["sweep", "--scenario", "leggett_garg", "--param", "t1", "--range", "0:1.9:20"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("numeric failure: sweep point {'omega': 1.0} is refused by its grid "
-                       "but not by its builder\n")
+    assert out.err == "error: times must be strictly increasing, got (1.0999999999999999, 1.0, 2.0)\n"
+
+
+# with these times, omega = 1e308 overflows a gap, and 1e307 or 1e300 overflows a time
+# near 100 or 1e10
+_LG_OMEGAS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e300, -1e307, 1e307, 1e308]))
+_LG_TIMES = {"t1": (-1.0, 1.2), "t2": (0.8, 2.2), "t3": (1.8, 3.0)}  # overlapping: some points unordered
+
+
+@st.composite
+def _refused_leggett_garg_sweeps(draw):
+    """A ``leggett_garg`` sweep's arguments, and the stderr of the first point in
+    its grid order that ``build_scenario`` refuses."""
+    params = draw(st.permutations(["t1", "t2", "t3"] + (["omega"] if draw(st.booleans()) else [])))
+    offset = draw(st.sampled_from([0.0, 100.0, 1e10]))
+    ends = lambda p: draw(_LG_OMEGAS) if p == "omega" else offset + draw(st.floats(*_LG_TIMES[p]))
+    ranges = [(ends(p), ends(p), draw(st.integers(1, 3))) for p in params]
+    argv = ["sweep", "--scenario", "leggett_garg"]
+    for param, (lo, hi, steps) in zip(params, ranges):
+        argv += ["--param", param, f"--range={lo!r}:{hi!r}:{steps}"]
+    for values in itertools.product(*(np.linspace(*r).tolist() for r in ranges)):  # row-major
+        try:
+            build_scenario("leggett_garg", dict(zip(params, values)))
+        except ValidationError as exc:
+            return argv, f"error: {exc}\n"
+    reject()  # every point is accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(_refused_leggett_garg_sweeps())
+def test_a_refused_sweep_reports_what_build_scenario_raises_for_its_first_refused_point(sweep):
+    argv, err = sweep
+    out, errs = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+        assert main(argv) == 2
+    assert out.getvalue() == "" and errs.getvalue() == err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +115,45 @@ def test_eprb_refuses_an_infinite_angle_as_not_a_unit_vector(theta):
 def test_eprb_grid_marks_a_non_finite_angle_invalid():
     grid = scenario_grid("eprb", {"theta1": np.array([0.0, math.inf, -math.inf, math.nan])})
     assert grid.invalid.tolist() == [False, True, True, True]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: eprb((math.inf, 0.0, 0.0), XHAT, ZHAT, XHAT),
+    lambda: eprb((1e200, 0.0, 0.0), XHAT, ZHAT, XHAT),
+    lambda: build_scenario("eprb", {"theta1": math.inf}),
+], ids=["infinite-component", "overflowing-norm", "infinite-angle"])
+def test_eprb_refuses_a_non_finite_axis_before_any_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^axis a1 must be a unit vector$"):
+            build()
+
+
+def test_leggett_garg_refuses_an_infinite_omega_before_any_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^omega \* \(t2 - t1\) must be finite, got omega=inf"):
+            leggett_garg(math.inf)
+
+
+@pytest.mark.parametrize("name, parameters, message", [
+    ("leggett_garg", {"omega": None}, "leggett_garg parameter omega must be an int or a float, got None"),
+    ("eprb", {"theta1": "a"}, "eprb parameter theta1 must be an int or a float, got 'a'"),
+])
+def test_build_scenario_refuses_a_parameter_that_is_not_a_number(name, parameters, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_scenario(name, parameters)
+
+
+def test_scenario_grid_refuses_parameter_arrays_of_different_lengths():
+    lengths = "got lengths {'omega': 2, 't1': 3, 't2': 1, 't3': 1}"
+    with pytest.raises(ValidationError, match=re.escape(lengths)):
+        scenario_grid("leggett_garg", {"omega": np.array([1.0, 2.0]), "t1": np.array([0.0, 1.0, 2.0])})
+
+
+def test_a_builder_prints_int_times_as_floats():
+    with pytest.raises(ValidationError, match=re.escape("got (0.0, 0.0, 1.0)")):
+        leggett_garg(1.0, 0, 0, 1)
 
 
 def test_eprb_degenerate_equal_axes_give_identical_pair_sets():
