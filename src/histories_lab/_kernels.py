@@ -22,14 +22,7 @@ The control flow (entering column, stall guard, ratio test, ties, counts)
 is the same for both representations; only the arithmetic at each step is
 picked by the representation.  Every exact tableau value equals the
 rational the textbook ``Fraction`` tableau would hold, so both take the
-same pivots.
-
-A float tableau's columns may carry finite upper bounds (Dantzig's
-upper-bounded simplex).  A variable at its upper bound ``u`` is kept in the
-tableau as ``u - x``: its column is negated and ``u`` times the old column
-moves into the rhs, so every nonbasic variable still sits at 0 and the rhs
-still holds the basic values.  ``flipped[j]`` records which orientation
-column ``j`` is in.  An exact tableau takes no bounds.
+same pivots.  Every column is bounded only below, by 0.
 """
 
 from __future__ import annotations
@@ -110,41 +103,20 @@ def pivot(tableau, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _float_ratio_test(tableau: np.ndarray, basis: np.ndarray, enter: int,
-                      row_upper: list | None, bound, tol) -> tuple[int, bool, bool]:
-    """The ratio test on a float tableau: the leaving row (``-1`` when no row
-    bounds the step), whether its basic variable stops at its upper bound,
-    and whether the entering column's own ``bound`` comes first."""
-    m = len(basis)
-    column = tableau[:m, enter].tolist()
-    rhs = tableau[:m, -1].tolist()
+def _float_ratio_test(tableau: np.ndarray, basis: np.ndarray, enter: int, tol) -> int:
+    """The leaving row of a float tableau, ``-1`` when no row bounds the step:
+    the least ``rhs / coef`` over entries ``coef > tol``, ties going to the
+    lowest basic label."""
+    column = tableau[:len(basis), enter].tolist()
+    rhs = tableau[:len(basis), -1].tolist()
     leave = -1
     best = None
     for i, coef in enumerate(column):
         if coef > tol:
             ratio = rhs[i] / coef
-        elif row_upper is not None and coef < -tol and row_upper[i] != math.inf:
-            ratio = (row_upper[i] - rhs[i]) / -coef
-        else:
-            continue
-        if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-            leave, best = i, ratio
-    bound_first = bound != math.inf and (leave < 0 or bound < best
-                                         or (bound == best and enter < basis[leave]))
-    return leave, leave >= 0 and column[leave] < 0, bound_first
-
-
-def _float_flip_column(tableau: np.ndarray, enter: int, bound: float) -> None:
-    entering = tableau[:, enter].copy()
-    tableau[:, -1] -= bound * entering
-    tableau[:, enter] = -entering
-
-
-def _float_flip_row(tableau: np.ndarray, i: int, label: int, bound: float) -> None:
-    value = tableau[i, -1]
-    tableau[i, :] = -tableau[i, :]
-    tableau[i, label] = -tableau[i, label]
-    tableau[i, -1] = bound - value
+            if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                leave, best = i, ratio
+    return leave
 
 
 def _exact_ratio_test(tableau: IntTableau, basis: np.ndarray, enter: int) -> int:
@@ -167,8 +139,7 @@ def _exact_ratio_test(tableau: IntTableau, basis: np.ndarray, enter: int) -> int
 
 
 def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
-                 tol, max_iter: int, upper: list | None = None,
-                 flipped: np.ndarray | None = None) -> tuple[int, int, int]:
+                 tol, max_iter: int) -> tuple[int, int]:
     """Simplex iterations on a float or ``IntTableau``, in place.
 
     Layout: rows 0..m-1 are constraints, row m is the reduced-cost row with
@@ -179,24 +150,15 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
     after ``m`` consecutive entering steps that do not raise it, the rest of
     the call enters the first column with reduced cost below ``-tol``
     (Bland's rule), so a degenerate cycle cannot last.  The step length is
-    the smallest of: ``rhs/coef`` over entries above ``tol`` (that basic
-    variable drops to 0), ``(u - rhs)/-coef`` over entries below ``-tol``
-    whose basic variable has a finite bound ``u`` (it reaches ``u``), and
-    the entering column's own bound.  Ties go to the lowest column label,
-    the entering column counting with its own index.  An exact tableau
-    takes ``tol=0``; its cost row has one denominator, so its reduced costs
-    compare as numerators and its objectives by cross multiplication.
-
-    ``upper`` holds one float bound per column (``math.inf`` when unbounded)
-    and ``flipped`` the orientation of each column, updated in place; with
-    ``upper=None`` every bound is infinite.  An exact tableau takes no
-    bounds: its ``upper`` is ``None``.  Returns a LOOP_* code, the number of
-    pivots and the number of entering-column bound flips.
+    the smallest ``rhs/coef`` over entries above ``tol`` (that basic
+    variable drops to 0), ties going to the lowest basic label.  An exact
+    tableau takes ``tol=0``; its cost row has one denominator, so its
+    reduced costs compare as numerators and its objectives by cross
+    multiplication.  Returns a LOOP_* code and the number of pivots.
     """
     exact = isinstance(tableau, IntTableau)
     m = len(basis)
-    row_upper = None if upper is None else [upper[j] for j in basis.tolist()]
-    pivots = flips = 0
+    pivots = 0
     bland = False
     stalled = 0
     best = best_den = None  # the highest negated objective so far is best / best_den
@@ -216,30 +178,11 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
             low = min(costs, default=0)
             enter = costs.index(low) if low < -tol else -1
         if enter < 0:
-            return LOOP_OPTIMAL, pivots, flips
-
-        bound = math.inf if upper is None else upper[enter]
-        if exact:
-            leave, at_bound, bound_first = _exact_ratio_test(tableau, basis, enter), False, False
-        else:
-            leave, at_bound, bound_first = _float_ratio_test(tableau, basis, enter, row_upper,
-                                                             bound, tol)
-        if bound_first:
-            # the entering variable reaches its own bound first: substitute
-            # bound - x for it in every row, the cost row included; no pivot
-            _float_flip_column(tableau, enter, bound)
-            flipped[enter] = not flipped[enter]
-            flips += 1
-            continue
+            return LOOP_OPTIMAL, pivots
+        leave = _exact_ratio_test(tableau, basis, enter) if exact \
+            else _float_ratio_test(tableau, basis, enter, tol)
         if leave < 0:
-            return LOOP_UNBOUNDED, pivots, flips
-        if at_bound:
-            # the leaving variable stops at its bound: rewrite its row for u - x
-            label = basis[leave]
-            _float_flip_row(tableau, leave, label, row_upper[leave])
-            flipped[label] = not flipped[label]
+            return LOOP_UNBOUNDED, pivots
         pivot(tableau, basis, leave, enter)
         pivots += 1
-        if row_upper is not None:
-            row_upper[leave] = upper[enter]
-    return LOOP_ITER_LIMIT, pivots, flips
+    return LOOP_ITER_LIMIT, pivots

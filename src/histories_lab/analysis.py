@@ -29,13 +29,13 @@ from .classicality import (
 from .errors import NumericError, ValidationError
 from .histories import decoherence_functional, quasi_probabilities
 from .scenarios import ScenarioDescriptor
-from .simplex import verify_certificate
 from .unify import (
     DEFAULT_DELTA,
     FEASIBLE,
     JointSampleSpace,
     MarginalTable,
     Variable,
+    band_test,
     build_constraint_system,
     correlations_from_marginals,
     cycle_check,
@@ -424,8 +424,9 @@ def reverify(report: dict) -> None:
         path = "unification.verdict.farkas_certificate"
         certificate = [_number(y, f"{path}[{i}]")
                        for i, y in enumerate(_field(verdict, "farkas_certificate", list, path))]
-        system = build_constraint_system(space, marginals, delta=delta, exact=exact)
-        if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
+        system = build_constraint_system(space, marginals, exact)
+        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
+        if refutes is None or not refutes(system.rhs):
             raise NumericError("stored Farkas certificate failed verification")
         return
     raise ValidationError(f"report field unification.verdict.status is {status!r}")

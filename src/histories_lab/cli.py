@@ -36,9 +36,9 @@ from .config import load_json, parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
 from .histories import decoherence_stack, interference_maxima
 from .scenarios import SCENARIO_NAMES, build_scenario, scenario_grid
-from .simplex import farkas_test
 from .unify import (
     DEFAULT_DELTA,
+    band_test,
     build_constraint_system,
     cycle_values,
     find_unifying_probability,
@@ -180,7 +180,7 @@ def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> li
     point its grid's rules refuse, before any physics is computed.  What the
     physics derives from checked parameters is valid by construction.
     Only the right-hand side of the constraint system moves, so a carried
-    certificate is checked against each point's (``farkas_test``), and only a
+    certificate is checked against each point's (``band_test``), and only a
     point it does not refute builds its tables and runs the LP."""
     grid = scenario_grid(scenario, params)
     grid.check()
@@ -213,7 +213,7 @@ def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> li
             tested, refutes = carry.certificate, None
             if tested is not None:
                 system = system or build_constraint_system(grid.fixed.space, tables(g))
-                refutes = farkas_test(system.matrix, tested, system.upper)
+                refutes = band_test(system.matrix, tested, DEFAULT_DELTA)
         if refutes is None or not refutes(rhs[g]):
             carry.certificate = find_unifying_probability(grid.fixed.space, tables(g)).farkas_certificate
         rows.append({"combined_consistent": int(combined[g]), "max_combination": float(maxima[g]),

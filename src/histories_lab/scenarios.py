@@ -337,14 +337,15 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
     inconsistent in general.  For the all-z/x configuration the pairwise
     correlations are C13 = C24 = -1 and C14 = C23 = 0, and the unique
     unifying probability is (1/16)(1 - s1 s3)(1 - s2 s4).  Each axis must
-    be a 3-vector, and ``eprb_grid``'s rule checks its norm.
+    be a 3-vector of numbers (``_checked_number``, component ``a<k><x|y|z>``),
+    and ``eprb_grid``'s rule checks its norm.
     """
     axes = []
     for k, a in enumerate((a1, a2, a3, a4), start=1):
-        v = np.asarray(a, dtype=float).reshape(-1)
+        v = np.asarray(a, dtype=object).reshape(-1)
         if v.shape != (3,):
             raise ValidationError(f"axis a{k} must be a 3-vector")
-        axes.append(tuple(float(c) for c in v))
+        axes.append(tuple(float(_checked_number("eprb", f"a{k}{c}", x)) for c, x in zip("xyz", v)))
     grid = eprb_grid([np.array([a]) for a in axes])
     grid.check()
     expected = {f"C{i}{j}": ExpectedValue(-float(np.dot(axes[i - 1], axes[j - 1])) + 0.0,
@@ -371,8 +372,11 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     """EPRB with all four axes in the x-z plane, parametrized by angles.
 
     The default angles reproduce the z/x configuration; the Tsirelson
-    configuration is (0, pi/2, pi/4, 3*pi/4).
+    configuration is (0, pi/2, pi/4, 3*pi/4).  Each angle must be a number
+    (``_checked_number``).
     """
+    for k, theta in enumerate((theta1, theta2, theta3, theta4), start=1):
+        _checked_number("eprb", f"theta{k}", theta)
     desc = eprb(planar_axis(theta1), planar_axis(theta2),
                 planar_axis(theta3), planar_axis(theta4))
     thetas = (theta1, theta2, theta3, theta4)
@@ -427,10 +431,13 @@ def leggett_garg(omega: float = 1.0, t1: float = 0.0, t2: float = 1.0,
     maximally mixed state.  Every two-time set is consistent with pair table
     (1/4)(1 + s s' cos(omega tau)), so the two-time correlator is
     cos(omega tau); the combined three-time set is inconsistent in general.
-    ``_leggett_garg_grid``'s rules check the parameters.
+    Each parameter must be a number (``_checked_number``), and
+    ``_leggett_garg_grid``'s rules check their values.
     """
-    omega, t = float(omega), {1: float(t1), 2: float(t2), 3: float(t3)}
-    grid = _leggett_garg_grid(*(np.array([v]) for v in (omega, t[1], t[2], t[3])))
+    omega, t1, t2, t3 = (float(_checked_number("leggett_garg", key, value)) for key, value
+                         in (("omega", omega), ("t1", t1), ("t2", t2), ("t3", t3)))
+    t = {1: t1, 2: t2, 3: t3}
+    grid = _leggett_garg_grid(*(np.array([v]) for v in (omega, t1, t2, t3)))
     grid.check()
     expected = {f"C{i}{j}": ExpectedValue(math.cos(omega * (t[j] - t[i])), "published")
                 for i, j in _LG_PAIRS}
@@ -443,8 +450,20 @@ _ACCEPTED = {name: frozenset(inspect.signature(builder).parameters)
              for name, builder in _BUILDERS.items()}
 
 
-def _checked_parameters(name: str, parameters: Mapping | None, ndim: int = 0) -> dict:
-    """``parameters`` if each is one of ``name``'s and a number (or, ``ndim`` 1, a 1-D array)."""
+def _checked_number(name: str, key: str, value, ndim: int = 0):
+    """``value`` if it is an int or a float (``bool`` and strings are not), or,
+    ``ndim`` 1, a 1-D array of them; numpy numbers count."""
+    if type(value) in (int, float):  # the common case, decided without numpy
+        return value
+    with contextlib.suppress(ValueError):  # a ragged sequence is not a number either
+        if np.asarray(value).dtype.kind in "iuf" and np.ndim(value) <= ndim:
+            return value
+    kind = "an int or a float" + (", or a 1-D array of them" if ndim else "")
+    raise ValidationError(f"{name} parameter {key} must be {kind}, got {value!r}")
+
+
+def _checked_parameters(name: str, parameters: Mapping | None) -> dict:
+    """``parameters`` if each is one of ``name``'s; the builder checks their values."""
     if name not in _BUILDERS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     parameters = dict(parameters or {})
@@ -454,12 +473,6 @@ def _checked_parameters(name: str, parameters: Mapping | None, ndim: int = 0) ->
     unknown = set(parameters) - accepted
     if unknown:
         raise ValidationError(f"unknown {name} parameters {sorted(unknown)}")
-    for key, value in parameters.items():
-        with contextlib.suppress(ValueError):  # a ragged sequence is not a number either
-            if np.asarray(value).dtype.kind in "iuf" and np.ndim(value) <= ndim:
-                continue
-        kind = "an int or a float" + (", or a 1-D array of them" if ndim else "")
-        raise ValidationError(f"{name} parameter {key} must be {kind}, got {value!r}")
     return parameters
 
 
@@ -480,7 +493,9 @@ def scenario_grid(name: str, parameters: Mapping[str, np.ndarray]) -> ScenarioGr
     """A sweepable scenario at G points: ``parameters`` maps names, checked as
     ``build_scenario`` checks them, to ``(G,)`` or ``(1,)`` arrays or numbers;
     the others keep the descriptor builder's defaults."""
-    parameters = _checked_parameters(name, parameters, ndim=1)
+    parameters = _checked_parameters(name, parameters)
+    for key, value in parameters.items():
+        _checked_number(name, key, value, ndim=1)
     if name not in _GRID_BUILDERS:
         raise ValidationError(f"{name} cannot be swept")
     bound = inspect.signature(_BUILDERS[name]).bind(**parameters)

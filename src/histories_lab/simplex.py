@@ -1,10 +1,8 @@
 """Two-phase primal simplex for feasibility questions and small LPs.
 
-Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``,
-in float mode optionally with per-column upper bounds ``x <= upper`` (the
-bounded-variable simplex: a bound costs no extra row).  Exact mode takes no
-bounds; an exact LP writes each bound as a row.  The entering column is the
-one with the most negative reduced cost (Dantzig's rule, lowest index among
+Standard form: minimize ``c.x`` subject to ``A x = b`` and ``x >= 0``; a
+bound on a variable is written as a row.  The entering column is the one
+with the most negative reduced cost (Dantzig's rule, lowest index among
 equals); after as many non-improving steps in a row as the tableau has rows,
 a loop finishes on Bland's lowest-index rule, which prevents cycling.  Every
 run is deterministic.  One two-phase driver serves both arithmetics:
@@ -18,9 +16,7 @@ as ``Fraction``s.  Its two phases are separate steps: ``feasible_start``
 runs phase 1 once and ``FeasibleStart.solve`` runs phase 2 for one cost
 vector on a copy of its end state, so many objectives over one system share
 one phase 1.  Infeasible systems come back with a Farkas certificate ``y``,
-one entry per row, satisfying ``y.A >= 0`` on every unbounded column and
-``y.b < sum_j u_j min(0, (y.A)_j)`` over the bounded ones (``y.b < 0``
-without bounds).
+one entry per row, satisfying ``y.A >= 0`` and ``y.b < 0``.
 """
 
 from __future__ import annotations
@@ -57,11 +53,10 @@ UNBOUNDED = "unbounded"
 class LPResult:
     """Solver outcome; exactly one of ``x`` / ``certificate`` is set.
 
-    ``pivots`` and ``bound_flips`` count the pivot-loop pivots and the
-    entering-column bound flips over phases 1 and 2.  A result solved from
-    a shared ``FeasibleStart`` reports the same counts as a fresh solve of
-    its system: phase 1's counts, although phase 1 ran only once for every
-    result read from that start, plus its own phase 2's.
+    ``pivots`` counts the pivot-loop pivots over phases 1 and 2.  A result
+    solved from a shared ``FeasibleStart`` reports the same count as a fresh
+    solve of its system: phase 1's count, although phase 1 ran only once for
+    every result read from that start, plus its own phase 2's.
 
     Float solves give ``x`` and ``certificate`` as float64 arrays and
     ``objective`` as a float; exact solves give lists of ``Fraction`` and a
@@ -73,7 +68,6 @@ class LPResult:
     objective: object = None
     certificate: object = None  # Farkas vector over the original rows
     pivots: int = 0
-    bound_flips: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -92,20 +86,16 @@ class FeasibleStart:
     were driven out and redundant rows dropped; its last row is left free
     for a cost row.  It is a float64 array, or in exact mode an
     ``IntTableau`` of reduced integer rows, each over its own positive
-    denominator.  ``basis`` and ``flipped`` give each row's basic column
-    and each column's orientation, ``upper`` the per-column float64 bounds
-    (``None`` without bounds, and always ``None`` in exact mode).
-    ``pivots`` and ``bound_flips`` are phase 1's counts.  ``solve`` never
+    denominator.  ``basis`` gives each row's basic column, ``n`` the number
+    of original columns and ``pivots`` phase 1's count.  ``solve`` never
     changes the start, so every cost vector starts from the same tableau that
     a fresh solve of the same system reaches.
     """
 
     tableau: np.ndarray | IntTableau
     basis: np.ndarray
-    flipped: np.ndarray
-    upper: np.ndarray | None
+    n: int
     pivots: int
-    bound_flips: int
 
     @property
     def exact(self) -> bool:
@@ -113,9 +103,8 @@ class FeasibleStart:
 
     def solve(self, c=None) -> LPResult:
         """Phase 2 for min c.x from a copy of this start; ``None`` is the zero cost."""
-        copy = replace(self, tableau=self.tableau.copy(), basis=self.basis.copy(),
-                       flipped=self.flipped.copy())
-        return _phase_two(copy, _cost(c, len(self.flipped), self.exact))
+        copy = replace(self, tableau=self.tableau.copy(), basis=self.basis.copy())
+        return _phase_two(copy, _cost(c, self.n, self.exact))
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -145,23 +134,18 @@ def _exact_phase_one_tableau(A: np.ndarray, b: np.ndarray, signs: list[int]) -> 
     return IntTableau(rows + [cost], den + [cost_den])
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResult | FeasibleStart:
+def _phase_one(A: np.ndarray, b: np.ndarray) -> LPResult | FeasibleStart:
     """Phase 1 and, on a feasible system, artificial drive-out.
 
     Returns an infeasible ``LPResult`` with its Farkas certificate, or the
-    ``FeasibleStart`` phase 2 works on.  ``A``, ``b`` and ``upper`` are
-    float64 arrays, or ``A`` and ``b`` are object arrays of exact rationals
-    (``int`` or ``Fraction``), which solve on an ``IntTableau`` with every
-    tolerance 0 and ``upper=None``.  ``upper`` bounds each column of ``A``
-    from above (``math.inf`` for no bound); ``None`` leaves every column
-    unbounded.
+    ``FeasibleStart`` phase 2 works on.  ``A`` and ``b`` are float64 arrays,
+    or object arrays of exact rationals (``int`` or ``Fraction``), which
+    solve on an ``IntTableau`` with every tolerance 0.
     """
     exact = A.dtype == object
     m, n = A.shape
     signs = np.where(b < 0, -1, 1)
     basis = np.arange(n, n + m, dtype=np.int64)
-    flipped = np.zeros(n + m, dtype=bool)
-    bounds = None if upper is None else upper.tolist() + [math.inf] * m
     if exact:
         tol = 0
         tableau = _exact_phase_one_tableau(A, b, signs.tolist())
@@ -176,8 +160,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResu
         tableau[m, :n] = -A.sum(axis=0)
         tableau[m, -1] = -b.sum()
 
-    code, pivots, bound_flips = simplex_loop(tableau, basis, n, tol, _default_iterations(m, n),
-                                             bounds, flipped)
+    code, pivots = simplex_loop(tableau, basis, n, tol, _default_iterations(m, n))
     if code != LOOP_OPTIMAL:
         raise NumericError(f"phase-1 simplex did not terminate cleanly (code {code})")
 
@@ -188,8 +171,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResu
                            for sign, v in zip(signs.tolist(), tableau.rows[m][n:n + m])]
         else:
             certificate = -(signs * (1.0 - tableau[m, n:n + m]))
-        return LPResult(status=INFEASIBLE, certificate=certificate,
-                        pivots=pivots, bound_flips=bound_flips)
+        return LPResult(status=INFEASIBLE, certificate=certificate, pivots=pivots)
 
     # drive leftover artificials out of the basis; drop redundant rows
     drop: list[int] = []
@@ -208,17 +190,15 @@ def _phase_one(A: np.ndarray, b: np.ndarray, upper: np.ndarray | None) -> LPResu
         tableau = IntTableau([row for row, _ in kept], [d for _, d in kept])
     else:
         tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], list(range(n)) + [n + m])])
-    return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), flipped=flipped[:n],
-                         upper=upper, pivots=pivots, bound_flips=bound_flips)
+    return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), n=n, pivots=pivots)
 
 
 def _phase_two(start: FeasibleStart, c) -> LPResult:
     """Put the cost row ``c`` (from ``_cost``) on ``start``, run the loop,
     read out x; ``start`` is used up."""
     exact = start.exact
-    tableau, basis, flipped, upper = start.tableau, start.basis, start.flipped, start.upper
-    m2, n = len(basis), len(flipped)
-    pivots, bound_flips = start.pivots, start.bound_flips
+    tableau, basis, n, pivots = start.tableau, start.basis, start.n, start.pivots
+    m2 = len(basis)
 
     if (any(c[0]) if exact else np.any(c != 0.0)):
         if exact:
@@ -228,57 +208,42 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
                     cost, cost_den = eliminate(cost, cost_den, tableau.rows[i], tableau.den[i], j)
             tableau.rows[m2], tableau.den[m2] = cost, cost_den
         else:
-            # the cost in each column's orientation; the objective is read
-            # from x, so the constant a flipped column adds to it is left out
-            oriented = c.copy()
-            oriented[flipped] = -c[flipped]
-            tableau[m2, :n] = oriented
+            tableau[m2, :n] = c
             tableau[m2, -1] = 0.0
             for i in range(m2):
-                weight = oriented[basis[i]]
+                weight = c[basis[i]]
                 if weight != 0.0:
                     tableau[m2, :] -= weight * tableau[i, :]
-        code, more_pivots, more_flips = simplex_loop(
-            tableau, basis, n, 0 if exact else DEFAULT_PIVOT_TOL, _default_iterations(m2, n),
-            None if upper is None else upper.tolist(), flipped)
+        code, more_pivots = simplex_loop(tableau, basis, n, 0 if exact else DEFAULT_PIVOT_TOL,
+                                         _default_iterations(m2, n))
         pivots += more_pivots
-        bound_flips += more_flips
         if code == LOOP_UNBOUNDED:
-            return LPResult(status=UNBOUNDED, pivots=pivots, bound_flips=bound_flips)
+            return LPResult(status=UNBOUNDED, pivots=pivots)
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
     if not exact:
         x = np.zeros(n)
         x[basis] = tableau[:m2, -1]
-        if flipped.any():
-            x[flipped] = upper[flipped] - x[flipped]
-        return LPResult(status=OPTIMAL, x=x, objective=float(c @ x),
-                        pivots=pivots, bound_flips=bound_flips)
+        return LPResult(status=OPTIMAL, x=x, objective=float(c @ x), pivots=pivots)
     x = [Fraction(0)] * n
     for i, j in enumerate(basis.tolist()):
         x[j] = Fraction(tableau.rows[i][-1], tableau.den[i])
     objective = sum((v * xj for v, xj in zip(c[0], x) if v), Fraction(0))
     return LPResult(status=OPTIMAL, x=x, objective=objective if c[1] == 1 else objective / c[1],
-                    pivots=pivots, bound_flips=bound_flips)
+                    pivots=pivots)
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, c, upper: np.ndarray | None) -> LPResult:
+def _two_phase(A: np.ndarray, b: np.ndarray, c) -> LPResult:
     """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
-    start = _phase_one(A, b, upper)
+    start = _phase_one(A, b)
     return start if isinstance(start, LPResult) else _phase_two(start, c)
 
 
-def _system(A, b, upper, exact: bool) -> tuple:
-    """``A``, ``b`` and ``upper`` as float64 arrays, or ``A`` and ``b`` as
-    object arrays of rationals (``int`` or ``Fraction``), validated.
-
-    ``A`` needs at least one row and ``b`` one entry per row; ``upper``, when
-    given, one bound per column, each ``>= 0`` or ``math.inf``.  Exact mode
-    takes no ``upper``.
-    """
-    if exact and upper is not None:
-        raise ValidationError("exact mode takes no upper bounds; write each bound as a row")
+def _system(A, b, exact: bool) -> tuple:
+    """``A`` and ``b`` as float64 arrays, or as object arrays of rationals
+    (``int`` or ``Fraction``), validated: ``A`` needs at least one row and
+    ``b`` one entry per row."""
     dtype = object if exact else float
     if exact:
         A = [[_as_rational(v) for v in row] for row in A]
@@ -287,14 +252,7 @@ def _system(A, b, upper, exact: bool) -> tuple:
     b = np.array(b, dtype=dtype)
     if A.ndim != 2 or A.shape[0] == 0 or b.shape != (A.shape[0],):
         raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
-    if upper is None:
-        return A, b, None
-    bounds = np.array([float(v) for v in upper])
-    if len(bounds) != A.shape[1]:
-        raise ValidationError(f"upper-bound vector must have length {A.shape[1]}")
-    if not (bounds >= 0).all():
-        raise ValidationError("upper bounds must be non-negative")
-    return A, b, bounds
+    return A, b
 
 
 def _cost(c, n: int, exact: bool):
@@ -313,10 +271,10 @@ def _cost(c, n: int, exact: bool):
     return cost
 
 
-def solve_lp_float(A, b, c=None, *, upper=None) -> LPResult:
-    """Solve min c.x, A x = b, 0 <= x <= upper in floating point."""
-    A, b, upper = _system(A, b, upper, False)
-    return _two_phase(A, b, _cost(c, A.shape[1], False), upper)
+def solve_lp_float(A, b, c=None) -> LPResult:
+    """Solve min c.x, A x = b, x >= 0 in floating point."""
+    A, b = _system(A, b, False)
+    return _two_phase(A, b, _cost(c, A.shape[1], False))
 
 
 def _as_rational(value) -> int | Fraction:
@@ -335,46 +293,43 @@ def _as_rational(value) -> int | Fraction:
     raise ValidationError(f"exact mode cannot coerce {value!r} to a rational")
 
 
-def solve_lp_exact(A, b, c=None, *, upper=None) -> LPResult:
-    """Solve min c.x, A x = b, x >= 0 in exact rational arithmetic; ``upper``
-    is refused (write each bound as a row)."""
-    A, b, upper = _system(A, b, upper, True)
-    return _two_phase(A, b, _cost(c, A.shape[1], True), upper)
+def solve_lp_exact(A, b, c=None) -> LPResult:
+    """Solve min c.x, A x = b, x >= 0 in exact rational arithmetic."""
+    A, b = _system(A, b, True)
+    return _two_phase(A, b, _cost(c, A.shape[1], True))
 
 
-def feasible_start(A, b, *, upper=None, exact: bool = False) -> LPResult | FeasibleStart:
-    """Run phase 1 once for ``A x = b, 0 <= x <= upper`` (no ``upper`` in exact mode).
+def feasible_start(A, b, *, exact: bool = False) -> LPResult | FeasibleStart:
+    """Run phase 1 once for ``A x = b, x >= 0``.
 
     Returns the infeasible ``LPResult`` with its Farkas certificate, or a
     ``FeasibleStart`` whose ``solve(c)`` gives, for each cost vector, the
-    result ``solve_lp(A, b, c, upper=upper, exact=exact)`` would give.
+    result ``solve_lp(A, b, c, exact=exact)`` would give.
     """
-    return _phase_one(*_system(A, b, upper, exact))
+    return _phase_one(*_system(A, b, exact))
 
 
-def solve_lp(A, b, c=None, *, upper=None, exact: bool = False) -> LPResult:
+def solve_lp(A, b, c=None, *, exact: bool = False) -> LPResult:
     """Dispatch to the exact or floating solver."""
     if exact:
-        return solve_lp_exact(A, b, c, upper=upper)
-    return solve_lp_float(A, b, c, upper=upper)
+        return solve_lp_exact(A, b, c)
+    return solve_lp_float(A, b, c)
 
 
-def verify_certificate(A, b, certificate, upper=None) -> bool:
-    """Check the Farkas conditions for ``A x = b, 0 <= x <= upper``.
+def verify_certificate(A, b, certificate) -> bool:
+    """Check the Farkas conditions for ``A x = b, x >= 0``.
 
     The certificate ``y`` needs one entry per row of ``A``.  It proves
-    infeasibility when ``(y.A)_j >= 0`` on every column without a finite
-    bound and ``y.b < sum_j u_j * min(0, (y.A)_j)`` over the bounded ones;
-    with ``upper=None`` that is ``y.A >= 0`` componentwise and ``y.b < 0``.
-    Exact inputs are checked exactly; float inputs within ``DEFAULT_FEAS_TOL``
+    infeasibility when ``y.A >= 0`` componentwise and ``y.b < 0``.  Exact
+    inputs are checked exactly; float inputs within ``DEFAULT_FEAS_TOL``
     scaled by the certificate magnitude.  A candidate that is not a flat
     sequence of finite real numbers with one entry per row is rejected.
     """
-    refutes = farkas_test(A, certificate, upper)
+    refutes = farkas_test(A, certificate)
     return refutes is not None and refutes(b)
 
 
-def farkas_test(A, certificate, upper=None):
+def farkas_test(A, certificate):
     """``verify_certificate`` with its ``b``-free part done once: a function
     ``refutes(b)`` for systems that differ only in ``b``, or ``None`` when the
     candidate refutes no right-hand side at all."""
@@ -395,11 +350,6 @@ def farkas_test(A, certificate, upper=None):
         return None
     slack = 0 if exact else DEFAULT_FEAS_TOL * max(1.0, scale)
     combo = y @ np.asarray(A, dtype=dtype)
-    bounds = np.full(len(combo), math.inf, dtype=dtype) if upper is None \
-        else np.asarray(upper, dtype=dtype)
-    finite = bounds != math.inf
-    free = combo[~finite]
-    if free.size and not free.min() >= -slack:
+    if combo.size and not combo.min() >= -slack:
         return None
-    reach = bounds[finite] @ np.minimum(combo[finite], 0)
-    return lambda b: bool(y @ np.asarray(b, dtype=dtype) - reach < -slack)
+    return lambda b: bool(y @ np.asarray(b, dtype=dtype) < -slack)

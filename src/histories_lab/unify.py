@@ -35,9 +35,9 @@ from .simplex import (
     OPTIMAL,
     FeasibleStart,
     LPResult,
+    farkas_test,
     feasible_start,
     solve_lp,
-    verify_certificate,
 )
 
 Outcome = Hashable
@@ -297,8 +297,8 @@ class FeasibilityVerdict:
 
     feasible   -> ``witness`` is a non-negative joint table matching every
                   marginal within delta;
-    infeasible -> ``farkas_certificate`` verifies against the constraint
-                  system.
+    infeasible -> ``farkas_certificate`` refutes every joint table doing so
+                  (``band_test``).
     """
 
     status: str
@@ -380,26 +380,21 @@ def extract_marginals(hset: HistorySet, mapping: VariableMapping,
 
 @dataclass
 class ConstraintSystem:
-    """Standard-form system (matrix x = rhs, 0 <= x <= upper) for the unifier LP.
+    """Standard-form system (matrix x = rhs, x >= 0) of hard equalities for the unifier LP.
 
     One row per marginal key, tables in input order and each table's keys in
-    ``table.values`` order, then the normalization row.  The first
-    ``n_cells`` columns are the joint cells in row-major order.  A float
-    system of band width ``delta > 0`` appends one slack column per marginal
-    row: row ``r`` reads ``a_r.x + s_r = b_r + delta`` with
-    ``0 <= s_r <= 2*delta``, i.e. ``|a_r.x - b_r| <= delta``, while the
-    normalization row has no slack, so that the cells sum to exactly 1;
-    ``upper`` holds ``inf`` for the cells.  Width-0 systems (exact mode, or
-    ``delta = 0``) are hard equalities with no slack columns and
-    ``upper = None``.  Which cells a row covers is read from ``_cell_keys``,
-    which decides it once per sample space and table layout.
+    ``table.values`` order, then the normalization row.  The columns are
+    the joint cells in row-major order, ``n_cells`` of them.  The delta band
+    is no part of the system: it is checked on the evidence
+    (``_verify_witness``, ``band_test``).  Which cells a row covers is read
+    from ``_cell_keys``, which decides it once per sample space and table
+    layout.
     """
 
     matrix: object
     rhs: object
     cells: list[Cell]
     n_cells: int
-    upper: np.ndarray | None = None
 
 
 def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> None:
@@ -437,46 +432,55 @@ def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
 
 
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                            delta: float = DEFAULT_DELTA, exact: bool = False) -> ConstraintSystem:
-    """Assemble the marginal-matching constraints over the joint cells.
+                            exact: bool = False) -> ConstraintSystem:
+    """Assemble the marginal-matching equalities over the joint cells.
 
     Row ``r`` of a table is the indicator of the cells ``_cell_keys`` maps to
     its ``r``-th key; the normalization row covers every cell.  Exact mode
-    keeps hard equalities in ``Fraction`` arithmetic and ignores ``delta``.
-    Float mode widens each marginal row into the band ``|a_r.x - b_r| <= delta``
-    through one bounded slack column per marginal row (see
-    ``ConstraintSystem``); with ``delta = 0`` the rows stay hard equalities,
-    which the solver's phase-1 feasibility tolerance still cushions against
-    ~1e-15 marginal noise.
+    works in ``Fraction`` arithmetic, float mode in float64, where the
+    solver's phase-1 feasibility tolerance cushions the rows against ~1e-15
+    marginal noise.
     """
     _check_tables(space, marginals)
-    width = 0.0 if exact else float(delta)
-    if not 0 <= width < math.inf:
-        raise ValidationError(f"band width delta must be finite and non-negative, got {delta!r}")
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     n = space.size
     m = sum(len(table.values) for table in marginals) + 1
-    slacks = m - 1 if width else 0
     dtype = object if exact else float
-    matrix = np.full((m, n + slacks), zero, dtype=dtype)
-    rhs = np.array([Fraction(v) if exact else float(v) + width
+    matrix = np.full((m, n), zero, dtype=dtype)
+    rhs = np.array([Fraction(v) if exact else float(v)
                     for table in marginals for v in table.values.values()] + [one], dtype=dtype)
     cols = np.arange(n)
     row = 0
     for table in marginals:
         matrix[row + _cell_keys(space, table.variables, table.partitions), cols] = one
         row += len(table.values)
-    matrix[row, :n] = one
-    if not slacks:
-        return ConstraintSystem(matrix, rhs, space.cells(), n)
-    matrix[:-1, n:] = np.eye(slacks)
-    upper = np.concatenate([np.full(n, np.inf), np.full(slacks, 2 * width)])
-    return ConstraintSystem(matrix, rhs, space.cells(), n, upper)
+    matrix[row] = one
+    return ConstraintSystem(matrix, rhs, space.cells(), n)
 
 
-def stacked_rhs(values: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
+def stacked_rhs(values: np.ndarray) -> np.ndarray:
     """Float ``build_constraint_system`` right-hand sides, one per row of table values."""
-    return np.concatenate([values + float(delta), np.ones((len(values), 1))], axis=1)
+    return np.concatenate([values, np.ones((len(values), 1))], axis=1)
+
+
+def band_test(matrix, certificate, delta):
+    """``simplex.farkas_test`` for the band ``|a_r.x - b_r| <= delta`` on the
+    marginal rows of a ``ConstraintSystem`` ``matrix``, whose last row, the
+    normalization, stays a hard equality: a function ``refutes(rhs)``, or
+    ``None`` when the candidate refutes no right-hand side at all.
+
+    Over ``x >= 0``, ``y`` refutes the band when ``y.A >= 0`` and ``y.b +
+    delta * sum_r |y_r| < 0`` over the marginal rows, which is ``farkas_test``
+    refuting ``b + delta * sign(y)`` there.  ``delta = 0`` (exact mode) is
+    the hard system itself.  Every certificate the library reports or
+    accepts passes this one test.
+    """
+    refutes = farkas_test(matrix, certificate)
+    if refutes is None or not delta:
+        return refutes
+    shift = np.zeros(len(certificate))
+    shift[:-1] = delta * np.sign(np.asarray(certificate[:-1], dtype=float))
+    return lambda rhs: refutes(rhs + shift)
 
 
 def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -534,16 +538,21 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     _verify_witness(space, marginals, [witness[c] for c in cells], delta, exact)
 
 
-def _require_exact(marginals: Sequence[MarginalTable]) -> None:
-    if not all(t.is_exact for t in marginals):
-        raise ValidationError("exact mode requires rational marginal values (see MarginalTable.as_exact)")
+def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> None:
+    """Exact mode needs rational tables; float mode a finite, non-negative delta."""
+    if exact:
+        if not all(t.is_exact for t in marginals):
+            raise ValidationError("exact mode requires rational marginal values (see MarginalTable.as_exact)")
+    elif not 0 <= float(delta) < math.inf:
+        raise ValidationError(f"band width delta must be finite and non-negative, got {delta!r}")
 
 
 def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                      system: ConstraintSystem, result: LPResult, delta: float,
                      exact: bool) -> FeasibilityVerdict:
-    """Turn a feasibility LP result into a verdict whose evidence has been checked:
-    the witness against the marginals, the certificate against ``system``."""
+    """Turn a feasibility LP result into a verdict whose evidence has been
+    checked against the band: the witness, the first ``n_cells`` entries of
+    ``x``, by ``_verify_witness``, the certificate by ``band_test``."""
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
         cell_values = result.x[: system.n_cells]
@@ -554,11 +563,39 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
                                   mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)
-        if not verify_certificate(system.matrix, system.rhs, certificate, system.upper):
+        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
+        if refutes is None or not refutes(system.rhs):
             raise NumericError("Farkas certificate failed verification")
         return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=certificate,
                                   mode=mode, delta=delta)
     raise NumericError(f"unexpected LP status {result.status!r} in feasibility solve")
+
+
+def _verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+             system: ConstraintSystem, result: LPResult, delta: float,
+             exact: bool) -> FeasibilityVerdict:
+    """The verdict of ``result``, the width-0 system's, when its evidence
+    passes the band checks.  Otherwise, in float mode only, the verdict of
+    the band itself, an LP without bounds: each marginal row twice, ``a.x +
+    s = b + delta`` and ``-a.x + s' = delta - b``, and the normalization row
+    once.  Its certificate ``(u, w, v)`` folds back to ``y = (u - w, v)``
+    over the width-0 rows: ``y.b + delta * sum|u - w|`` is at most ``(u,
+    w, v)``'s refuted value, so ``y`` passes the same ``band_test``."""
+    try:
+        return _checked_verdict(space, marginals, system, result, delta, exact)
+    except NumericError:
+        if exact:
+            raise
+    A, b, n = system.matrix[:-1], system.rhs[:-1], system.n_cells
+    k = len(b)
+    matrix = np.zeros((2 * k + 1, n + 2 * k))
+    matrix[:k, :n], matrix[k:-1, :n], matrix[-1, :n] = A, -A, system.matrix[-1]
+    matrix[:-1, n:] = np.eye(2 * k)
+    band = solve_lp(matrix, np.concatenate([b + delta, delta - b, system.rhs[-1:]]))
+    if band.status == INFEASIBLE:
+        y = band.certificate
+        band.certificate = np.append(y[:k] - y[k:-1], y[-1])
+    return _checked_verdict(space, marginals, system, band, delta, exact)
 
 
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -566,14 +603,15 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
-    a verified Farkas certificate.  ``exact=True`` requires rational marginal
-    values and decides feasibility exactly, independent of delta.
+    a verified Farkas certificate.  Float mode accepts a witness within
+    delta of every marginal and a certificate that refutes that band
+    (``_verdict``); ``exact=True`` requires rational marginal values and
+    decides feasibility exactly, independent of delta.
     """
-    if exact:
-        _require_exact(marginals)
-    system = build_constraint_system(space, marginals, delta, exact)
-    result = solve_lp(system.matrix, system.rhs, None, upper=system.upper, exact=exact)
-    return _checked_verdict(space, marginals, system, result, delta, exact)
+    _checked_inputs(marginals, delta, exact)
+    system = build_constraint_system(space, marginals, exact)
+    result = solve_lp(system.matrix, system.rhs, exact=exact)
+    return _verdict(space, marginals, system, result, delta, exact)
 
 
 def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -625,34 +663,27 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
 
     A cell is pinned when ``hi - lo`` is at most delta (exact mode demands a
     zero range).  The bounds are taken over the width-0 system of hard
-    equalities, without slack columns; with the delta-band system every
-    cell would trivially have a range of about 2*delta and nothing could ever
-    be reported unique.  Phase 1 of that system runs once and every probe LP
-    is one phase 2 from its end state.  ``_bounds`` proves ``lo = 0`` from
-    ``x >= 0`` and ``hi`` from a key's value or the normalization row
-    whenever a known feasible point attains it, and solves only the other
-    probes: exact ``eprb`` solves 4 of its 32 and float ``eprb`` 6.
+    equalities; over the delta band every cell would trivially have a range
+    of about 2*delta and nothing could ever be reported unique.  Phase 1 of
+    that system runs once, and its end state read at zero cost gives the
+    verdict (``_verdict``, as ``find_unifying_probability``) in both modes.
+    Every probe LP is one phase 2 from that end state.  ``_bounds`` proves
+    ``lo = 0`` from ``x >= 0`` and ``hi`` from a key's value or the
+    normalization row whenever a known feasible point attains it, and
+    solves only the other probes: exact ``eprb`` solves 4 of its 32 and
+    float ``eprb`` 6.
 
-    In exact mode the width-0 system is also the feasibility system, so the
-    same phase 1, read at zero cost, gives the verdict.  Float mode takes its
-    verdict from the delta band (``find_unifying_probability``); a verdict
-    whose band is feasible while the hard equalities are not comes back
-    with ``unique`` and ``component_bounds`` left None.  Float bounds carry
-    the float noise of the tables, so ``lo`` may exceed ``hi`` by about
-    1e-16; ``reverify`` allows up to delta.
+    A float verdict whose band is feasible while the hard equalities are
+    not comes back with ``unique`` and ``component_bounds`` left None.
+    Float bounds carry the float noise of the tables, so ``lo`` may exceed
+    ``hi`` by about 1e-16; ``reverify`` allows up to delta.
     """
-    if exact:
-        _require_exact(marginals)
-    else:
-        verdict = find_unifying_probability(space, marginals, delta)
-        if not verdict.feasible:
-            return verdict
-    system = build_constraint_system(space, marginals, 0.0, exact)
+    _checked_inputs(marginals, delta, exact)
+    system = build_constraint_system(space, marginals, exact)
     start = feasible_start(system.matrix, system.rhs, exact=exact)
     result = start if isinstance(start, LPResult) else start.solve()
-    if exact:
-        verdict = _checked_verdict(space, marginals, system, result, delta, exact)
-    if result.status == OPTIMAL:
+    verdict = _verdict(space, marginals, system, result, delta, exact)
+    if verdict.feasible and result.status == OPTIMAL:
         bounds = _bounds(space, marginals, start, result.x)
         tol = 0 if exact else delta
         verdict.unique = all(hi - lo <= tol for lo, hi in bounds)

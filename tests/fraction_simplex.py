@@ -4,12 +4,10 @@ The rational pivot, pivot loop and two-phase driver the library ran before
 its exact tableau became integer rows over per-row denominators, kept here
 (and only here) as the oracle ``tests/test_simplex.py`` compares the integer
 path against: the same inputs must give the same status, x, objective,
-certificate and pivot count, and no bound flip (exact LPs take no upper
-bounds).  The loop follows the
-library's pivot rule: the most negative reduced cost enters (Dantzig's
-rule, lowest index among equals) until ``m`` consecutive entering steps
-leave the best objective reached unimproved, and Bland's lowest-index rule
-for the rest of the call.
+certificate and pivot count.  The loop follows the library's pivot rule:
+the most negative reduced cost enters (Dantzig's rule, lowest index among
+equals) until ``m`` consecutive entering steps leave the best objective
+reached unimproved, and Bland's lowest-index rule for the rest of the call.
 """
 
 from __future__ import annotations
@@ -85,8 +83,7 @@ def solve(A, b, c=None) -> dict:
     basis = np.arange(n, n + m, dtype=np.int64)
     code, pivots = simplex_loop(tableau, basis, n, limit)
     assert code == "optimal"
-    result = dict(status="infeasible", x=None, objective=None, certificate=None,
-                  pivots=pivots, bound_flips=0)
+    result = dict(status="infeasible", x=None, objective=None, certificate=None, pivots=pivots)
     if -tableau[m, -1] > 0:
         result["certificate"] = (-(signs * (one - tableau[m, n:n + m]))).tolist()
         return result

@@ -6,6 +6,8 @@ reports of the four built-in scenarios, in float and exact mode, and
 ``scenario_to_config(build_scenario("eprb"))``.  A change that moves a byte
 of a report must regenerate them on purpose, with the reason in CHANGES.md.
 A golden is one line of JSON; ``python -m json.tool`` indents it.
+``golden/band_lp/`` keeps three float reports from before the delta band
+left the LP: their witnesses sit at the edge of the band.
 """
 
 import json
@@ -21,6 +23,7 @@ from histories_lab.scenarios import SCENARIO_NAMES, build_scenario
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODES = {"": [], "_exact": ["--exact"]}
 GOLDEN_REPORTS = sorted(path.name for path in GOLDEN.glob("*.json"))
+BAND_LP_REPORTS = sorted(path.name for path in (GOLDEN / "band_lp").glob("*.json"))
 
 
 def _assert_matches_golden(out: Path, name: str) -> None:
@@ -58,3 +61,11 @@ def test_indented_reports_still_verify_and_hold_the_same_values(tmp_path, name):
     report.write_text(indented)
     assert main(["verify", str(report)]) == 0
     assert report_to_json(json.loads(indented)) == golden
+
+
+@pytest.mark.parametrize("name", BAND_LP_REPORTS)
+def test_reports_written_by_the_bounded_band_lp_still_verify(name):
+    """The band LP with bounded slack columns reported witnesses up to delta
+    off each key; the band checks on the evidence accept them."""
+    assert len(BAND_LP_REPORTS) == 3
+    assert main(["verify", str(GOLDEN / "band_lp" / name)]) == 0

@@ -19,11 +19,11 @@ from histories_lab.histories import (
     quasi_probabilities,
 )
 from histories_lab.operators import max_abs
-from histories_lab.simplex import verify_certificate
 from histories_lab.unify import (
     JointSampleSpace,
     MarginalTable,
     Variable,
+    band_test,
     build_constraint_system,
     find_unifying_probability,
     verify_witness,
@@ -116,9 +116,8 @@ def test_witness_and_certificate_validity_randomized():
             assert abs(values.sum() - 1.0) < 1e-8
         else:
             infeasible += 1
-            system = build_constraint_system(space, tables, verdict.delta)
-            assert verify_certificate(system.matrix, system.rhs, verdict.farkas_certificate,
-                                      system.upper)
+            system = build_constraint_system(space, tables)
+            assert band_test(system.matrix, verdict.farkas_certificate, verdict.delta)(system.rhs)
     # random marginals over shared variables should produce both outcomes
     assert feasible > 10 and infeasible > 10
 

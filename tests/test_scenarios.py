@@ -145,6 +145,25 @@ def test_build_scenario_refuses_a_parameter_that_is_not_a_number(name, parameter
         build_scenario(name, parameters)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: leggett_garg(None), "leggett_garg parameter omega must be an int or a float, got None"),
+    (lambda: leggett_garg("1"), "leggett_garg parameter omega must be an int or a float, got '1'"),
+    (lambda: leggett_garg(True), "leggett_garg parameter omega must be an int or a float, got True"),
+    (lambda: eprb_planar("a"), "eprb parameter theta1 must be an int or a float, got 'a'"),
+    (lambda: eprb_planar(True), "eprb parameter theta1 must be an int or a float, got True"),
+    (lambda: eprb(("a", 0, 0), XHAT, ZHAT, XHAT), "eprb parameter a1x must be an int or a float, got 'a'"),
+], ids=["lg-none", "lg-string", "lg-bool", "planar-string", "planar-bool", "eprb-string-component"])
+def test_a_builder_called_directly_refuses_what_build_scenario_refuses(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_builders_accept_python_and_numpy_numbers():
+    assert leggett_garg(np.float64(0.5), 0, np.float32(1.0)).parameters["omega"] == 0.5
+    assert eprb_planar(np.float64(0.0), 1).parameters["theta2"] == 1.0
+    assert eprb(np.array([0.0, 0.0, 1.0]), (1, 0, 0), [np.float64(0.0), 0, 1], XHAT).parameters["a1z"] == 1.0
+
+
 def test_scenario_grid_refuses_parameter_arrays_of_different_lengths():
     lengths = "got lengths {'omega': 2, 't1': 3, 't2': 1, 't3': 1}"
     with pytest.raises(ValidationError, match=re.escape(lengths)):

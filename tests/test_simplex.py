@@ -123,6 +123,7 @@ def test_runs_are_deterministic():
     first = solve_lp_float(A, b, c)
     second = solve_lp_float(A, b, c)
     np.testing.assert_array_equal(first.x, second.x)
+    assert first.pivots == second.pivots > 0
 
 
 def test_active_backend_reports_a_known_name():
@@ -156,148 +157,12 @@ def _int_tableau(rows) -> IntTableau:
 def test_stall_guard_ends_the_beale_cycle(exact):
     tableau = _int_tableau(BEALE_ROWS) if exact else np.array(BEALE_ROWS, dtype=float)
     basis = np.array([4, 5, 6])
-    code, pivots, flips = simplex_loop(tableau, basis, 7, 0 if exact else 1e-11, 1000)
-    assert (code, pivots, flips) == (LOOP_OPTIMAL, 6, 0)
+    code, pivots = simplex_loop(tableau, basis, 7, 0 if exact else 1e-11, 1000)
+    assert (code, pivots) == (LOOP_OPTIMAL, 6)
     if exact:
         assert Fraction(-tableau.rows[3][-1], tableau.den[3]) == Fraction(-5, 4)
     else:
         assert -tableau[3, -1] == pytest.approx(-1.25, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# bounded columns (0 <= x <= upper)
-# ---------------------------------------------------------------------------
-
-INF = math.inf
-
-
-def test_entering_column_flips_at_its_bound():
-    # min -x1 s.t. x1 + x2 = 5, x1 <= 2: x1 enters, stops at 2 before the row
-    # ratio 5, and flips without a pivot; x2 then takes the remaining 3
-    result = solve_lp_float([[1, 1]], [5], [-1, 0], upper=[2.0, INF])
-    assert result.status == OPTIMAL
-    assert list(result.x) == [2, 3]
-    assert result.objective == -2
-    assert result.bound_flips == 1
-    assert result.pivots == 1
-
-
-def test_bound_ties_go_to_the_lowest_label():
-    # x1 + x2 = 1, x2 <= 1, min -x2: phase 1 makes x1 basic; x2's own bound
-    # ties with x1's ratio, and x1 has the lower label, so x1 leaves by a
-    # pivot instead of x2 flipping
-    result = solve_lp_float([[1, 1]], [1], [0, -1], upper=[INF, 1.0])
-    assert list(result.x) == [0, 1]
-    assert (result.pivots, result.bound_flips) == (2, 0)
-
-
-def test_basic_variable_leaves_at_its_upper_bound():
-    # x1 - x2 = 1, x1 <= 3, min -x2: phase 1 makes x1 basic at 1; raising
-    # x2 raises x1 until it reaches 3, so x1 leaves at its bound and is read
-    # out as 3 from the flipped column
-    result = solve_lp_float([[1, -1]], [1], [0, -1], upper=[3.0, INF])
-    assert result.status == OPTIMAL
-    assert list(result.x) == [3, 2]
-    assert result.objective == -2
-    assert result.bound_flips == 0
-    assert result.pivots == 2
-
-
-def test_read_out_of_a_variable_left_at_its_upper_bound():
-    # phase 1 flips x1 to its bound 1 (it ties with the first row's ratio and
-    # has the lower label); it stays nonbasic in that orientation, and the
-    # read-out maps it back to u - 0 = 1
-    A, b, upper = [[1, 1, 0], [1, 0, 1]], [1, 1.5], [1.0, INF, INF]
-    result = solve_lp_float(A, b, [0, 1, 0], upper=upper)
-    assert result.status == OPTIMAL
-    assert result.bound_flips == 1
-    np.testing.assert_allclose(result.x, [1.0, 0.0, 0.5], atol=1e-12)
-    reference = solve_lp_float([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], [1, 1.5, 1],
-                               [0, 1, 0, 0])
-    assert result.objective == reference.objective
-    np.testing.assert_allclose(result.x, reference.x[:3], atol=1e-12)
-
-
-def test_zero_upper_bound_fixes_the_column_at_zero():
-    result = solve_lp_float([[1, 1]], [1], [-1.0, 0.0], upper=[0.0, INF])
-    assert result.status == OPTIMAL
-    assert list(result.x) == [0.0, 1.0]
-    A, b = [[1, 0], [0, 1]], [1, 0]
-    infeasible = solve_lp_float(A, b, upper=[0.0, INF])
-    assert infeasible.status == INFEASIBLE
-    assert verify_certificate(A, b, infeasible.certificate, [0.0, INF])
-    assert not verify_certificate(A, b, infeasible.certificate)
-
-
-def test_upper_bounds_are_validated():
-    with pytest.raises(ValidationError):
-        solve_lp_float([[1, 1]], [1], upper=[1.0])
-    with pytest.raises(ValidationError):
-        solve_lp_float([[1, 1]], [1], upper=[-1.0, INF])
-
-
-def test_exact_mode_refuses_upper_bounds():
-    refused = "exact mode takes no upper bounds; write each bound as a row"
-    for call in (lambda: solve_lp([[1, 1]], [1], upper=[1, INF], exact=True),
-                 lambda: solve_lp_exact([[1, 1]], [1], upper=[Fraction(1), INF]),
-                 lambda: feasible_start([[1, 1]], [1], upper=[INF, INF], exact=True)):
-        with pytest.raises(ValidationError, match=refused):
-            call()
-
-
-def _with_bound_rows(A, b, upper):
-    """The same integer LP with each finite bound as an explicit row x_j + w_j = u_j."""
-    m, n = A.shape
-    bounded = [j for j in range(n) if upper[j] != INF]
-    k = len(bounded)
-    big = np.zeros((m + k, n + k), dtype=np.int64)
-    big[:m, :n] = A
-    for r, j in enumerate(bounded):
-        big[m + r, j] = big[m + r, n + r] = 1
-    return big, np.concatenate([b, [upper[j] for j in bounded]]).astype(np.int64)
-
-
-def test_bounded_float_and_exact_agree_with_explicit_bound_rows():
-    rng = np.random.default_rng(41)
-    statuses = set()
-    for _ in range(80):
-        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-        A = rng.integers(-3, 4, size=(m, n))
-        b = A @ rng.integers(0, 3, size=n) if rng.random() < 0.6 else rng.integers(-4, 5, size=m)
-        c = rng.integers(-3, 4, size=n) if rng.random() < 0.7 else None
-        upper = [INF if rng.random() < 0.4 else int(rng.integers(0, 3)) for _ in range(n)]
-        fl = solve_lp_float(A, b, c, upper=[float(u) for u in upper])
-        big, big_b = _with_bound_rows(A, b, upper)
-        ex = solve_lp_exact(big.tolist(), big_b.tolist(), None if c is None else
-                            c.tolist() + [0] * (big.shape[1] - n))
-        assert fl.status == ex.status
-        statuses.add(ex.status)
-        if ex.status == OPTIMAL:
-            assert abs(fl.objective - float(ex.objective)) < 1e-9
-            np.testing.assert_allclose(A @ fl.x, b, atol=1e-9)
-            assert all(-1e-9 <= v <= u + 1e-9 for v, u in zip(fl.x, upper))
-        if ex.status == INFEASIBLE:
-            assert verify_certificate(big.tolist(), big_b.tolist(), ex.certificate)
-            assert verify_certificate(A.astype(float), b.astype(float), fl.certificate,
-                                      [float(u) for u in upper])
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-
-
-def test_pivot_and_flip_counts_repeat_and_need_bounds():
-    rng = np.random.default_rng(43)
-    A = rng.integers(-2, 3, size=(5, 9)).astype(float)
-    b = A @ rng.uniform(0.0, 0.5, size=9)
-    c = rng.normal(size=9)
-    upper = np.full(9, 0.5)
-    first = solve_lp_float(A, b, c, upper=upper)
-    second = solve_lp_float(A, b, c, upper=upper)
-    assert (first.pivots, first.bound_flips) == (second.pivots, second.bound_flips)
-    assert first.pivots > 0 and first.bound_flips > 0
-    unbounded = [solve_lp_float(A, b, c), solve_lp_float(A, b, c, upper=np.full(9, INF))]
-    for result in unbounded:
-        assert result.bound_flips == 0
-        assert result.pivots == unbounded[0].pivots > 0
-        np.testing.assert_array_equal(result.x, unbounded[0].x)
 
 
 def test_certificate_length_must_match_the_rows():
@@ -326,41 +191,37 @@ def test_malformed_certificate_is_rejected(candidate):
 
 @st.composite
 def small_lps(draw):
-    """A small integer LP, a few cost vectors and the arithmetic; a float LP
-    may carry upper bounds."""
+    """A small integer LP, a few cost vectors and the arithmetic."""
     exact = draw(st.booleans())
     m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
     A = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))).reshape(m, n)
-    if draw(st.booleans()):  # b from a non-negative point: phase 1 succeeds unless bounds cut it
+    if draw(st.booleans()):  # b from a non-negative point: phase 1 succeeds
         b = A @ np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     else:
         b = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
-    upper = None
-    if not exact and draw(st.booleans()):
-        upper = draw(st.lists(st.sampled_from([INF, 0.0, 1.0, 2.0]), min_size=n, max_size=n))
     costs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                           min_size=1, max_size=4))
-    return A.tolist(), b.tolist(), upper, costs, exact
+    return A.tolist(), b.tolist(), costs, exact
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_lps())
 def test_shared_start_matches_fresh_solves(lp):
-    A, b, upper, costs, exact = lp
-    start = feasible_start(A, b, upper=upper, exact=exact)
-    fresh = [solve_lp(A, b, c, upper=upper, exact=exact) for c in costs]
+    A, b, costs, exact = lp
+    start = feasible_start(A, b, exact=exact)
+    fresh = [solve_lp(A, b, c, exact=exact) for c in costs]
     if isinstance(start, LPResult):
         assert start.status == INFEASIBLE
         for result in fresh:
             assert result.status == INFEASIBLE
             assert list(result.certificate) == list(start.certificate)
-        assert verify_certificate(A, b, start.certificate, upper)
+        assert verify_certificate(A, b, start.certificate)
         return
     assert isinstance(start, FeasibleStart)
     for c, result in zip(costs, fresh):
         warm = start.solve(c)
         assert warm.status == result.status
-        assert (warm.pivots, warm.bound_flips) == (result.pivots, result.bound_flips)
+        assert warm.pivots == result.pivots
         if result.status == OPTIMAL:
             if exact:
                 assert warm.objective == result.objective
@@ -414,8 +275,7 @@ def rational_lps(draw):
 
 def _fields(result: LPResult) -> dict:
     return dict(status=result.status, x=result.x, objective=result.objective,
-                certificate=result.certificate, pivots=result.pivots,
-                bound_flips=result.bound_flips)
+                certificate=result.certificate, pivots=result.pivots)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

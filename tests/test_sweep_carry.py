@@ -1,8 +1,7 @@
 """A sweep carries each infeasible point's Farkas certificate to the points after it.
 
 ``evaluate_sweep_point(..., carry)`` reports the carried certificate only
-when ``farkas_test`` finds that it refutes the point's own constraint
-system; otherwise the point solves its LP as without it.  Carried verdicts
+when ``band_test`` finds that it refutes the point's own delta band; otherwise the point solves its LP as without it.  Carried verdicts
 must therefore equal fresh ones away from the feasibility boundary, and
 every certificate a sweep reports must verify against its own point's
 constraint system.
@@ -19,9 +18,9 @@ from histories_lab import cli, unify
 from histories_lab.classicality import classify
 from histories_lab.cli import SWEEPABLE, Carry, evaluate_sweep_point, main
 from histories_lab.scenarios import build_scenario, scenario_grid
-from histories_lab.simplex import farkas_test, verify_certificate
 from histories_lab.unify import (
     DEFAULT_DELTA,
+    band_test,
     build_constraint_system,
     extract_marginals,
     find_unifying_probability,
@@ -47,7 +46,8 @@ def _point_tables(scenario, params):
 
 def _certified(space, tables, certificate):
     system = build_constraint_system(space, tables)
-    return verify_certificate(system.matrix, system.rhs, certificate, system.upper)
+    refutes = band_test(system.matrix, certificate, DEFAULT_DELTA)
+    return refutes is not None and refutes(system.rhs)
 
 
 def _carried(scenario, params):
@@ -106,6 +106,16 @@ def test_the_readme_eprb_slice_solves_one_lp(monkeypatch, capsys):
     assert len(solves) == 1
 
 
+def test_the_readme_leggett_garg_end_point_is_decided_by_the_band_lp(monkeypatch):
+    """At omega = 3.14159 the width-0 witness has a cell at about -1.8e-12,
+    which the witness check refuses; the band LP then gives the verdict."""
+    solves = []
+    solve_lp = unify.solve_lp
+    monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(a[0].shape) or solve_lp(*a, **k))
+    assert evaluate_sweep_point("leggett_garg", {"omega": 3.14159})["feasible"] == 1
+    assert solves == [(13, 8), (25, 32)]  # the width-0 system, then 12 rows doubled with slacks
+
+
 def _runs(scenario, params, name, start, step):
     return scenario, [dict(params, **{name: start + k * step}) for k in range(5)]
 
@@ -145,7 +155,7 @@ def test_exact_mode_reports_only_a_rational_certificate():
     assert not verdict.feasible
     assert all(isinstance(v, Fraction) for v in verdict.farkas_certificate)
     system = build_constraint_system(space, tables, exact=True)
-    refutes = farkas_test(system.matrix, verdict.farkas_certificate, system.upper)
+    refutes = band_test(system.matrix, verdict.farkas_certificate, 0)
     assert refutes is not None and refutes(system.rhs)
 
 
@@ -174,6 +184,5 @@ def test_stacked_rhs_is_the_constraint_systems_rhs(drawn):
     space, pairs = drawn
     tables = [mapping.marginal_table(dict(zip(labels, p.tolist()))) for mapping, labels, p in pairs]
     values = np.concatenate([p for *_, p in pairs])[None, :]
-    for delta in (DEFAULT_DELTA, 0.0):
-        system = build_constraint_system(space, tables, delta)
-        assert stacked_rhs(values, delta)[0].tobytes() == system.rhs.tobytes()
+    system = build_constraint_system(space, tables)
+    assert stacked_rhs(values)[0].tobytes() == system.rhs.tobytes()

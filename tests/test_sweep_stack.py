@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histories_lab import cli, simplex
+from histories_lab import cli
 from histories_lab.classicality import classify
 from histories_lab.cli import SWEEP_CHUNK, Carry, _evaluate_points, evaluate_sweep_point, main
 from histories_lab.scenarios import build_scenario
-from histories_lab.unify import build_constraint_system, extract_marginals
+from histories_lab.unify import DEFAULT_DELTA, build_constraint_system, extract_marginals
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README_SWEEPS = (
@@ -109,11 +109,11 @@ def _point_system(scenario, params):
 
 def test_every_infeasible_point_reports_a_certificate_of_its_own_system(monkeypatch):
     verdicts = []  # per point: the certificate it reports, None when feasible
-    farkas_test = cli.farkas_test
+    band_test = cli.band_test
     find = cli.find_unifying_probability
 
-    def carried(A, certificate, upper):
-        refutes = farkas_test(A, certificate, upper)
+    def carried(A, certificate, delta):
+        refutes = band_test(A, certificate, delta)
 
         def logged(b):
             refuted = refutes(b)
@@ -127,7 +127,7 @@ def test_every_infeasible_point_reports_a_certificate_of_its_own_system(monkeypa
         verdicts.append(verdict.farkas_certificate)
         return verdict
 
-    monkeypatch.setattr(cli, "farkas_test", carried)
+    monkeypatch.setattr(cli, "band_test", carried)
     monkeypatch.setattr(cli, "find_unifying_probability", solved)
     points = _grid(["theta3", "theta4"], [np.linspace(0.0, 1.0, 3).tolist(),
                                          np.linspace(2.0, 2.8, 9).tolist()])
@@ -138,7 +138,7 @@ def test_every_infeasible_point_reports_a_certificate_of_its_own_system(monkeypa
         assert row["feasible"] == int(certificate is None)
         if certificate is not None:
             system = _point_system("eprb", params)
-            assert simplex.verify_certificate(system.matrix, system.rhs, certificate, system.upper)
+            assert band_test(system.matrix, certificate, DEFAULT_DELTA)(system.rhs)
 
 
 def _stacking_peak(chunks):
