@@ -27,10 +27,12 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import eliminate
 from .classicality import DEFAULT_CLASSIFY_TOL, classify
 from .errors import InconsistentSetError, NumericError, ValidationError
 from .histories import HistorySet, history_probabilities
 from .simplex import (
+    DEFAULT_FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
     FeasibleStart,
@@ -386,15 +388,20 @@ class ConstraintSystem:
     ``table.values`` order, then the normalization row.  The columns are
     the joint cells in row-major order, ``n_cells`` of them.  The delta band
     is no part of the system: it is checked on the evidence
-    (``_verify_witness``, ``band_test``).  Which cells a row covers is read
-    from ``_cell_keys``, which decides it once per sample space and table
-    layout.
+    (``_verify_witness``, ``band_test``).  ``matrix``, ``keep`` and
+    ``dependencies`` are read from ``_constraint_rows``, which decides them
+    once per sample space and table layout: the LP sees only the rows
+    ``keep``, a row basis, and each other row ``r`` has one integer vector
+    ``y`` in ``dependencies`` with ``y.matrix = 0`` and ``y[r] > 0``.
+    Evidence is checked on every row.
     """
 
     matrix: object
     rhs: object
     cells: list[Cell]
     n_cells: int
+    keep: np.ndarray
+    dependencies: np.ndarray
 
 
 def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> None:
@@ -431,31 +438,83 @@ def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
     return keys
 
 
+@functools.lru_cache(maxsize=16)  # bounded: a matrix has rows x cells floats
+def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(matrix, keep, dependencies)`` of the tables laid out as ``layout``, a
+    ``((variables, partitions), ...)`` tuple, decided once per space and layout.
+
+    ``matrix`` is the read-only float64 0/1 constraint matrix: row ``r`` of a
+    table is the indicator of the cells ``_cell_keys`` maps to its ``r``-th
+    key, and the last row covers every cell.  ``keep`` lists, in order, the
+    rows independent of the rows before them, so ``len(keep)`` is the rank.
+    ``dependencies`` holds one primitive int64 vector ``y`` per other row
+    ``r``, in order, with ``y.matrix = 0``, ``y[r] > 0`` and ``y`` zero on
+    every other row outside ``keep``.  Overlapping tables repeat their shared
+    sub-marginals, so most rows are dependent: a pairwise system over 6
+    dichotomic variables has 61 rows of rank 1 + 6 + 15 = 22.
+
+    The rows of ``matrix`` have the dependencies of the rows of its Gram
+    matrix ``G = matrix.matrixT`` (``y.G = 0`` gives ``y.G.yT = |y.matrix|^2
+    = 0``), which is m x m however many cells there are.  ``G`` is formed as
+    a float BLAS product, exact for 0/1 entries, and its rows are eliminated
+    in order, fraction-free (``_kernels.eliminate``), each with its
+    combination of the original rows carried beside it; a row that
+    eliminates to zero leaves that combination as its ``y``.  The work grows
+    as m^2 * rank in Python integers, so a layout of a thousand rows takes
+    seconds on its first call.
+    """
+    sizes = [math.prod(len(groups) for groups in partitions) for _, partitions in layout]
+    matrix = np.zeros((sum(sizes) + 1, space.size))
+    cols = np.arange(space.size)
+    row = 0
+    for (variables, partitions), size in zip(layout, sizes):
+        matrix[row + _cell_keys(space, variables, partitions), cols] = 1.0
+        row += size
+    matrix[row] = 1.0
+    m = len(matrix)
+    pivots: list[tuple[list[int], int]] = []  # (eliminated row with its combination, pivot column)
+    keep, dependencies = [], []
+    for r, gram_row in enumerate((matrix @ matrix.T).astype(np.int64).tolist()):
+        row, den = gram_row + [int(j == r) for j in range(m)], 1
+        for prow, col in pivots:
+            if row[col]:
+                row, den = eliminate(row, den, prow, prow[col], col)
+        col = next((j for j in range(m) if row[j]), -1)
+        if col < 0:
+            y = row[m:]
+            g = math.gcd(*y)
+            dependencies.append([v // g for v in y])
+        else:
+            pivots.append((row if row[col] > 0 else [-v for v in row], col))
+            keep.append(r)
+    keep = np.array(keep, dtype=np.intp)
+    dependencies = np.array(dependencies, dtype=np.int64).reshape(-1, m)
+    for array in (matrix, keep, dependencies):
+        array.setflags(write=False)
+    return matrix, keep, dependencies
+
+
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                             exact: bool = False) -> ConstraintSystem:
-    """Assemble the marginal-matching equalities over the joint cells.
+    """The marginal-matching equalities over the joint cells.
 
-    Row ``r`` of a table is the indicator of the cells ``_cell_keys`` maps to
-    its ``r``-th key; the normalization row covers every cell.  Exact mode
-    works in ``Fraction`` arithmetic, float mode in float64, where the
-    solver's phase-1 feasibility tolerance cushions the rows against ~1e-15
-    marginal noise.
+    The matrix, its row basis and the dependencies of the other rows are
+    read from ``_constraint_rows``; only the right-hand side is built per
+    call.  Exact mode gives the matrix as an object array of Python
+    ``int``s and the right-hand side as ``Fraction``s; float mode gives the
+    shared read-only float64 matrix and float64 values, where the solver's
+    phase-1 feasibility tolerance cushions the rows against ~1e-15 marginal
+    noise.
     """
     _check_tables(space, marginals)
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    n = space.size
-    m = sum(len(table.values) for table in marginals) + 1
-    dtype = object if exact else float
-    matrix = np.full((m, n), zero, dtype=dtype)
-    rhs = np.array([Fraction(v) if exact else float(v)
-                    for table in marginals for v in table.values.values()] + [one], dtype=dtype)
-    cols = np.arange(n)
-    row = 0
-    for table in marginals:
-        matrix[row + _cell_keys(space, table.variables, table.partitions), cols] = one
-        row += len(table.values)
-    matrix[row] = one
-    return ConstraintSystem(matrix, rhs, space.cells(), n)
+    matrix, keep, dependencies = _constraint_rows(
+        space, tuple((table.variables, table.partitions) for table in marginals))
+    if exact:
+        matrix = matrix.astype(np.int64).astype(object)
+    number = Fraction if exact else float
+    rhs = np.array([number(v) for table in marginals for v in table.values.values()] + [number(1)],
+                   dtype=object if exact else float)
+    return ConstraintSystem(matrix, rhs, space.cells(), space.size, keep, dependencies)
 
 
 def stacked_rhs(values: np.ndarray) -> np.ndarray:
@@ -598,20 +657,56 @@ def _verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     return _checked_verdict(space, marginals, system, band, delta, exact)
 
 
+def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LPResult:
+    """``result`` of the LP on the rows ``system.keep``, read as the result on
+    every row.
+
+    An infeasible result's certificate is padded with zeros on the other
+    rows.  A feasible result stands when every dependency ``y`` leaves a
+    residual ``y.rhs`` of 0 (exact) or of at most ``DEFAULT_FEAS_TOL *
+    max|y|`` (float): its rows are then the kept rows' combination.  Otherwise
+    the most violated ``y``, signed so that ``y.rhs < 0``, is the
+    certificate: ``y.matrix = 0``.  ``_verdict`` checks either on every row.
+    """
+    m = len(system.rhs)
+    if result.status == INFEASIBLE:
+        certificate = [Fraction(0)] * m if exact else np.zeros(m)
+        for r, v in zip(system.keep.tolist(), result.certificate):
+            certificate[r] = v + 0  # -0.0 + 0 is 0.0: no float entry reads -0.0
+        return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
+    if not len(system.dependencies):
+        return result
+    if exact:
+        residuals = [sum((c * b for c, b in zip(y, system.rhs) if c), Fraction(0))
+                     for y in system.dependencies.tolist()]
+    else:
+        residuals = (system.dependencies @ system.rhs).tolist()
+    scales = np.abs(system.dependencies).max(axis=1).tolist()
+    worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / scales[k])
+    if abs(residuals[worst]) <= (0 if exact else DEFAULT_FEAS_TOL) * scales[worst]:
+        return result
+    sign = -1 if residuals[worst] > 0 else 1
+    y = system.dependencies[worst]
+    certificate = [Fraction(sign * v) for v in y.tolist()] if exact else sign * y.astype(float)
+    return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
+
+
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                               delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
 
     Returns a witness (verified against the inputs before being reported) or
-    a verified Farkas certificate.  Float mode accepts a witness within
-    delta of every marginal and a certificate that refutes that band
+    a verified Farkas certificate.  The LP sees only the row basis
+    ``system.keep``; its result is read on every row (``_on_every_row``), and
+    the evidence is checked on every row.  Float mode accepts a witness
+    within delta of every marginal and a certificate that refutes that band
     (``_verdict``); ``exact=True`` requires rational marginal values and
     decides feasibility exactly, independent of delta.
     """
     _checked_inputs(marginals, delta, exact)
     system = build_constraint_system(space, marginals, exact)
-    result = solve_lp(system.matrix, system.rhs, exact=exact)
-    return _verdict(space, marginals, system, result, delta, exact)
+    result = solve_lp(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
+    return _verdict(space, marginals, system, _on_every_row(system, result, exact), delta, exact)
 
 
 def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
@@ -665,13 +760,16 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     zero range).  The bounds are taken over the width-0 system of hard
     equalities; over the delta band every cell would trivially have a range
     of about 2*delta and nothing could ever be reported unique.  Phase 1 of
-    that system runs once, and its end state read at zero cost gives the
-    verdict (``_verdict``, as ``find_unifying_probability``) in both modes.
+    that system runs once, on the row basis ``system.keep`` (the other rows
+    are its combinations once ``_on_every_row`` accepts the residuals), and
+    its end state read at zero cost gives the verdict (``_verdict``, as
+    ``find_unifying_probability``, checked on every row) in both modes.
     Every probe LP is one phase 2 from that end state.  ``_bounds`` proves
     ``lo = 0`` from ``x >= 0`` and ``hi`` from a key's value or the
     normalization row whenever a known feasible point attains it, and
     solves only the other probes: exact ``eprb`` solves 4 of its 32 and
-    float ``eprb`` 6.
+    float ``eprb`` 9 (two cells sit at 5.6e-17, the tables' float noise,
+    in every known point).
 
     A float verdict whose band is feasible while the hard equalities are
     not comes back with ``unique`` and ``component_bounds`` left None.
@@ -680,8 +778,8 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     """
     _checked_inputs(marginals, delta, exact)
     system = build_constraint_system(space, marginals, exact)
-    start = feasible_start(system.matrix, system.rhs, exact=exact)
-    result = start if isinstance(start, LPResult) else start.solve()
+    start = feasible_start(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
+    result = _on_every_row(system, start if isinstance(start, LPResult) else start.solve(), exact)
     verdict = _verdict(space, marginals, system, result, delta, exact)
     if verdict.feasible and result.status == OPTIMAL:
         bounds = _bounds(space, marginals, start, result.x)

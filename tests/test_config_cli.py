@@ -755,6 +755,31 @@ def test_cli_analyze_delta_band_without_an_exact_unifier(tmp_path):
     assert json.loads(out.read_text())["unification"]["verdict"]["status"] == "infeasible"
 
 
+def test_cli_exact_tables_that_disagree_on_a_shared_variable(tmp_path):
+    # z and x both read as v from |0>: P(v = up) is 1 in one table and 1/2 in
+    # the other.  The row basis keeps z's two rows, where the LP is feasible;
+    # x's up row is z's up row again with another value, and that dependency
+    # is the certificate
+    half = [[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]
+    doc = {"dim": 2, "initial": [1, 0], "hamiltonian": [[0, 0], [0, 0]],
+           "sets": [{"name": "z", "slots": [{"time": 0.0, "labels": ["up", "down"],
+                                             "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}]},
+                    {"name": "x", "slots": [{"time": 0.0, "labels": ["up", "down"],
+                                             "projectors": list(half)}]}],
+           "unify": {"variables": [{"name": "v", "outcomes": ["up", "down"]}],
+                     "map": {"z": ["v"], "x": ["v"]}}}
+    path, out = tmp_path / "zx.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path), "--exact", "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["unification"]["verdict"]
+    assert verdict["status"] == "infeasible"
+    y = [decode_value(v) for v in verdict["farkas_certificate"]]
+    assert y == [-1, 0, 1, 0, 0] and all(type(v) is Fraction for v in y)
+    rows = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]])  # z up, z down, x up, x down, sum
+    assert not (np.array(y, dtype=object) @ rows).any()
+    assert main(["verify", str(out)]) == 0
+
+
 def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     from histories_lab import cli
     from histories_lab.errors import NumericError
@@ -1076,14 +1101,14 @@ def test_reverify_rejects_malformed_uniqueness(edit, message):
         reverify(report)
 
 
-# Taken from the reports before the uniqueness probes shared one phase 1: the
-# verdict fields are all rationals in exact mode, so the hashes hold on every
-# platform.
+# Taken from the reports (three_box and leggett_garg since the LP solves the
+# row basis of the constraint matrix): the verdict fields are all rationals in
+# exact mode, so the hashes hold on every platform.
 EXACT_VERDICT_SHA256 = {
     "griffiths_spin": "43450abfe3036e49720ed293143a4563bd9b13f94b8bab8537234d3e6c88b769",
-    "three_box": "23fd112a971fcc8f752c3527217d9376ed548baae4c318fe67b1a39d2ed8b5c1",
+    "three_box": "cb4f9b41f7d7c8224342a70199ba9655754c18caa99e21ab64e05aa2b83bda6b",
     "eprb": "694a114accaacb7b9d95d1afb13d9d9a672d644532eb979c87641bb6b11742eb",
-    "leggett_garg": "02ffb56314832ca90185519c81fa3bb59b32ccf4c9985e88be6fe1d3f9d60726",
+    "leggett_garg": "81b9ba946145d6020b1bd43a3edaa82d02b83590a06ad671243ab856f83da5ec",
 }
 
 

@@ -113,7 +113,7 @@ def test_the_readme_leggett_garg_end_point_is_decided_by_the_band_lp(monkeypatch
     solve_lp = unify.solve_lp
     monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(a[0].shape) or solve_lp(*a, **k))
     assert evaluate_sweep_point("leggett_garg", {"omega": 3.14159})["feasible"] == 1
-    assert solves == [(13, 8), (25, 32)]  # the width-0 system, then 12 rows doubled with slacks
+    assert solves == [(7, 8), (25, 32)]  # the width-0 row basis, then 12 rows doubled with slacks
 
 
 def _runs(scenario, params, name, start, step):

@@ -38,7 +38,7 @@ from histories_lab.unify import (
     table_layout,
     verify_witness,
 )
-from histories_lab.unify import _cell_keys, _verify_witness
+from histories_lab.unify import _bounds, _cell_keys, _checked_verdict, _constraint_rows, _verdict, _verify_witness
 
 SA = Variable("a", (1, -1))
 SB = Variable("b", (1, -1))
@@ -359,7 +359,7 @@ def test_proven_bounds_match_independent_solves(exact, system):
     assert verdict.feasible and (verdict.unique or not pinned)
 
 
-@pytest.mark.parametrize("exact, scenario, solved", [(False, "eprb", 6), (False, "griffiths_spin", 3),
+@pytest.mark.parametrize("exact, scenario, solved", [(False, "eprb", 9), (False, "griffiths_spin", 3),
                                                      (True, "eprb", 4), (True, "griffiths_spin", 1)])
 def test_probes_solve_only_the_unproven_bounds(monkeypatch, exact, scenario, solved):
     """Of the 2n probes, an LP runs only for a bound no known feasible point
@@ -424,7 +424,7 @@ def test_float_eprb_verdict_and_probes_share_one_phase_one(monkeypatch):
     monkeypatch.setattr(simplex, "_phase_one", counting)
     verdict = probe_uniqueness(space, tables)
     assert verdict.feasible and verdict.unique
-    assert phase_ones == [(17, 16)]  # 4 tables of 4 keys and the normalization row
+    assert phase_ones == [(9, 16)]  # the row basis of 4 tables of 4 keys and the normalization row
 
 
 def _fraction_calls(fn, *args, **kwargs):
@@ -899,11 +899,135 @@ def test_layouts_are_tuples_and_cell_keys_are_read_only():
 def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once():
     table_layout.cache_clear()
     _cell_keys.cache_clear()
+    _constraint_rows.cache_clear()
     report = analyze(build_scenario("eprb"))
     n_tables = len(report["unification"]["marginals"])
     assert n_tables == 4 and report["unification"]["verdict"]["status"] == "feasible"
-    layouts, maps = table_layout.cache_info(), _cell_keys.cache_info()
+    layouts, maps, rows = table_layout.cache_info(), _cell_keys.cache_info(), _constraint_rows.cache_info()
     assert (layouts.misses, layouts.hits) == (n_tables, 0)
-    # each table's map serves the constraint system, the witness check and the
+    # each table's map serves the constraint matrix, the witness check and the
     # uniqueness prover's caps (the key value covering each cell)
     assert (maps.misses, maps.hits) == (n_tables, 2 * n_tables)
+    # one constraint matrix and row basis, decided for the one constraint system
+    assert (rows.misses, rows.hits) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the row basis the LP solves on, and its dependencies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def table_layouts(draw):
+    """A space of 2-4 variables with 2 or 3 outcomes and the layouts of 1-3
+    tables over random variable subsets plus one table over every variable,
+    each variable cut into random groups (coarse groups such as
+    ``three_box``'s "box 2 or 3"), in shuffled order with up to two tables
+    repeated."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    space = JointSampleSpace(tuple(Variable(f"v{k}", tuple(range(s))) for k, s in enumerate(sizes)))
+
+    def layout(variables):
+        groups = []
+        for v in variables:
+            labels = draw(st.lists(st.integers(0, 2), min_size=len(v.outcomes), max_size=len(v.outcomes)))
+            groups.append([tuple(o for o, lab in zip(v.outcomes, labels) if lab == g)
+                           for g in sorted(set(labels))])
+        return variables, table_layout(variables, tuple(itertools.product(*groups)))[0]
+
+    tables = [layout(tuple(draw(st.permutations(space.variables))[:draw(st.integers(1, len(sizes)))]))
+              for _ in range(draw(st.integers(1, 3)))]
+    tables.append(layout(space.variables))
+    tables += draw(st.lists(st.sampled_from(tables), max_size=2))
+    return space, tuple(draw(st.permutations(tables)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table_layouts())
+def test_the_row_basis_and_its_dependencies_are_exact(drawn):
+    space, layout = drawn
+    matrix, keep, dependencies = _constraint_rows(space, layout)
+    rows = matrix.astype(np.int64)
+    assert set(np.unique(matrix)) <= {0.0, 1.0} and (rows[-1] == 1).all()
+    assert len(keep) == np.linalg.matrix_rank(matrix) == np.linalg.matrix_rank(matrix[keep])
+    assert list(keep) == sorted(keep)
+    dropped = sorted(set(range(len(rows))) - set(keep.tolist()))
+    assert dependencies.dtype == np.int64 and dependencies.shape == (len(dropped), len(rows))
+    assert not (dependencies @ rows).any()
+    for y, r in zip(dependencies.tolist(), dropped):
+        assert y[r] > 0 and not any(y[d] for d in dropped if d != r) and math.gcd(*y) == 1
+    again = _constraint_rows(space, layout)
+    assert all(a is b and not a.flags.writeable for a, b in zip(again, (matrix, keep, dependencies)))
+
+
+@st.composite
+def eprb_points(draw):
+    """The consistent pair tables of ``eprb`` at four angles in [0, 2 pi)."""
+    desc = build_scenario("eprb", {f"theta{k}": draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+                                   for k in range(1, 5)})
+    return desc.space, [extract_marginals(desc.build(s.name), s.mapping) for s in desc.sets
+                        if s.mapping is not None and classify(desc.build(s.name)).consistent]
+
+
+def _full_row_verdicts(space, tables, exact):
+    """``find_unifying_probability`` and ``probe_uniqueness`` as they ran
+    before the row basis, with phase 1 on every row of the constraint
+    system; each is a verdict or ``NumericError``.  Also returns whether the
+    width-0 evidence of the probe's phase 1 passed its band checks."""
+    system = build_constraint_system(space, tables, exact)
+    try:
+        found = _verdict(space, tables, system, simplex.solve_lp(system.matrix, system.rhs, exact=exact),
+                         DEFAULT_DELTA, exact)
+    except NumericError:
+        found = NumericError
+    start = simplex.feasible_start(system.matrix, system.rhs, exact=exact)
+    result = start if isinstance(start, simplex.LPResult) else start.solve()
+    try:
+        probed, passed = _checked_verdict(space, tables, system, result, DEFAULT_DELTA, exact), True
+    except NumericError:
+        passed = False
+        try:
+            probed = _verdict(space, tables, system, result, DEFAULT_DELTA, exact)
+        except NumericError:
+            return found, NumericError, passed
+    if probed.feasible and result.status == OPTIMAL:
+        bounds = _bounds(space, tables, start, result.x)
+        probed.unique = all(hi - lo <= (0 if exact else DEFAULT_DELTA) for lo, hi in bounds)
+        probed.component_bounds = dict(zip(system.cells, bounds))
+    return found, probed, passed
+
+
+def _or_numeric_error(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except NumericError:
+        return NumericError
+
+
+def _status(verdict):
+    return verdict if verdict is NumericError else verdict.status
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(pairwise_systems(), eprb_points(), leggett_garg_near_zero()))
+def test_the_row_basis_gives_the_full_row_verdicts(exact, system):
+    """Solving on the row basis gives the status that phase 1 on every row
+    gave, in both modes; exact bounds and ``unique`` are equal, and float
+    ``unique`` is equal wherever the full-row evidence passed its checks."""
+    space, tables = system
+    if exact:
+        try:
+            tables = [t.as_exact() for t in tables]
+        except ValidationError:
+            assume(False)
+    found, probed, passed = _full_row_verdicts(space, tables, exact)
+    verdict = _or_numeric_error(find_unifying_probability, space, tables, exact=exact)
+    assert _status(verdict) == _status(found)
+    verdict = _or_numeric_error(probe_uniqueness, space, tables, exact=exact)
+    assert _status(verdict) == _status(probed)
+    if verdict is NumericError:
+        return
+    if exact:
+        assert (verdict.unique, verdict.component_bounds) == (probed.unique, probed.component_bounds)
+    elif passed:
+        assert verdict.unique == probed.unique
