@@ -35,7 +35,7 @@ from .classicality import DEFAULT_CLASSIFY_TOL
 from .config import load_json, parse_config
 from .errors import ConfigValidationError, HistoriesLabError, NumericError, ValidationError
 from .histories import decoherence_stack, interference_maxima
-from .scenarios import SCENARIO_NAMES, build_scenario, scenario_grid
+from .scenarios import _GRID_BUILDERS, SCENARIO_NAMES, build_scenario, scenario_grid
 from .unify import (
     DEFAULT_DELTA,
     band_test,
@@ -46,7 +46,7 @@ from .unify import (
     stacked_rhs,
 )
 
-SWEEPABLE = ("eprb", "leggett_garg")
+SWEEPABLE = tuple(_GRID_BUILDERS)
 SWEEP_POINT_CAP = 10**6
 SWEEP_CHUNK = 256  # grid points stacked at once, so memory does not grow with the grid
 

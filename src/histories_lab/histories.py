@@ -46,6 +46,7 @@ from .operators import (
     Projector,
     as_square_matrix,
     frozen_array,
+    identity_deviation,
     is_hermitian,
     validate_projective_decomposition,
 )
@@ -210,11 +211,6 @@ def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
     return class_operator_stack(w[None], v[None], [np.array([s.time]) for s in schedule.slots],
                                 [np.stack([p.matrix for p in s.projectors])[None]
                                  for s in schedule.slots])[0]
-
-
-def identity_deviation(ops: np.ndarray) -> np.ndarray:
-    """Each point's max-norm distance of its class-operator sum from the identity, ``(G,)``."""
-    return np.abs(ops.sum(axis=1) - np.eye(ops.shape[-1])).max(axis=(1, 2))
 
 
 def decoherence_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None = None,

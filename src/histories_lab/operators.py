@@ -147,12 +147,17 @@ def heisenberg_projector(p: Projector, hamiltonian, time: float) -> Projector:
     return Projector(u.conj().T @ p.matrix @ u)
 
 
+def identity_deviation(stack: np.ndarray) -> np.ndarray:
+    """Each ``(k, dim, dim)`` stack's max-norm distance of its sum from the identity, ``(G,)``."""
+    return np.abs(stack.sum(axis=1) - np.eye(stack.shape[-1])).max(axis=(1, 2))
+
+
 def family_deviations(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each ``(k, dim, dim)`` family's max-norm deviation from Hermiticity, from
     summing to the identity and from ``P_i P_j = delta_ij P_i``."""
     products = stack[:, :, None] @ stack[:, None] - np.eye(stack.shape[1])[:, :, None, None] * stack[:, :, None]
     return (np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2, 3)),
-            np.abs(stack.sum(axis=1) - np.eye(stack.shape[-1])).max(axis=(1, 2)),
+            identity_deviation(stack),
             np.abs(products).max(axis=(1, 2, 3, 4)))
 
 

@@ -134,13 +134,13 @@ def _exact_phase_one_tableau(A: np.ndarray, b: np.ndarray, signs: list[int]) -> 
     return IntTableau(rows + [cost], den + [cost_den])
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray) -> LPResult | FeasibleStart:
+def _phase_one(A: np.ndarray, b: np.ndarray, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult | FeasibleStart:
     """Phase 1 and, on a feasible system, artificial drive-out.
 
     Returns an infeasible ``LPResult`` with its Farkas certificate, or the
-    ``FeasibleStart`` phase 2 works on.  ``A`` and ``b`` are float64 arrays,
-    or object arrays of exact rationals (``int`` or ``Fraction``), which
-    solve on an ``IntTableau`` with every tolerance 0.
+    ``FeasibleStart`` phase 2 works on.  ``A`` and ``b`` are float64 arrays
+    (feasible within ``feas_tol``), or object arrays of exact rationals (``int``
+    or ``Fraction``), which solve on an ``IntTableau`` with every tolerance 0.
     """
     exact = A.dtype == object
     m, n = A.shape
@@ -150,7 +150,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> LPResult | FeasibleStart:
         tol = 0
         tableau = _exact_phase_one_tableau(A, b, signs.tolist())
     else:
-        tol, feas_tol = DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL
+        tol = DEFAULT_PIVOT_TOL
         A = A * signs[:, None]
         b = b * signs
         tableau = np.zeros((m + 1, n + m + 1))
@@ -234,9 +234,9 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
                     pivots=pivots)
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, c) -> LPResult:
+def _two_phase(A: np.ndarray, b: np.ndarray, c, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:
     """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
-    start = _phase_one(A, b)
+    start = _phase_one(A, b, feas_tol)
     return start if isinstance(start, LPResult) else _phase_two(start, c)
 
 
@@ -271,10 +271,10 @@ def _cost(c, n: int, exact: bool):
     return cost
 
 
-def solve_lp_float(A, b, c=None) -> LPResult:
-    """Solve min c.x, A x = b, x >= 0 in floating point."""
+def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:
+    """Solve min c.x, A x = b, x >= 0 in floating point, feasible within ``feas_tol``."""
     A, b = _system(A, b, False)
-    return _two_phase(A, b, _cost(c, A.shape[1], False))
+    return _two_phase(A, b, _cost(c, A.shape[1], False), feas_tol)
 
 
 def _as_rational(value) -> int | Fraction:
@@ -309,11 +309,11 @@ def feasible_start(A, b, *, exact: bool = False) -> LPResult | FeasibleStart:
     return _phase_one(*_system(A, b, exact))
 
 
-def solve_lp(A, b, c=None, *, exact: bool = False) -> LPResult:
-    """Dispatch to the exact or floating solver."""
+def solve_lp(A, b, c=None, *, exact: bool = False, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:
+    """Dispatch to the exact or floating solver; ``feas_tol`` is the float one's."""
     if exact:
         return solve_lp_exact(A, b, c)
-    return solve_lp_float(A, b, c)
+    return solve_lp_float(A, b, c, feas_tol=feas_tol)
 
 
 def verify_certificate(A, b, certificate) -> bool:
@@ -329,10 +329,10 @@ def verify_certificate(A, b, certificate) -> bool:
     return refutes is not None and refutes(b)
 
 
-def farkas_test(A, certificate):
+def farkas_test(A, certificate, *, feas_tol: float = DEFAULT_FEAS_TOL):
     """``verify_certificate`` with its ``b``-free part done once: a function
-    ``refutes(b)`` for systems that differ only in ``b``, or ``None`` when the
-    candidate refutes no right-hand side at all."""
+    ``refutes(b)`` for systems that differ only in ``b`` (float ones within
+    ``feas_tol``), or ``None`` when it refutes no right-hand side at all."""
     if isinstance(certificate, str) or not isinstance(certificate, (Sequence, np.ndarray)) \
             or len(certificate) != len(A):
         return None
@@ -348,7 +348,7 @@ def farkas_test(A, certificate):
     scale = 1.0 if exact else float(np.max(np.abs(y)))
     if not math.isfinite(scale):
         return None
-    slack = 0 if exact else DEFAULT_FEAS_TOL * max(1.0, scale)
+    slack = 0 if exact else feas_tol * max(1.0, scale)
     combo = y @ np.asarray(A, dtype=dtype)
     if combo.size and not combo.min() >= -slack:
         return None

@@ -51,6 +51,7 @@ TABLE_TOL = 1e-9  # slack for marginal sums, signs, correlation ranges and cycle
 SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
 SNAP_TOL = 1e-12  # as_exact: largest distance of a snapped value from its float
 QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
+EVIDENCE_TOL = 1e-12  # float slack of a verdict's witness and certificate checks, and of the band LP
 
 FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -386,35 +387,21 @@ class ConstraintSystem:
 
     One row per marginal key, tables in input order and each table's keys in
     ``table.values`` order, then the normalization row.  The columns are
-    the joint cells in row-major order, ``n_cells`` of them.  The delta band
-    is no part of the system: it is checked on the evidence
-    (``_verify_witness``, ``band_test``).  ``matrix``, ``keep`` and
-    ``dependencies`` are read from ``_constraint_rows``, which decides them
-    once per sample space and table layout: the LP sees only the rows
-    ``keep``, a row basis, and each other row ``r`` has one integer vector
-    ``y`` in ``dependencies`` with ``y.matrix = 0`` and ``y[r] > 0``.
-    Evidence is checked on every row.
+    the joint cells in row-major order.  The delta band is no part of the
+    system: it is checked on the evidence (``_verify_witness``,
+    ``band_test``).  All but ``rhs`` is decided once per sample space and
+    table layout: ``matrix`` and ``cell_rows`` by ``_table_rows``, the rest
+    by ``_constraint_rows``, whose docstring defines them.  The LP sees only
+    the rows ``keep``, a row basis; evidence is checked on every row.
     """
 
     matrix: object
     rhs: object
     cells: list[Cell]
-    n_cells: int
     keep: np.ndarray
     dependencies: np.ndarray
-
-
-def _check_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> None:
-    for t, table in enumerate(marginals):
-        for var in table.variables:
-            try:
-                owner = space.variable(var.name)
-            except ValidationError:
-                raise ValidationError(f"marginal {t} uses unknown variable {var.name!r}") from None
-            if owner.outcomes != var.outcomes:
-                raise ValidationError(
-                    f"marginal {t} disagrees with the sample space about the alphabet of {var.name!r}"
-                )
+    scales: tuple
+    cell_rows: np.ndarray
 
 
 @functools.cache
@@ -438,20 +425,45 @@ def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
     return keys
 
 
-@functools.lru_cache(maxsize=16)  # bounded: a matrix has rows x cells floats
-def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(matrix, keep, dependencies)`` of the tables laid out as ``layout``, a
-    ``((variables, partitions), ...)`` tuple, decided once per space and layout.
+@functools.lru_cache(maxsize=16)  # bounded: a matrix has rows x cells entries
+def _table_rows(space: JointSampleSpace, layout: tuple, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(matrix, cell_rows)`` of tables laid out as ``layout``, a
+    ``((variables, partitions), ...)`` tuple, checked against ``space`` and
+    decided once per space, layout and arithmetic; the row basis is decided
+    apart, so a witness check never waits for it.  ``cell_rows[t, j]`` is the
+    row of the key of table ``t`` covering cell ``j``.  Row ``r`` of the 0/1
+    ``matrix`` (float64, or Python ``int``s) covers the cells mapped to ``r``,
+    and the last row every cell."""
+    outcomes = {v.name: v.outcomes for v in space.variables}
+    cell_rows = np.empty((len(layout), space.size), dtype=np.intp)
+    first = 0
+    for t, (variables, partitions) in enumerate(layout):
+        for var in variables:
+            if var.name not in outcomes:
+                raise ValidationError(f"marginal {t} uses unknown variable {var.name!r}")
+            if outcomes[var.name] != var.outcomes:
+                raise ValidationError(f"marginal {t} disagrees with the sample space "
+                                      f"about the alphabet of {var.name!r}")
+        cell_rows[t] = first + _cell_keys(space, variables, partitions)
+        first += math.prod(map(len, partitions))
+    matrix = np.zeros((first + 1, space.size), dtype=object if exact else float)
+    matrix[cell_rows, np.arange(space.size)] = 1
+    matrix[-1] = 1
+    for array in (matrix, cell_rows):
+        array.setflags(write=False)
+    return matrix, cell_rows
 
-    ``matrix`` is the read-only float64 0/1 constraint matrix: row ``r`` of a
-    table is the indicator of the cells ``_cell_keys`` maps to its ``r``-th
-    key, and the last row covers every cell.  ``keep`` lists, in order, the
-    rows independent of the rows before them, so ``len(keep)`` is the rank.
-    ``dependencies`` holds one primitive int64 vector ``y`` per other row
-    ``r``, in order, with ``y.matrix = 0``, ``y[r] > 0`` and ``y`` zero on
-    every other row outside ``keep``.  Overlapping tables repeat their shared
-    sub-marginals, so most rows are dependent: a pairwise system over 6
-    dichotomic variables has 61 rows of rank 1 + 6 + 15 = 22.
+
+@functools.lru_cache(maxsize=16)
+def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``(keep, dependencies, scales)`` of the float ``_table_rows`` matrix,
+    decided once per space and layout.  ``keep`` lists, in order, the rows
+    independent of the rows before them, a row basis.  ``dependencies``
+    holds one primitive int64 vector ``y`` per other row ``r``, in order,
+    with ``y.matrix = 0``, ``y[r] > 0`` and ``y`` zero on every other row
+    outside ``keep``; ``scales`` holds each ``max|y|``.  Overlapping tables
+    repeat their shared sub-marginals, so most rows are dependent: a
+    pairwise system over 6 dichotomic variables has 61 rows of rank 22.
 
     The rows of ``matrix`` have the dependencies of the rows of its Gram
     matrix ``G = matrix.matrixT`` (``y.G = 0`` gives ``y.G.yT = |y.matrix|^2
@@ -463,14 +475,7 @@ def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray
     as m^2 * rank in Python integers, so a layout of a thousand rows takes
     seconds on its first call.
     """
-    sizes = [math.prod(len(groups) for groups in partitions) for _, partitions in layout]
-    matrix = np.zeros((sum(sizes) + 1, space.size))
-    cols = np.arange(space.size)
-    row = 0
-    for (variables, partitions), size in zip(layout, sizes):
-        matrix[row + _cell_keys(space, variables, partitions), cols] = 1.0
-        row += size
-    matrix[row] = 1.0
+    matrix = _table_rows(space, layout, False)[0]
     m = len(matrix)
     pivots: list[tuple[list[int], int]] = []  # (eliminated row with its combination, pivot column)
     keep, dependencies = [], []
@@ -489,32 +494,24 @@ def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray
             keep.append(r)
     keep = np.array(keep, dtype=np.intp)
     dependencies = np.array(dependencies, dtype=np.int64).reshape(-1, m)
-    for array in (matrix, keep, dependencies):
+    for array in (keep, dependencies):
         array.setflags(write=False)
-    return matrix, keep, dependencies
+    return keep, dependencies, tuple(np.abs(dependencies).max(axis=1).tolist())
 
 
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                             exact: bool = False) -> ConstraintSystem:
-    """The marginal-matching equalities over the joint cells.
-
-    The matrix, its row basis and the dependencies of the other rows are
-    read from ``_constraint_rows``; only the right-hand side is built per
-    call.  Exact mode gives the matrix as an object array of Python
-    ``int``s and the right-hand side as ``Fraction``s; float mode gives the
-    shared read-only float64 matrix and float64 values, where the solver's
-    phase-1 feasibility tolerance cushions the rows against ~1e-15 marginal
-    noise.
+    """The marginal-matching equalities over the joint cells; only the
+    right-hand side is built per call.  Exact mode gives Python ``int``s
+    and ``Fraction``s; float mode float64 values, where the solver's phase-1
+    feasibility tolerance cushions the rows against ~1e-15 marginal noise.
     """
-    _check_tables(space, marginals)
-    matrix, keep, dependencies = _constraint_rows(
-        space, tuple((table.variables, table.partitions) for table in marginals))
-    if exact:
-        matrix = matrix.astype(np.int64).astype(object)
+    layout = tuple((table.variables, table.partitions) for table in marginals)
+    matrix, cell_rows = _table_rows(space, layout, exact)
     number = Fraction if exact else float
     rhs = np.array([number(v) for table in marginals for v in table.values.values()] + [number(1)],
                    dtype=object if exact else float)
-    return ConstraintSystem(matrix, rhs, space.cells(), space.size, keep, dependencies)
+    return ConstraintSystem(matrix, rhs, space.cells(), *_constraint_rows(space, layout), cell_rows)
 
 
 def stacked_rhs(values: np.ndarray) -> np.ndarray:
@@ -522,7 +519,7 @@ def stacked_rhs(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, np.ones((len(values), 1))], axis=1)
 
 
-def band_test(matrix, certificate, delta):
+def band_test(matrix, certificate, delta, *, feas_tol: float = DEFAULT_FEAS_TOL):
     """``simplex.farkas_test`` for the band ``|a_r.x - b_r| <= delta`` on the
     marginal rows of a ``ConstraintSystem`` ``matrix``, whose last row, the
     normalization, stays a hard equality: a function ``refutes(rhs)``, or
@@ -530,11 +527,11 @@ def band_test(matrix, certificate, delta):
 
     Over ``x >= 0``, ``y`` refutes the band when ``y.A >= 0`` and ``y.b +
     delta * sum_r |y_r| < 0`` over the marginal rows, which is ``farkas_test``
-    refuting ``b + delta * sign(y)`` there.  ``delta = 0`` (exact mode) is
-    the hard system itself.  Every certificate the library reports or
-    accepts passes this one test.
+    refuting ``b + delta * sign(y)`` there, with its float slack
+    ``feas_tol``.  ``delta = 0`` (exact mode) is the hard system itself.
+    Every certificate the library reports or accepts passes this one test.
     """
-    refutes = farkas_test(matrix, certificate)
+    refutes = farkas_test(matrix, certificate, feas_tol=feas_tol)
     if refutes is None or not delta:
         return refutes
     shift = np.zeros(len(certificate))
@@ -542,25 +539,27 @@ def band_test(matrix, certificate, delta):
     return lambda rhs: refutes(rhs + shift)
 
 
-def _verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+def _verify_witness(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
                     values: Sequence, delta: float, exact: bool) -> None:
     """Check a witness given as its cell values in ``space.cells()`` order, in
-    both arithmetics: exact ones at tolerance 0, float ones with ``1e-12``
-    below zero, ``delta + 1e-12`` on every key (summed through ``_cell_keys``)
-    and ``1e-12`` on the sum.  Every comparison is written so that a NaN fails it."""
+    both arithmetics: exact ones at tolerance 0, float ones with ``EVIDENCE_TOL``
+    below zero, ``delta + EVIDENCE_TOL`` on every key (its cells summed in
+    order through ``cell_rows``) and ``EVIDENCE_TOL`` on the sum.  Every
+    comparison is written so that a NaN fails it."""
     values = np.asarray(values, dtype=object if exact else float)
-    floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
+    floor, slop = (0, 0) if exact else (-EVIDENCE_TOL, delta + EVIDENCE_TOL)
     below = np.logical_not(values >= floor)
     if below.any():
         raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
-    for table in marginals:
-        got = np.zeros(len(table.values), dtype=values.dtype)
-        np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
-        miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
-        for key, off in zip(table.values, miss):
-            if not off <= slop:
-                raise NumericError(f"witness misses marginal key {key!r} by {off}")
-    if not abs(values.sum() - 1) <= (0 if exact else 1e-12):
+    expected = np.array([v for t in marginals for v in t.values.values()], dtype=values.dtype)
+    got = np.zeros(len(expected), dtype=values.dtype)
+    np.add.at(got, cell_rows, np.broadcast_to(values, cell_rows.shape))
+    miss = np.abs(got - expected)
+    missed = np.flatnonzero(np.logical_not(miss <= slop))
+    if len(missed):
+        key = [k for t in marginals for k in t.values][missed[0]]
+        raise NumericError(f"witness misses marginal key {key!r} by {miss[missed[0]]}")
+    if not abs(values.sum() - 1) <= (0 if exact else EVIDENCE_TOL):
         raise NumericError(f"witness sums to {values.sum()}, not 1")
 
 
@@ -581,7 +580,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     (``int``, ``float`` or ``Fraction``); anything else is a
     ``ValidationError`` naming the offending cell.
     """
-    _check_tables(space, marginals)
+    cell_rows = _table_rows(space, tuple((t.variables, t.partitions) for t in marginals), exact)[1]
     witness = dict(witness)
     cells = space.cells()
     known = set(cells)
@@ -594,7 +593,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         value = witness[cell]
         if not is_finite_number(value):
             raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
-    _verify_witness(space, marginals, [witness[c] for c in cells], delta, exact)
+    _verify_witness(cell_rows, marginals, [witness[c] for c in cells], delta, exact)
 
 
 def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> None:
@@ -606,23 +605,22 @@ def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> N
         raise ValidationError(f"band width delta must be finite and non-negative, got {delta!r}")
 
 
-def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-                     system: ConstraintSystem, result: LPResult, delta: float,
-                     exact: bool) -> FeasibilityVerdict:
+def _checked_verdict(marginals: Sequence[MarginalTable], system: ConstraintSystem,
+                     result: LPResult, delta: float, exact: bool) -> FeasibilityVerdict:
     """Turn a feasibility LP result into a verdict whose evidence has been
-    checked against the band: the witness, the first ``n_cells`` entries of
-    ``x``, by ``_verify_witness``, the certificate by ``band_test``."""
+    checked against the band: the witness (the cells of ``x``) by
+    ``_verify_witness``, the certificate by ``band_test`` at ``EVIDENCE_TOL``."""
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
-        cell_values = result.x[: system.n_cells]
+        cell_values = result.x[: len(system.cells)]
         if not exact:
             cell_values = np.where(np.abs(cell_values) < 1e-15, 0.0, cell_values)
-        _verify_witness(space, marginals, cell_values, delta, exact)
+        _verify_witness(system.cell_rows, marginals, cell_values, delta, exact)
         return FeasibilityVerdict(status=FEASIBLE, witness=dict(zip(system.cells, cell_values)),
                                   mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)
-        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
+        refutes = band_test(system.matrix, certificate, 0 if exact else delta, feas_tol=EVIDENCE_TOL)
         if refutes is None or not refutes(system.rhs):
             raise NumericError("Farkas certificate failed verification")
         return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=certificate,
@@ -630,31 +628,31 @@ def _checked_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     raise NumericError(f"unexpected LP status {result.status!r} in feasibility solve")
 
 
-def _verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
-             system: ConstraintSystem, result: LPResult, delta: float,
-             exact: bool) -> FeasibilityVerdict:
+def _verdict(marginals: Sequence[MarginalTable], system: ConstraintSystem, result: LPResult,
+             delta: float, exact: bool) -> FeasibilityVerdict:
     """The verdict of ``result``, the width-0 system's, when its evidence
     passes the band checks.  Otherwise, in float mode only, the verdict of
-    the band itself, an LP without bounds: each marginal row twice, ``a.x +
-    s = b + delta`` and ``-a.x + s' = delta - b``, and the normalization row
-    once.  Its certificate ``(u, w, v)`` folds back to ``y = (u - w, v)``
-    over the width-0 rows: ``y.b + delta * sum|u - w|`` is at most ``(u,
-    w, v)``'s refuted value, so ``y`` passes the same ``band_test``."""
+    the band itself, an LP without bounds, feasible within ``EVIDENCE_TOL``:
+    each marginal row twice, ``a.x + s = b + delta`` and ``-a.x + s' = delta
+    - b``, and the normalization row once.  Its certificate ``(u, w, v)``
+    folds back to ``y = (u - w, v)`` over the width-0 rows: ``y.b + delta *
+    sum|u - w|`` is at most ``(u, w, v)``'s refuted value, so ``y`` passes
+    the same ``band_test``."""
     try:
-        return _checked_verdict(space, marginals, system, result, delta, exact)
+        return _checked_verdict(marginals, system, result, delta, exact)
     except NumericError:
         if exact:
             raise
-    A, b, n = system.matrix[:-1], system.rhs[:-1], system.n_cells
+    A, b, n = system.matrix[:-1], system.rhs[:-1], len(system.cells)
     k = len(b)
     matrix = np.zeros((2 * k + 1, n + 2 * k))
     matrix[:k, :n], matrix[k:-1, :n], matrix[-1, :n] = A, -A, system.matrix[-1]
     matrix[:-1, n:] = np.eye(2 * k)
-    band = solve_lp(matrix, np.concatenate([b + delta, delta - b, system.rhs[-1:]]))
+    band = solve_lp(matrix, np.concatenate([b + delta, delta - b, system.rhs[-1:]]), feas_tol=EVIDENCE_TOL)
     if band.status == INFEASIBLE:
         y = band.certificate
         band.certificate = np.append(y[:k] - y[k:-1], y[-1])
-    return _checked_verdict(space, marginals, system, band, delta, exact)
+    return _checked_verdict(marginals, system, band, delta, exact)
 
 
 def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LPResult:
@@ -664,9 +662,10 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
     An infeasible result's certificate is padded with zeros on the other
     rows.  A feasible result stands when every dependency ``y`` leaves a
     residual ``y.rhs`` of 0 (exact) or of at most ``DEFAULT_FEAS_TOL *
-    max|y|`` (float): its rows are then the kept rows' combination.  Otherwise
-    the most violated ``y``, signed so that ``y.rhs < 0``, is the
-    certificate: ``y.matrix = 0``.  ``_verdict`` checks either on every row.
+    max|y|`` (float; ``system.scales``): its rows are then the kept rows'
+    combination.  Otherwise the most violated ``y``, signed so that ``y.rhs
+    < 0``, is the certificate (``y.matrix = 0``); ``_verdict`` checks either
+    on every row.
     """
     m = len(system.rhs)
     if result.status == INFEASIBLE:
@@ -681,9 +680,8 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
                      for y in system.dependencies.tolist()]
     else:
         residuals = (system.dependencies @ system.rhs).tolist()
-    scales = np.abs(system.dependencies).max(axis=1).tolist()
-    worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / scales[k])
-    if abs(residuals[worst]) <= (0 if exact else DEFAULT_FEAS_TOL) * scales[worst]:
+    worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / system.scales[k])
+    if abs(residuals[worst]) <= (0 if exact else DEFAULT_FEAS_TOL) * system.scales[worst]:
         return result
     sign = -1 if residuals[worst] > 0 else 1
     y = system.dependencies[worst]
@@ -706,10 +704,10 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     _checked_inputs(marginals, delta, exact)
     system = build_constraint_system(space, marginals, exact)
     result = solve_lp(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
-    return _verdict(space, marginals, system, _on_every_row(system, result, exact), delta, exact)
+    return _verdict(marginals, system, _on_every_row(system, result, exact), delta, exact)
 
 
-def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+def _bounds(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
             start: FeasibleStart, x0: Sequence) -> list[tuple]:
     """``(lo, hi)`` of every cell over the width-0 system, in the arithmetic of
     ``start``, solving only the probes that no known feasible point settles.
@@ -719,13 +717,13 @@ def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     that is 0 in one of them has ``lo = 0``: ``x >= 0`` bounds it (dual
     ``y = 0``).  A cell's ``hi`` is at most its cap, the least of ``1 - sum
     of the other cells' lo`` (the normalization row, given those bounds) and
-    the value of each table's key that covers it (dual ``y = e_r``: the key's
-    other cells are non-negative).  A known point that reaches the cap proves
-    ``hi = cap``.  Each remaining bound is one phase 2 from ``start``, whose
-    optimum joins ``known``; a max probe's bound is read as ``zero -
-    objective``, so that no bound is ``-0.0``.  When the lower bounds sum to
-    1 every cap is its ``lo``, and ``x0`` attains it, so a unique unifier
-    needs no max probe.
+    the value of each key that ``cell_rows`` maps it to (dual ``y = e_r``:
+    the key's other cells are non-negative).  A known point that reaches the
+    cap proves ``hi = cap``.  Each remaining bound is one phase 2 from
+    ``start``, whose optimum joins ``known``; a max probe's bound is read as
+    ``zero - objective``, so that no bound is ``-0.0``.  When the lower
+    bounds sum to 1 every cap is its ``lo``, and ``x0`` attains it, so a
+    unique unifier needs no max probe.
     """
     n = len(x0)
     number = Fraction if start.exact else float
@@ -741,12 +739,11 @@ def _bounds(space: JointSampleSpace, marginals: Sequence[MarginalTable],
 
     lows = [zero if any(x[k] == 0 for x in known)
             else probe([int(j == k) for j in range(n)]) for k in range(n)]
-    covers = [(list(t.values.values()), _cell_keys(space, t.variables, t.partitions))
-              for t in marginals]
+    values = [v for t in marginals for v in t.values.values()]
     spare = 1 - sum(lows)
     bounds = []
-    for k, lo in enumerate(lows):
-        cap = number(min([spare + lo] + [values[cell_keys[k]] for values, cell_keys in covers]))
+    for k, (lo, rows) in enumerate(zip(lows, cell_rows.T.tolist())):
+        cap = number(min([spare + lo] + [values[r] for r in rows]))
         hi = cap if any(x[k] == cap for x in known) else zero - probe([-int(j == k) for j in range(n)])
         bounds.append((lo, hi))
     return bounds
@@ -780,9 +777,9 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     system = build_constraint_system(space, marginals, exact)
     start = feasible_start(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
     result = _on_every_row(system, start if isinstance(start, LPResult) else start.solve(), exact)
-    verdict = _verdict(space, marginals, system, result, delta, exact)
+    verdict = _verdict(marginals, system, result, delta, exact)
     if verdict.feasible and result.status == OPTIMAL:
-        bounds = _bounds(space, marginals, start, result.x)
+        bounds = _bounds(system.cell_rows, marginals, start, result.x)
         tol = 0 if exact else delta
         verdict.unique = all(hi - lo <= tol for lo, hi in bounds)
         verdict.component_bounds = dict(zip(system.cells, bounds))

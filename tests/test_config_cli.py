@@ -612,11 +612,6 @@ def test_a_refused_sweep_reports_what_build_scenario_raises_for_its_first_refuse
     assert out.getvalue() == "" and errs.getvalue() == err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "phase 1 calls the delta-band system feasible when its objective is at most "
-    "DEFAULT_FEAS_TOL (1e-9), but the witness check allows only 1e-12 below zero "
-    "and on the sum; just past that point phase 1 calls it infeasible, and the "
-    "Farkas certificate's margin is below farkas_test's slack of 1e-9 * max(1, max|y|)"))
 def test_leggett_garg_near_its_unifier_boundary_has_no_numeric_failure(capsys):
     code = main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0.0001:0.00012:21"])
     capsys.readouterr()

@@ -57,7 +57,7 @@ def _violation(hard) -> float:
     some distribution: 0 inside the marginal polytope, its L-inf distance
     from it outside."""
     rows, rhs = hard.matrix[:-1], hard.rhs[:-1]
-    n = hard.n_cells
+    n = len(hard.cells)
     band = np.ones((len(rows), 1))
     result = linprog(np.r_[np.zeros(n), 1.0],
                      A_ub=np.block([[rows, -band], [-rows, -band]]), b_ub=np.r_[rhs, -rhs],
@@ -70,7 +70,7 @@ def _violation(hard) -> float:
 def _depth(hard) -> float:
     """The largest ``r`` such that some distribution with every cell at least
     ``r`` matches the marginals exactly; ``-inf`` when none matches them."""
-    n = hard.n_cells
+    n = len(hard.cells)
     result = linprog(np.r_[np.zeros(n), -1.0],
                      A_ub=np.c_[-np.eye(n), np.ones(n)], b_ub=np.zeros(n),
                      A_eq=np.c_[hard.matrix, np.zeros(len(hard.matrix))], b_eq=hard.rhs,
@@ -88,7 +88,7 @@ def test_verdict_and_cell_bounds_match_highs(drawn):
 
     verdict = probe_uniqueness(space, marginals)
     rows, rhs = hard.matrix[:-1], hard.rhs[:-1]
-    reference = linprog(np.zeros(hard.n_cells), A_ub=np.r_[rows, -rows],
+    reference = linprog(np.zeros(len(hard.cells)), A_ub=np.r_[rows, -rows],
                         b_ub=np.r_[rhs + DEFAULT_DELTA, DEFAULT_DELTA - rhs],
                         A_eq=hard.matrix[-1:], b_eq=hard.rhs[-1:], method="highs", options=HIGHS)
     assert reference.status in (0, 2)

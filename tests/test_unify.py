@@ -5,6 +5,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories_lab import _kernels, simplex
-from histories_lab.analysis import AnalysisOptions, analyze, decode_value, encode_value, report_to_json
+from histories_lab.analysis import AnalysisOptions, analyze, decode_value, encode_value, report_to_json, reverify
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
 from histories_lab.histories import HistorySchedule, Slot, history_set, quasi_probabilities
@@ -38,7 +39,15 @@ from histories_lab.unify import (
     table_layout,
     verify_witness,
 )
-from histories_lab.unify import _bounds, _cell_keys, _checked_verdict, _constraint_rows, _verdict, _verify_witness
+from histories_lab.unify import (
+    _bounds,
+    _cell_keys,
+    _checked_verdict,
+    _constraint_rows,
+    _table_rows,
+    _verdict,
+    _verify_witness,
+)
 
 SA = Variable("a", (1, -1))
 SB = Variable("b", (1, -1))
@@ -101,8 +110,9 @@ def test_verify_witness_rejects_a_nan_cell(exact, cell):
     witness = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)}
     witness[cell] = math.nan
     values = [witness[c] for c in space.cells()]  # the private check takes cell values in order
+    cell_rows = build_constraint_system(space, [table]).cell_rows
     with pytest.raises(NumericError, match="negative or undefined cell"), np.errstate(invalid="ignore"):
-        _verify_witness(space, [table], values, DEFAULT_DELTA, exact)
+        _verify_witness(cell_rows, [table], values, DEFAULT_DELTA, exact)
 
 
 def test_a_float_unifier_must_sum_to_one():
@@ -897,19 +907,51 @@ def test_layouts_are_tuples_and_cell_keys_are_read_only():
 
 
 def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once():
-    table_layout.cache_clear()
-    _cell_keys.cache_clear()
-    _constraint_rows.cache_clear()
+    for memo in (table_layout, _cell_keys, _table_rows, _constraint_rows):
+        memo.cache_clear()
     report = analyze(build_scenario("eprb"))
     n_tables = len(report["unification"]["marginals"])
     assert n_tables == 4 and report["unification"]["verdict"]["status"] == "feasible"
-    layouts, maps, rows = table_layout.cache_info(), _cell_keys.cache_info(), _constraint_rows.cache_info()
+    layouts, maps = table_layout.cache_info(), _cell_keys.cache_info()
     assert (layouts.misses, layouts.hits) == (n_tables, 0)
-    # each table's map serves the constraint matrix, the witness check and the
-    # uniqueness prover's caps (the key value covering each cell)
-    assert (maps.misses, maps.hits) == (n_tables, 2 * n_tables)
-    # one constraint matrix and row basis, decided for the one constraint system
-    assert (rows.misses, rows.hits) == (1, 0)
+    # each table's map is read once, into the layout's cell-to-row map, which
+    # serves the constraint matrix, the witness check and the uniqueness
+    # prover's caps (the key value covering each cell)
+    assert (maps.misses, maps.hits) == (n_tables, 0)
+    # one checked map and matrix, and one row basis, for the one constraint system
+    assert _table_rows.cache_info().misses == _constraint_rows.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("table, message", [
+    (MarginalTable((SA, SC), {(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5}),
+     "marginal 1 uses unknown variable 'c'"),
+    (MarginalTable((Variable("b", (-1, 1)),), {(-1,): 0.5, (1,): 0.5}),
+     "marginal 1 disagrees with the sample space about the alphabet of 'b'"),
+])
+def test_a_table_off_the_sample_space_is_refused_on_every_call(table, message):
+    # the space check lives in the layout memo, which caches no failure
+    space = JointSampleSpace((SA, SB))
+    tables = [uniform(SA), table]
+    witness = dict.fromkeys(space.cells(), 0.25)
+    for _ in range(2):
+        for check in (find_unifying_probability, probe_uniqueness):
+            with pytest.raises(ValidationError) as refused:
+                check(space, tables)
+            assert str(refused.value) == message
+        with pytest.raises(ValidationError) as refused:
+            verify_witness(space, tables, witness)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("golden", ["analyze_eprb.json", "analyze_eprb_exact.json"])
+def test_verifying_a_feasible_report_decides_no_row_basis(golden):
+    report = json.loads((Path(__file__).parent / "golden" / golden).read_text())
+    assert report["unification"]["verdict"]["status"] == "feasible"
+    _table_rows.cache_clear()
+    _constraint_rows.cache_clear()
+    reverify(report)
+    assert _table_rows.cache_info().misses == 1
+    assert _constraint_rows.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +987,8 @@ def table_layouts(draw):
 @given(table_layouts())
 def test_the_row_basis_and_its_dependencies_are_exact(drawn):
     space, layout = drawn
-    matrix, keep, dependencies = _constraint_rows(space, layout)
+    keep, dependencies, scales = _constraint_rows(space, layout)
+    matrix = _table_rows(space, layout, False)[0]
     rows = matrix.astype(np.int64)
     assert set(np.unique(matrix)) <= {0.0, 1.0} and (rows[-1] == 1).all()
     assert len(keep) == np.linalg.matrix_rank(matrix) == np.linalg.matrix_rank(matrix[keep])
@@ -955,8 +998,72 @@ def test_the_row_basis_and_its_dependencies_are_exact(drawn):
     assert not (dependencies @ rows).any()
     for y, r in zip(dependencies.tolist(), dropped):
         assert y[r] > 0 and not any(y[d] for d in dropped if d != r) and math.gcd(*y) == 1
-    again = _constraint_rows(space, layout)
-    assert all(a is b and not a.flags.writeable for a, b in zip(again, (matrix, keep, dependencies)))
+    assert scales == tuple(max(map(abs, y)) for y in dependencies.tolist())
+    assert _constraint_rows(space, layout)[0] is keep and _constraint_rows(space, layout)[1] is dependencies
+    assert not (matrix.flags.writeable or keep.flags.writeable or dependencies.flags.writeable)
+
+
+def _per_table_witness_check(space, marginals, values, delta, exact):
+    """The witness check as it was written before the cell-to-row map: one
+    ``np.add.at`` and one comparison loop per table."""
+    values = np.asarray(values, dtype=object if exact else float)
+    floor, slop = (0, 0) if exact else (-1e-12, delta + 1e-12)
+    below = np.logical_not(values >= floor)
+    if below.any():
+        raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
+    for table in marginals:
+        got = np.zeros(len(table.values), dtype=values.dtype)
+        np.add.at(got, _cell_keys(space, table.variables, table.partitions), values)
+        miss = np.abs(got - np.array(list(table.values.values()), dtype=values.dtype))
+        for key, off in zip(table.values, miss):
+            if not off <= slop:
+                raise NumericError(f"witness misses marginal key {key!r} by {off}")
+    if not abs(values.sum() - 1) <= (0 if exact else 1e-12):
+        raise NumericError(f"witness sums to {values.sum()}, not 1")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table_layouts(), st.booleans(), st.data())
+def test_the_stacked_witness_check_matches_a_per_table_loop(drawn, exact, data):
+    """Tables summed from a joint over ``table_layouts``, and a witness that
+    is that joint with up to two moves of mass: the check through
+    ``cell_rows`` raises exactly when the per-table loop does, with the same
+    message."""
+    space, layout = drawn
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=space.size, max_size=space.size))
+    assume(sum(weights))
+    if exact:
+        joint = np.array([Fraction(w, sum(weights)) for w in weights], dtype=object)
+        moves = st.sampled_from([Fraction(1, 10**9), Fraction(-1, 10**9), Fraction(1, 7)])
+    else:
+        joint = np.array(weights, dtype=float) / sum(weights)
+        moves = st.sampled_from([1e-13, -1e-13, 5e-10, -2e-9, 1e-3, -0.05])
+    tables = []
+    for variables, partitions in layout:
+        got = np.zeros(math.prod(map(len, partitions)), dtype=joint.dtype)
+        np.add.at(got, _cell_keys(space, variables, partitions), joint)
+        keys = itertools.product(*(tuple(tuple(v.outcomes[i] for i in g) for g in groups)
+                                   for v, groups in zip(variables, partitions)))
+        tables.append(MarginalTable(variables, dict(zip(keys, got.tolist()))))
+    witness = joint.copy()
+    cells = st.integers(0, space.size - 1)
+    # move mass to cell a, from cell b when there is one (the sum stays 1)
+    for a, b, move in data.draw(st.lists(st.tuples(cells, st.none() | cells, moves), max_size=2)):
+        witness[a] += move
+        if b is not None:
+            witness[b] -= move
+    delta = 0 if exact else data.draw(st.sampled_from([0.0, DEFAULT_DELTA, 1e-3]))
+    cell_rows = build_constraint_system(space, tables, exact).cell_rows
+    expected = _raised(_per_table_witness_check, space, tables, witness, delta, exact)
+    assert _raised(_verify_witness, cell_rows, tables, witness, delta, exact) == expected
 
 
 @st.composite
@@ -975,22 +1082,22 @@ def _full_row_verdicts(space, tables, exact):
     width-0 evidence of the probe's phase 1 passed its band checks."""
     system = build_constraint_system(space, tables, exact)
     try:
-        found = _verdict(space, tables, system, simplex.solve_lp(system.matrix, system.rhs, exact=exact),
+        found = _verdict(tables, system, simplex.solve_lp(system.matrix, system.rhs, exact=exact),
                          DEFAULT_DELTA, exact)
     except NumericError:
         found = NumericError
     start = simplex.feasible_start(system.matrix, system.rhs, exact=exact)
     result = start if isinstance(start, simplex.LPResult) else start.solve()
     try:
-        probed, passed = _checked_verdict(space, tables, system, result, DEFAULT_DELTA, exact), True
+        probed, passed = _checked_verdict(tables, system, result, DEFAULT_DELTA, exact), True
     except NumericError:
         passed = False
         try:
-            probed = _verdict(space, tables, system, result, DEFAULT_DELTA, exact)
+            probed = _verdict(tables, system, result, DEFAULT_DELTA, exact)
         except NumericError:
             return found, NumericError, passed
     if probed.feasible and result.status == OPTIMAL:
-        bounds = _bounds(space, tables, start, result.x)
+        bounds = _bounds(system.cell_rows, tables, start, result.x)
         probed.unique = all(hi - lo <= (0 if exact else DEFAULT_DELTA) for lo, hi in bounds)
         probed.component_bounds = dict(zip(system.cells, bounds))
     return found, probed, passed
