@@ -51,7 +51,7 @@ TABLE_TOL = 1e-9  # slack for marginal sums, signs, correlation ranges and cycle
 SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
 SNAP_TOL = 1e-12  # as_exact: largest distance of a snapped value from its float
 QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
-EVIDENCE_TOL = 1e-12  # float slack of a verdict's witness and certificate checks, and of the band LP
+EVIDENCE_TOL = 1e-12  # float slack of every witness and certificate check, and of the band LP
 
 FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -519,7 +519,7 @@ def stacked_rhs(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, np.ones((len(values), 1))], axis=1)
 
 
-def band_test(matrix, certificate, delta, *, feas_tol: float = DEFAULT_FEAS_TOL):
+def band_test(matrix, certificate, delta):
     """``simplex.farkas_test`` for the band ``|a_r.x - b_r| <= delta`` on the
     marginal rows of a ``ConstraintSystem`` ``matrix``, whose last row, the
     normalization, stays a hard equality: a function ``refutes(rhs)``, or
@@ -527,11 +527,11 @@ def band_test(matrix, certificate, delta, *, feas_tol: float = DEFAULT_FEAS_TOL)
 
     Over ``x >= 0``, ``y`` refutes the band when ``y.A >= 0`` and ``y.b +
     delta * sum_r |y_r| < 0`` over the marginal rows, which is ``farkas_test``
-    refuting ``b + delta * sign(y)`` there, with its float slack
-    ``feas_tol``.  ``delta = 0`` (exact mode) is the hard system itself.
+    refuting ``b + delta * sign(y)`` there, with its float slack at
+    ``EVIDENCE_TOL``.  ``delta = 0`` (exact mode) is the hard system itself.
     Every certificate the library reports or accepts passes this one test.
     """
-    refutes = farkas_test(matrix, certificate, feas_tol=feas_tol)
+    refutes = farkas_test(matrix, certificate, feas_tol=EVIDENCE_TOL)
     if refutes is None or not delta:
         return refutes
     shift = np.zeros(len(certificate))
@@ -609,7 +609,7 @@ def _checked_verdict(marginals: Sequence[MarginalTable], system: ConstraintSyste
                      result: LPResult, delta: float, exact: bool) -> FeasibilityVerdict:
     """Turn a feasibility LP result into a verdict whose evidence has been
     checked against the band: the witness (the cells of ``x``) by
-    ``_verify_witness``, the certificate by ``band_test`` at ``EVIDENCE_TOL``."""
+    ``_verify_witness``, the certificate by ``band_test``."""
     mode = "exact" if exact else "float"
     if result.status == OPTIMAL:
         cell_values = result.x[: len(system.cells)]
@@ -620,7 +620,7 @@ def _checked_verdict(marginals: Sequence[MarginalTable], system: ConstraintSyste
                                   mode=mode, delta=delta)
     if result.status == INFEASIBLE:
         certificate = list(result.certificate)
-        refutes = band_test(system.matrix, certificate, 0 if exact else delta, feas_tol=EVIDENCE_TOL)
+        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
         if refutes is None or not refutes(system.rhs):
             raise NumericError("Farkas certificate failed verification")
         return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=certificate,

@@ -622,6 +622,8 @@ def test_leggett_garg_near_its_unifier_boundary_has_no_numeric_failure(capsys):
                   for n in ("pair_12", "pair_23", "pair_13")]
         try:
             probe_uniqueness(desc.space, tables)
+            # a verdict and verify check a certificate with the same slack
+            reverify(json.loads(report_to_json(analyze(desc))))
         except NumericError as exc:
             failures.append((omega, str(exc)))
     assert code == 0 and failures == []
