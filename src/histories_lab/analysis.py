@@ -35,14 +35,14 @@ from .unify import (
     JointSampleSpace,
     MarginalTable,
     Variable,
-    band_test,
-    build_constraint_system,
     correlations_from_marginals,
     cycle_check,
     extract_marginals,
     find_unifying_probability,
     is_finite_number,
     probe_uniqueness,
+    refutes_marginals,
+    snap_tables,
     verify_witness,
 )
 
@@ -247,16 +247,15 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
 
         if sset.mapping is not None:
             if report.consistent:
-                table = extract_marginals(hset, sset.mapping, options.tol)
-                if options.exact:
-                    table = table.as_exact()
-                tables.append((sset.name, table))
+                tables.append((sset.name, extract_marginals(hset, sset.mapping, options.tol)))
             else:
                 excluded[sset.name] = "inconsistent"
 
     unification = None
     if descriptor.space is not None and tables:
         marginals = [t for _, t in tables]
+        if options.exact:
+            marginals = snap_tables(descriptor.space, marginals)
         correlations = correlations_from_marginals(marginals)
         bell = chsh = None
         if correlations.is_cycle:
@@ -281,7 +280,7 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
                           for v in descriptor.space.variables],
             "marginal_sets": [name for name, _ in tables],
             "excluded_sets": excluded,
-            "marginals": [_encode_marginal(name, t) for name, t in tables],
+            "marginals": [_encode_marginal(name, t) for (name, _), t in zip(tables, marginals)],
             "correlations": {f"{a},{b}": v for (a, b), v in correlations.values.items()},
             "bell": bell,
             "chsh": chsh,
@@ -424,9 +423,7 @@ def reverify(report: dict) -> None:
         path = "unification.verdict.farkas_certificate"
         certificate = [_number(y, f"{path}[{i}]")
                        for i, y in enumerate(_field(verdict, "farkas_certificate", list, path))]
-        system = build_constraint_system(space, marginals, exact)
-        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
-        if refutes is None or not refutes(system.rhs):
+        if not refutes_marginals(space, marginals, certificate, delta, exact):
             raise NumericError("stored Farkas certificate failed verification")
         return
     raise ValidationError(f"report field unification.verdict.status is {status!r}")

@@ -15,10 +15,12 @@ operators in label order, and its boundary states.  Inputs are validated
 once, where they enter.  Everything derived from a set is computed at most
 once and cached on the set itself, by the set's own properties.
 
-Class operators come from two helpers, the only code that multiplies them:
+Class operators come from two helpers, the only code that multiplies them,
+and ``scenarios.ScenarioGrid.class_operators`` is their one caller:
 ``heisenberg_stack`` gives one slot's ``u^dag P u`` stack and
 ``extend_prefix`` puts a later slot's projectors on the left of a label
-prefix, so a grid can share both between its sets.  A product whose right
+prefix, so a grid can share both between its sets.  A schedule builds
+through its own one-point grid.  A product whose right
 operand is shared by many left matrices stacks the left matrices' rows into
 one BLAS call, never the right operand's columns: each output row is then
 the same dot products as a product per matrix, bit for bit, while a
@@ -139,9 +141,13 @@ class HistorySchedule:
         return n
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        # the Hamiltonian was validated above; every slot's propagator shares this
-        return np.linalg.eigh(self.hamiltonian)
+    def _grid(self):
+        """The schedule as a one-point ``ScenarioGrid`` of one set, ``"schedule"``;
+        its one eigendecomposition of the Hamiltonian serves every slot."""
+        from .scenarios import point_grid  # scenarios imports this module
+        return point_grid("schedule", self.hamiltonian,
+                          {"schedule": [(s.time, [p.matrix for p in s.projectors], s.symbols)
+                                        for s in self.slots]})
 
 
 def check_history_count(projectors) -> None:
@@ -186,31 +192,14 @@ def extend_prefix(prefix: np.ndarray, moved: np.ndarray) -> np.ndarray:
     return (moved.reshape(len(moved), 1, k * dim, dim) @ prefix).reshape(points, -1, dim, dim)
 
 
-def class_operator_stack(eigvals: np.ndarray, eigvecs: np.ndarray, times, projectors) -> np.ndarray:
-    """The ``(G, n, dim, dim)`` class operators of G grid points in label order, from
-    each point's ``eigh`` of its Hamiltonian and, per slot, a ``(G,)`` time array and
-    a ``(G, k, dim, dim)`` projector stack; an axis of length 1 is shared by every point.
-    Raises ``HistoryCountError``, before any product, for more than
-    ``DEFAULT_HISTORY_CAP`` histories."""
-    check_history_count(projectors)
-    ops = None
-    for t, p in zip(times, projectors):
-        moved = heisenberg_stack(eigvals, eigvecs, t, p)
-        ops = moved if ops is None else extend_prefix(ops, moved)
-    return ops
-
-
 def build_class_operators(schedule: HistorySchedule) -> np.ndarray:
-    """Every class operator of a schedule, as one ``(n, dim, dim)`` stack in
-    ``schedule.labels`` order; the stack sums to the identity.
+    """Every class operator of a schedule, as one writable ``(n, dim, dim)``
+    stack in ``schedule.labels`` order; the stack sums to the identity.
 
-    A stack of one ``class_operator_stack`` point, from the schedule's one
-    eigendecomposition of its Hamiltonian, and subject to its history cap.
+    A copy of the stack of the schedule's one-point grid, which checks the
+    history cap before any product.
     """
-    w, v = schedule._eigh
-    return class_operator_stack(w[None], v[None], [np.array([s.time]) for s in schedule.slots],
-                                [np.stack([p.matrix for p in s.projectors])[None]
-                                 for s in schedule.slots])[0]
+    return np.array(schedule._grid.class_operators("schedule")[0])
 
 
 def decoherence_stack(ops: np.ndarray, rho: np.ndarray, final: np.ndarray | None = None,

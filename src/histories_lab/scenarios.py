@@ -31,7 +31,6 @@ projector checks.  Tests check the fixed matrices of ``griffiths_spin`` and
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import inspect
 import itertools
@@ -209,10 +208,11 @@ class ScenarioGrid:
         return ops
 
 
-def point_grid(name: str, hamiltonian, sets: Mapping, fixed: _Fixed) -> ScenarioGrid:
+def point_grid(name: str, hamiltonian, sets: Mapping, fixed: _Fixed | None = None) -> ScenarioGrid:
     """The one-point grid of one Hamiltonian and ``sets``, which maps each set name
     to its ``(time, projector matrices, symbols)`` slots, each already checked.
-    Every array is copied; a projector family passed as one object is one stack."""
+    Every array is copied; a projector family passed as one object is one stack.
+    A ``HistorySchedule``'s grid has no boundary states, so no ``fixed``."""
     stacks = {id(family): np.array([family], dtype=complex)
               for slots in sets.values() for _, family, _ in slots}
     return ScenarioGrid(name, np.array([hamiltonian], dtype=complex), fixed,
@@ -328,6 +328,21 @@ def eprb_grid(axes) -> ScenarioGrid:
     return ScenarioGrid("eprb", _EPRB_HAMILTONIAN, _eprb_fixed(), sets, rules)
 
 
+def _eprb_descriptor(axes, parameters: Mapping[str, float]) -> ScenarioDescriptor:
+    """The descriptor of ``eprb_grid`` at the four 3-tuples of floats ``axes``,
+    refused by its rule unless each is a unit vector."""
+    grid = eprb_grid([np.array([a]) for a in axes])
+    grid.check()
+    expected = {f"C{i}{j}": ExpectedValue(-float(np.dot(axes[i - 1], axes[j - 1])) + 0.0,
+                                          "derived") for i, j in _EPRB_PAIRS}
+    if np.allclose(np.asarray(axes), np.asarray(_ZX_AXES), atol=1e-12):
+        table = {s: Fraction((1 - s[0] * s[2]) * (1 - s[1] * s[3]), 16)
+                 for s in itertools.product((1, -1), repeat=4)}
+        expected["unifying_table"] = ExpectedValue(table, "published")
+        expected["unifier_unique"] = ExpectedValue(True, "published")
+    return ScenarioDescriptor(grid, expected, parameters)
+
+
 def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
     """Two spins in the singlet state, measured along two axes per particle.
 
@@ -346,17 +361,8 @@ def eprb(a1, a2, a3, a4) -> ScenarioDescriptor:
         if v.shape != (3,):
             raise ValidationError(f"axis a{k} must be a 3-vector")
         axes.append(tuple(float(_checked_number("eprb", f"a{k}{c}", x)) for c, x in zip("xyz", v)))
-    grid = eprb_grid([np.array([a]) for a in axes])
-    grid.check()
-    expected = {f"C{i}{j}": ExpectedValue(-float(np.dot(axes[i - 1], axes[j - 1])) + 0.0,
-                                          "derived") for i, j in _EPRB_PAIRS}
-    if np.allclose(np.asarray(axes), np.asarray(_ZX_AXES), atol=1e-12):
-        table = {s: Fraction((1 - s[0] * s[2]) * (1 - s[1] * s[3]), 16)
-                 for s in itertools.product((1, -1), repeat=4)}
-        expected["unifying_table"] = ExpectedValue(table, "published")
-        expected["unifier_unique"] = ExpectedValue(True, "published")
-    return ScenarioDescriptor(grid, expected,
-                              {f"a{k}{c}": axes[k - 1][ci] for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
+    return _eprb_descriptor(axes, {f"a{k}{c}": axes[k - 1][ci]
+                                   for k in (1, 2, 3, 4) for ci, c in enumerate("xyz")})
 
 
 def planar_axis(theta: float) -> tuple[float, float, float]:
@@ -375,12 +381,11 @@ def eprb_planar(theta1: float = 0.0, theta2: float = math.pi / 2,
     configuration is (0, pi/2, pi/4, 3*pi/4).  Each angle must be a number
     (``_checked_number``).
     """
-    for k, theta in enumerate((theta1, theta2, theta3, theta4), start=1):
-        _checked_number("eprb", f"theta{k}", theta)
-    desc = eprb(planar_axis(theta1), planar_axis(theta2),
-                planar_axis(theta3), planar_axis(theta4))
     thetas = (theta1, theta2, theta3, theta4)
-    return dataclasses.replace(desc, parameters={f"theta{k}": float(t) for k, t in enumerate(thetas, 1)})
+    for k, theta in enumerate(thetas, start=1):
+        _checked_number("eprb", f"theta{k}", theta)
+    return _eprb_descriptor([planar_axis(t) for t in thetas],
+                            {f"theta{k}": float(t) for k, t in enumerate(thetas, 1)})
 
 
 def _eprb_planar_grid(theta1, theta2, theta3, theta4) -> ScenarioGrid:

@@ -49,7 +49,7 @@ DEFAULT_DELTA = 1e-9
 DEFAULT_JOINT_CAP = 10**6
 TABLE_TOL = 1e-9  # slack for marginal sums, signs, correlation ranges and cycle bounds
 SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
-SNAP_TOL = 1e-12  # as_exact: largest distance of a snapped value from its float
+SNAP_TOL = 1e-12  # as_exact, snap_tables: largest distance of a snapped value from its float
 QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
 EVIDENCE_TOL = 1e-12  # float slack of every witness and certificate check, and of the band LP
 
@@ -455,13 +455,15 @@ def _table_rows(space: JointSampleSpace, layout: tuple, exact: bool) -> tuple[np
 
 
 @functools.lru_cache(maxsize=16)
-def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _constraint_rows(space: JointSampleSpace, layout: tuple,
+                     order: tuple | None = None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``(keep, dependencies, scales)`` of the float ``_table_rows`` matrix,
-    decided once per space and layout.  ``keep`` lists, in order, the rows
-    independent of the rows before them, a row basis.  ``dependencies``
-    holds one primitive int64 vector ``y`` per other row ``r``, in order,
-    with ``y.matrix = 0``, ``y[r] > 0`` and ``y`` zero on every other row
-    outside ``keep``; ``scales`` holds each ``max|y|``.  Overlapping tables
+    decided once per space, layout and ``order`` of the rows (row order by
+    default).  ``keep`` lists, in that order, the rows independent of the
+    rows before them, a row basis.  ``dependencies`` holds one primitive
+    int64 vector ``y`` per other row ``r``, in that order, with ``y.matrix =
+    0``, ``y[r] > 0`` and ``y`` zero on every other row outside ``keep``;
+    ``scales`` holds each ``max|y|``.  Overlapping tables
     repeat their shared sub-marginals, so most rows are dependent: a
     pairwise system over 6 dichotomic variables has 61 rows of rank 22.
 
@@ -479,8 +481,9 @@ def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray
     m = len(matrix)
     pivots: list[tuple[list[int], int]] = []  # (eliminated row with its combination, pivot column)
     keep, dependencies = [], []
-    for r, gram_row in enumerate((matrix @ matrix.T).astype(np.int64).tolist()):
-        row, den = gram_row + [int(j == r) for j in range(m)], 1
+    gram = (matrix @ matrix.T).astype(np.int64).tolist()
+    for r in range(m) if order is None else order:
+        row, den = gram[r] + [int(j == r) for j in range(m)], 1
         for prow, col in pivots:
             if row[col]:
                 row, den = eliminate(row, den, prow, prow[col], col)
@@ -499,6 +502,16 @@ def _constraint_rows(space: JointSampleSpace, layout: tuple) -> tuple[np.ndarray
     return keep, dependencies, tuple(np.abs(dependencies).max(axis=1).tolist())
 
 
+def _layout(marginals: Sequence[MarginalTable]) -> tuple:
+    return tuple((table.variables, table.partitions) for table in marginals)
+
+
+def _rhs(marginals: Sequence[MarginalTable], exact: bool) -> np.ndarray:
+    number = Fraction if exact else float
+    return np.array([number(v) for table in marginals for v in table.values.values()] + [number(1)],
+                    dtype=object if exact else float)
+
+
 def build_constraint_system(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                             exact: bool = False) -> ConstraintSystem:
     """The marginal-matching equalities over the joint cells; only the
@@ -506,12 +519,45 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     and ``Fraction``s; float mode float64 values, where the solver's phase-1
     feasibility tolerance cushions the rows against ~1e-15 marginal noise.
     """
-    layout = tuple((table.variables, table.partitions) for table in marginals)
+    layout = _layout(marginals)
     matrix, cell_rows = _table_rows(space, layout, exact)
-    number = Fraction if exact else float
-    rhs = np.array([number(v) for table in marginals for v in table.values.values()] + [number(1)],
-                   dtype=object if exact else float)
-    return ConstraintSystem(matrix, rhs, space.cells(), *_constraint_rows(space, layout), cell_rows)
+    return ConstraintSystem(matrix, _rhs(marginals, exact), space.cells(),
+                            *_constraint_rows(space, layout), cell_rows)
+
+
+def snap_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> list[MarginalTable]:
+    """Float tables snapped together onto rationals, for exact mode: the
+    snapped tables agree exactly on every shared sub-marginal, and each
+    sums to 1.
+
+    The rows of the constraint system are ordered zero first: the
+    normalization row, then the rows whose value is within ``SNAP_TOL`` of
+    0, then the rest, and ``_constraint_rows`` takes a row basis in that
+    order.  The normalization row snaps to 1, a near-zero basis row to 0 and
+    every other basis row to the nearest multiple of ``2**-52``.  Each other
+    row ``r`` is derived from its dependency ``y`` as ``-sum_{j != r} y_j b_j
+    / y_r``, so ``y.b = 0`` holds exactly.  A derived value farther than
+    ``SNAP_TOL`` from its float means that the tables disagree beyond float
+    noise; then, as for a system with an exact table, each table is snapped
+    on its own (``MarginalTable.as_exact``), and exact mode refutes the
+    disagreement.
+    """
+    if any(table.is_exact for table in marginals):
+        return [table.as_exact() for table in marginals]
+    b = [float(v) for table in marginals for v in table.values.values()]
+    zero = [abs(v) <= SNAP_TOL for v in b]
+    order = (len(b), *(r for r in range(len(b)) if zero[r]), *(r for r in range(len(b)) if not zero[r]))
+    keep, dependencies, _ = _constraint_rows(space, _layout(marginals), order)
+    unit = 2 ** 52
+    num = [0 if z else round(v * unit) for v, z in zip(b, zero)] + [unit]  # over 2**52
+    values = [Fraction(n, unit) for n in num]
+    basis = set(keep.tolist())
+    for r, y in zip((r for r in order if r not in basis), dependencies.tolist()):
+        values[r] = Fraction(y[r] * num[r] - sum(c * n for c, n in zip(y, num) if c), y[r] * unit)
+        if abs(float(values[r]) - b[r]) > SNAP_TOL:
+            return [table.as_exact() for table in marginals]
+    values = iter(values)  # zip stops at a table's last key, so each table takes its own values
+    return [MarginalTable(table.variables, dict(zip(table.values, values))) for table in marginals]
 
 
 def stacked_rhs(values: np.ndarray) -> np.ndarray:
@@ -537,6 +583,17 @@ def band_test(matrix, certificate, delta):
     shift = np.zeros(len(certificate))
     shift[:-1] = delta * np.sign(np.asarray(certificate[:-1], dtype=float))
     return lambda rhs: refutes(rhs + shift)
+
+
+def refutes_marginals(space: JointSampleSpace, marginals: Sequence[MarginalTable], certificate,
+                      delta: float = DEFAULT_DELTA, exact: bool = False) -> bool:
+    """Whether ``certificate`` refutes every joint table within delta of the
+    marginals (exactly, in exact mode) by ``band_test``.  It reads the matrix
+    of the tables' layout and their own values, so it never waits for the
+    row basis of ``_constraint_rows``."""
+    refutes = band_test(_table_rows(space, _layout(marginals), exact)[0], certificate,
+                        0 if exact else delta)
+    return refutes is not None and refutes(_rhs(marginals, exact))
 
 
 def _verify_witness(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
@@ -580,7 +637,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     (``int``, ``float`` or ``Fraction``); anything else is a
     ``ValidationError`` naming the offending cell.
     """
-    cell_rows = _table_rows(space, tuple((t.variables, t.partitions) for t in marginals), exact)[1]
+    cell_rows = _table_rows(space, _layout(marginals), exact)[1]
     witness = dict(witness)
     cells = space.cells()
     known = set(cells)
@@ -600,7 +657,7 @@ def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> N
     """Exact mode needs rational tables; float mode a finite, non-negative delta."""
     if exact:
         if not all(t.is_exact for t in marginals):
-            raise ValidationError("exact mode requires rational marginal values (see MarginalTable.as_exact)")
+            raise ValidationError("exact mode requires rational marginal values (see snap_tables)")
     elif not 0 <= float(delta) < math.inf:
         raise ValidationError(f"band width delta must be finite and non-negative, got {delta!r}")
 
@@ -651,7 +708,7 @@ def _verdict(marginals: Sequence[MarginalTable], system: ConstraintSystem, resul
     band = solve_lp(matrix, np.concatenate([b + delta, delta - b, system.rhs[-1:]]), feas_tol=EVIDENCE_TOL)
     if band.status == INFEASIBLE:
         y = band.certificate
-        band.certificate = np.append(y[:k] - y[k:-1], y[-1])
+        band.certificate = np.append(y[:k] - y[k:-1], y[-1]) + 0  # no entry reads -0.0
     return _checked_verdict(marginals, system, band, delta, exact)
 
 
@@ -685,7 +742,7 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
         return result
     sign = -1 if residuals[worst] > 0 else 1
     y = system.dependencies[worst]
-    certificate = [Fraction(sign * v) for v in y.tolist()] if exact else sign * y.astype(float)
+    certificate = [Fraction(sign * v) for v in y.tolist()] if exact else (sign * y).astype(float)
     return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
 
 

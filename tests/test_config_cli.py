@@ -8,6 +8,7 @@ import os
 import pickle
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from histories_lab import cli, histories, scenarios
 from histories_lab.analysis import (
+    PROBE_CELLS_CAP,
     SCHEMA_VERSION,
     AnalysisOptions,
     analyze,
@@ -1114,3 +1116,34 @@ def test_exact_verdicts_are_pinned(scenario):
     verdict = analyze(build_scenario(scenario), AnalysisOptions(exact=True))["unification"]["verdict"]
     text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == EXACT_VERDICT_SHA256[scenario]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_analyze_above_the_probe_cap_finds_a_unifier_without_bounds(tmp_path, exact):
+    # seven one-slot sigma_z sets read as v0..v6: 128 joint cells, above the
+    # cap, so no uniqueness probe runs and unique stays null
+    document = Path(__file__).parent / "data" / "seven_sigma_z.json"
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(document), *(["--exact"] if exact else []),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    unification = report["unification"]
+    assert 2 ** len(unification["variables"]) == 128 > PROBE_CELLS_CAP
+    verdict = unification["verdict"]
+    assert verdict["status"] == "feasible" and verdict["mode"] == ("exact" if exact else "float")
+    assert verdict["unique"] is None and verdict["component_bounds"] is None
+    reverify(report)
+
+
+def test_float_and_exact_analyze_agree_on_a_generic_eprb_config(tmp_path):
+    # exact mode once snapped each pair table on its own, and proved tables
+    # whose shared one-spin marginals differed by ~1e-15 infeasible
+    config = tmp_path / "eprb.json"
+    config.write_text(json.dumps(scenario_to_config(build_scenario("eprb", {"theta3": 0.3, "theta4": 0.3}))))
+    for mode in ([], ["--exact"]):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(config), *mode, "--out", str(out)]) == 0
+        unification = json.loads(out.read_text())["unification"]
+        assert unification["chsh"]["satisfied"] is True
+        assert unification["verdict"]["status"] == "feasible"
+        assert main(["verify", str(out)]) == 0

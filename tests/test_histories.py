@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from histories_lab import scenarios
 from histories_lab.errors import (
     DegeneratePostSelectionError,
     HistoryCountError,
@@ -13,7 +14,6 @@ from histories_lab.histories import (
     HistorySet,
     Slot,
     build_class_operators,
-    class_operator_stack,
     decoherence_functional,
     history_probabilities,
     history_set,
@@ -76,11 +76,15 @@ def test_history_cap():
         build_class_operators(schedule)  # 2^13 > 4096
 
 
-def test_class_operator_stack_checks_the_cap_before_any_product():
-    times = [np.zeros(1)] * 13
-    projectors = [np.stack([p.matrix for p in Z_DECOMP])[None]] * 13
+def test_build_class_operators_checks_the_cap_before_any_product(monkeypatch):
+    schedule = HistorySchedule(tuple(Slot(float(t), Z_DECOMP, (1, -1)) for t in range(13)), H2)
+    built = []  # every class-operator product goes through these two helpers
+    for helper in ("heisenberg_stack", "extend_prefix"):
+        monkeypatch.setattr(scenarios, helper, lambda *args, helper=helper: built.append(helper))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: built.append("eigh"))
     with pytest.raises(HistoryCountError, match="schedule yields 8192 histories, cap is 4096"):
-        class_operator_stack(None, None, times, projectors)  # any product would fail on None
+        build_class_operators(schedule)
+    assert built == []
 
 
 def test_schedule_rejects_unordered_times():

@@ -10,7 +10,6 @@ and the report JSON.
 import json
 import math
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +21,7 @@ from histories_lab.unify import (
     cycle_check,
     extract_marginals,
     find_unifying_probability,
+    snap_tables,
 )
 
 BOUNDARY = 1e-6
@@ -44,7 +44,7 @@ def _verdicts(scenario, params):
     tables = [extract_marginals(desc.build(n), desc.set_named(n).mapping) for n in PAIRS[scenario]]
     check = cycle_check(correlations_from_marginals(tables))
     assume(abs(check.slack) > BOUNDARY)
-    exact = find_unifying_probability(desc.space, [t.as_exact() for t in tables], exact=True)
+    exact = find_unifying_probability(desc.space, snap_tables(desc.space, tables), exact=True)
     return find_unifying_probability(desc.space, tables).feasible, exact.feasible, check.satisfied
 
 
@@ -62,11 +62,6 @@ def test_float_and_exact_verdicts_agree_on_leggett_garg_points(params):
     assert exact_feasible == float_feasible
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "MarginalTable.as_exact snaps each table on its own, so two pair tables "
-    "that share a variable snap its one-variable marginal to rationals about "
-    "1e-15 apart, and exact mode proves those snapped tables infeasible where "
-    "CHSH holds"))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(eprb_points)
 def test_float_and_exact_verdicts_agree_on_eprb_points(params):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from histories_lab import _kernels, simplex
+from histories_lab import _kernels, simplex, unify
 from histories_lab.analysis import AnalysisOptions, analyze, decode_value, encode_value, report_to_json, reverify
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
@@ -34,8 +34,10 @@ from histories_lab.unify import (
     cycle_check,
     extract_marginals,
     find_unifying_probability,
+    SNAP_TOL,
     pair_correlation,
     probe_uniqueness,
+    snap_tables,
     table_layout,
     verify_witness,
 )
@@ -954,6 +956,18 @@ def test_verifying_a_feasible_report_decides_no_row_basis(golden):
     assert _constraint_rows.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("golden", ["analyze_three_box.json", "analyze_three_box_exact.json",
+                                    "analyze_leggett_garg.json", "analyze_leggett_garg_exact.json"])
+def test_verifying_an_infeasible_report_decides_no_row_basis(golden):
+    report = json.loads((Path(__file__).parent / "golden" / golden).read_text())
+    assert report["unification"]["verdict"]["status"] == "infeasible"
+    _table_rows.cache_clear()
+    _constraint_rows.cache_clear()
+    reverify(report)
+    assert _table_rows.cache_info().misses == 1
+    assert _constraint_rows.cache_info().misses == 0
+
+
 # ---------------------------------------------------------------------------
 # the row basis the LP solves on, and its dependencies
 # ---------------------------------------------------------------------------
@@ -1138,3 +1152,92 @@ def test_the_row_basis_gives_the_full_row_verdicts(exact, system):
         assert (verdict.unique, verdict.component_bounds) == (probed.unique, probed.component_bounds)
     elif passed:
         assert verdict.unique == probed.unique
+
+
+def _is_negative_zero(value) -> bool:
+    return value == 0 and math.copysign(1.0, value) < 0
+
+
+def test_the_folded_band_certificate_has_no_negative_zero(monkeypatch):
+    """Uniform (v0, v1) tables against single-variable tables 3e-9 off: the
+    width-0 certificate does not refute the band, so the band LP decides, and
+    its certificate folds back onto the width-0 rows."""
+    v0, v1 = Variable("v0", (0, 1)), Variable("v1", (0, 1))
+    space = JointSampleSpace((v0, v1))
+    tables = [MarginalTable((v0, v1), dict.fromkeys(itertools.product((0, 1), repeat=2), 0.25)),
+              MarginalTable((v0,), {(0,): 0.5 + 3e-9, (1,): 0.5 - 3e-9}),
+              MarginalTable((v1,), {(0,): 0.5 - 3e-9, (1,): 0.5 + 3e-9})]
+    tolerances = []
+
+    def solve_lp(*args, **kwargs):
+        tolerances.append(kwargs.get("feas_tol"))
+        return simplex.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(unify, "solve_lp", solve_lp)
+    verdict = find_unifying_probability(space, tables)
+    assert verdict.status == "infeasible" and tolerances == [None, unify.EVIDENCE_TOL]
+    certificate = verdict.farkas_certificate
+    assert certificate == [0.0, 1.0, -1.0, 0.0, -1.0, 0.0, 0.0, -1.0, 1.0]
+    assert not any(_is_negative_zero(y) for y in certificate)
+    system = build_constraint_system(space, tables)
+    assert band_test(system.matrix, certificate, DEFAULT_DELTA)(system.rhs)
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_a_dependency_certificate_has_no_negative_zero(shift):
+    # the (x) table misses the (x, b) table's marginal of x most at x = 0, by
+    # -2 * shift: the LP on the row basis is feasible, and that dependency,
+    # signed by the residual, refutes the rest
+    x = Variable("x", (0, 1, 2))
+    tables = [MarginalTable((x,), {(0,): 1 / 3 + 2 * shift, (1,): 1 / 3 - shift, (2,): 1 / 3 - shift}),
+              MarginalTable((x, SB), dict.fromkeys(itertools.product((0, 1, 2), (1, -1)), 1 / 6))]
+    space = JointSampleSpace((x, SB))
+    system = build_constraint_system(space, tables)
+    assert simplex.solve_lp(system.matrix[system.keep], system.rhs[system.keep]).status == OPTIMAL
+    certificate = find_unifying_probability(space, tables).farkas_certificate
+    sign = math.copysign(1.0, shift)
+    assert certificate[:5] == [-sign, 0.0, 0.0, sign, sign] and not any(certificate[5:])
+    assert not any(_is_negative_zero(y) for y in certificate)
+    assert band_test(system.matrix, certificate, DEFAULT_DELTA)(system.rhs)
+
+
+# ---------------------------------------------------------------------------
+# exact mode: one snap per system
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_layouts(), st.integers(0, 2**32 - 1))
+def test_snapped_tables_of_a_joint_with_zeros_are_exactly_consistent(drawn, seed):
+    """Tables summed from a float joint in which about 30% of the cells are
+    0 snap onto rationals within ``SNAP_TOL`` of their floats that every
+    dependency of the rows holds exactly, so exact mode finds them feasible."""
+    space, layout = drawn
+    rng = np.random.default_rng(seed)
+    joint = rng.random(space.size) * (rng.random(space.size) >= 0.3)
+    assume(joint.sum() > 0)
+    joint /= joint.sum()
+    tables = []
+    for variables, partitions in layout:
+        got = np.zeros(math.prod(map(len, partitions)))
+        np.add.at(got, _cell_keys(space, variables, partitions), joint)
+        keys = itertools.product(*(tuple(tuple(v.outcomes[i] for i in g) for g in groups)
+                                   for v, groups in zip(variables, partitions)))
+        tables.append(MarginalTable(variables, dict(zip(keys, got.tolist()))))
+    snapped = snap_tables(space, tables)
+    rhs = build_constraint_system(space, snapped, exact=True).rhs
+    assert not (_constraint_rows(space, layout)[1].astype(object) @ rhs).any()
+    for table, exact in zip(tables, snapped):
+        assert exact.is_exact and list(exact.values) == list(table.values)
+        for value, float_value in zip(exact.values.values(), table.values.values()):
+            assert value >= 0 and abs(float(value) - float_value) <= SNAP_TOL
+    assert find_unifying_probability(space, snapped, exact=True).feasible
+
+
+def test_tables_that_disagree_beyond_float_noise_snap_one_by_one():
+    tables = [MarginalTable((SA,), {(1,): 0.3, (-1,): 0.7}), MarginalTable((SA,), {(1,): 0.7, (-1,): 0.3})]
+    space = JointSampleSpace((SA,))
+    exact = [t.as_exact() for t in tables]
+    assert snap_tables(space, tables) == exact
+    assert snap_tables(space, [MarginalTable((SA,), {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)})]) \
+        == [MarginalTable((SA,), {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)})]  # exact tables stay
+    assert find_unifying_probability(space, snap_tables(space, tables), exact=True).status == "infeasible"
