@@ -2,9 +2,12 @@
 
 One loop works on either of two tableau representations:
 
-- a dense ``float64`` numpy tableau with a small pivot tolerance, whose
-  column scans run on ``.tolist()`` copies and whose pivot is the dense
-  ``np.outer`` rank-1 update;
+- a dense ``float64`` numpy tableau with a small pivot tolerance.  Each
+  step is a few whole-array numpy calls: ``argmin`` over a view of the
+  cost row picks the entering column, the pivot row is scaled in place and
+  the rest of the tableau takes one broadcast rank-1 update.  Only the
+  ratio test walks a column in Python, because its ties go to the lowest
+  basic label;
 - an ``IntTableau`` of Python-``int`` rows, row ``i`` meaning
   ``rows[i] / den[i]`` with ``den[i] > 0`` and the row reduced by its gcd
   after every update (fraction-free elimination, Edmonds 1967; Bareiss
@@ -22,7 +25,10 @@ The control flow (entering column, stall guard, ratio test, ties, counts)
 is the same for both representations; only the arithmetic at each step is
 picked by the representation.  Every exact tableau value equals the
 rational the textbook ``Fraction`` tableau would hold, so both take the
-same pivots.  Every column is bounded only below, by 0.
+same pivots.  On finite entries, the only ones ``simplex`` accepts, every
+float value is the one the elementwise textbook update gives
+(``tests/float_simplex.py`` keeps it as the reference), down to the sign of
+a zero.  Every column is bounded only below, by 0.
 """
 
 from __future__ import annotations
@@ -83,7 +89,14 @@ def eliminate(row: list[int], den: int, prow: list[int], p: int, col: int) -> tu
 
 
 def pivot(tableau, basis: np.ndarray, row: int, col: int) -> None:
-    """Pivot on entry ``(row, col)`` in place and record ``col`` as basic in ``row``."""
+    """Pivot on entry ``(row, col)`` in place and record ``col`` as basic in ``row``.
+
+    A float tableau scales its pivot row in place, then subtracts from every
+    row its column-``col`` entry times the pivot row, the pivot row itself
+    taking ``0 * prow``: one broadcast product of the column and the row.
+    So each entry is the value the elementwise update gives, down to a
+    ``-0.0`` that ``- 0 * prow`` turns to ``0.0``.
+    """
     if isinstance(tableau, IntTableau):
         rows, den = tableau.rows, tableau.den
         prow, p = rows[row], rows[row][col]
@@ -96,10 +109,11 @@ def pivot(tableau, basis: np.ndarray, row: int, col: int) -> None:
             if i != row and other[col]:
                 rows[i], den[i] = eliminate(other, den[i], prow, p, col)
     else:
-        tableau[row, :] /= tableau[row, col]
+        prow = tableau[row]
+        prow /= prow[col]
         column = tableau[:, col].copy()
-        column[row] = 0
-        tableau -= np.outer(column, tableau[row, :])
+        column[row] = 0.0
+        tableau -= column[:, None] * prow
     basis[row] = col
 
 
@@ -151,10 +165,13 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
     the call enters the first column with reduced cost below ``-tol``
     (Bland's rule), so a degenerate cycle cannot last.  The step length is
     the smallest ``rhs/coef`` over entries above ``tol`` (that basic
-    variable drops to 0), ties going to the lowest basic label.  An exact
-    tableau takes ``tol=0``; its cost row has one denominator, so its
-    reduced costs compare as numerators and its objectives by cross
-    multiplication.  Returns a LOOP_* code and the number of pivots.
+    variable drops to 0), ties going to the lowest basic label.  A float
+    tableau is read through a view of its cost row, taken once, whose
+    ``argmin`` is the first of equal values; with no eligible column the
+    loop is optimal at once.  An exact tableau takes ``tol=0``; its cost row
+    has one denominator, so its reduced costs compare as numerators and its
+    objectives by cross multiplication.  Returns a LOOP_* code and the
+    number of pivots.
     """
     exact = isinstance(tableau, IntTableau)
     m = len(basis)
@@ -162,21 +179,28 @@ def simplex_loop(tableau, basis: np.ndarray, n_eligible: int,
     bland = False
     stalled = 0
     best = best_den = None  # the highest negated objective so far is best / best_den
+    if not exact:
+        costs = tableau[m, :n_eligible]  # a view: every pivot updates the tableau in place
     for _ in range(max_iter):
-        costs = tableau.rows[m][:n_eligible] if exact else tableau[m, :n_eligible].tolist()
+        if exact:
+            costs = tableau.rows[m][:n_eligible]
         if not bland:
             value, den = (tableau.rows[m][-1], tableau.den[m]) if exact \
-                else (float(tableau[m, -1]), 1.0)
+                else (tableau.item(m, -1), 1.0)
             if best is None or value * best_den > best * den:
                 best, best_den, stalled = value, den, 0
             else:
                 stalled += 1
                 bland = stalled >= m
         if bland:
-            enter = next((j for j, v in enumerate(costs) if v < -tol), -1)
-        else:
+            enter = next((j for j, v in enumerate(costs if exact else costs.tolist()) if v < -tol), -1)
+        elif exact:
             low = min(costs, default=0)
             enter = costs.index(low) if low < -tol else -1
+        else:
+            enter = int(costs.argmin()) if n_eligible else -1  # argmin: the first of equal values
+            if enter >= 0 and not costs.item(enter) < -tol:
+                enter = -1
         if enter < 0:
             return LOOP_OPTIMAL, pivots
         leave = _exact_ratio_test(tableau, basis, enter) if exact \

@@ -35,6 +35,7 @@ import functools
 import inspect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -457,7 +458,12 @@ _ACCEPTED = {name: frozenset(inspect.signature(builder).parameters)
 
 def _checked_number(name: str, key: str, value, ndim: int = 0):
     """``value`` if it is an int or a float (``bool`` and strings are not), or,
-    ``ndim`` 1, a 1-D array of them; numpy numbers count."""
+    ``ndim`` 1, a 1-D array of them; numpy numbers count.  A Python int must
+    be within the float range, which every builder converts it to."""
+    if type(value) is int and not abs(value) <= sys.float_info.max:
+        # named by its size: the digits of a large enough int cannot be printed
+        raise ValidationError(f"{name} parameter {key} must be within the float range, "
+                              f"got an int of {value.bit_length()} bits")
     if type(value) in (int, float):  # the common case, decided without numpy
         return value
     with contextlib.suppress(ValueError):  # a ragged sequence is not a number either

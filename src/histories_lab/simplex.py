@@ -155,7 +155,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray, feas_tol: float = DEFAULT_FEAS_TOL)
         b = b * signs
         tableau = np.zeros((m + 1, n + m + 1))
         tableau[:m, :n] = A
-        tableau[np.arange(m), n + np.arange(m)] = 1.0
+        np.fill_diagonal(tableau[:m, n:n + m], 1.0)
         tableau[:m, -1] = b
         tableau[m, :n] = -A.sum(axis=0)
         tableau[m, -1] = -b.sum()
@@ -175,21 +175,22 @@ def _phase_one(A: np.ndarray, b: np.ndarray, feas_tol: float = DEFAULT_FEAS_TOL)
 
     # drive leftover artificials out of the basis; drop redundant rows
     drop: list[int] = []
-    for r in range(m):
-        if basis[r] >= n:
-            row = tableau.rows[r][:n] if exact else tableau[r, :n].tolist()
-            col = next((j for j, v in enumerate(row) if abs(v) > tol), -1)
-            if col < 0:
-                drop.append(r)
-            else:
-                pivot(tableau, basis, r, col)
+    artificial = [r for r, j in enumerate(basis.tolist()) if j >= n]  # a pivot on r moves no other label
+    for r in artificial:
+        row = tableau.rows[r][:n] if exact else tableau[r, :n].tolist()
+        col = next((j for j, v in enumerate(row) if abs(v) > tol), -1)
+        if col < 0:
+            drop.append(r)
+        else:
+            pivot(tableau, basis, r, col)
     keep = [r for r in range(m) if r not in drop]
     if exact:
         kept = [reduced(tableau.rows[r][:n] + tableau.rows[r][-1:], tableau.den[r])
                 for r in keep + [m]]
         tableau = IntTableau([row for row, _ in kept], [d for _, d in kept])
     else:
-        tableau = np.ascontiguousarray(tableau[np.ix_(keep + [m], list(range(n)) + [n + m])])
+        rows = tableau[keep + [m]] if drop else tableau
+        tableau = np.concatenate((rows[:, :n], rows[:, -1:]), axis=1)
     return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), n=n, pivots=pivots)
 
 
@@ -200,7 +201,7 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
     tableau, basis, n, pivots = start.tableau, start.basis, start.n, start.pivots
     m2 = len(basis)
 
-    if (any(c[0]) if exact else np.any(c != 0.0)):
+    if (any(c[0]) if exact else c.any()):
         if exact:
             cost, cost_den = c[0] + [0], c[1]
             for i, j in enumerate(basis.tolist()):
@@ -243,7 +244,8 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c, feas_tol: float = DEFAULT_FEAS_T
 def _system(A, b, exact: bool) -> tuple:
     """``A`` and ``b`` as float64 arrays, or as object arrays of rationals
     (``int`` or ``Fraction``), validated: ``A`` needs at least one row and
-    ``b`` one entry per row."""
+    ``b`` one entry per row, and every float entry must be finite (exact mode
+    refuses NaN and inf as non-rational)."""
     dtype = object if exact else float
     if exact:
         A = [[_as_rational(v) for v in row] for row in A]
@@ -252,6 +254,8 @@ def _system(A, b, exact: bool) -> tuple:
     b = np.array(b, dtype=dtype)
     if A.ndim != 2 or A.shape[0] == 0 or b.shape != (A.shape[0],):
         raise ValidationError(f"incompatible LP shapes A{A.shape}, b{b.shape}")
+    if not exact and not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValidationError("LP entries must be finite numbers")
     return A, b
 
 
@@ -268,6 +272,8 @@ def _cost(c, n: int, exact: bool):
     cost = np.array(c, dtype=float)
     if cost.shape != (n,):
         raise ValidationError(f"cost vector must have length {n}")
+    if not np.isfinite(cost).all():
+        raise ValidationError("cost vector entries must be finite numbers")
     return cost
 
 

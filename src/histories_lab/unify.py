@@ -57,6 +57,26 @@ FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
 
 
+class _Handle:
+    """An identity-hashed stand-in for a value, from ``_interned``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+@functools.lru_cache(maxsize=256)
+def _interned(value) -> _Handle:
+    """The handle of ``value``: one object for every value equal to it, while
+    it stays cached.  The layout memos (``_layout``) are keyed on handles, so
+    a hit hashes and compares none of the ``Variable`` dataclasses inside
+    the value, which differ as objects from system to system.  An evicted
+    value gets a new handle: its memo entries are decided again, never
+    mixed up."""
+    return _Handle(value)
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named finite variable."""
@@ -117,6 +137,11 @@ class JointSampleSpace:
         indices = np.indices(shape).reshape(len(shape), self.size).T
         indices.setflags(write=False)
         return indices
+
+    @cached_property
+    def _handle(self) -> _Handle:
+        """``_interned(self)``, looked up once per space."""
+        return _interned(self)
 
     def variable(self, name: str) -> Variable:
         for v in self.variables:
@@ -222,6 +247,12 @@ class MarginalTable:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+    @cached_property
+    def _handle(self) -> _Handle:
+        """``_interned((variables, partitions))``, this table's entry of a
+        ``_layout``, looked up once per table."""
+        return _interned((self.variables, self.partitions))
 
     def as_exact(self) -> "MarginalTable":
         """Snap float values onto rationals with denominators up to
@@ -390,9 +421,10 @@ class ConstraintSystem:
     the joint cells in row-major order.  The delta band is no part of the
     system: it is checked on the evidence (``_verify_witness``,
     ``band_test``).  All but ``rhs`` is decided once per sample space and
-    table layout: ``matrix`` and ``cell_rows`` by ``_table_rows``, the rest
-    by ``_constraint_rows``, whose docstring defines them.  The LP sees only
-    the rows ``keep``, a row basis; evidence is checked on every row.
+    table layout (``_layout``): ``matrix`` and ``cell_rows`` by
+    ``_table_rows``, the rest by ``_constraint_rows``, whose docstring
+    defines them.  The LP sees only the rows ``keep``, a row basis; evidence
+    is checked on every row.
     """
 
     matrix: object
@@ -425,15 +457,24 @@ def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
     return keys
 
 
+def _layout(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> tuple:
+    """The key of the layout memos ``_table_rows`` and ``_constraint_rows``:
+    the handle of ``space`` and the tuple of each table's handle, one per
+    ``(variables, partitions)`` (``_interned``)."""
+    return space._handle, tuple(table._handle for table in marginals)
+
+
 @functools.lru_cache(maxsize=16)  # bounded: a matrix has rows x cells entries
-def _table_rows(space: JointSampleSpace, layout: tuple, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(matrix, cell_rows)`` of tables laid out as ``layout``, a
-    ``((variables, partitions), ...)`` tuple, checked against ``space`` and
-    decided once per space, layout and arithmetic; the row basis is decided
-    apart, so a witness check never waits for it.  ``cell_rows[t, j]`` is the
-    row of the key of table ``t`` covering cell ``j``.  Row ``r`` of the 0/1
-    ``matrix`` (float64, or Python ``int``s) covers the cells mapped to ``r``,
-    and the last row every cell."""
+def _table_rows(space: _Handle, layout: tuple[_Handle, ...], exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(matrix, cell_rows)`` of tables laid out as ``layout`` over
+    ``space`` (a ``_layout``, whose handles hold the space and each table's
+    ``(variables, partitions)``), checked against the space and decided once
+    per space, layout and arithmetic; the row basis is decided apart, so a
+    witness check never waits for it.  ``cell_rows[t, j]`` is the row of the
+    key of table ``t`` covering cell ``j``.  Row ``r`` of the 0/1 ``matrix``
+    (float64, or Python ``int``s) covers the cells mapped to ``r``, and the
+    last row every cell."""
+    space, layout = space.value, [table.value for table in layout]
     outcomes = {v.name: v.outcomes for v in space.variables}
     cell_rows = np.empty((len(layout), space.size), dtype=np.intp)
     first = 0
@@ -455,10 +496,10 @@ def _table_rows(space: JointSampleSpace, layout: tuple, exact: bool) -> tuple[np
 
 
 @functools.lru_cache(maxsize=16)
-def _constraint_rows(space: JointSampleSpace, layout: tuple,
+def _constraint_rows(space: _Handle, layout: tuple[_Handle, ...],
                      order: tuple | None = None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``(keep, dependencies, scales)`` of the float ``_table_rows`` matrix,
-    decided once per space, layout and ``order`` of the rows (row order by
+    decided once per ``_layout`` and ``order`` of the rows (row order by
     default).  ``keep`` lists, in that order, the rows independent of the
     rows before them, a row basis.  ``dependencies`` holds one primitive
     int64 vector ``y`` per other row ``r``, in that order, with ``y.matrix =
@@ -502,10 +543,6 @@ def _constraint_rows(space: JointSampleSpace, layout: tuple,
     return keep, dependencies, tuple(np.abs(dependencies).max(axis=1).tolist())
 
 
-def _layout(marginals: Sequence[MarginalTable]) -> tuple:
-    return tuple((table.variables, table.partitions) for table in marginals)
-
-
 def _rhs(marginals: Sequence[MarginalTable], exact: bool) -> np.ndarray:
     number = Fraction if exact else float
     return np.array([number(v) for table in marginals for v in table.values.values()] + [number(1)],
@@ -519,10 +556,10 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     and ``Fraction``s; float mode float64 values, where the solver's phase-1
     feasibility tolerance cushions the rows against ~1e-15 marginal noise.
     """
-    layout = _layout(marginals)
-    matrix, cell_rows = _table_rows(space, layout, exact)
+    layout = _layout(space, marginals)
+    matrix, cell_rows = _table_rows(*layout, exact)
     return ConstraintSystem(matrix, _rhs(marginals, exact), space.cells(),
-                            *_constraint_rows(space, layout), cell_rows)
+                            *_constraint_rows(*layout), cell_rows)
 
 
 def snap_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> list[MarginalTable]:
@@ -547,7 +584,7 @@ def snap_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> 
     b = [float(v) for table in marginals for v in table.values.values()]
     zero = [abs(v) <= SNAP_TOL for v in b]
     order = (len(b), *(r for r in range(len(b)) if zero[r]), *(r for r in range(len(b)) if not zero[r]))
-    keep, dependencies, _ = _constraint_rows(space, _layout(marginals), order)
+    keep, dependencies, _ = _constraint_rows(*_layout(space, marginals), order)
     unit = 2 ** 52
     num = [0 if z else round(v * unit) for v, z in zip(b, zero)] + [unit]  # over 2**52
     values = [Fraction(n, unit) for n in num]
@@ -591,31 +628,39 @@ def refutes_marginals(space: JointSampleSpace, marginals: Sequence[MarginalTable
     marginals (exactly, in exact mode) by ``band_test``.  It reads the matrix
     of the tables' layout and their own values, so it never waits for the
     row basis of ``_constraint_rows``."""
-    refutes = band_test(_table_rows(space, _layout(marginals), exact)[0], certificate,
+    refutes = band_test(_table_rows(*_layout(space, marginals), exact)[0], certificate,
                         0 if exact else delta)
     return refutes is not None and refutes(_rhs(marginals, exact))
 
 
-def _verify_witness(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
+def _verify_witness(cell_rows: np.ndarray, marginals: Sequence[MarginalTable], rhs: np.ndarray,
                     values: Sequence, delta: float, exact: bool) -> None:
-    """Check a witness given as its cell values in ``space.cells()`` order, in
-    both arithmetics: exact ones at tolerance 0, float ones with ``EVIDENCE_TOL``
+    """Check a witness given as its cell values in ``space.cells()`` order
+    against the marginals, whose values are ``rhs`` (``_rhs``), in both
+    arithmetics: exact ones at tolerance 0, float ones with ``EVIDENCE_TOL``
     below zero, ``delta + EVIDENCE_TOL`` on every key (its cells summed in
-    order through ``cell_rows``) and ``EVIDENCE_TOL`` on the sum.  Every
-    comparison is written so that a NaN fails it."""
+    order through ``cell_rows``: ``np.add.at``, or for floats
+    ``np.bincount``, which adds in the same order) and ``EVIDENCE_TOL`` on
+    the sum.  Every comparison is written so that a NaN fails it."""
     values = np.asarray(values, dtype=object if exact else float)
     floor, slop = (0, 0) if exact else (-EVIDENCE_TOL, delta + EVIDENCE_TOL)
-    below = np.logical_not(values >= floor)
-    if below.any():
-        raise NumericError(f"witness has a negative or undefined cell ({values[below][0]})")
-    expected = np.array([v for t in marginals for v in t.values.values()], dtype=values.dtype)
-    got = np.zeros(len(expected), dtype=values.dtype)
-    np.add.at(got, cell_rows, np.broadcast_to(values, cell_rows.shape))
+    within = values >= floor
+    if not within.all():
+        raise NumericError(f"witness has a negative or undefined cell ({values[~within][0]})")
+    expected = rhs[:-1]
+    if exact:
+        got = np.zeros(len(expected), dtype=object)
+        np.add.at(got, cell_rows, np.broadcast_to(values, cell_rows.shape))
+    else:
+        weights = np.empty(cell_rows.shape)
+        weights[:] = values
+        got = np.bincount(cell_rows.ravel(), weights.ravel(), len(expected))
     miss = np.abs(got - expected)
-    missed = np.flatnonzero(np.logical_not(miss <= slop))
-    if len(missed):
-        key = [k for t in marginals for k in t.values][missed[0]]
-        raise NumericError(f"witness misses marginal key {key!r} by {miss[missed[0]]}")
+    within = miss <= slop
+    if not within.all():
+        first = np.flatnonzero(~within)[0]
+        key = [k for t in marginals for k in t.values][first]
+        raise NumericError(f"witness misses marginal key {key!r} by {miss[first]}")
     if not abs(values.sum() - 1) <= (0 if exact else EVIDENCE_TOL):
         raise NumericError(f"witness sums to {values.sum()}, not 1")
 
@@ -637,7 +682,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     (``int``, ``float`` or ``Fraction``); anything else is a
     ``ValidationError`` naming the offending cell.
     """
-    cell_rows = _table_rows(space, _layout(marginals), exact)[1]
+    cell_rows = _table_rows(*_layout(space, marginals), exact)[1]
     witness = dict(witness)
     cells = space.cells()
     known = set(cells)
@@ -650,7 +695,7 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         value = witness[cell]
         if not is_finite_number(value):
             raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
-    _verify_witness(cell_rows, marginals, [witness[c] for c in cells], delta, exact)
+    _verify_witness(cell_rows, marginals, _rhs(marginals, exact), [witness[c] for c in cells], delta, exact)
 
 
 def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> None:
@@ -672,15 +717,14 @@ def _checked_verdict(marginals: Sequence[MarginalTable], system: ConstraintSyste
         cell_values = result.x[: len(system.cells)]
         if not exact:
             cell_values = np.where(np.abs(cell_values) < 1e-15, 0.0, cell_values)
-        _verify_witness(system.cell_rows, marginals, cell_values, delta, exact)
+        _verify_witness(system.cell_rows, marginals, system.rhs, cell_values, delta, exact)
         return FeasibilityVerdict(status=FEASIBLE, witness=dict(zip(system.cells, cell_values)),
                                   mode=mode, delta=delta)
     if result.status == INFEASIBLE:
-        certificate = list(result.certificate)
-        refutes = band_test(system.matrix, certificate, 0 if exact else delta)
+        refutes = band_test(system.matrix, result.certificate, 0 if exact else delta)
         if refutes is None or not refutes(system.rhs):
             raise NumericError("Farkas certificate failed verification")
-        return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=certificate,
+        return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=list(result.certificate),
                                   mode=mode, delta=delta)
     raise NumericError(f"unexpected LP status {result.status!r} in feasibility solve")
 
@@ -726,18 +770,23 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
     """
     m = len(system.rhs)
     if result.status == INFEASIBLE:
-        certificate = [Fraction(0)] * m if exact else np.zeros(m)
-        for r, v in zip(system.keep.tolist(), result.certificate):
-            certificate[r] = v + 0  # -0.0 + 0 is 0.0: no float entry reads -0.0
+        if exact:
+            certificate = [Fraction(0)] * m
+            for r, v in zip(system.keep.tolist(), result.certificate):
+                certificate[r] = v
+        else:
+            certificate = np.zeros(m)
+            certificate[system.keep] = result.certificate + 0  # -0.0 + 0 is 0.0: no entry reads -0.0
         return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
     if not len(system.dependencies):
         return result
     if exact:
         residuals = [sum((c * b for c, b in zip(y, system.rhs) if c), Fraction(0))
                      for y in system.dependencies.tolist()]
+        worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / system.scales[k])
     else:
-        residuals = (system.dependencies @ system.rhs).tolist()
-    worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / system.scales[k])
+        residuals = system.dependencies @ system.rhs  # int64 entries, exact in float64
+        worst = int((np.abs(residuals) / system.scales).argmax())  # the first of equal ratios
     if abs(residuals[worst]) <= (0 if exact else DEFAULT_FEAS_TOL) * system.scales[worst]:
         return result
     sign = -1 if residuals[worst] > 0 else 1

@@ -158,6 +158,19 @@ def test_a_builder_called_directly_refuses_what_build_scenario_refuses(build, me
         build()
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: build_scenario("eprb", {"theta1": 10**400}), "eprb parameter theta1"),
+    (lambda: build_scenario("leggett_garg", {"omega": 10**400}), "leggett_garg parameter omega"),
+    (lambda: scenario_grid("leggett_garg", {"omega": 10**400}), "leggett_garg parameter omega"),
+    (lambda: leggett_garg(1.0, 0.0, 1.0, -10**5000), "leggett_garg parameter t3"),
+    (lambda: eprb((10**400, 0, 0), XHAT, ZHAT, XHAT), "eprb parameter a1x"),
+], ids=["eprb", "lg", "lg-grid", "lg-unprintable", "eprb-component"])
+def test_an_int_beyond_the_float_range_is_refused_by_name(build, key):
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be within the float range, "
+                                              r"got an int of \d+ bits$"):
+        build()
+
+
 def test_builders_accept_python_and_numpy_numbers():
     assert leggett_garg(np.float64(0.5), 0, np.float32(1.0)).parameters["omega"] == 0.5
     assert eprb_planar(np.float64(0.0), 1).parameters["theta2"] == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,8 +22,15 @@ from histories_lab.simplex import (
     solve_lp_float,
     verify_certificate,
 )
-from histories_lab.unify import SNAP_MAX_DENOMINATOR
+from histories_lab.unify import (
+    SNAP_MAX_DENOMINATOR,
+    JointSampleSpace,
+    MarginalTable,
+    Variable,
+    build_constraint_system,
+)
 
+import float_simplex
 import fraction_simplex
 
 
@@ -77,6 +85,17 @@ def test_redundant_rows_are_dropped():
     assert exact.objective == 0
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_an_lp_without_columns(exact):
+    # no column can enter, so the loop stops at once on an empty cost row
+    A = np.zeros((1, 0))
+    result = solve_lp(A, [0], exact=exact)
+    assert (result.status, list(result.x), result.objective, result.pivots) == (OPTIMAL, [], 0, 0)
+    for b in ([1], [-1]):
+        result = solve_lp(A, b, exact=exact)
+        assert result.status == INFEASIBLE and verify_certificate(A, b, result.certificate)
+
+
 def test_shape_validation():
     with pytest.raises(ValidationError):
         solve_lp_float([[1, 1]], [1, 2])
@@ -84,6 +103,22 @@ def test_shape_validation():
         solve_lp_float([[1, 1]], [1], [1.0])
     with pytest.raises(ValidationError):
         solve_lp_exact([[1, 1]], [1], c=[0.5, 0])  # non-integral float in exact mode
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_lp_entries_are_refused(exact, bad):
+    # a NaN reduced cost would end the loop as "optimal", and an inf column
+    # gives a point that solves nothing
+    for A, b, c in (([[1.0]], [bad], None), ([[1.0, bad]], [1.0], None), ([[1.0]], [1.0], [bad])):
+        with pytest.raises(ValidationError):
+            solve_lp(A, b, c, exact=exact)
+        if c is None:
+            with pytest.raises(ValidationError):
+                feasible_start(A, b, exact=exact)
+        else:
+            with pytest.raises(ValidationError):
+                feasible_start(A, b, exact=exact).solve(c)
 
 
 def test_iteration_limit_raises(monkeypatch):
@@ -290,3 +325,93 @@ def test_integer_tableau_matches_the_fraction_tableau(lp):
             assert values is None or all(type(v) is Fraction for v in values)
         assert result.objective is None or type(result.objective) is Fraction
         assert _fields(start if isinstance(start, LPResult) else start.solve(c)) == _fields(result)
+
+
+# ---------------------------------------------------------------------------
+# the float path against the reference float tableau
+# ---------------------------------------------------------------------------
+
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 0.1, -0.7, 1 / 3, 1e-12, -1e-12])
+
+
+def _pairwise_system(draw, rows: str) -> tuple:
+    """The 0/1 matrix and rhs of pairwise marginals over 3 or 4 dichotomic
+    variables, from a random joint or from random correlations, on every row
+    (redundant ones included) or on the row basis the unifier solves."""
+    variables = [Variable(f"v{k}", (1, -1)) for k in range(draw(st.integers(3, 4)))]
+    space = JointSampleSpace(tuple(variables))
+    joint = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 5), min_size=space.size, max_size=space.size)),
+                           dtype=float).reshape((2,) * len(variables))
+        joint = weights / max(weights.sum(), 1.0)
+        joint.flat[0] += 1.0 - joint.sum()
+    tables = []
+    for i, j in itertools.combinations(range(len(variables)), 2):
+        if joint is not None:
+            pair = joint.sum(axis=tuple(k for k in range(len(variables)) if k not in (i, j)))
+            values = {(s, t): float(pair[a, b]) for a, s in enumerate((1, -1)) for b, t in enumerate((1, -1))}
+        else:
+            c = draw(st.sampled_from([-1.0, -0.6, 0.0, 0.3, 0.9, 1.0]))
+            values = {(s, t): 0.25 * (1.0 + s * t * c) for s in (1, -1) for t in (1, -1)}
+        tables.append(MarginalTable((variables[i], variables[j]), values))
+    system = build_constraint_system(space, tables)
+    if rows == "basis":
+        return system.matrix[system.keep], system.rhs[system.keep]
+    return system.matrix, system.rhs
+
+
+@st.composite
+def float_lps(draw):
+    """A float LP and a few cost vectors: random entries with signed zeros,
+    entries at the pivot tolerance, negative and zero rhs entries (a
+    degenerate start), redundant rows; Beale's cycling example; or a 0/1
+    pairwise marginal system of the unifier."""
+    kind = draw(st.sampled_from(["random", "random", "beale", "pairwise", "pairwise basis"]))
+    if kind == "beale":
+        A = [[float(v) for v in row[:7]] for row in BEALE_ROWS[:3]]
+        b = [float(row[7]) for row in BEALE_ROWS[:3]]
+        costs = [[float(v) for v in BEALE_ROWS[3][:7]]]
+    elif kind.startswith("pairwise"):
+        A, b = _pairwise_system(draw, kind.partition(" ")[2])
+        n = A.shape[1]
+        costs = [[float(j == k) * sign for j in range(n)]
+                 for k, sign in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1.0, -1.0])),
+                                              max_size=2))]
+    else:
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+        A = [draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(m)]
+        if draw(st.booleans()):  # b from a non-negative point, often with zeros: a degenerate start
+            point = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.5, 3.0]), min_size=n, max_size=n))
+            b = [sum(a * x for a, x in zip(row, point)) for row in A]
+        else:
+            b = draw(st.lists(FLOATS, min_size=m, max_size=m))
+        for _ in range(draw(st.integers(0, 2))):  # a redundant row: a combination of two rows
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            f = draw(st.sampled_from([1.0, -1.0, 2.0, 0.5]))
+            A.append([u + f * v for u, v in zip(A[i], A[j])])
+            b.append(b[i] + f * b[j])
+        costs = draw(st.lists(st.lists(FLOATS, min_size=n, max_size=n), max_size=3))
+    return A, b, costs + [None, [0.0] * len(A[0])]
+
+
+def _bytes(result) -> tuple:
+    """A float result's fields, its arrays and objective as bytes."""
+    fields = result if isinstance(result, dict) else _fields(result)
+    return (fields["status"], fields["pivots"],
+            *(None if fields[k] is None else np.asarray(fields[k], dtype=float).tobytes()
+              for k in ("x", "objective", "certificate")))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(float_lps())
+def test_the_float_path_matches_the_reference_float_tableau(lp):
+    A, b, costs = lp
+    start, reference = feasible_start(A, b), float_simplex.phase_one(A, b)
+    if isinstance(start, LPResult):
+        assert _bytes(start) == _bytes(reference)
+    for c in costs:
+        result = solve_lp_float(A, b, c)
+        assert _bytes(result) == _bytes(float_simplex.solve(A, b, c))
+        if isinstance(start, FeasibleStart):
+            assert _bytes(start.solve(c)) == _bytes(float_simplex.phase_two(reference, c))

@@ -46,6 +46,8 @@ from histories_lab.unify import (
     _cell_keys,
     _checked_verdict,
     _constraint_rows,
+    _interned,
+    _layout,
     _table_rows,
     _verdict,
     _verify_witness,
@@ -112,9 +114,9 @@ def test_verify_witness_rejects_a_nan_cell(exact, cell):
     witness = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)}
     witness[cell] = math.nan
     values = [witness[c] for c in space.cells()]  # the private check takes cell values in order
-    cell_rows = build_constraint_system(space, [table]).cell_rows
+    system = build_constraint_system(space, [table], exact)
     with pytest.raises(NumericError, match="negative or undefined cell"), np.errstate(invalid="ignore"):
-        _verify_witness(cell_rows, [table], values, DEFAULT_DELTA, exact)
+        _verify_witness(system.cell_rows, [table], system.rhs, values, DEFAULT_DELTA, exact)
 
 
 def test_a_float_unifier_must_sum_to_one():
@@ -1001,8 +1003,9 @@ def table_layouts(draw):
 @given(table_layouts())
 def test_the_row_basis_and_its_dependencies_are_exact(drawn):
     space, layout = drawn
-    keep, dependencies, scales = _constraint_rows(space, layout)
-    matrix = _table_rows(space, layout, False)[0]
+    key = _interned(space), tuple(map(_interned, layout))  # what ``_layout`` gives for such tables
+    keep, dependencies, scales = _constraint_rows(*key)
+    matrix = _table_rows(*key, False)[0]
     rows = matrix.astype(np.int64)
     assert set(np.unique(matrix)) <= {0.0, 1.0} and (rows[-1] == 1).all()
     assert len(keep) == np.linalg.matrix_rank(matrix) == np.linalg.matrix_rank(matrix[keep])
@@ -1013,7 +1016,7 @@ def test_the_row_basis_and_its_dependencies_are_exact(drawn):
     for y, r in zip(dependencies.tolist(), dropped):
         assert y[r] > 0 and not any(y[d] for d in dropped if d != r) and math.gcd(*y) == 1
     assert scales == tuple(max(map(abs, y)) for y in dependencies.tolist())
-    assert _constraint_rows(space, layout)[0] is keep and _constraint_rows(space, layout)[1] is dependencies
+    assert _constraint_rows(*key)[0] is keep and _constraint_rows(*key)[1] is dependencies
     assert not (matrix.flags.writeable or keep.flags.writeable or dependencies.flags.writeable)
 
 
@@ -1075,9 +1078,9 @@ def test_the_stacked_witness_check_matches_a_per_table_loop(drawn, exact, data):
         if b is not None:
             witness[b] -= move
     delta = 0 if exact else data.draw(st.sampled_from([0.0, DEFAULT_DELTA, 1e-3]))
-    cell_rows = build_constraint_system(space, tables, exact).cell_rows
+    system = build_constraint_system(space, tables, exact)
     expected = _raised(_per_table_witness_check, space, tables, witness, delta, exact)
-    assert _raised(_verify_witness, cell_rows, tables, witness, delta, exact) == expected
+    assert _raised(_verify_witness, system.cell_rows, tables, system.rhs, witness, delta, exact) == expected
 
 
 @st.composite
@@ -1225,7 +1228,7 @@ def test_snapped_tables_of_a_joint_with_zeros_are_exactly_consistent(drawn, seed
         tables.append(MarginalTable(variables, dict(zip(keys, got.tolist()))))
     snapped = snap_tables(space, tables)
     rhs = build_constraint_system(space, snapped, exact=True).rhs
-    assert not (_constraint_rows(space, layout)[1].astype(object) @ rhs).any()
+    assert not (_constraint_rows(*_layout(space, tables))[1].astype(object) @ rhs).any()
     for table, exact in zip(tables, snapped):
         assert exact.is_exact and list(exact.values) == list(table.values)
         for value, float_value in zip(exact.values.values(), table.values.values()):
