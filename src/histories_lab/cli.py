@@ -10,8 +10,11 @@ A point is refused, before its chunk's physics, only by the parameter
 rules that refuse a built-in's one point; nothing checks what the physics
 derives from checked parameters.  Each infeasible point offers its Farkas
 certificate to the points after it, across chunks, and a point reports it
-only after checking it against its own constraint system.  A grid of more
-than ``SWEEP_POINT_CAP`` points is refused before it is built.
+only after checking it against its own constraint system: one product
+checks it against a chunk's remaining points, and the first point it does
+not refute solves its own LP.  Each chunk is written as one ``writerows``
+over its columns.  A grid of more than ``SWEEP_POINT_CAP`` points is
+refused before it is built.
 ``HISTORIES_LAB_THREADS`` is ignored.
 """
 
@@ -170,18 +173,29 @@ def evaluate_sweep_point(scenario: str, params: dict, carry: Carry | None = None
     of one ``_evaluate_points`` point.
     """
     columns = {name: np.array([value]) for name, value in params.items()}
-    return _evaluate_points(scenario, columns, 1, Carry() if carry is None else carry)[0]
+    combined, maxima, feasible = _evaluate_points(scenario, columns, 1,
+                                                  Carry() if carry is None else carry)
+    return {"combined_consistent": int(combined[0]), "max_combination": float(maxima[0]),
+            "feasible": int(feasible[0])}
 
 
-def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> list[dict]:
-    """``evaluate_sweep_point`` rows of ``size`` contiguous grid points, ``params``
-    holding each swept parameter as a ``(size,)`` array.  The physics, tables
-    and correlations are stacks.  ``ScenarioGrid.check`` refuses the first
-    point its grid's rules refuse, before any physics is computed.  What the
-    physics derives from checked parameters is valid by construction.
-    Only the right-hand side of the constraint system moves, so a carried
-    certificate is checked against each point's (``band_test``), and only a
-    point it does not refute builds its tables and runs the LP."""
+def _evaluate_points(scenario: str, params: dict, size: int,
+                     carry: Carry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``evaluate_sweep_point`` columns of ``size`` contiguous grid points,
+    ``params`` holding each swept parameter as a ``(size,)`` array: the
+    combined-consistency flags (int), the max combinations (float) and the
+    feasible bits (int), each of shape ``(size,)``.
+
+    The physics, tables and correlations are stacks.  ``ScenarioGrid.check``
+    refuses the first point its grid's rules refuse, before any physics is
+    computed.  What the physics derives from checked parameters is valid by
+    construction.  Only the right-hand side of the constraint system moves,
+    so the points are settled in runs: the carried certificate is tested
+    against every remaining point's right-hand side at once (``band_test``
+    on a stack), the run of points it refutes is infeasible, and the first
+    point it does not refute builds its tables and runs the LP, whose
+    verdict's certificate, or ``None``, is carried on from there.
+    """
     grid = scenario_grid(scenario, params)
     grid.check()
     pairs = []  # (mapping, labels, (size, n) probabilities) of each pair set, in set order
@@ -206,19 +220,23 @@ def _evaluate_points(scenario: str, params: dict, size: int, carry: Carry) -> li
     def tables(g: int) -> list:
         return [mapping.marginal_table(dict(zip(labels, p[g].tolist()))) for mapping, labels, p in pairs]
 
-    system = refutes = tested = None
-    rows = []
-    for g in range(size):
-        if carry.certificate is not tested:
-            tested, refutes = carry.certificate, None
-            if tested is not None:
-                system = system or build_constraint_system(grid.fixed.space, tables(g))
-                refutes = band_test(system.matrix, tested, DEFAULT_DELTA)
-        if refutes is None or not refutes(rhs[g]):
-            carry.certificate = find_unifying_probability(grid.fixed.space, tables(g)).farkas_certificate
-        rows.append({"combined_consistent": int(combined[g]), "max_combination": float(maxima[g]),
-                     "feasible": int(carry.certificate is None)})  # only infeasible verdicts carry one
-    return rows
+    space = grid.fixed.space
+    feasible = np.zeros(size, dtype=int)  # a refuted point is infeasible
+    system = None
+    g = 0
+    while g < size:
+        if carry.certificate is not None:
+            system = system or build_constraint_system(space, tables(g))
+            refutes = band_test(system.matrix, carry.certificate, DEFAULT_DELTA)
+            if refutes is not None:
+                refuted = refutes(rhs[g:])
+                g += len(refuted) if refuted.all() else int(refuted.argmin())  # to the first miss
+                if g == size:
+                    break
+        carry.certificate = find_unifying_probability(space, tables(g)).farkas_certificate
+        feasible[g] = carry.certificate is None  # only infeasible verdicts carry one
+        g += 1
+    return combined.astype(int), maxima, feasible
 
 
 def _sweep_threads() -> int:
@@ -241,9 +259,9 @@ def cmd_sweep(args) -> int:
     carry = Carry()
     while chunk := list(itertools.islice(points, SWEEP_CHUNK)):
         columns = dict(zip(args.param, np.array(chunk).T))
-        for point, row in zip(chunk, _evaluate_points(args.scenario, columns, len(chunk), carry)):
-            writer.writerow([repr(v) for v in point]
-                            + [row["combined_consistent"], repr(row["max_combination"]), row["feasible"]])
+        combined, maxima, feasible = _evaluate_points(args.scenario, columns, len(chunk), carry)
+        # tolist gives Python floats, which csv writes by their repr (a numpy float's repr differs)
+        writer.writerows(zip(*zip(*chunk), combined.tolist(), maxima.tolist(), feasible.tolist()))
     _write_output(buffer.getvalue(), args.out)
     return 0
 

@@ -470,7 +470,20 @@ def _checked_number(name: str, key: str, value, ndim: int = 0):
         if np.asarray(value).dtype.kind in "iuf" and np.ndim(value) <= ndim:
             return value
     kind = "an int or a float" + (", or a 1-D array of them" if ndim else "")
-    raise ValidationError(f"{name} parameter {key} must be {kind}, got {value!r}")
+    raise ValidationError(f"{name} parameter {key} must be {kind}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or, when it holds an int too long to print, that
+    int's size, as the scalar check names it."""
+    try:
+        return repr(value)
+    except ValueError:  # an int of more than sys.get_int_max_str_digits() digits
+        with contextlib.suppress(TypeError):
+            bits = max((x.bit_length() for x in value if isinstance(x, int)), default=0)
+            if bits:
+                return f"an int entry of {bits} bits"
+        return f"an entry holding an int of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _checked_parameters(name: str, parameters: Mapping | None) -> dict:

@@ -43,6 +43,8 @@ from .errors import NumericError, ValidationError
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
+_EPS = float(np.finfo(float).eps)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)  # bounds the error of an underflowed product
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -338,7 +340,16 @@ def verify_certificate(A, b, certificate) -> bool:
 def farkas_test(A, certificate, *, feas_tol: float = DEFAULT_FEAS_TOL):
     """``verify_certificate`` with its ``b``-free part done once: a function
     ``refutes(b)`` for systems that differ only in ``b`` (float ones within
-    ``feas_tol``), or ``None`` when it refutes no right-hand side at all."""
+    ``feas_tol``), or ``None`` when it refutes no right-hand side at all.
+
+    ``refutes`` takes one right-hand side, for a ``bool`` from one dot
+    product, or a ``(P, m)`` stack of them, for ``P`` booleans from one
+    matrix product.  The stack's answers are the one-row answers: the two
+    products of a float row differ by at most ``m * eps * sum|y_i b_i|``
+    (each is within half that of the exact sum), so a row whose matrix
+    product lies within twice that of the threshold is decided by its own
+    dot product.
+    """
     if isinstance(certificate, str) or not isinstance(certificate, (Sequence, np.ndarray)) \
             or len(certificate) != len(A):
         return None
@@ -358,4 +369,15 @@ def farkas_test(A, certificate, *, feas_tol: float = DEFAULT_FEAS_TOL):
     combo = y @ np.asarray(A, dtype=dtype)
     if combo.size and not combo.min() >= -slack:
         return None
-    return lambda b: bool(y @ np.asarray(b, dtype=dtype) < -slack)
+
+    def refutes(b):
+        b = np.asarray(b, dtype=dtype)
+        if b.ndim == 1:
+            return bool(y @ b < -slack)
+        values = b @ y
+        if not exact:  # one product may round a row otherwise than its dot product
+            error = 2 * len(y) * (_EPS * (np.abs(b) @ np.abs(y)) + _SUBNORMAL)
+            for i in np.flatnonzero(np.abs(values + slack) <= error).tolist():
+                values[i] = y @ b[i]
+        return values < -slack
+    return refutes

@@ -606,7 +606,10 @@ def band_test(matrix, certificate, delta):
     """``simplex.farkas_test`` for the band ``|a_r.x - b_r| <= delta`` on the
     marginal rows of a ``ConstraintSystem`` ``matrix``, whose last row, the
     normalization, stays a hard equality: a function ``refutes(rhs)``, or
-    ``None`` when the candidate refutes no right-hand side at all.
+    ``None`` when the candidate refutes no right-hand side at all.  Like
+    ``farkas_test``'s, ``refutes`` takes one right-hand side for a ``bool``
+    or a ``(P, m)`` stack of them (``stacked_rhs``) for ``P`` booleans, each
+    the one-row answer.
 
     Over ``x >= 0``, ``y`` refutes the band when ``y.A >= 0`` and ``y.b +
     delta * sum_r |y_r| < 0`` over the marginal rows, which is ``farkas_test``

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -169,6 +170,18 @@ def test_an_int_beyond_the_float_range_is_refused_by_name(build, key):
     with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be within the float range, "
                                               r"got an int of \d+ bits$"):
         build()
+
+
+@pytest.mark.parametrize("scenario, key", [("leggett_garg", "omega"), ("eprb", "theta4")])
+@pytest.mark.parametrize("value, shown", [
+    ([10**5000], "an int entry of 16610 bits"),
+    ([0.5, -10**5000], "an int entry of 16610 bits"),
+    ([[10**5000]], f"an entry holding an int of more than {sys.get_int_max_str_digits()} digits"),
+], ids=["one", "second", "nested"])
+def test_a_grid_parameter_holding_an_unprintable_int_is_refused_by_name(scenario, key, value, shown):
+    with pytest.raises(ValidationError, match=f"^{scenario} parameter {key} must be an int or a float, "
+                                              f"or a 1-D array of them, got {shown}$"):
+        scenario_grid(scenario, {key: value})
 
 
 def test_builders_accept_python_and_numpy_numbers():

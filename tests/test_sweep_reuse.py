@@ -54,7 +54,9 @@ def test_two_parameter_grids_match_cold_points(scenario, names, grids):
     values = [[float(v) for v in g] + [0.0, -0.0] for g in grids]
     points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
     columns = {name: np.array([p[name] for p in points]) for name in names}
-    stacked = [repr(row) for row in _evaluate_points(scenario, columns, len(points), Carry())]
+    combined, maxima, feasible = _evaluate_points(scenario, columns, len(points), Carry())
+    stacked = [repr({"combined_consistent": c, "max_combination": m, "feasible": f})
+               for c, m, f in zip(combined.tolist(), maxima.tolist(), feasible.tolist())]
     assert stacked == [_row(scenario, p) for p in points]
 
 

@@ -6,6 +6,7 @@ infeasible verdict must carry a certificate that verifies against its own
 point's constraint system, and memory must not grow with the grid.
 """
 
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,14 @@ from histories_lab import cli
 from histories_lab.classicality import classify
 from histories_lab.cli import SWEEP_CHUNK, Carry, _evaluate_points, evaluate_sweep_point, main
 from histories_lab.scenarios import build_scenario
-from histories_lab.unify import DEFAULT_DELTA, build_constraint_system, extract_marginals
+from histories_lab.simplex import DEFAULT_FEAS_TOL, farkas_test
+from histories_lab.unify import (
+    DEFAULT_DELTA,
+    EVIDENCE_TOL,
+    band_test,
+    build_constraint_system,
+    extract_marginals,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README_SWEEPS = (
@@ -40,9 +48,15 @@ def test_readme_sweeps_reproduce_their_committed_csvs(tmp_path, argv, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def _rows(columns):
+    """``evaluate_sweep_point`` dicts read from ``_evaluate_points`` columns."""
+    return [{"combined_consistent": c, "max_combination": m, "feasible": f}
+            for c, m, f in zip(*(column.tolist() for column in columns))]
+
+
 def _stacked_rows(scenario, points):
     columns = {name: np.array([p[name] for p in points]) for name in points[0]}
-    return _evaluate_points(scenario, columns, len(points), Carry())
+    return _rows(_evaluate_points(scenario, columns, len(points), Carry()))
 
 
 def _grid(names, values):
@@ -100,6 +114,125 @@ def test_two_chunks_and_a_point_match_carried_points(capsys):
     assert lines[1:] == expected
 
 
+def _carried_rows(scenario, points):
+    """The serial reference: one ``evaluate_sweep_point`` per point, sharing one ``Carry``."""
+    carry = Carry()
+    return [evaluate_sweep_point(scenario, params, carry) for params in points]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(grids())
+def test_runs_match_carried_points(grid):
+    scenario, points = grid
+    assert list(map(repr, _stacked_rows(scenario, points))) \
+        == list(map(repr, _carried_rows(scenario, points)))
+
+
+@pytest.mark.parametrize("scenario, name, lo, hi", [("leggett_garg", "omega", 0.0, 3.14159),
+                                                    ("eprb", "theta4", 2.0, 2.8)])
+def test_runs_cross_chunk_boundaries_as_carried_points_do(monkeypatch, scenario, name, lo, hi):
+    solves = []
+    find = cli.find_unifying_probability
+    monkeypatch.setattr(cli, "find_unifying_probability", lambda *a: solves.append(1) or find(*a))
+    values = np.linspace(lo, hi, 2 * SWEEP_CHUNK + 3)
+    carry = Carry()
+    rows = []
+    for start in range(0, len(values), SWEEP_CHUNK):
+        chunk = values[start:start + SWEEP_CHUNK]
+        rows += _rows(_evaluate_points(scenario, {name: chunk}, len(chunk), carry))
+    stacked_solves = len(solves)
+    expected = _carried_rows(scenario, [{name: v} for v in values.tolist()])
+    assert list(map(repr, rows)) == list(map(repr, expected))
+    assert len(solves) == 2 * stacked_solves  # the serial loop solves as many LPs
+    # runs of infeasible points settled by a carried certificate span both chunk boundaries
+    assert stacked_solves < 6
+    assert all(rows[k]["feasible"] == 0 for k in (SWEEP_CHUNK - 1, SWEEP_CHUNK, 2 * SWEEP_CHUNK))
+
+
+@pytest.mark.parametrize("argv, solves", [(README_SWEEPS[0][0], 4), (README_SWEEPS[1][0], 1)],
+                         ids=["leggett_garg", "eprb"])
+def test_readme_sweeps_solve_their_pinned_lp_counts(monkeypatch, capsys, argv, solves):
+    calls = []
+    find = cli.find_unifying_probability
+    monkeypatch.setattr(cli, "find_unifying_probability", lambda *a: calls.append(1) or find(*a))
+    assert main(["sweep", *argv]) == 0
+    assert len(calls) == solves
+
+
+@functools.cache
+def _readme_certificates():
+    """(matrix, certificate) for each certificate the two one-parameter README sweeps carry."""
+    found = []
+    for scenario, name, grid in (("leggett_garg", "omega", np.linspace(0, 3.14159, 181)),
+                                 ("eprb", "theta4", np.linspace(2, 2.8, 41))):
+        carry = Carry()
+        for value in grid.tolist():
+            evaluate_sweep_point(scenario, {name: value}, carry)
+            if carry.certificate is not None and all(carry.certificate is not c for _, c in found):
+                found.append((_point_system(scenario, {name: value}).matrix, carry.certificate))
+    return found
+
+
+def _aim(rows, y, shift, threshold):
+    """Move every second row along its largest ``y`` entry until ``y.(row +
+    shift)`` rounds to about ``threshold``: rows whose two products may fall
+    on either side of it."""
+    k = int(np.argmax(np.abs(y)))
+    for row in rows[1::2]:
+        if y[k]:
+            row[k] += (threshold - y @ (row + shift)) / y[k]
+
+
+finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+small_fractions = st.fractions(-5, 5, max_denominator=7)
+
+
+@st.composite
+def certified_stacks(draw):
+    """A ``refutes`` and a ``(P, m)`` stack of right-hand sides, P from 1: a
+    README sweep certificate under ``band_test``, or a random float or
+    ``Fraction`` one under ``farkas_test``, with its matrix's columns turned
+    so that ``y.A >= 0``."""
+    kind = draw(st.sampled_from(["readme", "float", "exact"]))
+    size = draw(st.integers(1, 6))
+    if kind == "readme":
+        matrix, certificate = draw(st.sampled_from(_readme_certificates()))
+        y = np.asarray(certificate, dtype=float)
+        m = len(y)
+        shift = np.append(DEFAULT_DELTA * np.sign(y[:-1]), 0.0)
+        stack = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+                                       min_size=size, max_size=size)))
+        _aim(stack, y, shift, -EVIDENCE_TOL * max(1.0, float(np.max(np.abs(y)))))
+        return band_test(matrix, certificate, DEFAULT_DELTA), stack
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = small_fractions if kind == "exact" else finite
+    dtype = object if kind == "exact" else float
+    y = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=dtype)
+    A = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)),
+                 dtype=dtype)
+    A[:, (y @ A) < 0] *= -1  # negating a column negates its product exactly
+    stack = np.array(draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=size,
+                                   max_size=size)), dtype=dtype)
+    if kind == "float":
+        _aim(stack, y, 0.0, -DEFAULT_FEAS_TOL * max(1.0, float(np.max(np.abs(y)))))
+    else:
+        _aim(stack, y, 0, 0)  # exactly on the threshold: not refuted
+    refutes = farkas_test(A, y.tolist())
+    assert refutes is not None
+    return refutes, stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(certified_stacks())
+def test_a_stacked_refutes_gives_each_rows_one_row_answer(case):
+    refutes, stack = case
+    answers = refutes(stack)
+    assert answers.dtype == bool and answers.shape == (len(stack),)
+    for row, answer in zip(stack, answers.tolist()):
+        one = refutes(row)
+        assert type(one) is bool and one == answer
+
+
 def _point_system(scenario, params):
     desc = build_scenario(scenario, params)
     tables = [extract_marginals(desc.build(s.name), s.mapping) for s in desc.sets
@@ -117,7 +250,9 @@ def test_every_infeasible_point_reports_a_certificate_of_its_own_system(monkeypa
 
         def logged(b):
             refuted = refutes(b)
-            if refuted:
+            for hit in np.atleast_1d(refuted):  # a stack settles its rows up to the first miss
+                if not hit:
+                    break
                 verdicts.append(certificate)
             return refuted
         return logged
