@@ -1,14 +1,20 @@
 """Scenario analysis pipeline and report (de)serialization.
 
-``analyze`` runs build -> classify -> zero-cover -> marginal extraction ->
+``analyze`` runs physics -> classify -> zero-cover -> marginal extraction ->
 unification -> uniqueness for one scenario descriptor and returns a plain
-dict ready for JSON.  The encoding is lossless: rationals are tagged, label
-and outcome types survive a round trip, and anything whose order matters
-(marginal tables, witness cells) is stored as lists, so a reloaded report can
-re-verify its own witness or Farkas certificate against the constraint
-system it claims to solve.  The one exception is a mapping's non-string
-keys, which ``encode_value`` writes as ``str(key)``: the tuple keys of the
-``expected`` block (``"(1,)"``) come back as strings.
+dict ready for JSON.  It builds no ``HistorySet``: every set's decoherence
+functional, quasi-probabilities and classicality diagnostics are rows of
+stacks computed from the descriptor's grid, one stack per shape of set
+(``_set_physics``), and the per-set steps read those rows through the
+array-level functions that ``classify``, ``detect_zero_cover`` and
+``extract_marginals`` apply to one set.  The encoding is lossless:
+rationals are tagged, label and outcome types survive a round trip, and
+anything whose order matters (marginal tables, witness cells) is stored as
+lists, so a reloaded report can re-verify its own witness or Farkas
+certificate against the constraint system it claims to solve.  The one
+exception is a mapping's non-string keys, which ``encode_value`` writes as
+``str(key)``: the tuple keys of the ``expected`` block (``"(1,)"``) come
+back as strings.
 """
 
 from __future__ import annotations
@@ -23,11 +29,18 @@ import numpy as np
 from .classicality import (
     DEFAULT_CLASSIFY_TOL,
     DEFAULT_ZERO_COVER_THRESHOLD,
-    classify,
-    detect_zero_cover,
+    classify_diagnostics,
+    zero_cover,
 )
 from .errors import NumericError, ValidationError
-from .histories import decoherence_functional, quasi_probabilities
+from .histories import (
+    check_identity_sums,
+    checked_labels,
+    checked_weight,
+    classicality_stack,
+    decoherence_stack,
+    quasi_stack,
+)
 from .scenarios import ScenarioDescriptor
 from .unify import (
     DEFAULT_DELTA,
@@ -37,7 +50,6 @@ from .unify import (
     Variable,
     correlations_from_marginals,
     cycle_check,
-    extract_marginals,
     find_unifying_probability,
     is_finite_number,
     probe_uniqueness,
@@ -206,25 +218,62 @@ def _decode_marginal(entry, space: JointSampleSpace, path: str) -> MarginalTable
 # pipeline
 # ---------------------------------------------------------------------------
 
+def _set_physics(descriptor: ScenarioDescriptor) -> dict[str, tuple]:
+    """Each set's labels, ``(n, n)`` decoherence functional, ``(n,)``
+    quasi-probabilities and four classicality diagnostics, by set name.
+
+    They are rows of the stacks of point 0 of the descriptor's grid: the sets
+    of one ``(n, dim)`` shape are stacked along the grid axis and computed at
+    once.  The checks a ``HistorySet`` makes are made here once: the history
+    cap (``ScenarioGrid.class_operators``), distinct tuple labels, one
+    stacked identity-sum check per shape and the post-selection weight, once
+    per scenario.  The stack's shape matches the labels and the states by
+    construction of the grid.
+    """
+    grid = descriptor.grid
+    weight = checked_weight(descriptor.initial, descriptor.final)
+    rho, final = descriptor.initial.matrix, None if descriptor.final is None else descriptor.final.matrix
+    groups: dict[tuple, list] = {}
+    for sset in descriptor.sets:
+        ops = grid.class_operators(sset.name)  # checks the history cap before any label is built
+        groups.setdefault(ops.shape, []).append((sset.name, ops))
+    physics = {}
+    for members in groups.values():
+        ops = np.concatenate([o for _, o in members])
+        check_identity_sums(ops)
+        entries = decoherence_stack(ops, rho, final, weight)
+        quasi = quasi_stack(ops, rho, final, weight)
+        diagnostics = classicality_stack(entries, quasi).tolist()
+        for s, (name, _) in enumerate(members):
+            physics[name] = checked_labels(grid.labels(name)), entries[s], quasi[s], diagnostics[s]
+    return physics
+
+
 def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisOptions()) -> dict:
-    """Run the full pipeline on one scenario and return the report dict."""
+    """Run the full pipeline on one scenario and return the report dict.
+
+    Each set's report is read from its rows of ``_set_physics``; it is the
+    report of ``descriptor.build(name)`` through ``classify``,
+    ``detect_zero_cover`` and ``extract_marginals``, which compute one set
+    at a time.
+    """
     sets_report: dict[str, dict] = {}
     tables: list[tuple[str, MarginalTable]] = []
     excluded: dict[str, str] = {}
 
+    physics = _set_physics(descriptor)
     for sset in descriptor.sets:
-        hset = descriptor.build(sset.name)
-        functional = decoherence_functional(hset)
-        probabilities = dict(zip(functional.labels, functional.diagonal()))
-        quasi = quasi_probabilities(hset)
-        report = classify(hset, options.tol)
-        cover = detect_zero_cover(hset)
+        labels, entries, quasi, diagnostics = physics[sset.name]
+        diagonal = entries.diagonal().real
+        probabilities = dict(zip(labels, diagonal.tolist()))
+        report = classify_diagnostics(diagnostics, options.tol)
+        cover = zero_cover(labels, entries)
 
         sets_report[sset.name] = {
-            "labels": encode_value(list(functional.labels)),
+            "labels": encode_value(list(labels)),
             "probabilities": _pairs(probabilities),
-            "probability_sum": float(sum(probabilities.values())),
-            "quasi_probabilities": _pairs(quasi),
+            "probability_sum": float(sum(diagonal)),  # in label order, as numpy floats, as a set sums
+            "quasi_probabilities": _pairs(dict(zip(labels, quasi.tolist()))),
             "classicality": {
                 "decoherent": report.decoherent,
                 "consistent": report.consistent,
@@ -247,7 +296,7 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
 
         if sset.mapping is not None:
             if report.consistent:
-                tables.append((sset.name, extract_marginals(hset, sset.mapping, options.tol)))
+                tables.append((sset.name, sset.mapping.marginal_table(probabilities)))
             else:
                 excluded[sset.name] = "inconsistent"
 

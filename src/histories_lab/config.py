@@ -39,8 +39,10 @@ Each rule is checked once.  This module checks the JSON shape and that
 the Hamiltonian is Hermitian (``$.hamiltonian``).  The domain constructors
 and checks own the other rules, and their ``ValidationError`` is recorded
 at the path of the value they were given: ``DensityOperator`` a state,
-``Projector`` one projector, ``Slot`` one slot's projective decomposition
-and outcome labels, ``histories.time_ordered`` a set's slot times,
+``Projector`` one projector, ``histories.checked_weight`` the final
+state's overlap Tr(rho_f rho) with the initial state (at ``$.final``),
+``Slot`` one slot's projective decomposition and outcome labels,
+``histories.time_ordered`` a set's slot times,
 ``Variable`` and ``JointSampleSpace`` the unify variables, and
 ``VariableMapping`` and ``unify.table_layout`` a map entry.  The descriptor
 is made of these checked values; nothing checks them again.
@@ -59,7 +61,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigValidationError, ValidationError
-from .histories import DEFAULT_HISTORY_CAP, Slot, time_ordered
+from .histories import DEFAULT_HISTORY_CAP, Slot, checked_weight, time_ordered
 from .operators import DEFAULT_DIMENSION_CAP, DensityOperator, Projector, is_hermitian
 from .scenarios import ScenarioDescriptor, _Fixed, point_grid
 from .unify import JointSampleSpace, Variable, VariableMapping, is_finite_number, table_layout
@@ -419,6 +421,8 @@ def parse_config(source) -> ScenarioDescriptor:
         initial = _operator(DensityOperator, _parse_state, doc["initial"], dim, "$.initial", problems)
     if doc.get("final") is not None:
         final = _operator(DensityOperator, _parse_state, doc["final"], dim, "$.final", problems)
+    if initial is not None and final is not None:
+        _attempt(problems, "$.final", checked_weight, initial, final)
 
     sets, declared = _parse_sets(doc.get("sets"), dim, problems)
     space, mappings = _parse_unify(doc.get("unify"), sets, declared, problems)

@@ -9,11 +9,16 @@ are diagonal entries of the decoherence functional
 with the ``1 / Tr(rho_f rho)`` normalization.
 
 The physics runs on stacks with a leading axis of G grid points; a sweep
-evaluates its grid at once and a ``HistorySet`` is a stack of one.  A set is
-three values: its labels, one read-only ``(n, dim, dim)`` stack of class
+evaluates its grid at once, ``analysis.analyze`` stacks a scenario's sets
+of one shape, and a ``HistorySet`` is a stack of one.  A set is three
+values: its labels, one read-only ``(n, dim, dim)`` stack of class
 operators in label order, and its boundary states.  Inputs are validated
 once, where they enter.  Everything derived from a set is computed at most
-once and cached on the set itself, by the set's own properties.
+once and cached on the set itself, by the set's own properties, which call
+the stack functions (``decoherence_stack``, ``quasi_stack``,
+``classicality_stack``) on a stack of one.  A set's checks are functions
+too (``checked_labels``, ``check_identity_sums``, ``checked_weight``), so
+``analyze`` makes them once per stack or scenario without building a set.
 
 Class operators come from two helpers, the only code that multiplies them,
 and ``scenarios.ScenarioGrid.class_operators`` is their one caller:
@@ -229,6 +234,50 @@ def interference_maxima(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.abs(entries.real).max(axis=(1, 2), where=off, initial=0.0))
 
 
+def classicality_stack(entries: np.ndarray, quasi: np.ndarray) -> np.ndarray:
+    """Each point's classicality diagnostics, ``(G, 4)``, from a ``(G, n, n)`` stack
+    of decoherence functionals and its ``(G, n)`` quasi-probabilities: what
+    ``classicality.classify`` compares with its tolerance, in order, max
+    off-diagonal |D| and |Re D|, min quasi-probability and max |quasi - probability|."""
+    max_abs, max_re = interference_maxima(entries)
+    gap = np.abs(quasi - entries.diagonal(axis1=1, axis2=2).real).max(axis=1)
+    return np.stack([max_abs, max_re, quasi.min(axis=1), gap], axis=1)
+
+
+def checked_labels(labels) -> tuple[Label, ...]:
+    """``labels`` as a tuple, refused unless it holds at least one label and
+    its labels are distinct tuples."""
+    labels = tuple(labels)
+    if not labels:
+        raise ValidationError("history set must contain at least one history")
+    for label in labels:
+        if not isinstance(label, tuple):
+            raise ValidationError(f"history label {label!r} must be a tuple")
+    _check_distinct(labels, "history labels")
+    return labels
+
+
+def check_identity_sums(ops: np.ndarray) -> None:
+    """Refuse a ``(G, n, dim, dim)`` stack unless each point's class operators
+    sum to the identity within ``DEFAULT_TOL``, naming the deviation of the first
+    point that does not."""
+    deviations = identity_deviation(ops)
+    if not (deviations <= DEFAULT_TOL).all():
+        dev = float(deviations[np.argmin(deviations <= DEFAULT_TOL)])
+        raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
+
+
+def checked_weight(initial: DensityOperator, final: DensityOperator | None) -> float:
+    """The post-selection weight Tr(rho_f rho), or 1.0 without a final state;
+    refused when it is too small to normalize by."""
+    if final is None:
+        return 1.0
+    weight = float(np.trace(final.matrix @ initial.matrix).real)
+    if weight <= DEFAULT_TOL:
+        raise DegeneratePostSelectionError(f"Tr(rho_f rho) = {weight:.3e} is too small to normalize by")
+    return weight
+
+
 @dataclass(frozen=True)
 class HistorySet:
     """Labelled class operators plus boundary conditions.
@@ -249,13 +298,7 @@ class HistorySet:
     final: DensityOperator | None = None
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        if not labels:
-            raise ValidationError("history set must contain at least one history")
-        for label in labels:
-            if not isinstance(label, tuple):
-                raise ValidationError(f"history label {label!r} must be a tuple")
-        _check_distinct(labels, "history labels")
+        labels = checked_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         dim = self.initial.dim
         try:
@@ -268,19 +311,10 @@ class HistorySet:
                 f"one {dim}x{dim} matrix per label, got shape {ops.shape}"
             )
         object.__setattr__(self, "class_operators", ops)
-        dev = float(identity_deviation(ops[None])[0])
-        if not dev <= DEFAULT_TOL:
-            raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
-        weight = 1.0
-        if self.final is not None:
-            if self.final.dim != dim:
-                raise ValidationError("final state dimension does not match initial state")
-            weight = float(np.trace(self.final.matrix @ self.initial.matrix).real)
-            if weight <= DEFAULT_TOL:
-                raise DegeneratePostSelectionError(
-                    f"Tr(rho_f rho) = {weight:.3e} is too small to normalize by"
-                )
-        object.__setattr__(self, "_weight", weight)
+        check_identity_sums(ops[None])
+        if self.final is not None and self.final.dim != dim:
+            raise ValidationError("final state dimension does not match initial state")
+        object.__setattr__(self, "_weight", checked_weight(self.initial, self.final))
         object.__setattr__(self, "_final", None if self.final is None else self.final.matrix)
 
     @property
@@ -309,10 +343,8 @@ class HistorySet:
         """What ``classify`` compares with its tolerance, in order: max
         off-diagonal |D| and |Re D|, min quasi-probability, and max
         |quasi - probability|."""
-        d = self._functional
-        q = np.array(list(self._quasi.values()))
-        max_abs, max_re = interference_maxima(d.entries[None])
-        return float(max_abs[0]), float(max_re[0]), float(q.min()), float(np.max(np.abs(q - d.diagonal())))
+        quasi = np.array(list(self._quasi.values()))
+        return tuple(classicality_stack(self._functional.entries[None], quasi[None])[0].tolist())
 
 
 def history_set(schedule: HistorySchedule, initial: DensityOperator,

@@ -169,6 +169,43 @@ def _zero_cover_one_subset_at_a_time(hset):
     return None
 
 
+def _post_selected_zero_set(rng, dim, zero_subsets):
+    """One slot of rank-1 projectors in a random basis, post-selected on a state
+    orthogonal to (sum of P_k over S)|psi> for each S in ``zero_subsets``: those
+    unions have measure zero, and a one-member S is a history of measure zero.
+    None when the post-selection weight comes out too small."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    projs = tuple(Projector(projector_onto(basis[:, k])) for k in range(dim))
+    psi = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    f = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if zero_subsets:
+        q, _ = np.linalg.qr(np.stack([sum(projs[k].matrix for k in s) @ psi for s in zero_subsets],
+                                     axis=1))
+        f -= q @ (q.conj().T @ f)
+    if abs(np.vdot(f, psi)) < 1e-3:
+        return None
+    return history_set(HistorySchedule((Slot(0.0, projs, tuple(range(dim))),), np.zeros((dim, dim))),
+                       DensityOperator.pure(psi), DensityOperator.pure(f))
+
+
+def _check_against_one_subset_at_a_time(hset) -> tuple[int, bool]:
+    """The witness size of ``detect_zero_cover`` (0 for none), after checking it
+    against the reference search, and whether another subset of that size ties."""
+    report = detect_zero_cover(hset)
+    expected = _zero_cover_one_subset_at_a_time(hset)
+    assert report.witness == expected
+    assert report.found == (expected is not None) == (not report.preclusive)
+    if not report.found:
+        return 0, False
+    d = decoherence_functional(hset)
+    live = d.diagonal() > DEFAULT_ZERO_COVER_THRESHOLD
+    size = len(report.witness)
+    ties = sum(live[list(subset)].all()
+               and d.entries[np.ix_(subset, subset)].sum().real <= DEFAULT_ZERO_COVER_THRESHOLD
+               for subset in itertools.combinations(range(len(d.labels)), size)) > 1
+    return size, ties
+
+
 def test_zero_cover_matches_the_one_subset_at_a_time_search():
     # post-select on a state orthogonal to (sum of P_k over S)|psi> for one or
     # two subsets S of one size: those unions have measure zero, like
@@ -177,26 +214,40 @@ def test_zero_cover_matches_the_one_subset_at_a_time_search():
     found = ties = 0
     for _ in range(80):
         dim = int(rng.integers(3, 8))
-        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        projs = tuple(Projector(projector_onto(basis[:, k])) for k in range(dim))
-        psi = ket(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         size = int(rng.integers(2, dim))
-        zero = [sum(projs[k].matrix for k in rng.choice(dim, size=size, replace=False)) @ psi
-                for _ in range(int(rng.integers(1, 3)))]
-        q, _ = np.linalg.qr(np.stack(zero, axis=1))
-        f = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        f -= q @ (q.conj().T @ f)
-        if abs(np.vdot(f, psi)) < 1e-3:
+        hset = _post_selected_zero_set(rng, dim, [rng.choice(dim, size=size, replace=False)
+                                                  for _ in range(int(rng.integers(1, 3)))])
+        if hset is None:
             continue
-        hset = history_set(HistorySchedule((Slot(0.0, projs, tuple(range(dim))),), np.zeros((dim, dim))),
-                           DensityOperator.pure(psi), DensityOperator.pure(f))
-        report = detect_zero_cover(hset)
-        expected = _zero_cover_one_subset_at_a_time(hset)
-        assert report.witness == expected
-        assert report.found == (expected is not None)
-        found += report.found
-        d = decoherence_functional(hset)
-        ties += report.found and sum(
-            d.entries[np.ix_(subset, subset)].sum().real <= DEFAULT_ZERO_COVER_THRESHOLD
-            for subset in itertools.combinations(range(dim), len(report.witness))) > 1
+        witness_size, tie = _check_against_one_subset_at_a_time(hset)
+        found += witness_size > 0
+        ties += tie
     assert found > 60 and ties > 20
+
+    # 8 to 12 histories, up to the enumeration limit: covers found at size 2
+    # and at larger sizes, ties, no cover, and histories of measure zero,
+    # whose unions with each other have measure zero too but are no cover
+    sizes, ties, dead = [], 0, 0
+    for case in range(60):
+        dim = int(rng.integers(8, 13))
+        kind = case % 5
+        if kind == 0:  # no cover
+            zero = []
+        elif kind == 4:  # two to four dead histories, and sometimes a cover among the others
+            members = rng.permutation(dim)
+            count = int(rng.integers(2, 5))
+            zero = [[k] for k in members[:count]]
+            if rng.integers(2):
+                zero.append(members[count:count + int(rng.integers(2, 5))])
+        else:  # one or two covers of size 2, or of a larger size
+            size = 2 if kind == 1 else int(rng.integers(3, 7))
+            zero = [rng.choice(dim, size=size, replace=False) for _ in range(1 + (kind == 3))]
+        hset = _post_selected_zero_set(rng, dim, zero)
+        if hset is None:
+            continue
+        witness_size, tie = _check_against_one_subset_at_a_time(hset)
+        sizes.append(witness_size)
+        ties += tie
+        dead += kind == 4
+    assert sizes.count(0) >= 12 and sizes.count(2) >= 10 and sum(s > 2 for s in sizes) >= 15
+    assert ties >= 5 and dead >= 10

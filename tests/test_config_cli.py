@@ -281,6 +281,11 @@ INVALID_DOCUMENTS = {
         [("$.hamiltonian", "must be Hermitian"),
          ("$.sets[0]", "slot times must be strictly increasing, got [0.0, 0.0]"),
          ("$.sets[1].slots[1]", _NOT_A_DECOMPOSITION)]),
+    "degenerate-final-and-unknown-variable": (  # the final state is orthogonal to the initial |up>
+        lambda: _edited(scenario_to_config(build_scenario("griffiths_spin")),
+                        (("final",), [0, 1]), (("unify", "map", "z", 0), "nope")),
+        [("$.final", "Tr(rho_f rho) = 0.000e+00 is too small to normalize by"),
+         ("$.unify.map.z[0]", "unknown variable 'nope'")]),
     "bad-map-on-bad-set": (  # the map of a set with a problem is not checked
         lambda: _three_box_doc((("sets", 0, "slots", 0, "projectors", 1), np.diag([1, 0, 0]).tolist()),
                                (("unify", "map", "box1", 0, "groups", "23"), ["2", "nope"])),
@@ -307,6 +312,18 @@ def test_cli_prints_each_config_problem_and_exits_2(tmp_path, capsys):
         "config error at $.hamiltonian: must be Hermitian",
         "config error at $.sets[0]: slot times must be strictly increasing, got [0.0, 0.0]",
         f"config error at $.sets[1].slots[1]: {_NOT_A_DECOMPOSITION}"]
+
+
+def test_cli_lists_a_degenerate_final_with_every_other_problem(tmp_path, capsys):
+    build, problems = INVALID_DOCUMENTS["degenerate-final-and-unknown-variable"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build()))
+    assert main(["analyze", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error at $.final: Tr(rho_f rho) = 0.000e+00 is too small to normalize by",
+        "config error at $.unify.map.z[0]: unknown variable 'nope'"]
 
 
 @pytest.mark.parametrize("source", [1.5, None, [], b"config.json"])
