@@ -255,7 +255,9 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     Each set's report is read from its rows of ``_set_physics``; it is the
     report of ``descriptor.build(name)`` through ``classify``,
     ``detect_zero_cover`` and ``extract_marginals``, which compute one set
-    at a time.
+    at a time.  A block that one result holds (classicality, zero cover,
+    options, expected values, verdict) is that result's fields; only the
+    encoded and derived entries are written out.
     """
     sets_report: dict[str, dict] = {}
     tables: list[tuple[str, MarginalTable]] = []
@@ -274,24 +276,8 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
             "probabilities": _pairs(probabilities),
             "probability_sum": float(sum(diagonal)),  # in label order, as numpy floats, as a set sums
             "quasi_probabilities": _pairs(dict(zip(labels, quasi.tolist()))),
-            "classicality": {
-                "decoherent": report.decoherent,
-                "consistent": report.consistent,
-                "partially_decoherent": report.partially_decoherent,
-                "linearly_positive": report.linearly_positive,
-                "max_offdiag_abs": report.max_offdiag_abs,
-                "max_offdiag_re": report.max_offdiag_re,
-                "min_quasi": report.min_quasi,
-                "max_prob_quasi_gap": report.max_prob_quasi_gap,
-                "tolerance_used": report.tolerance_used,
-            },
-            "zero_cover": {
-                "evaluated": cover.evaluated,
-                "found": cover.found,
-                "preclusive": cover.preclusive,
-                "witness": encode_value(list(cover.witness)) if cover.witness else None,
-                "threshold_used": cover.threshold_used,
-            },
+            "classicality": dict(vars(report)),
+            "zero_cover": {**vars(cover), "witness": encode_value(cover.witness)},
         }
 
         if sset.mapping is not None:
@@ -334,16 +320,12 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
             "bell": bell,
             "chsh": chsh,
             "verdict": {
-                "status": verdict.status,
+                **vars(verdict),
                 "witness": _pairs(verdict.witness) if verdict.witness is not None else None,
-                "farkas_certificate": encode_value(verdict.farkas_certificate)
-                if verdict.farkas_certificate is not None else None,
-                "unique": verdict.unique,
+                "farkas_certificate": encode_value(verdict.farkas_certificate),
                 "component_bounds": [[encode_value(list(cell)), encode_value(lo), encode_value(hi)]
                                      for cell, (lo, hi) in verdict.component_bounds.items()]
                 if verdict.component_bounds is not None else None,
-                "mode": verdict.mode,
-                "delta": verdict.delta,
             },
         }
 
@@ -354,16 +336,12 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
             "parameters": {k: encode_value(v) for k, v in sorted(descriptor.parameters.items())},
         },
         "options": {
-            "tol": options.tol,
-            "delta": options.delta,
-            "exact": options.exact,
+            **vars(options),
             "zero_cover_threshold": DEFAULT_ZERO_COVER_THRESHOLD,
             "arithmetic_mode": "exact" if options.exact else "float",
         },
-        "expected": {
-            name: {"value": encode_value(e.value), "tag": e.tag}
-            for name, e in sorted(descriptor.expected.items())
-        },
+        "expected": {name: {**vars(e), "value": encode_value(e.value)}
+                     for name, e in sorted(descriptor.expected.items())},
         "sets": sets_report,
         "unification": unification,
     }

@@ -15,6 +15,7 @@ as atomic outcomes; each key constrains the sum of the joint cells it covers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -947,10 +948,20 @@ def pair_correlations(keys: Sequence[tuple], values: np.ndarray) -> np.ndarray:
 
 
 def correlations_from_marginals(marginals: Sequence[MarginalTable]) -> CorrelationSet:
-    """Collect pair correlations from every two-variable dichotomic table."""
+    """Pair correlations of the two-variable tables that the n-cycle
+    inequalities (``cycle_check``) hold for.
+
+    A table gives its pair's correlation when the outcomes of both its
+    variables are the numbers +1 and -1 and every key is atomic (no grouped
+    outcomes), and when no other two-variable table covers the same pair, in
+    either order.  Every other table is left out.
+    """
+    covers = collections.Counter(frozenset(t.names) for t in marginals)
     values = {}
     for table in marginals:
-        if len(table.variables) == 2 and all(len(v.outcomes) == 2 for v in table.variables):
+        if (len(table.variables) == 2 and covers[frozenset(table.names)] == 1
+                and all(set(v.outcomes) == {1, -1} for v in table.variables)
+                and all(len(g) == 1 for groups in table.partitions for g in groups)):
             values[table.names] = pair_correlation(table)
     return CorrelationSet(values)
 

@@ -84,31 +84,14 @@ def _one_set_report(descriptor, name: str) -> dict:
     hset = descriptor.build(name)
     functional = decoherence_functional(hset)
     probabilities = dict(zip(functional.labels, functional.diagonal()))
-    report = classify(hset)
     cover = detect_zero_cover(hset)
     return {
         "labels": encode_value(list(functional.labels)),
         "probabilities": _pairs(probabilities),
         "probability_sum": float(sum(probabilities.values())),
         "quasi_probabilities": _pairs(quasi_probabilities(hset)),
-        "classicality": {
-            "decoherent": report.decoherent,
-            "consistent": report.consistent,
-            "partially_decoherent": report.partially_decoherent,
-            "linearly_positive": report.linearly_positive,
-            "max_offdiag_abs": report.max_offdiag_abs,
-            "max_offdiag_re": report.max_offdiag_re,
-            "min_quasi": report.min_quasi,
-            "max_prob_quasi_gap": report.max_prob_quasi_gap,
-            "tolerance_used": report.tolerance_used,
-        },
-        "zero_cover": {
-            "evaluated": cover.evaluated,
-            "found": cover.found,
-            "preclusive": cover.preclusive,
-            "witness": encode_value(list(cover.witness)) if cover.witness else None,
-            "threshold_used": cover.threshold_used,
-        },
+        "classicality": dict(vars(classify(hset))),
+        "zero_cover": {**vars(cover), "witness": encode_value(cover.witness)},
     }
 
 

@@ -1164,3 +1164,64 @@ def test_float_and_exact_analyze_agree_on_a_generic_eprb_config(tmp_path):
         assert unification["chsh"]["satisfied"] is True
         assert unification["verdict"]["status"] == "feasible"
         assert main(["verify", str(out)]) == 0
+
+
+def _singlet_document(sets, outcomes, mapping):
+    """Two spins in the singlet state, ``sets`` of two slots (spin 1, then
+    spin 2) read as variables ``a`` and ``b`` with ``outcomes``."""
+    s = 2 ** -0.5
+    return {"dim": 4, "initial": [0, s, -s, 0], "hamiltonian": np.zeros((4, 4)).tolist(),
+            "sets": sets, "unify": {"variables": [{"name": n, "outcomes": outcomes} for n in "ab"],
+                                    "map": mapping}}
+
+
+def _spin_set(name, second, labels):
+    """Spin 1 along z at t = 0, then spin 2 along ``second`` ("z" or "x") at t = 1."""
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    plus, minus = np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])
+    second = (up, down) if second == "z" else (plus, minus)
+    return {"name": name, "slots": [
+        {"time": 0.0, "labels": labels, "projectors": [np.kron(p, np.eye(2)).tolist() for p in (up, down)]},
+        {"time": 1.0, "labels": labels, "projectors": [np.kron(np.eye(2), p).tolist() for p in second]}]}
+
+
+def _pair_documents() -> dict:
+    """Each document whose tables give no pair correlation, with its twin:
+    the same verdict, from tables of which ``twin_pairs`` give one."""
+    signs = _singlet_document([_spin_set("zz", "z", [1, -1])], [1, -1], {"zz": ["a", "b"]})
+    strings = _singlet_document([_spin_set("zz", "z", ["up", "down"])], ["up", "down"], {"zz": ["a", "b"]})
+    grouped = _singlet_document([_spin_set("zz", "z", ["up", "down"])], [1, -1], {"zz": [
+        {"variable": "a", "groups": {"up": [1, -1], "down": [1, -1]}},
+        {"variable": "b", "groups": {"up": [1], "down": [-1]}}]})
+    zz_zx = [_spin_set("zz", "z", [1, -1]), _spin_set("zx", "x", [1, -1])]
+    swapped = _singlet_document(zz_zx, [1, -1], {"zz": ["a", "b"], "zx": ["b", "a"]})
+    same_order = _singlet_document(zz_zx, [1, -1], {"zz": ["a", "b"], "zx": ["a", "b"]})
+    lg = scenario_to_config(build_scenario("leggett_garg", {"omega": math.pi / 3}))
+    bits = json.loads(json.dumps(lg))  # +1 -> 0, -1 -> 1, in every label and outcome
+    for item in [slot for s in bits["sets"] for slot in s["slots"]] + bits["unify"]["variables"]:
+        key = "labels" if "labels" in item else "outcomes"
+        item[key] = [(1 - v) // 2 for v in item[key]]
+    return {"strings": (strings, signs, ["a,b"]), "grouped": (grouped, signs, ["a,b"]),
+            "bits": (bits, lg, ["q1,q2", "q1,q3", "q2,q3"]),
+            "swapped": (swapped, same_order, []), "same_order": (same_order, swapped, [])}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", ["strings", "grouped", "bits", "swapped", "same_order"])
+def test_cli_pair_correlations_come_only_from_one_sign_table_per_pair(tmp_path, name, exact):
+    # string, 0/1 or grouped outcomes, or a pair that two tables cover, give no
+    # correlation, so no n-cycle check; the verdict does not depend on them
+    *docs, twin_pairs = _pair_documents()[name]
+    unifications = []
+    for k, doc in enumerate(docs):
+        path, out = tmp_path / f"{k}.json", tmp_path / f"{k}_report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(path), *(["--exact"] if exact else []),
+                     "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        unifications.append(json.loads(out.read_text())["unification"])
+    unification, twin = unifications
+    assert (unification["correlations"], unification["bell"], unification["chsh"]) == ({}, None, None)
+    assert unification["verdict"]["status"] == twin["verdict"]["status"]
+    assert sorted(twin["correlations"]) == twin_pairs
+    assert (twin["bell"] is not None) == (len(twin["correlations"]) == 3)

@@ -1,6 +1,7 @@
 """The canonical report text and the report encoding, against ``json`` as the oracle."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from histories_lab import cli
 from histories_lab.analysis import AnalysisOptions, analyze, encode_value, report_to_json
+from histories_lab.classicality import ClassicalityReport, ZeroCoverReport
 from histories_lab.config import parse_config, scenario_to_config
-from histories_lab.scenarios import SCENARIO_NAMES, build_scenario
+from histories_lab.scenarios import SCENARIO_NAMES, ExpectedValue, build_scenario
+from histories_lab.unify import FeasibilityVerdict
 
 
 def _oracle(value) -> str:
@@ -57,3 +60,22 @@ def test_encode_value_table(value, encoded):
 def test_encode_value_refuses_unknown_types(value):
     with pytest.raises(TypeError):
         encode_value(value)
+
+
+def _names(kind) -> list:
+    return [f.name for f in fields(kind)]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_report_blocks_are_the_fields_of_their_types(scenario, exact):
+    # in field order, then the derived entries: a field added to a type reaches the report
+    report = analyze(build_scenario(scenario), AnalysisOptions(exact=exact))
+    assert list(report["options"]) == _names(AnalysisOptions) + ["zero_cover_threshold",
+                                                                 "arithmetic_mode"]
+    assert report["expected"] and all(list(e) == _names(ExpectedValue)
+                                      for e in report["expected"].values())
+    for block in report["sets"].values():
+        assert list(block["classicality"]) == _names(ClassicalityReport)
+        assert list(block["zero_cover"]) == _names(ZeroCoverReport)
+    assert list(report["unification"]["verdict"]) == _names(FeasibilityVerdict)

@@ -629,6 +629,23 @@ def test_pair_correlation_and_collection():
     assert list(corr.values) == [("a", "b")]
 
 
+def test_correlations_leave_out_tables_the_cycle_check_does_not_hold_for():
+    # a pair two tables cover, in either order; outcomes other than the
+    # numbers +1 and -1; grouped keys.  pair_correlation refuses the last two
+    assert correlations_from_marginals([anticorrelated(SA, SB), anticorrelated(SB, SA)]).values == {}
+    words, bits = Variable("w", ("up", "down")), Variable("z", (0, 1))
+    strings = MarginalTable((words, SC), {(w, c): 0.25 for w in words.outcomes for c in (1, -1)})
+    zero_one = MarginalTable((bits, SC), {(z, c): 0.25 for z in bits.outcomes for c in (1, -1)})
+    grouped = MarginalTable((SA, SB), {((1, -1), 1): 0.5, ((1, -1), -1): 0.5})
+    assert correlations_from_marginals([strings, zero_one, grouped]).values == {}
+    with pytest.raises(ValidationError, match="outcome 'up' is not numeric"):
+        pair_correlation(strings)
+    with pytest.raises(ValidationError, match="atomic"):
+        pair_correlation(grouped)
+    with pytest.raises(ValidationError, match="duplicate correlation pair"):
+        CorrelationSet({("a", "b"): -1.0, ("b", "a"): 0.0})
+
+
 def test_correlation_set_validation():
     with pytest.raises(ValidationError):
         CorrelationSet({("a", "b"): 1.5})
