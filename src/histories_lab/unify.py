@@ -53,6 +53,7 @@ SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
 SNAP_TOL = 1e-12  # as_exact, snap_tables: largest distance of a snapped value from its float
 QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
 EVIDENCE_TOL = 1e-12  # float slack of every witness and certificate check, and of the band LP
+WIDEST_BAND = 2.0  # band arithmetic caps delta here; a band over 1 + 2 * TABLE_TOL admits every joint
 
 FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
@@ -129,15 +130,6 @@ class JointSampleSpace:
 
     def cells(self) -> list[Cell]:
         return list(itertools.product(*(v.outcomes for v in self.variables)))
-
-    @cached_property
-    def outcome_indices(self) -> np.ndarray:
-        """Read-only ``(size, len(variables))`` array: row ``c`` holds the
-        outcome index of joint cell ``c`` (row-major order) on each axis."""
-        shape = tuple(len(v.outcomes) for v in self.variables)
-        indices = np.indices(shape).reshape(len(shape), self.size).T
-        indices.setflags(write=False)
-        return indices
 
     @cached_property
     def _handle(self) -> _Handle:
@@ -303,11 +295,6 @@ class CorrelationSet:
         object.__setattr__(self, "values", dict(sorted(normalized.items())))
 
     @property
-    def names(self) -> tuple[str, ...]:
-        seen = sorted({n for pair in self.values for n in pair})
-        return tuple(seen)
-
-    @property
     def is_cycle(self) -> bool:
         """Whether the pairs form one cycle: at least three of them, every
         variable in exactly two, all connected."""
@@ -424,8 +411,9 @@ class ConstraintSystem:
     ``band_test``).  All but ``rhs`` is decided once per sample space and
     table layout (``_layout``): ``matrix`` and ``cell_rows`` by
     ``_table_rows``, the rest by ``_constraint_rows``, whose docstring
-    defines them.  The LP sees only the rows ``keep``, a row basis; evidence
-    is checked on every row.
+    defines them; these two bounded memos are the only holders of per-cell
+    and row-sized arrays.  The LP sees only the rows ``keep``, a row basis;
+    evidence is checked on every row.
     """
 
     matrix: object
@@ -437,23 +425,27 @@ class ConstraintSystem:
     cell_rows: np.ndarray
 
 
-@functools.cache
 def _cell_keys(space: JointSampleSpace, variables: tuple[Variable, ...],
                partitions: tuple) -> np.ndarray:
     """For each joint cell, the position of the key covering it: a read-only
-    array decided once per space and layout, the only place that decides it.
+    array, the only place that decides it, with no memo of its own
+    (``_table_rows`` keeps what it builds).
 
     ``partitions`` is a ``table_layout``.  A cell's key is the mixed-radix
     number of its group indices, the first variable most significant, which
     is the order of the product of the partitions and so of
-    ``MarginalTable.values``.
+    ``MarginalTable.values``.  A variable's outcome indices are one axis of
+    the space's shape, broadcast over the others.
     """
-    keys = np.zeros(space.size, dtype=np.intp)
+    shape = tuple(len(v.outcomes) for v in space.variables)
+    axes = np.indices(shape, sparse=True)
+    keys = np.zeros(shape, dtype=np.intp)
     for var, groups in zip(variables, partitions):
         group_of = np.empty(len(var.outcomes), dtype=np.intp)
         for g, group in enumerate(groups):
             group_of[list(group)] = g
-        keys = keys * len(groups) + group_of[space.outcome_indices[:, space.axis(var.name)]]
+        keys = keys * len(groups) + group_of[axes[space.axis(var.name)]]
+    keys = keys.ravel()
     keys.setflags(write=False)
     return keys
 
@@ -472,7 +464,8 @@ def _table_rows(space: _Handle, layout: tuple[_Handle, ...], exact: bool) -> tup
     ``(variables, partitions)``), checked against the space and decided once
     per space, layout and arithmetic; the row basis is decided apart, so a
     witness check never waits for it.  ``cell_rows[t, j]`` is the row of the
-    key of table ``t`` covering cell ``j``.  Row ``r`` of the 0/1 ``matrix``
+    key of table ``t`` covering cell ``j``, from that table's ``_cell_keys``,
+    which is built here and nowhere kept.  Row ``r`` of the 0/1 ``matrix``
     (float64, or Python ``int``s) covers the cells mapped to ``r``, and the
     last row every cell."""
     space, layout = space.value, [table.value for table in layout]
@@ -615,14 +608,16 @@ def band_test(matrix, certificate, delta):
     Over ``x >= 0``, ``y`` refutes the band when ``y.A >= 0`` and ``y.b +
     delta * sum_r |y_r| < 0`` over the marginal rows, which is ``farkas_test``
     refuting ``b + delta * sign(y)`` there, with its float slack at
-    ``EVIDENCE_TOL``.  ``delta = 0`` (exact mode) is the hard system itself.
-    Every certificate the library reports or accepts passes this one test.
+    ``EVIDENCE_TOL``.  ``delta = 0`` (exact mode) is the hard system itself;
+    a delta above ``WIDEST_BAND`` is tested as ``WIDEST_BAND``, a band no
+    certificate refutes either, so the shifted sum cannot overflow.  Every
+    certificate the library reports or accepts passes this one test.
     """
     refutes = farkas_test(matrix, certificate, feas_tol=EVIDENCE_TOL)
     if refutes is None or not delta:
         return refutes
     shift = np.zeros(len(certificate))
-    shift[:-1] = delta * np.sign(np.asarray(certificate[:-1], dtype=float))
+    shift[:-1] = min(delta, WIDEST_BAND) * np.sign(np.asarray(certificate[:-1], dtype=float))
     return lambda rhs: refutes(rhs + shift)
 
 
@@ -739,21 +734,21 @@ def _verdict(marginals: Sequence[MarginalTable], system: ConstraintSystem, resul
     passes the band checks.  Otherwise, in float mode only, the verdict of
     the band itself, an LP without bounds, feasible within ``EVIDENCE_TOL``:
     each marginal row twice, ``a.x + s = b + delta`` and ``-a.x + s' = delta
-    - b``, and the normalization row once.  Its certificate ``(u, w, v)``
-    folds back to ``y = (u - w, v)`` over the width-0 rows: ``y.b + delta *
-    sum|u - w|`` is at most ``(u, w, v)``'s refuted value, so ``y`` passes
-    the same ``band_test``."""
+    - b`` (delta capped at ``WIDEST_BAND``), and the normalization row once.
+    Its certificate ``(u, w, v)`` folds back to ``y = (u - w, v)`` over the
+    width-0 rows: ``y.b + delta * sum|u - w|`` is at most ``(u, w, v)``'s
+    refuted value, so ``y`` passes the same ``band_test``."""
     try:
         return _checked_verdict(marginals, system, result, delta, exact)
     except NumericError:
         if exact:
             raise
     A, b, n = system.matrix[:-1], system.rhs[:-1], len(system.cells)
-    k = len(b)
+    k, width = len(b), min(delta, WIDEST_BAND)
     matrix = np.zeros((2 * k + 1, n + 2 * k))
     matrix[:k, :n], matrix[k:-1, :n], matrix[-1, :n] = A, -A, system.matrix[-1]
     matrix[:-1, n:] = np.eye(2 * k)
-    band = solve_lp(matrix, np.concatenate([b + delta, delta - b, system.rhs[-1:]]), feas_tol=EVIDENCE_TOL)
+    band = solve_lp(matrix, np.concatenate([b + width, width - b, system.rhs[-1:]]), feas_tol=EVIDENCE_TOL)
     if band.status == INFEASIBLE:
         y = band.certificate
         band.certificate = np.append(y[:k] - y[k:-1], y[-1]) + 0  # no entry reads -0.0

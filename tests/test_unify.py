@@ -4,6 +4,8 @@ import json
 import math
 import re
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from histories_lab import _kernels, simplex, unify
+from histories_lab import _kernels, cli, simplex, unify
 from histories_lab.analysis import AnalysisOptions, analyze, decode_value, encode_value, report_to_json, reverify
 from histories_lab.classicality import classify
 from histories_lab.errors import InconsistentSetError, NumericError, ValidationError
@@ -236,6 +238,23 @@ def test_negative_delta_is_rejected():
 def test_non_finite_delta_is_rejected(delta):
     with pytest.raises(ValidationError, match="delta"):
         find_unifying_probability(JointSampleSpace((SA,)), [uniform(SA)], delta=delta)
+
+
+@pytest.mark.parametrize("scenario", ["leggett_garg", "three_box"])
+def test_a_band_wider_than_every_marginal_admits_a_witness_without_overflow(scenario, tmp_path):
+    # both are infeasible at width 0; a band near the float maximum is capped
+    # at WIDEST_BAND in the band arithmetic, so no sum over it overflows
+    space, tables = _tables(scenario, False)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = find_unifying_probability(space, tables, delta=1e308)
+        assert verdict.feasible and verdict.delta == 1e308
+        verify_witness(space, tables, verdict.witness, delta=1e308)
+        assert cli.main(["analyze", "--scenario", scenario, "--delta", "1e308", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["unification"]["verdict"]["status"] == "feasible"
+        reverify(report)
 
 
 def test_exact_mode_requires_rational_values():
@@ -924,23 +943,41 @@ def test_layouts_are_tuples_and_cell_keys_are_read_only():
     assert not keys.flags.writeable
     with pytest.raises(ValueError):
         keys[0] = 1
-    assert _cell_keys(space, table.variables, table.partitions) is keys
 
 
-def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once():
-    for memo in (table_layout, _cell_keys, _table_rows, _constraint_rows):
+def test_a_float_eprb_analysis_decides_each_layout_and_cell_key_map_once(monkeypatch):
+    for memo in (table_layout, _table_rows, _constraint_rows):
         memo.cache_clear()
+    calls = []
+    monkeypatch.setattr(unify, "_cell_keys", lambda *args: calls.append(args) or _cell_keys(*args))
     report = analyze(build_scenario("eprb"))
     n_tables = len(report["unification"]["marginals"])
     assert n_tables == 4 and report["unification"]["verdict"]["status"] == "feasible"
-    layouts, maps = table_layout.cache_info(), _cell_keys.cache_info()
+    layouts = table_layout.cache_info()
     assert (layouts.misses, layouts.hits) == (n_tables, 0)
-    # each table's map is read once, into the layout's cell-to-row map, which
+    # each table's map is built once, into the layout's cell-to-row map, which
     # serves the constraint matrix, the witness check and the uniqueness
     # prover's caps (the key value covering each cell)
-    assert (maps.misses, maps.hits) == (n_tables, 0)
+    assert len(calls) == n_tables
     # one checked map and matrix, and one row basis, for the one constraint system
     assert _table_rows.cache_info().misses == _constraint_rows.cache_info().misses == 1
+
+
+def test_distinct_sample_spaces_leave_no_per_cell_arrays_behind():
+    # only the bounded layout memos may keep per-cell arrays: a (cells x
+    # variables) index array kept per space would grow this loop by 40 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100):
+            variables = tuple(Variable(f"v{i}_{k}", (0, 1)) for k in range(12))
+            space = JointSampleSpace(variables)
+            verify_witness(space, [MarginalTable(variables[:1], {(0,): 0.5, (1,): 0.5})],
+                           dict.fromkeys(space.cells(), 1 / space.size))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 2**20
 
 
 @pytest.mark.parametrize("table, message", [
