@@ -52,6 +52,7 @@ from .unify import (
     cycle_check,
     find_unifying_probability,
     is_finite_number,
+    pinned,
     probe_uniqueness,
     refutes_marginals,
     snap_tables,
@@ -358,13 +359,10 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
+def _check_uniqueness(verdict: dict, witness: dict, exact: bool) -> None:
     """Check a feasible verdict's ``unique`` against its ``component_bounds``
-    by the rule ``probe_uniqueness`` uses, ``hi - lo <= tol`` in every cell,
-    with ``tol`` 0 in exact mode and delta in float mode.  No cell's bounds
-    may cross by more than ``tol``: float bounds carry the tables' float
-    noise.  In exact mode each cell's bounds must also contain its value in
-    the (verified) witness."""
+    by ``pinned`` (which also rejects crossed bounds), then in exact mode
+    that each cell's bounds contain its value in the verified witness."""
     unique = _field(verdict, "unique", (bool, type(None)), "unification.verdict.unique")
     path = "unification.verdict.component_bounds"
     entries = _field(verdict, "component_bounds", (list, type(None)), path)
@@ -375,28 +373,24 @@ def _check_uniqueness(verdict: dict, witness: dict, delta, exact: bool) -> None:
         return
     if len(entries) != len(witness):
         raise ValidationError(f"report field {path} must hold one entry per witness cell")
-    seen = set()
-    tol = 0 if exact else delta
-    pinned = True
+    bounds = {}
     for i, entry in enumerate(entries):
         where = f"{path}[{i}]"
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValidationError(f"report field {where} must be a [cell, lo, hi] triple")
         cell = _outcomes(entry[0], where)
-        if cell not in witness or cell in seen:
+        if cell not in witness or cell in bounds:
             raise ValidationError(f"report field {where} names the cell {cell!r}, which the "
                                   "witness lacks or an earlier entry names")
-        seen.add(cell)
-        lo, hi = _number(entry[1], where), _number(entry[2], where)
-        if not lo - hi <= tol:
-            raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} are in the wrong order")
-        if exact and not lo <= witness[cell] <= hi:
-            raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} exclude its witness "
-                               f"value {witness[cell]}")
-        pinned = pinned and hi - lo <= tol
-    if unique != pinned:
-        raise NumericError(f"report says unique is {unique}, but its component bounds "
-                           f"say {pinned}")
+        bounds[cell] = _number(entry[1], where), _number(entry[2], where)
+    says = pinned(bounds, exact)
+    if exact:
+        for cell, (lo, hi) in bounds.items():
+            if not lo <= witness[cell] <= hi:
+                raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} exclude its witness "
+                                   f"value {witness[cell]}")
+    if unique != says:
+        raise NumericError(f"report says unique is {unique}, but its component bounds say {says}")
 
 
 def reverify(report: dict) -> None:
@@ -444,7 +438,7 @@ def reverify(report: dict) -> None:
                 raise ValidationError(f"report field {path}[{i}] repeats the cell {cell!r}")
             witness[cell] = _scalar(val, f"{path}[{i}]")
         verify_witness(space, marginals, witness, delta=delta, exact=exact)
-        _check_uniqueness(verdict, witness, delta, exact)
+        _check_uniqueness(verdict, witness, exact)
         return
     if status == "infeasible":
         path = "unification.verdict.farkas_certificate"

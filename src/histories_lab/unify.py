@@ -29,7 +29,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from ._kernels import eliminate
-from .classicality import DEFAULT_CLASSIFY_TOL, classify
+from .classicality import classify
 from .errors import InconsistentSetError, NumericError, ValidationError
 from .histories import HistorySet, history_probabilities
 from .simplex import (
@@ -381,14 +381,13 @@ class VariableMapping:
         return MarginalTable(self.variables, values)
 
 
-def extract_marginals(hset: HistorySet, mapping: VariableMapping,
-                      tol: float = DEFAULT_CLASSIFY_TOL) -> MarginalTable:
+def extract_marginals(hset: HistorySet, mapping: VariableMapping) -> MarginalTable:
     """Turn a consistent history set's probabilities into a marginal table.
 
-    Refuses inconsistent sets: their diagonal entries do not obey the sum
-    rules, so they are not probabilities of anything.
+    Refuses sets that ``classify`` finds inconsistent: their diagonal entries
+    do not obey the sum rules, so they are not probabilities of anything.
     """
-    report = classify(hset, tol)
+    report = classify(hset)
     if not report.consistent:
         raise InconsistentSetError(
             f"history set is not consistent (max off-diagonal Re = {report.max_offdiag_re:.3e})"
@@ -682,19 +681,19 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     ``ValidationError`` naming the offending cell.
     """
     cell_rows = _table_rows(*_layout(space, marginals), exact)[1]
-    witness = dict(witness)
     cells = space.cells()
     known = set(cells)
     for cell in witness:
         if cell not in known:
             raise ValidationError(f"witness cell {cell!r} is not in the sample space")
+    values = []
     for cell in cells:
-        if cell not in witness:
-            raise ValidationError(f"witness has no value for cell {cell!r}")
-        value = witness[cell]
+        value = witness.get(cell)
         if not is_finite_number(value):
-            raise ValidationError(f"witness value {value!r} for cell {cell!r} is not a finite number")
-    _verify_witness(cell_rows, marginals, _rhs(marginals, exact), [witness[c] for c in cells], delta, exact)
+            raise ValidationError(f"witness has no value for cell {cell!r}" if cell not in witness else
+                                  f"witness value {value!r} for cell {cell!r} is not a finite number")
+        values.append(value)
+    _verify_witness(cell_rows, marginals, _rhs(marginals, exact), values, delta, exact)
 
 
 def _checked_inputs(marginals: Sequence[MarginalTable], delta, exact: bool) -> None:
@@ -856,27 +855,20 @@ def _bounds(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
 
 def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                      delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
-    """Per-cell min/max bounds under the marginal constraints; unique iff every cell is pinned.
+    """Per-cell min/max bounds under the marginal constraints; unique iff every
+    cell is ``pinned``.
 
-    A cell is pinned when ``hi - lo`` is at most delta (exact mode demands a
-    zero range).  The bounds are taken over the width-0 system of hard
-    equalities; over the delta band every cell would trivially have a range
-    of about 2*delta and nothing could ever be reported unique.  Phase 1 of
-    that system runs once, on the row basis ``system.keep`` (the other rows
-    are its combinations once ``_on_every_row`` accepts the residuals), and
-    its end state read at zero cost gives the verdict (``_verdict``, as
-    ``find_unifying_probability``, checked on every row) in both modes.
-    Every probe LP is one phase 2 from that end state.  ``_bounds`` proves
-    ``lo = 0`` from ``x >= 0`` and ``hi`` from a key's value or the
-    normalization row whenever a known feasible point attains it, and
-    solves only the other probes: exact ``eprb`` solves 4 of its 32 and
-    float ``eprb`` 9 (two cells sit at 5.6e-17, the tables' float noise,
-    in every known point).
+    The bounds are taken over the width-0 system of hard equalities, so
+    delta (the band width) moves neither them nor ``unique``.  Phase 1 of
+    that system runs once, on the row basis ``system.keep``, and its end
+    state read at zero cost gives the verdict (``_verdict``, checked on
+    every row, as in ``find_unifying_probability``) in both modes.  Each
+    probe that ``_bounds`` cannot settle from a known feasible point is one
+    phase 2 from that end state: exact ``eprb`` solves 4 of its 32, float
+    ``eprb`` 9.
 
     A float verdict whose band is feasible while the hard equalities are
     not comes back with ``unique`` and ``component_bounds`` left None.
-    Float bounds carry the float noise of the tables, so ``lo`` may exceed
-    ``hi`` by about 1e-16; ``reverify`` allows up to delta.
     """
     _checked_inputs(marginals, delta, exact)
     system = build_constraint_system(space, marginals, exact)
@@ -884,11 +876,23 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     result = _on_every_row(system, start if isinstance(start, LPResult) else start.solve(), exact)
     verdict = _verdict(marginals, system, result, delta, exact)
     if verdict.feasible and result.status == OPTIMAL:
-        bounds = _bounds(system.cell_rows, marginals, start, result.x)
-        tol = 0 if exact else delta
-        verdict.unique = all(hi - lo <= tol for lo, hi in bounds)
-        verdict.component_bounds = dict(zip(system.cells, bounds))
+        verdict.component_bounds = dict(zip(system.cells, _bounds(system.cell_rows, marginals,
+                                                                  start, result.x)))
+        verdict.unique = pinned(verdict.component_bounds, exact)
     return verdict
+
+
+def pinned(bounds: Mapping[Cell, tuple], exact: bool) -> bool:
+    """Whether every cell of ``bounds`` (``{cell: (lo, hi)}``, as in
+    ``component_bounds``) has ``hi - lo <= tol``: 0 in exact mode, and in
+    float mode ``TABLE_TOL``, the tables' own slack, far above the ~1e-16
+    noise of float bounds, whatever delta is.  Bounds that cross by more
+    than ``tol`` raise ``NumericError``."""
+    tol = 0 if exact else TABLE_TOL
+    for cell, (lo, hi) in bounds.items():
+        if not lo - hi <= tol:
+            raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} are in the wrong order")
+    return all(hi - lo <= tol for lo, hi in bounds.values())
 
 
 # ---------------------------------------------------------------------------

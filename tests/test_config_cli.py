@@ -31,7 +31,7 @@ from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
 from histories_lab.scenarios import build_scenario, three_box
 from histories_lab.simplex import verify_certificate
-from histories_lab.unify import build_constraint_system, extract_marginals, probe_uniqueness
+from histories_lab.unify import TABLE_TOL, build_constraint_system, extract_marginals, probe_uniqueness
 
 
 @pytest.fixture()
@@ -1065,14 +1065,14 @@ def _tampered_bounds(exact):
     """A griffiths_spin report whose ``unique`` still agrees with its bounds,
     but whose first cell's bounds no longer hold: in exact mode both move to
     the witness value plus 1 (still pinned, now excluding the witness), in
-    float mode ``hi`` moves to ``lo + 2 delta`` (no longer pinned)."""
+    float mode ``hi`` moves to ``lo + 2 TABLE_TOL`` (no longer pinned)."""
     report = _griffiths_report(exact)
     verdict = report["unification"]["verdict"]
     entry = verdict["component_bounds"][0]
     if exact:
         entry[1] = entry[2] = encode_value(decode_value(verdict["witness"][0][1]) + 1)
     else:
-        entry[2] = entry[1] + 2 * verdict["delta"]
+        entry[2] = entry[1] + 2 * TABLE_TOL
     return report
 
 
@@ -1098,6 +1098,47 @@ def test_cli_verify_rejects_tampered_uniqueness(tmp_path, capsys, exact):
         else (0.9, 0.1)
     assert main(["verify", _write_report(tmp_path, report)]) == 3
     assert "are in the wrong order" in capsys.readouterr().err
+
+
+def _coin_document():
+    """Two independent fair coins: the maximally mixed qubit read along z
+    (``sz``) and along x (``sx``) at t = 0, each in a set of its own."""
+    up, down = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+    plus, minus = [[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]
+    return {"dim": 2, "initial": [[0.5, 0], [0, 0.5]], "hamiltonian": [[0, 0], [0, 0]],
+            "sets": [{"name": name, "slots": [{"time": 0.0, "labels": [1, -1], "projectors": pair}]}
+                     for name, pair in (("z", [up, down]), ("x", [plus, minus]))],
+            "unify": {"variables": [{"name": v, "outcomes": [1, -1]} for v in ("sz", "sx")],
+                      "map": {"z": ["sz"], "x": ["sx"]}}}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cli_a_wide_band_leaves_the_coins_free_and_verify_holds_it(tmp_path, capsys, exact):
+    config, out = tmp_path / "coins.json", tmp_path / "report.json"
+    config.write_text(json.dumps(_coin_document()))
+    assert main(["analyze", "--config", str(config), "--delta", "0.6", "--out", str(out)]
+                + (["--exact"] if exact else [])) == 0
+    report = json.loads(out.read_text())
+    verdict = report["unification"]["verdict"]
+    assert verdict["status"] == "feasible" and verdict["unique"] is False
+    assert [decode_value(b) for _, *bounds in verdict["component_bounds"] for b in bounds] \
+        == [0, Fraction(1, 2)] * 4
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+
+    verdict["unique"] = True
+    assert main(["verify", _write_report(tmp_path, report)]) == 3
+    assert "unique is True, but its component bounds say False" in capsys.readouterr().err
+
+
+def test_cli_a_float_report_at_delta_0_verifies(tmp_path):
+    """griffiths_spin's float bounds cross by about 4e-16 (its x table sums to
+    1.0000000000000004); verify allows that crossing whatever the report's
+    delta, so the report ``--delta 0`` writes verifies."""
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", "griffiths_spin", "--delta", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["unification"]["verdict"]["unique"] is True
+    assert main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("edit, message", [

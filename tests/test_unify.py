@@ -37,7 +37,9 @@ from histories_lab.unify import (
     extract_marginals,
     find_unifying_probability,
     SNAP_TOL,
+    TABLE_TOL,
     pair_correlation,
+    pinned,
     probe_uniqueness,
     snap_tables,
     table_layout,
@@ -119,6 +121,41 @@ def test_verify_witness_rejects_a_nan_cell(exact, cell):
     system = build_constraint_system(space, [table], exact)
     with pytest.raises(NumericError, match="negative or undefined cell"), np.errstate(invalid="ignore"):
         _verify_witness(system.cell_rows, [table], system.rhs, values, DEFAULT_DELTA, exact)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # an unknown cell comes first, in witness order, whatever else is wrong
+    ({(1, 1): None, (7, 7): 0.25, (8, 8): 0.25}, r"cell \(7, 7\) is not in the sample space"),
+    # then the first missing or non-finite cell in space order
+    ({(1, -1): None, (-1, 1): math.nan}, r"no value for cell \(1, -1\)"),
+    ({(1, -1): math.inf, (-1, 1): None}, r"inf for cell \(1, -1\)"),
+    ({(1, -1): True, (-1, 1): None}, r"True for cell \(1, -1\)"),
+], ids=["unknown-first", "missing", "infinite", "bool"])
+def test_verify_witness_names_the_first_bad_cell(edit, message):
+    """``None`` in ``edit`` deletes the cell; any other value replaces it."""
+    space = JointSampleSpace((SA, SB))
+    witness = dict.fromkeys(space.cells(), 0.25)
+    for cell, value in edit.items():
+        if value is None:
+            del witness[cell]
+        else:
+            witness[cell] = value
+    with pytest.raises(ValidationError, match=message):
+        verify_witness(space, [uniform(SA), uniform(SB)], witness)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_pinned_allows_only_the_tables_slack(exact):
+    """``pinned`` pins and uncrosses within 0 (exact) or ``TABLE_TOL``
+    (float), and refuses bounds crossed by more."""
+    tol = Fraction(0) if exact else Fraction(TABLE_TOL)
+    number = Fraction if exact else float
+    assert pinned({(1,): (number(Fraction(1, 2) + tol / 2), number(Fraction(1, 2)))}, exact)
+    assert pinned({(1,): (number(0), number(tol / 2))}, exact)
+    assert not pinned({(1,): (number(0), number(2 * tol + Fraction(1, 10**12)))}, exact)
+    with pytest.raises(NumericError, match=r"bounds \[.*\] of cell \(-1,\) are in the wrong order"):
+        pinned({(1,): (number(0), number(0)), (-1,): (number(3 * tol + Fraction(1, 10**12)), number(0))},
+               exact)
 
 
 def test_a_float_unifier_must_sum_to_one():
@@ -280,6 +317,21 @@ def test_uniqueness_uncorrelated_uniform_is_free():
     assert verdict.feasible and verdict.unique is False
     lo, hi = verdict.component_bounds[(1, 1)]
     assert abs(lo) < 1e-9 and abs(hi - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("delta", [1e-9, 0.4, 0.6, 1.0])
+def test_a_wide_band_leaves_two_independent_coins_free(exact, delta):
+    """Two fair coins with only their one-variable marginals: every cell lies
+    in [0, 1/2] over the unifiers, whatever the band width, so no band width
+    may pin them; the pinned-cell tolerance is not delta."""
+    space = JointSampleSpace((SA, SB))
+    tables = [uniform(SA), uniform(SB)]
+    if exact:
+        tables = [t.as_exact() for t in tables]
+    verdict = probe_uniqueness(space, tables, delta=delta, exact=exact)
+    assert verdict.feasible and verdict.unique is False
+    assert verdict.component_bounds == dict.fromkeys(space.cells(), (0, Fraction(1, 2)))
 
 
 def test_uniqueness_exact_perfect_anticorrelations():
@@ -1169,7 +1221,7 @@ def _full_row_verdicts(space, tables, exact):
             return found, NumericError, passed
     if probed.feasible and result.status == OPTIMAL:
         bounds = _bounds(system.cell_rows, tables, start, result.x)
-        probed.unique = all(hi - lo <= (0 if exact else DEFAULT_DELTA) for lo, hi in bounds)
+        probed.unique = all(hi - lo <= (0 if exact else TABLE_TOL) for lo, hi in bounds)
         probed.component_bounds = dict(zip(system.cells, bounds))
     return found, probed, passed
 
@@ -1209,6 +1261,22 @@ def test_the_row_basis_gives_the_full_row_verdicts(exact, system):
         assert (verdict.unique, verdict.component_bounds) == (probed.unique, probed.component_bounds)
     elif passed:
         assert verdict.unique == probed.unique
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(pairwise_systems(), eprb_points()))
+def test_the_band_width_moves_neither_unique_nor_the_bounds(system):
+    """The bounds are taken over the width-0 system, so a float verdict that
+    sets them sets the same ``unique`` and ``component_bounds`` at every band
+    width; a wider band only admits more evidence."""
+    space, tables = system
+    verdicts = [_or_numeric_error(probe_uniqueness, space, tables, delta=delta)
+                for delta in (1e-9, 0.25, 0.75)]
+    bounded = [(v.unique, v.component_bounds) for v in verdicts
+               if v is not NumericError and v.component_bounds is not None]
+    assert bounded[1:] == bounded[:1] * (len(bounded) - 1)
+    if verdicts[0] is not NumericError and verdicts[0].component_bounds is not None:
+        assert len(bounded) == len(verdicts)
 
 
 def _is_negative_zero(value) -> bool:
