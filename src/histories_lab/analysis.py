@@ -33,14 +33,7 @@ from .classicality import (
     zero_cover,
 )
 from .errors import NumericError, ValidationError
-from .histories import (
-    check_identity_sums,
-    checked_labels,
-    checked_weight,
-    classicality_stack,
-    decoherence_stack,
-    quasi_stack,
-)
+from .histories import checked_weight, classicality_stack, decoherence_stack, quasi_stack
 from .scenarios import ScenarioDescriptor
 from .unify import (
     DEFAULT_DELTA,
@@ -225,11 +218,10 @@ def _set_physics(descriptor: ScenarioDescriptor) -> dict[str, tuple]:
 
     They are rows of the stacks of point 0 of the descriptor's grid: the sets
     of one ``(n, dim)`` shape are stacked along the grid axis and computed at
-    once.  The checks a ``HistorySet`` makes are made here once: the history
-    cap (``ScenarioGrid.class_operators``), distinct tuple labels, one
-    stacked identity-sum check per shape and the post-selection weight, once
-    per scenario.  The stack's shape matches the labels and the states by
-    construction of the grid.
+    once.  It checks the history cap (``ScenarioGrid.class_operators``) and
+    the post-selection weight, and nothing the grid derives: its labels and
+    class operators are products of slot symbols and projector families
+    checked where they entered, so they sum to the identity by construction.
     """
     grid = descriptor.grid
     weight = checked_weight(descriptor.initial, descriptor.final)
@@ -241,12 +233,11 @@ def _set_physics(descriptor: ScenarioDescriptor) -> dict[str, tuple]:
     physics = {}
     for members in groups.values():
         ops = np.concatenate([o for _, o in members])
-        check_identity_sums(ops)
         entries = decoherence_stack(ops, rho, final, weight)
         quasi = quasi_stack(ops, rho, final, weight)
         diagnostics = classicality_stack(entries, quasi).tolist()
         for s, (name, _) in enumerate(members):
-            physics[name] = checked_labels(grid.labels(name)), entries[s], quasi[s], diagnostics[s]
+            physics[name] = grid.labels(name), entries[s], quasi[s], diagnostics[s]
     return physics
 
 
@@ -283,7 +274,11 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
 
         if sset.mapping is not None:
             if report.consistent:
-                tables.append((sset.name, sset.mapping.marginal_table(probabilities)))
+                try:
+                    tables.append((sset.name, sset.mapping.marginal_table(probabilities)))
+                except ValidationError as exc:
+                    raise ValidationError(f"set {sset.name!r} is consistent at tol {options.tol} "
+                                          f"but gives no probability table: {exc}") from None
             else:
                 excluded[sset.name] = "inconsistent"
 
@@ -291,7 +286,15 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     if descriptor.space is not None and tables:
         marginals = [t for _, t in tables]
         if options.exact:
-            marginals = snap_tables(descriptor.space, marginals)
+            try:
+                marginals = snap_tables(descriptor.space, marginals)
+            except ValidationError:
+                for name, table in tables:  # the first table that fails alone is the one refused
+                    try:
+                        table.as_exact()
+                    except ValidationError as exc:
+                        raise ValidationError(f"set {name!r} gives no exact probability table: {exc}") from None
+                raise
         correlations = correlations_from_marginals(marginals)
         bell = chsh = None
         if correlations.is_cycle:

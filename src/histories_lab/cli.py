@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scenario", choices=SWEEPABLE, required=True)
     sw.add_argument("--param", action="append", default=[], help="parameter name (repeatable)")
     sw.add_argument("--range", action="append", default=[], dest="ranges", metavar="LO:HI:STEPS",
-                    help="grid for the matching --param (repeatable)")
+                    help="grid for the matching --param (repeatable); a range that "
+                         "starts with '-' needs the '=' form, --range=-1:1:3")
     sw.add_argument("--out", help="write the CSV here (default: stdout)")
     return parser
 

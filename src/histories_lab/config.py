@@ -35,8 +35,10 @@ twice, or whose groups overlap or miss an outcome, is a problem at
 Validation is exhaustive: every schema problem is collected and reported
 with its JSON path, not just the first one, and a problem is reported once,
 where it is, not again at every place that would have used the bad value.
-Each rule is checked once.  This module checks the JSON shape and that
-the Hamiltonian is Hermitian (``$.hamiltonian``).  The domain constructors
+Each rule is checked once.  This module checks the JSON shape, that the
+Hamiltonian is Hermitian (``$.hamiltonian``), and that each slot's time
+times every eigenvalue of the Hamiltonian is finite, so that no propagator
+is NaN (``$.sets[i].slots[k].time``).  The domain constructors
 and checks own the other rules, and their ``ValidationError`` is recorded
 at the path of the value they were given: ``DensityOperator`` a state,
 ``Projector`` one projector, ``histories.checked_weight`` the final
@@ -426,10 +428,19 @@ def parse_config(source) -> ScenarioDescriptor:
 
     sets, declared = _parse_sets(doc.get("sets"), dim, problems)
     space, mappings = _parse_unify(doc.get("unify"), sets, declared, problems)
+    grid = None
+    if not problems.under("$.hamiltonian"):
+        slots = {n: [(slot.time, [p.matrix for p in slot.projectors], slot.symbols) for slot in set_slots]
+                 for n, set_slots in sets.items()}
+        grid = point_grid(name, hamiltonian, slots, _Fixed(initial, space, mappings, final))
+        top = float(np.abs(grid._eigh[0]).max())  # the propagators' own eigenvalues, computed once
+        for n, set_slots in sets.items():
+            for k, slot in enumerate(set_slots):
+                if not math.isfinite(top * slot.time):  # its propagator would be NaN
+                    problems.add(f"{declared[n]}.slots[{k}].time", "eigenvalue * time must be finite, "
+                                 f"got |eigenvalue|={top!r}, time={slot.time!r}")
     problems.raise_if_any()
-    slots = {n: [(slot.time, [p.matrix for p in slot.projectors], slot.symbols) for slot in set_slots]
-             for n, set_slots in sets.items()}
-    return ScenarioDescriptor(point_grid(name, hamiltonian, slots, _Fixed(initial, space, mappings, final)))
+    return ScenarioDescriptor(grid)
 
 
 def _encode_complex_matrix(matrix: np.ndarray) -> list:

@@ -16,9 +16,9 @@ operators in label order, and its boundary states.  Inputs are validated
 once, where they enter.  Everything derived from a set is computed at most
 once and cached on the set itself, by the set's own properties, which call
 the stack functions (``decoherence_stack``, ``quasi_stack``,
-``classicality_stack``) on a stack of one.  A set's checks are functions
-too (``checked_labels``, ``check_identity_sums``, ``checked_weight``), so
-``analyze`` makes them once per stack or scenario without building a set.
+``classicality_stack``) on a stack of one.  A set, the one place that
+receives a raw stack, checks its labels and identity sum itself; a grid's
+stacks are valid by construction, and ``analyze`` checks only the weight.
 
 Class operators come from two helpers, the only code that multiplies them,
 and ``scenarios.ScenarioGrid.class_operators`` is their one caller:
@@ -244,29 +244,6 @@ def classicality_stack(entries: np.ndarray, quasi: np.ndarray) -> np.ndarray:
     return np.stack([max_abs, max_re, quasi.min(axis=1), gap], axis=1)
 
 
-def checked_labels(labels) -> tuple[Label, ...]:
-    """``labels`` as a tuple, refused unless it holds at least one label and
-    its labels are distinct tuples."""
-    labels = tuple(labels)
-    if not labels:
-        raise ValidationError("history set must contain at least one history")
-    for label in labels:
-        if not isinstance(label, tuple):
-            raise ValidationError(f"history label {label!r} must be a tuple")
-    _check_distinct(labels, "history labels")
-    return labels
-
-
-def check_identity_sums(ops: np.ndarray) -> None:
-    """Refuse a ``(G, n, dim, dim)`` stack unless each point's class operators
-    sum to the identity within ``DEFAULT_TOL``, naming the deviation of the first
-    point that does not."""
-    deviations = identity_deviation(ops)
-    if not (deviations <= DEFAULT_TOL).all():
-        dev = float(deviations[np.argmin(deviations <= DEFAULT_TOL)])
-        raise ValidationError(f"class operators must sum to the identity (deviation {dev:.3e})")
-
-
 def checked_weight(initial: DensityOperator, final: DensityOperator | None) -> float:
     """The post-selection weight Tr(rho_f rho), or 1.0 without a final state;
     refused when it is too small to normalize by."""
@@ -298,7 +275,13 @@ class HistorySet:
     final: DensityOperator | None = None
 
     def __post_init__(self):
-        labels = checked_labels(self.labels)
+        labels = tuple(self.labels)
+        if not labels:
+            raise ValidationError("history set must contain at least one history")
+        for label in labels:
+            if not isinstance(label, tuple):
+                raise ValidationError(f"history label {label!r} must be a tuple")
+        _check_distinct(labels, "history labels")
         object.__setattr__(self, "labels", labels)
         dim = self.initial.dim
         try:
@@ -311,7 +294,9 @@ class HistorySet:
                 f"one {dim}x{dim} matrix per label, got shape {ops.shape}"
             )
         object.__setattr__(self, "class_operators", ops)
-        check_identity_sums(ops[None])
+        deviation = float(identity_deviation(ops[None])[0])
+        if not deviation <= DEFAULT_TOL:
+            raise ValidationError(f"class operators must sum to the identity (deviation {deviation:.3e})")
         if self.final is not None and self.final.dim != dim:
             raise ValidationError("final state dimension does not match initial state")
         object.__setattr__(self, "_weight", checked_weight(self.initial, self.final))

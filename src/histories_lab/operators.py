@@ -21,9 +21,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def frozen_array(values, dtype=complex) -> np.ndarray:
-    """Copy ``values`` into a read-only array of the requested dtype."""
-    arr = np.array(values, dtype=dtype)
+def frozen_array(values) -> np.ndarray:
+    """Copy ``values`` into a read-only complex array."""
+    arr = np.array(values, dtype=complex)
     arr.setflags(write=False)
     return arr
 

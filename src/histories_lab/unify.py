@@ -137,10 +137,7 @@ class JointSampleSpace:
         return _interned(self)
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ValidationError(f"no variable named {name!r} in the sample space")
+        return self.variables[self.axis(name)]
 
     def axis(self, name: str) -> int:
         for i, v in enumerate(self.variables):

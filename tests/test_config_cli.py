@@ -29,6 +29,7 @@ from histories_lab.analysis import (
 from histories_lab.cli import _sweep_threads, main
 from histories_lab.config import parse_config, scenario_to_config
 from histories_lab.errors import ConfigValidationError, NumericError, ValidationError
+from histories_lab.operators import DEFAULT_TOL, identity_deviation
 from histories_lab.scenarios import build_scenario, three_box
 from histories_lab.simplex import verify_certificate
 from histories_lab.unify import TABLE_TOL, build_constraint_system, extract_marginals, probe_uniqueness
@@ -432,18 +433,123 @@ def test_cli_nan_time_config_is_exit_2(tmp_path, capsys):
         "config error at $.sets[0].slots[0].time: expected a finite number, got nan"]
 
 
-def test_cli_overflowing_propagator_is_exit_2(tmp_path, capsys):
-    # finite inputs whose H * t overflows give NaN class operators
+def _overflowing_phase_document(hamiltonian) -> dict:
     doc = scenario_to_config(build_scenario("leggett_garg"))
-    doc["hamiltonian"] = [[0, 1e300], [1e300, 0]]
+    doc["hamiltonian"] = hamiltonian
     for sset in doc["sets"]:
         for slot in sset["slots"]:
             slot["time"] *= 1e10
+    return doc
+
+
+def test_cli_overflowing_propagator_is_exit_2(tmp_path, capsys):
+    # finite inputs whose H * t overflows would give NaN class operators: the parse refuses
+    # every slot of a nonzero time, at its path
+    doc = _overflowing_phase_document([[0, 1e300], [1e300, 0]])
     path = tmp_path / "lg.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="raise"):  # the check itself overflows silently
         assert main(["analyze", "--config", str(path)]) == 2
-    assert "must sum to the identity (deviation nan)" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    refused = [f"$.sets[{i}].slots[{k}].time" for i, sset in enumerate(doc["sets"])
+               for k, slot in enumerate(sset["slots"]) if slot["time"] != 0]
+    assert [line.split(": ")[0] for line in lines] == [f"config error at {p}" for p in refused]
+    assert all(": eigenvalue * time must be finite, got |eigenvalue|=" in line for line in lines)
+
+
+def test_an_infinite_eigenvalue_refuses_every_slot_time(capsys):
+    # the largest eigenvalue of this Hamiltonian overflows, so even a time of 0 gives no phase
+    doc = _overflowing_phase_document([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(doc)
+    assert info.value.problems == [
+        (f"$.sets[{i}].slots[{k}].time", f"eigenvalue * time must be finite, got |eigenvalue|=inf, "
+                                         f"time={slot['time']!r}")
+        for i, sset in enumerate(doc["sets"]) for k, slot in enumerate(sset["slots"])]
+
+
+def test_a_phase_is_checked_with_every_other_problem_of_the_document():
+    doc = _overflowing_phase_document([[0, 1e300], [1e300, 0]])
+    doc["initial"] = [0, 0]
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(doc)
+    paths = [path for path, _ in info.value.problems]
+    assert paths[0] == "$.initial.ket" and "$.sets[0].slots[1].time" in paths
+
+
+def _drifting_document(eps: float, sets: dict) -> dict:
+    """dim 2, rho = I/2 and H = 0.3 sigma_x; every slot uses the family {diag(1 + eps, 0),
+    diag(0, 1)}, which passes the projector checks within DEFAULT_TOL while a product of
+    several drifts further from the identity.  ``sets`` maps each set name to its slot
+    times, and the slot at time t is read as the variable q{t + 1}."""
+    family = [[[1 + eps, 0], [0, 0]], [[0, 0], [0, 1]]]
+    times = sorted({t for ts in sets.values() for t in ts})
+    return {"dim": 2, "initial": [[0.5, 0], [0, 0.5]], "hamiltonian": [[0, 0.3], [0.3, 0]],
+            "sets": [{"name": name, "slots": [{"time": float(t), "projectors": family, "labels": [1, -1]}
+                                              for t in ts]} for name, ts in sets.items()],
+            "unify": {"variables": [{"name": f"q{t + 1}", "outcomes": [1, -1]} for t in times],
+                      "map": {name: [f"q{t + 1}" for t in ts] for name, ts in sets.items()}}}
+
+
+THREE_TIMES = {"three": (0, 1, 2), "p12": (0, 1), "p23": (1, 2)}
+
+
+def test_products_of_checked_families_are_analyzed_however_far_they_drift(tmp_path):
+    doc = _drifting_document(9e-11, THREE_TIMES)
+    stacks = parse_config(doc).grid.class_operators("three")
+    assert identity_deviation(stacks)[0] > DEFAULT_TOL  # what analyze no longer checks
+    path, out = tmp_path / "drift.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["unification"] is not None
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 4])
+@pytest.mark.parametrize("eps", [3e-11, 6e-11, 9e-11])
+def test_a_drifting_family_parses_analyzes_and_verifies(tmp_path, eps, slots):
+    doc = _drifting_document(eps, {"all": tuple(range(slots)), **{f"t{t}": (t,) for t in range(slots)}})
+    parse_config(doc)
+    path, out = tmp_path / "drift.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["unification"] is not None
+    reverify(report)
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+def test_a_consistent_set_without_a_probability_table_is_named(capsys, mode):
+    # at tol 1.0 the post-selected fine set counts as consistent, but its probabilities sum to 3
+    assert main(["analyze", "--scenario", "three_box", "--tol", "1.0", *mode]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: set 'fine' is consistent at tol 1.0 but gives no probability table: "
+                       "marginal values must sum to 1, got 3.0\n")
+
+
+def test_a_table_that_exact_mode_cannot_snap_names_its_set(tmp_path, capsys):
+    # the set is consistent (its largest off-diagonal Re D is 1e-11) and its table sums to
+    # 0.99999999998, within TABLE_TOL, so float mode accepts it; snapping allows SNAP_TOL
+    z = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    doc = {"dim": 2, "initial": [1, 1e-11], "final": [1, 1], "hamiltonian": [[0, 0], [0, 0]],
+           "sets": [{"name": "z", "slots": [{"time": 0.0, "projectors": z, "labels": [1, -1]}]}],
+           "unify": {"variables": [{"name": "sz", "outcomes": [1, -1]}], "map": {"z": ["sz"]}}}
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["analyze", "--config", str(path), "--exact"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: set 'z' gives no exact probability table: value 0.99999999998 "
+                       "for key ((1,),) is not rational within 1e-12\n")
+
+
+def test_a_non_hermitian_hamiltonian_is_reported_without_a_phase_check():
+    doc = _overflowing_phase_document([[0, 1e300], [0, 0]])
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(doc)
+    assert info.value.problems == [("$.hamiltonian", "must be Hermitian")]
 
 
 def test_cli_history_cap_is_exit_2_before_any_class_operator(tmp_path, capsys, monkeypatch):
@@ -494,6 +600,16 @@ def test_cli_sweep_csv(tmp_path):
     assert len(lines) == 6
     feasible = [line.split(",")[-1] for line in lines[1:]]
     assert feasible == ["1", "0", "1", "0", "1"]  # flips at 0, pi/2, pi
+
+
+def test_cli_sweep_of_a_negative_range_in_the_equals_form(tmp_path):
+    # "--range -1:1:3" would stop at argparse, which reads -1:1:3 as an option
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", "eprb", "--param", "theta4", "--range=-1:1:3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "theta4,combined_consistent,max_combination,feasible"
+    assert [line.split(",")[0] for line in lines[1:]] == ["-1.0", "0.0", "1.0"]
 
 
 def test_cli_sweep_grid_is_row_major(tmp_path):
