@@ -194,8 +194,13 @@ def _evaluate_points(scenario: str, params: dict, size: int,
     so the points are settled in runs: the carried certificate is tested
     against every remaining point's right-hand side at once (``band_test``
     on a stack), the run of points it refutes is infeasible, and the first
-    point it does not refute builds its tables and runs the LP, whose
-    verdict's certificate, or ``None``, is carried on from there.
+    point it does not refute builds its tables and asks
+    ``find_unifying_probability``, whose verdict's certificate, or
+    ``None``, is carried on from there.  The pair tables of both scenarios
+    form one cycle, so an infeasible point's own violated Bell, CHSH or
+    Leggett-Garg inequality refutes it before any LP, and that inequality
+    is what it carries: the README ``eprb`` sweep solves no LP and the
+    README ``leggett_garg`` sweep 3.
     """
     grid = scenario_grid(scenario, params)
     grid.check()

@@ -7,7 +7,9 @@ feasibility problem over the joint simplex; infeasibility comes back with a
 verifiable Farkas certificate.  For dichotomic pair correlations around an
 n-cycle, ``cycle_check`` is an analytic cross-check: its inequalities (Bell
 and Leggett-Garg for n = 3, CHSH for n = 4) hold exactly when the LP is
-feasible (Araujo et al. 2013; Fine 1982 for n = 4).
+feasible (Araujo et al. 2013; Fine 1982 for n = 4), and when pair tables form
+one n-cycle, the most violated one is the certificate, found before any LP
+(``_cycle_verdict``).
 
 Marginal tables may carry coarse outcome groups (e.g. "box 2 or 3") as well
 as atomic outcomes; each key constrains the sum of the joint cells it covers.
@@ -19,12 +21,13 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
-from typing import Hashable, Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -293,21 +296,41 @@ class CorrelationSet:
 
     @property
     def is_cycle(self) -> bool:
-        """Whether the pairs form one cycle: at least three of them, every
-        variable in exactly two, all connected."""
-        neighbours: dict[str, list[str]] = {}
-        for a, b in self.values:
-            neighbours.setdefault(a, []).append(b)
-            neighbours.setdefault(b, []).append(a)
-        if len(self.values) < 3 or any(len(v) != 2 for v in neighbours.values()):
-            return False
-        reached, frontier = set(), [next(iter(neighbours))]
-        while frontier:
-            name = frontier.pop()
-            if name not in reached:
-                reached.add(name)
-                frontier.extend(neighbours[name])
-        return len(reached) == len(neighbours)
+        """Whether the pairs form one cycle (``_is_cycle``)."""
+        return _is_cycle(self.values)
+
+
+def _is_cycle(pairs: Collection[tuple[str, str]]) -> bool:
+    """Whether distinct name ``pairs`` form one cycle: at least three of
+    them, every name in exactly two, all connected."""
+    neighbours: dict[str, list[str]] = {}
+    for a, b in pairs:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    if len(pairs) < 3 or any(len(v) != 2 for v in neighbours.values()):
+        return False
+    reached, frontier = set(), [next(iter(neighbours))]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(neighbours[name])
+    return len(reached) == len(neighbours)
+
+
+def _pair_tables(layouts: Sequence[tuple[tuple[Variable, ...], tuple]]) -> list[int]:
+    """The positions of the pair tables among table ``layouts``, each a
+    ``(variables, partitions)`` (``table_layout``): the tables over two
+    variables whose outcomes are the numbers +1 and -1, with every key
+    atomic (no grouped outcomes), whose pair no other two-variable table
+    covers, in either order.  The n-cycle inequalities hold for their
+    correlations; ``correlations_from_marginals`` and the cycle refutation
+    (``_table_rows``) both take their tables from here."""
+    covers = collections.Counter(frozenset(v.name for v in variables) for variables, _ in layouts)
+    return [t for t, (variables, partitions) in enumerate(layouts)
+            if len(variables) == 2 and covers[frozenset(v.name for v in variables)] == 1
+            and all(set(v.outcomes) == {1, -1} for v in variables)
+            and all(len(g) == 1 for groups in partitions for g in groups)]
 
 
 @dataclass
@@ -454,20 +477,26 @@ def _layout(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> tupl
 
 
 @functools.lru_cache(maxsize=16)  # bounded: a matrix has rows x cells entries
-def _table_rows(space: _Handle, layout: tuple[_Handle, ...], exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(matrix, cell_rows)`` of tables laid out as ``layout`` over
-    ``space`` (a ``_layout``, whose handles hold the space and each table's
-    ``(variables, partitions)``), checked against the space and decided once
-    per space, layout and arithmetic; the row basis is decided apart, so a
-    witness check never waits for it.  ``cell_rows[t, j]`` is the row of the
-    key of table ``t`` covering cell ``j``, from that table's ``_cell_keys``,
-    which is built here and nowhere kept.  Row ``r`` of the 0/1 ``matrix``
-    (float64, or Python ``int``s) covers the cells mapped to ``r``, and the
-    last row every cell."""
+def _table_rows(space: _Handle, layout: tuple[_Handle, ...],
+                exact: bool) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Read-only ``(matrix, cell_rows, cycle)`` of tables laid out as
+    ``layout`` over ``space`` (a ``_layout``, whose handles hold the space
+    and each table's ``(variables, partitions)``), checked against the space
+    and decided once per space, layout and arithmetic; the row basis is
+    decided apart, so a witness check never waits for it.  ``cell_rows[t,
+    j]`` is the row of the key of table ``t`` covering cell ``j``, from that
+    table's ``_cell_keys``, which is built here and nowhere kept.  Row ``r``
+    of the 0/1 ``matrix`` (float64, or Python ``int``s) covers the cells
+    mapped to ``r``, and the last row every cell.
+
+    ``cycle`` is ``None`` unless the ``_pair_tables`` form one n-cycle
+    (``_is_cycle``).  Then it is ``(rows, signs)``, two ``(n, 4)`` arrays:
+    the rows of each pair table's keys, in key order, and each key's product
+    of its two outcomes, +1 or -1 (``_cycle_verdict``)."""
     space, layout = space.value, [table.value for table in layout]
     outcomes = {v.name: v.outcomes for v in space.variables}
     cell_rows = np.empty((len(layout), space.size), dtype=np.intp)
-    first = 0
+    starts, first = [], 0  # each table's first row
     for t, (variables, partitions) in enumerate(layout):
         for var in variables:
             if var.name not in outcomes:
@@ -475,14 +504,22 @@ def _table_rows(space: _Handle, layout: tuple[_Handle, ...], exact: bool) -> tup
             if outcomes[var.name] != var.outcomes:
                 raise ValidationError(f"marginal {t} disagrees with the sample space "
                                       f"about the alphabet of {var.name!r}")
+        starts.append(first)
         cell_rows[t] = first + _cell_keys(space, variables, partitions)
         first += math.prod(map(len, partitions))
     matrix = np.zeros((first + 1, space.size), dtype=object if exact else float)
     matrix[cell_rows, np.arange(space.size)] = 1
     matrix[-1] = 1
-    for array in (matrix, cell_rows):
+    cycle = None
+    pairs = _pair_tables(layout)
+    if _is_cycle([tuple(v.name for v in layout[t][0]) for t in pairs]):
+        # a pair table's keys are atomic, so they run through its outcomes' product
+        cycle = (np.array([starts[t] + np.arange(4) for t in pairs]),
+                 np.array([np.outer(*(np.array(v.outcomes, dtype=float) for v in layout[t][0])).ravel()
+                           for t in pairs]))
+    for array in (matrix, cell_rows, *(cycle or ())):
         array.setflags(write=False)
-    return matrix, cell_rows
+    return matrix, cell_rows, cycle
 
 
 @functools.lru_cache(maxsize=16)
@@ -547,7 +584,7 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
     feasibility tolerance cushions the rows against ~1e-15 marginal noise.
     """
     layout = _layout(space, marginals)
-    matrix, cell_rows = _table_rows(*layout, exact)
+    matrix, cell_rows, _ = _table_rows(*layout, exact)
     return ConstraintSystem(matrix, _rhs(marginals, exact), space.cells(),
                             *_constraint_rows(*layout), cell_rows)
 
@@ -667,6 +704,27 @@ def is_finite_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+class _Absent:
+    """The type of ``_ABSENT``, the value ``verify_witness`` reads for a cell
+    that a witness does not name."""
+
+
+_ABSENT = _Absent()
+
+
+def _finite_numbers(values: list, kinds: list[type]) -> np.ndarray:
+    """``is_finite_number`` of each of ``values``, whose types are ``kinds``,
+    as one boolean array: the type test once per distinct type, then the
+    range test on the numbers in one array operation."""
+    number = {kind: issubclass(kind, (int, float, Fraction)) and not issubclass(kind, bool)
+              for kind in set(kinds)}
+    finite = np.fromiter(map(number.__getitem__, kinds), dtype=bool, count=len(values))
+    numbers = np.fromiter(itertools.compress(values, finite), dtype=object, count=int(finite.sum()))
+    with np.errstate(invalid="ignore"):  # a NaN compares False, which is the answer
+        finite[finite] = np.abs(numbers) <= sys.float_info.max
+    return finite
+
+
 def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                    witness: Mapping[Cell, object], delta: float = DEFAULT_DELTA,
                    exact: bool = False) -> None:
@@ -679,17 +737,17 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
     """
     cell_rows = _table_rows(*_layout(space, marginals), exact)[1]
     cells = space.cells()
-    known = set(cells)
-    for cell in witness:
-        if cell not in known:
-            raise ValidationError(f"witness cell {cell!r} is not in the sample space")
-    values = []
-    for cell in cells:
-        value = witness.get(cell)
-        if not is_finite_number(value):
-            raise ValidationError(f"witness has no value for cell {cell!r}" if cell not in witness else
-                                  f"witness value {value!r} for cell {cell!r} is not a finite number")
-        values.append(value)
+    values = list(map(witness.get, cells, itertools.repeat(_ABSENT)))
+    kinds = list(map(type, values))
+    if len(witness) > len(cells) - kinds.count(_Absent):  # it names a cell outside the space
+        known = set(cells)
+        cell = next(cell for cell in witness if cell not in known)
+        raise ValidationError(f"witness cell {cell!r} is not in the sample space")
+    finite = _finite_numbers(values, kinds)
+    if not finite.all():
+        cell = cells[int(finite.argmin())]
+        raise ValidationError(f"witness has no value for cell {cell!r}" if cell not in witness else
+                              f"witness value {witness[cell]!r} for cell {cell!r} is not a finite number")
     _verify_witness(cell_rows, marginals, _rhs(marginals, exact), values, delta, exact)
 
 
@@ -790,6 +848,59 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
     return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
 
 
+def _cycle_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
+                   delta: float, exact: bool) -> FeasibilityVerdict | None:
+    """The infeasible verdict of tables whose pair tables form one n-cycle
+    (``_table_rows``' ``cycle``), when their most violated n-cycle
+    inequality refutes the band, or ``None``, and then the LP decides.  It
+    reads only ``_table_rows``, so it never waits for the row basis.
+
+    The correlation of edge ``e`` is ``C_e = sum_k s_k b_k`` over its keys,
+    with ``s_k`` the product of a key's outcomes.  The sign vector ``g``
+    with an odd number of minus signs that maximizes ``sum_e g_e C_e`` is
+    ``sign(C)`` with, when that has an even number of minus signs, the sign
+    of the first edge of least ``|C_e|`` flipped.  Every joint cell breaks
+    at least one ``g_e`` (the product of ``s_a s_b`` around the cycle is
+    +1, that of ``g`` is -1), so ``sum_e P(edge e disagrees with g_e) >=
+    1``: the certificate ``y`` is 1 on each edge's two keys with ``s_k !=
+    g_e``, -1 on the normalization row and 0 elsewhere, ``y.A >= 0``, and
+    ``y.b = (n - sum_e g_e C_e) / 2 - 1`` (Fine 1982; Araujo et al. 2013).
+    It is screened in float, with ``delta`` capped at ``WIDEST_BAND`` as in
+    ``band_test``, against the shift ``2 n delta`` of the band, and then
+    handed to ``band_test``, which decides, in exact mode on ``Fraction``
+    entries.
+    """
+    matrix, _, cycle = _table_rows(*_layout(space, marginals), exact)
+    if cycle is None:
+        return None
+    rows, signs = cycle
+    rhs = _rhs(marginals, False)
+    correlations = (rhs[rows] * signs).sum(axis=1).tolist()  # a few entries: Python is quicker here
+    g = [-1.0 if c < 0 else 1.0 for c in correlations]
+    if not g.count(-1.0) % 2:
+        sizes = list(map(abs, correlations))
+        g[sizes.index(min(sizes))] *= -1
+    n, width = len(g), 0 if exact else min(delta, WIDEST_BAND)
+    if (n - sum(map(operator.mul, g, correlations))) / 2 - 1 + 2 * n * width >= 0:  # y.b + width * sum|y|
+        return None
+    disagree = rows[signs != np.array(g)[:, None]].tolist()
+    if exact:
+        certificate = [Fraction(0)] * len(matrix)
+        for r in disagree:
+            certificate[r] = Fraction(1)
+        certificate[-1] = Fraction(-1)
+        rhs = _rhs(marginals, True)
+    else:
+        certificate = np.zeros(len(matrix))
+        certificate[disagree] = 1.0
+        certificate[-1] = -1.0
+    refutes = band_test(matrix, certificate, 0 if exact else delta)
+    if refutes is None or not refutes(rhs):
+        return None
+    return FeasibilityVerdict(status=STATUS_INFEASIBLE, farkas_certificate=list(certificate),
+                              mode="exact" if exact else "float", delta=delta)
+
+
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                               delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
@@ -801,8 +912,14 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     within delta of every marginal and a certificate that refutes that band
     (``_verdict``); ``exact=True`` requires rational marginal values and
     decides feasibility exactly, independent of delta.
+
+    Tables whose pair tables form one n-cycle are first offered their most
+    violated n-cycle inequality (``_cycle_verdict``); a refutation that
+    ``band_test`` confirms is the verdict, with no LP and no row basis.
     """
     _checked_inputs(marginals, delta, exact)
+    if (verdict := _cycle_verdict(space, marginals, delta, exact)) is not None:
+        return verdict
     system = build_constraint_system(space, marginals, exact)
     result = solve_lp(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
     return _verdict(marginals, system, _on_every_row(system, result, exact), delta, exact)
@@ -865,9 +982,14 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     ``eprb`` 9.
 
     A float verdict whose band is feasible while the hard equalities are
-    not comes back with ``unique`` and ``component_bounds`` left None.
+    not comes back with ``unique`` and ``component_bounds`` left None, and
+    so does every infeasible one.  Before phase 1, an n-cycle of pair
+    tables is offered its most violated inequality, as in
+    ``find_unifying_probability`` (``_cycle_verdict``).
     """
     _checked_inputs(marginals, delta, exact)
+    if (verdict := _cycle_verdict(space, marginals, delta, exact)) is not None:
+        return verdict
     system = build_constraint_system(space, marginals, exact)
     start = feasible_start(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
     result = _on_every_row(system, start if isinstance(start, LPResult) else start.solve(), exact)
@@ -947,19 +1069,10 @@ def correlations_from_marginals(marginals: Sequence[MarginalTable]) -> Correlati
     """Pair correlations of the two-variable tables that the n-cycle
     inequalities (``cycle_check``) hold for.
 
-    A table gives its pair's correlation when the outcomes of both its
-    variables are the numbers +1 and -1 and every key is atomic (no grouped
-    outcomes), and when no other two-variable table covers the same pair, in
-    either order.  Every other table is left out.
+    The tables are the ``_pair_tables``; every other table is left out.
     """
-    covers = collections.Counter(frozenset(t.names) for t in marginals)
-    values = {}
-    for table in marginals:
-        if (len(table.variables) == 2 and covers[frozenset(table.names)] == 1
-                and all(set(v.outcomes) == {1, -1} for v in table.variables)
-                and all(len(g) == 1 for groups in table.partitions for g in groups)):
-            values[table.names] = pair_correlation(table)
-    return CorrelationSet(values)
+    return CorrelationSet({marginals[t].names: pair_correlation(marginals[t])
+                           for t in _pair_tables([(t.variables, t.partitions) for t in marginals])})
 
 
 def cycle_check(correlations: CorrelationSet) -> CycleCheck:

@@ -1274,14 +1274,15 @@ def test_reverify_rejects_malformed_uniqueness(edit, message):
         reverify(report)
 
 
-# Taken from the reports (three_box and leggett_garg since the LP solves the
-# row basis of the constraint matrix): the verdict fields are all rationals in
+# Taken from the reports (three_box since the LP solves the row basis of the
+# constraint matrix, leggett_garg since its violated Leggett-Garg inequality
+# is its certificate): the verdict fields are all rationals in
 # exact mode, so the hashes hold on every platform.
 EXACT_VERDICT_SHA256 = {
     "griffiths_spin": "43450abfe3036e49720ed293143a4563bd9b13f94b8bab8537234d3e6c88b769",
     "three_box": "cb4f9b41f7d7c8224342a70199ba9655754c18caa99e21ab64e05aa2b83bda6b",
     "eprb": "694a114accaacb7b9d95d1afb13d9d9a672d644532eb979c87641bb6b11742eb",
-    "leggett_garg": "81b9ba946145d6020b1bd43a3edaa82d02b83590a06ad671243ab856f83da5ec",
+    "leggett_garg": "814199514a9fc991496cd5691bb7b2e20ed190982be3f2c5aded18803f2c51dc",
 }
 
 

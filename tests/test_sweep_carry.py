@@ -96,14 +96,29 @@ def test_a_valid_certificate_is_reported_without_a_solve(monkeypatch):
     assert _certified(*_point_tables("eprb", nearby), certificate)
 
 
-def test_the_readme_eprb_slice_solves_one_lp(monkeypatch, capsys):
+def test_the_readme_eprb_slice_solves_no_lp(monkeypatch, capsys):
+    # the first point's violated CHSH inequality refutes it and is carried
+    # through the other 40
     solves = []
     solve_lp = unify.solve_lp
     monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k))
     assert main(["sweep", "--scenario", "eprb", "--param", "theta4", "--range", "2:2.8:41"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["0"] * 41
-    assert len(solves) == 1
+    assert not solves
+
+
+def test_the_readme_leggett_garg_sweep_solves_three_lps(monkeypatch, capsys):
+    """omega = 0 solves its LP; every infeasible point is refuted by a
+    violated Leggett-Garg inequality, its own or a carried one; omega =
+    3.14159 solves its width-0 LP and then its band LP."""
+    solves = []
+    solve_lp = unify.solve_lp
+    monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(a[0].shape) or solve_lp(*a, **k))
+    assert main(["sweep", "--scenario", "leggett_garg", "--param", "omega", "--range", "0:3.14159:181"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["1"] + ["0"] * 179 + ["1"]
+    assert solves == [(7, 8), (7, 8), (25, 32)]
 
 
 def test_the_readme_leggett_garg_end_point_is_decided_by_the_band_lp(monkeypatch):

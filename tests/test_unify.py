@@ -52,6 +52,7 @@ from histories_lab.unify import (
     _constraint_rows,
     _interned,
     _layout,
+    _on_every_row,
     _table_rows,
     _verdict,
     _verify_witness,
@@ -142,6 +143,50 @@ def test_verify_witness_names_the_first_bad_cell(edit, message):
             witness[cell] = value
     with pytest.raises(ValidationError, match=message):
         verify_witness(space, [uniform(SA), uniform(SB)], witness)
+
+
+def _per_cell_witness_check(space, witness):
+    """The cell checks of ``verify_witness`` as a loop over the cells, as
+    they were written before they became one array check: the message of
+    the first refusal, or ``None``."""
+    cells = space.cells()
+    known = set(cells)
+    for cell in witness:
+        if cell not in known:
+            return f"witness cell {cell!r} is not in the sample space"
+    for cell in cells:
+        value = witness.get(cell)
+        if not unify.is_finite_number(value):
+            return (f"witness has no value for cell {cell!r}" if cell not in witness else
+                    f"witness value {value!r} for cell {cell!r} is not a finite number")
+    return None
+
+
+WITNESS_VALUES = [0.25, Fraction(1, 4), 1, 0, np.float64(0.25), None, math.nan, math.inf, -math.inf,
+                  True, False, "0.25", 10**400, -10**400, Fraction(10**400, 3), np.int64(1), 0.5j, [0.25]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1), (7, 7), (1,), (0, 0)]),
+                       st.sampled_from(range(len(WITNESS_VALUES))), max_size=7),
+       st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+def test_the_cell_check_refuses_as_the_per_cell_loop_did(edit, missing):
+    """A witness with each cell of ``edit`` set to one of ``WITNESS_VALUES``
+    (an unknown cell added), and ``missing`` deleted unless edited: the
+    array check refuses with the loop's first message, or not at all."""
+    space = JointSampleSpace((SA, SB))
+    witness = dict.fromkeys(space.cells(), 0.25)
+    del witness[missing]
+    witness.update((cell, WITNESS_VALUES[k]) for cell, k in edit.items())
+    expected = _per_cell_witness_check(space, witness)
+    try:
+        verify_witness(space, [uniform(SA), uniform(SB)], witness)
+    except ValidationError as exc:
+        assert str(exc) == expected
+    except NumericError:
+        assert expected is None
+    else:
+        assert expected is None
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -729,6 +774,193 @@ def test_correlation_set_validation():
 def test_correlation_keys_must_be_pairs_of_distinct_names(key):
     with pytest.raises(ValidationError, match=f"correlation key {re.escape(repr(key))} must be a pair"):
         CorrelationSet({key: 0.5})
+
+
+# ---------------------------------------------------------------------------
+# a violated cycle inequality refutes an n-cycle before any LP
+# ---------------------------------------------------------------------------
+
+def _correlated(u, v, c):
+    """The pair table of two +-1 variables with fair marginals and correlation ``c``."""
+    return MarginalTable((u, v), {(s, t): (1 + s * t * c) / 4 for s in (1, -1) for t in (1, -1)})
+
+
+def _cycle(correlations):
+    """Fair pair tables around the cycle v0, v1, ..., with ``correlations[k]`` on (v_k, v_k+1)."""
+    n = len(correlations)
+    variables = tuple(Variable(f"v{k}", (1, -1)) for k in range(n))
+    return JointSampleSpace(variables), [_correlated(variables[k], variables[(k + 1) % n], c)
+                                         for k, c in enumerate(correlations)]
+
+
+@st.composite
+def cycle_systems(draw):
+    """Pair tables around an n-cycle of +-1 variables, n = 3-7, in shuffled
+    order: at random correlations near either end of their range around
+    random single-variable means (``_cycle_system``), or the pair marginals
+    of one random joint distribution, which is feasible."""
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        space, tables = _cycle_system(draw(st.lists(st.floats(-0.2, 0.2), min_size=n, max_size=n)),
+                                      draw(st.lists(_near_edge, min_size=n, max_size=n)))
+    else:
+        variables = tuple(Variable(f"v{k}", (1, -1)) for k in range(n))
+        weights = draw(st.lists(st.integers(0, 4), min_size=2 ** n, max_size=2 ** n).filter(any))
+        joint = np.array(weights, dtype=float).reshape((2,) * n) / sum(weights)
+        tables = []
+        for i, j in ((k, (k + 1) % n) for k in range(n)):
+            pair = joint.sum(axis=tuple(k for k in range(n) if k not in (i, j)))
+            pair = pair if i < j else pair.T  # the axes left by the sum are in variable order
+            tables.append(MarginalTable((variables[i], variables[j]), {
+                (s1, s2): float(pair[a, b]) for a, s1 in enumerate((1, -1)) for b, s2 in enumerate((1, -1))}))
+        space = JointSampleSpace(variables)
+    return space, draw(st.permutations(tables))
+
+
+def _lp_status(space, tables, exact):
+    """The status of the LP path alone: ``solve_lp`` on the row basis, read
+    on every row, through ``_verdict``."""
+    system = build_constraint_system(space, tables, exact)
+    result = simplex.solve_lp(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
+    return _status(_or_numeric_error(_verdict, tables, system, _on_every_row(system, result, exact),
+                                     DEFAULT_DELTA, exact))
+
+
+def _assert_cycle_inequality(tables, certificate, exact):
+    """``certificate`` is "sum_e P(edge e disagrees with g_e) >= 1" over pair
+    tables of four keys each: 1 on two keys of each table with the same
+    outcome product, the product that ``g_e`` excludes, for an odd number of
+    ``g_e = -1``; -1 on the normalization row; 0 elsewhere."""
+    assert all(isinstance(y, Fraction if exact else float) for y in certificate)
+    assert certificate[-1] == -1 and len(certificate) == 4 * len(tables) + 1
+    signs = []
+    for t, table in enumerate(tables):
+        marked = certificate[4 * t:4 * t + 4]
+        assert sorted(marked) == [0, 0, 1, 1]
+        [excluded] = {key[0][0] * key[1][0] for key, y in zip(table.values, marked) if y}
+        signs.append(-excluded)
+    assert signs.count(-1) % 2 == 1
+    return signs
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_cycle_refuted_by_its_inequality_has_the_lp_status(exact):
+    """Away from the boundary of the cycle inequalities, the verdicts of
+    ``find_unifying_probability`` and ``probe_uniqueness`` have the status of
+    the LP path alone, and every refutation before the LP is a violated
+    cycle inequality that ``band_test`` accepts."""
+    refuted = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cycle_systems())
+    def check(system):
+        space, tables = system
+        if exact:
+            try:
+                tables = snap_tables(space, tables)
+            except ValidationError:
+                assume(False)
+        correlations = correlations_from_marginals(tables)
+        assert correlations.is_cycle and _table_rows(*_layout(space, tables), exact)[2] is not None
+        assume(abs(cycle_check(correlations).max_value - (len(tables) - 2)) > 1e-8)
+        status = _lp_status(space, tables, exact)
+        step = unify._cycle_verdict(space, tables, DEFAULT_DELTA, exact)
+        if cycle_check(correlations).max_value - (len(tables) - 2) > 1e-7:  # beyond the band
+            assert step is not None  # the most violated inequality is found
+        for solve in (find_unifying_probability, probe_uniqueness):
+            verdict = _or_numeric_error(solve, space, tables, exact=exact)
+            assert _status(verdict) == status
+            if step is not None:
+                assert verdict.farkas_certificate == step.farkas_certificate
+        if step is not None:
+            _assert_cycle_inequality(tables, step.farkas_certificate, exact)
+            assert unify.refutes_marginals(space, tables, step.farkas_certificate, DEFAULT_DELTA, exact)
+        refuted.add(step is not None)
+        if not exact:
+            with warnings.catch_warnings():  # a band over every marginal: nothing refuted, nothing overflows
+                warnings.simplefilter("error")
+                assert unify._cycle_verdict(space, tables, 1e308, exact) is None
+
+    check()
+    assert refuted == {True, False}
+
+
+@pytest.mark.parametrize("correlations, signs", [
+    ((0.9, 0.9, -0.9), [1, 1, -1]),  # sign(C) has an odd number of minus signs
+    ((1.0, 0.5, 1.0), [1, -1, 1]),  # even: the edge of least |C| is flipped
+    ((-0.9, -0.9, 0.3, 0.9), [-1, -1, -1, 1]),
+    ((1.0, 1.0, 0.8, 1.0, 1.0), [1, 1, -1, 1, 1]),
+])
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_most_violated_cycle_inequality_is_the_certificate(monkeypatch, correlations, signs, exact):
+    space, tables = _cycle([Fraction(c).limit_denominator(10) if exact else c for c in correlations])
+    monkeypatch.setattr(unify, "solve_lp", None)  # any LP would fail
+    verdict = find_unifying_probability(space, tables, exact=exact)
+    assert verdict.status == "infeasible"
+    assert _assert_cycle_inequality(tables, verdict.farkas_certificate, exact) == signs
+
+
+FIVE_CYCLE = (0.9, 0.9, 0.9, 0.9, -0.9)  # 0.9 * 5 > 3: violated
+
+
+def _zero_one(tables, variable):
+    """``tables`` with ``variable`` relabelled from +1/-1 to 0/1."""
+    bit = Variable(variable.name, (0, 1))
+    swap = {1: 0, -1: 1}
+    return bit, [MarginalTable(tuple(bit if v == variable else v for v in t.variables),
+                               {tuple(swap[o] if v == variable else o for v, (o,) in zip(t.variables, key)): p
+                                for key, p in t.values.items()}) for t in tables]
+
+
+def _not_one_cycle(kind):
+    """Tables that hold ``FIVE_CYCLE``'s violated inequality, or part of it,
+    but whose pair tables form no single cycle."""
+    space, tables = _cycle(FIVE_CYCLE)
+    v = space.variables
+    if kind == "K4":
+        return JointSampleSpace(v[:4]), [_correlated(a, b, -0.9) for a, b in itertools.combinations(v[:4], 2)]
+    if kind == "chord":
+        return space, tables + [_correlated(v[0], v[2], 0.0)]
+    if kind == "zero_one":
+        bit, tables = _zero_one(tables, v[0])
+        return JointSampleSpace((bit, *v[1:])), tables
+    if kind == "grouped":
+        return space, tables[1:] + [MarginalTable((v[0], v[1]), {((1, -1), 1): 0.5, ((1, -1), -1): 0.5})]
+    assert kind == "twice"
+    return space, tables + [MarginalTable((v[1], v[0]), {(t, s): p for ((s,), (t,)), p in tables[0].values.items()})]
+
+
+@pytest.mark.parametrize("kind", ["K4", "chord", "zero_one", "grouped", "twice"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_tables_that_are_not_one_cycle_of_pair_tables_reach_the_lp(monkeypatch, kind, exact):
+    space, tables = _not_one_cycle(kind)
+    if exact:
+        tables = [t.as_exact() for t in tables]
+    assert not correlations_from_marginals(tables).is_cycle
+    assert _table_rows(*_layout(space, tables), exact)[2] is None
+    solves = []
+    monkeypatch.setattr(unify, "solve_lp", lambda *a, **k: solves.append(1) or simplex.solve_lp(*a, **k))
+    verdict = find_unifying_probability(space, tables, exact=exact)
+    assert solves and verdict.status == ("feasible" if kind == "grouped" else "infeasible")
+
+
+def test_an_infeasible_16_cycle_is_refuted_without_an_lp_or_a_row_basis(monkeypatch):
+    # 65,536 joint cells, where phase 1 on the row basis takes about a second
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cycle inequality decides this system")
+
+    space, tables = _cycle([0.9] * 15 + [-0.9])
+    monkeypatch.setattr(unify, "solve_lp", refuse)
+    monkeypatch.setattr(unify, "feasible_start", refuse)
+    monkeypatch.setattr(unify, "_constraint_rows", refuse)
+    try:
+        for solve in (find_unifying_probability, probe_uniqueness):
+            verdict = solve(space, tables)
+            assert verdict.status == "infeasible" and verdict.component_bounds is None
+            _assert_cycle_inequality(tables, verdict.farkas_certificate, False)
+            assert unify.refutes_marginals(space, tables, verdict.farkas_certificate)
+    finally:
+        _table_rows.cache_clear()  # a 65 x 65,536 matrix
 
 
 # ---------------------------------------------------------------------------
