@@ -286,15 +286,7 @@ def analyze(descriptor: ScenarioDescriptor, options: AnalysisOptions = AnalysisO
     if descriptor.space is not None and tables:
         marginals = [t for _, t in tables]
         if options.exact:
-            try:
-                marginals = snap_tables(descriptor.space, marginals)
-            except ValidationError:
-                for name, table in tables:  # the first table that fails alone is the one refused
-                    try:
-                        table.as_exact()
-                    except ValidationError as exc:
-                        raise ValidationError(f"set {name!r} gives no exact probability table: {exc}") from None
-                raise
+            marginals = snap_tables(descriptor.space, marginals)
         correlations = correlations_from_marginals(marginals)
         bell = chsh = None
         if correlations.is_cycle:

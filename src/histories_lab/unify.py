@@ -13,6 +13,30 @@ one n-cycle, the most violated one is the certificate, found before any LP
 
 Marginal tables may carry coarse outcome groups (e.g. "box 2 or 3") as well
 as atomic outcomes; each key constrains the sum of the joint cells it covers.
+
+Tolerances that decide acceptance: what each bounds, where, and why.
+
+- ``operators.DEFAULT_TOL`` 1e-10: input operators and projector families,
+  once, where they enter; what the grid derives from them is not rechecked.
+- ``classicality.DEFAULT_CLASSIFY_TOL`` 1e-10 (``--tol``): a consistent set's
+  largest off-diagonal ``|Re D|``; the noise accepted families put into D.
+- ``TABLE_TOL`` 1e-9: every check of a table's values (``MarginalTable``,
+  snapping, dependency residuals, ``pinned``, cycle bounds, quasi
+  coarse-grainings); a set consistent to e has probabilities to about e.
+- ``DEFAULT_DELTA`` 1e-9 (``--delta``): the band a float witness meets and a
+  float certificate refutes; the tables' own slack.
+- ``simplex.DEFAULT_FEAS_TOL`` 1e-9: the infeasibility a float phase 1 still
+  calls feasible; the scale of ``TABLE_TOL``.
+- ``simplex.DEFAULT_PIVOT_TOL`` 1e-11: the least float pivot and negative
+  reduced cost; below every slack above, above a 0/1 tableau's round-off.
+- ``EVIDENCE_TOL`` 1e-12: float witness and certificate checks beyond delta,
+  and the band LP; room for summation round-off only.
+- ``WIDEST_BAND`` 2.0: the widest band the arithmetic uses; a band over ``1 +
+  2 * TABLE_TOL`` admits every joint, and its sums cannot overflow.
+- ``SNAP_MAX_DENOMINATOR`` 1e9: the largest denominator ``as_exact`` snaps
+  to; every float lies within ``TABLE_TOL / 2`` of such a rational.
+- 1e-15, unnamed, in ``_checked_verdict``: a float witness cell below it is
+  reported as 0, an LP's round-off on a zero cell; that witness is checked.
 """
 
 from __future__ import annotations
@@ -36,7 +60,6 @@ from .classicality import classify
 from .errors import InconsistentSetError, NumericError, ValidationError
 from .histories import HistorySet, history_probabilities
 from .simplex import (
-    DEFAULT_FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
     FeasibleStart,
@@ -51,10 +74,8 @@ Cell = tuple
 
 DEFAULT_DELTA = 1e-9
 DEFAULT_JOINT_CAP = 10**6
-TABLE_TOL = 1e-9  # slack for marginal sums, signs, correlation ranges and cycle bounds
+TABLE_TOL = 1e-9  # the one slack any step applies to a table's values (the ledger above)
 SNAP_MAX_DENOMINATOR = 10**9  # as_exact: largest denominator a float snaps to
-SNAP_TOL = 1e-12  # as_exact, snap_tables: largest distance of a snapped value from its float
-QUASI_NONNEG_TOL = 1e-12  # a quasi coarse-graining at or above -this counts as non-negative
 EVIDENCE_TOL = 1e-12  # float slack of every witness and certificate check, and of the band LP
 WIDEST_BAND = 2.0  # band arithmetic caps delta here; a band over 1 + 2 * TABLE_TOL admits every joint
 
@@ -248,24 +269,24 @@ class MarginalTable:
         return _interned((self.variables, self.partitions))
 
     def as_exact(self) -> "MarginalTable":
-        """Snap float values onto rationals with denominators up to
-        ``SNAP_MAX_DENOMINATOR``, verifying the distance.
-
-        Any residual of the snapped sum from 1 goes to the (first) largest
-        entry.  Raises ``ValidationError`` when a value ends up farther than
-        ``SNAP_TOL`` from its float; exact tables pass through unchanged.
-        """
+        """A valid exact table for every accepted float one; exact tables
+        pass through unchanged.  A value within ``TABLE_TOL`` of 0, negative
+        ones too, snaps to 0 and any other to the nearest rational with a
+        denominator up to ``SNAP_MAX_DENOMINATOR``, at most ``TABLE_TOL / 2``
+        away.  The residual ``1 - sum``, at most ``(n + 1) * TABLE_TOL`` over
+        ``n`` keys, goes to the (first) largest entry, a deficit larger than
+        it on to the next largest, so no value moves more than ``(n + 2) *
+        TABLE_TOL``."""
         if self.is_exact:
             return self
-        snapped = {key: Fraction(float(value)).limit_denominator(SNAP_MAX_DENOMINATOR)
+        snapped = {key: Fraction(0) if abs(float(value)) <= TABLE_TOL
+                   else Fraction(float(value)).limit_denominator(SNAP_MAX_DENOMINATOR)
                    for key, value in self.values.items()}
-        snapped[max(snapped, key=snapped.__getitem__)] += 1 - sum(snapped.values())
-        for key, frac in snapped.items():
-            value = self.values[key]
-            if abs(float(frac) - float(value)) > SNAP_TOL:
-                raise ValidationError(
-                    f"value {value!r} for key {key!r} is not rational within {SNAP_TOL}"
-                )
+        residual = 1 - sum(snapped.values())
+        for key in sorted(snapped, key=snapped.__getitem__, reverse=True):  # stable: first largest first
+            take = max(residual, -snapped[key])
+            snapped[key] += take
+            residual -= take
         return MarginalTable(self.variables, snapped)
 
 
@@ -590,38 +611,42 @@ def build_constraint_system(space: JointSampleSpace, marginals: Sequence[Margina
 
 
 def snap_tables(space: JointSampleSpace, marginals: Sequence[MarginalTable]) -> list[MarginalTable]:
-    """Float tables snapped together onto rationals, for exact mode: the
-    snapped tables agree exactly on every shared sub-marginal, and each
-    sums to 1.
+    """Float tables snapped together onto rationals, for exact mode: valid
+    exact tables that agree exactly on every shared sub-marginal when the
+    floats agree (``_broken_dependency``, the test float verdicts apply).
 
-    The rows of the constraint system are ordered zero first: the
-    normalization row, then the rows whose value is within ``SNAP_TOL`` of
-    0, then the rest, and ``_constraint_rows`` takes a row basis in that
-    order.  The normalization row snaps to 1, a near-zero basis row to 0 and
-    every other basis row to the nearest multiple of ``2**-52``.  Each other
-    row ``r`` is derived from its dependency ``y`` as ``-sum_{j != r} y_j b_j
-    / y_r``, so ``y.b = 0`` holds exactly.  A derived value farther than
-    ``SNAP_TOL`` from its float means that the tables disagree beyond float
-    noise; then, as for a system with an exact table, each table is snapped
-    on its own (``MarginalTable.as_exact``), and exact mode refutes the
-    disagreement.
+    The rows are ordered zero first: the normalization row, the rows within
+    ``TABLE_TOL`` of 0 (negative ones too), then the rest, and
+    ``_constraint_rows`` takes a row basis in that order.  The normalization
+    row snaps to 1, a zero basis row to 0, any other to the nearest multiple
+    of ``2**-52``, and each other row ``r`` is derived from its dependency
+    ``y`` as ``-sum_{j != r} y_j b_j / y_r``, so ``y.b = 0`` exactly.  A
+    derived row below 0 (a few ``TABLE_TOL`` above 0, it took up its
+    dependency's residual) joins the zero rows, and the basis is taken
+    again.  Tables that disagree are snapped one by one (``as_exact``), as a
+    system with an exact table is, and exact mode refutes them.
     """
-    if any(table.is_exact for table in marginals):
-        return [table.as_exact() for table in marginals]
-    b = [float(v) for table in marginals for v in table.values.values()]
-    zero = [abs(v) <= SNAP_TOL for v in b]
-    order = (len(b), *(r for r in range(len(b)) if zero[r]), *(r for r in range(len(b)) if not zero[r]))
-    keep, dependencies, _ = _constraint_rows(*_layout(space, marginals), order)
-    unit = 2 ** 52
-    num = [0 if z else round(v * unit) for v, z in zip(b, zero)] + [unit]  # over 2**52
-    values = [Fraction(n, unit) for n in num]
-    basis = set(keep.tolist())
-    for r, y in zip((r for r in order if r not in basis), dependencies.tolist()):
-        values[r] = Fraction(y[r] * num[r] - sum(c * n for c, n in zip(y, num) if c), y[r] * unit)
-        if abs(float(values[r]) - b[r]) > SNAP_TOL:
-            return [table.as_exact() for table in marginals]
-    values = iter(values)  # zip stops at a table's last key, so each table takes its own values
-    return [MarginalTable(table.variables, dict(zip(table.values, values))) for table in marginals]
+    b = [float(v) for table in marginals for v in table.values.values()] + [1.0]
+    m, unit = len(b) - 1, 2 ** 52
+    zero = {r for r in range(m) if abs(b[r]) <= TABLE_TOL}
+    while not any(table.is_exact for table in marginals):  # an exact table keeps its values
+        order = (m, *sorted(zero), *(r for r in range(m) if r not in zero))
+        keep, dependencies, scales = _constraint_rows(*_layout(space, marginals), order)
+        if _broken_dependency(dependencies, scales, np.array(b), False) is not None:
+            break
+        num = [0 if r in zero else round(b[r] * unit) for r in range(m)] + [unit]  # over 2**52
+        values = [Fraction(n, unit) for n in num]
+        basis = set(keep.tolist())
+        for r, y in zip((r for r in order if r not in basis), dependencies.tolist()):
+            values[r] = Fraction(y[r] * num[r] - sum(c * n for c, n in zip(y, num) if c), y[r] * unit)
+        negative = {r for r, v in enumerate(values) if v < 0}
+        if not negative:
+            values = iter(values)  # zip stops at a table's last key, so each table takes its own values
+            return [MarginalTable(table.variables, dict(zip(table.values, values))) for table in marginals]
+        if negative & zero:  # a zero row derived from the normalization row: no retry helps
+            break
+        zero |= negative
+    return [table.as_exact() for table in marginals]
 
 
 def stacked_rhs(values: np.ndarray) -> np.ndarray:
@@ -809,20 +834,38 @@ def _verdict(marginals: Sequence[MarginalTable], system: ConstraintSystem, resul
     return _checked_verdict(marginals, system, band, delta, exact)
 
 
+def _broken_dependency(dependencies: np.ndarray, scales: tuple, rhs, exact: bool) -> np.ndarray | None:
+    """The dependency ``y`` (a row of ``dependencies``) that ``rhs`` breaks
+    most by ``|y.rhs| / max|y|`` (``scales``; the first of equal ratios),
+    signed so that ``y.rhs < 0``, or ``None`` when no residual exceeds 0
+    (exact) or ``TABLE_TOL * max|y|`` (float): the one test of whether values
+    agree on the sums their rows share, for verdicts and for snapping."""
+    if not len(dependencies):
+        return None
+    if exact:
+        residuals = [sum((c * b for c, b in zip(y, rhs) if c), Fraction(0)) for y in dependencies.tolist()]
+        worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / scales[k])
+    else:
+        residuals = dependencies @ rhs  # int64 entries, exact in float64
+        worst = int((np.abs(residuals) / scales).argmax())  # the first of equal ratios
+    if abs(residuals[worst]) <= (0 if exact else TABLE_TOL) * scales[worst]:
+        return None
+    return (-1 if residuals[worst] > 0 else 1) * dependencies[worst]
+
+
 def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LPResult:
     """``result`` of the LP on the rows ``system.keep``, read as the result on
     every row.
 
     An infeasible result's certificate is padded with zeros on the other
-    rows.  A feasible result stands when every dependency ``y`` leaves a
-    residual ``y.rhs`` of 0 (exact) or of at most ``DEFAULT_FEAS_TOL *
-    max|y|`` (float; ``system.scales``): its rows are then the kept rows'
-    combination.  Otherwise the most violated ``y``, signed so that ``y.rhs
-    < 0``, is the certificate (``y.matrix = 0``); ``_verdict`` checks either
-    on every row.
+    rows.  A feasible result stands when ``system.rhs`` breaks no
+    dependency (``_broken_dependency``): its rows are then, within
+    ``TABLE_TOL * max|y|`` in float mode, the kept rows' combination.
+    Otherwise the most broken ``y`` is the certificate (``y.matrix = 0``,
+    ``y.rhs < 0``); ``_verdict`` checks either on every row.
     """
-    m = len(system.rhs)
     if result.status == INFEASIBLE:
+        m = len(system.rhs)
         if exact:
             certificate = [Fraction(0)] * m
             for r, v in zip(system.keep.tolist(), result.certificate):
@@ -831,20 +874,10 @@ def _on_every_row(system: ConstraintSystem, result: LPResult, exact: bool) -> LP
             certificate = np.zeros(m)
             certificate[system.keep] = result.certificate + 0  # -0.0 + 0 is 0.0: no entry reads -0.0
         return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
-    if not len(system.dependencies):
+    y = _broken_dependency(system.dependencies, system.scales, system.rhs, exact)
+    if y is None:
         return result
-    if exact:
-        residuals = [sum((c * b for c, b in zip(y, system.rhs) if c), Fraction(0))
-                     for y in system.dependencies.tolist()]
-        worst = max(range(len(residuals)), key=lambda k: abs(residuals[k]) / system.scales[k])
-    else:
-        residuals = system.dependencies @ system.rhs  # int64 entries, exact in float64
-        worst = int((np.abs(residuals) / system.scales).argmax())  # the first of equal ratios
-    if abs(residuals[worst]) <= (0 if exact else DEFAULT_FEAS_TOL) * system.scales[worst]:
-        return result
-    sign = -1 if residuals[worst] > 0 else 1
-    y = system.dependencies[worst]
-    certificate = [Fraction(sign * v) for v in y.tolist()] if exact else (sign * y).astype(float)
+    certificate = [Fraction(v) for v in y.tolist()] if exact else y.astype(float)
     return LPResult(status=INFEASIBLE, certificate=certificate, pivots=result.pivots)
 
 
@@ -1130,9 +1163,10 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
                               exact: bool = False) -> QuasiClassification:
     """Decide whether a quasi-probability is viable.
 
-    Collects the coarse-grainings of ``q`` that are non-negative within
-    ``QUASI_NONNEG_TOL`` and asks whether one true joint probability matches
-    them all, within ``DEFAULT_DELTA`` in float mode:
+    Collects the coarse-grainings of ``q`` that ``MarginalTable`` accepts,
+    non-negative (within ``TABLE_TOL`` unless every value of ``q`` is
+    rational), and asks whether one true joint probability matches them
+    all, within ``DEFAULT_DELTA`` in float mode:
     the marginals over every variable subset, kept when non-negative and
     not implied by a kept superset, plus, for each variable no kept subset
     covers, every two-block grouping of its alphabet.  A subset marginal
@@ -1158,6 +1192,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
         raise ValidationError(f"quasi-probability must sum to 1, got {float(total)!r}")
 
     values = np.array([q[c] for c in cells], dtype=object)
+    floor = 0 if MarginalTable.is_exact_values(q) else -TABLE_TOL  # each table is exact just when q is
     subset_tables: dict[tuple[str, ...], dict] = {}
     nonneg: list[tuple[str, ...]] = []
     for size in range(1, len(space.variables) + 1):
@@ -1168,7 +1203,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
             np.add.at(marg, _cell_keys(space, subset, atoms), values)
             names = tuple(v.name for v in subset)
             subset_tables[names] = dict(zip(keys, marg.tolist()))
-            if min(float(v) for v in marg) >= -QUASI_NONNEG_TOL:
+            if min(marg) >= floor:
                 nonneg.append(names)
 
     kept = sorted(
@@ -1195,7 +1230,7 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
                     (block,): sum(fine[(o,)] for o in block),
                     (rest,): sum(fine[(o,)] for o in rest),
                 }
-                if min(float(v) for v in grouped.values()) >= -QUASI_NONNEG_TOL:
+                if min(grouped.values()) >= floor:
                     marginals.append(MarginalTable((var,), grouped))
 
     verdict = find_unifying_probability(space, marginals, exact=exact)

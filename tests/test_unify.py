@@ -36,7 +36,6 @@ from histories_lab.unify import (
     cycle_check,
     extract_marginals,
     find_unifying_probability,
-    SNAP_TOL,
     TABLE_TOL,
     pair_correlation,
     pinned,
@@ -241,10 +240,13 @@ def test_as_exact_snaps_and_verifies():
     table = MarginalTable((SA,), {(1,): 1 / 3 + 1e-16, (-1,): 2 / 3})
     exact = table.as_exact()
     assert exact.values[((1,),)] == Fraction(1, 3)
-    # 1e-11 from its best fraction with denominator <= SNAP_MAX_DENOMINATOR
+    # 1e-11 from its best fraction with denominator <= SNAP_MAX_DENOMINATOR: every accepted
+    # table snaps, each value within (n + 2) * TABLE_TOL of its float
     noisy = MarginalTable((SA,), {(1,): 1 / 3 + 1e-11, (-1,): 2 / 3})
-    with pytest.raises(ValidationError, match="is not rational within"):
-        noisy.as_exact()
+    snapped = noisy.as_exact()
+    assert snapped.is_exact and sum(snapped.values.values()) == 1
+    for key, value in snapped.values.items():
+        assert value >= 0 and abs(float(value) - noisy.values[key]) <= 4 * TABLE_TOL
     # Leggett-Garg pair table at omega * tau = 2: each value snaps on its own
     # to a sum just off 1, so the residual goes to the largest entry
     c = math.cos(2.0)
@@ -1566,7 +1568,7 @@ def test_a_dependency_certificate_has_no_negative_zero(shift):
 @given(table_layouts(), st.integers(0, 2**32 - 1))
 def test_snapped_tables_of_a_joint_with_zeros_are_exactly_consistent(drawn, seed):
     """Tables summed from a float joint in which about 30% of the cells are
-    0 snap onto rationals within ``SNAP_TOL`` of their floats that every
+    0 snap onto rationals within 1e-12 of their floats that every
     dependency of the rows holds exactly, so exact mode finds them feasible."""
     space, layout = drawn
     rng = np.random.default_rng(seed)
@@ -1586,7 +1588,7 @@ def test_snapped_tables_of_a_joint_with_zeros_are_exactly_consistent(drawn, seed
     for table, exact in zip(tables, snapped):
         assert exact.is_exact and list(exact.values) == list(table.values)
         for value, float_value in zip(exact.values.values(), table.values.values()):
-            assert value >= 0 and abs(float(value) - float_value) <= SNAP_TOL
+            assert value >= 0 and abs(float(value) - float_value) <= 1e-12
     assert find_unifying_probability(space, snapped, exact=True).feasible
 
 
@@ -1598,3 +1600,77 @@ def test_tables_that_disagree_beyond_float_noise_snap_one_by_one():
     assert snap_tables(space, [MarginalTable((SA,), {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)})]) \
         == [MarginalTable((SA,), {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)})]  # exact tables stay
     assert find_unifying_probability(space, snap_tables(space, tables), exact=True).status == "infeasible"
+
+
+def test_a_derived_row_below_0_joins_the_zero_rows():
+    # zero first, the rows are ordered -9e-10, 1 + 3e-10, 1.5e-9: the last, derived as
+    # 1 - (1 + 3e-10) - 0, comes out below 0, so it is snapped to 0 and the first key derived
+    table = MarginalTable((BOX,), {("1",): 1 + 3e-10, ("2",): -9e-10, ("3",): 1.5e-9})
+    (snapped,) = snap_tables(JointSampleSpace((BOX,)), [table])
+    assert list(snapped.values.values()) == [1, 0, 0]
+    assert all(type(v) is Fraction for v in snapped.values.values())
+
+
+def _accepted(variables, values) -> MarginalTable:
+    keys = itertools.product(*(v.outcomes for v in variables))
+    return MarginalTable(variables, dict(zip(keys, values.tolist())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_every_accepted_float_table_snaps_to_a_valid_exact_table(n, seed):
+    """A table ``MarginalTable`` accepts, with cells within ``TABLE_TOL`` of 0
+    (negative ones too) and a sum defect within ``TABLE_TOL``, snaps alone
+    and with ``as_exact``, each value within ``(n + 2) * TABLE_TOL``."""
+    rng = np.random.default_rng(seed)
+    variable = Variable("v", tuple(range(n)))
+    near = rng.random(n) < 0.4
+    assume(not near.all())
+    values = rng.random(n)
+    values[near] = rng.uniform(-TABLE_TOL, TABLE_TOL, near.sum())
+    values[~near] *= (1 + rng.uniform(-TABLE_TOL, TABLE_TOL) - values[near].sum()) / values[~near].sum()
+    table = _accepted((variable,), values)
+    for snapped in (table.as_exact(), *snap_tables(JointSampleSpace((variable,)), [table])):
+        assert snapped.is_exact and list(snapped.values) == list(table.values)
+        assert sum(snapped.values.values()) == 1 and min(snapped.values.values()) >= 0
+    for key, value in table.as_exact().values.items():
+        assert abs(float(value) - table.values[key]) <= (n + 2) * TABLE_TOL
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_pair_tables_snap_together_unless_they_disagree_beyond_the_slack(seed, apart):
+    """(a, b) and (b, c) tables of one float joint with zero and near-zero
+    cells, each value moved by up to ``TABLE_TOL / 16`` (so every dependency
+    ``y`` keeps ``|y.b| <= TABLE_TOL * max|y|``), snap to valid exact tables
+    that agree exactly.  Moving ``d`` in [20, 10**6] ``TABLE_TOL`` of the
+    (b, c) table across ``b`` breaks the agreement on ``b`` by more than
+    snapping one table at a time (``as_exact``) can move it, so exact mode
+    refutes the snapped tables with a verified certificate."""
+    rng = np.random.default_rng(seed)
+    space = JointSampleSpace((SA, SB, SC))
+    joint = rng.random(8) * (rng.random(8) >= 0.3)
+    tiny = rng.random(8) < 0.2
+    joint[tiny] = rng.uniform(0, 4 * TABLE_TOL, tiny.sum())
+    assume(joint.sum() > 0.5)
+    joint = (joint / joint.sum()).reshape(2, 2, 2)
+    ab, bc = (values.ravel() + rng.uniform(-TABLE_TOL / 16, TABLE_TOL / 16, 4)
+              for values in (joint.sum(axis=2), joint.sum(axis=0)))
+    if apart:
+        k = int(bc.argmax())  # keys (b, c) in row-major order: k ^ 2 has the other b
+        d = min(bc[k], TABLE_TOL * 10 ** rng.uniform(math.log10(20), 6))
+        assume(d >= 20 * TABLE_TOL)
+        bc[k] -= d
+        bc[k ^ 2] += d
+    tables = [_accepted((SA, SB), ab), _accepted((SB, SC), bc)]
+    snapped = snap_tables(space, tables)
+    for table, exact in zip(tables, snapped):
+        assert exact.is_exact and list(exact.values) == list(table.values)
+        assert sum(exact.values.values()) == 1 and min(exact.values.values()) >= 0
+    rhs = build_constraint_system(space, snapped, exact=True).rhs
+    agree = not (_constraint_rows(*_layout(space, tables))[1].astype(object) @ rhs).any()
+    assert agree is not apart
+    if apart:
+        verdict = find_unifying_probability(space, snapped, exact=True)
+        assert verdict.status == "infeasible"
+        assert unify.refutes_marginals(space, snapped, verdict.farkas_certificate, exact=True)
