@@ -357,7 +357,7 @@ def report_to_json(report: dict) -> str:
 def _check_uniqueness(verdict: dict, witness: dict, exact: bool) -> None:
     """Check a feasible verdict's ``unique`` against its ``component_bounds``
     by ``pinned`` (which also rejects crossed bounds), then in exact mode
-    that each cell's bounds contain its value in the verified witness."""
+    that each cell's bounds, read as rationals, contain its value."""
     unique = _field(verdict, "unique", (bool, type(None)), "unification.verdict.unique")
     path = "unification.verdict.component_bounds"
     entries = _field(verdict, "component_bounds", (list, type(None)), path)
@@ -378,10 +378,12 @@ def _check_uniqueness(verdict: dict, witness: dict, exact: bool) -> None:
             raise ValidationError(f"report field {where} names the cell {cell!r}, which the "
                                   "witness lacks or an earlier entry names")
         bounds[cell] = _number(entry[1], where), _number(entry[2], where)
+        if exact:
+            bounds[cell] = tuple(map(Fraction, bounds[cell]))
     says = pinned(bounds, exact)
     if exact:
         for cell, (lo, hi) in bounds.items():
-            if not lo <= witness[cell] <= hi:
+            if not lo <= Fraction(witness[cell]) <= hi:
                 raise NumericError(f"bounds [{lo}, {hi}] of cell {cell!r} exclude its witness "
                                    f"value {witness[cell]}")
     if unique != says:

@@ -12,18 +12,18 @@ both pivot through ``_kernels.simplex_loop``.  The exact tableau holds
 Python-``int`` rows, each over its own positive denominator; ``Fraction``s
 exist only at the boundary: the inputs and each cost vector become integer
 rows once, and ``x``, ``objective`` and ``certificate`` are read back out
-as ``Fraction``s.  Its two phases are separate steps: ``feasible_start``
-runs phase 1 once and ``FeasibleStart.solve`` runs phase 2 for one cost
-vector on a copy of its end state, so many objectives over one system share
-one phase 1.  Infeasible systems come back with a Farkas certificate ``y``,
-one entry per row, satisfying ``y.A >= 0`` and ``y.b < 0``.
+as ``Fraction``s.  Phase 1 runs only in ``solve_lp_float`` and
+``solve_lp_exact``.  A feasible result carries its end state as ``start``,
+and ``start.solve(c)`` runs phase 2 for one more cost vector from it, so
+many objectives over one system share one phase 1.  Infeasible systems come back with a Farkas certificate
+``y``, one entry per row, satisfying ``y.A >= 0`` and ``y.b < 0``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Rational, Real
 
@@ -55,10 +55,10 @@ UNBOUNDED = "unbounded"
 class LPResult:
     """Solver outcome; exactly one of ``x`` / ``certificate`` is set.
 
-    ``pivots`` counts the pivot-loop pivots over phases 1 and 2.  A result
-    solved from a shared ``FeasibleStart`` reports the same count as a fresh
-    solve of its system: phase 1's count, although phase 1 ran only once for
-    every result read from that start, plus its own phase 2's.
+    ``start`` is phase 1's end state on a feasible system, ``None`` on an
+    infeasible one.  ``pivots`` counts the pivot-loop pivots over phases 1
+    and 2; a result of ``start.solve`` counts phase 1's, although phase 1
+    ran once for every result read from that start, as a fresh solve would.
 
     Float solves give ``x`` and ``certificate`` as float64 arrays and
     ``objective`` as a float; exact solves give lists of ``Fraction`` and a
@@ -70,6 +70,7 @@ class LPResult:
     objective: object = None
     certificate: object = None  # Farkas vector over the original rows
     pivots: int = 0
+    start: FeasibleStart | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -104,9 +105,8 @@ class FeasibleStart:
         return isinstance(self.tableau, IntTableau)
 
     def solve(self, c=None) -> LPResult:
-        """Phase 2 for min c.x from a copy of this start; ``None`` is the zero cost."""
-        copy = replace(self, tableau=self.tableau.copy(), basis=self.basis.copy())
-        return _phase_two(copy, _cost(c, self.n, self.exact))
+        """Phase 2 for min c.x from this start; ``None`` is the zero cost."""
+        return _phase_two(self, _cost(c, self.n, self.exact))
 
 
 def _int_row(values) -> tuple[list[int], int]:
@@ -136,16 +136,18 @@ def _exact_phase_one_tableau(A: np.ndarray, b: np.ndarray, signs: list[int]) -> 
     return IntTableau(rows + [cost], den + [cost_den])
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult | FeasibleStart:
-    """Phase 1 and, on a feasible system, artificial drive-out.
+def _phase_one(A: np.ndarray, b: np.ndarray, c, feas_tol: float) -> LPResult:
+    """Phase 1; on a feasible system, artificial drive-out and phase 2 for
+    the cost vector ``c`` from the end state (``FeasibleStart.solve``).
 
-    Returns an infeasible ``LPResult`` with its Farkas certificate, or the
-    ``FeasibleStart`` phase 2 works on.  ``A`` and ``b`` are float64 arrays
-    (feasible within ``feas_tol``), or object arrays of exact rationals (``int``
-    or ``Fraction``), which solve on an ``IntTableau`` with every tolerance 0.
+    ``A`` and ``b`` are float64 arrays (feasible within ``feas_tol``), or
+    object arrays of exact rationals (``int`` or ``Fraction``), which solve
+    on an ``IntTableau`` with every tolerance 0.  An infeasible result
+    carries its Farkas certificate.
     """
     exact = A.dtype == object
     m, n = A.shape
+    _cost(c, n, exact)  # a bad cost is refused on an infeasible system too
     signs = np.where(b < 0, -1, 1)
     basis = np.arange(n, n + m, dtype=np.int64)
     if exact:
@@ -193,17 +195,19 @@ def _phase_one(A: np.ndarray, b: np.ndarray, feas_tol: float = DEFAULT_FEAS_TOL)
     else:
         rows = tableau[keep + [m]] if drop else tableau
         tableau = np.concatenate((rows[:, :n], rows[:, -1:]), axis=1)
-    return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), n=n, pivots=pivots)
+    return FeasibleStart(tableau=tableau, basis=basis[keep].copy(), n=n, pivots=pivots).solve(c)
 
 
 def _phase_two(start: FeasibleStart, c) -> LPResult:
-    """Put the cost row ``c`` (from ``_cost``) on ``start``, run the loop,
-    read out x; ``start`` is used up."""
+    """Put the cost row ``c`` (from ``_cost``) on a copy of ``start``, run the
+    loop, read out x; the result carries ``start``, left as it was.  A zero
+    cost pivots nothing, so it reads x off ``start`` and copies nothing."""
     exact = start.exact
     tableau, basis, n, pivots = start.tableau, start.basis, start.n, start.pivots
     m2 = len(basis)
 
     if (any(c[0]) if exact else c.any()):
+        tableau, basis = tableau.copy(), basis.copy()
         if exact:
             cost, cost_den = c[0] + [0], c[1]
             for i, j in enumerate(basis.tolist()):
@@ -221,26 +225,20 @@ def _phase_two(start: FeasibleStart, c) -> LPResult:
                                          _default_iterations(m2, n))
         pivots += more_pivots
         if code == LOOP_UNBOUNDED:
-            return LPResult(status=UNBOUNDED, pivots=pivots)
+            return LPResult(status=UNBOUNDED, pivots=pivots, start=start)
         if code == LOOP_ITER_LIMIT:
             raise NumericError("phase-2 simplex hit the iteration limit")
 
     if not exact:
         x = np.zeros(n)
         x[basis] = tableau[:m2, -1]
-        return LPResult(status=OPTIMAL, x=x, objective=float(c @ x), pivots=pivots)
+        return LPResult(status=OPTIMAL, x=x, objective=float(c @ x), pivots=pivots, start=start)
     x = [Fraction(0)] * n
     for i, j in enumerate(basis.tolist()):
         x[j] = Fraction(tableau.rows[i][-1], tableau.den[i])
     objective = sum((v * xj for v, xj in zip(c[0], x) if v), Fraction(0))
     return LPResult(status=OPTIMAL, x=x, objective=objective if c[1] == 1 else objective / c[1],
-                    pivots=pivots)
-
-
-def _two_phase(A: np.ndarray, b: np.ndarray, c, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:
-    """Phase 1, then phase 2 for ``c`` from its start; exact results come back as lists."""
-    start = _phase_one(A, b, feas_tol)
-    return start if isinstance(start, LPResult) else _phase_two(start, c)
+                    pivots=pivots, start=start)
 
 
 def _system(A, b, exact: bool) -> tuple:
@@ -281,8 +279,7 @@ def _cost(c, n: int, exact: bool):
 
 def solve_lp_float(A, b, c=None, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:
     """Solve min c.x, A x = b, x >= 0 in floating point, feasible within ``feas_tol``."""
-    A, b = _system(A, b, False)
-    return _two_phase(A, b, _cost(c, A.shape[1], False), feas_tol)
+    return _phase_one(*_system(A, b, False), c, feas_tol)
 
 
 def _as_rational(value) -> int | Fraction:
@@ -303,18 +300,7 @@ def _as_rational(value) -> int | Fraction:
 
 def solve_lp_exact(A, b, c=None) -> LPResult:
     """Solve min c.x, A x = b, x >= 0 in exact rational arithmetic."""
-    A, b = _system(A, b, True)
-    return _two_phase(A, b, _cost(c, A.shape[1], True))
-
-
-def feasible_start(A, b, *, exact: bool = False) -> LPResult | FeasibleStart:
-    """Run phase 1 once for ``A x = b, x >= 0``.
-
-    Returns the infeasible ``LPResult`` with its Farkas certificate, or a
-    ``FeasibleStart`` whose ``solve(c)`` gives, for each cost vector, the
-    result ``solve_lp(A, b, c, exact=exact)`` would give.
-    """
-    return _phase_one(*_system(A, b, exact))
+    return _phase_one(*_system(A, b, True), c, 0)
 
 
 def solve_lp(A, b, c=None, *, exact: bool = False, feas_tol: float = DEFAULT_FEAS_TOL) -> LPResult:

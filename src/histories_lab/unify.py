@@ -20,6 +20,8 @@ Tolerances that decide acceptance: what each bounds, where, and why.
   once, where they enter; what the grid derives from them is not rechecked.
 - ``classicality.DEFAULT_CLASSIFY_TOL`` 1e-10 (``--tol``): a consistent set's
   largest off-diagonal ``|Re D|``; the noise accepted families put into D.
+- ``classicality.DEFAULT_ZERO_COVER_THRESHOLD`` 1e-9: the measure at or
+  below which a history or a union counts as zero in ``zero_cover``.
 - ``TABLE_TOL`` 1e-9: every check of a table's values (``MarginalTable``,
   snapping, dependency residuals, ``pinned``, cycle bounds, quasi
   coarse-grainings); a set consistent to e has probabilities to about e.
@@ -65,7 +67,6 @@ from .simplex import (
     FeasibleStart,
     LPResult,
     farkas_test,
-    feasible_start,
     solve_lp,
 )
 
@@ -684,7 +685,10 @@ def refutes_marginals(space: JointSampleSpace, marginals: Sequence[MarginalTable
     """Whether ``certificate`` refutes every joint table within delta of the
     marginals (exactly, in exact mode) by ``band_test``.  It reads the matrix
     of the tables' layout and their own values, so it never waits for the
-    row basis of ``_constraint_rows``."""
+    row basis of ``_constraint_rows``.  Exact mode reads a float as the
+    rational it is."""
+    if exact and isinstance(certificate, (list, tuple, np.ndarray)):
+        certificate = [Fraction(y) if is_finite_number(y) else y for y in certificate]
     refutes = band_test(_table_rows(*_layout(space, marginals), exact)[0], certificate,
                         0 if exact else delta)
     return refutes is not None and refutes(_rhs(marginals, exact))
@@ -754,7 +758,8 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                    witness: Mapping[Cell, object], delta: float = DEFAULT_DELTA,
                    exact: bool = False) -> None:
     """Raise ``NumericError`` unless the witness is non-negative and reproduces
-    every marginal within delta (exactly, in exact mode).
+    every marginal within delta (exactly, each value read as a rational, in
+    exact mode).
 
     The witness must map exactly the cells of ``space`` to finite numbers
     (``int``, ``float`` or ``Fraction``); anything else is a
@@ -773,6 +778,8 @@ def verify_witness(space: JointSampleSpace, marginals: Sequence[MarginalTable],
         cell = cells[int(finite.argmin())]
         raise ValidationError(f"witness has no value for cell {cell!r}" if cell not in witness else
                               f"witness value {witness[cell]!r} for cell {cell!r} is not a finite number")
+    if exact:
+        values = list(map(Fraction, values))
     _verify_witness(cell_rows, marginals, _rhs(marginals, exact), values, delta, exact)
 
 
@@ -934,6 +941,20 @@ def _cycle_verdict(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                               mode="exact" if exact else "float", delta=delta)
 
 
+def _unified(space: JointSampleSpace, marginals: Sequence[MarginalTable], delta: float,
+             exact: bool) -> tuple[FeasibilityVerdict, ConstraintSystem | None, LPResult | None]:
+    """The checked verdict of ``find_unifying_probability``, with the
+    constraint system and the LP result read on every row it came from, or
+    two ``None``s when the cycle inequality decided it."""
+    _checked_inputs(marginals, delta, exact)
+    if (verdict := _cycle_verdict(space, marginals, delta, exact)) is not None:
+        return verdict, None, None
+    system = build_constraint_system(space, marginals, exact)
+    result = _on_every_row(system, solve_lp(system.matrix[system.keep], system.rhs[system.keep],
+                                            exact=exact), exact)
+    return _verdict(marginals, system, result, delta, exact), system, result
+
+
 def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[MarginalTable],
                               delta: float = DEFAULT_DELTA, exact: bool = False) -> FeasibilityVerdict:
     """Search for a non-negative joint table reproducing every marginal.
@@ -950,12 +971,7 @@ def find_unifying_probability(space: JointSampleSpace, marginals: Sequence[Margi
     violated n-cycle inequality (``_cycle_verdict``); a refutation that
     ``band_test`` confirms is the verdict, with no LP and no row basis.
     """
-    _checked_inputs(marginals, delta, exact)
-    if (verdict := _cycle_verdict(space, marginals, delta, exact)) is not None:
-        return verdict
-    system = build_constraint_system(space, marginals, exact)
-    result = solve_lp(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
-    return _verdict(marginals, system, _on_every_row(system, result, exact), delta, exact)
+    return _unified(space, marginals, delta, exact)[0]
 
 
 def _bounds(cell_rows: np.ndarray, marginals: Sequence[MarginalTable],
@@ -1005,31 +1021,18 @@ def probe_uniqueness(space: JointSampleSpace, marginals: Sequence[MarginalTable]
     """Per-cell min/max bounds under the marginal constraints; unique iff every
     cell is ``pinned``.
 
-    The bounds are taken over the width-0 system of hard equalities, so
-    delta (the band width) moves neither them nor ``unique``.  Phase 1 of
-    that system runs once, on the row basis ``system.keep``, and its end
-    state read at zero cost gives the verdict (``_verdict``, checked on
-    every row, as in ``find_unifying_probability``) in both modes.  Each
-    probe that ``_bounds`` cannot settle from a known feasible point is one
-    phase 2 from that end state: exact ``eprb`` solves 4 of its 32, float
-    ``eprb`` 9.
-
-    A float verdict whose band is feasible while the hard equalities are
-    not comes back with ``unique`` and ``component_bounds`` left None, and
-    so does every infeasible one.  Before phase 1, an n-cycle of pair
-    tables is offered its most violated inequality, as in
-    ``find_unifying_probability`` (``_cycle_verdict``).
+    The verdict is ``find_unifying_probability``'s (``_unified``).  The
+    bounds are taken over the width-0 system of hard equalities that its LP
+    solved, so delta moves neither them nor ``unique``.  Each probe that
+    ``_bounds`` cannot settle from a known feasible point is one phase 2
+    from that LP's ``start``: exact ``eprb`` solves 4 of its 32, float 9.
+    An infeasible verdict, or a float one whose band alone is feasible,
+    comes back with ``unique`` and ``component_bounds`` left None.
     """
-    _checked_inputs(marginals, delta, exact)
-    if (verdict := _cycle_verdict(space, marginals, delta, exact)) is not None:
-        return verdict
-    system = build_constraint_system(space, marginals, exact)
-    start = feasible_start(system.matrix[system.keep], system.rhs[system.keep], exact=exact)
-    result = _on_every_row(system, start if isinstance(start, LPResult) else start.solve(), exact)
-    verdict = _verdict(marginals, system, result, delta, exact)
+    verdict, system, result = _unified(space, marginals, delta, exact)
     if verdict.feasible and result.status == OPTIMAL:
         verdict.component_bounds = dict(zip(system.cells, _bounds(system.cell_rows, marginals,
-                                                                  start, result.x)))
+                                                                  result.start, result.x)))
         verdict.unique = pinned(verdict.component_bounds, exact)
     return verdict
 
@@ -1163,10 +1166,12 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
                               exact: bool = False) -> QuasiClassification:
     """Decide whether a quasi-probability is viable.
 
-    Collects the coarse-grainings of ``q`` that ``MarginalTable`` accepts,
-    non-negative (within ``TABLE_TOL`` unless every value of ``q`` is
-    rational), and asks whether one true joint probability matches them
-    all, within ``DEFAULT_DELTA`` in float mode:
+    Each value of ``q`` must be a finite number (``is_finite_number``), and
+    ``q`` must sum to 1, exactly when every value is rational and within
+    ``TABLE_TOL`` otherwise.  Collects the coarse-grainings of ``q`` that
+    ``MarginalTable`` accepts, non-negative (within ``TABLE_TOL`` unless
+    ``q`` is rational), and asks whether one true joint probability matches
+    them all, within ``DEFAULT_DELTA`` in float mode:
     the marginals over every variable subset, kept when non-negative and
     not implied by a kept superset, plus, for each variable no kept subset
     covers, every two-block grouping of its alphabet.  A subset marginal
@@ -1187,12 +1192,17 @@ def classify_quasiprobability(space: JointSampleSpace, q: Mapping[Cell, object],
     cells = space.cells()
     if set(q) != set(cells):
         raise ValidationError("quasi-probability must assign a value to every joint cell")
+    for cell in cells:
+        if not is_finite_number(q[cell]):
+            raise ValidationError(f"quasi-probability value {q[cell]!r} for cell {cell!r} "
+                                  "is not a finite number")
     total = sum(q.values())
-    if abs(float(total) - 1.0) > TABLE_TOL:
-        raise ValidationError(f"quasi-probability must sum to 1, got {float(total)!r}")
+    rational = MarginalTable.is_exact_values(q)  # each table is exact just when q is
+    if (total != 1) if rational else abs(total - 1.0) > TABLE_TOL:
+        raise ValidationError(f"quasi-probability must sum to 1{' exactly' if rational else ''}, got {total}")
 
     values = np.array([q[c] for c in cells], dtype=object)
-    floor = 0 if MarginalTable.is_exact_values(q) else -TABLE_TOL  # each table is exact just when q is
+    floor = 0 if rational else -TABLE_TOL
     subset_tables: dict[tuple[str, ...], dict] = {}
     nonneg: list[tuple[str, ...]] = []
     for size in range(1, len(space.variables) + 1):

@@ -20,6 +20,7 @@ from histories_lab.analysis import (
     PROBE_CELLS_CAP,
     SCHEMA_VERSION,
     AnalysisOptions,
+    _check_uniqueness,
     analyze,
     decode_value,
     encode_value,
@@ -1218,6 +1219,25 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     cells[0][1], cells[i][1] = cells[i][1], cells[0][1]
     assert main(["verify", _write_report(tmp_path, report)]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_verify_checks_an_exact_reports_float_certificate_exactly(tmp_path, capsys):
+    # y.A = -1e-13 at box "1": within the float slack, but no exact Farkas certificate
+    golden = Path(__file__).resolve().parent / "golden" / "analyze_three_box_exact.json"
+    report = json.loads(golden.read_text())
+    report["unification"]["verdict"]["farkas_certificate"] = [-1.0000000000001, 0.0, 1.0, 0.0, 0.0]
+    assert main(["verify", _write_report(tmp_path, report)]) == 3
+    assert "stored Farkas certificate failed verification" in capsys.readouterr().err
+    report["unification"]["verdict"]["farkas_certificate"] = [-1.0, 0.0, 1.0, 0.0, 0.0]
+    assert main(["verify", _write_report(tmp_path, report)]) == 0
+
+
+def test_exact_bounds_are_read_as_the_rationals_they_are():
+    # float(1/3) is below 1/3, so these bounds cross; in float arithmetic 1/3 - float(1/3) is 0
+    verdict = {"unique": True, "component_bounds": [[[1], {"$fraction": [1, 3]}, 1 / 3]]}
+    with pytest.raises(NumericError, match="in the wrong order"):
+        _check_uniqueness(verdict, {(1,): Fraction(1, 3)}, exact=True)
+    _check_uniqueness(verdict, {(1,): Fraction(1, 3)}, exact=False)
 
 
 def _tampered_bounds(exact):

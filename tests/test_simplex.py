@@ -16,7 +16,6 @@ from histories_lab.simplex import (
     UNBOUNDED,
     FeasibleStart,
     LPResult,
-    feasible_start,
     solve_lp,
     solve_lp_exact,
     solve_lp_float,
@@ -113,12 +112,9 @@ def test_non_finite_lp_entries_are_refused(exact, bad):
     for A, b, c in (([[1.0]], [bad], None), ([[1.0, bad]], [1.0], None), ([[1.0]], [1.0], [bad])):
         with pytest.raises(ValidationError):
             solve_lp(A, b, c, exact=exact)
-        if c is None:
+        if c is not None:
             with pytest.raises(ValidationError):
-                feasible_start(A, b, exact=exact)
-        else:
-            with pytest.raises(ValidationError):
-                feasible_start(A, b, exact=exact).solve(c)
+                solve_lp(A, b, exact=exact).start.solve(c)
 
 
 def test_iteration_limit_raises(monkeypatch):
@@ -243,18 +239,20 @@ def small_lps(draw):
 @given(small_lps())
 def test_shared_start_matches_fresh_solves(lp):
     A, b, costs, exact = lp
-    start = feasible_start(A, b, exact=exact)
+    first = solve_lp(A, b, exact=exact)
     fresh = [solve_lp(A, b, c, exact=exact) for c in costs]
-    if isinstance(start, LPResult):
-        assert start.status == INFEASIBLE
+    if first.status == INFEASIBLE:
+        assert first.start is None
         for result in fresh:
             assert result.status == INFEASIBLE
-            assert list(result.certificate) == list(start.certificate)
-        assert verify_certificate(A, b, start.certificate)
+            assert list(result.certificate) == list(first.certificate)
+        assert verify_certificate(A, b, first.certificate)
         return
+    start = first.start
     assert isinstance(start, FeasibleStart)
     for c, result in zip(costs, fresh):
         warm = start.solve(c)
+        assert warm.start is start
         assert warm.status == result.status
         assert warm.pivots == result.pivots
         if result.status == OPTIMAL:
@@ -267,7 +265,7 @@ def test_shared_start_matches_fresh_solves(lp):
 def test_shared_start_zero_cost_and_cost_length():
     A, b = [[1, 1, 1], [1, -1, 0]], [2, 0]
     for exact in (False, True):
-        start = feasible_start(A, b, exact=exact)
+        start = solve_lp(A, b, exact=exact).start
         assert list(start.solve().x) == list(solve_lp(A, b, exact=exact).x)
         with pytest.raises(ValidationError):
             start.solve([1, 0])
@@ -317,14 +315,14 @@ def _fields(result: LPResult) -> dict:
 @given(rational_lps())
 def test_integer_tableau_matches_the_fraction_tableau(lp):
     A, b, costs = lp
-    start = feasible_start(A, b, exact=True)
+    start = solve_lp_exact(A, b).start
     for c in costs + [None]:
         result = solve_lp_exact(A, b, c)
         assert _fields(result) == fraction_simplex.solve(A, b, c)
         for values in (result.x, result.certificate):
             assert values is None or all(type(v) is Fraction for v in values)
         assert result.objective is None or type(result.objective) is Fraction
-        assert _fields(start if isinstance(start, LPResult) else start.solve(c)) == _fields(result)
+        assert start is None or _fields(start.solve(c)) == _fields(result)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +405,11 @@ def _bytes(result) -> tuple:
 @given(float_lps())
 def test_the_float_path_matches_the_reference_float_tableau(lp):
     A, b, costs = lp
-    start, reference = feasible_start(A, b), float_simplex.phase_one(A, b)
-    if isinstance(start, LPResult):
-        assert _bytes(start) == _bytes(reference)
+    first, reference = solve_lp_float(A, b), float_simplex.phase_one(A, b)
+    if first.start is None:
+        assert _bytes(first) == _bytes(reference)
     for c in costs:
         result = solve_lp_float(A, b, c)
         assert _bytes(result) == _bytes(float_simplex.solve(A, b, c))
-        if isinstance(start, FeasibleStart):
-            assert _bytes(start.solve(c)) == _bytes(float_simplex.phase_two(reference, c))
+        if first.start is not None:
+            assert _bytes(first.start.solve(c)) == _bytes(float_simplex.phase_two(reference, c))

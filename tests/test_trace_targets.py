@@ -81,3 +81,19 @@ def test_report_inequality_fields():
     assert {"slack", "satisfied"} <= set(bell)
     chsh = analysis.analyze(scenarios.build_scenario("eprb"))["unification"]["chsh"]
     assert {"max_value", "satisfied"} <= set(chsh)
+
+
+def test_the_tracer_sees_the_solver_under_analyze():
+    # every phase 1 runs in solve_lp_float or solve_lp_exact, so a traced analyze counts them
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for exact in (False, True):
+            analysis.analyze(scenarios.build_scenario("eprb"), analysis.AnalysisOptions(exact=exact))
+    finally:
+        tracer.uninstall()
+    totals = {**spans.empty_totals(), **spans.layer_totals(tracer.spans), **tracer.counters}
+    assert totals["simplex.solve_lp_float.calls"] >= 1
+    assert totals["simplex.solve_lp_exact.calls"] >= 1
+    assert totals["simplex.tableau_cells"] > 0

@@ -549,9 +549,9 @@ def test_float_eprb_verdict_and_probes_share_one_phase_one(monkeypatch):
     phase_ones = []
     phase_one = simplex._phase_one
 
-    def counting(A, b):
+    def counting(A, *args):
         phase_ones.append(A.shape)
-        return phase_one(A, b)
+        return phase_one(A, *args)
 
     monkeypatch.setattr(simplex, "_phase_one", counting)
     verdict = probe_uniqueness(space, tables)
@@ -603,6 +603,35 @@ def test_exact_eprb_probe_loops_build_no_fraction(monkeypatch):
     for result in results:
         assert result.status == OPTIMAL and type(result.objective) is Fraction
         assert all(type(v) is Fraction for v in result.x)
+
+
+def _fair_coins():
+    half = Fraction(1, 2)
+    space = JointSampleSpace((SA, SB))
+    return space, [MarginalTable((v,), {(1,): half, (-1,): half}) for v in (SA, SB)]
+
+
+def test_exact_witness_check_reads_each_float_as_the_rational_it_is():
+    # in float arithmetic, key (-1,) of the first table sums 0.25 + nextafter(0.25, 1) to 1/2
+    space, tables = _fair_coins()
+    inexact = dict(zip(space.cells(), [0.25, 0.25, 0.25, math.nextafter(0.25, 1)]))
+    with pytest.raises(NumericError, match=r"misses marginal key \(\(-1,\),\) by 1/18014398509481984"):
+        verify_witness(space, tables, inexact, exact=True)
+    verify_witness(space, tables, inexact)  # float mode: within delta
+    verify_witness(space, tables, dict(zip(space.cells(), [0.25, 0.25, 0.25, 0.25])), exact=True)
+
+
+def test_exact_certificate_check_reads_each_float_as_the_rational_it_is():
+    # box is "1" for sure in one table, "2" in the other; y = (-1, 0, 1, 0, 0) refutes them
+    # exactly, and moving -1 by 1e-13 leaves y.A = -1e-13 at box "1"
+    space = JointSampleSpace((BOX,))
+    tables = [MarginalTable((BOX,), {("1",): Fraction(1), (("2", "3"),): Fraction(0)}),
+              MarginalTable((BOX,), {(("1", "3"),): Fraction(0), ("2",): Fraction(1)})]
+    inexact = [-1.0000000000001, 0.0, 1.0, 0.0, 0.0]
+    assert not unify.refutes_marginals(space, tables, inexact, exact=True)
+    assert unify.refutes_marginals(space, tables, inexact)  # float mode: within EVIDENCE_TOL
+    assert unify.refutes_marginals(space, tables, [-1.0, 0.0, 1.0, 0.0, 0.0], exact=True)
+    assert not unify.refutes_marginals(space, tables, [math.nan, 0.0, 1.0, 0.0, 0.0], exact=True)
 
 
 def test_space_above_joint_cap_is_rejected():
@@ -953,7 +982,6 @@ def test_an_infeasible_16_cycle_is_refuted_without_an_lp_or_a_row_basis(monkeypa
 
     space, tables = _cycle([0.9] * 15 + [-0.9])
     monkeypatch.setattr(unify, "solve_lp", refuse)
-    monkeypatch.setattr(unify, "feasible_start", refuse)
     monkeypatch.setattr(unify, "_constraint_rows", refuse)
     try:
         for solve in (find_unifying_probability, probe_uniqueness):
@@ -963,6 +991,26 @@ def test_an_infeasible_16_cycle_is_refuted_without_an_lp_or_a_row_basis(monkeypa
             assert unify.refutes_marginals(space, tables, verdict.farkas_certificate)
     finally:
         _table_rows.cache_clear()  # a 65 x 65,536 matrix
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_every_unifier_lp_runs_through_solve_lp(monkeypatch, exact):
+    """With ``unify.solve_lp`` refused, a verdict the cycle inequality
+    decides (``leggett_garg``) is still the golden one, and one that needs
+    an LP (``eprb``, probed for uniqueness) cannot be reached at all."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_lp is refused")
+
+    monkeypatch.setattr(unify, "solve_lp", refuse)
+    options = AnalysisOptions(exact=exact)
+    report = json.loads(report_to_json(analyze(build_scenario("leggett_garg"), options)))
+    golden = json.loads((GOLDEN / f"analyze_leggett_garg{'_exact' if exact else ''}.json").read_text())
+    assert report["unification"]["verdict"] == golden["unification"]["verdict"]
+    with pytest.raises(AssertionError, match="solve_lp is refused"):
+        analyze(build_scenario("eprb"), options)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1095,23 @@ def test_quasi_probability_must_sum_to_one():
     space = JointSampleSpace((SA,))
     with pytest.raises(ValidationError):
         classify_quasiprobability(space, {(1,): 0.7, (-1,): 0.7})
+
+
+@pytest.mark.parametrize("q, message", [
+    ({(1,): math.nan, (-1,): 1.0}, r"value nan for cell \(1,\) is not a finite number"),
+    ({(1,): math.inf, (-1,): -math.inf}, r"value inf for cell \(1,\) is not a finite number"),
+    ({(1,): 1.0, (-1,): -math.inf}, r"value -inf for cell \(-1,\) is not a finite number"),
+    ({(1,): "0.5", (-1,): 0.5}, r"value '0.5' for cell \(1,\) is not a finite number"),
+    ({(1,): Fraction(1, 2) + Fraction(1, 10**12), (-1,): Fraction(1, 2)},
+     "quasi-probability must sum to 1 exactly, got 1000000000001/1000000000000"),
+], ids=["nan", "inf", "minus-inf", "string", "exact-sum"])
+def test_quasi_probability_values_are_checked_as_a_table_checks_them(q, message):
+    # a NaN or an infinite cell made no table and came back viable over 0 marginals,
+    # and an exact q off 1 was refused with a message about a marginal table
+    space = JointSampleSpace((SA,))
+    for exact in (False, True):
+        with pytest.raises(ValidationError, match=message):
+            classify_quasiprobability(space, q, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -1438,13 +1503,11 @@ def _full_row_verdicts(space, tables, exact):
     system; each is a verdict or ``NumericError``.  Also returns whether the
     width-0 evidence of the probe's phase 1 passed its band checks."""
     system = build_constraint_system(space, tables, exact)
+    result = simplex.solve_lp(system.matrix, system.rhs, exact=exact)
     try:
-        found = _verdict(tables, system, simplex.solve_lp(system.matrix, system.rhs, exact=exact),
-                         DEFAULT_DELTA, exact)
+        found = _verdict(tables, system, result, DEFAULT_DELTA, exact)
     except NumericError:
         found = NumericError
-    start = simplex.feasible_start(system.matrix, system.rhs, exact=exact)
-    result = start if isinstance(start, simplex.LPResult) else start.solve()
     try:
         probed, passed = _checked_verdict(tables, system, result, DEFAULT_DELTA, exact), True
     except NumericError:
@@ -1454,7 +1517,7 @@ def _full_row_verdicts(space, tables, exact):
         except NumericError:
             return found, NumericError, passed
     if probed.feasible and result.status == OPTIMAL:
-        bounds = _bounds(system.cell_rows, tables, start, result.x)
+        bounds = _bounds(system.cell_rows, tables, result.start, result.x)
         probed.unique = all(hi - lo <= (0 if exact else TABLE_TOL) for lo, hi in bounds)
         probed.component_bounds = dict(zip(system.cells, bounds))
     return found, probed, passed
